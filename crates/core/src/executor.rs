@@ -17,8 +17,44 @@
 //! communication with computation; the received elements live in a
 //! communication buffer addressed through the binary-searchable range
 //! records of the [`CommSchedule`].
+//!
+//! ## Address translation
+//!
+//! The paper (§4) accepts one run-time overhead as "unique to our system" —
+//! the binary search on a *nonlocal* reference — and treats a local
+//! reference as a cheap index translation.  Both fetchers ([`Fetcher`] on
+//! the rank's thread, [`ChunkFetcher`] inside a chunk) therefore resolve a
+//! global index through one shared resolver that keeps the common case to
+//! two compares and an add:
+//!
+//! * a sweep asks the data distribution **once** for the rank's owned set
+//!   as contiguous runs ([`Distribution::local_runs`]); inside a run the
+//!   local offset is `local_base + (g − low)`, inside a receive record the
+//!   buffer position is `buffer + (g − low)` — the same arithmetic, so both
+//!   are kept as *windows* `(low, high, base)`;
+//! * the resolver holds a small fixed array of windows indexed by the
+//!   reference's **ordinal within the iteration**: the k-th reference of a
+//!   stencil body walks its own row (or its own halo record) from one
+//!   iteration to the next, so it keeps hitting its own window, and the
+//!   three rows of a vertical stencil never evict each other;
+//! * a miss costs one binary search over the owned runs and, only when no
+//!   run covers the index, the schedule's receive-record search; an index
+//!   covered by neither panics before anything is charged.
+//!
+//! A distribution that offers no runs (the trait default; cyclic, scattered
+//! owner tables, any user-defined distribution that does not opt in) is
+//! resolved through [`Distribution::is_local`] / [`Distribution::local_index`]
+//! per owned reference, exactly as before runs existed, and only nonlocal
+//! references use the windows.  Which path resolves a reference is
+//! unobservable: values, the `charge_local_access` /
+//! `charge_nonlocal_access` sequence and the panic are those of the
+//! definitional route (`is_local` → `local_index`, else
+//! [`CommSchedule::find`]), so a metering backend's clock does not move.
+//! The same runs let the pack, unpack and copy loops of the executor and of
+//! [`redistribute`](mod@crate::redistribute) translate once per run and move
+//! slices.
 
-use distrib::Distribution;
+use distrib::{find_run, Distribution, LocalRun};
 
 use crate::process::trace::EventKind;
 use crate::process::{tags, Process, Tag};
@@ -107,18 +143,169 @@ impl ExecutorConfig {
     }
 }
 
+// ----------------------------------------------------------------------
+// Address translation
+// ----------------------------------------------------------------------
+
+/// Windows a resolver keeps: references past the eighth of one iteration
+/// share the windows of the first eight.  A power of two, so the ordinal
+/// wraps with a mask.
+const WINDOWS: usize = 8;
+
+/// Where a resolved reference lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// Offset into the rank's local storage of the referenced array.
+    Local(usize),
+    /// Position in the sweep's receive buffer.
+    Nonlocal(usize),
+}
+
+/// One remembered translation: global indices `low..high` live at
+/// `base..`, in the receive buffer when `nonlocal`, in local storage
+/// otherwise.  The empty window (`high == 0`) matches nothing.
+#[derive(Debug, Clone, Copy, Default)]
+struct Window {
+    low: usize,
+    high: usize,
+    base: usize,
+    nonlocal: bool,
+}
+
+impl Window {
+    #[inline]
+    fn slot(&self, g: usize) -> Option<Slot> {
+        (g >= self.low && g < self.high).then(|| {
+            let pos = self.base + (g - self.low);
+            if self.nonlocal {
+                Slot::Nonlocal(pos)
+            } else {
+                Slot::Local(pos)
+            }
+        })
+    }
+}
+
+/// The one translation path behind both fetchers (see the module docs).
+///
+/// Pure with respect to cost accounting: it returns where the element lives
+/// and the fetcher charges; on an index that is neither owned nor scheduled
+/// it panics with nothing charged and no window changed.  Relies on the
+/// schedule invariant that receive records never cover an owned index.
+struct Resolver<'a, D: Distribution + ?Sized> {
+    dist: &'a D,
+    rank: usize,
+    /// The rank's owned runs, fetched once per sweep; `None` when the
+    /// distribution offers none.
+    runs: Option<&'a [LocalRun]>,
+    schedule: &'a CommSchedule,
+    windows: [Window; WINDOWS],
+    /// References resolved so far in the current iteration.
+    ordinal: usize,
+}
+
+impl<'a, D: Distribution + ?Sized> Resolver<'a, D> {
+    fn new(dist: &'a D, runs: Option<&'a [LocalRun]>, schedule: &'a CommSchedule) -> Self {
+        Resolver {
+            dist,
+            rank: schedule.rank,
+            runs,
+            schedule,
+            windows: [Window::default(); WINDOWS],
+            ordinal: 0,
+        }
+    }
+
+    /// Start the next iteration: its first reference is ordinal 0 again.
+    #[inline]
+    fn next_iteration(&mut self) {
+        self.ordinal = 0;
+    }
+
+    #[inline]
+    fn resolve(&mut self, g: usize) -> Slot {
+        let k = self.ordinal & (WINDOWS - 1);
+        self.ordinal += 1;
+        match self.runs {
+            Some(runs) => {
+                if let Some(slot) = self.windows[k].slot(g) {
+                    return slot;
+                }
+                if let Some(run) = find_run(runs, g) {
+                    self.windows[k] = Window {
+                        low: run.low,
+                        high: run.high,
+                        base: run.local_base,
+                        nonlocal: false,
+                    };
+                    return Slot::Local(run.local_base + (g - run.low));
+                }
+            }
+            None => {
+                if self.dist.is_local(self.rank, g) {
+                    return Slot::Local(self.dist.local_index(g));
+                }
+                if let Some(slot) = self.windows[k].slot(g) {
+                    return slot;
+                }
+            }
+        }
+        let (low, high, base) = self.schedule.find_record(g).unwrap_or_else(|| {
+            panic!(
+                "global index {g} is neither local to rank {} nor in its receive schedule",
+                self.rank
+            )
+        });
+        self.windows[k] = Window {
+            low,
+            high,
+            base,
+            nonlocal: true,
+        };
+        Slot::Nonlocal(base + (g - low))
+    }
+}
+
+/// Visit the local storage of the owned global range `low..high` as
+/// contiguous pieces `(global start, local start, length)` in ascending
+/// global order: one piece per owned run the range overlaps, or one per
+/// element when the distribution offers no runs.
+pub(crate) fn for_each_local_piece<D: Distribution + ?Sized>(
+    dist: &D,
+    runs: Option<&[LocalRun]>,
+    low: usize,
+    high: usize,
+    mut visit: impl FnMut(usize, usize, usize),
+) {
+    let Some(runs) = runs else {
+        for g in low..high {
+            visit(g, dist.local_index(g), 1);
+        }
+        return;
+    };
+    let mut rest = runs[runs.partition_point(|r| r.high <= low)..].iter();
+    let mut g = low;
+    while g < high {
+        let run = rest
+            .next()
+            .filter(|run| run.low <= g)
+            .unwrap_or_else(|| panic!("global index {g} is not owned under {}", dist.kind_name()));
+        let end = run.high.min(high);
+        visit(g, run.local_base + (g - run.low), end - g);
+        g = end;
+    }
+}
+
 /// Resolves global indices of the referenced array to values, charging the
 /// appropriate access costs: local accesses translate the index, nonlocal
 /// accesses binary-search the communication buffer (the "search overhead …
 /// unique to our system", §4).
 pub struct Fetcher<'a, T, P: Process, D: Distribution + ?Sized = dyn Distribution> {
     proc: &'a mut P,
-    dist: &'a D,
-    rank: usize,
     ranges: usize,
     local_data: &'a [T],
     recv_buf: &'a [T],
-    schedule: &'a CommSchedule,
+    resolver: Resolver<'a, D>,
 }
 
 impl<'a, T: Copy, P: Process, D: Distribution + ?Sized> Fetcher<'a, T, P, D> {
@@ -126,30 +313,26 @@ impl<'a, T: Copy, P: Process, D: Distribution + ?Sized> Fetcher<'a, T, P, D> {
     ///
     /// Panics if `g` is neither owned nor covered by the schedule — that
     /// means the schedule was built for a different reference pattern, which
-    /// is a correctness bug (the paper's system would read garbage).
+    /// is a correctness bug (the paper's system would read garbage).  The
+    /// access is charged only after it resolved: the panic leaves the cost
+    /// counters (and the simulated clock) untouched.
+    #[inline]
     pub fn fetch(&mut self, g: usize) -> T {
-        if self.dist.is_local(self.rank, g) {
-            self.proc.charge_local_access();
-            self.local_data[self.dist.local_index(g)]
-        } else {
-            // Look up first, charge after: charging before the lookup would
-            // leave the cost counters (and the simulated clock) inflated by
-            // an access that never happened when the schedule does not cover
-            // `g` and the panic below unwinds.
-            let pos = self.schedule.find(g).unwrap_or_else(|| {
-                panic!(
-                    "global index {g} is neither local to rank {} nor in its receive schedule",
-                    self.rank
-                )
-            });
-            self.proc.charge_nonlocal_access(self.ranges);
-            self.recv_buf[pos]
+        match self.resolver.resolve(g) {
+            Slot::Local(l) => {
+                self.proc.charge_local_access();
+                self.local_data[l]
+            }
+            Slot::Nonlocal(pos) => {
+                self.proc.charge_nonlocal_access(self.ranges);
+                self.recv_buf[pos]
+            }
         }
     }
 
     /// True when the element is stored locally (no communication needed).
     pub fn is_local(&self, g: usize) -> bool {
-        self.dist.is_local(self.rank, g)
+        self.resolver.dist.is_local(self.resolver.rank, g)
     }
 
     /// Access the underlying process handle, e.g. to charge the cost of
@@ -189,83 +372,37 @@ where
         "schedule belongs to a different processor"
     );
     let tag = tags::executor_tag(config.tag);
-    send_phase(proc, schedule, data_dist, local_data, tag);
+    let runs = data_dist.local_runs(rank);
+    let runs = runs.as_deref();
+    send_phase(proc, schedule, data_dist, runs, local_data, tag);
 
-    if config.overlap {
-        // Paper order: local iterations run while messages are in flight.
-        run_iters(
-            proc,
-            &schedule.local_iters,
-            schedule,
-            data_dist,
-            local_data,
-            &[],
-            &mut body,
-        );
-        let recv_buf = receive_all(proc, schedule, tag);
-        run_iters(
-            proc,
-            &schedule.nonlocal_iters,
-            schedule,
-            data_dist,
-            local_data,
-            &recv_buf,
-            &mut body,
-        );
-    } else {
-        // Ablation: no overlap — wait for all data first.
-        let recv_buf = receive_all(proc, schedule, tag);
-        run_iters(
-            proc,
-            &schedule.local_iters,
-            schedule,
-            data_dist,
-            local_data,
-            &recv_buf,
-            &mut body,
-        );
-        run_iters(
-            proc,
-            &schedule.nonlocal_iters,
-            schedule,
-            data_dist,
-            local_data,
-            &recv_buf,
-            &mut body,
-        );
-    }
-    schedule.local_iters.len() + schedule.nonlocal_iters.len()
-}
-
-/// Run a list of iterations of the loop body with the given receive buffer.
-fn run_iters<P, D, T, F>(
-    proc: &mut P,
-    iters: &[usize],
-    schedule: &CommSchedule,
-    data_dist: &D,
-    local_data: &[T],
-    recv_buf: &[T],
-    body: &mut F,
-) where
-    P: Process,
-    D: Distribution + ?Sized,
-    T: Copy,
-    F: FnMut(usize, &mut Fetcher<'_, T, P, D>),
-{
-    let rank = schedule.rank;
-    for &i in iters {
-        proc.charge_loop_iters(1);
+    let mut run_iters = |proc: &mut P, iters: &[usize], recv_buf: &[T]| {
         let mut fetcher = Fetcher {
             proc,
-            dist: data_dist,
-            rank,
             ranges: schedule.range_count(),
             local_data,
             recv_buf,
-            schedule,
+            resolver: Resolver::new(data_dist, runs, schedule),
         };
-        body(i, &mut fetcher);
+        for &i in iters {
+            fetcher.proc.charge_loop_iters(1);
+            fetcher.resolver.next_iteration();
+            body(i, &mut fetcher);
+        }
+    };
+
+    if config.overlap {
+        // Paper order: local iterations run while messages are in flight.
+        run_iters(proc, &schedule.local_iters, &[]);
+        let recv_buf = receive_all(proc, schedule, tag);
+        run_iters(proc, &schedule.nonlocal_iters, &recv_buf);
+    } else {
+        // Ablation: no overlap — wait for all data first.
+        let recv_buf = receive_all(proc, schedule, tag);
+        run_iters(proc, &schedule.local_iters, &recv_buf);
+        run_iters(proc, &schedule.nonlocal_iters, &recv_buf);
     }
+    schedule.local_iters.len() + schedule.nonlocal_iters.len()
 }
 
 /// Gather and send every scheduled outgoing message: one packed contiguous
@@ -276,6 +413,7 @@ fn send_phase<P, D, T>(
     proc: &mut P,
     schedule: &CommSchedule,
     data_dist: &D,
+    runs: Option<&[LocalRun]>,
     local_data: &[T],
     tag: Tag,
 ) where
@@ -290,9 +428,9 @@ fn send_phase<P, D, T>(
             // Gather: translate and read each owned element (2 memory
             // references apiece, charged in bulk per record).
             proc.charge_mem_refs(2 * record.len());
-            for g in record.low..record.high {
-                payload.push(local_data[data_dist.local_index(g)]);
-            }
+            for_each_local_piece(data_dist, runs, record.low, record.high, |_, l, len| {
+                payload.extend_from_slice(&local_data[l..l + len]);
+            });
         }
         proc.send_packed(to_proc, tag, payload);
     }
@@ -388,22 +526,13 @@ impl ChunkCosts {
 /// Access costs (and any body arithmetic charged through the `charge_*`
 /// methods) accumulate in a per-chunk [`ChunkCosts`] that the executor
 /// merges deterministically afterwards, so the same body produces the same
-/// accounting at any worker count.
+/// accounting at any worker count.  The resolver's windows start empty in
+/// every chunk and never escape it, so results and accounting are identical
+/// at every `(workers, chunk)` setting.
 pub struct ChunkFetcher<'a, T, D: Distribution + ?Sized = dyn Distribution> {
-    dist: &'a D,
-    rank: usize,
     local_data: &'a [T],
     recv_buf: &'a [T],
-    schedule: &'a CommSchedule,
-    /// Chunk-local schedule window: the `(low, high, buffer)` receive
-    /// record hit by the most recent nonlocal reference.  Stencil chunks
-    /// touch long runs of consecutive ghost elements, so the common case
-    /// resolves inside this window with two compares and an add; the
-    /// schedule's `O(log r)` binary search runs only when a reference
-    /// leaves the window.  Starts empty (`high == 0` matches nothing) and
-    /// never escapes the chunk, so results and cost accounting are
-    /// identical at every `(workers, chunk)` setting.
-    window: (usize, usize, usize),
+    resolver: Resolver<'a, D>,
     costs: ChunkCosts,
 }
 
@@ -414,32 +543,23 @@ impl<'a, T: Copy, D: Distribution + ?Sized> ChunkFetcher<'a, T, D> {
     /// like [`Fetcher::fetch`]; the panic propagates to the calling rank
     /// when the worker scope joins, and the chunk's costs are discarded
     /// unflushed (nothing is charged for work that never completed).
+    #[inline]
     pub fn fetch(&mut self, g: usize) -> T {
-        if self.dist.is_local(self.rank, g) {
-            self.costs.local_accesses += 1;
-            self.local_data[self.dist.local_index(g)]
-        } else {
-            let (low, high, buffer) = self.window;
-            let pos = if g >= low && g < high {
-                buffer + (g - low)
-            } else {
-                let record = self.schedule.find_record(g).unwrap_or_else(|| {
-                    panic!(
-                        "global index {g} is neither local to rank {} nor in its receive schedule",
-                        self.rank
-                    )
-                });
-                self.window = record;
-                record.2 + (g - record.0)
-            };
-            self.costs.nonlocal_accesses += 1;
-            self.recv_buf[pos]
+        match self.resolver.resolve(g) {
+            Slot::Local(l) => {
+                self.costs.local_accesses += 1;
+                self.local_data[l]
+            }
+            Slot::Nonlocal(pos) => {
+                self.costs.nonlocal_accesses += 1;
+                self.recv_buf[pos]
+            }
         }
     }
 
     /// True when the element is stored locally (no communication needed).
     pub fn is_local(&self, g: usize) -> bool {
-        self.dist.is_local(self.rank, g)
+        self.resolver.dist.is_local(self.resolver.rank, g)
     }
 
     /// Charge `n` floating-point operations to this chunk.
@@ -463,71 +583,6 @@ impl<'a, T: Copy, D: Distribution + ?Sized> ChunkFetcher<'a, T, D> {
     }
 }
 
-/// Run one phase's iteration list in fixed-boundary chunks on the worker
-/// pool, returning each chunk's body values and accumulated costs in
-/// ascending chunk order.
-#[allow(clippy::too_many_arguments)]
-fn run_chunked_phase<D, T, V, F>(
-    iters: &[usize],
-    schedule: &CommSchedule,
-    data_dist: &D,
-    local_data: &[T],
-    recv_buf: &[T],
-    workers: usize,
-    chunk: usize,
-    body: &F,
-) -> Vec<(Vec<V>, ChunkCosts)>
-where
-    D: Distribution + ?Sized + Sync,
-    T: Copy + Sync,
-    V: Send,
-    F: Fn(usize, &mut ChunkFetcher<'_, T, D>) -> V + Sync,
-{
-    let bounds = crate::pool::chunk_bounds(iters.len(), chunk);
-    crate::pool::run_chunks(workers, bounds.len(), |ci| {
-        let (start, end) = bounds[ci];
-        let mut fetcher = ChunkFetcher {
-            dist: data_dist,
-            rank: schedule.rank,
-            local_data,
-            recv_buf,
-            schedule,
-            window: (0, 0, 0),
-            costs: ChunkCosts::default(),
-        };
-        let mut values = Vec::with_capacity(end - start);
-        for &i in &iters[start..end] {
-            fetcher.costs.loop_iters += 1;
-            values.push(body(i, &mut fetcher));
-        }
-        (values, fetcher.costs)
-    })
-}
-
-/// Merge one phase's chunk results back on the rank's thread: flush each
-/// chunk's costs, then hand each `(iteration, value)` pair to `sink`, both
-/// in ascending chunk (and therefore ascending iteration) order.
-fn apply_chunk_results<P, V, W>(
-    proc: &mut P,
-    ranges: usize,
-    iters: &[usize],
-    results: Vec<(Vec<V>, ChunkCosts)>,
-    sink: &mut W,
-) where
-    P: Process,
-    W: FnMut(usize, V),
-{
-    let mut cursor = 0usize;
-    for (values, costs) in results {
-        costs.flush_into(proc, ranges);
-        for value in values {
-            sink(iters[cursor], value);
-            cursor += 1;
-        }
-    }
-    debug_assert_eq!(cursor, iters.len(), "every iteration produced a value");
-}
-
 /// Execute one sweep of a `forall` with the **chunked intra-rank parallel
 /// executor**.
 ///
@@ -545,11 +600,14 @@ fn apply_chunk_results<P, V, W>(
 ///   iteration instead of writing in place.
 /// * All writes happen on the calling thread through `sink(i, value)`,
 ///   invoked in ascending iteration order within each phase.
-/// * Per-chunk cost counters merge in ascending chunk order, so metered
-///   totals match the scalar path at every `(workers, chunk)` setting.
+/// * Per-chunk cost counters merge in ascending chunk order, each chunk's
+///   flush preceding its own values' sinks, so metered totals match the
+///   scalar path at every `(workers, chunk)` setting.
 ///
 /// Consequently results and counters are a function of the schedule and the
-/// body alone — never of the worker count or chunk size.
+/// body alone — never of the worker count or chunk size.  With one worker a
+/// chunk's values reach the sink before the next chunk runs, so a phase
+/// never holds more than one chunk of results.
 ///
 /// Returns the number of iterations executed locally.
 pub fn execute_sweep_chunked<P, D, T, V, F, W>(
@@ -578,14 +636,17 @@ where
     let workers = config.workers.max(1);
     let chunk = config.effective_chunk();
     let ranges = schedule.range_count();
-    send_phase(proc, schedule, data_dist, local_data, tag);
+    let runs = data_dist.local_runs(rank);
+    let runs = runs.as_deref();
+    send_phase(proc, schedule, data_dist, runs, local_data, tag);
 
-    let run_phase = |proc: &mut P, phase: usize, iters: &[usize], recv_buf: &[T], sink: &mut W| {
+    let mut run_phase = |proc: &mut P, phase: usize, iters: &[usize], recv_buf: &[T]| {
+        let bounds = crate::pool::chunk_bounds(iters.len(), chunk);
         if proc.trace_active() {
             // One claim per chunk, recorded on the rank's thread before the
             // pool runs: the trace analyzer proves the claims of a phase
             // cover disjoint iteration positions (the sink's exclusivity).
-            for (start, end) in crate::pool::chunk_bounds(iters.len(), chunk) {
+            for &(start, end) in &bounds {
                 proc.trace_emit(EventKind::ChunkClaim {
                     sweep: config.tag,
                     phase,
@@ -594,21 +655,46 @@ where
                 });
             }
         }
-        let results = run_chunked_phase(
-            iters, schedule, data_dist, local_data, recv_buf, workers, chunk, &body,
+        crate::pool::run_chunks(
+            workers,
+            bounds.len(),
+            |ci| {
+                let (start, end) = bounds[ci];
+                let mut fetcher = ChunkFetcher {
+                    local_data,
+                    recv_buf,
+                    resolver: Resolver::new(data_dist, runs, schedule),
+                    costs: ChunkCosts::default(),
+                };
+                let mut values = Vec::with_capacity(end - start);
+                for &i in &iters[start..end] {
+                    fetcher.costs.loop_iters += 1;
+                    fetcher.resolver.next_iteration();
+                    values.push(body(i, &mut fetcher));
+                }
+                (values, fetcher.costs)
+            },
+            // Back on the rank's thread, in ascending chunk (and therefore
+            // ascending iteration) order: flush the chunk's costs, then
+            // hand its values to the sink.
+            |ci, (values, costs): (Vec<V>, ChunkCosts)| {
+                costs.flush_into(proc, ranges);
+                for (&i, value) in iters[bounds[ci].0..].iter().zip(values) {
+                    sink(i, value);
+                }
+            },
         );
-        apply_chunk_results(proc, ranges, iters, results, sink);
     };
 
     if config.overlap {
         // Paper order: local iterations run while messages are in flight.
-        run_phase(proc, 0, &schedule.local_iters, &[], &mut sink);
+        run_phase(proc, 0, &schedule.local_iters, &[]);
         let recv_buf = receive_all(proc, schedule, tag);
-        run_phase(proc, 1, &schedule.nonlocal_iters, &recv_buf, &mut sink);
+        run_phase(proc, 1, &schedule.nonlocal_iters, &recv_buf);
     } else {
         let recv_buf = receive_all(proc, schedule, tag);
-        run_phase(proc, 0, &schedule.local_iters, &recv_buf, &mut sink);
-        run_phase(proc, 1, &schedule.nonlocal_iters, &recv_buf, &mut sink);
+        run_phase(proc, 0, &schedule.local_iters, &recv_buf);
+        run_phase(proc, 1, &schedule.nonlocal_iters, &recv_buf);
     }
     schedule.local_iters.len() + schedule.nonlocal_iters.len()
 }
@@ -779,54 +865,80 @@ mod tests {
         }
     }
 
+    impl MeteredSolo {
+        /// A scalar fetcher over this backend, as `execute_sweep` builds it.
+        fn fetcher<'a, D: Distribution + ?Sized>(
+            &'a mut self,
+            dist: &'a D,
+            runs: Option<&'a [LocalRun]>,
+            schedule: &'a CommSchedule,
+            local_data: &'a [f64],
+            recv_buf: &'a [f64],
+        ) -> Fetcher<'a, f64, MeteredSolo, D> {
+            Fetcher {
+                proc: self,
+                ranges: schedule.range_count(),
+                local_data,
+                recv_buf,
+                resolver: Resolver::new(dist, runs, schedule),
+            }
+        }
+    }
+
+    /// A chunk fetcher as one chunk of `execute_sweep_chunked` builds it.
+    fn chunk_fetcher<'a, D: Distribution + ?Sized>(
+        dist: &'a D,
+        runs: Option<&'a [LocalRun]>,
+        schedule: &'a CommSchedule,
+        local_data: &'a [f64],
+        recv_buf: &'a [f64],
+    ) -> ChunkFetcher<'a, f64, D> {
+        ChunkFetcher {
+            local_data,
+            recv_buf,
+            resolver: Resolver::new(dist, runs, schedule),
+            costs: ChunkCosts::default(),
+        }
+    }
+
     #[test]
     fn schedule_mismatch_panic_leaves_cost_counters_untouched() {
         // Regression: `Fetcher::fetch` used to charge the nonlocal access
         // *before* checking the schedule covered the index, so the panic
         // path left the counters (and on dmsim the simulated clock)
-        // inflated by an access that never happened.
+        // inflated by an access that never happened.  Checked on both
+        // sides of the runs choice: with the block distribution's run and
+        // with the per-element fallback.
         let dist = DimDist::block(8, 2);
         let empty = CommSchedule::from_recv_sets(0, &[], vec![], vec![]);
         let local_data = [0.0f64; 4];
-        let mut proc = MeteredSolo::default();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut fetcher = Fetcher {
-                proc: &mut proc,
-                dist: &dist,
-                rank: 0,
-                ranges: empty.range_count(),
-                local_data: &local_data,
-                recv_buf: &[],
-                schedule: &empty,
-            };
-            // Global index 6 is owned by the (absent) rank 1 and not in the
-            // schedule: the lookup fails and fetch panics.
-            fetcher.fetch(6)
-        }));
-        assert!(result.is_err(), "unscheduled fetch must panic");
-        assert_eq!(
-            proc.nonlocal_charges, 0,
-            "no nonlocal access may be charged on the panic path"
-        );
-        assert_eq!(proc.counters(), crate::process::Counters::default());
-        // Sanity: the same fetcher charges exactly once on a successful path.
-        let mut fetcher = Fetcher {
-            proc: &mut proc,
-            dist: &dist,
-            rank: 0,
-            ranges: empty.range_count(),
-            local_data: &local_data,
-            recv_buf: &[],
-            schedule: &empty,
-        };
-        assert_eq!(fetcher.fetch(2), 0.0);
-        assert_eq!(proc.local_charges, 1);
-        assert_eq!(proc.nonlocal_charges, 0);
+        let owned = dist.local_runs(0);
+        assert!(owned.is_some(), "block offers its run");
+        for runs in [owned.as_deref(), None] {
+            let mut proc = MeteredSolo::default();
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                // Global index 6 is owned by the (absent) rank 1 and not in
+                // the schedule: the lookup fails and fetch panics.
+                proc.fetcher(&dist, runs, &empty, &local_data, &[]).fetch(6)
+            }));
+            assert!(result.is_err(), "unscheduled fetch must panic");
+            assert_eq!(
+                proc.nonlocal_charges, 0,
+                "no nonlocal access may be charged on the panic path"
+            );
+            assert_eq!(proc.counters(), crate::process::Counters::default());
+            // Sanity: the same fetcher charges exactly once on a successful
+            // path.
+            let mut fetcher = proc.fetcher(&dist, runs, &empty, &local_data, &[]);
+            assert_eq!(fetcher.fetch(2), 0.0);
+            assert_eq!(proc.local_charges, 1);
+            assert_eq!(proc.nonlocal_charges, 0);
+        }
     }
 
     #[test]
     fn chunk_fetcher_window_agrees_with_the_schedule_search() {
-        // The chunk-local window is a pure cache: hits, misses, window
+        // The resolver's windows are a pure cache: hits, misses, window
         // switches and re-entries must all return exactly what a fresh
         // `CommSchedule::find` returns, and every nonlocal fetch must be
         // counted regardless of which path resolved it.
@@ -836,35 +948,260 @@ mod tests {
         let schedule = CommSchedule::from_recv_sets(0, &recv_sets, vec![], vec![]);
         let local_data = [0.5f64, 1.5, 2.5, 3.5];
         let recv_buf = [40.0f64, 50.0, 60.0, 70.0];
-        let mut fetcher = ChunkFetcher {
-            dist: &dist,
-            rank: 0,
-            local_data: &local_data,
-            recv_buf: &recv_buf,
-            schedule: &schedule,
-            window: (0, 0, 0),
-            costs: ChunkCosts::default(),
-        };
-        // Interleave local hits, the first nonlocal miss (seeds the
-        // window), in-window runs, and repeats after leaving the window.
-        let pattern = [4usize, 5, 6, 1, 7, 4, 0, 6];
-        let mut nonlocal = 0;
-        for &g in &pattern {
-            let expected = match schedule.find(g) {
-                Some(pos) => {
-                    nonlocal += 1;
-                    recv_buf[pos]
-                }
-                None => local_data[dist.local_index(g)],
-            };
-            assert_eq!(fetcher.fetch(g).to_bits(), expected.to_bits());
+        let owned = dist.local_runs(0);
+        for runs in [owned.as_deref(), None] {
+            let mut fetcher = chunk_fetcher(&dist, runs, &schedule, &local_data, &recv_buf);
+            // Interleave local hits, the first nonlocal miss (seeds the
+            // window), in-window runs, and repeats after leaving the
+            // window — all on ordinal 0, so one window takes every switch.
+            let pattern = [4usize, 5, 6, 1, 7, 4, 0, 6];
+            let mut nonlocal = 0;
+            for &g in &pattern {
+                let expected = match schedule.find(g) {
+                    Some(pos) => {
+                        nonlocal += 1;
+                        recv_buf[pos]
+                    }
+                    None => local_data[dist.local_index(g)],
+                };
+                fetcher.resolver.next_iteration();
+                assert_eq!(fetcher.fetch(g).to_bits(), expected.to_bits());
+            }
+            assert_eq!(fetcher.costs.nonlocal_accesses, nonlocal);
+            assert_eq!(fetcher.costs.local_accesses, pattern.len() - nonlocal);
+            // The window now covers the receive range; an out-of-schedule
+            // index still panics instead of resolving through stale state.
+            let result =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fetcher.fetch(9)));
+            assert!(result.is_err(), "index 9 is outside the schedule");
         }
-        assert_eq!(fetcher.costs.nonlocal_accesses, nonlocal);
-        assert_eq!(fetcher.costs.local_accesses, pattern.len() - nonlocal);
-        // The window now covers the receive range; an out-of-schedule
-        // index still panics instead of resolving through stale state.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fetcher.fetch(9)));
-        assert!(result.is_err(), "index 9 is outside the schedule");
+    }
+
+    /// What one reference does on the definitional route — `is_local` →
+    /// `local_index`, else `CommSchedule::find` — as `(nonlocal?, value
+    /// bits)`, or `None` where that route panics.
+    fn definitional<D: Distribution + ?Sized>(
+        dist: &D,
+        schedule: &CommSchedule,
+        local_data: &[f64],
+        recv_buf: &[f64],
+        g: usize,
+    ) -> Option<(bool, u64)> {
+        if dist.is_local(schedule.rank, g) {
+            Some((false, local_data[dist.local_index(g)].to_bits()))
+        } else {
+            schedule.find(g).map(|pos| (true, recv_buf[pos].to_bits()))
+        }
+    }
+
+    /// Drive `iterations` (each a list of references) through both fetchers
+    /// and compare every reference with the definitional route: value bits,
+    /// which hook was charged, and — for an index that is neither owned nor
+    /// scheduled — a panic that charges nothing and disturbs nothing.
+    fn assert_fetchers_match_the_definitional_route<D: Distribution + ?Sized>(
+        dist: &D,
+        runs: Option<&[LocalRun]>,
+        schedule: &CommSchedule,
+        iterations: &[Vec<usize>],
+    ) {
+        let rank = schedule.rank;
+        let local_data: Vec<f64> = (0..dist.local_count(rank))
+            .map(|l| 1.0 + dist.global_index(rank, l) as f64)
+            .collect();
+        let recv_buf: Vec<f64> = (0..schedule.recv_len)
+            .map(|pos| -1.0 - pos as f64)
+            .collect();
+        let mut proc = MeteredSolo::default();
+        let mut scalar = proc.fetcher(dist, runs, schedule, &local_data, &recv_buf);
+        let mut chunked = chunk_fetcher(dist, runs, schedule, &local_data, &recv_buf);
+        let (mut local, mut nonlocal) = (0u64, 0u64);
+        for refs in iterations {
+            scalar.resolver.next_iteration();
+            chunked.resolver.next_iteration();
+            for &g in refs {
+                let expected = definitional(dist, schedule, &local_data, &recv_buf, g);
+                let got_scalar =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| scalar.fetch(g)));
+                let got_chunked =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| chunked.fetch(g)));
+                match expected {
+                    Some((is_nonlocal, bits)) => {
+                        assert_eq!(got_scalar.ok().map(f64::to_bits), Some(bits), "g={g}");
+                        assert_eq!(got_chunked.ok().map(f64::to_bits), Some(bits), "g={g}");
+                        local += u64::from(!is_nonlocal);
+                        nonlocal += u64::from(is_nonlocal);
+                    }
+                    None => {
+                        for payload in [got_scalar.err(), got_chunked.err()] {
+                            let message = payload
+                                .and_then(|p| p.downcast::<String>().ok())
+                                .expect("an unscheduled index panics with a message");
+                            assert_eq!(
+                                *message,
+                                format!(
+                                    "global index {g} is neither local to rank {rank} \
+                                     nor in its receive schedule"
+                                )
+                            );
+                        }
+                    }
+                }
+                // After every reference, panicking or not: each fetcher has
+                // charged exactly the definitional hooks so far.
+                assert_eq!(scalar.proc.local_charges, local, "g={g}");
+                assert_eq!(scalar.proc.nonlocal_charges, nonlocal, "g={g}");
+                assert_eq!(chunked.costs.local_accesses as u64, local, "g={g}");
+                assert_eq!(chunked.costs.nonlocal_accesses as u64, nonlocal, "g={g}");
+            }
+        }
+        assert_eq!(
+            chunked.costs,
+            ChunkCosts {
+                local_accesses: local as usize,
+                nonlocal_accesses: nonlocal as usize,
+                ..ChunkCosts::default()
+            }
+        );
+        let counters = proc.counters();
+        assert_eq!(
+            counters,
+            crate::process::Counters {
+                nonlocal_refs: nonlocal,
+                ..Default::default()
+            }
+        );
+    }
+
+    mod resolver_properties {
+        use super::*;
+        use distrib::{ArrayDist, BlockDist, IndexRange, IndexSet, IrregularDist};
+        use proptest::prelude::*;
+
+        /// A random receive schedule for `rank`: a random subset of the
+        /// ranges other ranks own, so some nonlocal indices stay
+        /// unscheduled (the panic path) and records have gaps between them.
+        fn random_schedule(dist: &dyn Distribution, rank: usize, picks: &[usize]) -> CommSchedule {
+            let mut picks = picks.iter().cycle();
+            let recv_sets: Vec<IndexSet> = (0..dist.nprocs())
+                .map(|q| {
+                    if q == rank {
+                        return IndexSet::new();
+                    }
+                    IndexSet::from_ranges(dist.local_set(q).ranges().iter().filter_map(|r| {
+                        // Keep a random sub-range of roughly two in three.
+                        let pick = *picks.next().expect("cycle never ends");
+                        let len = r.end - r.start;
+                        let lo = r.start + pick % len;
+                        let hi = lo + 1 + (pick / 7) % (r.end - lo);
+                        (pick % 3 < 2).then_some(IndexRange::new(lo, hi))
+                    }))
+                })
+                .collect();
+            CommSchedule::from_recv_sets(rank, &recv_sets, vec![], vec![])
+        }
+
+        /// Reference sequences that hit, miss, switch and re-enter windows:
+        /// per iteration, a few references that each walk their own stride
+        /// from iteration to iteration (ordinal k keeps its row), mixed
+        /// with uniformly random ones (switches, re-entries, unscheduled
+        /// indices) and more references than there are windows.
+        fn random_iterations(n: usize, seeds: &[usize]) -> Vec<Vec<usize>> {
+            (0..48)
+                .map(|it| {
+                    let width = 1 + seeds[it % seeds.len()] % (WINDOWS + 3);
+                    (0..width)
+                        .map(|k| {
+                            let seed = seeds[(it * 31 + k * 7) % seeds.len()];
+                            if seed % 4 == 1 {
+                                seed % n
+                            } else {
+                                (seeds[k % seeds.len()] + it + k * (n / 5 + 1)) % n
+                            }
+                        })
+                        .collect()
+                })
+                .collect()
+        }
+
+        proptest! {
+            #[test]
+            fn fetchers_match_the_definitional_route(
+                kind in 0usize..6,
+                n in 24usize..200,
+                p in 2usize..5,
+                rank_pick in 0usize..16,
+                picks in proptest::collection::vec(0usize..10_000, 8..24),
+                seeds in proptest::collection::vec(0usize..100_000, 16..64),
+            ) {
+                let dist: DimDist = match kind {
+                    0 => DimDist::block(n, p),
+                    1 => DimDist::cyclic(n, p),
+                    2 => DimDist::block_cyclic(n, p, 20),
+                    3 => DimDist::irregular(IrregularDist::from_owners(
+                        (0..n).map(|i| (i / 19 + picks[0]) % p).collect(),
+                        p,
+                    )),
+                    // [*, block] with 40-wide row segments (runs offered)…
+                    4 => DimDist::flattened(ArrayDist::block_cols(n / 8, 40 * p, p)),
+                    // …and with 3-wide ones (declined).
+                    _ => DimDist::flattened(ArrayDist::block_cols(n / 8, 3 * p, p)),
+                };
+                let rank = rank_pick % p;
+                let schedule = random_schedule(dist.as_dyn(), rank, &picks);
+                let iterations = random_iterations(dist.n(), &seeds);
+                let owned = dist.local_runs(rank);
+                // The distribution's own choice, and the fallback forced.
+                for runs in [owned.as_deref(), None] {
+                    assert_fetchers_match_the_definitional_route(
+                        &dist, runs, &schedule, &iterations,
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn both_sides_of_the_runs_choice_are_exercised() {
+            // The generator above must keep covering `Some` and `None`.
+            assert!(DimDist::block(24, 4).local_runs(1).is_some());
+            assert!(DimDist::block_cyclic(199, 2, 20).local_runs(1).is_some());
+            assert!(DimDist::flattened(ArrayDist::block_cols(3, 80, 2))
+                .local_runs(1)
+                .is_some());
+            assert!(DimDist::cyclic(24, 4).local_runs(1).is_none());
+            assert!(DimDist::flattened(ArrayDist::block_cols(3, 6, 2))
+                .local_runs(1)
+                .is_none());
+            assert!(DimDist::new(BlockDist::new(24, 4)).local_runs(3).is_some());
+        }
+    }
+
+    #[test]
+    fn local_pieces_follow_the_runs_and_fall_back_per_element() {
+        use distrib::ArrayDist;
+        // [*, block] 4 × 64 over 2: rank 1 owns columns 32..64 of each row.
+        let dist = DimDist::flattened(ArrayDist::block_cols(4, 64, 2));
+        let runs = dist.local_runs(1).expect("32-wide segments are offered");
+        let mut pieces = Vec::new();
+        // One row segment from its middle, clipped at the range's end.
+        for_each_local_piece(&dist, Some(&runs), 64 + 40, 64 + 50, |g, l, len| {
+            pieces.push((g, l, len))
+        });
+        assert_eq!(pieces, vec![(104, 32 + 8, 10)]);
+        // The fallback visits the same elements one by one.
+        let mut singles = Vec::new();
+        for_each_local_piece(&dist, None, 64 + 40, 64 + 50, |g, l, len| {
+            singles.push((g, l, len))
+        });
+        assert_eq!(
+            singles,
+            (0..10).map(|k| (104 + k, 40 + k, 1)).collect::<Vec<_>>()
+        );
+        // A range reaching into columns the rank does not own is a bug in
+        // the caller's schedule, not something to read past.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for_each_local_piece(&dist, Some(&runs), 64 + 60, 128 + 4, |_, _, _| {})
+        }));
+        assert!(result.is_err());
     }
 
     #[test]

@@ -6,33 +6,44 @@
 //! [`std::thread::scope`] (no extra dependencies, no long-lived threads):
 //! workers are spawned for the duration of one phase, claim chunk indices
 //! from a shared atomic counter, and send `(index, result)` pairs back over
-//! a channel.  The caller reassembles results **by chunk index**, so the
-//! output is a deterministic function of the chunk boundaries alone — which
-//! worker ran which chunk, and in what order, is unobservable.
+//! a channel.  The caller reassembles results **by chunk index** and feeds
+//! them to a consumer in ascending chunk order, so what the consumer sees is
+//! a deterministic function of the chunk boundaries alone — which worker ran
+//! which chunk, and in what order, is unobservable.
 //!
 //! With `workers <= 1` (the default everywhere) the chunks run inline on the
-//! calling thread and no threads are spawned, so the dmsim simulator's cost
-//! accounting and the single-threaded behaviour are bit-for-bit untouched.
+//! calling thread, each consumed as soon as it is done, and no threads are
+//! spawned, so the dmsim simulator's cost accounting and the single-threaded
+//! behaviour are bit-for-bit untouched.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 /// Run `run(0..n_chunks)` across up to `workers` threads (the calling
-/// thread participates) and return the results in ascending chunk order.
+/// thread participates) and hand every result to `consume(chunk, result)`
+/// on the calling thread, in ascending chunk order.
 ///
-/// * Deterministic: the returned `Vec` depends only on `run` and
-///   `n_chunks`, never on scheduling.
+/// * Deterministic: the sequence of `consume` calls depends only on `run`
+///   and `n_chunks`, never on scheduling.
 /// * Panic-safe: a panic inside `run` on any worker propagates to the
-///   caller when the scope joins.
-/// * Cheap when serial: `workers <= 1` or `n_chunks <= 1` runs inline with
-///   no thread, no channel, no atomics.
-pub fn run_chunks<V, F>(workers: usize, n_chunks: usize, run: F) -> Vec<V>
+///   caller when the scope joins; no result of that phase is consumed
+///   after it.
+/// * Streaming when serial: `workers <= 1` or `n_chunks <= 1` runs inline
+///   with no thread, no channel, no atomics, and consumes each result
+///   before the next chunk runs, so only one result is alive at a time.
+///   With several workers the results are reassembled by chunk index first
+///   and consumed once all are in.
+pub fn run_chunks<V, F, C>(workers: usize, n_chunks: usize, run: F, mut consume: C)
 where
     V: Send,
     F: Fn(usize) -> V + Sync,
+    C: FnMut(usize, V),
 {
     if workers <= 1 || n_chunks <= 1 {
-        return (0..n_chunks).map(run).collect();
+        for i in 0..n_chunks {
+            consume(i, run(i));
+        }
+        return;
     }
 
     let mut slots: Vec<Option<V>> = (0..n_chunks).map(|_| None).collect();
@@ -76,10 +87,12 @@ where
         }
     });
 
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every chunk index was claimed and completed"))
-        .collect()
+    for (i, slot) in slots.into_iter().enumerate() {
+        consume(
+            i,
+            slot.expect("every chunk index was claimed and completed"),
+        );
+    }
 }
 
 /// Split `len` items into fixed-boundary chunks of `chunk` items (the last
@@ -125,13 +138,46 @@ mod tests {
         assert_eq!(chunk_bounds(3, 0), vec![(0, 1), (1, 2), (2, 3)]);
     }
 
+    /// The consumed `(chunk, result)` sequence of one `run_chunks` call.
+    fn collect<V: Send>(
+        workers: usize,
+        n_chunks: usize,
+        run: impl Fn(usize) -> V + Sync,
+    ) -> Vec<(usize, V)> {
+        let mut got = Vec::new();
+        run_chunks(workers, n_chunks, run, |i, v| got.push((i, v)));
+        got
+    }
+
     #[test]
     fn results_come_back_in_chunk_order_for_any_worker_count() {
-        let expected: Vec<usize> = (0..37).map(|i| i * i).collect();
+        let expected: Vec<(usize, usize)> = (0..37).map(|i| (i, i * i)).collect();
         for workers in [0usize, 1, 2, 3, 8, 64] {
-            let got = run_chunks(workers, 37, |i| i * i);
-            assert_eq!(got, expected, "workers = {workers}");
+            assert_eq!(
+                collect(workers, 37, |i| i * i),
+                expected,
+                "workers = {workers}"
+            );
         }
+    }
+
+    #[test]
+    fn the_serial_path_consumes_each_chunk_before_running_the_next() {
+        use std::sync::atomic::AtomicUsize;
+        // `run` observes how many chunks were consumed before it started:
+        // inline, chunk i starts after exactly i consumptions.
+        let consumed = AtomicUsize::new(0);
+        let mut seen_at_start = Vec::new();
+        run_chunks(
+            1,
+            6,
+            |_| consumed.load(Ordering::SeqCst),
+            |i, before| {
+                seen_at_start.push((i, before));
+                consumed.fetch_add(1, Ordering::SeqCst);
+            },
+        );
+        assert_eq!(seen_at_start, (0..6).map(|i| (i, i)).collect::<Vec<_>>());
     }
 
     #[test]
@@ -146,18 +192,18 @@ mod tests {
         // race, so require only that the set is non-empty and results are
         // right (determinism is covered by the test above).
         let n = 64;
-        let got = run_chunks(4, n, |i| {
+        let got = collect(4, n, |i| {
             seen.lock().unwrap().insert(std::thread::current().id());
             i + 1
         });
-        assert_eq!(got, (1..=n).collect::<Vec<_>>());
+        assert_eq!(got, (0..n).map(|i| (i, i + 1)).collect::<Vec<_>>());
         assert!(!seen.lock().unwrap().is_empty());
     }
 
     #[test]
     fn worker_panic_propagates_to_the_caller() {
         let result = std::panic::catch_unwind(|| {
-            run_chunks(4, 16, |i| {
+            collect(4, 16, |i| {
                 if i == 7 {
                     panic!("boom in chunk 7");
                 }
@@ -170,7 +216,7 @@ mod tests {
     #[test]
     fn serial_path_spawns_nothing_and_preserves_order() {
         let tid = std::thread::current().id();
-        let got = run_chunks(1, 10, |i| (i, std::thread::current().id()));
+        let got = collect(1, 10, |_| std::thread::current().id());
         for (i, (j, t)) in got.iter().enumerate() {
             assert_eq!(i, *j);
             assert_eq!(*t, tid);

@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use crate::distribution::{BlockCyclicDist, BlockDist, CyclicDist, Distribution};
+use crate::distribution::{BlockCyclicDist, BlockDist, CyclicDist, Distribution, LocalRun};
 use crate::index::IndexSet;
 use crate::irregular::IrregularDist;
 
@@ -131,6 +131,12 @@ impl DimDist {
         self.inner.local_set(rank)
     }
 
+    /// The owned set of `rank` as contiguous runs, when the underlying
+    /// distribution offers them (see [`Distribution::local_runs`]).
+    pub fn local_runs(&self, rank: usize) -> Option<Vec<LocalRun>> {
+        self.inner.local_runs(rank)
+    }
+
     /// A short name for reports ("block", "cyclic", …).
     pub fn kind_name(&self) -> &'static str {
         self.inner.kind_name()
@@ -182,6 +188,10 @@ impl Distribution for DimDist {
 
     fn is_local(&self, rank: usize, i: usize) -> bool {
         DimDist::is_local(self, rank, i)
+    }
+
+    fn local_runs(&self, rank: usize) -> Option<Vec<LocalRun>> {
+        DimDist::local_runs(self, rank)
     }
 
     fn kind_name(&self) -> &'static str {

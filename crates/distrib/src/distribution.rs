@@ -22,8 +22,79 @@
 //! used by the schedule cache: two distributions with different fingerprints
 //! may map indices differently, so schedules built under one must never be
 //! reused under the other.
+//!
+//! [`Distribution::local_runs`] is the one *optional* view: a rank's owned
+//! set as contiguous [`LocalRun`]s inside which global→local translation is
+//! a single add.  The executor and redistribution use it to resolve an owned
+//! reference without calling `owner`/`local_index` and to move owned ranges
+//! as slices; a distribution that does not offer it (the default) is served
+//! through `is_local`/`local_index`, element by element, with the same
+//! results.
 
 use crate::index::{IndexRange, IndexSet};
+
+/// One contiguous run of a rank's owned set: the global indices
+/// `low..high`, stored at the consecutive local offsets
+/// `local_base..local_base + (high - low)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LocalRun {
+    /// First global index of the run.
+    pub low: usize,
+    /// One past the last global index of the run.
+    pub high: usize,
+    /// Local offset of `low` in the owner's storage.
+    pub local_base: usize,
+}
+
+impl LocalRun {
+    /// Number of elements in the run.
+    pub fn len(&self) -> usize {
+        self.high - self.low
+    }
+
+    /// True for a run covering nothing (never produced by `local_runs`).
+    pub fn is_empty(&self) -> bool {
+        self.high == self.low
+    }
+}
+
+/// Shortest mean run length for which [`Distribution::local_runs`] offers
+/// runs when a rank owns more than one: below it a walk leaves its run
+/// every few references and pays the run search each time, which costs more
+/// than the closed-form `owner`/`local_index` arithmetic it replaces.
+pub const MIN_MEAN_RUN: usize = 16;
+
+/// Append `run` to `runs`, merging it into the last run when it continues
+/// that run both globally and locally.  Runs must arrive in ascending
+/// global order.
+pub(crate) fn push_run(runs: &mut Vec<LocalRun>, run: LocalRun) {
+    if run.is_empty() {
+        return;
+    }
+    if let Some(last) = runs.last_mut() {
+        debug_assert!(last.high <= run.low, "runs must arrive in ascending order");
+        if last.high == run.low && last.local_base + last.len() == run.local_base {
+            last.high = run.high;
+            return;
+        }
+    }
+    runs.push(run);
+}
+
+/// The [`MIN_MEAN_RUN`] rule: keep `runs` when there is at most one (no
+/// search to pay for) or they are long enough on average.
+pub(crate) fn runs_if_long(runs: Vec<LocalRun>) -> Option<Vec<LocalRun>> {
+    let owned: usize = runs.iter().map(LocalRun::len).sum();
+    (runs.len() <= 1 || owned >= MIN_MEAN_RUN * runs.len()).then_some(runs)
+}
+
+/// The run of `runs` (sorted, disjoint — what [`Distribution::local_runs`]
+/// returns) covering global index `g`, by binary search.
+pub fn find_run(runs: &[LocalRun], g: usize) -> Option<&LocalRun> {
+    let idx = runs.partition_point(|r| r.low <= g);
+    let run = runs.get(idx.checked_sub(1)?)?;
+    (g < run.high).then_some(run)
+}
 
 /// One dimension's data distribution: the pluggable strategy interface.
 ///
@@ -67,6 +138,28 @@ pub trait Distribution: std::fmt::Debug + Send + Sync {
         self.owner(i) == rank
     }
 
+    /// The owned set of `rank` as contiguous runs, or `None` when this
+    /// distribution does not offer them.
+    ///
+    /// When `Some`, the runs must be sorted by `low`, non-empty, pairwise
+    /// disjoint, cover exactly `local_set(rank)` (an empty `Vec` for a rank
+    /// that owns nothing), and satisfy
+    /// `local_index(g) == run.local_base + (g - run.low)` for every `g` in
+    /// `run.low..run.high`.  Callers rely on all of it: the executor reads
+    /// `local_data[run.local_base + (g - run.low)]` for an index it finds in
+    /// a run and treats an index in no run as not owned.
+    ///
+    /// The default `None` is always correct — callers then translate through
+    /// [`Distribution::is_local`] and [`Distribution::local_index`], element
+    /// by element, with identical results — so a user-defined distribution
+    /// need not implement this; one whose ranks own long contiguous pieces
+    /// may, to get the cheaper path.  The built-ins answer `None` themselves
+    /// where runs are too short to pay ([`MIN_MEAN_RUN`]; always for
+    /// [`CyclicDist`]).
+    fn local_runs(&self, _rank: usize) -> Option<Vec<LocalRun>> {
+        None
+    }
+
     /// A short name for reports ("block", "cyclic", "irregular", …).
     fn kind_name(&self) -> &'static str;
 
@@ -107,18 +200,27 @@ pub fn combine_fingerprints(a: u64, b: u64) -> u64 {
 pub struct BlockDist {
     n: usize,
     p: usize,
+    /// Block length `⌈n/p⌉` (at least 1), fixed at construction: `owner`
+    /// and `local_index` sit on per-reference paths and must not re-divide.
+    block: usize,
 }
 
 impl BlockDist {
     /// Block distribution of `n` elements over `p` processors.
     pub fn new(n: usize, p: usize) -> Self {
         assert!(p > 0, "need at least one processor");
-        BlockDist { n, p }
+        BlockDist {
+            n,
+            p,
+            block: n.div_ceil(p).max(1),
+        }
     }
 
-    /// Block length `⌈n/p⌉` (at least 1).
-    fn block_len(&self) -> usize {
-        self.n.div_ceil(self.p).max(1)
+    /// The global range `rank` owns (empty past the end of the array).
+    fn owned_range(&self, rank: usize) -> (usize, usize) {
+        let lo = (rank * self.block).min(self.n);
+        let hi = ((rank + 1) * self.block).min(self.n);
+        (lo, hi)
     }
 }
 
@@ -133,29 +235,39 @@ impl Distribution for BlockDist {
 
     fn owner(&self, i: usize) -> usize {
         debug_assert!(i < self.n, "index {i} out of bounds (n = {})", self.n);
-        (i / self.block_len()).min(self.p - 1)
+        (i / self.block).min(self.p - 1)
     }
 
     fn local_index(&self, i: usize) -> usize {
-        i - self.owner(i) * self.block_len()
+        i - self.owner(i) * self.block
     }
 
     fn global_index(&self, rank: usize, l: usize) -> usize {
-        rank * self.block_len() + l
+        rank * self.block + l
     }
 
     fn local_count(&self, rank: usize) -> usize {
-        let b = self.block_len();
-        let lo = (rank * b).min(self.n);
-        let hi = ((rank + 1) * b).min(self.n);
+        let (lo, hi) = self.owned_range(rank);
         hi - lo
     }
 
     fn local_set(&self, rank: usize) -> IndexSet {
-        let b = self.block_len();
-        let lo = (rank * b).min(self.n);
-        let hi = ((rank + 1) * b).min(self.n);
+        let (lo, hi) = self.owned_range(rank);
         IndexSet::from_range(lo, hi)
+    }
+
+    fn local_runs(&self, rank: usize) -> Option<Vec<LocalRun>> {
+        let (low, high) = self.owned_range(rank);
+        let mut runs = Vec::new();
+        push_run(
+            &mut runs,
+            LocalRun {
+                low,
+                high,
+                local_base: 0,
+            },
+        );
+        Some(runs)
     }
 
     fn kind_name(&self) -> &'static str {
@@ -291,6 +403,24 @@ impl Distribution for BlockCyclicDist {
             blk += self.p;
         }
         IndexSet::from_ranges(ranges)
+    }
+
+    fn local_runs(&self, rank: usize) -> Option<Vec<LocalRun>> {
+        // The k-th owned block is global block `rank + k·p`, stored at local
+        // offset `k·block`; only the array's last block can be short.
+        let nblocks = self.n.div_ceil(self.block);
+        let mut runs = Vec::new();
+        for (k, blk) in (rank..nblocks).step_by(self.p).enumerate() {
+            push_run(
+                &mut runs,
+                LocalRun {
+                    low: blk * self.block,
+                    high: ((blk + 1) * self.block).min(self.n),
+                    local_base: k * self.block,
+                },
+            );
+        }
+        runs_if_long(runs)
     }
 
     fn kind_name(&self) -> &'static str {

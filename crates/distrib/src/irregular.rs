@@ -21,7 +21,7 @@
 //! distributed per-processor slices (`kali_core::ownermap`), mirroring how a
 //! real machine would never hold the table on one node during partitioning.
 
-use crate::distribution::{fnv1a, Distribution};
+use crate::distribution::{fnv1a, push_run, runs_if_long, Distribution, LocalRun};
 use crate::index::IndexSet;
 
 /// A user-defined distribution backed by an explicit owner table with
@@ -43,6 +43,11 @@ pub struct IrregularDist {
     /// Local→global translation tables: `locals[r]` lists the global indices
     /// owned by processor `r`, in ascending order.
     locals: Vec<Vec<usize>>,
+    /// Per processor, the maximal runs of consecutive global indices in
+    /// `locals[r]` ([`Distribution::local_runs`]); `None` where they are too
+    /// short to be offered.  A partitioner that keeps neighbourhoods
+    /// together yields few long runs, a scattered owner map many short ones.
+    runs: Vec<Option<Vec<LocalRun>>>,
     /// Content hash of the owner table, computed once at construction.
     fingerprint: u64,
 }
@@ -64,6 +69,23 @@ impl IrregularDist {
             local_of[i] = locals[o].len();
             locals[o].push(i);
         }
+        let runs = locals
+            .iter()
+            .map(|owned| {
+                let mut runs = Vec::new();
+                for (l, &g) in owned.iter().enumerate() {
+                    push_run(
+                        &mut runs,
+                        LocalRun {
+                            low: g,
+                            high: g + 1,
+                            local_base: l,
+                        },
+                    );
+                }
+                runs_if_long(runs)
+            })
+            .collect();
         let fingerprint = fnv1a(
             [4u64, n as u64, p as u64]
                 .into_iter()
@@ -74,6 +96,7 @@ impl IrregularDist {
             p,
             local_of,
             locals,
+            runs,
             fingerprint,
         }
     }
@@ -120,6 +143,10 @@ impl Distribution for IrregularDist {
 
     fn local_set(&self, rank: usize) -> IndexSet {
         IndexSet::from_indices(self.locals[rank].iter().copied())
+    }
+
+    fn local_runs(&self, rank: usize) -> Option<Vec<LocalRun>> {
+        self.runs[rank].clone()
     }
 
     fn kind_name(&self) -> &'static str {

@@ -47,7 +47,8 @@ pub mod multi;
 
 pub use dist::DimDist;
 pub use distribution::{
-    combine_fingerprints, BlockCyclicDist, BlockDist, CyclicDist, Distribution,
+    combine_fingerprints, find_run, BlockCyclicDist, BlockDist, CyclicDist, Distribution, LocalRun,
+    MIN_MEAN_RUN,
 };
 pub use grid::ProcGrid;
 pub use index::{IndexRange, IndexSet};

@@ -7,7 +7,7 @@
 //! as in the paper.  Arrays with no `dist` clause are replicated.
 
 use crate::dist::DimDist;
-use crate::distribution::{fnv1a, Distribution};
+use crate::distribution::{fnv1a, push_run, runs_if_long, Distribution, LocalRun, MIN_MEAN_RUN};
 use crate::grid::ProcGrid;
 use crate::index::{IndexRange, IndexSet};
 
@@ -541,6 +541,69 @@ impl Distribution for FlatDist {
             .map(|d| self.array.owned_along(d, rank))
             .collect();
         product_flat(&dims, &self.shape)
+    }
+
+    fn local_runs(&self, rank: usize) -> Option<Vec<LocalRun>> {
+        // One run per owned row segment: the owned set is the Cartesian
+        // product of the per-dimension owned sets, the flat index is
+        // contiguous along the last dimension only, and local storage is
+        // row-major over the local shape — so a segment of the last
+        // dimension that is contiguous globally *and* locally stays one run
+        // under every combination of outer coordinates.  `push_run` then
+        // joins segments that continue each other across rows (`[block, *]`
+        // collapses to a single run).
+        let last = self.shape.len() - 1;
+        let local_along = |d: usize, i: usize| match &self.local_along[d] {
+            Some(table) => table[i],
+            None => i,
+        };
+        let mut segments = Vec::new();
+        for i in self.array.owned_along(last, rank).iter() {
+            push_run(
+                &mut segments,
+                LocalRun {
+                    low: i,
+                    high: i + 1,
+                    local_base: local_along(last, i),
+                },
+            );
+        }
+        // Several segments per row never join within a row, and rows join at
+        // most pairwise, so the runs outnumber `rows · (segments − 1)`: when
+        // even that bound fails the length rule, skip enumerating them.
+        let owned_last: usize = segments.iter().map(LocalRun::len).sum();
+        if segments.len() > 1 && owned_last < MIN_MEAN_RUN * (segments.len() - 1) {
+            return None;
+        }
+        // (global, local) offsets of every owned outer-coordinate tuple, in
+        // ascending global order.
+        let mut rows = vec![(0usize, 0usize)];
+        for (d, &lstride) in self.local_strides[rank].iter().enumerate().take(last) {
+            let gstride: usize = self.shape[d + 1..].iter().product();
+            let owned = self.array.owned_along(d, rank);
+            rows = rows
+                .iter()
+                .flat_map(|&(g, l)| {
+                    owned
+                        .iter()
+                        .map(move |i| (g + i * gstride, l + local_along(d, i) * lstride))
+                })
+                .collect();
+        }
+        let mut runs = Vec::new();
+        for (g, l) in rows {
+            for seg in &segments {
+                push_run(
+                    &mut runs,
+                    LocalRun {
+                        low: g + seg.low,
+                        high: g + seg.high,
+                        local_base: l + seg.local_base,
+                    },
+                );
+            }
+        }
+        runs_if_long(runs)
     }
 
     fn kind_name(&self) -> &'static str {

@@ -34,6 +34,8 @@ use kali_repro::solvers::{
 /// helper next to the adaptive solver).
 use kali_repro::solvers::gather_global as gather;
 
+mod common;
+
 /// The Figure 4 Jacobi program, expressed once over any backend.
 fn jacobi_on<P: Process>(
     proc: &mut P,
@@ -136,6 +138,34 @@ fn jacobi_is_bit_identical_across_backends_on_scrambled_unstructured_mesh() {
                 0 => DimDist::block(n, p),
                 1 => DimDist::cyclic(n, p),
                 _ => DimDist::block_cyclic(n, p, 7),
+            },
+        );
+    }
+}
+
+#[test]
+fn jacobi_is_bit_identical_across_backends_under_a_non_monotone_user_defined_dist() {
+    // The side of the executor's translation choice the built-in block
+    // distribution never takes: a distribution that offers no runs (the
+    // trait default), stored back to front, on all four legs.
+    let mesh = UnstructuredMeshBuilder::new(10, 9)
+        .seed(5)
+        .scramble_numbering(true)
+        .build();
+    let initial: Vec<f64> = (0..mesh.len())
+        .map(|i| ((i * 7) % 19) as f64 * 0.25)
+        .collect();
+    for nprocs in [2usize, 4] {
+        assert_backends_agree(
+            "jacobi_is_bit_identical_across_backends_under_a_non_monotone_user_defined_dist",
+            &mesh,
+            &initial,
+            6,
+            nprocs,
+            |p| {
+                let dist = DimDist::new(common::ReversedBlock::new(mesh.len(), p));
+                assert!(dist.local_runs(0).is_none());
+                dist
             },
         );
     }
@@ -364,53 +394,64 @@ fn multidim_phase_change_demo_is_bit_identical_across_backends() {
     // to [*, block] and back between phases under the phase-change strategy.
     // Acceptance criterion of the multi-dimensional API: dmsim, native and
     // the sequential replay agree bit for bit under both strategies.
+    use kali_repro::distrib::Distribution;
     use kali_repro::solvers::{
-        gather_multidim, multidim_field, multidim_sequential, multidim_sweeps, row_placement,
-        MultiDimConfig, PhaseStrategy,
+        col_placement, gather_multidim, multidim_field, multidim_sequential, multidim_sweeps,
+        row_placement, MultiDimConfig, PhaseStrategy,
     };
-
-    let mut config = MultiDimConfig::new(14, 11);
-    config.rounds = 2;
-    config.sweeps_per_phase = 3;
-    let initial = multidim_field(config.rows, config.cols);
-    let expected = multidim_sequential(&config, &initial);
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
-    for strategy in [PhaseStrategy::RowsThroughout, PhaseStrategy::PhaseChange] {
-        config.strategy = strategy;
-        for nprocs in [1usize, 2, 4] {
-            let simulated = Machine::new(nprocs, CostModel::ideal())
-                .run(|proc| multidim_sweeps(proc, &config, &initial));
-            let native =
-                NativeMachine::new(nprocs).run(|proc| multidim_sweeps(proc, &config, &initial));
-            let final_dist = row_placement(&config, nprocs);
-            let sim_field = gather_multidim(
-                &final_dist,
-                &simulated
-                    .iter()
-                    .map(|o| o.local_a.clone())
-                    .collect::<Vec<_>>(),
-            );
-            let native_field = gather_multidim(
-                &final_dist,
-                &native.iter().map(|o| o.local_a.clone()).collect::<Vec<_>>(),
-            );
-            assert_eq!(
-                bits(&sim_field),
-                bits(&native_field),
-                "dmsim vs native, {} on {nprocs} procs",
-                strategy.name()
-            );
-            assert_eq!(
-                bits(&sim_field),
-                bits(&expected),
-                "distributed vs sequential replay, {} on {nprocs} procs",
-                strategy.name()
-            );
-            // Both stencils plan through the compile-time path on every
-            // backend: no inspector runs anywhere.
-            for o in simulated.iter().chain(&native) {
-                assert_eq!(o.cache_misses, 0);
+    // Two shapes, one on each side of the executor's translation choice for
+    // the [*, block] vertical stencil: 11 columns leave row segments too
+    // short to be offered as runs, 72 columns are resolved run by run.
+    for (rows, cols, runs_offered) in [(14, 11, false), (6, 72, true)] {
+        let mut config = MultiDimConfig::new(rows, cols);
+        config.rounds = 2;
+        config.sweeps_per_phase = 3;
+        assert_eq!(
+            col_placement(&config, 4).local_runs(1).is_some(),
+            runs_offered,
+            "{rows}x{cols}"
+        );
+        let initial = multidim_field(config.rows, config.cols);
+        let expected = multidim_sequential(&config, &initial);
+
+        for strategy in [PhaseStrategy::RowsThroughout, PhaseStrategy::PhaseChange] {
+            config.strategy = strategy;
+            for nprocs in [1usize, 2, 4] {
+                let simulated = Machine::new(nprocs, CostModel::ideal())
+                    .run(|proc| multidim_sweeps(proc, &config, &initial));
+                let native =
+                    NativeMachine::new(nprocs).run(|proc| multidim_sweeps(proc, &config, &initial));
+                let final_dist = row_placement(&config, nprocs);
+                let sim_field = gather_multidim(
+                    &final_dist,
+                    &simulated
+                        .iter()
+                        .map(|o| o.local_a.clone())
+                        .collect::<Vec<_>>(),
+                );
+                let native_field = gather_multidim(
+                    &final_dist,
+                    &native.iter().map(|o| o.local_a.clone()).collect::<Vec<_>>(),
+                );
+                assert_eq!(
+                    bits(&sim_field),
+                    bits(&native_field),
+                    "dmsim vs native, {rows}x{cols} {} on {nprocs} procs",
+                    strategy.name()
+                );
+                assert_eq!(
+                    bits(&sim_field),
+                    bits(&expected),
+                    "distributed vs sequential replay, {rows}x{cols} {} on {nprocs} procs",
+                    strategy.name()
+                );
+                // Both stencils plan through the compile-time path on every
+                // backend: no inspector runs anywhere.
+                for o in simulated.iter().chain(&native) {
+                    assert_eq!(o.cache_misses, 0);
+                }
             }
         }
     }

@@ -9,9 +9,18 @@
 //! for all three solvers (Jacobi, CG, red–black Gauss–Seidel) across a
 //! grid of `(workers, chunk)` settings, against the scalar single-worker
 //! run, against the sequential replays, and on the native backend.
+//!
+//! Two further kernels pin the executor's address translation on both sides
+//! of its one data-dependent choice — resolve owned references through the
+//! distribution's runs ([`Distribution::local_runs`]) or through
+//! `is_local`/`local_index` — at every knob setting: the `[*, block]`
+//! vertical stencil (one run per row segment, three rows walked at once)
+//! and Jacobi under a user-defined distribution whose local order is not
+//! even monotone (no runs offered).
 
-use kali_repro::distrib::DimDist;
+use kali_repro::distrib::{ArrayDist, DimDist, Distribution, FlatDist};
 use kali_repro::dmsim::{CostModel, Machine};
+use kali_repro::kali::{MultiAffineMap, Rect, Session};
 use kali_repro::meshes::{AdjacencyMesh, RegularGrid, UnstructuredMeshBuilder};
 use kali_repro::native::NativeMachine;
 use kali_repro::process::{Counters, Process};
@@ -20,6 +29,9 @@ use kali_repro::solvers::{
     redblack_sweeps, CgConfig, CgOutcome, JacobiConfig, JacobiOutcome, RedBlackConfig,
     RedBlackOutcome,
 };
+
+mod common;
+use common::ReversedBlock;
 
 const NPROCS: usize = 4;
 
@@ -255,6 +267,183 @@ fn native_backend_agrees_with_dmsim_at_four_workers() {
     for (n, s) in native.iter().zip(&simulated) {
         assert_eq!(bits(&n.change_history), bits(&s.change_history));
         assert_eq!(n.local_a.len(), s.local_a.len());
+    }
+}
+
+/// `[*, block]` placement of a `rows × cols` field over `p` ranks.
+fn col_blocks(rows: usize, cols: usize, p: usize) -> FlatDist {
+    FlatDist::new(ArrayDist::block_cols(rows, cols, p))
+}
+
+/// Three sweeps of the vertical three-point stencil over a `[*, block]`
+/// field on dmsim: through the chunked executor at `knobs = Some((workers,
+/// chunk))`, through the scalar executor at `None`.  Returns every rank's
+/// final local field and the counters of the sweeps.
+fn run_vertical_stencil(
+    rows: usize,
+    cols: usize,
+    initial: &[f64],
+    knobs: Option<(usize, usize)>,
+) -> Vec<(Vec<f64>, Counters)> {
+    Machine::new(NPROCS, CostModel::ncube7()).run(|proc| {
+        let dist = col_blocks(rows, cols, proc.nprocs());
+        let rank = proc.rank();
+        let mut a: Vec<f64> = (0..dist.local_count(rank))
+            .map(|l| initial[dist.global_index(rank, l)])
+            .collect();
+        let mut session = Session::new();
+        if let Some((workers, chunk)) = knobs {
+            session.set_workers(workers);
+            session.set_chunk_size(chunk);
+        }
+        let interior = Rect::full(&[rows, cols]).restrict(0, 1, rows - 1);
+        let stencil = session.loop_over(interior, dist.clone());
+        let refs = [
+            MultiAffineMap::shifts(&[-1, 0]),
+            MultiAffineMap::identity(2),
+            MultiAffineMap::shifts(&[1, 0]),
+        ];
+        let schedule = session.plan(proc, &stencil, &dist, &refs);
+        let start = proc.counters();
+        for _ in 0..3 {
+            let old_a = a.clone();
+            if knobs.is_some() {
+                session.execute_chunked(
+                    proc,
+                    &stencil,
+                    &schedule,
+                    &dist,
+                    &old_a,
+                    |g, fetch| {
+                        fetch.charge_flops(5);
+                        0.25 * fetch.fetch(g - cols)
+                            + 0.5 * fetch.fetch(g)
+                            + 0.25 * fetch.fetch(g + cols)
+                    },
+                    |g, v| a[dist.local_index(g)] = v,
+                );
+            } else {
+                session.execute(proc, &stencil, &schedule, &dist, &old_a, |g, fetch| {
+                    fetch.proc().charge_flops(5);
+                    a[dist.local_index(g)] = 0.25 * fetch.fetch(g - cols)
+                        + 0.5 * fetch.fetch(g)
+                        + 0.25 * fetch.fetch(g + cols);
+                });
+            }
+        }
+        (a, proc.counters().since(&start))
+    })
+}
+
+#[test]
+fn vertical_stencil_over_star_block_is_knob_independent_on_both_translation_paths() {
+    let rows = 9;
+    // 20-wide row segments are offered as runs, 3-wide ones are not.
+    for (cols, offered) in [(20 * NPROCS, true), (3 * NPROCS, false)] {
+        let dist = col_blocks(rows, cols, NPROCS);
+        for rank in 0..NPROCS {
+            assert_eq!(
+                dist.local_runs(rank).is_some(),
+                offered,
+                "cols {cols}, rank {rank}"
+            );
+        }
+        let initial: Vec<f64> = (0..rows * cols)
+            .map(|g| ((g * 37) % 101) as f64 * 0.125)
+            .collect();
+        // Sequential replay: same arithmetic, same order per element.
+        let mut expected = initial.clone();
+        for _ in 0..3 {
+            let old = expected.clone();
+            for g in cols..(rows - 1) * cols {
+                expected[g] = 0.25 * old[g - cols] + 0.5 * old[g] + 0.25 * old[g + cols];
+            }
+        }
+        let gather = |outcomes: &[(Vec<f64>, Counters)]| {
+            let mut field = vec![0.0f64; rows * cols];
+            for (rank, (local, _)) in outcomes.iter().enumerate() {
+                for (l, v) in local.iter().enumerate() {
+                    field[dist.global_index(rank, l)] = *v;
+                }
+            }
+            field
+        };
+
+        let scalar = run_vertical_stencil(rows, cols, &initial, None);
+        assert_eq!(
+            bits(&gather(&scalar)),
+            bits(&expected),
+            "scalar, cols {cols}"
+        );
+        for (workers, chunk) in knob_grid() {
+            let chunked = run_vertical_stencil(rows, cols, &initial, Some((workers, chunk)));
+            assert_eq!(
+                bits(&gather(&chunked)),
+                bits(&expected),
+                "cols {cols} at (workers {workers}, chunk {chunk})"
+            );
+            for (rank, ((_, c), (_, s))) in chunked.iter().zip(&scalar).enumerate() {
+                assert_eq!(
+                    masked(*c),
+                    masked(*s),
+                    "rank {rank} counters vs the scalar executor, cols {cols} \
+                     at (workers {workers}, chunk {chunk})"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn jacobi_under_a_non_monotone_user_defined_distribution_is_knob_independent() {
+    let mesh = UnstructuredMeshBuilder::new(9, 8)
+        .seed(41)
+        .scramble_numbering(true)
+        .build();
+    let initial: Vec<f64> = (0..mesh.len())
+        .map(|i| ((i * 13) % 17) as f64 * 0.5)
+        .collect();
+    let dist_of = |p: usize| DimDist::new(ReversedBlock::new(mesh.len(), p));
+    let dist = dist_of(NPROCS);
+    assert!(
+        dist.local_runs(0).is_none(),
+        "the trait default offers no runs"
+    );
+    let expected = jacobi_sequential(&mesh, &initial, 6);
+    let run = |workers: usize, chunk: usize| -> Vec<JacobiOutcome> {
+        let config = JacobiConfig {
+            sweeps: 6,
+            convergence_check_every: Some(3),
+            workers: Some(workers),
+            chunk: Some(chunk),
+            ..JacobiConfig::default()
+        };
+        Machine::new(NPROCS, CostModel::ncube7())
+            .run(|proc| jacobi_sweeps(proc, &mesh, &dist_of(proc.nprocs()), &initial, &config))
+    };
+    let baseline = run(1, 0);
+    for (workers, chunk) in knob_grid() {
+        let outcomes = run(workers, chunk);
+        let field = gather_global(
+            &dist,
+            &outcomes
+                .iter()
+                .map(|o| o.local_a.clone())
+                .collect::<Vec<_>>(),
+        );
+        assert_eq!(
+            bits(&field),
+            bits(&expected),
+            "field vs sequential at (workers {workers}, chunk {chunk})"
+        );
+        for (rank, (o, b)) in outcomes.iter().zip(&baseline).enumerate() {
+            assert_eq!(bits(&o.change_history), bits(&b.change_history));
+            assert_eq!(
+                masked(o.counters),
+                masked(b.counters),
+                "rank {rank} merged counters at (workers {workers}, chunk {chunk})"
+            );
+        }
     }
 }
 
