@@ -90,7 +90,6 @@ struct Entry {
     schedule: Arc<CommSchedule>,
     /// Logical timestamp of the last hit or the insertion (LRU recency).
     last_use: u64,
-    bytes: usize,
 }
 
 /// A per-processor cache of communication schedules with a bounded LRU
@@ -103,7 +102,6 @@ pub struct ScheduleCache {
     hits: u64,
     misses: u64,
     evictions: u64,
-    resident_bytes: usize,
     peak_resident: usize,
 }
 
@@ -131,7 +129,6 @@ impl ScheduleCache {
             hits: 0,
             misses: 0,
             evictions: 0,
-            resident_bytes: 0,
             peak_resident: 0,
         }
     }
@@ -168,16 +165,13 @@ impl ScheduleCache {
         self.evict_where(|k| k.loop_id == key.loop_id && k.data_version < key.data_version);
 
         let schedule = Arc::new(build());
-        let bytes = schedule.approx_bytes();
         self.map.insert(
             key,
             Entry {
                 schedule: Arc::clone(&schedule),
                 last_use: self.clock,
-                bytes,
             },
         );
-        self.resident_bytes += bytes;
 
         // Residency bound: evict least-recently-used until within capacity.
         // The fresh entry holds the strictly greatest timestamp (the clock
@@ -197,8 +191,7 @@ impl ScheduleCache {
     }
 
     fn remove_entry(&mut self, key: &LoopKey) {
-        if let Some(e) = self.map.remove(key) {
-            self.resident_bytes -= e.bytes;
+        if self.map.remove(key).is_some() {
             self.evictions += 1;
         }
     }
@@ -265,11 +258,13 @@ impl ScheduleCache {
     }
 
     /// Approximate bytes held by the resident schedules
-    /// ([`CommSchedule::approx_bytes`] summed over entries).  A gauge for
-    /// reporting only — eviction never consults it (schedule sizes differ
-    /// between ranks; decisions based on them would break SPMD lockstep).
+    /// ([`CommSchedule::approx_bytes`] summed over the entries as they are
+    /// now — a resident schedule grows when it learns its translation
+    /// memo).  A gauge for reporting only — eviction never consults it
+    /// (schedule sizes differ between ranks; decisions based on them would
+    /// break SPMD lockstep).
     pub fn resident_bytes(&self) -> usize {
-        self.resident_bytes
+        self.map.values().map(|e| e.schedule.approx_bytes()).sum()
     }
 
     /// Highest number of simultaneously resident schedules seen so far.
@@ -286,7 +281,7 @@ impl ScheduleCache {
             misses: self.misses,
             evictions: self.evictions,
             resident_entries: self.map.len(),
-            resident_bytes: self.resident_bytes,
+            resident_bytes: self.resident_bytes(),
             peak_resident: self.peak_resident,
         }
     }
@@ -465,6 +460,51 @@ mod tests {
         assert_eq!(cache.evictions(), 2);
         // The surviving placement still hits.
         cache.get_or_build(LoopKey::new(1, 0, 20), || unreachable!("must hit"));
+    }
+
+    #[test]
+    fn residency_follows_what_a_resident_schedule_learns() {
+        // The gauge is read off the live entries: a schedule that learns its
+        // translation memo on its second execution grows in place, and its
+        // eviction gives all of it back.
+        use crate::executor::{execute_sweep, ExecutorConfig};
+        use crate::inspector::{owner_computes_iters, run_inspector};
+        use distrib::DimDist;
+        use dmsim::{CostModel, Machine};
+        let n = 32;
+        Machine::new(2, CostModel::ideal()).run(|proc| {
+            let dist = DimDist::block(n, proc.nprocs());
+            let rank = proc.rank();
+            let local: Vec<f64> = dist.local_set(rank).iter().map(|g| g as f64).collect();
+            let mut cache = ScheduleCache::new();
+            let key = LoopKey::new(1, 0, dist.fingerprint());
+            let mut gauge = Vec::new();
+            for sweep in 0..3 {
+                let schedule = cache.get_or_build(key, || {
+                    let exec = owner_computes_iters(&dist, rank, n - 1);
+                    run_inspector(proc, &dist, &exec, |i, refs| refs.push(i + 1))
+                });
+                gauge.push(cache.resident_bytes());
+                let config = ExecutorConfig::sweep(sweep);
+                execute_sweep(proc, config, &schedule, &dist, &local, |i, fetch| {
+                    let _ = fetch.fetch(i + 1);
+                });
+            }
+            gauge.push(cache.resident_bytes());
+            assert_eq!(cache.stats().resident_bytes, gauge[3]);
+            assert!(gauge[0] > 0);
+            assert_eq!(gauge[1], gauge[0], "the first execution learns nothing");
+            if rank == 0 {
+                // Rank 0 fetches element 16 from rank 1: one nonlocal
+                // iteration, recorded by the second execution.
+                assert!(gauge[2] > gauge[1], "the second execution records");
+            } else {
+                assert_eq!(gauge[2], gauge[1], "no nonlocal iteration, no memo");
+            }
+            assert_eq!(gauge[3], gauge[2], "replaying learns nothing more");
+            assert_eq!(cache.invalidate_fingerprint(dist.fingerprint()), 1);
+            assert_eq!(cache.resident_bytes(), 0);
+        });
     }
 
     #[test]

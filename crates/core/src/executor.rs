@@ -45,20 +45,63 @@
 //! owner tables, any user-defined distribution that does not opt in) is
 //! resolved through [`Distribution::is_local`] / [`Distribution::local_index`]
 //! per owned reference, exactly as before runs existed, and only nonlocal
-//! references use the windows.  Which path resolves a reference is
-//! unobservable: values, the `charge_local_access` /
-//! `charge_nonlocal_access` sequence and the panic are those of the
-//! definitional route (`is_local` → `local_index`, else
+//! references use the windows.  The same runs let the pack, unpack and copy
+//! loops of the executor and of [`redistribute`](mod@crate::redistribute)
+//! translate once per run and move slices.
+//!
+//! ### The translation memo of the nonlocal list
+//!
+//! Windows serve the local list: its references walk rows.  On the nonlocal
+//! list of an irregular mesh they do not — about half the references of a
+//! scrambled mesh are nonlocal, in no order, so window hit or miss, owned
+//! run or receive record are coin flips the processor mispredicts, and that
+//! (not the depth of the record search: an O(1) bucket index in
+//! [`CommSchedule::find_record`] was measured and changed nothing) is what
+//! the phase costs.  The paper's amortisation argument (§3.2) applies to it
+//! as it does to the schedule: the outcome is the same on every sweep, so a
+//! reused schedule remembers it.
+//!
+//! * **Life cycle.**  A schedule's *first* execution resolves as above and
+//!   learns nothing.  Its *second* — the first proof that the schedule is
+//!   reused at all — also **records**, for every iteration of the nonlocal
+//!   list in the body's own fetch order, the global index fetched and the
+//!   slot it resolved to (`l` for an owned element, `local_len + buffer
+//!   position` for a received one), indexed by the iteration's position in
+//!   the list so it does not depend on `(workers, chunk)`; chunks record
+//!   apart and the rank's thread stitches them in chunk order.  From the
+//!   *third* execution on the resolver **replays**: a fetch compares its
+//!   index with the entry under the iteration's cursor and on a match reads
+//!   the slot — no window, no search, and the storage is selected rather
+//!   than branched on.
+//! * **Why the second execution.**  Recording is not free: done on the
+//!   first execution it was measured at +11 % on a first sweep of the
+//!   scrambled-mesh benchmark, done at inspector time at +26 % on an
+//!   adaptive solve that replans before every sweep and so executes every
+//!   schedule once.  Paid on the second execution it is charged only where
+//!   there is reuse to amortise it over.
+//! * **A pure cache.**  On a mismatch, or past the recorded references of
+//!   an iteration, a fetch falls through to the resolver above, so a body
+//!   that fetches something else (another loop over the same schedule, a
+//!   changed subscript array) is merely not accelerated.  The memo is used
+//!   only under the placement it was learned under —
+//!   [`Distribution::fingerprint`] of the data distribution and the length
+//!   of the local storage, checked once per sweep; a schedule whose slots
+//!   do not fit 32 bits never learns one; a recording sweep that panics
+//!   leaves none; equality, signatures and copies of a schedule ignore it;
+//!   debug builds resolve every replayed reference the long way as well and
+//!   assert the same slot.  The local phase pays one predictable compare
+//!   per fetch for all of this, and the recording code is out of line.
+//!
+//! Which path resolves a reference is unobservable: values, the
+//! `charge_local_access` / `charge_nonlocal_access` sequence and the panic
+//! are those of the definitional route (`is_local` → `local_index`, else
 //! [`CommSchedule::find`]), so a metering backend's clock does not move.
-//! The same runs let the pack, unpack and copy loops of the executor and of
-//! [`redistribute`](mod@crate::redistribute) translate once per run and move
-//! slices.
 
 use distrib::{find_run, Distribution, LocalRun};
 
 use crate::process::trace::EventKind;
 use crate::process::{tags, Process, Tag};
-use crate::schedule::CommSchedule;
+use crate::schedule::{CommSchedule, MemoEntry, MemoPlan, Recording};
 
 /// Default chunk length (in iterations) for the chunked executor when no
 /// explicit chunk size is configured.  Large enough that per-chunk overhead
@@ -152,13 +195,23 @@ impl ExecutorConfig {
 /// wraps with a mask.
 const WINDOWS: usize = 8;
 
-/// Where a resolved reference lives.
+/// Where a resolved reference lives: `pos` in the sweep's receive buffer
+/// when `nonlocal`, in the rank's local storage of the referenced array
+/// otherwise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Slot {
-    /// Offset into the rank's local storage of the referenced array.
-    Local(usize),
-    /// Position in the sweep's receive buffer.
-    Nonlocal(usize),
+struct Slot {
+    pos: usize,
+    nonlocal: bool,
+}
+
+impl Slot {
+    /// Read the element.  The storage is *selected*, not branched on: on an
+    /// irregular mesh the kind of consecutive references is a coin flip.
+    #[inline]
+    fn read<T: Copy>(self, local_data: &[T], recv_buf: &[T]) -> T {
+        let storage = if self.nonlocal { recv_buf } else { local_data };
+        storage[self.pos]
+    }
 }
 
 /// One remembered translation: global indices `low..high` live at
@@ -175,13 +228,9 @@ struct Window {
 impl Window {
     #[inline]
     fn slot(&self, g: usize) -> Option<Slot> {
-        (g >= self.low && g < self.high).then(|| {
-            let pos = self.base + (g - self.low);
-            if self.nonlocal {
-                Slot::Nonlocal(pos)
-            } else {
-                Slot::Local(pos)
-            }
+        (g >= self.low && g < self.high).then(|| Slot {
+            pos: self.base + (g - self.low),
+            nonlocal: self.nonlocal,
         })
     }
 }
@@ -200,12 +249,25 @@ struct Resolver<'a, D: Distribution + ?Sized> {
     runs: Option<&'a [LocalRun]>,
     schedule: &'a CommSchedule,
     windows: [Window; WINDOWS],
-    /// References resolved so far in the current iteration.
+    /// References resolved the long way so far in the current iteration.
     ordinal: usize,
+    /// What this phase does with the schedule's translation memo; always
+    /// [`MemoPlan::Off`] in the local phase.
+    memo: MemoPlan<'a>,
+    /// Replaying: the current iteration's recorded references not yet
+    /// compared with a fetch.
+    replay: &'a [MemoEntry],
+    /// Recording: what has been resolved so far (empty otherwise).
+    recording: Recording,
 }
 
 impl<'a, D: Distribution + ?Sized> Resolver<'a, D> {
-    fn new(dist: &'a D, runs: Option<&'a [LocalRun]>, schedule: &'a CommSchedule) -> Self {
+    fn new(
+        dist: &'a D,
+        runs: Option<&'a [LocalRun]>,
+        schedule: &'a CommSchedule,
+        memo: MemoPlan<'a>,
+    ) -> Self {
         Resolver {
             dist,
             rank: schedule.rank,
@@ -213,17 +275,58 @@ impl<'a, D: Distribution + ?Sized> Resolver<'a, D> {
             schedule,
             windows: [Window::default(); WINDOWS],
             ordinal: 0,
+            memo,
+            replay: &[],
+            recording: Recording::default(),
         }
     }
 
-    /// Start the next iteration: its first reference is ordinal 0 again.
+    /// Start the iteration at `position` of the phase's list: its first
+    /// reference is ordinal 0 again, and under a memo it is the memo's row
+    /// `position`.
     #[inline]
-    fn next_iteration(&mut self) {
+    fn next_iteration(&mut self, position: usize) {
         self.ordinal = 0;
+        match self.memo {
+            MemoPlan::Off => {}
+            MemoPlan::Replay(memo) => self.replay = memo.refs_of(position),
+            MemoPlan::Record { .. } => self.recording.begin_iteration(),
+        }
     }
 
     #[inline]
     fn resolve(&mut self, g: usize) -> Slot {
+        match self.memo {
+            MemoPlan::Off => {}
+            MemoPlan::Replay(memo) => {
+                if let Some((&entry, rest)) = self.replay.split_first() {
+                    self.replay = rest;
+                    if entry.global as usize == g {
+                        let (pos, nonlocal) = memo.slot(entry);
+                        let slot = Slot { pos, nonlocal };
+                        debug_assert_eq!(slot, self.resolve_long(g), "stale memo for {g}");
+                        return slot;
+                    }
+                }
+            }
+            MemoPlan::Record { local_len, .. } => return self.resolve_and_record(g, local_len),
+        }
+        self.resolve_long(g)
+    }
+
+    /// The recording sweep's resolve, kept out of line so that the code of
+    /// every other sweep's fetch loop does not grow by it.
+    #[cold]
+    #[inline(never)]
+    fn resolve_and_record(&mut self, g: usize, local_len: usize) -> Slot {
+        let slot = self.resolve_long(g);
+        self.recording.push(g, slot.pos, slot.nonlocal, local_len);
+        slot
+    }
+
+    /// Windows, then the owned runs, then the receive records.
+    #[inline]
+    fn resolve_long(&mut self, g: usize) -> Slot {
         let k = self.ordinal & (WINDOWS - 1);
         self.ordinal += 1;
         match self.runs {
@@ -238,12 +341,18 @@ impl<'a, D: Distribution + ?Sized> Resolver<'a, D> {
                         base: run.local_base,
                         nonlocal: false,
                     };
-                    return Slot::Local(run.local_base + (g - run.low));
+                    return Slot {
+                        pos: run.local_base + (g - run.low),
+                        nonlocal: false,
+                    };
                 }
             }
             None => {
                 if self.dist.is_local(self.rank, g) {
-                    return Slot::Local(self.dist.local_index(g));
+                    return Slot {
+                        pos: self.dist.local_index(g),
+                        nonlocal: false,
+                    };
                 }
                 if let Some(slot) = self.windows[k].slot(g) {
                     return slot;
@@ -262,7 +371,10 @@ impl<'a, D: Distribution + ?Sized> Resolver<'a, D> {
             base,
             nonlocal: true,
         };
-        Slot::Nonlocal(base + (g - low))
+        Slot {
+            pos: base + (g - low),
+            nonlocal: true,
+        }
     }
 }
 
@@ -318,16 +430,13 @@ impl<'a, T: Copy, P: Process, D: Distribution + ?Sized> Fetcher<'a, T, P, D> {
     /// counters (and the simulated clock) untouched.
     #[inline]
     pub fn fetch(&mut self, g: usize) -> T {
-        match self.resolver.resolve(g) {
-            Slot::Local(l) => {
-                self.proc.charge_local_access();
-                self.local_data[l]
-            }
-            Slot::Nonlocal(pos) => {
-                self.proc.charge_nonlocal_access(self.ranges);
-                self.recv_buf[pos]
-            }
+        let slot = self.resolver.resolve(g);
+        if slot.nonlocal {
+            self.proc.charge_nonlocal_access(self.ranges);
+        } else {
+            self.proc.charge_local_access();
         }
+        slot.read(self.local_data, self.recv_buf)
     }
 
     /// True when the element is stored locally (no communication needed).
@@ -374,34 +483,37 @@ where
     let tag = tags::executor_tag(config.tag);
     let runs = data_dist.local_runs(rank);
     let runs = runs.as_deref();
+    let memo = schedule.begin_execution(data_dist, local_data.len());
     send_phase(proc, schedule, data_dist, runs, local_data, tag);
 
-    let mut run_iters = |proc: &mut P, iters: &[usize], recv_buf: &[T]| {
+    let mut run_iters = |proc: &mut P, iters: &[usize], recv_buf: &[T], memo: MemoPlan<'_>| {
         let mut fetcher = Fetcher {
             proc,
             ranges: schedule.range_count(),
             local_data,
             recv_buf,
-            resolver: Resolver::new(data_dist, runs, schedule),
+            resolver: Resolver::new(data_dist, runs, schedule, memo),
         };
-        for &i in iters {
+        for (position, &i) in iters.iter().enumerate() {
             fetcher.proc.charge_loop_iters(1);
-            fetcher.resolver.next_iteration();
+            fetcher.resolver.next_iteration(position);
             body(i, &mut fetcher);
         }
+        fetcher.resolver.recording
     };
 
-    if config.overlap {
+    let recv_buf = if config.overlap {
         // Paper order: local iterations run while messages are in flight.
-        run_iters(proc, &schedule.local_iters, &[]);
-        let recv_buf = receive_all(proc, schedule, tag);
-        run_iters(proc, &schedule.nonlocal_iters, &recv_buf);
+        run_iters(proc, &schedule.local_iters, &[], MemoPlan::Off);
+        receive_all(proc, schedule, tag)
     } else {
         // Ablation: no overlap — wait for all data first.
         let recv_buf = receive_all(proc, schedule, tag);
-        run_iters(proc, &schedule.local_iters, &recv_buf);
-        run_iters(proc, &schedule.nonlocal_iters, &recv_buf);
-    }
+        run_iters(proc, &schedule.local_iters, &recv_buf, MemoPlan::Off);
+        recv_buf
+    };
+    let recording = run_iters(proc, &schedule.nonlocal_iters, &recv_buf, memo);
+    schedule.finish_execution(memo, recording);
     schedule.local_iters.len() + schedule.nonlocal_iters.len()
 }
 
@@ -545,16 +657,10 @@ impl<'a, T: Copy, D: Distribution + ?Sized> ChunkFetcher<'a, T, D> {
     /// unflushed (nothing is charged for work that never completed).
     #[inline]
     pub fn fetch(&mut self, g: usize) -> T {
-        match self.resolver.resolve(g) {
-            Slot::Local(l) => {
-                self.costs.local_accesses += 1;
-                self.local_data[l]
-            }
-            Slot::Nonlocal(pos) => {
-                self.costs.nonlocal_accesses += 1;
-                self.recv_buf[pos]
-            }
-        }
+        let slot = self.resolver.resolve(g);
+        self.costs.local_accesses += usize::from(!slot.nonlocal);
+        self.costs.nonlocal_accesses += usize::from(slot.nonlocal);
+        slot.read(self.local_data, self.recv_buf)
     }
 
     /// True when the element is stored locally (no communication needed).
@@ -638,9 +744,12 @@ where
     let ranges = schedule.range_count();
     let runs = data_dist.local_runs(rank);
     let runs = runs.as_deref();
+    let memo = schedule.begin_execution(data_dist, local_data.len());
     send_phase(proc, schedule, data_dist, runs, local_data, tag);
 
     let mut run_phase = |proc: &mut P, phase: usize, iters: &[usize], recv_buf: &[T]| {
+        // The memo is the nonlocal list's.
+        let memo = if phase == 1 { memo } else { MemoPlan::Off };
         let bounds = crate::pool::chunk_bounds(iters.len(), chunk);
         if proc.trace_active() {
             // One claim per chunk, recorded on the rank's thread before the
@@ -655,6 +764,9 @@ where
                 });
             }
         }
+        // A recording sweep's chunks each record their own iterations;
+        // the consumer below stitches them in list order.
+        let mut recording = Recording::default();
         crate::pool::run_chunks(
             workers,
             bounds.len(),
@@ -663,39 +775,42 @@ where
                 let mut fetcher = ChunkFetcher {
                     local_data,
                     recv_buf,
-                    resolver: Resolver::new(data_dist, runs, schedule),
+                    resolver: Resolver::new(data_dist, runs, schedule, memo),
                     costs: ChunkCosts::default(),
                 };
                 let mut values = Vec::with_capacity(end - start);
-                for &i in &iters[start..end] {
+                for (position, &i) in (start..end).zip(&iters[start..end]) {
                     fetcher.costs.loop_iters += 1;
-                    fetcher.resolver.next_iteration();
+                    fetcher.resolver.next_iteration(position);
                     values.push(body(i, &mut fetcher));
                 }
-                (values, fetcher.costs)
+                (values, fetcher.costs, fetcher.resolver.recording)
             },
             // Back on the rank's thread, in ascending chunk (and therefore
             // ascending iteration) order: flush the chunk's costs, then
             // hand its values to the sink.
-            |ci, (values, costs): (Vec<V>, ChunkCosts)| {
+            |ci, (values, costs, chunk_recording): (Vec<V>, ChunkCosts, Recording)| {
                 costs.flush_into(proc, ranges);
                 for (&i, value) in iters[bounds[ci].0..].iter().zip(values) {
                     sink(i, value);
                 }
+                recording.append(chunk_recording);
             },
         );
+        recording
     };
 
-    if config.overlap {
+    let recv_buf = if config.overlap {
         // Paper order: local iterations run while messages are in flight.
         run_phase(proc, 0, &schedule.local_iters, &[]);
-        let recv_buf = receive_all(proc, schedule, tag);
-        run_phase(proc, 1, &schedule.nonlocal_iters, &recv_buf);
+        receive_all(proc, schedule, tag)
     } else {
         let recv_buf = receive_all(proc, schedule, tag);
         run_phase(proc, 0, &schedule.local_iters, &recv_buf);
-        run_phase(proc, 1, &schedule.nonlocal_iters, &recv_buf);
-    }
+        recv_buf
+    };
+    let recording = run_phase(proc, 1, &schedule.nonlocal_iters, &recv_buf);
+    schedule.finish_execution(memo, recording);
     schedule.local_iters.len() + schedule.nonlocal_iters.len()
 }
 
@@ -874,13 +989,14 @@ mod tests {
             schedule: &'a CommSchedule,
             local_data: &'a [f64],
             recv_buf: &'a [f64],
+            memo: MemoPlan<'a>,
         ) -> Fetcher<'a, f64, MeteredSolo, D> {
             Fetcher {
                 proc: self,
                 ranges: schedule.range_count(),
                 local_data,
                 recv_buf,
-                resolver: Resolver::new(dist, runs, schedule),
+                resolver: Resolver::new(dist, runs, schedule, memo),
             }
         }
     }
@@ -892,11 +1008,12 @@ mod tests {
         schedule: &'a CommSchedule,
         local_data: &'a [f64],
         recv_buf: &'a [f64],
+        memo: MemoPlan<'a>,
     ) -> ChunkFetcher<'a, f64, D> {
         ChunkFetcher {
             local_data,
             recv_buf,
-            resolver: Resolver::new(dist, runs, schedule),
+            resolver: Resolver::new(dist, runs, schedule, memo),
             costs: ChunkCosts::default(),
         }
     }
@@ -919,7 +1036,8 @@ mod tests {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 // Global index 6 is owned by the (absent) rank 1 and not in
                 // the schedule: the lookup fails and fetch panics.
-                proc.fetcher(&dist, runs, &empty, &local_data, &[]).fetch(6)
+                proc.fetcher(&dist, runs, &empty, &local_data, &[], MemoPlan::Off)
+                    .fetch(6)
             }));
             assert!(result.is_err(), "unscheduled fetch must panic");
             assert_eq!(
@@ -929,7 +1047,7 @@ mod tests {
             assert_eq!(proc.counters(), crate::process::Counters::default());
             // Sanity: the same fetcher charges exactly once on a successful
             // path.
-            let mut fetcher = proc.fetcher(&dist, runs, &empty, &local_data, &[]);
+            let mut fetcher = proc.fetcher(&dist, runs, &empty, &local_data, &[], MemoPlan::Off);
             assert_eq!(fetcher.fetch(2), 0.0);
             assert_eq!(proc.local_charges, 1);
             assert_eq!(proc.nonlocal_charges, 0);
@@ -950,7 +1068,14 @@ mod tests {
         let recv_buf = [40.0f64, 50.0, 60.0, 70.0];
         let owned = dist.local_runs(0);
         for runs in [owned.as_deref(), None] {
-            let mut fetcher = chunk_fetcher(&dist, runs, &schedule, &local_data, &recv_buf);
+            let mut fetcher = chunk_fetcher(
+                &dist,
+                runs,
+                &schedule,
+                &local_data,
+                &recv_buf,
+                MemoPlan::Off,
+            );
             // Interleave local hits, the first nonlocal miss (seeds the
             // window), in-window runs, and repeats after leaving the
             // window — all on ordinal 0, so one window takes every switch.
@@ -964,7 +1089,7 @@ mod tests {
                     }
                     None => local_data[dist.local_index(g)],
                 };
-                fetcher.resolver.next_iteration();
+                fetcher.resolver.next_iteration(0);
                 assert_eq!(fetcher.fetch(g).to_bits(), expected.to_bits());
             }
             assert_eq!(fetcher.costs.nonlocal_accesses, nonlocal);
@@ -994,32 +1119,34 @@ mod tests {
         }
     }
 
-    /// Drive `iterations` (each a list of references) through both fetchers
-    /// and compare every reference with the definitional route: value bits,
-    /// which hook was charged, and — for an index that is neither owned nor
-    /// scheduled — a panic that charges nothing and disturbs nothing.
-    fn assert_fetchers_match_the_definitional_route<D: Distribution + ?Sized>(
+    /// One execution of `schedule`'s nonlocal phase as the executor runs it
+    /// — `begin_execution`, both fetchers over `iterations` (the references
+    /// of the iteration at each position of the nonlocal list), the
+    /// recording kept — comparing every reference with the definitional
+    /// route: value bits, which hook was charged, and — for an index that is
+    /// neither owned nor scheduled — a panic that charges nothing and
+    /// disturbs nothing.  Returns what the memo was used for: `"off"`,
+    /// `"record"` or `"replay"`.
+    fn assert_execution_matches_the_definitional_route<D: Distribution + ?Sized>(
         dist: &D,
         runs: Option<&[LocalRun]>,
         schedule: &CommSchedule,
+        local_data: &[f64],
+        recv_buf: &[f64],
         iterations: &[Vec<usize>],
-    ) {
+    ) -> &'static str {
         let rank = schedule.rank;
-        let local_data: Vec<f64> = (0..dist.local_count(rank))
-            .map(|l| 1.0 + dist.global_index(rank, l) as f64)
-            .collect();
-        let recv_buf: Vec<f64> = (0..schedule.recv_len)
-            .map(|pos| -1.0 - pos as f64)
-            .collect();
+        assert_eq!(schedule.nonlocal_iters.len(), iterations.len());
+        let memo = schedule.begin_execution(dist, local_data.len());
         let mut proc = MeteredSolo::default();
-        let mut scalar = proc.fetcher(dist, runs, schedule, &local_data, &recv_buf);
-        let mut chunked = chunk_fetcher(dist, runs, schedule, &local_data, &recv_buf);
+        let mut scalar = proc.fetcher(dist, runs, schedule, local_data, recv_buf, memo);
+        let mut chunked = chunk_fetcher(dist, runs, schedule, local_data, recv_buf, memo);
         let (mut local, mut nonlocal) = (0u64, 0u64);
-        for refs in iterations {
-            scalar.resolver.next_iteration();
-            chunked.resolver.next_iteration();
+        for (position, refs) in iterations.iter().enumerate() {
+            scalar.resolver.next_iteration(position);
+            chunked.resolver.next_iteration(position);
             for &g in refs {
-                let expected = definitional(dist, schedule, &local_data, &recv_buf, g);
+                let expected = definitional(dist, schedule, local_data, recv_buf, g);
                 let got_scalar =
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| scalar.fetch(g)));
                 let got_chunked =
@@ -1062,6 +1189,10 @@ mod tests {
                 ..ChunkCosts::default()
             }
         );
+        // Both fetchers learned the same thing; the executor keeps it.
+        let recording = scalar.resolver.recording;
+        assert_eq!(recording, chunked.resolver.recording);
+        schedule.finish_execution(memo, recording);
         let counters = proc.counters();
         assert_eq!(
             counters,
@@ -1070,6 +1201,11 @@ mod tests {
                 ..Default::default()
             }
         );
+        match memo {
+            MemoPlan::Off => "off",
+            MemoPlan::Record { .. } => "record",
+            MemoPlan::Replay(_) => "replay",
+        }
     }
 
     mod resolver_properties {
@@ -1123,6 +1259,63 @@ mod tests {
                 .collect()
         }
 
+        /// `iterations` as a body that changed since the memo was recorded
+        /// would fetch them: per iteration unchanged, reordered, one
+        /// reference replaced, more references than recorded, or fewer.
+        fn changed_body(iterations: &[Vec<usize>], n: usize, seeds: &[usize]) -> Vec<Vec<usize>> {
+            iterations
+                .iter()
+                .enumerate()
+                .map(|(it, refs)| {
+                    let seed = seeds[(it * 13 + 5) % seeds.len()];
+                    let mut refs = refs.clone();
+                    match seed % 5 {
+                        0 => {}
+                        1 => refs.reverse(),
+                        2 => {
+                            let k = seed % refs.len();
+                            refs[k] = (seed / 5) % n;
+                        }
+                        3 => refs.extend_from_within(..),
+                        _ => refs.truncate(refs.len() / 2),
+                    }
+                    refs
+                })
+                .collect()
+        }
+
+        /// `inner` under another identity: the same mapping, a different
+        /// fingerprint.
+        #[derive(Debug)]
+        struct Refingerprinted<'a>(&'a DimDist);
+
+        impl Distribution for Refingerprinted<'_> {
+            fn n(&self) -> usize {
+                self.0.n()
+            }
+            fn nprocs(&self) -> usize {
+                self.0.nprocs()
+            }
+            fn owner(&self, i: usize) -> usize {
+                self.0.owner(i)
+            }
+            fn local_index(&self, i: usize) -> usize {
+                self.0.local_index(i)
+            }
+            fn global_index(&self, rank: usize, l: usize) -> usize {
+                self.0.global_index(rank, l)
+            }
+            fn local_count(&self, rank: usize) -> usize {
+                self.0.local_count(rank)
+            }
+            fn kind_name(&self) -> &'static str {
+                "refingerprinted"
+            }
+            fn fingerprint(&self) -> u64 {
+                !self.0.fingerprint()
+            }
+        }
+
         proptest! {
             #[test]
             fn fetchers_match_the_definitional_route(
@@ -1147,14 +1340,49 @@ mod tests {
                     _ => DimDist::flattened(ArrayDist::block_cols(n / 8, 3 * p, p)),
                 };
                 let rank = rank_pick % p;
-                let schedule = random_schedule(dist.as_dyn(), rank, &picks);
                 let iterations = random_iterations(dist.n(), &seeds);
+                let changed = changed_body(&iterations, dist.n(), &seeds);
+                let mut fresh = random_schedule(dist.as_dyn(), rank, &picks);
+                fresh.nonlocal_iters = (0..iterations.len()).collect();
+                let local_data: Vec<f64> = (0..dist.local_count(rank))
+                    .map(|l| 1.0 + dist.global_index(rank, l) as f64)
+                    .collect();
+                let mut longer = local_data.clone();
+                longer.push(0.25);
+                let recv_buf: Vec<f64> = (0..fresh.recv_len)
+                    .map(|pos| -1.0 - pos as f64)
+                    .collect();
+                let renamed = Refingerprinted(&dist);
                 let owned = dist.local_runs(rank);
                 // The distribution's own choice, and the fallback forced.
                 for runs in [owned.as_deref(), None] {
-                    assert_fetchers_match_the_definitional_route(
-                        &dist, runs, &schedule, &iterations,
+                    // A copy has executed nothing and learned nothing.
+                    let schedule = fresh.clone();
+                    let bytes = schedule.approx_bytes();
+                    let run = |data: &[f64], body: &[Vec<usize>]| {
+                        assert_execution_matches_the_definitional_route(
+                            &dist, runs, &schedule, data, &recv_buf, body,
+                        )
+                    };
+                    // Plain, recording, replay …
+                    prop_assert_eq!(run(&local_data, &iterations), "off");
+                    prop_assert_eq!(schedule.approx_bytes(), bytes);
+                    prop_assert_eq!(run(&local_data, &iterations), "record");
+                    prop_assert!(schedule.approx_bytes() > bytes);
+                    prop_assert_eq!(run(&local_data, &iterations), "replay");
+                    // … of a body that changed since: partial hits, then
+                    // the long way; and of the recorded one again.
+                    prop_assert_eq!(run(&local_data, &changed), "replay");
+                    prop_assert_eq!(run(&local_data, &iterations), "replay");
+                    // Under another placement the memo is ignored.
+                    prop_assert_eq!(run(&longer, &iterations), "off");
+                    prop_assert_eq!(
+                        assert_execution_matches_the_definitional_route(
+                            &renamed, None, &schedule, &local_data, &recv_buf, &changed,
+                        ),
+                        "off"
                     );
+                    prop_assert_eq!(run(&local_data, &changed), "replay");
                 }
             }
         }

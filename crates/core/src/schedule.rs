@@ -10,8 +10,16 @@
 //! [`CommSchedule`] is that data structure plus the two iteration lists the
 //! inspector produces (`local_list` and `nonlocal_list`), which drive the
 //! executor's "local iterations / nonlocal iterations" split.
+//!
+//! A schedule that is executed more than once also learns a private
+//! **translation memo** for its nonlocal list (see the executor's module
+//! docs): a pure cache the executor fills and reads, invisible to equality,
+//! [`CommSchedule::signature`] and copies.
 
-use distrib::{IndexRange, IndexSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+use distrib::{Distribution, IndexRange, IndexSet};
 use kali_process::{Wire, WireError, WireReader};
 
 /// One contiguous block of a distributed array to be communicated between a
@@ -101,6 +109,8 @@ pub struct CommSchedule {
     /// `low`.  Global ranges from different senders are disjoint (every
     /// element has one home), so a plain binary search on `low` suffices.
     lookup: Vec<(usize, usize, usize)>,
+    /// Execution count and the translation memo learned from it.
+    translation: Translation,
 }
 
 impl CommSchedule {
@@ -159,6 +169,7 @@ impl CommSchedule {
             nonlocal_iters,
             recv_len: offset,
             lookup: Vec::new(),
+            translation: Translation::default(),
         };
         schedule.rebuild_lookup();
         schedule
@@ -190,14 +201,90 @@ impl CommSchedule {
 
     /// Approximate heap footprint of the schedule in bytes — the quantity
     /// the schedule cache sums into its resident-bytes gauge.  Counts the
-    /// record vectors, the iteration lists and the lookup table; exact
-    /// allocator overhead is not modelled.
+    /// record vectors, the iteration lists, the lookup table and — once the
+    /// schedule has learned it — the translation memo, so the figure grows
+    /// when a resident schedule is executed a second time; exact allocator
+    /// overhead is not modelled.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + (self.recv_records.len() + self.send_records.len())
                 * std::mem::size_of::<RangeRecord>()
             + (self.local_iters.len() + self.nonlocal_iters.len()) * std::mem::size_of::<usize>()
             + self.lookup.len() * std::mem::size_of::<(usize, usize, usize)>()
+            + self.translation.memo.get().map_or(0, |memo| {
+                memo.starts.len() * std::mem::size_of::<u32>()
+                    + memo.entries.len() * std::mem::size_of::<MemoEntry>()
+            })
+    }
+
+    /// Count one execution of the schedule and say what the executor's
+    /// nonlocal phase does with the translation memo in it: nothing on the
+    /// first execution (a schedule that is never reused never pays), record
+    /// on the second, replay from then on — but only under the placement
+    /// the memo was learned under (`data_dist`'s fingerprint and the length
+    /// of the local storage), and only when every slot fits the memo's
+    /// 32-bit entries.
+    pub(crate) fn begin_execution<D: Distribution + ?Sized>(
+        &self,
+        data_dist: &D,
+        local_len: usize,
+    ) -> MemoPlan<'_> {
+        // Relaxed: the count publishes nothing — the memo itself is handed
+        // over by the `OnceLock`.
+        let earlier = self.translation.executions.fetch_add(1, Ordering::Relaxed);
+        if earlier == 0 || self.nonlocal_iters.is_empty() {
+            return MemoPlan::Off;
+        }
+        match self.translation.memo.get() {
+            Some(memo)
+                if memo.local_len == local_len && memo.fingerprint == data_dist.fingerprint() =>
+            {
+                MemoPlan::Replay(memo)
+            }
+            None if earlier == 1 && u32::try_from(local_len + self.recv_len).is_ok() => {
+                MemoPlan::Record {
+                    fingerprint: data_dist.fingerprint(),
+                    local_len,
+                }
+            }
+            _ => MemoPlan::Off,
+        }
+    }
+
+    /// The nonlocal phase of the execution that `plan` was made for ran to
+    /// its end: if it was the recording one, keep what it learned.
+    /// `recording` then holds the references of every nonlocal iteration, in
+    /// list order; one that does not fit the memo's 32-bit fields is
+    /// dropped.  A sweep that panics never gets here, so a partial recording
+    /// is never kept.
+    pub(crate) fn finish_execution(&self, plan: MemoPlan<'_>, recording: Recording) {
+        let MemoPlan::Record {
+            fingerprint,
+            local_len,
+        } = plan
+        else {
+            return;
+        };
+        let Recording {
+            mut starts,
+            mut entries,
+            overflowed,
+        } = recording;
+        debug_assert_eq!(starts.len(), self.nonlocal_iters.len());
+        let (Ok(total), false) = (u32::try_from(entries.len()), overflowed) else {
+            return;
+        };
+        starts.push(total);
+        starts.shrink_to_fit();
+        entries.shrink_to_fit();
+        // A second `set` can only come from a concurrent recording of the
+        // same schedule; either result is a valid memo.
+        let _ = self.translation.memo.set(TranslationMemo {
+            fingerprint,
+            local_len,
+            starts,
+            entries,
+        });
     }
 
     /// Number of distinct processors this processor receives from.
@@ -331,6 +418,139 @@ impl CommSchedule {
             nonlocal_iters: self.nonlocal_iters.clone(),
         }
     }
+}
+
+// ----------------------------------------------------------------------
+// Translation memo
+// ----------------------------------------------------------------------
+
+/// How often the schedule has been executed, and what that taught it.
+///
+/// Not part of the schedule's value: two schedules are equal whatever they
+/// have learned, and a copy starts its own life (it may be edited before it
+/// is executed, which would leave a carried-over memo stale).
+#[derive(Debug, Default)]
+struct Translation {
+    executions: AtomicUsize,
+    memo: OnceLock<TranslationMemo>,
+}
+
+impl Clone for Translation {
+    fn clone(&self) -> Self {
+        Translation::default()
+    }
+}
+
+impl PartialEq for Translation {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+/// One memoised reference: the global index the body fetched and the slot it
+/// resolved to — `l` for an owned element, `local_len + buffer position` for
+/// a received one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct MemoEntry {
+    pub(crate) global: u32,
+    slot: u32,
+}
+
+/// The resolved references of a schedule's `nonlocal_iters`, in the body's
+/// own fetch order, indexed by the iteration's position in the list (so it
+/// does not depend on how a sweep is chunked).
+#[derive(Debug)]
+pub(crate) struct TranslationMemo {
+    /// [`Distribution::fingerprint`] of the data distribution and length of
+    /// the local storage in the recording sweep: the memo is used under
+    /// exactly these and ignored otherwise.
+    fingerprint: u64,
+    local_len: usize,
+    /// The references of `nonlocal_iters[k]` are
+    /// `entries[starts[k]..starts[k + 1]]`.
+    starts: Vec<u32>,
+    entries: Vec<MemoEntry>,
+}
+
+impl TranslationMemo {
+    /// The recorded references of the iteration at `position` in the
+    /// nonlocal list.
+    #[inline]
+    pub(crate) fn refs_of(&self, position: usize) -> &[MemoEntry] {
+        &self.entries[self.starts[position] as usize..self.starts[position + 1] as usize]
+    }
+
+    /// Where a recorded reference lives: `(position, nonlocal)` — a
+    /// position in the receive buffer when `nonlocal`, in the local storage
+    /// otherwise.
+    #[inline]
+    pub(crate) fn slot(&self, entry: MemoEntry) -> (usize, bool) {
+        let slot = entry.slot as usize;
+        let nonlocal = slot >= self.local_len;
+        (slot - if nonlocal { self.local_len } else { 0 }, nonlocal)
+    }
+}
+
+/// What a recording sweep (or one chunk of it) has resolved so far.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct Recording {
+    /// Where each recorded iteration's references start in `entries`.
+    starts: Vec<u32>,
+    entries: Vec<MemoEntry>,
+    /// Something did not fit the memo's 32-bit fields: the recording is
+    /// dropped instead of installed.
+    overflowed: bool,
+}
+
+impl Recording {
+    /// The next iteration of the list starts here.
+    pub(crate) fn begin_iteration(&mut self) {
+        // Wraps only past 2^32 entries, which `finish_execution` refuses.
+        self.starts.push(self.entries.len() as u32);
+    }
+
+    /// Remember that `global` resolved to `position` — in the receive
+    /// buffer when `nonlocal`, in the local storage of `local_len` elements
+    /// otherwise.
+    pub(crate) fn push(
+        &mut self,
+        global: usize,
+        position: usize,
+        nonlocal: bool,
+        local_len: usize,
+    ) {
+        let slot = position + if nonlocal { local_len } else { 0 };
+        match (u32::try_from(global), u32::try_from(slot)) {
+            (Ok(global), Ok(slot)) => self.entries.push(MemoEntry { global, slot }),
+            _ => self.overflowed = true,
+        }
+    }
+
+    /// Append the recording of the chunk that follows this one.
+    pub(crate) fn append(&mut self, next: Recording) {
+        let base = self.entries.len() as u32;
+        self.starts
+            .extend(next.starts.iter().map(|&s| base.wrapping_add(s)));
+        self.entries.extend(next.entries);
+        self.overflowed |= next.overflowed;
+    }
+}
+
+/// What the executor's nonlocal phase does with the translation memo in one
+/// execution (see [`CommSchedule::begin_execution`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum MemoPlan<'a> {
+    /// Resolve every reference the long way.
+    Off,
+    /// Resolve the long way and remember the outcome.
+    Record {
+        /// Fingerprint of the data distribution of this sweep.
+        fingerprint: u64,
+        /// Length of the local storage of this sweep.
+        local_len: usize,
+    },
+    /// Replay the memo, falling back to the long way on a mismatch.
+    Replay(&'a TranslationMemo),
 }
 
 /// Order-independent summary of a schedule, used to compare schedules built

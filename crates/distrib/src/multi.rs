@@ -367,14 +367,16 @@ const MAX_FLAT_DIMS: usize = 8;
 ///
 /// [`FlatDist::owner`] and [`FlatDist::local_index`] sit on the inspector's
 /// innermost path (one locality check *per reference*) and on the executor's
-/// fetch path, so the definitional route — unflatten into a fresh `Vec`,
+/// fetch path, and [`FlatDist::global_index`] on every scatter and gather of
+/// a whole field, so the definitional route — unflatten into a fresh `Vec`,
 /// dispatch per-dimension owner calls, re-flatten through the owner's local
 /// shape — is construction-time work, not per-call work.  `new` memoises,
 /// per array dimension, the owner's **rank contribution** (the per-dimension
 /// owner composed with the grid stride) and the **local coordinate** of
-/// every global coordinate, plus each rank's local row-major strides; both
-/// calls then strength-reduce to one div-mod chain over the shape with table
-/// lookups — no allocation, no virtual dispatch.  The tables cost
+/// every global coordinate (and its inverse per grid coordinate), plus each
+/// rank's local row-major strides; all three calls then strength-reduce to
+/// one div-mod chain over the shape with table lookups — no allocation, no
+/// virtual dispatch.  The tables cost
 /// `O(Σ_d extent_d)` words, negligible next to the array itself.
 #[derive(Debug, Clone)]
 pub struct FlatDist {
@@ -391,6 +393,10 @@ pub struct FlatDist {
     /// Per array dimension: the local coordinate of each global coordinate;
     /// `None` for `*` dimensions, where local = global.
     local_along: Vec<Option<Vec<usize>>>,
+    /// Per array dimension, the inverse of `local_along`: the grid stride of
+    /// the dimension's axis and, for each grid coordinate along it, the
+    /// global coordinate of every local coordinate; `None` for `*`.
+    global_along: Vec<Option<(usize, Vec<Vec<usize>>)>>,
     /// Row-major strides of each rank's local shape.
     local_strides: Vec<Vec<usize>>,
 }
@@ -417,12 +423,19 @@ impl FlatDist {
         // Memoised per-dimension owner/local tables (see the type docs).
         let mut rank_contrib: Vec<Option<Vec<usize>>> = vec![None; shape.len()];
         let mut local_along: Vec<Option<Vec<usize>>> = vec![None; shape.len()];
+        let mut global_along: Vec<Option<(usize, Vec<Vec<usize>>)>> = vec![None; shape.len()];
         let mut axis = 0usize;
         for (d, assign) in array.dims().iter().enumerate() {
             if let DimAssign::Distributed(dist) = assign {
                 let gstride: usize = array.grid().dims()[axis + 1..].iter().product();
                 rank_contrib[d] = Some((0..dist.n()).map(|i| dist.owner(i) * gstride).collect());
                 local_along[d] = Some((0..dist.n()).map(|i| dist.local_index(i)).collect());
+                let globals_of = |c: usize| {
+                    (0..dist.local_count(c))
+                        .map(|l| dist.global_index(c, l))
+                        .collect()
+                };
+                global_along[d] = Some((gstride, (0..dist.nprocs()).map(globals_of).collect()));
                 axis += 1;
             }
         }
@@ -446,6 +459,7 @@ impl FlatDist {
             fingerprint,
             rank_contrib,
             local_along,
+            global_along,
             local_strides,
         }
     }
@@ -527,9 +541,23 @@ impl Distribution for FlatDist {
     }
 
     fn global_index(&self, rank: usize, l: usize) -> usize {
-        let local = unflatten_index(&self.local_shapes[rank], l);
-        let idx = self.array.local_to_global(rank, &local);
-        self.flatten(&idx)
+        // One reverse div-mod pass over the rank's local shape, each local
+        // digit mapped to its global coordinate and weighted by the global
+        // row-major stride.
+        let local_shape = &self.local_shapes[rank];
+        let (mut rest, mut flat, mut stride) = (l, 0usize, 1usize);
+        for d in (0..self.shape.len()).rev() {
+            let digit = rest % local_shape[d];
+            rest /= local_shape[d];
+            let global = match &self.global_along[d] {
+                Some((gstride, by_coord)) => by_coord[rank / gstride % by_coord.len()][digit],
+                None => digit,
+            };
+            flat += global * stride;
+            stride *= self.shape[d];
+        }
+        debug_assert_eq!(rest, 0, "local offset outside rank {rank}'s storage");
+        flat
     }
 
     fn local_count(&self, rank: usize) -> usize {

@@ -58,6 +58,35 @@ fn assert_multi_roundtrips(a: &ArrayDist) {
     }
 }
 
+/// Arbitrary 2-D and 3-D decompositions mixing block, cyclic, block-cyclic
+/// and `*` dimensions over the matching processor grid (the first dimension
+/// is distributed when the draw made every dimension `*`).
+fn arb_mixed_array_dist() -> impl Strategy<Value = ArrayDist> {
+    proptest::collection::vec((1usize..9, 0usize..4, 1usize..4, 1usize..4), 2..4).prop_map(
+        |mut dims| {
+            if dims.iter().all(|&(_, kind, _, _)| kind == 3) {
+                dims[0].1 = 0;
+            }
+            let mut grid = Vec::new();
+            let assigns = dims
+                .into_iter()
+                .map(|(extent, kind, p, block)| {
+                    if kind == 3 {
+                        return DimAssign::Star(extent);
+                    }
+                    grid.push(p);
+                    DimAssign::Distributed(match kind {
+                        0 => DimDist::block(extent, p),
+                        1 => DimDist::cyclic(extent, p),
+                        _ => DimDist::block_cyclic(extent, p, block),
+                    })
+                })
+                .collect();
+            ArrayDist::new(ProcGrid::new(&grid), assigns)
+        },
+    )
+}
+
 fn assert_flat_roundtrips(a: &ArrayDist) {
     let d = FlatDist::new(a.clone());
     let mut seen = vec![false; d.n()];
@@ -79,6 +108,27 @@ proptest! {
     fn global_local_global_roundtrip(a in arb_array_dist()) {
         assert_multi_roundtrips(&a);
         assert_flat_roundtrips(&a);
+    }
+
+    #[test]
+    fn flat_global_index_roundtrips_and_follows_the_multi_index_route(
+        a in arb_mixed_array_dist(),
+    ) {
+        assert_flat_roundtrips(&a);
+        // The table-driven translation is the definitional one: unflatten
+        // through the rank's local shape, translate per dimension, flatten.
+        let d = FlatDist::new(a.clone());
+        for rank in 0..d.nprocs() {
+            let local_shape = a.local_shape(rank);
+            for l in 0..d.local_count(rank) {
+                let local = distrib::unflatten_index(&local_shape, l);
+                prop_assert_eq!(
+                    d.global_index(rank, l),
+                    d.flatten(&a.local_to_global(rank, &local)),
+                    "rank {} offset {}", rank, l
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,9 @@ use kali_repro::baseline::sequential_jacobi;
 use kali_repro::distrib::DimDist;
 use kali_repro::dmsim::{CostModel, Machine};
 use kali_repro::kali::inspector::owner_computes_iters;
-use kali_repro::kali::{execute_sweep, redistribute, run_inspector, ExecutorConfig};
+use kali_repro::kali::{
+    execute_sweep, execute_sweep_chunked, redistribute, run_inspector, ExecutorConfig,
+};
 use kali_repro::meshes::{greedy_partition, AdjacencyMesh, RegularGrid, UnstructuredMeshBuilder};
 use kali_repro::mp::MpMachine;
 use kali_repro::native::NativeMachine;
@@ -385,6 +387,136 @@ fn inspector_executor_shift_matches_across_backends() {
     let simulated = Machine::new(8, CostModel::ideal()).run(|proc| shift_on(proc, n));
     let native = NativeMachine::new(8).run(|proc| shift_on(proc, n));
     assert_eq!(simulated, native);
+}
+
+/// The two bodies of [`two_bodies_on`], shared with its sequential replay:
+/// `u[i]` is the coefficient-weighted sum of `x` over `i`'s neighbours in
+/// list order; `v[i]` is `y[i]` plus a differently weighted sum of `y` over
+/// the same neighbours in *reverse* order.
+fn weighted_sum(mesh: &AdjacencyMesh, i: usize, mut x: impl FnMut(usize) -> f64) -> f64 {
+    let mut u = 0.0;
+    for (&nb, &c) in mesh.neighbors(i).iter().zip(mesh.coefs(i)) {
+        u += c * x(nb as usize);
+    }
+    u
+}
+
+fn reversed_sum(mesh: &AdjacencyMesh, i: usize, mut y: impl FnMut(usize) -> f64) -> f64 {
+    let mut v = y(i);
+    for (k, &nb) in mesh.neighbors(i).iter().enumerate().rev() {
+        v += 0.125 * (k + 1) as f64 * y(nb as usize);
+    }
+    v
+}
+
+/// One step of the two-body kernel on whole arrays.
+fn two_bodies_step(u: &[f64], v: &[f64], x: &mut [f64], y: &mut [f64]) {
+    for l in 0..x.len() {
+        x[l] = 0.5 * x[l] + 0.25 * v[l];
+        y[l] = 0.5 * y[l] - 0.125 * u[l];
+    }
+}
+
+/// A CG-shaped kernel: **one** schedule (the mesh's neighbour pattern)
+/// executed alternately with two different bodies over two different arrays
+/// — the scalar executor reading `x` in list order, the chunked executor
+/// reading `y` in reverse order plus the iteration's own element — so what
+/// one execution teaches the schedule about its references is replayed
+/// against a body that fetches something else.  Returns the rank's `x`
+/// followed by its `y`.
+fn two_bodies_on<P: Process>(proc: &mut P, mesh: &AdjacencyMesh, steps: usize) -> Vec<f64> {
+    let n = mesh.len();
+    let dist = DimDist::block(n, proc.nprocs());
+    let rank = proc.rank();
+    let globals: Vec<usize> = dist.local_set(rank).iter().collect();
+    let mut x: Vec<f64> = globals
+        .iter()
+        .map(|&g| ((g * 7) % 11) as f64 * 0.5)
+        .collect();
+    let mut y: Vec<f64> = globals
+        .iter()
+        .map(|&g| ((g * 5) % 13) as f64 - 3.0)
+        .collect();
+    let exec = owner_computes_iters(&dist, rank, n);
+    let schedule = run_inspector(proc, &dist, &exec, |i, refs| {
+        refs.extend(mesh.neighbors(i).iter().map(|&nb| nb as usize))
+    });
+    let (mut u, mut v) = (vec![0.0; x.len()], vec![0.0; x.len()]);
+    for step in 0..steps {
+        execute_sweep(
+            proc,
+            ExecutorConfig::sweep(2 * step),
+            &schedule,
+            &dist,
+            &x,
+            |i, fetch| u[dist.local_index(i)] = weighted_sum(mesh, i, |g| fetch.fetch(g)),
+        );
+        execute_sweep_chunked(
+            proc,
+            ExecutorConfig::sweep(2 * step + 1)
+                .with_workers(2)
+                .with_chunk(5),
+            &schedule,
+            &dist,
+            &y,
+            |i, fetch| reversed_sum(mesh, i, |g| fetch.fetch(g)),
+            |i, value| v[dist.local_index(i)] = value,
+        );
+        two_bodies_step(&u, &v, &mut x, &mut y);
+    }
+    x.extend(y);
+    x
+}
+
+#[test]
+fn one_schedule_under_two_bodies_is_bit_identical_across_backends() {
+    let mesh = UnstructuredMeshBuilder::new(10, 11)
+        .seed(37)
+        .scramble_numbering(true)
+        .build();
+    let (n, nprocs, steps) = (mesh.len(), 4, 4);
+    let mp = MpMachine::new(nprocs).run(
+        "one_schedule_under_two_bodies_is_bit_identical_across_backends",
+        |proc| two_bodies_on(proc, &mesh, steps),
+    );
+    let simulated =
+        Machine::new(nprocs, CostModel::ideal()).run(|proc| two_bodies_on(proc, &mesh, steps));
+    let native = NativeMachine::new(nprocs).run(|proc| two_bodies_on(proc, &mesh, steps));
+
+    // Sequential replay: the same bodies over the global arrays.
+    let mut x: Vec<f64> = (0..n).map(|g| ((g * 7) % 11) as f64 * 0.5).collect();
+    let mut y: Vec<f64> = (0..n).map(|g| ((g * 5) % 13) as f64 - 3.0).collect();
+    for _ in 0..steps {
+        let u: Vec<f64> = (0..n).map(|i| weighted_sum(&mesh, i, |g| x[g])).collect();
+        let v: Vec<f64> = (0..n).map(|i| reversed_sum(&mesh, i, |g| y[g])).collect();
+        two_bodies_step(&u, &v, &mut x, &mut y);
+    }
+    let dist = DimDist::block(n, nprocs);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let check = |backend: &str, per_rank: Vec<Vec<f64>>| {
+        let (xs, ys): (Vec<_>, Vec<_>) = per_rank
+            .into_iter()
+            .map(|both| {
+                let (x, y) = both.split_at(both.len() / 2);
+                (x.to_vec(), y.to_vec())
+            })
+            .unzip();
+        assert_eq!(
+            bits(&gather(&dist, &xs)),
+            bits(&x),
+            "{backend}: x vs replay"
+        );
+        assert_eq!(
+            bits(&gather(&dist, &ys)),
+            bits(&y),
+            "{backend}: y vs replay"
+        );
+    };
+    check("dmsim", simulated);
+    check("native", native);
+    if let Some(mp) = mp {
+        check("mp", mp);
+    }
 }
 
 #[test]

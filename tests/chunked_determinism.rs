@@ -17,6 +17,11 @@
 //! vertical stencil (one run per row segment, three rows walked at once)
 //! and Jacobi under a user-defined distribution whose local order is not
 //! even monotone (no runs offered).
+//!
+//! A last kernel pins the translation memo a reused schedule learns for its
+//! nonlocal list: it is recorded under one `(workers, chunk)` pair and
+//! replayed under others, and a recording sweep that panics leaves nothing
+//! behind.
 
 use kali_repro::distrib::{ArrayDist, DimDist, Distribution, FlatDist};
 use kali_repro::dmsim::{CostModel, Machine};
@@ -445,6 +450,200 @@ fn jacobi_under_a_non_monotone_user_defined_distribution_is_knob_independent() {
             );
         }
     }
+}
+
+/// The Jacobi relaxation of node `i`, fetching neighbour values through
+/// `fetch`, in the arithmetic order of `jacobi_sequential`.
+fn relaxed(mesh: &AdjacencyMesh, i: usize, mut fetch: impl FnMut(usize) -> f64) -> f64 {
+    let mut x = 0.0;
+    for (&nb, &c) in mesh.neighbors(i).iter().zip(mesh.coefs(i)) {
+        x += c * fetch(nb as usize);
+    }
+    x
+}
+
+/// `sweeps` Jacobi relaxations over a scrambled mesh on **one** schedule,
+/// through the chunked executor with the knob pair of `knobs` cycling from
+/// sweep to sweep (so a memo recorded under one pair is replayed under the
+/// next), or through the scalar executor when `knobs` is `None`.  Returns
+/// every rank's final local field and the counters of the sweeps.
+fn run_relaxation_on_one_schedule(
+    mesh: &AdjacencyMesh,
+    initial: &[f64],
+    sweeps: usize,
+    knobs: Option<&[(usize, usize)]>,
+) -> Vec<(Vec<f64>, Counters)> {
+    Machine::new(NPROCS, CostModel::ncube7()).run(|proc| {
+        let dist = DimDist::block(mesh.len(), proc.nprocs());
+        let rank = proc.rank();
+        let mut a: Vec<f64> = (0..dist.local_count(rank))
+            .map(|l| initial[dist.global_index(rank, l)])
+            .collect();
+        let mut session = Session::new();
+        let relaxation = session.loop_1d(mesh.len(), dist.clone());
+        let schedule = session.plan_indirect(proc, &relaxation, &dist, |i, refs| {
+            refs.extend(mesh.neighbors(i).iter().map(|&nb| nb as usize))
+        });
+        assert!(
+            !schedule.nonlocal_iters.is_empty(),
+            "a scrambled mesh leaves every rank nonlocal iterations"
+        );
+        let start = proc.counters();
+        for sweep in 0..sweeps {
+            let old_a = a.clone();
+            if let Some(knobs) = knobs {
+                let (workers, chunk) = knobs[sweep % knobs.len()];
+                session.set_workers(workers);
+                session.set_chunk_size(chunk);
+                session.execute_chunked(
+                    proc,
+                    &relaxation,
+                    &schedule,
+                    &dist,
+                    &old_a,
+                    |i, fetch| relaxed(mesh, i, |g| fetch.fetch(g)),
+                    |i, x| a[dist.local_index(i)] = x,
+                );
+            } else {
+                session.execute(proc, &relaxation, &schedule, &dist, &old_a, |i, fetch| {
+                    a[dist.local_index(i)] = relaxed(mesh, i, |g| fetch.fetch(g));
+                });
+            }
+        }
+        (a, proc.counters().since(&start))
+    })
+}
+
+#[test]
+fn a_memo_recorded_under_one_knob_pair_replays_under_every_other() {
+    let mesh = UnstructuredMeshBuilder::new(9, 9)
+        .seed(43)
+        .scramble_numbering(true)
+        .build();
+    assert!(
+        (0..mesh.len()).all(|i| mesh.degree(i) > 0),
+        "every node relaxes"
+    );
+    let initial: Vec<f64> = (0..mesh.len())
+        .map(|i| ((i * 19) % 29) as f64 * 0.25)
+        .collect();
+    let sweeps = 5;
+    let dist = DimDist::block(mesh.len(), NPROCS);
+    let expected = jacobi_sequential(&mesh, &initial, sweeps);
+    let gather = |outcomes: &[(Vec<f64>, Counters)]| {
+        gather_global(
+            &dist,
+            &outcomes.iter().map(|(a, _)| a.clone()).collect::<Vec<_>>(),
+        )
+    };
+    let scalar = run_relaxation_on_one_schedule(&mesh, &initial, sweeps, None);
+    assert_eq!(bits(&gather(&scalar)), bits(&expected), "scalar executor");
+
+    let pairs: Vec<(usize, usize)> = [1usize, 2, 4]
+        .iter()
+        .flat_map(|&w| [1usize, 3, 7, 0].map(|c| (w, c)))
+        .collect();
+    // Sweep 0 is plain, sweep 1 records, sweeps 2.. replay: starting the
+    // cycle at every pair in turn and stepping by 5 (coprime to 12) puts
+    // every pair in the recording seat once, each followed by three others.
+    for first in 0..pairs.len() {
+        let cycle: Vec<(usize, usize)> = (0..sweeps)
+            .map(|k| pairs[(first + 5 * k) % pairs.len()])
+            .collect();
+        let chunked = run_relaxation_on_one_schedule(&mesh, &initial, sweeps, Some(&cycle));
+        assert_eq!(bits(&gather(&chunked)), bits(&expected), "knobs {cycle:?}");
+        for (rank, ((_, c), (_, s))) in chunked.iter().zip(&scalar).enumerate() {
+            assert_eq!(
+                masked(*c),
+                masked(*s),
+                "rank {rank} counters vs the scalar executor, knobs {cycle:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_worker_panic_during_the_recording_sweep_leaves_no_memo_behind() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let mesh = UnstructuredMeshBuilder::new(8, 8)
+        .seed(47)
+        .scramble_numbering(true)
+        .build();
+    let initial: Vec<f64> = (0..mesh.len()).map(|i| (i % 7) as f64 * 0.5).collect();
+    // 0: plain; 1: the recording sweep, poisoned; 2, 3: what follows it on a
+    // schedule whose one chance to record is gone; `None`: never poisoned.
+    let run = |poisoned: Option<usize>| {
+        Machine::new(NPROCS, CostModel::ideal()).run(|proc| {
+            let dist = DimDist::block(mesh.len(), proc.nprocs());
+            let rank = proc.rank();
+            let mut a: Vec<f64> = (0..dist.local_count(rank))
+                .map(|l| initial[dist.global_index(rank, l)])
+                .collect();
+            let mut session = Session::new();
+            session.set_workers(4);
+            session.set_chunk_size(3);
+            let relaxation = session.loop_1d(mesh.len(), dist.clone());
+            let schedule = session.plan_indirect(proc, &relaxation, &dist, |i, refs| {
+                refs.extend(mesh.neighbors(i).iter().map(|&nb| nb as usize))
+            });
+            let last = *schedule.nonlocal_iters.last().expect("nonlocal iterations");
+            let bytes_before = schedule.approx_bytes();
+            let mut bytes_after = Vec::new();
+            for sweep in 0..4 {
+                let old_a = a.clone();
+                let poison = poisoned == Some(sweep);
+                let swept = catch_unwind(AssertUnwindSafe(|| {
+                    session.execute_chunked(
+                        proc,
+                        &relaxation,
+                        &schedule,
+                        &dist,
+                        &old_a,
+                        |i, fetch| {
+                            let x = relaxed(&mesh, i, |g| fetch.fetch(g));
+                            // The last chunk of the nonlocal phase dies
+                            // after recording its references.
+                            assert!(!(poison && i == last), "poisoned iteration {i}");
+                            x
+                        },
+                        |i, x| a[dist.local_index(i)] = x,
+                    )
+                }));
+                assert_eq!(swept.is_err(), poison, "sweep {sweep}");
+                if poison {
+                    // The sweep's earlier chunks reached the sink; redo it
+                    // from the old values so the fields stay comparable.
+                    a = old_a;
+                }
+                bytes_after.push(schedule.approx_bytes() - bytes_before);
+            }
+            (a, bytes_after)
+        })
+    };
+    let clean = run(None);
+    let broken = run(Some(1));
+    for (rank, ((a, learned), (b, nothing))) in clean.iter().zip(&broken).enumerate() {
+        assert_eq!(
+            learned[0], 0,
+            "rank {rank}: the first sweep records nothing"
+        );
+        assert!(learned[1] > 0, "rank {rank}: the second sweep records");
+        assert_eq!(learned[1..], [learned[1]; 3], "rank {rank}: recorded once");
+        assert_eq!(nothing, &[0; 4], "rank {rank}: no partial memo is kept");
+        // Three completed sweeps either way, all on the long route after
+        // the failed recording.
+        assert_eq!(bits(a), bits(&jacobi_on_rank(&mesh, &initial, 4, rank)));
+        assert_eq!(bits(b), bits(&jacobi_on_rank(&mesh, &initial, 3, rank)));
+    }
+}
+
+/// Rank `rank`'s block of the sequential Jacobi field after `sweeps`.
+fn jacobi_on_rank(mesh: &AdjacencyMesh, initial: &[f64], sweeps: usize, rank: usize) -> Vec<f64> {
+    let dist = DimDist::block(mesh.len(), NPROCS);
+    let field = jacobi_sequential(mesh, initial, sweeps);
+    (0..dist.local_count(rank))
+        .map(|l| field[dist.global_index(rank, l)])
+        .collect()
 }
 
 mod properties {
