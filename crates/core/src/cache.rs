@@ -486,7 +486,7 @@ mod tests {
                 });
                 gauge.push(cache.resident_bytes());
                 let config = ExecutorConfig::sweep(sweep);
-                execute_sweep(proc, config, &schedule, &dist, &local, |i, fetch| {
+                execute_sweep(proc, config, &schedule, &dist, &dist, &local, |i, fetch| {
                     let _ = fetch.fetch(i + 1);
                 });
             }

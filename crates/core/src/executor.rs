@@ -25,13 +25,14 @@
 //! reference as a cheap index translation.  Both fetchers ([`Fetcher`] on
 //! the rank's thread, [`ChunkFetcher`] inside a chunk) therefore resolve a
 //! global index through one shared resolver that keeps the common case to
-//! two compares and an add:
+//! one compare and an add:
 //!
 //! * a sweep asks the data distribution **once** for the rank's owned set
 //!   as contiguous runs ([`Distribution::local_runs`]); inside a run the
 //!   local offset is `local_base + (g − low)`, inside a receive record the
 //!   buffer position is `buffer + (g − low)` — the same arithmetic, so both
-//!   are kept as *windows* `(low, high, base)`;
+//!   are kept as *windows* `(low, len, base)`, hit by the one unsigned
+//!   compare `g − low < len` (an index below `low` wraps past any length);
 //! * the resolver holds a small fixed array of windows indexed by the
 //!   reference's **ordinal within the iteration**: the k-th reference of a
 //!   stencil body walks its own row (or its own halo record) from one
@@ -48,6 +49,40 @@
 //! references use the windows.  The same runs let the pack, unpack and copy
 //! loops of the executor and of [`redistribute`](mod@crate::redistribute)
 //! translate once per run and move slices.
+//!
+//! ### The iteration's own element
+//!
+//! Almost every body also needs the local offset of the element it was
+//! *placed by* — where `new_a[i]` is stored, where `count[i]` and `adj[i, ·]`
+//! are read — and used to compute it with a full `dist.local_index(i)` (a
+//! division under block, a div-mod walk over the dimensions of a
+//! [`FlatDist`](distrib::FlatDist)) on every iteration.  The executor knows
+//! it already: the iteration lists enumerate the rank's owned set under the
+//! loop's **on-clause** distribution, run after run.  [`Fetcher::home`] and
+//! [`ChunkFetcher::home`] hand it to the body — the inspector/executor
+//! literature's *localised* loop:
+//!
+//! * **On-clause, not data.**  The offset is under the distribution that
+//!   placed the iteration ([`ParallelLoop::on_dist`](crate::ParallelLoop),
+//!   passed down by every `execute*`; an argument of its own to the free
+//!   functions [`execute_sweep`] / [`execute_sweep_chunked`]), which need
+//!   not be the distribution of the array the body fetches from: a loop
+//!   placed by `A` reading `B` stores at `A`'s offsets.
+//! * **One window.**  A sweep asks the on-clause distribution once for the
+//!   rank's runs; the executor notes the iteration index before calling the
+//!   body, and `home()` answers from the run the previous iteration lay in —
+//!   the same unsigned compare and add as a fetch.  Leaving the run (once
+//!   per owned row segment) is a [`find_run`], out of line.
+//! * **No runs, no assumption.**  A distribution that offers no runs
+//!   (cyclic, user-defined) — or an iteration the rank was handed without
+//!   owning it — is answered by `on_dist.local_index(i)`, exactly what the
+//!   body would have computed, so a descending or otherwise non-monotone
+//!   local order stays right.
+//! * **Free.**  `home()` charges nothing and touches no counter: bodies
+//!   never charged for `local_index` either (the loop-control charge covers
+//!   the iteration), so simulated clocks and every `Counters` field are
+//!   those of a body that does its own translation.  A chunked body returns
+//!   the offset with its value and the sink stores there.
 //!
 //! ### The translation memo of the nonlocal list
 //!
@@ -214,22 +249,39 @@ impl Slot {
     }
 }
 
-/// One remembered translation: global indices `low..high` live at
+/// One remembered translation: the `len` global indices from `low` live at
 /// `base..`, in the receive buffer when `nonlocal`, in local storage
-/// otherwise.  The empty window (`high == 0`) matches nothing.
+/// otherwise.  The empty window (`len == 0`) matches nothing.
 #[derive(Debug, Clone, Copy, Default)]
 struct Window {
     low: usize,
-    high: usize,
+    len: usize,
     base: usize,
     nonlocal: bool,
 }
 
 impl Window {
+    fn new(low: usize, high: usize, base: usize, nonlocal: bool) -> Self {
+        Window {
+            low,
+            len: high - low,
+            base,
+            nonlocal,
+        }
+    }
+
+    /// Where `g` lives if the window covers it.  One unsigned compare: an
+    /// index below `low` wraps to something no window is long enough for.
+    #[inline]
+    fn position(&self, g: usize) -> Option<usize> {
+        let offset = g.wrapping_sub(self.low);
+        (offset < self.len).then(|| self.base + offset)
+    }
+
     #[inline]
     fn slot(&self, g: usize) -> Option<Slot> {
-        (g >= self.low && g < self.high).then(|| Slot {
-            pos: self.base + (g - self.low),
+        self.position(g).map(|pos| Slot {
+            pos,
             nonlocal: self.nonlocal,
         })
     }
@@ -335,12 +387,7 @@ impl<'a, D: Distribution + ?Sized> Resolver<'a, D> {
                     return slot;
                 }
                 if let Some(run) = find_run(runs, g) {
-                    self.windows[k] = Window {
-                        low: run.low,
-                        high: run.high,
-                        base: run.local_base,
-                        nonlocal: false,
-                    };
+                    self.windows[k] = Window::new(run.low, run.high, run.local_base, false);
                     return Slot {
                         pos: run.local_base + (g - run.low),
                         nonlocal: false,
@@ -365,15 +412,64 @@ impl<'a, D: Distribution + ?Sized> Resolver<'a, D> {
                 self.rank
             )
         });
-        self.windows[k] = Window {
-            low,
-            high,
-            base,
-            nonlocal: true,
-        };
+        self.windows[k] = Window::new(low, high, base, true);
         Slot {
             pos: base + (g - low),
             nonlocal: true,
+        }
+    }
+}
+
+/// The iteration's own element: the local offset, under the loop's
+/// **on-clause** distribution, of the iteration a fetcher is currently
+/// handed to the body for (see the module docs).  Shared by both fetchers;
+/// charges nothing.
+struct Home<'a> {
+    /// The on-clause distribution — not necessarily the data distribution.
+    on_dist: &'a dyn Distribution,
+    /// The rank's owned runs under it, fetched once per sweep; `None` when
+    /// it offers none.
+    runs: Option<&'a [LocalRun]>,
+    /// The run the last answered iteration lay in.
+    window: Window,
+    /// The iteration the body is running.
+    iter: usize,
+}
+
+impl<'a> Home<'a> {
+    fn new(on_dist: &'a dyn Distribution, runs: Option<&'a [LocalRun]>) -> Self {
+        Home {
+            on_dist,
+            runs,
+            window: Window::default(),
+            iter: 0,
+        }
+    }
+
+    #[inline]
+    fn offset(&mut self) -> usize {
+        if let Some(l) = self.window.position(self.iter) {
+            return l;
+        }
+        match self.runs {
+            Some(runs) => self.leave_run(runs),
+            // No runs, no window: what a body would compute for itself.
+            None => self.on_dist.local_index(self.iter),
+        }
+    }
+
+    /// Leaving the window's run — once per owned row segment, so kept out
+    /// of the body's code.  An iteration in no run (the rank was handed it
+    /// without owning it) is answered like a distribution without runs.
+    #[cold]
+    #[inline(never)]
+    fn leave_run(&mut self, runs: &[LocalRun]) -> usize {
+        match find_run(runs, self.iter) {
+            Some(run) => {
+                self.window = Window::new(run.low, run.high, run.local_base, false);
+                run.local_base + (self.iter - run.low)
+            }
+            None => self.on_dist.local_index(self.iter),
         }
     }
 }
@@ -418,6 +514,7 @@ pub struct Fetcher<'a, T, P: Process, D: Distribution + ?Sized = dyn Distributio
     local_data: &'a [T],
     recv_buf: &'a [T],
     resolver: Resolver<'a, D>,
+    home: Home<'a>,
 }
 
 impl<'a, T: Copy, P: Process, D: Distribution + ?Sized> Fetcher<'a, T, P, D> {
@@ -439,6 +536,16 @@ impl<'a, T: Copy, P: Process, D: Distribution + ?Sized> Fetcher<'a, T, P, D> {
         slot.read(self.local_data, self.recv_buf)
     }
 
+    /// The local offset of the current iteration's own element under the
+    /// loop's **on-clause** distribution: `on_dist.local_index(i)` for the
+    /// `i` the body was called with, without the division — where a body
+    /// stores its result (`new_a[fetch.home()] = …`) and reads the arrays
+    /// aligned with the loop.  Charges nothing.
+    #[inline]
+    pub fn home(&mut self) -> usize {
+        self.home.offset()
+    }
+
     /// True when the element is stored locally (no communication needed).
     pub fn is_local(&self, g: usize) -> bool {
         self.resolver.dist.is_local(self.resolver.rank, g)
@@ -454,6 +561,8 @@ impl<'a, T: Copy, P: Process, D: Distribution + ?Sized> Fetcher<'a, T, P, D> {
 /// Execute one sweep of a `forall` whose nonlocal data movement is described
 /// by `schedule`.
 ///
+/// * `on_dist` — the distribution named in the loop's `on` clause, under
+///   which [`Fetcher::home`] places each iteration's own element.
 /// * `data_dist` / `local_data` — distribution and local storage of the
 ///   array referenced inside the loop body (the paper's `old_a`).
 /// * `body` — the loop body; it receives the global iteration index and a
@@ -465,6 +574,7 @@ pub fn execute_sweep<P, D, T, F>(
     proc: &mut P,
     config: ExecutorConfig,
     schedule: &CommSchedule,
+    on_dist: &dyn Distribution,
     data_dist: &D,
     local_data: &[T],
     mut body: F,
@@ -483,6 +593,8 @@ where
     let tag = tags::executor_tag(config.tag);
     let runs = data_dist.local_runs(rank);
     let runs = runs.as_deref();
+    let home_runs = on_dist.local_runs(rank);
+    let home_runs = home_runs.as_deref();
     let memo = schedule.begin_execution(data_dist, local_data.len());
     send_phase(proc, schedule, data_dist, runs, local_data, tag);
 
@@ -493,10 +605,12 @@ where
             local_data,
             recv_buf,
             resolver: Resolver::new(data_dist, runs, schedule, memo),
+            home: Home::new(on_dist, home_runs),
         };
         for (position, &i) in iters.iter().enumerate() {
             fetcher.proc.charge_loop_iters(1);
             fetcher.resolver.next_iteration(position);
+            fetcher.home.iter = i;
             body(i, &mut fetcher);
         }
         fetcher.resolver.recording
@@ -645,6 +759,7 @@ pub struct ChunkFetcher<'a, T, D: Distribution + ?Sized = dyn Distribution> {
     local_data: &'a [T],
     recv_buf: &'a [T],
     resolver: Resolver<'a, D>,
+    home: Home<'a>,
     costs: ChunkCosts,
 }
 
@@ -661,6 +776,15 @@ impl<'a, T: Copy, D: Distribution + ?Sized> ChunkFetcher<'a, T, D> {
         self.costs.local_accesses += usize::from(!slot.nonlocal);
         self.costs.nonlocal_accesses += usize::from(slot.nonlocal);
         slot.read(self.local_data, self.recv_buf)
+    }
+
+    /// The local offset of the current iteration's own element under the
+    /// loop's on-clause distribution — [`Fetcher::home`], through the same
+    /// code.  A chunked body returns it with its value for the sink to
+    /// store at.  Charges nothing.
+    #[inline]
+    pub fn home(&mut self) -> usize {
+        self.home.offset()
     }
 
     /// True when the element is stored locally (no communication needed).
@@ -716,10 +840,12 @@ impl<'a, T: Copy, D: Distribution + ?Sized> ChunkFetcher<'a, T, D> {
 /// never holds more than one chunk of results.
 ///
 /// Returns the number of iterations executed locally.
+#[allow(clippy::too_many_arguments)] // execute_sweep + the sink
 pub fn execute_sweep_chunked<P, D, T, V, F, W>(
     proc: &mut P,
     config: ExecutorConfig,
     schedule: &CommSchedule,
+    on_dist: &dyn Distribution,
     data_dist: &D,
     local_data: &[T],
     body: F,
@@ -744,6 +870,8 @@ where
     let ranges = schedule.range_count();
     let runs = data_dist.local_runs(rank);
     let runs = runs.as_deref();
+    let home_runs = on_dist.local_runs(rank);
+    let home_runs = home_runs.as_deref();
     let memo = schedule.begin_execution(data_dist, local_data.len());
     send_phase(proc, schedule, data_dist, runs, local_data, tag);
 
@@ -776,12 +904,14 @@ where
                     local_data,
                     recv_buf,
                     resolver: Resolver::new(data_dist, runs, schedule, memo),
+                    home: Home::new(on_dist, home_runs),
                     costs: ChunkCosts::default(),
                 };
                 let mut values = Vec::with_capacity(end - start);
                 for (position, &i) in (start..end).zip(&iters[start..end]) {
                     fetcher.costs.loop_iters += 1;
                     fetcher.resolver.next_iteration(position);
+                    fetcher.home.iter = i;
                     values.push(body(i, &mut fetcher));
                 }
                 (values, fetcher.costs, fetcher.resolver.recording)
@@ -844,10 +974,11 @@ mod tests {
                 ExecutorConfig::default().with_overlap(overlap),
                 &schedule,
                 &dist,
+                &dist,
                 &local_a,
                 |i, fetch| {
                     let v = fetch.fetch(i + 1);
-                    new_a[dist.local_index(i)] = v;
+                    new_a[fetch.home()] = v;
                 },
             );
             (rank, new_a)
@@ -892,6 +1023,7 @@ mod tests {
                 ExecutorConfig::default(),
                 &schedule,
                 &dist,
+                &dist,
                 &local_a,
                 |_i, fetch| {
                     let _ = fetch.fetch(_i + 1);
@@ -921,6 +1053,7 @@ mod tests {
                     proc,
                     ExecutorConfig::default(),
                     &schedule,
+                    &dist,
                     &dist,
                     &local_a,
                     |i, fetch| {
@@ -982,7 +1115,7 @@ mod tests {
 
     impl MeteredSolo {
         /// A scalar fetcher over this backend, as `execute_sweep` builds it.
-        fn fetcher<'a, D: Distribution + ?Sized>(
+        fn fetcher<'a, D: Distribution>(
             &'a mut self,
             dist: &'a D,
             runs: Option<&'a [LocalRun]>,
@@ -997,12 +1130,13 @@ mod tests {
                 local_data,
                 recv_buf,
                 resolver: Resolver::new(dist, runs, schedule, memo),
+                home: Home::new(dist, runs),
             }
         }
     }
 
     /// A chunk fetcher as one chunk of `execute_sweep_chunked` builds it.
-    fn chunk_fetcher<'a, D: Distribution + ?Sized>(
+    fn chunk_fetcher<'a, D: Distribution>(
         dist: &'a D,
         runs: Option<&'a [LocalRun]>,
         schedule: &'a CommSchedule,
@@ -1014,6 +1148,7 @@ mod tests {
             local_data,
             recv_buf,
             resolver: Resolver::new(dist, runs, schedule, memo),
+            home: Home::new(dist, runs),
             costs: ChunkCosts::default(),
         }
     }
@@ -1127,7 +1262,7 @@ mod tests {
     /// neither owned nor scheduled — a panic that charges nothing and
     /// disturbs nothing.  Returns what the memo was used for: `"off"`,
     /// `"record"` or `"replay"`.
-    fn assert_execution_matches_the_definitional_route<D: Distribution + ?Sized>(
+    fn assert_execution_matches_the_definitional_route<D: Distribution>(
         dist: &D,
         runs: Option<&[LocalRun]>,
         schedule: &CommSchedule,
@@ -1403,6 +1538,227 @@ mod tests {
         }
     }
 
+    /// Block ownership through the trait's required methods alone (no
+    /// runs offered), stored ascending or — `reversed` — descending, so that
+    /// nothing may assume local order follows global order.
+    #[derive(Debug)]
+    struct PlainBlock {
+        inner: distrib::BlockDist,
+        reversed: bool,
+    }
+
+    impl PlainBlock {
+        fn flip(&self, rank: usize, l: usize) -> usize {
+            if self.reversed {
+                self.inner.local_count(rank) - 1 - l
+            } else {
+                l
+            }
+        }
+    }
+
+    impl Distribution for PlainBlock {
+        fn n(&self) -> usize {
+            self.inner.n()
+        }
+        fn nprocs(&self) -> usize {
+            self.inner.nprocs()
+        }
+        fn owner(&self, i: usize) -> usize {
+            self.inner.owner(i)
+        }
+        fn local_index(&self, i: usize) -> usize {
+            self.flip(self.inner.owner(i), self.inner.local_index(i))
+        }
+        fn global_index(&self, rank: usize, l: usize) -> usize {
+            self.inner.global_index(rank, self.flip(rank, l))
+        }
+        fn local_count(&self, rank: usize) -> usize {
+            self.inner.local_count(rank)
+        }
+        fn kind_name(&self) -> &'static str {
+            "plain-block"
+        }
+        fn fingerprint(&self) -> u64 {
+            !self.inner.fingerprint() ^ u64::from(self.reversed)
+        }
+    }
+
+    /// On-clause distributions for the `home()` tests, all over 4 ranks:
+    /// every built-in on both sides of the runs choice, and two that
+    /// implement only the trait's required methods.
+    fn on_clause_distributions() -> Vec<(&'static str, DimDist)> {
+        use distrib::{ArrayDist, BlockDist, DimAssign, IrregularDist, ProcGrid};
+        let p = 4;
+        let cyclic_block = ArrayDist::new(
+            ProcGrid::new_2d(2, 2),
+            vec![
+                DimAssign::Distributed(DimDist::cyclic(6, 2)),
+                DimAssign::Distributed(DimDist::block(40, 2)),
+            ],
+        );
+        let plain = |reversed| PlainBlock {
+            inner: BlockDist::new(150, p),
+            reversed,
+        };
+        vec![
+            ("block", DimDist::block(150, p)),
+            ("cyclic", DimDist::cyclic(150, p)),
+            ("block-cyclic", DimDist::block_cyclic(150, p, 20)),
+            (
+                "irregular",
+                DimDist::irregular(IrregularDist::from_owners(
+                    (0..150).map(|i| (i / 17 + 1) % p).collect(),
+                    p,
+                )),
+            ),
+            (
+                "[block,*]",
+                DimDist::flattened(ArrayDist::block_rows(8, 20, p)),
+            ),
+            (
+                "[*,block]",
+                DimDist::flattened(ArrayDist::block_cols(3, 80, p)),
+            ),
+            ("[cyclic,block]", DimDist::flattened(cyclic_block)),
+            ("trait default", DimDist::new(plain(false))),
+            ("reversed block", DimDist::new(plain(true))),
+        ]
+    }
+
+    #[test]
+    fn home_follows_the_on_clause_distribution() {
+        // A loop placed by `on` reading an array placed by `data`: for
+        // every iteration of both phases, through both fetchers and at
+        // every (workers, chunk), `home()` is the offset under `on`.
+        let p = 4;
+        for (name, on) in on_clause_distributions() {
+            let n = on.n();
+            let data = DimDist::block_cyclic(n, p, 7);
+            assert_ne!(on.fingerprint(), data.fingerprint(), "{name}");
+            let machine = Machine::new(p, CostModel::ideal());
+            let phases = machine.run(|proc| {
+                let rank = proc.rank();
+                let local: Vec<f64> = data.local_set(rank).iter().map(|g| g as f64).collect();
+                let exec = owner_computes_iters(&on, rank, n);
+                let schedule = run_inspector(proc, &data, &exec, |i, refs| refs.push(i));
+                let mut seen = Vec::new();
+                execute_sweep(
+                    proc,
+                    ExecutorConfig::default(),
+                    &schedule,
+                    &on,
+                    &data,
+                    &local,
+                    |i, fetch| {
+                        assert_eq!(fetch.home(), on.local_index(i), "{name}: iteration {i}");
+                        // Asking again, and after a fetch, changes nothing.
+                        assert_eq!(fetch.fetch(i), i as f64);
+                        assert_eq!(fetch.home(), on.local_index(i), "{name}: iteration {i}");
+                        seen.push(i);
+                    },
+                );
+                seen.sort_unstable();
+                assert_eq!(seen, exec, "{name}: scalar sweep");
+                for workers in [1usize, 4] {
+                    for chunk in [1usize, 3, 0] {
+                        let mut seen = Vec::new();
+                        execute_sweep_chunked(
+                            proc,
+                            ExecutorConfig::default()
+                                .with_workers(workers)
+                                .with_chunk(chunk),
+                            &schedule,
+                            &on,
+                            &data,
+                            &local,
+                            |i, fetch| (fetch.home(), fetch.fetch(i)),
+                            |i, (home, value)| {
+                                assert_eq!(
+                                    home,
+                                    on.local_index(i),
+                                    "{name}: iteration {i} at workers={workers} chunk={chunk}"
+                                );
+                                assert_eq!(value, i as f64);
+                                seen.push(i);
+                            },
+                        );
+                        seen.sort_unstable();
+                        assert_eq!(seen, exec, "{name}: workers={workers} chunk={chunk}");
+                    }
+                }
+                (schedule.local_iters.len(), schedule.nonlocal_iters.len())
+            });
+            // The two placements really differ: both phases ran somewhere.
+            assert!(phases.iter().any(|&(local, _)| local > 0), "{name}");
+            assert!(phases.iter().any(|&(_, nonlocal)| nonlocal > 0), "{name}");
+        }
+    }
+
+    #[test]
+    fn home_of_an_iteration_outside_every_run_is_the_distributions_answer() {
+        // A hand-built schedule may hand a rank an iteration it does not
+        // own under the on-clause distribution; `home()` then says what
+        // `local_index` says (as the body used to), and the window of the
+        // run it left keeps answering afterwards.
+        let dist = DimDist::block(8, 2); // rank 0 owns 0..4
+        let empty = CommSchedule::from_recv_sets(0, &[], vec![], vec![]);
+        let runs = dist.local_runs(0);
+        let mut fetcher = chunk_fetcher(&dist, runs.as_deref(), &empty, &[], &[], MemoPlan::Off);
+        for i in [1usize, 6, 2, 7, 3] {
+            fetcher.home.iter = i;
+            assert_eq!(fetcher.home(), dist.local_index(i), "iteration {i}");
+        }
+    }
+
+    #[test]
+    fn home_is_invisible_to_a_metering_backend() {
+        // Same sweeps, with and without the body asking for its home
+        // offset: every counter and the simulated clock agree.
+        for (name, on) in on_clause_distributions() {
+            let n = on.n();
+            let data = DimDist::block_cyclic(n, 4, 7);
+            let run = |ask: bool| {
+                let machine = Machine::new(4, CostModel::ncube7());
+                let (_, stats) = machine.run_stats(|proc| {
+                    let rank = proc.rank();
+                    let local: Vec<f64> = data.local_set(rank).iter().map(|g| g as f64).collect();
+                    let exec = owner_computes_iters(&on, rank, n - 1);
+                    let schedule = run_inspector(proc, &data, &exec, |i, refs| refs.push(i + 1));
+                    let mut out = vec![0.0; on.local_count(rank)];
+                    execute_sweep(
+                        proc,
+                        ExecutorConfig::sweep(0),
+                        &schedule,
+                        &on,
+                        &data,
+                        &local,
+                        |i, fetch| {
+                            let l = if ask { fetch.home() } else { on.local_index(i) };
+                            out[l] = fetch.fetch(i + 1);
+                        },
+                    );
+                    execute_sweep_chunked(
+                        proc,
+                        ExecutorConfig::sweep(1).with_workers(4).with_chunk(3),
+                        &schedule,
+                        &on,
+                        &data,
+                        &local,
+                        |i, fetch| {
+                            let l = if ask { fetch.home() } else { on.local_index(i) };
+                            (l, fetch.fetch(i + 1))
+                        },
+                        |_, (l, v)| out[l] = v,
+                    );
+                    out
+                });
+                (masked(stats.totals), stats.time.to_bits())
+            };
+            assert_eq!(run(true), run(false), "{name}");
+        }
+    }
+
     #[test]
     fn local_pieces_follow_the_runs_and_fall_back_per_element() {
         use distrib::ArrayDist;
@@ -1477,9 +1833,10 @@ mod tests {
                             .with_chunk(chunk),
                         &schedule,
                         &dist,
+                        &dist,
                         &local_a,
-                        |i, fetch| fetch.fetch(i + 1),
-                        |i, v| new_a[dist.local_index(i)] = v,
+                        |i, fetch| (fetch.home(), fetch.fetch(i + 1)),
+                        |_, (l, v)| new_a[l] = v,
                     );
                 } else {
                     execute_sweep(
@@ -1487,10 +1844,11 @@ mod tests {
                         ExecutorConfig::default(),
                         &schedule,
                         &dist,
+                        &dist,
                         &local_a,
                         |i, fetch| {
                             let v = fetch.fetch(i + 1);
-                            new_a[dist.local_index(i)] = v;
+                            new_a[fetch.home()] = v;
                         },
                     );
                 }
@@ -1530,6 +1888,7 @@ mod tests {
                         ExecutorConfig::default().with_workers(3).with_chunk(4),
                         &schedule,
                         &dist,
+                        &dist,
                         &local_a,
                         |i, fetch| {
                             fetch.charge_flops(2);
@@ -1544,6 +1903,7 @@ mod tests {
                         proc,
                         ExecutorConfig::default(),
                         &schedule,
+                        &dist,
                         &dist,
                         &local_a,
                         |i, fetch| {
@@ -1575,6 +1935,7 @@ mod tests {
                 ExecutorConfig::default().with_workers(2).with_chunk(2),
                 &schedule,
                 &dist,
+                &dist,
                 &local_a,
                 |i, fetch| fetch.fetch((i + 4) % 8),
                 |_i, _v: f64| {},
@@ -1598,6 +1959,7 @@ mod tests {
                 proc,
                 ExecutorConfig::default(),
                 &schedule,
+                &dist,
                 &dist,
                 &local_a,
                 |i, fetch| {

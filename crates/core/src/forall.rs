@@ -58,7 +58,9 @@ pub struct ParallelLoop<S: IterSpace> {
     pub loop_id: u64,
     /// The iteration space the loop ranges over.
     pub space: S,
-    /// Distribution named in the `on` clause (owner-computes placement).
+    /// Distribution named in the `on` clause (owner-computes placement);
+    /// every `execute*` hands it to the executor, which answers
+    /// [`Fetcher::home`] under it.
     pub on_dist: S::Dist,
 }
 
@@ -257,10 +259,18 @@ impl<S: IterSpace> ParallelLoop<S> {
         let boundary = schedule.local_iters.len();
         let mut contributions: Vec<(usize, R::Input)> =
             Vec::with_capacity(boundary + schedule.nonlocal_iters.len());
-        execute_sweep(proc, config, schedule, data_dist, local_data, |i, fetch| {
-            let v = body(i, fetch);
-            contributions.push((i, v));
-        });
+        execute_sweep(
+            proc,
+            config,
+            schedule,
+            &self.on_dist,
+            data_dist,
+            local_data,
+            |i, fetch| {
+                let v = body(i, fetch);
+                contributions.push((i, v));
+            },
+        );
         fold_and_allreduce::<P, R>(proc, boundary, contributions)
     }
 
@@ -281,7 +291,15 @@ impl<S: IterSpace> ParallelLoop<S> {
         T: Copy + kali_process::Wire,
         F: FnMut(usize, &mut Fetcher<'_, T, P, D>),
     {
-        execute_sweep(proc, config, schedule, data_dist, local_data, body)
+        execute_sweep(
+            proc,
+            config,
+            schedule,
+            &self.on_dist,
+            data_dist,
+            local_data,
+            body,
+        )
     }
 
     /// Round the configured chunk length up to the space's preferred
@@ -326,7 +344,16 @@ impl<S: IterSpace> ParallelLoop<S> {
         W: FnMut(usize, V),
     {
         let config = self.align_chunk(config);
-        execute_sweep_chunked(proc, config, schedule, data_dist, local_data, body, sink)
+        execute_sweep_chunked(
+            proc,
+            config,
+            schedule,
+            &self.on_dist,
+            data_dist,
+            local_data,
+            body,
+            sink,
+        )
     }
 
     /// The chunked twin of [`ParallelLoop::execute_reduce`]: the body
@@ -366,6 +393,7 @@ impl<S: IterSpace> ParallelLoop<S> {
             proc,
             config,
             schedule,
+            &self.on_dist,
             data_dist,
             local_data,
             body,
@@ -652,7 +680,7 @@ mod tests {
             let schedule = loop_.plan(proc, &mut cache, &dist, &[AffineMap::shift(1)], 0);
             let mut out = local_a.clone();
             loop_.execute(proc, 0, &schedule, &dist, &local_a, |i, fetch| {
-                out[dist.local_index(i)] = fetch.fetch(i + 1);
+                out[fetch.home()] = fetch.fetch(i + 1);
             });
             (rank, out)
         });
@@ -757,7 +785,7 @@ mod tests {
             assert_eq!(planned_msgs, 0, "planning must cost zero messages");
             let mut out = local_a.clone();
             loop_.execute(proc, 0, &schedule, &flat, &local_a, |g, fetch| {
-                out[flat.local_index(g)] = fetch.fetch(g + c);
+                out[fetch.home()] = fetch.fetch(g + c);
             });
             (rank, out)
         });

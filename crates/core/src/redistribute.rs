@@ -27,6 +27,18 @@ where
     A: Distribution + ?Sized,
     B: Distribution + ?Sized,
 {
+    plan_move(rank, from, to).0
+}
+
+/// The redistribution schedule of `rank` together with the set that stays
+/// put (owned by `rank` under both distributions, copied without
+/// communication), from one construction of the rank's before and after
+/// sets.
+fn plan_move<A, B>(rank: usize, from: &A, to: &B) -> (CommSchedule, IndexSet)
+where
+    A: Distribution + ?Sized,
+    B: Distribution + ?Sized,
+{
     assert_eq!(
         from.n(),
         to.n(),
@@ -69,7 +81,7 @@ where
         }
     }
     schedule.set_send_records(send_records);
-    schedule
+    (schedule, mine_after.intersect(&mine_before))
 }
 
 /// Redistribute local data from distribution `from` to distribution `to`,
@@ -114,7 +126,7 @@ where
         from.local_count(rank),
         "local data does not match the source distribution"
     );
-    let schedule = redistribution_schedule(rank, from, to);
+    let (schedule, stays) = plan_move(rank, from, to);
     let tag = tags::redistribute_tag(epoch % tags::SPAN);
     // Translate once per owned run and move slices where the distributions
     // offer runs, per element where they do not.  The cost hooks stay one
@@ -145,7 +157,7 @@ where
 
     // Local copies for elements that stay put.
     let mut new_local = vec![T::default(); to.local_count(rank)];
-    for stay in to.local_set(rank).intersect(&from.local_set(rank)).ranges() {
+    for stay in stays.ranges() {
         charge_moves(proc, stay.len());
         for_each_local_piece(from, from_runs, stay.start, stay.end, |g, src, len| {
             for_each_local_piece(to, to_runs, g, g + len, |h, dst, len| {

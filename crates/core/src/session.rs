@@ -618,7 +618,7 @@ mod tests {
             let mut out = local.clone();
             for _ in 0..3 {
                 session.execute(proc, &loop_, &schedule, &dist, &local, |i, fetch| {
-                    out[dist.local_index(i)] = fetch.fetch(i + 1);
+                    out[fetch.home()] = fetch.fetch(i + 1);
                 });
             }
             assert_eq!(session.stats().sweeps_executed, 3);
@@ -871,7 +871,7 @@ mod tests {
             let trace = session.take_trace(proc);
             // Recording has stopped: later traffic is not recorded.
             session.execute(proc, &loop_, &schedule, &dist, &local, |i, fetch| {
-                out[dist.local_index(i)] = fetch.fetch(i + 1);
+                out[fetch.home()] = fetch.fetch(i + 1);
             });
             trace
         });
@@ -908,7 +908,7 @@ mod tests {
                 .collect();
             let mut out = local.clone();
             session.execute(proc, &loop_, &schedule, &dist, &local, |i, fetch| {
-                out[dist.local_index(i)] = fetch.fetch(i + 1);
+                out[fetch.home()] = fetch.fetch(i + 1);
             });
             session.set_overlap(true);
         });

@@ -26,10 +26,11 @@
 //! [`Distribution::local_runs`] is the one *optional* view: a rank's owned
 //! set as contiguous [`LocalRun`]s inside which global→local translation is
 //! a single add.  The executor and redistribution use it to resolve an owned
-//! reference without calling `owner`/`local_index` and to move owned ranges
-//! as slices; a distribution that does not offer it (the default) is served
-//! through `is_local`/`local_index`, element by element, with the same
-//! results.
+//! reference without calling `owner`/`local_index`, to hand each iteration
+//! of a loop placed by the distribution its own local offset, and to move
+//! owned ranges as slices; a distribution that does not offer it (the
+//! default) is served through `is_local`/`local_index`, element by element,
+//! with the same results.
 
 use crate::index::{IndexRange, IndexSet};
 
@@ -148,6 +149,13 @@ pub trait Distribution: std::fmt::Debug + Send + Sync {
     /// `run.low..run.high`.  Callers rely on all of it: the executor reads
     /// `local_data[run.local_base + (g - run.low)]` for an index it finds in
     /// a run and treats an index in no run as not owned.
+    ///
+    /// The executor reads the runs of two distributions per sweep: of the
+    /// *data* distribution, to resolve the body's fetches, and of the loop's
+    /// *on-clause* distribution, to hand each iteration the local offset of
+    /// its own element (`Fetcher::home`) — there `run.local_base + (i -
+    /// run.low)` is where the body stores its result, so a wrong
+    /// `local_base` silently writes to the wrong element.
     ///
     /// The default `None` is always correct — callers then translate through
     /// [`Distribution::is_local`] and [`Distribution::local_index`], element

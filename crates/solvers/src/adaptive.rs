@@ -233,8 +233,8 @@ pub fn adaptive_jacobi_sweeps<P: Process>(
 
         // -- perform the relaxation ----------------------------------------
         let a_mut = &mut a;
-        session.execute(proc, &relaxation, &schedule, &dist, &old_a, |i, fetch| {
-            let l = dist.local_index(i);
+        session.execute(proc, &relaxation, &schedule, &dist, &old_a, |_, fetch| {
+            let l = fetch.home();
             fetch.proc().charge_mem_refs(1); // count[i]
             let deg = count[l] as usize;
             let mut x = 0.0f64;

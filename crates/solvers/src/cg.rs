@@ -191,9 +191,9 @@ pub fn cg_solve<P: Process>(
             dist,
             &r,
             Reduce::<Sum<f64>>::new(),
-            |i, fetch| {
+            |_, fetch| {
                 fetch.charge_flops(1);
-                let v = r_ref[dist.local_index(i)];
+                let v = r_ref[fetch.home()];
                 ((), v * v)
             },
             |_, ()| {},
@@ -236,8 +236,8 @@ pub fn cg_solve<P: Process>(
                 dist,
                 &p,
                 Reduce::<Sum<f64>>::new(),
-                |i, fetch| {
-                    let l = dist.local_index(i);
+                |_, fetch| {
+                    let l = fetch.home();
                     fetch.charge_mem_refs(2); // count[i], p[i]
                     let deg = count_ref[l] as usize;
                     fetch.charge_flops(2);
@@ -252,10 +252,10 @@ pub fn cg_solve<P: Process>(
                     }
                     fetch.charge_mem_refs(1); // q[i] := acc
                     fetch.charge_flops(1);
-                    (acc, p_ref[l] * acc)
+                    ((l, acc), p_ref[l] * acc)
                 },
-                |i, acc| {
-                    q_mut[dist.local_index(i)] = acc;
+                |_, (l, acc)| {
+                    q_mut[l] = acc;
                 },
             )
         };
@@ -279,16 +279,15 @@ pub fn cg_solve<P: Process>(
                 dist,
                 &p,
                 Reduce::<Sum<f64>>::new(),
-                |i, fetch| {
-                    let l = dist.local_index(i);
+                |_, fetch| {
+                    let l = fetch.home();
                     fetch.charge_mem_refs(4);
                     fetch.charge_flops(5);
                     let xn = x_ref[l] + alpha * p_ref[l];
                     let rn = r_ref[l] - alpha * q_ref[l];
-                    ((xn, rn), rn * rn)
+                    ((l, xn, rn), rn * rn)
                 },
-                |i, (xn, rn)| {
-                    let l = dist.local_index(i);
+                |_, (l, xn, rn)| {
                     x_sink[l] = xn;
                     r_sink[l] = rn;
                 },
@@ -312,14 +311,14 @@ pub fn cg_solve<P: Process>(
                 &direction_schedule,
                 dist,
                 &r,
-                |i, fetch| {
-                    let l = dist.local_index(i);
+                |_, fetch| {
+                    let l = fetch.home();
                     fetch.charge_mem_refs(3);
                     fetch.charge_flops(2);
-                    r_ref[l] + beta * p_ref[l]
+                    (l, r_ref[l] + beta * p_ref[l])
                 },
-                |i, v| {
-                    p_sink[dist.local_index(i)] = v;
+                |_, (l, v)| {
+                    p_sink[l] = v;
                 },
             );
         }

@@ -228,8 +228,8 @@ pub fn jacobi_sweeps<P: Process>(
                 &schedule,
                 dist,
                 &old_a,
-                |i, fetch| {
-                    let l = dist.local_index(i);
+                |_, fetch| {
+                    let l = fetch.home();
                     fetch.charge_mem_refs(1); // count[i]
                     let deg = count[l] as usize;
                     let mut x = 0.0f64;
@@ -244,14 +244,14 @@ pub fn jacobi_sweeps<P: Process>(
                     }
                     if deg > 0 {
                         fetch.charge_mem_refs(1); // a[i] := x
-                        Some(x)
+                        Some((l, x))
                     } else {
                         None
                     }
                 },
-                |i, x| {
-                    if let Some(x) = x {
-                        a_mut[dist.local_index(i)] = x;
+                |_, update| {
+                    if let Some((l, x)) = update {
+                        a_mut[l] = x;
                     }
                 },
             );
@@ -269,8 +269,8 @@ pub fn jacobi_sweeps<P: Process>(
                     dist,
                     &old_a,
                     Reduce::<Sum<f64>>::new(),
-                    |i, fetch| {
-                        let l = dist.local_index(i);
+                    |_, fetch| {
+                        let l = fetch.home();
                         fetch.charge_mem_refs(2);
                         fetch.charge_flops(3);
                         let d = a_ref[l] - old_ref[l];

@@ -237,7 +237,7 @@ pub fn multidim_sweeps<P: Process>(
                     let hi = fetch.fetch(g + $stride);
                     fetch.proc().charge_flops(5);
                     fetch.proc().charge_mem_refs(1);
-                    a[dist.local_index(g)] = 0.25 * lo + 0.5 * mid + 0.25 * hi;
+                    a[fetch.home()] = 0.25 * lo + 0.5 * mid + 0.25 * hi;
                 });
             }
             record_phase(

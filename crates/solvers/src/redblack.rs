@@ -224,8 +224,10 @@ pub fn redblack_sweeps<P: Process>(
             let count_ref = &count;
             let adj_ref = &adj;
             let coef_ref = &coef;
+            // The node's local offset and its new value.
             let body_value =
-                |l: usize, fetch: &mut kali_core::ChunkFetcher<'_, f64, DimDist>| -> f64 {
+                |fetch: &mut kali_core::ChunkFetcher<'_, f64, DimDist>| -> (usize, f64) {
+                    let l = fetch.home();
                     fetch.charge_mem_refs(2); // count[i], a[i]
                     let deg = count_ref[l] as usize;
                     let mut acc = 0.0f64;
@@ -239,11 +241,12 @@ pub fn redblack_sweeps<P: Process>(
                         acc += c * v;
                     }
                     fetch.charge_flops(2);
-                    if deg > 0 {
+                    let new = if deg > 0 {
                         damped(old_ref[l], acc)
                     } else {
                         old_ref[l]
-                    }
+                    };
+                    (l, new)
                 };
             if check {
                 let a_mut = &mut a;
@@ -254,15 +257,14 @@ pub fn redblack_sweeps<P: Process>(
                     dist,
                     &old_a,
                     Reduce::<Sum<f64>>::new(),
-                    |i, fetch| {
-                        let l = dist.local_index(i);
-                        let new = body_value(l, fetch);
+                    |_, fetch| {
+                        let (l, new) = body_value(fetch);
                         fetch.charge_flops(3);
                         let d = new - old_ref[l];
-                        (new, d * d)
+                        ((l, new), d * d)
                     },
-                    |i, new| {
-                        a_mut[dist.local_index(i)] = new;
+                    |_, (l, new)| {
+                        a_mut[l] = new;
                     },
                 );
                 proc.charge_flops(1);
@@ -275,9 +277,9 @@ pub fn redblack_sweeps<P: Process>(
                     schedule,
                     dist,
                     &old_a,
-                    |i, fetch| body_value(dist.local_index(i), fetch),
-                    |i, new| {
-                        a_mut[dist.local_index(i)] = new;
+                    |_, fetch| body_value(fetch),
+                    |_, (l, new)| {
+                        a_mut[l] = new;
                     },
                 );
             }

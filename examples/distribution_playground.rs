@@ -68,7 +68,7 @@ fn main() {
             stencil.execute(proc, 0, &schedule, &dist, &local_a, |i, fetch| {
                 let v = (fetch.fetch(i - 1) + fetch.fetch(i) + fetch.fetch(i + 1)) / 3.0;
                 fetch.proc().charge_flops(3);
-                local_b[dist.local_index(i)] = v;
+                local_b[fetch.home()] = v;
             });
             (
                 schedule.recv_len,

@@ -45,7 +45,7 @@ fn main() {
 
         let mut new_a = local_a.clone();
         shift.execute(proc, 0, &schedule, &dist, &local_a, |i, fetch| {
-            new_a[dist.local_index(i)] = fetch.fetch(i + 1);
+            new_a[fetch.home()] = fetch.fetch(i + 1);
         });
 
         (rank, schedule.recv_len, schedule.send_len(), new_a)

@@ -373,9 +373,10 @@ fn shift_on<P: Process>(proc: &mut P, n: usize) -> Vec<f64> {
         ExecutorConfig::default(),
         &schedule,
         &dist,
+        &dist,
         &local_a,
         |i, fetch| {
-            out[dist.local_index(i)] = fetch.fetch(i + 1);
+            out[fetch.home()] = fetch.fetch(i + 1);
         },
     );
     out
@@ -448,8 +449,9 @@ fn two_bodies_on<P: Process>(proc: &mut P, mesh: &AdjacencyMesh, steps: usize) -
             ExecutorConfig::sweep(2 * step),
             &schedule,
             &dist,
+            &dist,
             &x,
-            |i, fetch| u[dist.local_index(i)] = weighted_sum(mesh, i, |g| fetch.fetch(g)),
+            |i, fetch| u[fetch.home()] = weighted_sum(mesh, i, |g| fetch.fetch(g)),
         );
         execute_sweep_chunked(
             proc,
@@ -458,9 +460,10 @@ fn two_bodies_on<P: Process>(proc: &mut P, mesh: &AdjacencyMesh, steps: usize) -
                 .with_chunk(5),
             &schedule,
             &dist,
+            &dist,
             &y,
-            |i, fetch| reversed_sum(mesh, i, |g| fetch.fetch(g)),
-            |i, value| v[dist.local_index(i)] = value,
+            |i, fetch| (fetch.home(), reversed_sum(mesh, i, |g| fetch.fetch(g))),
+            |_, (l, value)| v[l] = value,
         );
         two_bodies_step(&u, &v, &mut x, &mut y);
     }
@@ -516,6 +519,136 @@ fn one_schedule_under_two_bodies_is_bit_identical_across_backends() {
     check("native", native);
     if let Some(mp) = mp {
         check("mp", mp);
+    }
+}
+
+/// Two arrays under two placements, each updated by a loop placed by its
+/// own distribution and reading the other: `w` (placed by `a`) on the scalar
+/// executor from the mesh neighbours' `x`, then `x` (placed by `b`) on the
+/// chunked executor from the fresh `w`.  Every store goes through
+/// `home()`, which must follow the **on-clause** distribution — the data
+/// distribution of both loops is the other one.  Returns the rank's `w`
+/// followed by its `x`.
+fn two_placements_on<P: Process>(
+    proc: &mut P,
+    mesh: &AdjacencyMesh,
+    reversed: bool,
+    steps: usize,
+) -> Vec<f64> {
+    let (n, rank) = (mesh.len(), proc.rank());
+    let (a, b) = &two_placements(n, proc.nprocs(), reversed);
+    let mut w: Vec<f64> = (0..a.local_count(rank))
+        .map(|l| two_placements_initial(a.global_index(rank, l)).0)
+        .collect();
+    let mut x: Vec<f64> = (0..b.local_count(rank))
+        .map(|l| two_placements_initial(b.global_index(rank, l)).1)
+        .collect();
+    let placed_by_a = owner_computes_iters(a, rank, n);
+    let gather_x = run_inspector(proc, b, &placed_by_a, |i, refs| {
+        refs.extend(mesh.neighbors(i).iter().map(|&nb| nb as usize))
+    });
+    let placed_by_b = owner_computes_iters(b, rank, n);
+    let read_w = run_inspector(proc, a, &placed_by_b, |i, refs| refs.push(i));
+    for step in 0..steps {
+        let old_w = w.clone();
+        execute_sweep(
+            proc,
+            ExecutorConfig::sweep(2 * step),
+            &gather_x,
+            a,
+            b,
+            &x,
+            |i, fetch| {
+                let l = fetch.home();
+                w[l] = 0.5 * old_w[l] + weighted_sum(mesh, i, |g| fetch.fetch(g));
+            },
+        );
+        let old_x = x.clone();
+        execute_sweep_chunked(
+            proc,
+            ExecutorConfig::sweep(2 * step + 1)
+                .with_workers(2)
+                .with_chunk(5),
+            &read_w,
+            b,
+            a,
+            &w,
+            |i, fetch| {
+                let l = fetch.home();
+                (l, 0.5 * old_x[l] - 0.125 * fetch.fetch(i))
+            },
+            |_, (l, value)| x[l] = value,
+        );
+    }
+    w.extend(x);
+    w
+}
+
+/// The placements `(a, b)` of [`two_placements_on`]: a run-offering one
+/// against a run-less one, or — `reversed` — a user-defined one with
+/// descending local order against a run-offering one.
+fn two_placements(n: usize, p: usize, reversed: bool) -> (DimDist, DimDist) {
+    if reversed {
+        (
+            DimDist::new(common::ReversedBlock::new(n, p)),
+            DimDist::block_cyclic(n, p, 20),
+        )
+    } else {
+        (DimDist::block(n, p), DimDist::cyclic(n, p))
+    }
+}
+
+/// Initial `(w[g], x[g])` of [`two_placements_on`].
+fn two_placements_initial(g: usize) -> (f64, f64) {
+    (((g * 7) % 11) as f64 * 0.5, ((g * 5) % 13) as f64 - 3.0)
+}
+
+#[test]
+fn a_loop_placed_by_one_distribution_reading_another_is_bit_identical_across_backends() {
+    let mesh = UnstructuredMeshBuilder::new(9, 10)
+        .seed(41)
+        .scramble_numbering(true)
+        .build();
+    let (n, nprocs, steps) = (mesh.len(), 4, 3);
+
+    // Sequential replay: the same bodies over the global arrays.
+    let (mut w, mut x): (Vec<f64>, Vec<f64>) = (0..n).map(two_placements_initial).unzip();
+    for _ in 0..steps {
+        w = (0..n)
+            .map(|i| 0.5 * w[i] + weighted_sum(&mesh, i, |g| x[g]))
+            .collect();
+        x = (0..n).map(|i| 0.5 * x[i] - 0.125 * w[i]).collect();
+    }
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+    for reversed in [false, true] {
+        let mp = MpMachine::new(nprocs).run(
+            "a_loop_placed_by_one_distribution_reading_another_is_bit_identical_across_backends",
+            |proc| two_placements_on(proc, &mesh, reversed, steps),
+        );
+        let simulated = Machine::new(nprocs, CostModel::ideal())
+            .run(|proc| two_placements_on(proc, &mesh, reversed, steps));
+        let native =
+            NativeMachine::new(nprocs).run(|proc| two_placements_on(proc, &mesh, reversed, steps));
+
+        let (a, b) = two_placements(n, nprocs, reversed);
+        let check = |backend: &str, per_rank: Vec<Vec<f64>>| {
+            let (ws, xs): (Vec<_>, Vec<_>) = per_rank
+                .iter()
+                .enumerate()
+                .map(|(rank, both)| {
+                    let (w, x) = both.split_at(a.local_count(rank));
+                    (w.to_vec(), x.to_vec())
+                })
+                .unzip();
+            assert_eq!(bits(&gather(&a, &ws)), bits(&w), "{backend}: w vs replay");
+            assert_eq!(bits(&gather(&b, &xs)), bits(&x), "{backend}: x vs replay");
+        };
+        check("dmsim", simulated);
+        check("native", native);
+        if let Some(mp) = mp {
+            check("mp", mp);
+        }
     }
 }
 
