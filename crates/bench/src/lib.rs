@@ -1541,7 +1541,8 @@ fn plan_solver_suite<P: kali_core::Process>(
         dist,
         &local,
         Reduce::<Norm2>::new(),
-        |i, fetch| fetch.fetch(i),
+        |i, fetch| ((), fetch.fetch(i)),
+        |_, ()| {},
     );
 
     // Adaptive: the mesh evolved, the data version bumps, the same loop
@@ -1571,8 +1572,9 @@ fn plan_solver_suite<P: kali_core::Process>(
         Reduce::<Sum<f64>>::new(),
         |i, fetch| {
             let v = fetch.fetch(i);
-            v * v
+            ((), v * v)
         },
+        |_, ()| {},
     );
 
     // Red–black: the chain mesh's zero-message closed-form stripe planning…

@@ -486,9 +486,16 @@ mod tests {
                 });
                 gauge.push(cache.resident_bytes());
                 let config = ExecutorConfig::sweep(sweep);
-                execute_sweep(proc, config, &schedule, &dist, &dist, &local, |i, fetch| {
-                    let _ = fetch.fetch(i + 1);
-                });
+                execute_sweep(
+                    proc,
+                    config,
+                    &schedule,
+                    &dist,
+                    &dist,
+                    &local,
+                    |i, fetch| fetch.fetch(i + 1),
+                    |_, _| {},
+                );
             }
             gauge.push(cache.resident_bytes());
             assert_eq!(cache.stats().resident_bytes, gauge[3]);

@@ -1,0 +1,960 @@
+use super::*;
+use crate::inspector::{owner_computes_iters, run_inspector};
+use distrib::DimDist;
+use dmsim::{CostModel, Machine};
+
+/// Strip the pending-queue high-water mark before comparing counter
+/// totals: queue occupancy is a thread-scheduling observation, not a
+/// metered cost, so it sits outside the knob-independence contract.
+fn masked(c: crate::process::Counters) -> crate::process::Counters {
+    crate::process::Counters { queue_peak: 0, ..c }
+}
+
+/// Distributed array shift (Figure 1): A[i] := A[i+1].
+fn run_shift(nprocs: usize, n: usize, overlap: bool) -> Vec<f64> {
+    let machine = Machine::new(nprocs, CostModel::ideal());
+    let results = machine.run(|proc| {
+        let dist = DimDist::block(n, proc.nprocs());
+        let rank = proc.rank();
+        // Local pieces of A, initialised to the global values i*1.0.
+        let local_a: Vec<f64> = dist.local_set(rank).iter().map(|g| g as f64).collect();
+        let exec = owner_computes_iters(&dist, rank, n - 1);
+        let schedule = run_inspector(proc, &dist, &exec, |i, refs| refs.push(i + 1));
+        let mut new_a = local_a.clone();
+        execute_sweep(
+            proc,
+            ExecutorConfig::default().with_overlap(overlap),
+            &schedule,
+            &dist,
+            &dist,
+            &local_a,
+            |i, fetch| (fetch.home(), fetch.fetch(i + 1)),
+            |_, (l, v)| new_a[l] = v,
+        );
+        (rank, new_a)
+    });
+    // Reassemble the global array.
+    let dist = DimDist::block(n, nprocs);
+    let mut global = vec![0.0; n];
+    for (rank, local) in results {
+        for (l, v) in local.into_iter().enumerate() {
+            global[dist.global_index(rank, l)] = v;
+        }
+    }
+    global
+}
+
+#[test]
+fn shift_matches_sequential_semantics() {
+    for nprocs in [1, 2, 4, 8] {
+        for overlap in [true, false] {
+            let n = 64;
+            let got = run_shift(nprocs, n, overlap);
+            let mut expected: Vec<f64> = (0..n).map(|i| (i + 1) as f64).collect();
+            expected[n - 1] = (n - 1) as f64;
+            assert_eq!(got, expected, "nprocs={nprocs} overlap={overlap}");
+        }
+    }
+}
+
+#[test]
+fn executor_sends_one_message_per_neighbour_pair() {
+    let n = 64;
+    let nprocs = 4;
+    let machine = Machine::new(nprocs, CostModel::ideal());
+    let (_, stats) = machine.run_stats(|proc| {
+        let dist = DimDist::block(n, proc.nprocs());
+        let rank = proc.rank();
+        let local_a: Vec<f64> = dist.local_set(rank).iter().map(|g| g as f64).collect();
+        let exec = owner_computes_iters(&dist, rank, n - 1);
+        let schedule = run_inspector(proc, &dist, &exec, |i, refs| refs.push(i + 1));
+        execute_sweep(
+            proc,
+            ExecutorConfig::default(),
+            &schedule,
+            &dist,
+            &dist,
+            &local_a,
+            |i, fetch| fetch.fetch(i + 1),
+            |_, _| {},
+        );
+    });
+    // Inspector: the crystal router sends log2(4) = 2 messages per proc
+    // (4*2 = 8).  Executor: 3 boundary messages in total.
+    assert_eq!(stats.totals.msgs_sent, 8 + 3);
+    // Executor moves exactly 3 halo elements of 8 bytes each.
+    let executor_bytes: u64 = 3 * 8;
+    assert!(stats.totals.bytes_sent >= executor_bytes);
+}
+
+#[test]
+fn nonlocal_access_costs_more_than_local_access() {
+    let n = 32;
+    let run = |cost: CostModel| {
+        let machine = Machine::new(2, cost);
+        let (_, stats) = machine.run_stats(|proc| {
+            let dist = DimDist::block(n, proc.nprocs());
+            let rank = proc.rank();
+            let local_a: Vec<f64> = dist.local_set(rank).iter().map(|g| g as f64).collect();
+            let exec = owner_computes_iters(&dist, rank, n - 1);
+            let schedule = run_inspector(proc, &dist, &exec, |i, refs| refs.push(i + 1));
+            execute_sweep(
+                proc,
+                ExecutorConfig::default(),
+                &schedule,
+                &dist,
+                &dist,
+                &local_a,
+                |i, fetch| fetch.fetch(i + 1),
+                |_, _| {},
+            );
+        });
+        stats.time
+    };
+    let ideal = run(CostModel::ideal());
+    let ncube = run(CostModel::ncube7());
+    assert_eq!(ideal, 0.0);
+    assert!(ncube > 0.0);
+}
+
+/// Single-rank mock backend that meters the charge hooks, for asserting
+/// on the executor's cost accounting without a full machine.
+#[derive(Default)]
+struct MeteredSolo {
+    counters: crate::process::Counters,
+    nonlocal_charges: u64,
+    local_charges: u64,
+}
+
+impl Process for MeteredSolo {
+    fn rank(&self) -> usize {
+        0
+    }
+    fn nprocs(&self) -> usize {
+        2 // pretend a peer exists so upper-half indices are nonlocal
+    }
+    fn send<U: kali_process::Wire>(&mut self, _dst: usize, _tag: u64, _value: U) {
+        panic!("metered solo backend has no peers");
+    }
+    fn send_vec<U: kali_process::Wire>(&mut self, _dst: usize, _tag: u64, _values: Vec<U>) {
+        panic!("metered solo backend has no peers");
+    }
+    fn recv<U: kali_process::Wire>(&mut self, _src: usize, _tag: u64) -> U {
+        panic!("metered solo backend has no peers");
+    }
+    fn barrier(&mut self) {}
+    fn exchange<U: kali_process::Wire>(&mut self, items: Vec<(usize, U)>) -> Vec<U> {
+        items.into_iter().map(|(_, v)| v).collect()
+    }
+    fn allgather<U: Clone + kali_process::Wire>(&mut self, items: Vec<U>) -> Vec<Vec<U>> {
+        vec![items]
+    }
+    fn charge_loop_iters(&mut self, n: usize) {
+        self.counters.loop_iters += n as u64;
+    }
+    fn charge_local_access(&mut self) {
+        self.local_charges += 1;
+    }
+    fn charge_nonlocal_access(&mut self, _ranges: usize) {
+        self.nonlocal_charges += 1;
+        self.counters.nonlocal_refs += 1;
+    }
+    fn counters(&self) -> crate::process::Counters {
+        self.counters
+    }
+}
+
+/// A fetcher as one chunk of `execute_sweep` builds it.
+fn chunk_fetcher<'a, D: Distribution>(
+    dist: &'a D,
+    runs: Option<&'a [LocalRun]>,
+    schedule: &'a CommSchedule,
+    local_data: &'a [f64],
+    recv_buf: &'a [f64],
+    memo: MemoPlan<'a>,
+) -> Fetcher<'a, f64, D> {
+    Fetcher {
+        local_data,
+        recv_buf,
+        resolver: Resolver::new(dist, runs, schedule, memo),
+        home: Home::new(dist, runs),
+        costs: ChunkCosts::default(),
+    }
+}
+
+#[test]
+fn schedule_mismatch_panic_leaves_cost_counters_untouched() {
+    // Regression: `Fetcher::fetch` used to charge the nonlocal access
+    // *before* checking the schedule covered the index, so the panic path
+    // left the counters (and on dmsim the simulated clock) inflated by an
+    // access that never happened.  Now the failing chunk's costs — the
+    // iterations it completed before the panic included — are discarded
+    // unflushed.  Inline, the chunks before it have been flushed and that
+    // is all; on the pool nothing of the phase is consumed.  Checked with
+    // runs offered (block) and with the per-element fallback (cyclic).
+    for dist in [DimDist::block(8, 2), DimDist::cyclic(8, 2)] {
+        // Rank 0 runs its four owned iterations in two chunks of two; the
+        // second chunk's second iteration reaches for rank 1's element 5,
+        // which no receive record covers.
+        let owned: Vec<usize> = dist.local_set(0).iter().collect();
+        let schedule = CommSchedule::from_recv_sets(0, &[], owned.clone(), vec![]);
+        let local_data = [0.0f64; 4];
+        for (workers, chunks_charged) in [(1usize, 1u64), (2, 0)] {
+            let mut proc = MeteredSolo::default();
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                execute_sweep(
+                    &mut proc,
+                    ExecutorConfig::default()
+                        .with_workers(workers)
+                        .with_chunk(2),
+                    &schedule,
+                    &dist,
+                    &dist,
+                    &local_data,
+                    |i, fetch| fetch.fetch(if i == owned[3] { 5 } else { i }),
+                    |_, _| {},
+                )
+            }));
+            assert!(result.is_err(), "unscheduled fetch must panic");
+            let what = format!("{} at workers={workers}", dist.kind_name());
+            assert_eq!(proc.local_charges, 2 * chunks_charged, "{what}");
+            assert_eq!(proc.nonlocal_charges, 0, "{what}");
+            assert_eq!(
+                proc.counters(),
+                crate::process::Counters {
+                    loop_iters: 2 * chunks_charged,
+                    ..Default::default()
+                },
+                "{what}"
+            );
+        }
+    }
+}
+
+#[test]
+fn chunk_fetcher_window_agrees_with_the_schedule_search() {
+    // The resolver's windows are a pure cache: hits, misses, window
+    // switches and re-entries must all return exactly what a fresh
+    // `CommSchedule::find` returns, and every nonlocal fetch must be
+    // counted regardless of which path resolved it.
+    use distrib::IndexSet;
+    let dist = DimDist::block(8, 2); // rank 0 owns 0..4; 4..8 nonlocal
+    let recv_sets = vec![IndexSet::new(), IndexSet::from_range(4, 8)];
+    let schedule = CommSchedule::from_recv_sets(0, &recv_sets, vec![], vec![]);
+    let local_data = [0.5f64, 1.5, 2.5, 3.5];
+    let recv_buf = [40.0f64, 50.0, 60.0, 70.0];
+    let owned = dist.local_runs(0);
+    for runs in [owned.as_deref(), None] {
+        let mut fetcher = chunk_fetcher(
+            &dist,
+            runs,
+            &schedule,
+            &local_data,
+            &recv_buf,
+            MemoPlan::Off,
+        );
+        // Interleave local hits, the first nonlocal miss (seeds the
+        // window), in-window runs, and repeats after leaving the
+        // window — all on ordinal 0, so one window takes every switch.
+        let pattern = [4usize, 5, 6, 1, 7, 4, 0, 6];
+        let mut nonlocal = 0;
+        for &g in &pattern {
+            let expected = match schedule.find(g) {
+                Some(pos) => {
+                    nonlocal += 1;
+                    recv_buf[pos]
+                }
+                None => local_data[dist.local_index(g)],
+            };
+            fetcher.resolver.next_iteration(0);
+            assert_eq!(fetcher.fetch(g).to_bits(), expected.to_bits());
+        }
+        assert_eq!(fetcher.costs.nonlocal_accesses, nonlocal);
+        assert_eq!(fetcher.costs.local_accesses, pattern.len() - nonlocal);
+        // The window now covers the receive range; an out-of-schedule
+        // index still panics instead of resolving through stale state.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fetcher.fetch(9)));
+        assert!(result.is_err(), "index 9 is outside the schedule");
+    }
+}
+
+/// What one reference does on the definitional route — `is_local` →
+/// `local_index`, else `CommSchedule::find` — as `(nonlocal?, value
+/// bits)`, or `None` where that route panics.
+fn definitional<D: Distribution + ?Sized>(
+    dist: &D,
+    schedule: &CommSchedule,
+    local_data: &[f64],
+    recv_buf: &[f64],
+    g: usize,
+) -> Option<(bool, u64)> {
+    if dist.is_local(schedule.rank, g) {
+        Some((false, local_data[dist.local_index(g)].to_bits()))
+    } else {
+        schedule.find(g).map(|pos| (true, recv_buf[pos].to_bits()))
+    }
+}
+
+/// One execution of `schedule`'s nonlocal phase as the executor runs it
+/// — `begin_execution`, a fetcher over `iterations` (the references of
+/// the iteration at each position of the nonlocal list), the recording
+/// kept, the costs flushed — comparing every reference with the
+/// definitional route: value bits, which hook is charged, and — for an
+/// index that is neither owned nor scheduled — a panic that charges
+/// nothing and disturbs nothing.  Returns what the memo was used for:
+/// `"off"`, `"record"` or `"replay"`.
+fn assert_execution_matches_the_definitional_route<D: Distribution>(
+    dist: &D,
+    runs: Option<&[LocalRun]>,
+    schedule: &CommSchedule,
+    local_data: &[f64],
+    recv_buf: &[f64],
+    iterations: &[Vec<usize>],
+) -> &'static str {
+    let rank = schedule.rank;
+    assert_eq!(schedule.nonlocal_iters.len(), iterations.len());
+    let memo = schedule.begin_execution(dist, local_data.len());
+    let mut fetcher = chunk_fetcher(dist, runs, schedule, local_data, recv_buf, memo);
+    let (mut local, mut nonlocal) = (0usize, 0usize);
+    for (position, refs) in iterations.iter().enumerate() {
+        fetcher.resolver.next_iteration(position);
+        for &g in refs {
+            let expected = definitional(dist, schedule, local_data, recv_buf, g);
+            let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fetcher.fetch(g)));
+            match expected {
+                Some((is_nonlocal, bits)) => {
+                    assert_eq!(got.ok().map(f64::to_bits), Some(bits), "g={g}");
+                    local += usize::from(!is_nonlocal);
+                    nonlocal += usize::from(is_nonlocal);
+                }
+                None => {
+                    let message = got
+                        .err()
+                        .and_then(|p| p.downcast::<String>().ok())
+                        .expect("an unscheduled index panics with a message");
+                    assert_eq!(
+                        *message,
+                        format!(
+                            "global index {g} is neither local to rank {rank} \
+                             nor in its receive schedule"
+                        )
+                    );
+                }
+            }
+            // After every reference, panicking or not: the fetcher has
+            // counted exactly the definitional accesses so far.
+            let so_far = ChunkCosts {
+                local_accesses: local,
+                nonlocal_accesses: nonlocal,
+                ..ChunkCosts::default()
+            };
+            assert_eq!(fetcher.costs, so_far, "g={g}");
+        }
+    }
+    // Flushed, they reach the backend as that many singular charges.
+    let mut proc = MeteredSolo::default();
+    fetcher.costs.flush_into(&mut proc, schedule.range_count());
+    assert_eq!(proc.local_charges, local as u64);
+    assert_eq!(proc.nonlocal_charges, nonlocal as u64);
+    let counters = crate::process::Counters {
+        nonlocal_refs: nonlocal as u64,
+        ..Default::default()
+    };
+    assert_eq!(proc.counters(), counters);
+    // What the fetcher learned, the executor keeps.
+    schedule.finish_execution(memo, fetcher.resolver.recording);
+    match memo {
+        MemoPlan::Off => "off",
+        MemoPlan::Record { .. } => "record",
+        MemoPlan::Replay(_) => "replay",
+    }
+}
+
+mod resolver_properties {
+    use super::*;
+    use distrib::{ArrayDist, BlockDist, IndexRange, IndexSet, IrregularDist};
+    use proptest::prelude::*;
+
+    /// A random receive schedule for `rank`: a random subset of the
+    /// ranges other ranks own, so some nonlocal indices stay
+    /// unscheduled (the panic path) and records have gaps between them.
+    fn random_schedule(dist: &dyn Distribution, rank: usize, picks: &[usize]) -> CommSchedule {
+        let mut picks = picks.iter().cycle();
+        let recv_sets: Vec<IndexSet> = (0..dist.nprocs())
+            .map(|q| {
+                if q == rank {
+                    return IndexSet::new();
+                }
+                IndexSet::from_ranges(dist.local_set(q).ranges().iter().filter_map(|r| {
+                    // Keep a random sub-range of roughly two in three.
+                    let pick = *picks.next().expect("cycle never ends");
+                    let len = r.end - r.start;
+                    let lo = r.start + pick % len;
+                    let hi = lo + 1 + (pick / 7) % (r.end - lo);
+                    (pick % 3 < 2).then_some(IndexRange::new(lo, hi))
+                }))
+            })
+            .collect();
+        CommSchedule::from_recv_sets(rank, &recv_sets, vec![], vec![])
+    }
+
+    /// Reference sequences that hit, miss, switch and re-enter windows:
+    /// per iteration, a few references that each walk their own stride
+    /// from iteration to iteration (ordinal k keeps its row), mixed
+    /// with uniformly random ones (switches, re-entries, unscheduled
+    /// indices) and more references than there are windows.
+    fn random_iterations(n: usize, seeds: &[usize]) -> Vec<Vec<usize>> {
+        (0..48)
+            .map(|it| {
+                let width = 1 + seeds[it % seeds.len()] % (WINDOWS + 3);
+                (0..width)
+                    .map(|k| {
+                        let seed = seeds[(it * 31 + k * 7) % seeds.len()];
+                        if seed % 4 == 1 {
+                            seed % n
+                        } else {
+                            (seeds[k % seeds.len()] + it + k * (n / 5 + 1)) % n
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `iterations` as a body that changed since the memo was recorded
+    /// would fetch them: per iteration unchanged, reordered, one
+    /// reference replaced, more references than recorded, or fewer.
+    fn changed_body(iterations: &[Vec<usize>], n: usize, seeds: &[usize]) -> Vec<Vec<usize>> {
+        iterations
+            .iter()
+            .enumerate()
+            .map(|(it, refs)| {
+                let seed = seeds[(it * 13 + 5) % seeds.len()];
+                let mut refs = refs.clone();
+                match seed % 5 {
+                    0 => {}
+                    1 => refs.reverse(),
+                    2 => {
+                        let k = seed % refs.len();
+                        refs[k] = (seed / 5) % n;
+                    }
+                    3 => refs.extend_from_within(..),
+                    _ => refs.truncate(refs.len() / 2),
+                }
+                refs
+            })
+            .collect()
+    }
+
+    /// `inner` under another identity: the same mapping, a different
+    /// fingerprint.
+    #[derive(Debug)]
+    struct Refingerprinted<'a>(&'a DimDist);
+
+    impl Distribution for Refingerprinted<'_> {
+        fn n(&self) -> usize {
+            self.0.n()
+        }
+        fn nprocs(&self) -> usize {
+            self.0.nprocs()
+        }
+        fn owner(&self, i: usize) -> usize {
+            self.0.owner(i)
+        }
+        fn local_index(&self, i: usize) -> usize {
+            self.0.local_index(i)
+        }
+        fn global_index(&self, rank: usize, l: usize) -> usize {
+            self.0.global_index(rank, l)
+        }
+        fn local_count(&self, rank: usize) -> usize {
+            self.0.local_count(rank)
+        }
+        fn kind_name(&self) -> &'static str {
+            "refingerprinted"
+        }
+        fn fingerprint(&self) -> u64 {
+            !self.0.fingerprint()
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn fetchers_match_the_definitional_route(
+            kind in 0usize..6,
+            n in 24usize..200,
+            p in 2usize..5,
+            rank_pick in 0usize..16,
+            picks in proptest::collection::vec(0usize..10_000, 8..24),
+            seeds in proptest::collection::vec(0usize..100_000, 16..64),
+        ) {
+            let dist: DimDist = match kind {
+                0 => DimDist::block(n, p),
+                1 => DimDist::cyclic(n, p),
+                2 => DimDist::block_cyclic(n, p, 20),
+                3 => DimDist::irregular(IrregularDist::from_owners(
+                    (0..n).map(|i| (i / 19 + picks[0]) % p).collect(),
+                    p,
+                )),
+                // [*, block] with 40-wide row segments (runs offered)…
+                4 => DimDist::flattened(ArrayDist::block_cols(n / 8, 40 * p, p)),
+                // …and with 3-wide ones (declined).
+                _ => DimDist::flattened(ArrayDist::block_cols(n / 8, 3 * p, p)),
+            };
+            let rank = rank_pick % p;
+            let iterations = random_iterations(dist.n(), &seeds);
+            let changed = changed_body(&iterations, dist.n(), &seeds);
+            let mut fresh = random_schedule(dist.as_dyn(), rank, &picks);
+            fresh.nonlocal_iters = (0..iterations.len()).collect();
+            let local_data: Vec<f64> = (0..dist.local_count(rank))
+                .map(|l| 1.0 + dist.global_index(rank, l) as f64)
+                .collect();
+            let mut longer = local_data.clone();
+            longer.push(0.25);
+            let recv_buf: Vec<f64> = (0..fresh.recv_len)
+                .map(|pos| -1.0 - pos as f64)
+                .collect();
+            let renamed = Refingerprinted(&dist);
+            let owned = dist.local_runs(rank);
+            // The distribution's own choice, and the fallback forced.
+            for runs in [owned.as_deref(), None] {
+                // A copy has executed nothing and learned nothing.
+                let schedule = fresh.clone();
+                let bytes = schedule.approx_bytes();
+                let run = |data: &[f64], body: &[Vec<usize>]| {
+                    assert_execution_matches_the_definitional_route(
+                        &dist, runs, &schedule, data, &recv_buf, body,
+                    )
+                };
+                // Plain, recording, replay …
+                prop_assert_eq!(run(&local_data, &iterations), "off");
+                prop_assert_eq!(schedule.approx_bytes(), bytes);
+                prop_assert_eq!(run(&local_data, &iterations), "record");
+                prop_assert!(schedule.approx_bytes() > bytes);
+                prop_assert_eq!(run(&local_data, &iterations), "replay");
+                // … of a body that changed since: partial hits, then
+                // the long way; and of the recorded one again.
+                prop_assert_eq!(run(&local_data, &changed), "replay");
+                prop_assert_eq!(run(&local_data, &iterations), "replay");
+                // Under another placement the memo is ignored.
+                prop_assert_eq!(run(&longer, &iterations), "off");
+                prop_assert_eq!(
+                    assert_execution_matches_the_definitional_route(
+                        &renamed, None, &schedule, &local_data, &recv_buf, &changed,
+                    ),
+                    "off"
+                );
+                prop_assert_eq!(run(&local_data, &changed), "replay");
+            }
+        }
+    }
+
+    #[test]
+    fn both_sides_of_the_runs_choice_are_exercised() {
+        // The generator above must keep covering `Some` and `None`.
+        assert!(DimDist::block(24, 4).local_runs(1).is_some());
+        assert!(DimDist::block_cyclic(199, 2, 20).local_runs(1).is_some());
+        assert!(DimDist::flattened(ArrayDist::block_cols(3, 80, 2))
+            .local_runs(1)
+            .is_some());
+        assert!(DimDist::cyclic(24, 4).local_runs(1).is_none());
+        assert!(DimDist::flattened(ArrayDist::block_cols(3, 6, 2))
+            .local_runs(1)
+            .is_none());
+        assert!(DimDist::new(BlockDist::new(24, 4)).local_runs(3).is_some());
+    }
+}
+
+/// Block ownership through the trait's required methods alone (no
+/// runs offered), stored ascending or — `reversed` — descending, so that
+/// nothing may assume local order follows global order.
+#[derive(Debug)]
+struct PlainBlock {
+    inner: distrib::BlockDist,
+    reversed: bool,
+}
+
+impl PlainBlock {
+    fn flip(&self, rank: usize, l: usize) -> usize {
+        if self.reversed {
+            self.inner.local_count(rank) - 1 - l
+        } else {
+            l
+        }
+    }
+}
+
+impl Distribution for PlainBlock {
+    fn n(&self) -> usize {
+        self.inner.n()
+    }
+    fn nprocs(&self) -> usize {
+        self.inner.nprocs()
+    }
+    fn owner(&self, i: usize) -> usize {
+        self.inner.owner(i)
+    }
+    fn local_index(&self, i: usize) -> usize {
+        self.flip(self.inner.owner(i), self.inner.local_index(i))
+    }
+    fn global_index(&self, rank: usize, l: usize) -> usize {
+        self.inner.global_index(rank, self.flip(rank, l))
+    }
+    fn local_count(&self, rank: usize) -> usize {
+        self.inner.local_count(rank)
+    }
+    fn kind_name(&self) -> &'static str {
+        "plain-block"
+    }
+    fn fingerprint(&self) -> u64 {
+        !self.inner.fingerprint() ^ u64::from(self.reversed)
+    }
+}
+
+/// On-clause distributions for the `home()` tests, all over 4 ranks:
+/// every built-in on both sides of the runs choice, and two that
+/// implement only the trait's required methods.
+fn on_clause_distributions() -> Vec<(&'static str, DimDist)> {
+    use distrib::{ArrayDist, BlockDist, DimAssign, IrregularDist, ProcGrid};
+    let p = 4;
+    let cyclic_block = ArrayDist::new(
+        ProcGrid::new_2d(2, 2),
+        vec![
+            DimAssign::Distributed(DimDist::cyclic(6, 2)),
+            DimAssign::Distributed(DimDist::block(40, 2)),
+        ],
+    );
+    let plain = |reversed| PlainBlock {
+        inner: BlockDist::new(150, p),
+        reversed,
+    };
+    vec![
+        ("block", DimDist::block(150, p)),
+        ("cyclic", DimDist::cyclic(150, p)),
+        ("block-cyclic", DimDist::block_cyclic(150, p, 20)),
+        (
+            "irregular",
+            DimDist::irregular(IrregularDist::from_owners(
+                (0..150).map(|i| (i / 17 + 1) % p).collect(),
+                p,
+            )),
+        ),
+        (
+            "[block,*]",
+            DimDist::flattened(ArrayDist::block_rows(8, 20, p)),
+        ),
+        (
+            "[*,block]",
+            DimDist::flattened(ArrayDist::block_cols(3, 80, p)),
+        ),
+        ("[cyclic,block]", DimDist::flattened(cyclic_block)),
+        ("trait default", DimDist::new(plain(false))),
+        ("reversed block", DimDist::new(plain(true))),
+    ]
+}
+
+#[test]
+fn home_follows_the_on_clause_distribution() {
+    // A loop placed by `on` reading an array placed by `data`: for every
+    // iteration of both phases and at every (workers, chunk), `home()` is
+    // the offset under `on`.
+    let p = 4;
+    for (name, on) in on_clause_distributions() {
+        let n = on.n();
+        let data = DimDist::block_cyclic(n, p, 7);
+        assert_ne!(on.fingerprint(), data.fingerprint(), "{name}");
+        let machine = Machine::new(p, CostModel::ideal());
+        let phases = machine.run(|proc| {
+            let rank = proc.rank();
+            let local: Vec<f64> = data.local_set(rank).iter().map(|g| g as f64).collect();
+            let exec = owner_computes_iters(&on, rank, n);
+            let schedule = run_inspector(proc, &data, &exec, |i, refs| refs.push(i));
+            for workers in [1usize, 4] {
+                for chunk in [1usize, 3, 0] {
+                    let at = format!("{name}: workers={workers} chunk={chunk}");
+                    let mut seen = Vec::new();
+                    execute_sweep(
+                        proc,
+                        ExecutorConfig::default()
+                            .with_workers(workers)
+                            .with_chunk(chunk),
+                        &schedule,
+                        &on,
+                        &data,
+                        &local,
+                        |i, fetch| {
+                            let home = fetch.home();
+                            // Asking again, and after a fetch, changes nothing.
+                            assert_eq!(fetch.fetch(i), i as f64);
+                            assert_eq!(fetch.home(), home, "{at}: iteration {i}");
+                            home
+                        },
+                        |i, home| {
+                            assert_eq!(home, on.local_index(i), "{at}: iteration {i}");
+                            seen.push(i);
+                        },
+                    );
+                    seen.sort_unstable();
+                    assert_eq!(seen, exec, "{at}");
+                }
+            }
+            (schedule.local_iters.len(), schedule.nonlocal_iters.len())
+        });
+        // The two placements really differ: both phases ran somewhere.
+        assert!(phases.iter().any(|&(local, _)| local > 0), "{name}");
+        assert!(phases.iter().any(|&(_, nonlocal)| nonlocal > 0), "{name}");
+    }
+}
+
+#[test]
+fn home_of_an_iteration_outside_every_run_is_the_distributions_answer() {
+    // A hand-built schedule may hand a rank an iteration it does not
+    // own under the on-clause distribution; `home()` then says what
+    // `local_index` says (as the body used to), and the window of the
+    // run it left keeps answering afterwards.
+    let dist = DimDist::block(8, 2); // rank 0 owns 0..4
+    let empty = CommSchedule::from_recv_sets(0, &[], vec![], vec![]);
+    let runs = dist.local_runs(0);
+    let mut fetcher = chunk_fetcher(&dist, runs.as_deref(), &empty, &[], &[], MemoPlan::Off);
+    for i in [1usize, 6, 2, 7, 3] {
+        fetcher.home.iter = i;
+        assert_eq!(fetcher.home(), dist.local_index(i), "iteration {i}");
+    }
+}
+
+#[test]
+fn home_is_invisible_to_a_metering_backend() {
+    // Same sweeps, with and without the body asking for its home
+    // offset: every counter and the simulated clock agree.
+    for (name, on) in on_clause_distributions() {
+        let n = on.n();
+        let data = DimDist::block_cyclic(n, 4, 7);
+        let run = |ask: bool| {
+            let machine = Machine::new(4, CostModel::ncube7());
+            let (_, stats) = machine.run_stats(|proc| {
+                let rank = proc.rank();
+                let local: Vec<f64> = data.local_set(rank).iter().map(|g| g as f64).collect();
+                let exec = owner_computes_iters(&on, rank, n - 1);
+                let schedule = run_inspector(proc, &data, &exec, |i, refs| refs.push(i + 1));
+                let mut out = vec![0.0; on.local_count(rank)];
+                // Inline with the default chunk, then on the pool.
+                for (sweep, (workers, chunk)) in [(1, 0), (4, 3)].into_iter().enumerate() {
+                    execute_sweep(
+                        proc,
+                        ExecutorConfig::sweep(sweep)
+                            .with_workers(workers)
+                            .with_chunk(chunk),
+                        &schedule,
+                        &on,
+                        &data,
+                        &local,
+                        |i, fetch| {
+                            let l = if ask { fetch.home() } else { on.local_index(i) };
+                            (l, fetch.fetch(i + 1))
+                        },
+                        |_, (l, v)| out[l] = v,
+                    );
+                }
+                out
+            });
+            (masked(stats.totals), stats.time.to_bits())
+        };
+        assert_eq!(run(true), run(false), "{name}");
+    }
+}
+
+#[test]
+fn local_pieces_follow_the_runs_and_fall_back_per_element() {
+    use distrib::ArrayDist;
+    // [*, block] 4 × 64 over 2: rank 1 owns columns 32..64 of each row.
+    let dist = DimDist::flattened(ArrayDist::block_cols(4, 64, 2));
+    let runs = dist.local_runs(1).expect("32-wide segments are offered");
+    let mut pieces = Vec::new();
+    // One row segment from its middle, clipped at the range's end.
+    for_each_local_piece(&dist, Some(&runs), 64 + 40, 64 + 50, |g, l, len| {
+        pieces.push((g, l, len))
+    });
+    assert_eq!(pieces, vec![(104, 32 + 8, 10)]);
+    // The fallback visits the same elements one by one.
+    let mut singles = Vec::new();
+    for_each_local_piece(&dist, None, 64 + 40, 64 + 50, |g, l, len| {
+        singles.push((g, l, len))
+    });
+    assert_eq!(
+        singles,
+        (0..10).map(|k| (104 + k, 40 + k, 1)).collect::<Vec<_>>()
+    );
+    // A range reaching into columns the rank does not own is a bug in
+    // the caller's schedule, not something to read past.
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        for_each_local_piece(&dist, Some(&runs), 64 + 60, 128 + 4, |_, _, _| {})
+    }));
+    assert!(result.is_err());
+}
+
+#[test]
+fn sweep_tags_wrap_within_the_executor_window() {
+    // Regression: `sweep as Tag` unchecked would let a long run's sweep
+    // counter walk the executor tags into the adjacent reserved range
+    // (and trip `executor_tag`'s debug assertion).
+    let span = tags::SPAN as usize;
+    assert_eq!(ExecutorConfig::sweep(0).tag, 0);
+    assert_eq!(ExecutorConfig::sweep(span - 1).tag, tags::SPAN - 1);
+    assert_eq!(ExecutorConfig::sweep(span).tag, 0, "boundary must wrap");
+    assert_eq!(ExecutorConfig::sweep(span + 5).tag, 5);
+    // The wrapped tag is always valid input for executor_tag.
+    for sweep in [0, span - 1, span, 3 * span + 17] {
+        let t = tags::executor_tag(ExecutorConfig::sweep(sweep).tag);
+        assert!((tags::EXECUTOR_BASE..tags::EXECUTOR_BASE + tags::SPAN).contains(&t));
+    }
+    // Overlap builder keeps the tag.
+    let c = ExecutorConfig::sweep(7).with_overlap(false);
+    assert!(!c.overlap);
+    assert_eq!(c.tag, 7);
+}
+
+/// The shift of Figure 1 at any worker count and chunk size: the values
+/// are the sequential shift's, and the metered counters those of the
+/// (one worker, one whole-list chunk) run.
+#[test]
+fn chunked_shift_matches_scalar_at_any_workers_and_chunk() {
+    let n = 64;
+    let nprocs = 4;
+    let run = |workers: usize, chunk: usize| {
+        let machine = Machine::new(nprocs, CostModel::ncube7());
+        machine.run_stats(|proc| {
+            let dist = DimDist::block(n, proc.nprocs());
+            let rank = proc.rank();
+            let local_a: Vec<f64> = dist.local_set(rank).iter().map(|g| g as f64).collect();
+            let exec = owner_computes_iters(&dist, rank, n - 1);
+            let schedule = run_inspector(proc, &dist, &exec, |i, refs| refs.push(i + 1));
+            let mut new_a = local_a.clone();
+            execute_sweep(
+                proc,
+                ExecutorConfig::default()
+                    .with_workers(workers)
+                    .with_chunk(chunk),
+                &schedule,
+                &dist,
+                &dist,
+                &local_a,
+                |i, fetch| (fetch.home(), fetch.fetch(i + 1)),
+                |_, (l, v)| new_a[l] = v,
+            );
+            new_a
+        })
+    };
+    let dist = DimDist::block(n, nprocs);
+    let shifted: Vec<Vec<f64>> = (0..nprocs)
+        .map(|rank| {
+            let owned = dist.local_set(rank);
+            owned.iter().map(|g| (g + 1).min(n - 1) as f64).collect()
+        })
+        .collect();
+    let (_, whole_stats) = run(1, usize::MAX);
+    for workers in [1usize, 2, 4] {
+        for chunk in [0usize, 1, 3, 7, 1024, usize::MAX] {
+            let (vals, stats) = run(workers, chunk);
+            assert_eq!(vals, shifted, "workers={workers} chunk={chunk}");
+            assert_eq!(
+                masked(stats.totals),
+                masked(whole_stats.totals),
+                "counters diverged at workers={workers} chunk={chunk}"
+            );
+        }
+    }
+}
+
+/// Body charges through the `Fetcher` merge into the process in chunk
+/// order and add up to what the body charged iteration by iteration: per
+/// iteration 2 flops, 3 memory references, 1 call and the loop control,
+/// one access per fetch — and nothing else besides packing and unpacking
+/// the one halo element (2 memory references on either side).
+#[test]
+fn chunk_costs_merge_to_the_scalar_totals() {
+    let n = 40;
+    let iterations = (n - 1) as u64;
+    for (workers, chunk) in [(1usize, 0usize), (3, 4)] {
+        let machine = Machine::new(2, CostModel::ncube7());
+        let charged = machine.run(|proc| {
+            let dist = DimDist::block(n, proc.nprocs());
+            let rank = proc.rank();
+            let local_a: Vec<f64> = dist.local_set(rank).iter().map(|g| g as f64).collect();
+            let exec = owner_computes_iters(&dist, rank, n - 1);
+            let schedule = run_inspector(proc, &dist, &exec, |i, refs| refs.push(i + 1));
+            let before = proc.counters();
+            execute_sweep(
+                proc,
+                ExecutorConfig::default()
+                    .with_workers(workers)
+                    .with_chunk(chunk),
+                &schedule,
+                &dist,
+                &dist,
+                &local_a,
+                |i, fetch| {
+                    fetch.charge_flops(2);
+                    fetch.charge_mem_refs(3);
+                    fetch.charge_calls(1);
+                    fetch.fetch(i + 1)
+                },
+                |_i, _v: f64| {},
+            );
+            proc.counters().since(&before)
+        });
+        let total = charged[0].merge(&charged[1]);
+        assert_eq!(total.flops, 2 * iterations);
+        assert_eq!(total.mem_refs, 3 * iterations + 2 + 2);
+        assert_eq!(total.calls, iterations);
+        assert_eq!(total.loop_iters, iterations);
+        assert_eq!(total.nonlocal_refs, 1, "only i = 19 reaches across");
+    }
+}
+
+#[test]
+#[should_panic(expected = "SPMD worker panicked")]
+fn chunked_fetch_of_unscheduled_element_panics() {
+    let machine = Machine::new(2, CostModel::ideal());
+    machine.run(|proc| {
+        let dist = DimDist::block(8, 2);
+        let rank = proc.rank();
+        let local_a: Vec<f64> = dist.local_set(rank).iter().map(|_| 0.0).collect();
+        let exec = owner_computes_iters(&dist, rank, 8);
+        let schedule = run_inspector(proc, &dist, &exec, |i, refs| refs.push(i));
+        execute_sweep(
+            proc,
+            ExecutorConfig::default().with_workers(2).with_chunk(2),
+            &schedule,
+            &dist,
+            &dist,
+            &local_a,
+            |i, fetch| fetch.fetch((i + 4) % 8),
+            |_i, _v: f64| {},
+        );
+    });
+}
+
+#[test]
+#[should_panic(expected = "SPMD worker panicked")]
+fn fetching_unscheduled_element_panics() {
+    let machine = Machine::new(2, CostModel::ideal());
+    machine.run(|proc| {
+        let dist = DimDist::block(8, 2);
+        let rank = proc.rank();
+        let local_a: Vec<f64> = dist.local_set(rank).iter().map(|_| 0.0).collect();
+        // Schedule built for the identity pattern (no communication)…
+        let exec = owner_computes_iters(&dist, rank, 8);
+        let schedule = run_inspector(proc, &dist, &exec, |i, refs| refs.push(i));
+        // …but the body reaches across the boundary.
+        execute_sweep(
+            proc,
+            ExecutorConfig::default(),
+            &schedule,
+            &dist,
+            &dist,
+            &local_a,
+            |i, fetch| fetch.fetch((i + 4) % 8),
+            |_i, _v: f64| {},
+        );
+    });
+}

@@ -13,7 +13,9 @@
 //! schedule with one unified [`ParallelLoop::plan`] — the compile-time
 //! analyser when the references are affine and closed forms exist, the
 //! (cached) inspector otherwise — and executes sweeps with
-//! [`ParallelLoop::execute`], which owns the sweep-tag and fetcher set-up.
+//! [`ParallelLoop::execute`] (or [`ParallelLoop::execute_reduce`] when the
+//! loop is also a reduction): a read-only body returning one value per
+//! iteration, and a sink that stores the values on the rank's own thread.
 //!
 //! The pipeline is generic over the space: [`Span`] gives the 1-D loops of
 //! the original `Forall` API, [`Rect`](crate::space::Rect) gives rectangular
@@ -31,20 +33,14 @@
 //! debug-asserts every enumerated reference against the array bounds, so
 //! data-dependent subscripts get the same treatment through
 //! [`ParallelLoop::plan_indirect`].
-//!
-//! Fully local loops (every reference owned by the executing processor, like
-//! the `old_a[i] := a[i]` copy loop in Figure 4) skip scheduling entirely via
-//! [`forall_local`].
 
 use std::sync::Arc;
 
 use distrib::{combine_fingerprints, DimDist, Distribution};
 
 use crate::cache::{LoopKey, ScheduleCache};
-use crate::executor::{
-    execute_sweep, execute_sweep_chunked, ChunkFetcher, ExecutorConfig, Fetcher,
-};
-use crate::inspector::{owner_computes_iters, run_inspector};
+use crate::executor::{execute_sweep, ExecutorConfig, Fetcher};
+use crate::inspector::run_inspector;
 use crate::process::{tree_children, Process, Reduce, ReduceOp};
 use crate::schedule::CommSchedule;
 use crate::space::{IterSpace, Span};
@@ -59,8 +55,8 @@ pub struct ParallelLoop<S: IterSpace> {
     /// The iteration space the loop ranges over.
     pub space: S,
     /// Distribution named in the `on` clause (owner-computes placement);
-    /// every `execute*` hands it to the executor, which answers
-    /// [`Fetcher::home`] under it.
+    /// `execute` hands it to the executor, which answers [`Fetcher::home`]
+    /// under it.
     pub on_dist: S::Dist,
 }
 
@@ -186,149 +182,25 @@ impl<S: IterSpace> ParallelLoop<S> {
         })
     }
 
-    /// Execute sweep number `sweep` of the loop body under a previously
-    /// planned schedule: sends are posted, local iterations overlap the
+    /// Execute one sweep of the loop under a previously planned schedule
+    /// ([`execute_sweep`]): sends are posted, local iterations overlap the
     /// communication, nonlocal iterations run against the receive buffer.
-    /// Sweep tags wrap within the executor's reserved tag window.
-    pub fn execute<P, D, T, F>(
-        &self,
-        proc: &mut P,
-        sweep: usize,
-        schedule: &CommSchedule,
-        data_dist: &D,
-        local_data: &[T],
-        body: F,
-    ) -> usize
-    where
-        P: Process,
-        D: Distribution + ?Sized,
-        T: Copy + kali_process::Wire,
-        F: FnMut(usize, &mut Fetcher<'_, T, P, D>),
-    {
-        self.execute_config(
-            proc,
-            ExecutorConfig::sweep(sweep),
-            schedule,
-            data_dist,
-            local_data,
-            body,
-        )
-    }
-
-    /// Execute one sweep in which the loop is also a **reduction**: the body
-    /// returns one contribution per iteration and the loop's value is the
-    /// global reduction of all contributions under the typed operator `R` —
-    /// the paper's convergence tests and dot products as first-class loop
-    /// outputs instead of an out-of-band `allreduce` hack.
+    /// The body is a read-only `Fn` returning one value per iteration;
+    /// writes happen on the calling thread through `sink(i, value)` in
+    /// ascending iteration order per phase, and `config.workers` threads
+    /// may run chunks concurrently.  Results and metered counters are
+    /// identical at every `(workers, chunk)` setting.
     ///
-    /// The combining order is fixed and backend independent (the
-    /// [`ReduceOp`] determinism contract): contributions fold in ascending
-    /// **iteration** order on each rank — regardless of the executor's
-    /// local-then-nonlocal execution order — and the per-rank partials
-    /// combine with the fixed **binomial-tree bracketing** through the
-    /// generic [`Process::allreduce`] (`2(P−1)` messages).  The result is
-    /// therefore bitwise identical on every rank, across dmsim and native,
-    /// and against a sequential replay folding the same per-rank partial
-    /// structure with `tree_combine_partials`.
-    ///
-    /// The collective runs *inside* the planned pipeline: its messages go
-    /// through the backend like any other communication (so dmsim charges
-    /// them), and the folds charge one flop per combine.
-    #[allow(clippy::too_many_arguments)] // mirrors execute_config + the reduction op
-    pub fn execute_reduce<P, D, T, R, F>(
-        &self,
-        proc: &mut P,
-        config: ExecutorConfig,
-        schedule: &CommSchedule,
-        data_dist: &D,
-        local_data: &[T],
-        _op: Reduce<R>,
-        mut body: F,
-    ) -> R::Acc
-    where
-        P: Process,
-        D: Distribution + ?Sized,
-        T: Copy + kali_process::Wire,
-        R: ReduceOp,
-        F: FnMut(usize, &mut Fetcher<'_, T, P, D>) -> R::Input,
-    {
-        // Contributions arrive in executor order: the local iterations,
-        // then the nonlocal ones — two ascending runs.  Merge-fold them in
-        // ascending iteration order so the fold is a function of the loop
-        // alone, not of the schedule's local/nonlocal split.
-        let boundary = schedule.local_iters.len();
-        let mut contributions: Vec<(usize, R::Input)> =
-            Vec::with_capacity(boundary + schedule.nonlocal_iters.len());
-        execute_sweep(
-            proc,
-            config,
-            schedule,
-            &self.on_dist,
-            data_dist,
-            local_data,
-            |i, fetch| {
-                let v = body(i, fetch);
-                contributions.push((i, v));
-            },
-        );
-        fold_and_allreduce::<P, R>(proc, boundary, contributions)
-    }
-
-    /// Like [`ParallelLoop::execute`] with an explicit [`ExecutorConfig`]
-    /// (the overlap ablation knob of the paper's executor shape).
-    pub fn execute_config<P, D, T, F>(
-        &self,
-        proc: &mut P,
-        config: ExecutorConfig,
-        schedule: &CommSchedule,
-        data_dist: &D,
-        local_data: &[T],
-        body: F,
-    ) -> usize
-    where
-        P: Process,
-        D: Distribution + ?Sized,
-        T: Copy + kali_process::Wire,
-        F: FnMut(usize, &mut Fetcher<'_, T, P, D>),
-    {
-        execute_sweep(
-            proc,
-            config,
-            schedule,
-            &self.on_dist,
-            data_dist,
-            local_data,
-            body,
-        )
-    }
-
-    /// Round the configured chunk length up to the space's preferred
+    /// The configured chunk length is rounded up to the space's preferred
     /// alignment ([`IterSpace::chunk_align`]) — whole rows for [`Rect`]
-    /// spaces, a no-op elsewhere.  Alignment shapes chunk boundaries only;
-    /// results are identical at every alignment.
+    /// spaces, a no-op elsewhere.  Alignment shapes chunk boundaries only.
     ///
     /// [`Rect`]: crate::space::Rect
-    fn align_chunk(&self, mut config: ExecutorConfig) -> ExecutorConfig {
-        let align = self.space.chunk_align().max(1);
-        if align > 1 {
-            config.chunk = config.effective_chunk().div_ceil(align) * align;
-        }
-        config
-    }
-
-    /// Execute one sweep on the **chunked intra-rank parallel executor**
-    /// ([`execute_sweep_chunked`]): the body is a read-only `Fn` returning
-    /// one value per iteration, writes happen on the calling thread through
-    /// `sink(i, value)` in ascending iteration order per phase, and
-    /// `config.workers` threads may run chunks concurrently.  Chunk lengths
-    /// are aligned to the space ([`IterSpace::chunk_align`]) so `Rect`
-    /// chunks cover whole rows.  Results and metered counters are identical
-    /// at every `(workers, chunk)` setting.
-    #[allow(clippy::too_many_arguments)] // mirrors execute + the sink
-    pub fn execute_chunked<P, D, T, V, F, W>(
+    #[allow(clippy::too_many_arguments)] // execute_sweep's, less the on-clause
+    pub fn execute<P, D, T, V, F, W>(
         &self,
         proc: &mut P,
-        config: ExecutorConfig,
+        mut config: ExecutorConfig,
         schedule: &CommSchedule,
         data_dist: &D,
         local_data: &[T],
@@ -337,14 +209,21 @@ impl<S: IterSpace> ParallelLoop<S> {
     ) -> usize
     where
         P: Process,
-        D: Distribution + ?Sized + Sync,
+        D: Distribution + ?Sized,
         T: Copy + Sync + kali_process::Wire,
         V: Send,
-        F: Fn(usize, &mut ChunkFetcher<'_, T, D>) -> V + Sync,
+        F: Fn(usize, &mut Fetcher<'_, T, D>) -> V + Sync,
         W: FnMut(usize, V),
     {
-        let config = self.align_chunk(config);
-        execute_sweep_chunked(
+        let align = self.space.chunk_align();
+        if align > 1 {
+            // Saturating: `usize::MAX` asks for one whole-list chunk.
+            config.chunk = config
+                .effective_chunk()
+                .div_ceil(align)
+                .saturating_mul(align);
+        }
+        execute_sweep(
             proc,
             config,
             schedule,
@@ -356,15 +235,29 @@ impl<S: IterSpace> ParallelLoop<S> {
         )
     }
 
-    /// The chunked twin of [`ParallelLoop::execute_reduce`]: the body
-    /// returns `(value, contribution)` per iteration; values reach `sink`
-    /// on the calling thread (ascending iteration order per phase) and the
-    /// contributions fold under `R` in exactly the order the scalar path
-    /// folds them — ascending iteration order per rank, then ascending rank
-    /// order — so the reduction's bits never depend on the worker count or
-    /// chunk size.
-    #[allow(clippy::too_many_arguments)] // mirrors execute_reduce + the sink
-    pub fn execute_reduce_chunked<P, D, T, V, R, F, W>(
+    /// Execute one sweep in which the loop is also a **reduction**: the body
+    /// returns `(value, contribution)` per iteration, values reach `sink`
+    /// as in [`ParallelLoop::execute`], and the loop's value is the global
+    /// reduction of all contributions under the typed operator `R` — the
+    /// paper's convergence tests and dot products as first-class loop
+    /// outputs instead of an out-of-band `allreduce` hack.
+    ///
+    /// The combining order is fixed and backend independent (the
+    /// [`ReduceOp`] determinism contract): contributions fold in ascending
+    /// **iteration** order on each rank — regardless of the executor's
+    /// local-then-nonlocal execution order, the worker count and the chunk
+    /// size — and the per-rank partials combine with the fixed
+    /// **binomial-tree bracketing** through the generic
+    /// [`Process::allreduce`] (`2(P−1)` messages).  The result is therefore
+    /// bitwise identical on every rank, across dmsim and native, and
+    /// against a sequential replay folding the same per-rank partial
+    /// structure with `tree_combine_partials`.
+    ///
+    /// The collective runs *inside* the planned pipeline: its messages go
+    /// through the backend like any other communication (so dmsim charges
+    /// them), and the folds charge one flop per combine.
+    #[allow(clippy::too_many_arguments)] // execute's + the reduction op
+    pub fn execute_reduce<P, D, T, V, R, F, W>(
         &self,
         proc: &mut P,
         config: ExecutorConfig,
@@ -377,23 +270,25 @@ impl<S: IterSpace> ParallelLoop<S> {
     ) -> R::Acc
     where
         P: Process,
-        D: Distribution + ?Sized + Sync,
+        D: Distribution + ?Sized,
         T: Copy + Sync + kali_process::Wire,
         V: Send,
         R: ReduceOp,
         R::Input: Send,
-        F: Fn(usize, &mut ChunkFetcher<'_, T, D>) -> (V, R::Input) + Sync,
+        F: Fn(usize, &mut Fetcher<'_, T, D>) -> (V, R::Input) + Sync,
         W: FnMut(usize, V),
     {
-        let config = self.align_chunk(config);
+        // Contributions arrive in executor order: the local iterations,
+        // then the nonlocal ones — two ascending runs.  Merge-fold them in
+        // ascending iteration order so the fold is a function of the loop
+        // alone, not of the schedule's local/nonlocal split.
         let boundary = schedule.local_iters.len();
         let mut contributions: Vec<(usize, R::Input)> =
             Vec::with_capacity(boundary + schedule.nonlocal_iters.len());
-        execute_sweep_chunked(
+        self.execute(
             proc,
             config,
             schedule,
-            &self.on_dist,
             data_dist,
             local_data,
             body,
@@ -411,8 +306,7 @@ impl<S: IterSpace> ParallelLoop<S> {
 /// runs (local iterations first, nonlocal after, split at `boundary`), are
 /// merge-folded in ascending **iteration** order, and the per-rank partials
 /// combine with the **binomial-tree bracketing** through
-/// [`Process::allreduce`].  Shared by the scalar and chunked reduce paths
-/// so both produce identical bits by construction.
+/// [`Process::allreduce`].
 ///
 /// **Bracketing contract.**  The cross-rank combine below must bracket
 /// exactly like `tree_combine_partials::<R>` — `Process::allreduce`'s
@@ -472,22 +366,6 @@ impl ParallelLoop<Span> {
     }
 }
 
-/// Execute a `forall` in which every reference is local by construction —
-/// the `old_a[i] := a[i]` copy loop of Figure 4.  Charges the loop-control
-/// cost and hands the body each owned global index; no schedule, no
-/// messages.
-pub fn forall_local<P, D, F>(proc: &mut P, on_dist: &D, n: usize, mut body: F)
-where
-    P: Process,
-    D: Distribution + ?Sized,
-    F: FnMut(usize),
-{
-    for i in owner_computes_iters(on_dist, proc.rank(), n) {
-        proc.charge_loop_iters(1);
-        body(i);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,20 +397,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn forall_local_visits_exactly_the_owned_indices() {
-        let machine = Machine::new(4, CostModel::ideal());
-        let results = machine.run(|proc| {
-            let dist = DimDist::cyclic(22, proc.nprocs());
-            let mut visited = Vec::new();
-            forall_local(proc, &dist, 22, |i| visited.push(i));
-            visited
-        });
-        let mut all: Vec<usize> = results.into_iter().flatten().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..22).collect::<Vec<_>>());
     }
 
     #[test]
@@ -679,9 +543,15 @@ mod tests {
             let mut cache = ScheduleCache::new();
             let schedule = loop_.plan(proc, &mut cache, &dist, &[AffineMap::shift(1)], 0);
             let mut out = local_a.clone();
-            loop_.execute(proc, 0, &schedule, &dist, &local_a, |i, fetch| {
-                out[fetch.home()] = fetch.fetch(i + 1);
-            });
+            loop_.execute(
+                proc,
+                ExecutorConfig::default(),
+                &schedule,
+                &dist,
+                &local_a,
+                |i, fetch| (fetch.home(), fetch.fetch(i + 1)),
+                |_, (l, v)| out[l] = v,
+            );
             (rank, out)
         });
         let dist = DimDist::block(n, 4);
@@ -762,7 +632,9 @@ mod tests {
         // The multi-dimensional pipeline end to end: a vertical shift
         // stencil over [block, *], planned with zero messages and executed
         // with one boundary row per neighbour.
-        let (r, c) = (16usize, 5usize);
+        // Rows of 7 do not divide `usize::MAX`: rounding that chunk length
+        // up to whole rows must saturate (one whole-list chunk), not wrap.
+        let (r, c) = (16usize, 7usize);
         let machine = Machine::new(4, CostModel::ideal());
         let (results, stats) = machine.run_stats(|proc| {
             let flat = distrib::FlatDist::new(ArrayDist::block_rows(r, c, proc.nprocs()));
@@ -784,13 +656,22 @@ mod tests {
             let planned_msgs = proc.counters().msgs_sent;
             assert_eq!(planned_msgs, 0, "planning must cost zero messages");
             let mut out = local_a.clone();
-            loop_.execute(proc, 0, &schedule, &flat, &local_a, |g, fetch| {
-                out[fetch.home()] = fetch.fetch(g + c);
-            });
+            for (sweep, chunk) in [0, usize::MAX].into_iter().enumerate() {
+                let executed = loop_.execute(
+                    proc,
+                    ExecutorConfig::sweep(sweep).with_chunk(chunk),
+                    &schedule,
+                    &flat,
+                    &local_a,
+                    |g, fetch| (fetch.home(), fetch.fetch(g + c)),
+                    |_, (l, v)| out[l] = v,
+                );
+                assert_eq!(executed, loop_.exec_iters(rank).len(), "chunk = {chunk}");
+            }
             (rank, out)
         });
-        // Executor traffic: 3 boundary rows of c elements.
-        assert_eq!(stats.totals.bytes_sent, 3 * c as u64 * 8);
+        // Executor traffic: 3 boundary rows of c elements, in each sweep.
+        assert_eq!(stats.totals.bytes_sent, 2 * 3 * c as u64 * 8);
         let flat = distrib::FlatDist::new(ArrayDist::block_rows(r, c, 4));
         for (rank, out) in results {
             for (l, v) in out.iter().enumerate() {

@@ -95,10 +95,8 @@ pub use analysis::multi::MultiAffineMap;
 pub use analysis::stripe::{analyze_stripe, StripeSpec};
 pub use array::DistArray;
 pub use cache::{CacheStats, LoopKey, ScheduleCache};
-pub use executor::{
-    execute_sweep, execute_sweep_chunked, ChunkCosts, ChunkFetcher, ExecutorConfig, Fetcher,
-};
-pub use forall::{forall_local, ParallelLoop};
+pub use executor::{execute_sweep, ChunkCosts, ExecutorConfig, Fetcher};
+pub use forall::ParallelLoop;
 pub use inspector::{owner_computes_range, run_inspector};
 pub use mc::check_trace;
 pub use ownermap::DistOwnerMap;

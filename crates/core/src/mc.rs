@@ -30,7 +30,7 @@
 //!    the sender is a [`Violation::TagReuseRace`]; a sender-side marker
 //!    without a receiver-side one is a [`Violation::MessageRace`].
 //! 4. **Chunk-sink exclusivity.**  Chunk claims of one `(rank, sweep,
-//!    phase)` must cover disjoint iteration positions, or the chunked
+//!    phase)` must cover disjoint iteration positions, or the
 //!    executor's sink would apply two writers to one slot
 //!    ([`Violation::ChunkSinkConflict`]).
 //!

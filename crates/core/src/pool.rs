@@ -1,4 +1,4 @@
-//! Intra-rank worker pool for chunked executor phases.
+//! Intra-rank worker pool for executor phases.
 //!
 //! One SPMD rank can use several OS threads to run the *compute* part of an
 //! executor phase — the iteration chunks — while all communication and all
@@ -18,6 +18,14 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
+
+/// Whether [`run_chunks`] runs its chunks inline on the calling thread: it
+/// does with one worker, or when there is at most one chunk to run.  Both
+/// are observable from its inputs, so a caller that can do better than
+/// buffer a result per chunk when nothing leaves its thread asks here.
+pub fn runs_inline(workers: usize, n_chunks: usize) -> bool {
+    workers <= 1 || n_chunks <= 1
+}
 
 /// Run `run(0..n_chunks)` across up to `workers` threads (the calling
 /// thread participates) and hand every result to `consume(chunk, result)`
@@ -39,7 +47,7 @@ where
     F: Fn(usize) -> V + Sync,
     C: FnMut(usize, V),
 {
-    if workers <= 1 || n_chunks <= 1 {
+    if runs_inline(workers, n_chunks) {
         for i in 0..n_chunks {
             consume(i, run(i));
         }
@@ -105,7 +113,7 @@ pub fn chunk_bounds(len: usize, chunk: usize) -> Vec<(usize, usize)> {
     let mut bounds = Vec::with_capacity(len.div_ceil(chunk));
     let mut start = 0;
     while start < len {
-        let end = (start + chunk).min(len);
+        let end = start.saturating_add(chunk).min(len);
         bounds.push((start, end));
         start = end;
     }

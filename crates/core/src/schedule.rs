@@ -347,7 +347,7 @@ impl CommSchedule {
     /// high, buffer)` with `low <= global < high` — with one binary search.
     ///
     /// This is [`CommSchedule::find`] without the final offset arithmetic:
-    /// the chunked executor hoists the returned record as a chunk-local
+    /// the executor hoists the returned record as a chunk-local
     /// window, so a run of references landing in the same record resolves
     /// by offset arithmetic alone and pays the `O(log r)` search only when
     /// the run leaves the window.

@@ -73,7 +73,7 @@ pub trait IterSpace: Clone + std::fmt::Debug {
     /// different windows must never share a cached schedule.
     fn fingerprint(&self) -> u64;
 
-    /// Preferred chunk-length alignment for the chunked executor, in
+    /// Preferred chunk-length alignment for the executor, in
     /// iterations.  Chunk boundaries are rounded up to a multiple of this so
     /// each chunk walks memory-friendly units — `1` (the default) means no
     /// preference; [`Rect`] returns its innermost row extent so chunks cover

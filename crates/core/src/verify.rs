@@ -340,7 +340,7 @@ pub enum Violation {
         events: Vec<String>,
     },
     /// Two chunk claims of the same sweep and executor phase on one rank
-    /// cover overlapping iteration positions: the chunked executor's sink
+    /// cover overlapping iteration positions: the executor's sink
     /// would apply two writers to one slot.
     ChunkSinkConflict {
         /// The rank whose chunk claims collide.

@@ -2,7 +2,9 @@
 //!
 //! The paper's run-time system needs three collective patterns:
 //!
-//! * **barrier / reduction** — for convergence tests across sweeps,
+//! * **barrier** — reductions (convergence tests across sweeps) are not
+//!   here: every backend uses the `Process` trait's binomial-tree
+//!   `allreduce` (`process_impl.rs` says why),
 //! * **all-to-all personalised exchange** — the inspector must turn its
 //!   receive lists (`in(p,q)`) into send lists (`out(p,q) = in(q,p)`), which
 //!   the paper does with "a variant of Fox's Crystal router" so that no
@@ -34,87 +36,6 @@ pub fn barrier(proc: &mut Proc) {
         let _: (usize, u8) = proc.recv_from(from, tag + ((k as u64) << 32));
         k <<= 1;
     }
-}
-
-/// All-reduce an arbitrary value with a user-supplied combining function.
-///
-/// Uses recursive doubling on a hypercube when the processor count is a
-/// power of two (the paper's machines), and a gather-to-root + broadcast
-/// fallback otherwise.  The combine function must be associative and
-/// commutative for the result to be well defined.
-pub fn allreduce<T, F>(proc: &mut Proc, value: T, bytes: usize, combine: F) -> T
-where
-    T: Clone + Send + 'static,
-    F: Fn(&T, &T) -> T,
-{
-    let tag = proc.next_collective_tag();
-    let n = proc.nprocs();
-    if n == 1 {
-        return value;
-    }
-    let me = proc.rank();
-    let mut acc = value;
-    if n.is_power_of_two() {
-        let dim = n.trailing_zeros();
-        for d in 0..dim {
-            let partner = me ^ (1usize << d);
-            proc.send_bytes(partner, tag + d as u64, bytes, acc.clone());
-            let (_, other): (usize, T) = proc.recv_from(partner, tag + d as u64);
-            // Combine in a fixed (rank-independent) order so floating-point
-            // results are identical on both partners.
-            acc = if me < partner {
-                combine(&acc, &other)
-            } else {
-                combine(&other, &acc)
-            };
-            proc.charge_flops(1);
-        }
-        acc
-    } else {
-        // Gather to rank 0, reduce there in rank order, then broadcast.
-        if me == 0 {
-            let mut partials: Vec<Option<T>> = vec![None; n];
-            partials[0] = Some(acc);
-            for _ in 1..n {
-                let (src, v): (usize, T) = proc.recv_any(tag);
-                partials[src] = Some(v);
-            }
-            let mut acc = partials[0].take().unwrap();
-            for p in partials.into_iter().skip(1) {
-                acc = combine(&acc, &p.expect("missing partial"));
-                proc.charge_flops(1);
-            }
-            for dst in 1..n {
-                proc.send_bytes(dst, tag + 1, bytes, acc.clone());
-            }
-            acc
-        } else {
-            proc.send_bytes(0, tag, bytes, acc.clone());
-            let (_, v): (usize, T) = proc.recv_from(0, tag + 1);
-            acc = v;
-            acc
-        }
-    }
-}
-
-/// All-reduce of an `f64` sum.
-pub fn allreduce_sum_f64(proc: &mut Proc, value: f64) -> f64 {
-    allreduce(proc, value, 8, |a, b| a + b)
-}
-
-/// All-reduce of an `f64` maximum.
-pub fn allreduce_max_f64(proc: &mut Proc, value: f64) -> f64 {
-    allreduce(proc, value, 8, |a, b| a.max(*b))
-}
-
-/// All-reduce of a `u64` sum.
-pub fn allreduce_sum_u64(proc: &mut Proc, value: u64) -> u64 {
-    allreduce(proc, value, 8, |a, b| a + b)
-}
-
-/// Logical AND across processors (used for convergence tests).
-pub fn allreduce_and(proc: &mut Proc, value: bool) -> bool {
-    allreduce(proc, u8::from(value), 1, |a, b| a & b) != 0
 }
 
 /// Gather one value from every processor onto every processor.
@@ -291,38 +212,6 @@ mod tests {
                 p.rank()
             });
             assert_eq!(r.len(), n);
-        }
-    }
-
-    #[test]
-    fn allreduce_sum_matches_sequential_sum() {
-        for n in [1, 2, 4, 5, 8, 16] {
-            let m = Machine::new(n, CostModel::ideal());
-            let r = m.run(|p| allreduce_sum_f64(p, (p.rank() + 1) as f64));
-            let expected = (n * (n + 1) / 2) as f64;
-            for v in r {
-                assert!((v - expected).abs() < 1e-9, "n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn allreduce_max_and_and() {
-        let m = Machine::new(8, CostModel::ideal());
-        let r = m.run(|p| allreduce_max_f64(p, p.rank() as f64));
-        assert!(r.iter().all(|&v| v == 7.0));
-        let r = m.run(|p| allreduce_and(p, p.rank() != 3));
-        assert!(r.iter().all(|&v| !v));
-        let r = m.run(|p| allreduce_and(p, true));
-        assert!(r.iter().all(|&v| v));
-    }
-
-    #[test]
-    fn allreduce_results_identical_on_all_ranks() {
-        let m = Machine::new(16, CostModel::ncube7());
-        let r = m.run(|p| allreduce_sum_f64(p, 0.1 * (p.rank() as f64 + 1.0)));
-        for w in r.windows(2) {
-            assert_eq!(w[0].to_bits(), w[1].to_bits(), "bitwise identical sums");
         }
     }
 

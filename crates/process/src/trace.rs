@@ -37,7 +37,7 @@ pub enum EventKind {
         /// The collective's name (`"barrier"`, `"allreduce"`, ...).
         op: &'static str,
     },
-    /// The chunked executor claimed one chunk of a phase's iteration list.
+    /// The executor claimed one chunk of a phase's iteration list.
     /// `low..high` are *positions* within that phase's list, which double
     /// as the chunk's write range into the phase's result sink.
     ChunkClaim {

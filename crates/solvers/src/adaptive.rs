@@ -35,6 +35,7 @@ use kali_core::process::{Counters, Process};
 use kali_core::Session;
 use meshes::{adapt_step, evolve, AdaptConfig, AdjacencyMesh};
 
+use crate::jacobi::relax_node;
 use crate::partitioned::partitioned_dist;
 
 /// Parameters of an adaptive-mesh Jacobi run.
@@ -233,25 +234,19 @@ pub fn adaptive_jacobi_sweeps<P: Process>(
 
         // -- perform the relaxation ----------------------------------------
         let a_mut = &mut a;
-        session.execute(proc, &relaxation, &schedule, &dist, &old_a, |_, fetch| {
-            let l = fetch.home();
-            fetch.proc().charge_mem_refs(1); // count[i]
-            let deg = count[l] as usize;
-            let mut x = 0.0f64;
-            for j in 0..deg {
-                fetch.proc().charge_loop_iters(1);
-                fetch.proc().charge_mem_refs(2); // adj[i,j], coef[i,j]
-                let nb = adj[l * width + j] as usize;
-                let c = coef[l * width + j];
-                let v = fetch.fetch(nb);
-                fetch.proc().charge_flops(2);
-                x += c * v;
-            }
-            if deg > 0 {
-                fetch.proc().charge_mem_refs(1); // a[i] := x
-                a_mut[l] = x;
-            }
-        });
+        session.execute(
+            proc,
+            &relaxation,
+            &schedule,
+            &dist,
+            &old_a,
+            |_, fetch| relax_node(fetch, &count, &adj, &coef, width),
+            |_, update| {
+                if let Some((l, x)) = update {
+                    a_mut[l] = x;
+                }
+            },
+        );
     }
 
     let total_time = proc.time() - start_clock;

@@ -61,11 +61,11 @@ pub struct CgConfig {
     pub overlap: bool,
     /// Residency bound of the session's schedule cache.
     pub cache_capacity: usize,
-    /// Intra-rank worker threads for the chunked executor (`None` keeps the
+    /// Intra-rank worker threads for the executor (`None` keeps the
     /// session default, which honours `KALI_WORKERS`).  The residual
     /// history is bitwise identical at every worker count.
     pub workers: Option<usize>,
-    /// Chunk size for the chunked executor (`None` keeps the session
+    /// Chunk size for the executor (`None` keeps the session
     /// default, which honours `KALI_CHUNK`).
     pub chunk: Option<usize>,
 }
@@ -164,7 +164,7 @@ pub fn cg_solve<P: Process>(
         .collect();
     let mut p = r.clone();
     let mut q = vec![0.0f64; local_rows];
-    // Write-side buffers for the chunked executor: its body sees a
+    // Write-side buffers for the executor: its body sees a
     // read-only view, so sweeps that update a vector they also read write
     // the new values here and swap afterwards.  `x_new + swap` is bitwise
     // identical to `x += …` — same operands, same operation.
@@ -184,7 +184,7 @@ pub fn cg_solve<P: Process>(
     // rho = ⟨r, r⟩, as a pure reduction sweep over the update loop.
     let mut rho = {
         let r_ref = &r;
-        session.execute_reduce_chunked(
+        session.execute_reduce(
             proc,
             &update,
             &update_schedule,
@@ -229,7 +229,7 @@ pub fn cg_solve<P: Process>(
             let count_ref = &count;
             let adj_ref = &adj;
             let q_mut = &mut q;
-            session.execute_reduce_chunked(
+            session.execute_reduce(
                 proc,
                 &matvec,
                 &matvec_schedule,
@@ -272,7 +272,7 @@ pub fn cg_solve<P: Process>(
             let r_ref = &r;
             let x_sink = &mut x_next;
             let r_sink = &mut r_next;
-            session.execute_reduce_chunked(
+            session.execute_reduce(
                 proc,
                 &update,
                 &update_schedule,
@@ -305,7 +305,7 @@ pub fn cg_solve<P: Process>(
             let r_ref = &r;
             let p_ref = &p;
             let p_sink = &mut p_next;
-            session.execute_chunked(
+            session.execute(
                 proc,
                 &direction,
                 &direction_schedule,

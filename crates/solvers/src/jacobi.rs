@@ -27,7 +27,7 @@
 
 use distrib::DimDist;
 use kali_core::process::{Counters, Process};
-use kali_core::{AffineMap, Reduce, Session, Sum};
+use kali_core::{AffineMap, Fetcher, Reduce, Session, Sum};
 use meshes::AdjacencyMesh;
 
 /// Parameters of a Jacobi run.
@@ -46,11 +46,11 @@ pub struct JacobiConfig {
     /// Re-run the inspector on every sweep instead of caching the schedule —
     /// the ablation quantifying §3.2's amortisation argument.
     pub disable_schedule_cache: bool,
-    /// Intra-rank worker threads for the chunked executor (`None` keeps the
+    /// Intra-rank worker threads for the executor (`None` keeps the
     /// session default, which honours `KALI_WORKERS`).  Results are bitwise
     /// identical at every worker count.
     pub workers: Option<usize>,
-    /// Chunk size for the chunked executor (`None` keeps the session
+    /// Chunk size for the executor (`None` keeps the session
     /// default, which honours `KALI_CHUNK`).
     pub chunk: Option<usize>,
 }
@@ -126,6 +126,40 @@ pub struct JacobiOutcome {
     /// Residual-style norm of the final local values (sum of squares), used
     /// by tests to compare against the sequential reference.
     pub local_norm: f64,
+}
+
+/// The relaxation of Figure 4 for the node the body is running: the
+/// coefficient-weighted sum of its neighbours' old values, with the paper's
+/// cost charges.  Returns the node's local offset and new value — `None` for
+/// a node without neighbours, which keeps its value.  Shared with the
+/// adaptive solver.
+#[inline]
+pub(crate) fn relax_node(
+    fetch: &mut Fetcher<'_, f64, DimDist>,
+    count: &[u32],
+    adj: &[u32],
+    coef: &[f64],
+    width: usize,
+) -> Option<(usize, f64)> {
+    let l = fetch.home();
+    fetch.charge_mem_refs(1); // count[i]
+    let deg = count[l] as usize;
+    let mut x = 0.0f64;
+    for j in 0..deg {
+        fetch.charge_loop_iters(1);
+        fetch.charge_mem_refs(2); // adj[i,j], coef[i,j]
+        let nb = adj[l * width + j] as usize;
+        let c = coef[l * width + j];
+        let v = fetch.fetch(nb);
+        fetch.charge_flops(2); // multiply + accumulate
+        x += c * v;
+    }
+    if deg > 0 {
+        fetch.charge_mem_refs(1); // a[i] := x
+        Some((l, x))
+    } else {
+        None
+    }
 }
 
 /// Run `config.sweeps` Jacobi sweeps over `mesh` with node arrays
@@ -216,39 +250,20 @@ pub fn jacobi_sweeps<P: Process>(
         recv_partners = schedule.recv_partner_count();
 
         // -- perform relaxation (computational core) --------------------------
-        // Chunked executor: the body computes each node's new value on a
-        // worker thread against a read-only view; the sink applies the
-        // writes on the calling thread in ascending iteration order.
+        // The body computes each node's new value against a read-only view
+        // (on a worker thread when the session has several); the sink
+        // applies the writes on the calling thread in ascending iteration
+        // order.
         debug_assert_eq!(exec_iters.len(), local_rows);
         {
             let a_mut = &mut a;
-            session.execute_chunked(
+            session.execute(
                 proc,
                 &relaxation,
                 &schedule,
                 dist,
                 &old_a,
-                |_, fetch| {
-                    let l = fetch.home();
-                    fetch.charge_mem_refs(1); // count[i]
-                    let deg = count[l] as usize;
-                    let mut x = 0.0f64;
-                    for j in 0..deg {
-                        fetch.charge_loop_iters(1);
-                        fetch.charge_mem_refs(2); // adj[i,j], coef[i,j]
-                        let nb = adj[l * width + j] as usize;
-                        let c = coef[l * width + j];
-                        let v = fetch.fetch(nb);
-                        fetch.charge_flops(2); // multiply + accumulate
-                        x += c * v;
-                    }
-                    if deg > 0 {
-                        fetch.charge_mem_refs(1); // a[i] := x
-                        Some((l, x))
-                    } else {
-                        None
-                    }
-                },
+                |_, fetch| relax_node(fetch, &count, &adj, &coef, width),
                 |_, update| {
                     if let Some((l, x)) = update {
                         a_mut[l] = x;
@@ -262,7 +277,7 @@ pub fn jacobi_sweeps<P: Process>(
             if every > 0 && (sweep + 1) % every == 0 {
                 let a_ref = &a;
                 let old_ref = &old_a;
-                let global_change = session.execute_reduce_chunked(
+                let global_change = session.execute_reduce(
                     proc,
                     &convergence,
                     &convergence_schedule,

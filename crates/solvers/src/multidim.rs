@@ -231,14 +231,22 @@ pub fn multidim_sweeps<P: Process>(
                     proc.charge_mem_refs(2);
                     old_a[l] = a[l];
                 }
-                session.execute(proc, loop_, schedule, dist, &old_a, |g, fetch| {
-                    let lo = fetch.fetch(g - $stride);
-                    let mid = fetch.fetch(g);
-                    let hi = fetch.fetch(g + $stride);
-                    fetch.proc().charge_flops(5);
-                    fetch.proc().charge_mem_refs(1);
-                    a[fetch.home()] = 0.25 * lo + 0.5 * mid + 0.25 * hi;
-                });
+                session.execute(
+                    proc,
+                    loop_,
+                    schedule,
+                    dist,
+                    &old_a,
+                    |g, fetch| {
+                        let lo = fetch.fetch(g - $stride);
+                        let mid = fetch.fetch(g);
+                        let hi = fetch.fetch(g + $stride);
+                        fetch.charge_flops(5);
+                        fetch.charge_mem_refs(1);
+                        (fetch.home(), 0.25 * lo + 0.5 * mid + 0.25 * hi)
+                    },
+                    |_, (l, v)| a[l] = v,
+                );
             }
             record_phase(
                 &mut phases,

@@ -48,11 +48,11 @@ pub struct RedBlackConfig {
     pub check_every: Option<usize>,
     /// Overlap communication with local iterations.
     pub overlap: bool,
-    /// Intra-rank worker threads for the chunked executor (`None` keeps the
+    /// Intra-rank worker threads for the executor (`None` keeps the
     /// session default, which honours `KALI_WORKERS`).  The field and
     /// change history are bitwise identical at every worker count.
     pub workers: Option<usize>,
-    /// Chunk size for the chunked executor (`None` keeps the session
+    /// Chunk size for the executor (`None` keeps the session
     /// default, which honours `KALI_CHUNK`).
     pub chunk: Option<usize>,
 }
@@ -225,32 +225,31 @@ pub fn redblack_sweeps<P: Process>(
             let adj_ref = &adj;
             let coef_ref = &coef;
             // The node's local offset and its new value.
-            let body_value =
-                |fetch: &mut kali_core::ChunkFetcher<'_, f64, DimDist>| -> (usize, f64) {
-                    let l = fetch.home();
-                    fetch.charge_mem_refs(2); // count[i], a[i]
-                    let deg = count_ref[l] as usize;
-                    let mut acc = 0.0f64;
-                    for j in 0..deg {
-                        fetch.charge_loop_iters(1);
-                        fetch.charge_mem_refs(2); // adj[i,j], coef[i,j]
-                        let nb = adj_ref[l * width + j] as usize;
-                        let c = coef_ref[l * width + j];
-                        let v = fetch.fetch(nb);
-                        fetch.charge_flops(2);
-                        acc += c * v;
-                    }
+            let body_value = |fetch: &mut kali_core::Fetcher<'_, f64, DimDist>| -> (usize, f64) {
+                let l = fetch.home();
+                fetch.charge_mem_refs(2); // count[i], a[i]
+                let deg = count_ref[l] as usize;
+                let mut acc = 0.0f64;
+                for j in 0..deg {
+                    fetch.charge_loop_iters(1);
+                    fetch.charge_mem_refs(2); // adj[i,j], coef[i,j]
+                    let nb = adj_ref[l * width + j] as usize;
+                    let c = coef_ref[l * width + j];
+                    let v = fetch.fetch(nb);
                     fetch.charge_flops(2);
-                    let new = if deg > 0 {
-                        damped(old_ref[l], acc)
-                    } else {
-                        old_ref[l]
-                    };
-                    (l, new)
+                    acc += c * v;
+                }
+                fetch.charge_flops(2);
+                let new = if deg > 0 {
+                    damped(old_ref[l], acc)
+                } else {
+                    old_ref[l]
                 };
+                (l, new)
+            };
             if check {
                 let a_mut = &mut a;
-                let half_change = session.execute_reduce_chunked(
+                let half_change = session.execute_reduce(
                     proc,
                     loop_,
                     schedule,
@@ -271,7 +270,7 @@ pub fn redblack_sweeps<P: Process>(
                 sweep_change += half_change;
             } else {
                 let a_mut = &mut a;
-                session.execute_chunked(
+                session.execute(
                     proc,
                     loop_,
                     schedule,

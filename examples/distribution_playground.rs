@@ -16,7 +16,7 @@
 
 use kali_repro::distrib::DimDist;
 use kali_repro::dmsim::{CostModel, Machine};
-use kali_repro::kali::{AffineMap, ParallelLoop, ScheduleCache};
+use kali_repro::kali::{AffineMap, ExecutorConfig, ParallelLoop, ScheduleCache};
 
 fn main() {
     const N: usize = 4096;
@@ -65,11 +65,19 @@ fn main() {
                 AffineMap::shift(1),
             ];
             let schedule = stencil.plan(proc, &mut cache, &dist, &refs, 0);
-            stencil.execute(proc, 0, &schedule, &dist, &local_a, |i, fetch| {
-                let v = (fetch.fetch(i - 1) + fetch.fetch(i) + fetch.fetch(i + 1)) / 3.0;
-                fetch.proc().charge_flops(3);
-                local_b[fetch.home()] = v;
-            });
+            stencil.execute(
+                proc,
+                ExecutorConfig::default(),
+                &schedule,
+                &dist,
+                &local_a,
+                |i, fetch| {
+                    let v = (fetch.fetch(i - 1) + fetch.fetch(i) + fetch.fetch(i + 1)) / 3.0;
+                    fetch.charge_flops(3);
+                    (fetch.home(), v)
+                },
+                |_, (l, v)| local_b[l] = v,
+            );
             (
                 schedule.recv_len,
                 schedule.recv_partner_count(),

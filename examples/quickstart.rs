@@ -17,7 +17,7 @@
 
 use kali_repro::distrib::DimDist;
 use kali_repro::dmsim::{CostModel, Machine};
-use kali_repro::kali::{AffineMap, ParallelLoop, ScheduleCache};
+use kali_repro::kali::{AffineMap, ExecutorConfig, ParallelLoop, ScheduleCache};
 
 fn main() {
     const N: usize = 64;
@@ -44,9 +44,16 @@ fn main() {
         let schedule = shift.plan(proc, &mut cache, &dist, &[AffineMap::shift(1)], 0);
 
         let mut new_a = local_a.clone();
-        shift.execute(proc, 0, &schedule, &dist, &local_a, |i, fetch| {
-            new_a[fetch.home()] = fetch.fetch(i + 1);
-        });
+        // The body reads; the sink stores, on this rank's own thread.
+        shift.execute(
+            proc,
+            ExecutorConfig::default(),
+            &schedule,
+            &dist,
+            &local_a,
+            |i, fetch| (fetch.home(), fetch.fetch(i + 1)),
+            |_, (l, v)| new_a[l] = v,
+        );
 
         (rank, schedule.recv_len, schedule.send_len(), new_a)
     });

@@ -20,9 +20,7 @@ use kali_repro::baseline::sequential_jacobi;
 use kali_repro::distrib::DimDist;
 use kali_repro::dmsim::{CostModel, Machine};
 use kali_repro::kali::inspector::owner_computes_iters;
-use kali_repro::kali::{
-    execute_sweep, execute_sweep_chunked, redistribute, run_inspector, ExecutorConfig,
-};
+use kali_repro::kali::{execute_sweep, redistribute, run_inspector, ExecutorConfig};
 use kali_repro::meshes::{greedy_partition, AdjacencyMesh, RegularGrid, UnstructuredMeshBuilder};
 use kali_repro::mp::MpMachine;
 use kali_repro::native::NativeMachine;
@@ -356,8 +354,9 @@ fn convergence_checks_do_not_break_backend_agreement() {
     );
 }
 
-/// One inspector/executor shift sweep (Figure 1), on any backend.
-fn shift_on<P: Process>(proc: &mut P, n: usize) -> Vec<f64> {
+/// One inspector/executor shift sweep (Figure 1), on any backend, with the
+/// local iterations overlapping the messages or — the ablation — after them.
+fn shift_on<P: Process>(proc: &mut P, n: usize, overlap: bool) -> Vec<f64> {
     let dist = DimDist::block(n, proc.nprocs());
     let rank = proc.rank();
     let local_a: Vec<f64> = dist
@@ -370,24 +369,42 @@ fn shift_on<P: Process>(proc: &mut P, n: usize) -> Vec<f64> {
     let mut out = local_a.clone();
     execute_sweep(
         proc,
-        ExecutorConfig::default(),
+        ExecutorConfig::default().with_overlap(overlap),
         &schedule,
         &dist,
         &dist,
         &local_a,
-        |i, fetch| {
-            out[fetch.home()] = fetch.fetch(i + 1);
-        },
+        |i, fetch| (fetch.home(), fetch.fetch(i + 1)),
+        |_, (l, v)| out[l] = v,
     );
     out
 }
 
 #[test]
 fn inspector_executor_shift_matches_across_backends() {
-    let n = 96;
-    let simulated = Machine::new(8, CostModel::ideal()).run(|proc| shift_on(proc, n));
-    let native = NativeMachine::new(8).run(|proc| shift_on(proc, n));
-    assert_eq!(simulated, native);
+    let (n, nprocs) = (96, 8);
+    let dist = DimDist::block(n, nprocs);
+    let shifted: Vec<f64> = (0..n)
+        .map(|g| ((g + 1).min(n - 1) * (g + 1).min(n - 1)) as f64)
+        .collect();
+    for overlap in [true, false] {
+        let mp = MpMachine::new(nprocs)
+            .run("inspector_executor_shift_matches_across_backends", |proc| {
+                shift_on(proc, n, overlap)
+            });
+        let simulated =
+            Machine::new(nprocs, CostModel::ideal()).run(|proc| shift_on(proc, n, overlap));
+        let native = NativeMachine::new(nprocs).run(|proc| shift_on(proc, n, overlap));
+        assert_eq!(
+            gather(&dist, &simulated),
+            shifted,
+            "dmsim, overlap {overlap}"
+        );
+        assert_eq!(gather(&dist, &native), shifted, "native, overlap {overlap}");
+        if let Some(mp) = mp {
+            assert_eq!(gather(&dist, &mp), shifted, "mp, overlap {overlap}");
+        }
+    }
 }
 
 /// The two bodies of [`two_bodies_on`], shared with its sequential replay:
@@ -420,8 +437,8 @@ fn two_bodies_step(u: &[f64], v: &[f64], x: &mut [f64], y: &mut [f64]) {
 
 /// A CG-shaped kernel: **one** schedule (the mesh's neighbour pattern)
 /// executed alternately with two different bodies over two different arrays
-/// — the scalar executor reading `x` in list order, the chunked executor
-/// reading `y` in reverse order plus the iteration's own element — so what
+/// — inline, reading `x` in list order; on a two-worker pool, reading `y`
+/// in reverse order plus the iteration's own element — so what
 /// one execution teaches the schedule about its references is replayed
 /// against a body that fetches something else.  Returns the rank's `x`
 /// followed by its `y`.
@@ -451,9 +468,10 @@ fn two_bodies_on<P: Process>(proc: &mut P, mesh: &AdjacencyMesh, steps: usize) -
             &dist,
             &dist,
             &x,
-            |i, fetch| u[fetch.home()] = weighted_sum(mesh, i, |g| fetch.fetch(g)),
+            |i, fetch| (fetch.home(), weighted_sum(mesh, i, |g| fetch.fetch(g))),
+            |_, (l, value)| u[l] = value,
         );
-        execute_sweep_chunked(
+        execute_sweep(
             proc,
             ExecutorConfig::sweep(2 * step + 1)
                 .with_workers(2)
@@ -523,9 +541,9 @@ fn one_schedule_under_two_bodies_is_bit_identical_across_backends() {
 }
 
 /// Two arrays under two placements, each updated by a loop placed by its
-/// own distribution and reading the other: `w` (placed by `a`) on the scalar
-/// executor from the mesh neighbours' `x`, then `x` (placed by `b`) on the
-/// chunked executor from the fresh `w`.  Every store goes through
+/// own distribution and reading the other: `w` (placed by `a`) inline from
+/// the mesh neighbours' `x`, then `x` (placed by `b`) on a two-worker pool
+/// from the fresh `w`.  Every store goes through
 /// `home()`, which must follow the **on-clause** distribution — the data
 /// distribution of both loops is the other one.  Returns the rank's `w`
 /// followed by its `x`.
@@ -560,11 +578,13 @@ fn two_placements_on<P: Process>(
             &x,
             |i, fetch| {
                 let l = fetch.home();
-                w[l] = 0.5 * old_w[l] + weighted_sum(mesh, i, |g| fetch.fetch(g));
+                let value = 0.5 * old_w[l] + weighted_sum(mesh, i, |g| fetch.fetch(g));
+                (l, value)
             },
+            |_, (l, value)| w[l] = value,
         );
         let old_x = x.clone();
-        execute_sweep_chunked(
+        execute_sweep(
             proc,
             ExecutorConfig::sweep(2 * step + 1)
                 .with_workers(2)

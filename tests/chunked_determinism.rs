@@ -1,14 +1,14 @@
-//! Chunked-executor determinism: worker count and chunk size are
+//! Executor determinism: worker count and chunk size are
 //! **performance knobs, not semantics knobs**.
 //!
-//! The intra-rank parallel executor splits every sweep into fixed-boundary
+//! The executor splits every sweep into fixed-boundary
 //! chunks, runs them on a worker pool, and merges per-chunk values, cost
 //! counters and reduction contributions in ascending iteration order — so
 //! the knobs can change wall-clock time but never a single bit of a result,
 //! a residual history, or a metered counter.  These tests pin that contract
 //! for all three solvers (Jacobi, CG, red–black Gauss–Seidel) across a
-//! grid of `(workers, chunk)` settings, against the scalar single-worker
-//! run, against the sequential replays, and on the native backend.
+//! grid of `(workers, chunk)` settings, against the single-worker run,
+//! against the sequential replays, and on the native backend.
 //!
 //! Two further kernels pin the executor's address translation on both sides
 //! of its one data-dependent choice — resolve owned references through the
@@ -52,11 +52,16 @@ fn masked(c: Counters) -> Counters {
     Counters { queue_peak: 0, ..c }
 }
 
-/// The knob grid shared by the fixed tests: the scalar baseline is
-/// `(workers 1, chunk auto)`; every other point must match it bitwise.
+/// The knob grid shared by the fixed tests: the baseline is `(workers 1,
+/// chunk auto)`; every other point must match it bitwise.
 fn knob_grid() -> Vec<(usize, usize)> {
     vec![(1, 0), (1, 1), (2, 0), (2, 3), (3, 7), (4, 0), (4, 64)]
 }
+
+/// One worker, each phase one whole-list chunk: the run the hand-written
+/// sweeps below compare their counters with (their values are compared
+/// with a sequential replay).
+const WHOLE_LIST: (usize, usize) = (1, usize::MAX);
 
 fn run_jacobi(
     mesh: &AdjacencyMesh,
@@ -96,7 +101,7 @@ fn jacobi_is_bitwise_identical_at_every_worker_count_and_chunk_size() {
     assert_eq!(
         bits(&base_field),
         bits(&expected),
-        "scalar baseline vs sequential"
+        "single-worker baseline vs sequential"
     );
 
     for (workers, chunk) in knob_grid() {
@@ -281,14 +286,13 @@ fn col_blocks(rows: usize, cols: usize, p: usize) -> FlatDist {
 }
 
 /// Three sweeps of the vertical three-point stencil over a `[*, block]`
-/// field on dmsim: through the chunked executor at `knobs = Some((workers,
-/// chunk))`, through the scalar executor at `None`.  Returns every rank's
-/// final local field and the counters of the sweeps.
+/// field on dmsim at `(workers, chunk)`.  Returns every rank's final local
+/// field and the counters of the sweeps.
 fn run_vertical_stencil(
     rows: usize,
     cols: usize,
     initial: &[f64],
-    knobs: Option<(usize, usize)>,
+    (workers, chunk): (usize, usize),
 ) -> Vec<(Vec<f64>, Counters)> {
     Machine::new(NPROCS, CostModel::ncube7()).run(|proc| {
         let dist = col_blocks(rows, cols, proc.nprocs());
@@ -296,11 +300,8 @@ fn run_vertical_stencil(
         let mut a: Vec<f64> = (0..dist.local_count(rank))
             .map(|l| initial[dist.global_index(rank, l)])
             .collect();
-        let mut session = Session::new();
-        if let Some((workers, chunk)) = knobs {
-            session.set_workers(workers);
-            session.set_chunk_size(chunk);
-        }
+        let mut session = Session::new().with_workers(workers);
+        session.set_chunk_size(chunk);
         let interior = Rect::full(&[rows, cols]).restrict(0, 1, rows - 1);
         let stencil = session.loop_over(interior, dist.clone());
         let refs = [
@@ -312,29 +313,20 @@ fn run_vertical_stencil(
         let start = proc.counters();
         for _ in 0..3 {
             let old_a = a.clone();
-            if knobs.is_some() {
-                session.execute_chunked(
-                    proc,
-                    &stencil,
-                    &schedule,
-                    &dist,
-                    &old_a,
-                    |g, fetch| {
-                        fetch.charge_flops(5);
-                        0.25 * fetch.fetch(g - cols)
-                            + 0.5 * fetch.fetch(g)
-                            + 0.25 * fetch.fetch(g + cols)
-                    },
-                    |g, v| a[dist.local_index(g)] = v,
-                );
-            } else {
-                session.execute(proc, &stencil, &schedule, &dist, &old_a, |g, fetch| {
-                    fetch.proc().charge_flops(5);
-                    a[dist.local_index(g)] = 0.25 * fetch.fetch(g - cols)
+            session.execute(
+                proc,
+                &stencil,
+                &schedule,
+                &dist,
+                &old_a,
+                |g, fetch| {
+                    fetch.charge_flops(5);
+                    0.25 * fetch.fetch(g - cols)
                         + 0.5 * fetch.fetch(g)
-                        + 0.25 * fetch.fetch(g + cols);
-                });
-            }
+                        + 0.25 * fetch.fetch(g + cols)
+                },
+                |g, v| a[dist.local_index(g)] = v,
+            );
         }
         (a, proc.counters().since(&start))
     })
@@ -374,24 +366,26 @@ fn vertical_stencil_over_star_block_is_knob_independent_on_both_translation_path
             field
         };
 
-        let scalar = run_vertical_stencil(rows, cols, &initial, None);
+        // Counters are compared with one worker running each phase as one
+        // whole-list chunk (which also takes row alignment to saturation).
+        let whole = run_vertical_stencil(rows, cols, &initial, WHOLE_LIST);
         assert_eq!(
-            bits(&gather(&scalar)),
+            bits(&gather(&whole)),
             bits(&expected),
-            "scalar, cols {cols}"
+            "one chunk, cols {cols}"
         );
         for (workers, chunk) in knob_grid() {
-            let chunked = run_vertical_stencil(rows, cols, &initial, Some((workers, chunk)));
+            let got = run_vertical_stencil(rows, cols, &initial, (workers, chunk));
             assert_eq!(
-                bits(&gather(&chunked)),
+                bits(&gather(&got)),
                 bits(&expected),
                 "cols {cols} at (workers {workers}, chunk {chunk})"
             );
-            for (rank, ((_, c), (_, s))) in chunked.iter().zip(&scalar).enumerate() {
+            for (rank, ((_, c), (_, w))) in got.iter().zip(&whole).enumerate() {
                 assert_eq!(
                     masked(*c),
-                    masked(*s),
-                    "rank {rank} counters vs the scalar executor, cols {cols} \
+                    masked(*w),
+                    "rank {rank} counters vs the one-chunk run, cols {cols} \
                      at (workers {workers}, chunk {chunk})"
                 );
             }
@@ -463,15 +457,14 @@ fn relaxed(mesh: &AdjacencyMesh, i: usize, mut fetch: impl FnMut(usize) -> f64) 
 }
 
 /// `sweeps` Jacobi relaxations over a scrambled mesh on **one** schedule,
-/// through the chunked executor with the knob pair of `knobs` cycling from
-/// sweep to sweep (so a memo recorded under one pair is replayed under the
-/// next), or through the scalar executor when `knobs` is `None`.  Returns
-/// every rank's final local field and the counters of the sweeps.
+/// with the knob pair of `knobs` cycling from sweep to sweep (so a memo
+/// recorded under one pair is replayed under the next).  Returns every
+/// rank's final local field and the counters of the sweeps.
 fn run_relaxation_on_one_schedule(
     mesh: &AdjacencyMesh,
     initial: &[f64],
     sweeps: usize,
-    knobs: Option<&[(usize, usize)]>,
+    knobs: &[(usize, usize)],
 ) -> Vec<(Vec<f64>, Counters)> {
     Machine::new(NPROCS, CostModel::ncube7()).run(|proc| {
         let dist = DimDist::block(mesh.len(), proc.nprocs());
@@ -491,24 +484,18 @@ fn run_relaxation_on_one_schedule(
         let start = proc.counters();
         for sweep in 0..sweeps {
             let old_a = a.clone();
-            if let Some(knobs) = knobs {
-                let (workers, chunk) = knobs[sweep % knobs.len()];
-                session.set_workers(workers);
-                session.set_chunk_size(chunk);
-                session.execute_chunked(
-                    proc,
-                    &relaxation,
-                    &schedule,
-                    &dist,
-                    &old_a,
-                    |i, fetch| relaxed(mesh, i, |g| fetch.fetch(g)),
-                    |i, x| a[dist.local_index(i)] = x,
-                );
-            } else {
-                session.execute(proc, &relaxation, &schedule, &dist, &old_a, |i, fetch| {
-                    a[dist.local_index(i)] = relaxed(mesh, i, |g| fetch.fetch(g));
-                });
-            }
+            let (workers, chunk) = knobs[sweep % knobs.len()];
+            session.set_workers(workers);
+            session.set_chunk_size(chunk);
+            session.execute(
+                proc,
+                &relaxation,
+                &schedule,
+                &dist,
+                &old_a,
+                |i, fetch| relaxed(mesh, i, |g| fetch.fetch(g)),
+                |i, x| a[dist.local_index(i)] = x,
+            );
         }
         (a, proc.counters().since(&start))
     })
@@ -536,8 +523,8 @@ fn a_memo_recorded_under_one_knob_pair_replays_under_every_other() {
             &outcomes.iter().map(|(a, _)| a.clone()).collect::<Vec<_>>(),
         )
     };
-    let scalar = run_relaxation_on_one_schedule(&mesh, &initial, sweeps, None);
-    assert_eq!(bits(&gather(&scalar)), bits(&expected), "scalar executor");
+    let whole = run_relaxation_on_one_schedule(&mesh, &initial, sweeps, &[WHOLE_LIST]);
+    assert_eq!(bits(&gather(&whole)), bits(&expected), "one chunk");
 
     let pairs: Vec<(usize, usize)> = [1usize, 2, 4]
         .iter()
@@ -550,13 +537,13 @@ fn a_memo_recorded_under_one_knob_pair_replays_under_every_other() {
         let cycle: Vec<(usize, usize)> = (0..sweeps)
             .map(|k| pairs[(first + 5 * k) % pairs.len()])
             .collect();
-        let chunked = run_relaxation_on_one_schedule(&mesh, &initial, sweeps, Some(&cycle));
-        assert_eq!(bits(&gather(&chunked)), bits(&expected), "knobs {cycle:?}");
-        for (rank, ((_, c), (_, s))) in chunked.iter().zip(&scalar).enumerate() {
+        let got = run_relaxation_on_one_schedule(&mesh, &initial, sweeps, &cycle);
+        assert_eq!(bits(&gather(&got)), bits(&expected), "knobs {cycle:?}");
+        for (rank, ((_, c), (_, w))) in got.iter().zip(&whole).enumerate() {
             assert_eq!(
                 masked(*c),
-                masked(*s),
-                "rank {rank} counters vs the scalar executor, knobs {cycle:?}"
+                masked(*w),
+                "rank {rank} counters vs the one-chunk run, knobs {cycle:?}"
             );
         }
     }
@@ -593,7 +580,7 @@ fn a_worker_panic_during_the_recording_sweep_leaves_no_memo_behind() {
                 let old_a = a.clone();
                 let poison = poisoned == Some(sweep);
                 let swept = catch_unwind(AssertUnwindSafe(|| {
-                    session.execute_chunked(
+                    session.execute(
                         proc,
                         &relaxation,
                         &schedule,
@@ -661,8 +648,7 @@ mod properties {
 
         /// Any `(workers, chunk)` and any mesh seed: the Jacobi field, its
         /// change history and the merged per-rank counters are bitwise
-        /// identical to the scalar single-worker run and the sequential
-        /// replay.
+        /// identical to the single-worker run and the sequential replay.
         #[test]
         fn any_knobs_replay_the_scalar_jacobi_bitwise(case in arb_knobs()) {
             let (workers, chunk, seed) = case;

@@ -8,7 +8,7 @@
 //! deserves.
 //!
 //! Each race test starts from a genuinely recorded trace — a shift-stencil
-//! sweep executed by a real [`Session`] through the chunked executor on the
+//! sweep executed by a real [`Session`] through the executor on the
 //! dmsim machine, which `check_trace` accepts violation-free — then splices
 //! the minimal corrupting events in:
 //!
@@ -24,7 +24,7 @@ use kali_repro::dmsim::{CostModel, Machine};
 use kali_repro::kali::{check_trace, AffineMap, Session, Violation};
 use kali_repro::process::{Event, EventKind, Tag};
 
-/// Execute one traced chunked shift-stencil sweep on a 2-rank dmsim
+/// Execute one traced shift-stencil sweep on a 2-rank dmsim
 /// machine and return the per-rank event traces.
 fn recorded_stencil() -> Vec<Vec<Event>> {
     Machine::new(2, CostModel::ideal()).run(|proc| {
@@ -41,7 +41,7 @@ fn recorded_stencil() -> Vec<Vec<Event>> {
             .collect();
         let mut out = local.clone();
         session.start_trace(proc);
-        session.execute_chunked(
+        session.execute(
             proc,
             &loop_,
             &schedule,
@@ -194,7 +194,7 @@ fn overlapping_chunk_claims_are_a_sink_conflict() {
                 .position(|e| matches!(e.kind, EventKind::ChunkClaim { .. }))
                 .map(|i| (r, i))
         })
-        .expect("the chunked executor must record chunk claims");
+        .expect("the executor must record chunk claims");
     let mut dup = traces[rank][idx].clone();
     dup.seq += 100;
     let sweep = match dup.kind {

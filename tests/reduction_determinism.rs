@@ -26,9 +26,20 @@ fn reduce_on<P: Process, R: ReduceOp<Input = f64, Acc = f64>>(
     proc: &mut P,
     dist: &DimDist,
     v: &[f64],
+    op: Reduce<R>,
+) -> f64 {
+    reduce_in(Session::new(), proc, dist, v, op)
+}
+
+/// [`reduce_on`] in a session the caller has set up.  The loop has no value
+/// besides its reduction: `V = ()`, and the sink has nothing to store.
+fn reduce_in<P: Process, R: ReduceOp<Input = f64, Acc = f64>>(
+    mut session: Session,
+    proc: &mut P,
+    dist: &DimDist,
+    v: &[f64],
     _op: Reduce<R>,
 ) -> f64 {
-    let mut session = Session::new();
     let loop_ = session.loop_1d(dist.n(), dist.clone());
     let schedule = session.plan(proc, &loop_, dist, &[AffineMap::identity()]);
     let local: Vec<f64> = dist.local_set(proc.rank()).iter().map(|g| v[g]).collect();
@@ -39,7 +50,8 @@ fn reduce_on<P: Process, R: ReduceOp<Input = f64, Acc = f64>>(
         dist,
         &local,
         Reduce::<R>::new(),
-        |i, fetch| fetch.fetch(i),
+        |i, fetch| ((), fetch.fetch(i)),
+        |_, ()| {},
     )
 }
 
@@ -95,6 +107,35 @@ fn f64_sums_are_bitwise_identical_across_backends_and_replay() {
                         m.to_bits(),
                         replayed.to_bits(),
                         "{name} on {nprocs} procs: mp rank {rank} vs replay"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_value_less_reduction_replays_bitwise_at_every_worker_count_and_chunk_size() {
+    // Inline (one worker) the unit values go straight to the sink, on the
+    // pool they wait in per-chunk buffers; the contributions fold in
+    // ascending iteration order either way.
+    let n = 67;
+    let v = sensitive_values(n);
+    let nprocs = 4;
+    for (name, dist) in distributions(n, nprocs) {
+        let replayed = replay_sum(&dist, |i| v[i]);
+        for workers in [1usize, 4] {
+            for chunk in [1usize, 3, 0] {
+                let sums = Machine::new(nprocs, CostModel::ideal()).run(|proc| {
+                    let mut session = Session::new().with_workers(workers);
+                    session.set_chunk_size(chunk);
+                    reduce_in(session, proc, &dist, &v, Reduce::<Sum<f64>>::new())
+                });
+                for (rank, sum) in sums.iter().enumerate() {
+                    assert_eq!(
+                        sum.to_bits(),
+                        replayed.to_bits(),
+                        "{name}: rank {rank} at workers={workers} chunk={chunk} vs replay"
                     );
                 }
             }

@@ -94,7 +94,8 @@ fn planned_stencil() -> (Vec<CommSchedule>, Vec<Vec<CollectiveCall>>) {
             &dist,
             &local,
             Reduce::<Sum<f64>>::new(),
-            |i, fetch| fetch.fetch(i),
+            |i, fetch| ((), fetch.fetch(i)),
+            |_, ()| {},
         );
         let _ = session.execute_reduce(
             proc,
@@ -103,7 +104,8 @@ fn planned_stencil() -> (Vec<CommSchedule>, Vec<Vec<CollectiveCall>>) {
             &dist,
             &local,
             Reduce::<Norm2>::new(),
-            |i, fetch| fetch.fetch(i),
+            |i, fetch| ((), fetch.fetch(i)),
+            |_, ()| {},
         );
         ((*schedule).clone(), session.collective_trace().to_vec())
     });
