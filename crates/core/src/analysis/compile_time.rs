@@ -20,7 +20,7 @@
 use distrib::{DimDist, IndexSet};
 
 use crate::analysis::affine::AffineMap;
-use crate::schedule::{CommSchedule, RangeRecord};
+use crate::schedule::CommSchedule;
 
 /// A fully described affine `forall` loop, the unit of analysis.
 ///
@@ -80,72 +80,73 @@ impl LoopSpec {
 /// so *no* inspector communication is needed, the defining advantage of the
 /// compile-time path.
 pub fn analyze(spec: &LoopSpec, rank: usize) -> Option<CommSchedule> {
-    if !spec.ref_maps.iter().all(AffineMap::is_unit_stride) {
-        return None;
-    }
-    let nprocs = spec.on_dist.nprocs();
-    if spec.data_dist.nprocs() != nprocs {
-        return None;
-    }
-    let data_n = spec.data_dist.n();
+    closed_form(
+        rank,
+        spec.range.1,
+        spec.on_dist.nprocs(),
+        &spec.data_dist,
+        &spec.ref_maps,
+        |q| spec.exec_set(q),
+    )
+}
 
-    let exec_p = spec.exec_set(rank);
-    let local_data_p = spec.data_dist.local_set(rank);
+/// The §3.1 sets of processor `rank` in closed form, for any loop whose
+/// `exec(q)` the caller can name for every processor `q` — the contiguous
+/// range of [`analyze`] or the congruence class of
+/// [`analyze_stripe`](crate::analysis::analyze_stripe).  `bound` is the
+/// exclusive upper end of the iteration range; `None` when a reference map
+/// has `|a| ≠ 1` or the data array is spread over another processor count.
+pub(crate) fn closed_form(
+    rank: usize,
+    bound: usize,
+    nprocs: usize,
+    data_dist: &DimDist,
+    ref_maps: &[AffineMap],
+    exec_of: impl Fn(usize) -> IndexSet,
+) -> Option<CommSchedule> {
+    if !ref_maps.iter().all(AffineMap::is_unit_stride) || data_dist.nprocs() != nprocs {
+        return None;
+    }
+    let data_n = data_dist.n();
+    let local_data_p = data_dist.local_set(rank);
+    // Elements an exec set references: ∪_k g_k(exec), clipped to the array.
+    let referenced_from = |exec: &IndexSet| union_over(ref_maps, |g| g.image(exec, data_n));
 
     // Iterations with at least one nonlocal reference: exec(p) ∩
     // ∪_k g_k⁻¹(Arr − local_data(p)).  References falling outside the array
     // bounds are treated as absent (the inspector behaves the same way).
+    let exec_p = exec_of(rank);
     let nonowned = IndexSet::from_range(0, data_n).difference(&local_data_p);
-    let mut nonlocal_set = IndexSet::new();
-    for g in &spec.ref_maps {
-        nonlocal_set = nonlocal_set.union(&g.preimage(&nonowned, spec.range.1));
-    }
-    let nonlocal_set = exec_p.intersect(&nonlocal_set);
-    let all_local = exec_p.difference(&nonlocal_set);
-    let local_iters: Vec<usize> = all_local.iter().collect();
+    let nonlocal_set = exec_p.intersect(&union_over(ref_maps, |g| g.preimage(&nonowned, bound)));
+    let local_iters: Vec<usize> = exec_p.difference(&nonlocal_set).iter().collect();
     let nonlocal_iters: Vec<usize> = nonlocal_set.iter().collect();
 
-    // Elements referenced by p: ∪_k g_k(exec(p)).
-    let mut referenced = IndexSet::new();
-    for g in &spec.ref_maps {
-        referenced = referenced.union(&g.image(&exec_p, data_n));
-    }
-
-    // in(p,q) = referenced ∩ local_data(q), for q ≠ p.
-    let mut recv_sets = vec![IndexSet::new(); nprocs];
-    for (q, slot) in recv_sets.iter_mut().enumerate() {
-        if q == rank {
-            continue;
-        }
-        *slot = referenced.intersect(&spec.data_dist.local_set(q));
-    }
+    // in(p,q) = referenced(p) ∩ local_data(q), for q ≠ p.
+    let referenced = referenced_from(&exec_p);
+    let recv_sets: Vec<IndexSet> = (0..nprocs)
+        .map(|q| {
+            if q == rank {
+                IndexSet::new()
+            } else {
+                referenced.intersect(&data_dist.local_set(q))
+            }
+        })
+        .collect();
     let mut schedule = CommSchedule::from_recv_sets(rank, &recv_sets, local_iters, nonlocal_iters);
 
-    // out(p,q) = (∪_k g_k(exec(q))) ∩ local_data(p) = in(q,p): computable
-    // locally because exec(q) has a closed form too.
-    let mut send_records = Vec::new();
-    for q in 0..nprocs {
-        if q == rank {
-            continue;
-        }
-        let exec_q = spec.exec_set(q);
-        let mut referenced_q = IndexSet::new();
-        for g in &spec.ref_maps {
-            referenced_q = referenced_q.union(&g.image(&exec_q, data_n));
-        }
-        let out_pq = referenced_q.intersect(&local_data_p);
-        for r in out_pq.ranges() {
-            send_records.push(RangeRecord {
-                from_proc: rank,
-                to_proc: q,
-                low: r.start,
-                high: r.end,
-                buffer: 0, // buffer offsets are a receiver-side notion
-            });
-        }
-    }
-    schedule.set_send_records(send_records);
+    // out(p,q) = referenced(q) ∩ local_data(p) = in(q,p): computable locally
+    // because exec(q) has a closed form too.
+    schedule.set_send_sets(nprocs, |q| {
+        referenced_from(&exec_of(q)).intersect(&local_data_p)
+    });
     Some(schedule)
+}
+
+/// `∪_k set_of(g_k)`.
+fn union_over(ref_maps: &[AffineMap], set_of: impl Fn(&AffineMap) -> IndexSet) -> IndexSet {
+    ref_maps
+        .iter()
+        .fold(IndexSet::new(), |acc, g| acc.union(&set_of(g)))
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@
 use distrib::{product_flat, Distribution, FlatDist, IndexSet};
 
 use crate::analysis::affine::AffineMap;
-use crate::schedule::{CommSchedule, RangeRecord};
+use crate::schedule::CommSchedule;
 
 /// A separable affine subscript over a multi-index:
 /// `g(i_0, …, i_{d-1}) = (a_0·i_0 + b_0, …, a_{d-1}·i_{d-1} + b_{d-1})`.
@@ -202,11 +202,7 @@ pub fn analyze_multi(
 
     // out(p,q) = in(q,p): computable locally because exec(q) has a closed
     // form on every rank.
-    let mut send_records = Vec::new();
-    for q in 0..nprocs {
-        if q == rank {
-            continue;
-        }
+    schedule.set_send_sets(nprocs, |q| {
         let ed_q = exec_dims(q);
         let mut out = IndexSet::new();
         for g in ref_maps {
@@ -217,19 +213,8 @@ pub fn analyze_multi(
                 .collect();
             out = out.union(&product_flat(&per_dim, dshape));
         }
-        for r in out.ranges() {
-            if !r.is_empty() {
-                send_records.push(RangeRecord {
-                    from_proc: rank,
-                    to_proc: q,
-                    low: r.start,
-                    high: r.end,
-                    buffer: 0, // buffer offsets are a receiver-side notion
-                });
-            }
-        }
-    }
-    schedule.set_send_records(send_records);
+        out
+    });
     Some(schedule)
 }
 

@@ -33,7 +33,8 @@
 use distrib::{DimDist, IndexSet};
 
 use crate::analysis::affine::AffineMap;
-use crate::schedule::{CommSchedule, RangeRecord};
+use crate::analysis::compile_time::closed_form;
+use crate::schedule::CommSchedule;
 
 /// A fully described strided `forall` loop, the stripe analyser's unit of
 /// analysis: `forall i in lo..hi by step on ON[i].loc do … DATA[g_k(i)] …`.
@@ -88,74 +89,14 @@ impl StripeSpec {
 /// with **no communication**, and is identical (same signature) to what the
 /// inspector computes for the same stripe.
 pub fn analyze_stripe(spec: &StripeSpec, rank: usize) -> Option<CommSchedule> {
-    if !spec.ref_maps.iter().all(AffineMap::is_unit_stride) {
-        return None;
-    }
-    let nprocs = spec.on_dist.nprocs();
-    if spec.data_dist.nprocs() != nprocs {
-        return None;
-    }
-    let data_n = spec.data_dist.n();
-
-    let exec_p = spec.exec_set(rank);
-    let local_data_p = spec.data_dist.local_set(rank);
-
-    // Iterations with at least one nonlocal reference: exec(p) ∩
-    // ∪_k g_k⁻¹(Arr − local_data(p)).  References falling outside the array
-    // bounds are treated as absent (the inspector behaves the same way).
-    let nonowned = IndexSet::from_range(0, data_n).difference(&local_data_p);
-    let mut nonlocal_set = IndexSet::new();
-    for g in &spec.ref_maps {
-        nonlocal_set = nonlocal_set.union(&g.preimage(&nonowned, spec.hi));
-    }
-    let nonlocal_set = exec_p.intersect(&nonlocal_set);
-    let all_local = exec_p.difference(&nonlocal_set);
-    let local_iters: Vec<usize> = all_local.iter().collect();
-    let nonlocal_iters: Vec<usize> = nonlocal_set.iter().collect();
-
-    // Elements referenced by p: ∪_k g_k(exec(p)), clipped to the array.
-    let referenced = referenced_set(spec, &exec_p, data_n);
-
-    // in(p,q) = referenced ∩ local_data(q), for q ≠ p.
-    let mut recv_sets = vec![IndexSet::new(); nprocs];
-    for (q, slot) in recv_sets.iter_mut().enumerate() {
-        if q == rank {
-            continue;
-        }
-        *slot = referenced.intersect(&spec.data_dist.local_set(q));
-    }
-    let mut schedule = CommSchedule::from_recv_sets(rank, &recv_sets, local_iters, nonlocal_iters);
-
-    // out(p,q) = (∪_k g_k(exec(q))) ∩ local_data(p) = in(q,p): computable
-    // locally because exec(q) has a closed form on every processor.
-    let mut send_records = Vec::new();
-    for q in 0..nprocs {
-        if q == rank {
-            continue;
-        }
-        let referenced_q = referenced_set(spec, &spec.exec_set(q), data_n);
-        let out_pq = referenced_q.intersect(&local_data_p);
-        for r in out_pq.ranges() {
-            send_records.push(RangeRecord {
-                from_proc: rank,
-                to_proc: q,
-                low: r.start,
-                high: r.end,
-                buffer: 0, // buffer offsets are a receiver-side notion
-            });
-        }
-    }
-    schedule.set_send_records(send_records);
-    Some(schedule)
-}
-
-/// `∪_k g_k(exec)`, clipped to `[0, data_n)`.
-fn referenced_set(spec: &StripeSpec, exec: &IndexSet, data_n: usize) -> IndexSet {
-    let mut referenced = IndexSet::new();
-    for g in &spec.ref_maps {
-        referenced = referenced.union(&g.image(exec, data_n));
-    }
-    referenced
+    closed_form(
+        rank,
+        spec.hi,
+        spec.on_dist.nprocs(),
+        &spec.data_dist,
+        &spec.ref_maps,
+        |q| spec.exec_set(q),
+    )
 }
 
 #[cfg(test)]

@@ -15,8 +15,6 @@
 //! accounting) or on the `kali-native` threaded backend (at wall-clock
 //! speed):
 //!
-//! * [`array::DistArray`] — the local piece of a distributed array plus its
-//!   distribution, giving owner tests and global↔local index translation.
 //! * [`schedule::CommSchedule`] — the `in(p,q)` / `out(p,q)` sets of §3.1,
 //!   stored exactly as the paper stores them: sorted, coalesced range
 //!   records with `O(log r)` binary-search access (§3.3, Figure 5).
@@ -75,7 +73,6 @@
 #![deny(missing_docs)]
 
 pub mod analysis;
-pub mod array;
 pub mod cache;
 pub mod executor;
 pub mod forall;
@@ -93,7 +90,6 @@ pub mod verify;
 pub use analysis::affine::AffineMap;
 pub use analysis::multi::MultiAffineMap;
 pub use analysis::stripe::{analyze_stripe, StripeSpec};
-pub use array::DistArray;
 pub use cache::{CacheStats, LoopKey, ScheduleCache};
 pub use executor::{execute_sweep, ChunkCosts, ExecutorConfig, Fetcher};
 pub use forall::ParallelLoop;

@@ -15,7 +15,7 @@ use distrib::{Distribution, IndexSet};
 
 use crate::executor::for_each_local_piece;
 use crate::process::{tags, Process};
-use crate::schedule::{CommSchedule, RangeRecord};
+use crate::schedule::CommSchedule;
 
 /// Build the redistribution schedule for the calling processor: what it
 /// receives (elements it owns under `to` but not under `from`) and what it
@@ -64,23 +64,7 @@ where
 
     // out(p, q): elements owned by p under `from` and by q under `to`.
     let mine_before = from.local_set(rank);
-    let mut send_records = Vec::new();
-    for q in 0..nprocs {
-        if q == rank {
-            continue;
-        }
-        let out = mine_before.intersect(&to.local_set(q));
-        for r in out.ranges() {
-            send_records.push(RangeRecord {
-                from_proc: rank,
-                to_proc: q,
-                low: r.start,
-                high: r.end,
-                buffer: 0,
-            });
-        }
-    }
-    schedule.set_send_records(send_records);
+    schedule.set_send_sets(nprocs, |q| mine_before.intersect(&to.local_set(q)));
     (schedule, mine_after.intersect(&mine_before))
 }
 

@@ -186,6 +186,23 @@ impl CommSchedule {
         self.send_records = records;
     }
 
+    /// [`CommSchedule::set_send_records`] for an analysis that knows its
+    /// send sets in closed form: `out_to(q)` is `out(p,q)`, asked for every
+    /// `q` but this rank.
+    pub(crate) fn set_send_sets(&mut self, nprocs: usize, out_to: impl Fn(usize) -> IndexSet) {
+        let mut records = Vec::new();
+        for q in (0..nprocs).filter(|&q| q != self.rank) {
+            records.extend(out_to(q).ranges().iter().map(|r| RangeRecord {
+                from_proc: self.rank,
+                to_proc: q,
+                low: r.start,
+                high: r.end,
+                buffer: 0, // buffer offsets are a receiver-side notion
+            }));
+        }
+        self.set_send_records(records);
+    }
+
     fn rebuild_lookup(&mut self) {
         // Defence in depth: even if a caller hand-assembles records (tests,
         // future analyses), empty ones must never reach the binary search —

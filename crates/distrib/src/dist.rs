@@ -10,8 +10,8 @@
 //!
 //! `DimDist` is a cheaply clonable, type-erased handle (`Arc<dyn
 //! Distribution>`): runtime structures that *store* a distribution
-//! (`DistArray`, `ParallelLoop`, `LoopSpec`) hold a `DimDist`, while runtime entry
-//! points that merely *consult* one (`run_inspector`, `execute_sweep`,
+//! (`ParallelLoop`, `LoopSpec`) hold a `DimDist`, while runtime entry points
+//! that merely *consult* one (`run_inspector`, `execute_sweep`,
 //! `redistribute`) are generic over `D: Distribution + ?Sized` and accept
 //! either a `DimDist` or any concrete implementation directly.
 //!

@@ -11,6 +11,13 @@
 //!   processor becomes a bottleneck (§3.3),
 //! * **broadcast / allgather** — used when replicated data must be set up.
 //!
+//! The barrier is `kali_process::collectives::dissemination_barrier`, shared
+//! with every backend and run here over the timed `send` / `recv`.  The
+//! exchange and the allgather stay the simulator's own: the crystal router
+//! is what the paper's tables price, both charge modeled wire sizes through
+//! `send_bytes`, and both complete with wildcard receives — the freedom
+//! `DeliveryPolicy` perturbs for the delivery-order model checker.
+//!
 //! All collectives are SPMD: every processor must call the same collective
 //! in the same order.  Each invocation reserves a fresh tag so consecutive
 //! collectives can never interfere.
@@ -23,19 +30,7 @@ use crate::engine::Proc;
 /// at which the last processor entered the barrier (plus messaging costs).
 pub fn barrier(proc: &mut Proc) {
     let tag = proc.next_collective_tag();
-    let n = proc.nprocs();
-    if n == 1 {
-        return;
-    }
-    let me = proc.rank();
-    let mut k = 1usize;
-    while k < n {
-        let to = (me + k) % n;
-        let from = (me + n - k) % n;
-        proc.send(to, tag + ((k as u64) << 32), 0u8);
-        let _: (usize, u8) = proc.recv_from(from, tag + ((k as u64) << 32));
-        k <<= 1;
-    }
+    kali_process::collectives::dissemination_barrier(proc, tag);
 }
 
 /// Gather one value from every processor onto every processor.

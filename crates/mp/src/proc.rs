@@ -4,10 +4,14 @@
 //! One `MpProc` owns this rank's end of a full peer mesh: a connected
 //! stream per peer, split into a buffered reader (owned here, read only
 //! when this rank blocks in `recv`) and a writer thread (so `send` never
-//! blocks on a peer's kernel buffer — the [`Process`] contract).  Message
-//! matching mirrors the native backend: a receive that finds a frame for a
-//! different tag parks it in a per-`(src, tag)` FIFO pending map, so
-//! same-channel delivery order is exactly send order.
+//! blocks on a peer's kernel buffer — the [`Process`] contract).
+//!
+//! Shared with the native backend, in `kali-process`: message matching (the
+//! pending buffer, per-channel FIFO, `queue_peak`) is [`Mailbox`], and the
+//! barrier, exchange and allgather are [`collectives`] over this backend's
+//! `send` / `recv` — so the two record equal traces for one program.  This
+//! transport's own: the [`Wire`] codec and type hash, framing, the writer
+//! threads, `wire_bytes`.
 //!
 //! Every transport failure is fatal and **structured**: a truncated or
 //! corrupt frame, a type-hash mismatch, or a peer hangup panics with the
@@ -15,7 +19,6 @@
 //! fail-fast analogue of the native backend's poison packets (here the
 //! closed socket itself is the poison).
 
-use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::mpsc;
@@ -23,9 +26,9 @@ use std::thread::JoinHandle;
 
 use kali_process::trace::{Event, EventKind, TraceRecorder};
 use kali_process::wire::{from_bytes, to_bytes};
-use kali_process::{tags, Counters, Process, Tag, Wire};
+use kali_process::{collectives, tags, Arrival, Counters, Mailbox, Process, Tag, Wire};
 
-use crate::frame::{self, Frame, FrameError, HEADER_LEN};
+use crate::frame::{self, FrameError, HEADER_LEN};
 
 /// One peer's sending half: an unbounded queue drained by a writer thread.
 struct Writer {
@@ -54,9 +57,6 @@ impl Writer {
     }
 }
 
-/// One parked out-of-order frame: send sequence number, type hash, payload.
-type ParkedQueue = VecDeque<(u64, u32, Vec<u8>)>;
-
 /// Per-process handle of a multi-process run — the socket-transport
 /// implementation of [`Process`].
 pub struct MpProc {
@@ -66,15 +66,9 @@ pub struct MpProc {
     readers: Vec<Option<BufReader<UnixStream>>>,
     /// Writer-thread handle per peer (`None` at this rank's own slot).
     writers: Vec<Option<Writer>>,
-    /// Out-of-order arrivals, FIFO per `(src, tag)` — same structure and
-    /// contract as the native backend's pending buffer.
-    pending: HashMap<(usize, Tag), ParkedQueue>,
-    pending_len: usize,
-    queue_peak: u64,
-    /// Next per-destination send sequence number.
-    send_seqs: Vec<u64>,
-    /// Debug-build FIFO witness: last delivered sequence per `(src, tag)`.
-    recv_seqs: HashMap<(usize, Tag), u64>,
+    /// Out-of-order arrivals and self-sends, matched on `(src, tag)`; a
+    /// parked frame is its type hash and encoded payload.
+    mailbox: Mailbox<(u32, Vec<u8>)>,
     /// Monotonic counter deriving collective tags (lockstep across ranks).
     coll_seq: u64,
     /// Bytes actually written to the transport by this rank: encoded
@@ -88,7 +82,7 @@ impl std::fmt::Debug for MpProc {
         f.debug_struct("MpProc")
             .field("rank", &self.rank)
             .field("nprocs", &self.nprocs)
-            .field("pending_len", &self.pending_len)
+            .field("queue_peak", &self.mailbox.peak())
             .field("wire_bytes", &self.wire_bytes)
             .finish_non_exhaustive()
     }
@@ -129,155 +123,17 @@ impl MpProc {
             nprocs,
             readers,
             writers,
-            pending: HashMap::new(),
-            pending_len: 0,
-            queue_peak: 0,
-            send_seqs: vec![0; nprocs],
-            recv_seqs: HashMap::new(),
+            mailbox: Mailbox::new(rank, nprocs),
             coll_seq: 0,
             wire_bytes: 0,
             recorder: TraceRecorder::default(),
         }
     }
 
-    /// Encode and ship one value.  Never blocks: the frame goes to the
-    /// destination's writer queue (or straight to the pending buffer for a
-    /// self-send).
-    fn send_frame<T: Wire>(&mut self, dst: usize, tag: Tag, value: &T) {
-        assert!(dst < self.nprocs, "send to rank {dst} of {}", self.nprocs);
-        let seq = self.send_seqs[dst];
-        self.send_seqs[dst] += 1;
+    /// Enter a collective: record its trace marker and draw its tag.
+    fn begin_collective(&mut self, op: &'static str) -> Tag {
         self.recorder
-            .record(self.rank, EventKind::Send { dst, tag });
-        let payload = to_bytes(value);
-        let tyh = frame::type_hash::<T>();
-        if dst == self.rank {
-            // Self-sends bypass the transport but keep the encode/decode
-            // round trip, so a self-message exercises the same codec path.
-            self.park_pending(self.rank, tag, seq, tyh, payload);
-            return;
-        }
-        self.wire_bytes += (HEADER_LEN + payload.len()) as u64;
-        let bytes = frame::frame_bytes(seq, tag, tyh, &payload);
-        let tx = self.writers[dst]
-            .as_ref()
-            .and_then(|w| w.tx.as_ref())
-            .expect("writer thread present for every peer");
-        if tx.send(bytes).is_err() {
-            panic!(
-                "mp rank {me}: destination rank {dst} hung up (send tag {tag:#x})",
-                me = self.rank
-            );
-        }
-    }
-
-    /// Park an out-of-order arrival, debug-asserting per-channel FIFO.
-    fn park_pending(&mut self, src: usize, tag: Tag, seq: u64, tyh: u32, payload: Vec<u8>) {
-        let queue = self.pending.entry((src, tag)).or_default();
-        if cfg!(debug_assertions) {
-            if let Some(&(back, _, _)) = queue.back() {
-                debug_assert!(
-                    seq > back,
-                    "pending queue ({src}, {tag:#x}) reordered: seq {seq} after {back}"
-                );
-            }
-        }
-        queue.push_back((seq, tyh, payload));
-        self.pending_len += 1;
-        self.queue_peak = self.queue_peak.max(self.pending_len as u64);
-    }
-
-    /// Pull one buffered frame for `(src, tag)`, dropping emptied queues.
-    fn take_pending(&mut self, src: usize, tag: Tag) -> Option<(u64, u32, Vec<u8>)> {
-        let queue = self.pending.get_mut(&(src, tag))?;
-        let entry = queue.pop_front();
-        if queue.is_empty() {
-            self.pending.remove(&(src, tag));
-        }
-        if entry.is_some() {
-            self.pending_len -= 1;
-        }
-        entry
-    }
-
-    /// Debug-build FIFO witness (same contract as the native backend).
-    fn note_delivery(&mut self, src: usize, tag: Tag, seq: u64) {
-        if cfg!(debug_assertions) {
-            if let Some(&prev) = self.recv_seqs.get(&(src, tag)) {
-                debug_assert!(
-                    seq > prev,
-                    "channel ({src}, {tag:#x}) delivered seq {seq} after {prev}: not FIFO"
-                );
-            }
-            self.recv_seqs.insert((src, tag), seq);
-        }
-    }
-
-    /// Block until the frame matching `(src, tag)` arrives and decode it.
-    ///
-    /// Frames for other tags from the same peer are parked in arrival
-    /// (= send) order.  Every transport or codec failure panics with the
-    /// receiving rank, the peer rank and the tag — structured fail-fast
-    /// instead of a hang.
-    fn recv_frame<T: Wire>(&mut self, src: usize, tag: Tag) -> T {
-        assert!(src < self.nprocs, "recv from rank {src} of {}", self.nprocs);
-        let me = self.rank;
-        let (seq, tyh, payload) = match self.take_pending(src, tag) {
-            Some(entry) => entry,
-            None => {
-                // Take the reader out of its slot so frames for other tags
-                // can be parked (a mutable `self` call) mid-loop; restored
-                // below.  A panic skips the restore — we are dying anyway.
-                let mut reader = self.readers[src]
-                    .take()
-                    .unwrap_or_else(|| panic!("mp rank {me}: no transport to rank {src}"));
-                let entry = loop {
-                    let Frame {
-                        seq,
-                        tag: got_tag,
-                        type_hash,
-                        payload,
-                    } = match frame::read_frame(&mut reader) {
-                        Ok(frame) => frame,
-                        Err(FrameError::Closed) => panic!(
-                            "mp rank {me}: peer rank {src} hung up while rank {me} waited \
-                             for tag {tag:#x} (peer exited or panicked mid-run)"
-                        ),
-                        Err(e) => panic!(
-                            "mp rank {me}: corrupt frame from rank {src} while waiting for \
-                             tag {tag:#x}: {e}"
-                        ),
-                    };
-                    if got_tag == tag {
-                        break (seq, type_hash, payload);
-                    }
-                    self.park_pending(src, got_tag, seq, type_hash, payload);
-                };
-                self.readers[src] = Some(reader);
-                entry
-            }
-        };
-        if tyh != frame::type_hash::<T>() {
-            panic!(
-                "mp rank {me}: message type mismatch from rank {src} on tag {tag:#x}: \
-                 expected {expected} (hash {eh:#010x}), frame carries hash {gh:#010x}",
-                expected = std::any::type_name::<T>(),
-                eh = frame::type_hash::<T>(),
-                gh = tyh,
-            );
-        }
-        self.note_delivery(src, tag, seq);
-        self.recorder.record(me, EventKind::Recv { src, tag });
-        from_bytes::<T>(&payload).unwrap_or_else(|e| {
-            panic!(
-                "mp rank {me}: undecodable payload from rank {src} on tag {tag:#x} \
-                 (type {ty}): {e}",
-                ty = std::any::type_name::<T>(),
-            )
-        })
-    }
-
-    fn next_collective_tag(&mut self) -> Tag {
+            .record(self.rank, EventKind::Collective { op });
         let tag = tags::collective_tag(self.coll_seq);
         self.coll_seq += 1;
         tag
@@ -310,95 +166,102 @@ impl Process for MpProc {
         self.nprocs
     }
 
+    /// Encode and ship one value.  Never blocks: the frame goes to the
+    /// destination's writer queue (or straight to the pending buffer for a
+    /// self-send).
     fn send<T: Wire>(&mut self, dst: usize, tag: Tag, value: T) {
-        self.send_frame(dst, tag, &value);
+        let me = self.rank;
+        let seq = self.mailbox.stamp(dst);
+        self.recorder.record(me, EventKind::Send { dst, tag });
+        let payload = to_bytes(&value);
+        let tyh = frame::type_hash::<T>();
+        if dst == me {
+            // Self-sends bypass the transport but keep the encode/decode
+            // round trip, so a self-message exercises the same codec path.
+            self.mailbox.park(Arrival {
+                src: me,
+                tag,
+                seq,
+                payload: (tyh, payload),
+            });
+            return;
+        }
+        self.wire_bytes += (HEADER_LEN + payload.len()) as u64;
+        let bytes = frame::frame_bytes(seq, tag, tyh, &payload);
+        let tx = self.writers[dst]
+            .as_ref()
+            .and_then(|w| w.tx.as_ref())
+            .expect("writer thread present for every peer");
+        if tx.send(bytes).is_err() {
+            panic!("mp rank {me}: destination rank {dst} hung up (send tag {tag:#x})");
+        }
     }
 
     fn send_vec<T: Wire>(&mut self, dst: usize, tag: Tag, values: Vec<T>) {
-        self.send_frame(dst, tag, &values);
+        self.send(dst, tag, values);
     }
 
+    /// Block until the frame matching `(src, tag)` arrives and decode it.
+    ///
+    /// Frames for other tags from the same peer are parked in arrival
+    /// (= send) order.  Every transport or codec failure panics with the
+    /// receiving rank, the peer rank and the tag — structured fail-fast
+    /// instead of a hang.
     fn recv<T: Wire>(&mut self, src: usize, tag: Tag) -> T {
-        self.recv_frame(src, tag)
+        let me = self.rank;
+        let (tyh, payload) = self.mailbox.receive(src, tag, || {
+            // The mailbox has range-checked `src` and ruled out this rank's
+            // own (empty) slot before it polls the transport.
+            let reader = self.readers[src].as_mut().expect("a stream to every peer");
+            match frame::read_frame(reader) {
+                Ok(frame) => Arrival {
+                    src,
+                    tag: frame.tag,
+                    seq: frame.seq,
+                    payload: (frame.type_hash, frame.payload),
+                },
+                Err(FrameError::Closed) => panic!(
+                    "mp rank {me}: peer rank {src} hung up while rank {me} waited \
+                     for tag {tag:#x} (peer exited or panicked mid-run)"
+                ),
+                Err(e) => panic!(
+                    "mp rank {me}: corrupt frame from rank {src} while waiting for \
+                     tag {tag:#x}: {e}"
+                ),
+            }
+        });
+        if tyh != frame::type_hash::<T>() {
+            panic!(
+                "mp rank {me}: message type mismatch from rank {src} on tag {tag:#x}: \
+                 expected {expected} (hash {eh:#010x}), frame carries hash {gh:#010x}",
+                expected = std::any::type_name::<T>(),
+                eh = frame::type_hash::<T>(),
+                gh = tyh,
+            );
+        }
+        self.recorder.record(me, EventKind::Recv { src, tag });
+        from_bytes::<T>(&payload).unwrap_or_else(|e| {
+            panic!(
+                "mp rank {me}: undecodable payload from rank {src} on tag {tag:#x} \
+                 (type {ty}): {e}",
+                ty = std::any::type_name::<T>(),
+            )
+        })
     }
 
-    /// Dissemination barrier: `⌈log2 P⌉` rounds of shifted sends — the same
-    /// round structure and round tags as the native backend, so the two
-    /// transports are protocol-identical under the verifier.
     fn barrier(&mut self) {
-        self.recorder
-            .record(self.rank, EventKind::Collective { op: "barrier" });
-        let n = self.nprocs;
-        if n == 1 {
-            return;
-        }
-        let tag = self.next_collective_tag();
-        let me = self.rank;
-        let mut k = 1usize;
-        while k < n {
-            let to = (me + k) % n;
-            let from = (me + n - k) % n;
-            let round_tag = tag + ((k as u64) << 32);
-            self.send_frame(to, round_tag, &0u8);
-            let _: u8 = self.recv_frame(from, round_tag);
-            k <<= 1;
-        }
+        let tag = self.begin_collective("barrier");
+        collectives::dissemination_barrier(self, tag);
     }
 
-    /// Direct personalised all-to-all with the rank-ordered merge — item
-    /// order identical to dmsim and native regardless of socket timing.
     fn exchange<T: Wire>(&mut self, items: Vec<(usize, T)>) -> Vec<T> {
-        self.recorder
-            .record(self.rank, EventKind::Collective { op: "exchange" });
-        let n = self.nprocs;
-        let me = self.rank;
-        let tag = self.next_collective_tag();
-        let mut buckets: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
-        for (dst, item) in items {
-            assert!(dst < n, "routed item addressed to rank {dst} of {n}");
-            buckets[dst].push(item);
-        }
-        let mut mine = Some(std::mem::take(&mut buckets[me]));
-        for (dst, bucket) in buckets.iter().enumerate() {
-            if dst != me {
-                self.send_frame(dst, tag, bucket);
-            }
-        }
-        let mut out: Vec<T> = Vec::new();
-        for src in 0..n {
-            if src == me {
-                out.extend(mine.take().expect("own bucket consumed twice"));
-            } else {
-                let incoming: Vec<T> = self.recv_frame(src, tag);
-                out.extend(incoming);
-            }
-        }
-        out
+        let tag = self.begin_collective("exchange");
+        collectives::direct_exchange(self, tag, items)
     }
 
     fn allgather<T: Clone + Wire>(&mut self, items: Vec<T>) -> Vec<Vec<T>> {
-        self.recorder
-            .record(self.rank, EventKind::Collective { op: "allgather" });
-        let n = self.nprocs;
-        let me = self.rank;
-        let tag = self.next_collective_tag();
-        // The frame layer encodes (never moves) the payload, so one encoded
-        // send per peer — no clone chain like the in-process backends need.
-        for dst in 0..n {
-            if dst != me {
-                self.send_frame(dst, tag, &items);
-            }
-        }
-        let mut mine = Some(items);
-        (0..n)
-            .map(|src| {
-                if src == me {
-                    mine.take().expect("own contribution consumed twice")
-                } else {
-                    self.recv_frame(src, tag)
-                }
-            })
-            .collect()
+        let tag = self.begin_collective("allgather");
+        collectives::direct_allgather(self, tag, items)
     }
 
     // `allreduce` / `allgather_doubling` use the trait's provided
@@ -410,7 +273,7 @@ impl Process for MpProc {
     /// wire (`wire_bytes`), plus the pending-buffer high-water mark.
     fn counters(&self) -> Counters {
         Counters {
-            queue_peak: self.queue_peak,
+            queue_peak: self.mailbox.peak(),
             wire_bytes: self.wire_bytes,
             ..Counters::default()
         }

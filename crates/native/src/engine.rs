@@ -1,19 +1,21 @@
 //! The native SPMD engine: threads, channels, and the [`Process`] impl.
 //!
-//! The engine mirrors `dmsim`'s shape — every process owns the sending
-//! halves of all channels and the receiving half of its own, with a pending
-//! buffer for out-of-order arrivals — minus everything related to simulated
-//! time.  Payloads are type-erased boxes, so a program can exchange any
-//! `Send + 'static` value; a type mismatch between a send and the matching
-//! receive panics with the offending ranks and tag, exactly like an MPI
-//! type error would be fatal.
+//! Every process owns the sending halves of all channels and the receiving
+//! half of its own.  Shared with the multi-process backend, in
+//! `kali-process`: message matching (the pending buffer, per-channel FIFO,
+//! `queue_peak`) is [`Mailbox`], and the barrier, exchange and allgather are
+//! [`collectives`] over this backend's `send` / `recv`.  This transport's
+//! own: payloads are type-erased boxes moved through in-process channels, so
+//! a program can exchange any `Send + 'static` value (a type mismatch
+//! between a send and its receive is fatal, like an MPI type error); a
+//! panicking worker wakes its peers with poison packets; spent packed
+//! buffers travel back to their sender's pool.
 
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use kali_process::trace::{Event, EventKind, TraceRecorder};
-use kali_process::{tags, Counters, Process, Tag};
+use kali_process::{collectives, tags, Arrival, Counters, Mailbox, Process, Tag, Wire};
 
 /// Tag of the poison packet a panicking worker broadcasts so that peers
 /// blocked in `recv` fail fast instead of deadlocking the scoped join.
@@ -33,21 +35,10 @@ const RETURN_TAG: Tag = Tag::MAX - 1;
 /// the cap are simply dropped (the pool is an optimisation, not a ledger).
 const POOL_CAP: usize = 64;
 
-/// One `(src, tag)` channel's parked out-of-order arrivals, each payload
-/// paired with its send sequence number.
-type ParkedQueue = VecDeque<(u64, Box<dyn Any + Send>)>;
-
-/// A message in flight between two native processes.
-#[derive(Debug)]
-struct Packet {
-    src: usize,
-    tag: Tag,
-    /// Per-`(src, dst)` send sequence number.  Control packets
-    /// ([`POISON_TAG`], [`RETURN_TAG`]) carry 0 — they never enter the
-    /// pending buffer, so the FIFO debug-assertions never see them.
-    seq: u64,
-    payload: Box<dyn Any + Send>,
-}
+/// A message in flight between two native processes.  Control packets
+/// ([`POISON_TAG`], [`RETURN_TAG`]) carry sequence number 0 — they never
+/// enter the mailbox, so its FIFO witness never sees them.
+type Packet = Arrival<Box<dyn Any + Send>>;
 
 /// A native shared-nothing machine: `nprocs` SPMD processes, each on its
 /// own OS thread, connected by unbounded channels.
@@ -104,11 +95,7 @@ impl NativeMachine {
                         nprocs: p,
                         senders,
                         receiver: rx,
-                        pending: HashMap::new(),
-                        pending_len: 0,
-                        queue_peak: 0,
-                        send_seqs: vec![0; p],
-                        recv_seqs: HashMap::new(),
+                        mailbox: Mailbox::new(rank, p),
                         pool: Vec::new(),
                         coll_seq: 0,
                         recorder: TraceRecorder::default(),
@@ -150,23 +137,8 @@ pub struct NativeProc {
     nprocs: usize,
     senders: Vec<Sender<Packet>>,
     receiver: Receiver<Packet>,
-    /// Out-of-order arrivals, indexed by `(src, tag)` with FIFO order
-    /// preserved per key.  A receive probes its key in O(1) instead of
-    /// scanning every buffered packet — with many outstanding tags (one per
-    /// in-flight sweep and collective) the old linear scan made every
-    /// buffered receive O(pending).  Each parked payload keeps its send
-    /// sequence number so debug builds can assert per-channel FIFO.
-    pending: HashMap<(usize, Tag), ParkedQueue>,
-    /// Payloads currently parked across every `pending` queue.
-    pending_len: usize,
-    /// High-water mark of `pending_len` — surfaced through
-    /// [`Process::counters`] as `queue_peak`.
-    queue_peak: u64,
-    /// Next per-destination send sequence number.
-    send_seqs: Vec<u64>,
-    /// Debug-build FIFO witness: the last delivered sequence number per
-    /// `(src, tag)` channel.  Only populated under `debug_assertions`.
-    recv_seqs: HashMap<(usize, Tag), u64>,
+    /// Out-of-order arrivals and self-sends, matched on `(src, tag)`.
+    mailbox: Mailbox<Box<dyn Any + Send>>,
     /// Recycled packed send buffers, returned by peers via [`RETURN_TAG`]
     /// packets; drawn from by [`Process::acquire_send_buffer`].
     pool: Vec<Box<dyn Any + Send>>,
@@ -179,138 +151,35 @@ pub struct NativeProc {
     recorder: TraceRecorder,
 }
 
+/// Park a returned send buffer in the pool (bounded by [`POOL_CAP`]).
+fn stash_returned(pool: &mut Vec<Box<dyn Any + Send>>, buffer: Box<dyn Any + Send>) {
+    if pool.len() < POOL_CAP {
+        pool.push(buffer);
+    }
+}
+
 impl NativeProc {
-    fn send_packet<T: Send + 'static>(&mut self, dst: usize, tag: Tag, value: T) {
-        assert!(dst < self.nprocs, "send to rank {dst} of {}", self.nprocs);
-        let seq = self.send_seqs[dst];
-        self.send_seqs[dst] += 1;
-        self.recorder
-            .record(self.rank, EventKind::Send { dst, tag });
-        if dst == self.rank {
-            // Self-sends bypass the channel and go straight to the pending
-            // buffer.
-            self.park_pending(self.rank, tag, seq, Box::new(value));
-        } else {
-            self.senders[dst]
-                .send(Packet {
-                    src: self.rank,
-                    tag,
-                    seq,
-                    payload: Box::new(value),
-                })
-                .expect("destination process hung up");
-        }
-    }
-
-    /// Park an out-of-order arrival in the pending buffer, debug-asserting
-    /// that same-`(src, tag)` payloads queue in send order (the channels are
-    /// FIFO per peer, so a violation here means the engine reordered them).
-    fn park_pending(&mut self, src: usize, tag: Tag, seq: u64, payload: Box<dyn Any + Send>) {
-        let queue = self.pending.entry((src, tag)).or_default();
-        if cfg!(debug_assertions) {
-            if let Some(&(back, _)) = queue.back() {
-                debug_assert!(
-                    seq > back,
-                    "pending queue ({src}, {tag:#x}) reordered: seq {seq} after {back}"
-                );
-            }
-        }
-        queue.push_back((seq, payload));
-        self.pending_len += 1;
-        self.queue_peak = self.queue_peak.max(self.pending_len as u64);
-    }
-
-    /// Pull one buffered payload for `(src, tag)`, dropping the queue when
-    /// it empties — tags are mostly unique per sweep, so an emptied queue
-    /// would otherwise linger in the map forever.
-    fn take_pending(&mut self, src: usize, tag: Tag) -> Option<(u64, Box<dyn Any + Send>)> {
-        let queue = self.pending.get_mut(&(src, tag))?;
-        let payload = queue.pop_front();
-        if queue.is_empty() {
-            self.pending.remove(&(src, tag));
-        }
-        if payload.is_some() {
-            self.pending_len -= 1;
-        }
-        payload
-    }
-
-    /// Debug-build FIFO witness: every delivery on a `(src, tag)` channel
-    /// must carry a strictly larger send sequence number than the previous
-    /// one (strictly increasing, not consecutive — sequence numbers are
-    /// per-destination across all tags).
-    fn note_delivery(&mut self, src: usize, tag: Tag, seq: u64) {
-        if cfg!(debug_assertions) {
-            if let Some(&prev) = self.recv_seqs.get(&(src, tag)) {
-                debug_assert!(
-                    seq > prev,
-                    "channel ({src}, {tag:#x}) delivered seq {seq} after {prev}: not FIFO"
-                );
-            }
-            self.recv_seqs.insert((src, tag), seq);
-        }
-    }
-
-    /// Park a returned send buffer in the pool (bounded by [`POOL_CAP`]).
-    fn stash_returned(&mut self, buffer: Box<dyn Any + Send>) {
-        if self.pool.len() < POOL_CAP {
-            self.pool.push(buffer);
-        }
-    }
-
     /// Drain everything currently sitting in the channel without blocking:
     /// returned buffers go to the pool, regular packets to the pending
     /// buffer.  Called before handing out a send buffer so returns that
     /// already arrived get recycled.
     fn drain_incoming(&mut self) {
         while let Ok(packet) = self.receiver.try_recv() {
-            if packet.tag == POISON_TAG {
-                panic!("peer process {} panicked mid-run", packet.src);
-            }
-            if packet.tag == RETURN_TAG {
-                self.stash_returned(packet.payload);
-            } else {
-                self.park_pending(packet.src, packet.tag, packet.seq, packet.payload);
+            match packet.tag {
+                POISON_TAG => panic!(
+                    "native rank {}: peer rank {} panicked mid-run",
+                    self.rank, packet.src
+                ),
+                RETURN_TAG => stash_returned(&mut self.pool, packet.payload),
+                _ => self.mailbox.park(packet),
             }
         }
     }
 
-    fn recv_packet<T: 'static>(&mut self, src: usize, tag: Tag) -> T {
-        let (seq, payload) = match self.take_pending(src, tag) {
-            Some(entry) => entry,
-            None => loop {
-                let packet = self
-                    .receiver
-                    .recv()
-                    .expect("all peer processes hung up while waiting for a message");
-                if packet.tag == POISON_TAG {
-                    panic!("peer process {} panicked mid-run", packet.src);
-                }
-                if packet.tag == RETURN_TAG {
-                    self.stash_returned(packet.payload);
-                    continue;
-                }
-                if packet.tag == tag && packet.src == src {
-                    break (packet.seq, packet.payload);
-                }
-                self.park_pending(packet.src, packet.tag, packet.seq, packet.payload);
-            },
-        };
-        self.note_delivery(src, tag, seq);
+    /// Enter a collective: record its trace marker and draw its tag.
+    fn begin_collective(&mut self, op: &'static str) -> Tag {
         self.recorder
-            .record(self.rank, EventKind::Recv { src, tag });
-        *payload.downcast::<T>().unwrap_or_else(|_| {
-            panic!(
-                "message payload type mismatch: src={} dst={} tag={} expected {}",
-                src,
-                self.rank,
-                tag,
-                std::any::type_name::<T>()
-            )
-        })
-    }
-
-    fn next_collective_tag(&mut self) -> Tag {
+            .record(self.rank, EventKind::Collective { op });
         let tag = tags::collective_tag(self.coll_seq);
         self.coll_seq += 1;
         tag
@@ -343,104 +212,69 @@ impl Process for NativeProc {
     }
 
     fn send<T: Send + 'static>(&mut self, dst: usize, tag: Tag, value: T) {
-        self.send_packet(dst, tag, value);
+        let me = self.rank;
+        let packet = Packet {
+            src: me,
+            tag,
+            seq: self.mailbox.stamp(dst),
+            payload: Box::new(value),
+        };
+        self.recorder.record(me, EventKind::Send { dst, tag });
+        if dst == me {
+            // Self-sends bypass the channel and go straight to the pending
+            // buffer.
+            self.mailbox.park(packet);
+        } else if self.senders[dst].send(packet).is_err() {
+            panic!("native rank {me}: destination rank {dst} hung up (send tag {tag:#x})");
+        }
     }
 
-    fn send_vec<T: Send + 'static>(&mut self, dst: usize, tag: Tag, values: Vec<T>) {
-        self.send_packet(dst, tag, values);
+    fn send_vec<T: Wire>(&mut self, dst: usize, tag: Tag, values: Vec<T>) {
+        self.send(dst, tag, values);
     }
 
     fn recv<T: Send + 'static>(&mut self, src: usize, tag: Tag) -> T {
-        self.recv_packet(src, tag)
-    }
-
-    /// Dissemination barrier: `⌈log2 P⌉` rounds of shifted sends.
-    fn barrier(&mut self) {
-        self.recorder
-            .record(self.rank, EventKind::Collective { op: "barrier" });
-        let n = self.nprocs;
-        if n == 1 {
-            return;
-        }
-        let tag = self.next_collective_tag();
         let me = self.rank;
-        let mut k = 1usize;
-        while k < n {
-            let to = (me + k) % n;
-            let from = (me + n - k) % n;
-            let round_tag = tag + ((k as u64) << 32);
-            self.send_packet(to, round_tag, 0u8);
-            let _: u8 = self.recv_packet(from, round_tag);
-            k <<= 1;
-        }
-    }
-
-    /// Direct personalised all-to-all: one message (possibly empty) to every
-    /// peer, received and concatenated in rank order, own items in rank
-    /// position — a deterministic item order regardless of thread timing.
-    fn exchange<T: Send + 'static>(&mut self, items: Vec<(usize, T)>) -> Vec<T> {
-        self.recorder
-            .record(self.rank, EventKind::Collective { op: "exchange" });
-        let n = self.nprocs;
-        let me = self.rank;
-        let tag = self.next_collective_tag();
-        let mut buckets: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
-        for (dst, item) in items {
-            assert!(dst < n, "routed item addressed to rank {dst} of {n}");
-            buckets[dst].push(item);
-        }
-        let mut mine = Some(std::mem::take(&mut buckets[me]));
-        for (dst, bucket) in buckets.into_iter().enumerate() {
-            if dst != me {
-                self.send_packet(dst, tag, bucket);
+        let payload = self.mailbox.receive(src, tag, || loop {
+            let packet = self.receiver.recv().unwrap_or_else(|_| {
+                panic!(
+                    "native rank {me}: all peer ranks hung up while rank {me} waited for \
+                     tag {tag:#x} from rank {src}"
+                )
+            });
+            match packet.tag {
+                POISON_TAG => panic!(
+                    "native rank {me}: peer rank {} panicked mid-run while rank {me} waited \
+                     for tag {tag:#x} from rank {src}",
+                    packet.src
+                ),
+                RETURN_TAG => stash_returned(&mut self.pool, packet.payload),
+                _ => break packet,
             }
-        }
-        // Rank-ordered merge (own contribution spliced in at `me`).
-        let mut out: Vec<T> = Vec::new();
-        for src in 0..n {
-            if src == me {
-                out.extend(mine.take().expect("own bucket consumed twice"));
-            } else {
-                let incoming: Vec<T> = self.recv_packet(src, tag);
-                out.extend(incoming);
-            }
-        }
-        out
-    }
-
-    fn allgather<T: Clone + Send + 'static>(&mut self, items: Vec<T>) -> Vec<Vec<T>> {
-        self.recorder
-            .record(self.rank, EventKind::Collective { op: "allgather" });
-        let n = self.nprocs;
-        let me = self.rank;
-        let tag = self.next_collective_tag();
-        // Clone for every peer except the last, then *move* the original
-        // into the last send — n−1 clones instead of n.  The copy kept for
-        // our own result slot is split off before the move.
-        let last_peer = (0..n).rev().find(|&d| d != me);
-        let mut mine = Some(match last_peer {
-            Some(last) => {
-                let own = items.clone();
-                for dst in 0..n {
-                    if dst != me && dst != last {
-                        self.send_packet(dst, tag, items.clone());
-                    }
-                }
-                self.send_packet(last, tag, items);
-                own
-            }
-            // Single-process run: nobody to send to.
-            None => items,
         });
-        (0..n)
-            .map(|src| {
-                if src == me {
-                    mine.take().expect("own contribution consumed twice")
-                } else {
-                    self.recv_packet(src, tag)
-                }
-            })
-            .collect()
+        self.recorder.record(me, EventKind::Recv { src, tag });
+        *payload.downcast::<T>().unwrap_or_else(|_| {
+            panic!(
+                "native rank {me}: message type mismatch from rank {src} on tag {tag:#x}: \
+                 expected {}",
+                std::any::type_name::<T>()
+            )
+        })
+    }
+
+    fn barrier(&mut self) {
+        let tag = self.begin_collective("barrier");
+        collectives::dissemination_barrier(self, tag);
+    }
+
+    fn exchange<T: Wire>(&mut self, items: Vec<(usize, T)>) -> Vec<T> {
+        let tag = self.begin_collective("exchange");
+        collectives::direct_exchange(self, tag, items)
+    }
+
+    fn allgather<T: Clone + Wire>(&mut self, items: Vec<T>) -> Vec<Vec<T>> {
+        let tag = self.begin_collective("allgather");
+        collectives::direct_allgather(self, tag, items)
     }
 
     /// Hand out a recycled packed buffer when one of the right element type
@@ -463,18 +297,18 @@ impl Process for NativeProc {
     /// Zero-copy packed receive: append the incoming payload to `out`, then
     /// hand the spent buffer back to the sender over the return channel so
     /// its allocation is reused for the next sweep.
-    fn recv_packed_append<T: Copy + Send + 'static>(
+    fn recv_packed_append<T: Copy + Wire>(
         &mut self,
         src: usize,
         tag: Tag,
         out: &mut Vec<T>,
     ) -> usize {
-        let mut values: Vec<T> = self.recv_packet(src, tag);
+        let mut values: Vec<T> = self.recv(src, tag);
         let got = values.len();
         out.extend_from_slice(&values);
         values.clear();
         if src == self.rank {
-            self.stash_returned(Box::new(values));
+            stash_returned(&mut self.pool, Box::new(values));
         } else {
             // Best effort: the peer may already have exited, in which case
             // the buffer is simply dropped.
@@ -496,7 +330,7 @@ impl Process for NativeProc {
     /// high-water mark, which costs one comparison per parked packet.
     fn counters(&self) -> Counters {
         Counters {
-            queue_peak: self.queue_peak,
+            queue_peak: self.mailbox.peak(),
             ..Counters::default()
         }
     }
@@ -723,6 +557,73 @@ mod tests {
         let (first, second, cap) = r[0];
         assert_eq!(first, second, "recycled buffer must reuse the allocation");
         assert!(cap >= 32);
+    }
+
+    /// The message `f` panics with.  Called inside a rank closure, so the
+    /// machine finishes normally and the test is bounded whatever `f` does
+    /// once its peers have exited.
+    fn panic_text<R>(f: impl FnOnce() -> R) -> String {
+        let Err(cause) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) else {
+            panic!("the call must panic");
+        };
+        let text = cause.downcast_ref::<String>().cloned();
+        text.expect("formatted panic message")
+    }
+
+    #[test]
+    fn failures_name_the_rank_the_peer_and_the_tag_in_hex() {
+        let m = NativeMachine::new(2);
+        let r = m.run(|p| {
+            if p.rank() == 1 {
+                p.send(0, 0x5, 1u64);
+                return Vec::new();
+            }
+            vec![
+                // Receives no arrival can satisfy fail at once, not when the
+                // peer happens to exit.
+                panic_text(|| p.recv::<u64>(7, 0x2a)),
+                panic_text(|| p.recv::<u64>(0, 0x2b)),
+                panic_text(|| p.recv::<Vec<f64>>(1, 0x5)),
+                // Returns once rank 1 is gone ...
+                panic_text(|| p.recv::<u64>(1, 0x1c)),
+                // ... after which its receiver goes too (the two halves are
+                // dropped one after the other, hence the retry).
+                panic_text(|| loop {
+                    p.send(1, 0x1d, 0u8);
+                    std::thread::yield_now();
+                }),
+            ]
+        });
+        let expected = [
+            "rank 0: recv from rank 7 of 2 (tag 0x2a)",
+            "rank 0: recv from rank 0 (itself) on tag 0x2b with nothing sent",
+            "native rank 0: message type mismatch from rank 1 on tag 0x5: expected alloc::vec::Vec<f64>",
+            "native rank 0: all peer ranks hung up while rank 0 waited for tag 0x1c from rank 1",
+            "native rank 0: destination rank 1 hung up (send tag 0x1d)",
+        ];
+        assert_eq!(r[0].len(), expected.len());
+        for (got, want) in r[0].iter().zip(expected) {
+            assert!(got.contains(want), "{got}");
+        }
+    }
+
+    #[test]
+    fn poison_report_names_the_waiting_rank_the_dead_peer_and_the_tag() {
+        // Rank 0's panic fails the run; rank 1's report of it is captured on
+        // the way.
+        let seen = std::sync::Mutex::new(String::new());
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            NativeMachine::new(2).run(|p| {
+                if p.rank() == 0 {
+                    panic!("deliberate worker failure");
+                }
+                *seen.lock().expect("lock never poisoned") = panic_text(|| p.recv::<u64>(0, 0x1e));
+            })
+        }));
+        assert!(outcome.is_err(), "the worker panic must propagate");
+        let seen = seen.into_inner().expect("lock never poisoned");
+        let want = "native rank 1: peer rank 0 panicked mid-run while rank 1 waited for tag 0x1e";
+        assert!(seen.contains(want), "{seen}");
     }
 
     #[test]

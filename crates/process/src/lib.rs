@@ -1,11 +1,11 @@
 //! # kali-process — the backend abstraction of the Kali runtime
 //!
 //! The runtime layer of the Kali reproduction (inspector, executor,
-//! redistribution, distributed arrays in `kali-core`) needs exactly one
-//! thing from the machine it runs on: an SPMD *process* handle that can
-//! exchange typed messages with its peers and take part in a few
-//! collectives.  This crate defines that contract — the [`Process`] trait —
-//! so the runtime can be written once and executed on any backend:
+//! redistribution in `kali-core`) needs exactly one thing from the machine
+//! it runs on: an SPMD *process* handle that can exchange typed messages
+//! with its peers and take part in a few collectives.  This crate defines
+//! that contract — the [`Process`] trait — so the runtime can be written
+//! once and executed on any backend:
 //!
 //! * `dmsim::Proc` — the deterministic machine **simulator** with logical
 //!   clocks and the paper's NCUBE/7 / iPSC/2 cost models.  It implements the
@@ -14,6 +14,9 @@
 //! * `kali_native::NativeProc` — a **native** backend running one OS thread
 //!   per process with channel-based messaging, for wall-clock execution.
 //!   It leaves the cost hooks at their no-op defaults.
+//! * `kali_mp::MpProc` — the **multi-process** backend: one OS process (or
+//!   thread) per rank, every message a [`Wire`]-encoded frame over a
+//!   Unix-domain socket.
 //!
 //! The trait is deliberately minimal: ranks, typed point-to-point
 //! `send`/`recv` matched on `(source, tag)`, the collective shapes the
@@ -27,6 +30,12 @@
 //! implementation serves every backend and the result is bitwise identical
 //! across backends and a sequential replay ([`reduce::tree_combine_partials`]).
 //!
+//! What the native and mp transports share lives here too: [`mailbox`] is
+//! the `(source, tag)` message matching behind their `recv`, and
+//! [`collectives`] holds the dissemination barrier (which the simulator
+//! uses as well), the direct all-to-all and the direct allgather as free
+//! functions over any [`Process`].
+//!
 //! The [`tags`] module centralises the tag-space layout shared by every
 //! runtime component so tag ranges are disjoint by construction.  The
 //! [`reduce`] module defines the typed reduction operators ([`ReduceOp`] and
@@ -36,11 +45,14 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod collectives;
+pub mod mailbox;
 pub mod reduce;
 pub mod tags;
 pub mod trace;
 pub mod wire;
 
+pub use mailbox::{Arrival, Mailbox};
 pub use reduce::{
     combine_partials, tree_combine_partials, tree_merge_order, Max, Min, Norm2, Reduce, ReduceOp,
     Sum,

@@ -30,7 +30,7 @@
 //! backend produce bit-identical fields, and the sequential replay
 //! ([`adaptive_jacobi_sequential`]) matches both exactly.
 
-use distrib::DimDist;
+use distrib::{DimDist, Distribution};
 use kali_core::process::{Counters, Process};
 use kali_core::Session;
 use meshes::{adapt_step, evolve, AdaptConfig, AdjacencyMesh};
@@ -178,7 +178,7 @@ pub fn adaptive_jacobi_sweeps<P: Process>(
     let mut relaxation = session.loop_1d(n, dist.clone());
 
     // Local pieces of the Figure 4 arrays under the current distribution.
-    let mut a: Vec<f64> = dist.local_set(rank).iter().map(|g| initial[g]).collect();
+    let mut a = scatter_field(&dist, rank, initial);
     let (mut count, mut adj, mut coef, mut width) = scatter_mesh(&mesh, &dist, rank);
     let mut old_a: Vec<f64> = vec![0.0; a.len()];
 
@@ -267,6 +267,20 @@ pub fn adaptive_jacobi_sweeps<P: Process>(
         cache_peak_resident: stats.cache.peak_resident,
         cache_resident_bytes: stats.cache.resident_bytes,
     }
+}
+
+/// Scatter a globally replicated field to this rank's local storage under
+/// `dist`, in *local-index* order — the order `scatter_mesh`, the executor
+/// and [`gather_global`] all use, which under a non-monotone user-defined
+/// distribution is not ascending global order.
+pub(crate) fn scatter_field<D: Distribution + ?Sized>(
+    dist: &D,
+    rank: usize,
+    global: &[f64],
+) -> Vec<f64> {
+    (0..dist.local_count(rank))
+        .map(|l| global[dist.global_index(rank, l)])
+        .collect()
 }
 
 /// Scatter the mesh's `count`/`adj`/`coef` arrays to this rank's local rows

@@ -44,7 +44,7 @@ use kali_core::process::{Counters, Process};
 use kali_core::{AffineMap, Reduce, Session, SessionStats, Sum};
 use meshes::{adapt_step, AdaptConfig, AdjacencyMesh};
 
-use crate::adaptive::scatter_mesh;
+use crate::adaptive::{scatter_field, scatter_mesh};
 use crate::reduce_replay::replay_sum;
 
 /// Parameters of a CG run.
@@ -159,9 +159,7 @@ pub fn cg_solve<P: Process>(
     let (mut count, mut adj, _coef, mut width) = scatter_mesh(&mesh, dist, rank);
     let local_rows = dist.local_count(rank);
     let mut x = vec![0.0f64; local_rows];
-    let mut r: Vec<f64> = (0..local_rows)
-        .map(|l| b[dist.global_index(rank, l)])
-        .collect();
+    let mut r = scatter_field(dist, rank, b);
     let mut p = r.clone();
     let mut q = vec![0.0f64; local_rows];
     // Write-side buffers for the executor: its body sees a

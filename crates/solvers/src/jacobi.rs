@@ -30,6 +30,8 @@ use kali_core::process::{Counters, Process};
 use kali_core::{AffineMap, Fetcher, Reduce, Session, Sum};
 use meshes::AdjacencyMesh;
 
+use crate::adaptive::{scatter_field, scatter_mesh};
+
 /// Parameters of a Jacobi run.
 #[derive(Debug, Clone)]
 pub struct JacobiConfig {
@@ -176,7 +178,6 @@ pub fn jacobi_sweeps<P: Process>(
     let n = mesh.len();
     assert_eq!(dist.n(), n, "distribution must cover every mesh node");
     assert_eq!(initial.len(), n, "initial field must cover every mesh node");
-    let width = mesh.max_degree();
 
     // ---- Set-up ("code to set up arrays 'adj' and 'coef'", untimed) -------
     // Every distributed array of Figure 4, scattered according to `dist`:
@@ -184,23 +185,10 @@ pub fn jacobi_sweeps<P: Process>(
     //   count    : integer[n]      dist by [block]
     //   adj      : integer[n, w]   dist by [block, *]
     //   coef     : real[n, w]      dist by [block, *]
-    let local_rows = dist.local_count(rank);
-    let mut a: Vec<f64> = (0..local_rows)
-        .map(|l| initial[dist.global_index(rank, l)])
-        .collect();
+    let (count, adj, coef, width) = scatter_mesh(mesh, dist, rank);
+    let mut a = scatter_field(dist, rank, initial);
+    let local_rows = a.len();
     let mut old_a: Vec<f64> = vec![0.0; local_rows];
-    let count: Vec<u32> = (0..local_rows)
-        .map(|l| mesh.degree(dist.global_index(rank, l)) as u32)
-        .collect();
-    let mut adj: Vec<u32> = vec![0; local_rows * width];
-    let mut coef: Vec<f64> = vec![0.0; local_rows * width];
-    for l in 0..local_rows {
-        let g = dist.global_index(rank, l);
-        let nbrs = mesh.neighbors(g);
-        let cs = mesh.coefs(g);
-        adj[l * width..l * width + nbrs.len()].copy_from_slice(nbrs);
-        coef[l * width..l * width + cs.len()].copy_from_slice(cs);
-    }
 
     let mut session = Session::new().overlap(config.overlap);
     if let Some(w) = config.workers {

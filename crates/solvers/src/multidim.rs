@@ -34,6 +34,7 @@ use distrib::{ArrayDist, Distribution, FlatDist};
 use kali_core::process::{Counters, Process};
 use kali_core::{MultiAffineMap, Rect, Session};
 
+use crate::adaptive::scatter_field;
 use crate::report::CommReport;
 
 /// How the field is placed across the phases.
@@ -192,9 +193,7 @@ pub fn multidim_sweeps<P: Process>(
     ];
 
     // Scatter the initial field to the starting [block, *] placement.
-    let mut a: Vec<f64> = (0..rows_dist.local_count(rank))
-        .map(|l| initial[rows_dist.global_index(rank, l)])
-        .collect();
+    let mut a = scatter_field(&rows_dist, rank, initial);
 
     let mut session = Session::new();
     let mut phases: Vec<PhaseStats> = Vec::new();

@@ -35,7 +35,7 @@ use kali_core::{
 };
 use meshes::AdjacencyMesh;
 
-use crate::adaptive::scatter_mesh;
+use crate::adaptive::{scatter_field, scatter_mesh};
 use crate::reduce_replay::replay_reduce_filtered;
 
 /// Parameters of a red–black run.
@@ -158,10 +158,8 @@ pub fn redblack_sweeps<P: Process>(
     let black = session.loop_over(Stripe::new(1, n, 2), dist.clone());
 
     let (count, adj, coef, width) = scatter_mesh(mesh, dist, rank);
-    let local_rows = dist.local_count(rank);
-    let mut a: Vec<f64> = (0..local_rows)
-        .map(|l| initial[dist.global_index(rank, l)])
-        .collect();
+    let mut a = scatter_field(dist, rank, initial);
+    let local_rows = a.len();
     let mut old_a = vec![0.0f64; local_rows];
 
     let start_clock = proc.time();

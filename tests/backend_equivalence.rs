@@ -334,6 +334,63 @@ fn schedule_cache_lifecycle_is_identical_across_backends_under_adaptation() {
 }
 
 #[test]
+fn adaptive_jacobi_under_a_non_monotone_user_defined_dist_equals_its_sequential_replay() {
+    // The adaptive solver's own set-up on a distribution whose local order
+    // is not ascending global order: the field must be scattered the way the
+    // mesh rows, the executor and `gather_global` index it.  Static, adapting
+    // in place, and rebalancing away from the user-defined placement.
+    const TEST: &str =
+        "adaptive_jacobi_under_a_non_monotone_user_defined_dist_equals_its_sequential_replay";
+    fn local_field<P: Process>(
+        proc: &mut P,
+        mesh: &AdjacencyMesh,
+        initial: &[f64],
+        config: &AdaptiveConfig,
+    ) -> Vec<f64> {
+        let dist = DimDist::new(common::ReversedBlock::new(mesh.len(), proc.nprocs()));
+        adaptive_jacobi_sweeps(proc, mesh, &dist, initial, config).local_a
+    }
+    let mesh = UnstructuredMeshBuilder::new(10, 9)
+        .seed(5)
+        .scramble_numbering(true)
+        .build();
+    let initial: Vec<f64> = (0..mesh.len())
+        .map(|i| ((i * 7) % 19) as f64 * 0.25)
+        .collect();
+    let nprocs = 2;
+    for (adapt_every, rebalance) in [(None, false), (Some(2), false), (Some(2), true)] {
+        let config = AdaptiveConfig {
+            sweeps: 4,
+            adapt_every,
+            rebalance,
+            ..AdaptiveConfig::default()
+        };
+        let (m, i, c) = (&mesh, &initial, &config);
+        let mp = MpMachine::new(nprocs).run(TEST, |p| local_field(p, m, i, c));
+        let simulated = Machine::new(nprocs, CostModel::ideal()).run(|p| local_field(p, m, i, c));
+        let native = NativeMachine::new(nprocs).run(|p| local_field(p, m, i, c));
+
+        let expected = adaptive_jacobi_sequential(m, i, c);
+        let start = DimDist::new(common::ReversedBlock::new(mesh.len(), nprocs));
+        let placement = final_placement(m, &start, c);
+        let legs = [
+            ("dmsim", Some(simulated)),
+            ("native", Some(native)),
+            ("mp", mp),
+        ];
+        for (backend, locals) in legs {
+            // `None`: the mp leg inside a re-executed worker.
+            let Some(locals) = locals else { continue };
+            assert_eq!(
+                gather(&placement, &locals),
+                expected,
+                "{backend}, adapt_every {adapt_every:?}, rebalance {rebalance}"
+            );
+        }
+    }
+}
+
+#[test]
 fn convergence_checks_do_not_break_backend_agreement() {
     let grid = RegularGrid::square(12);
     let mesh = grid.five_point_mesh();
