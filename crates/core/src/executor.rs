@@ -28,33 +28,43 @@
 //! ## Address translation
 //!
 //! The paper (§4) accepts one run-time overhead as "unique to our system" —
-//! the binary search on a *nonlocal* reference — and treats a local
-//! reference as a cheap index translation.  A [`Fetcher`] therefore resolves
-//! a global index through a resolver that keeps the common case to one
-//! compare and an add:
+//! the search on a *nonlocal* reference — and treats a local reference as a
+//! cheap index translation.  [`Fetcher::fetch`] is built on one rule: a hit
+//! is inlined into the body and costs a compare, an add and a load;
+//! everything else is one call out of line.
 //!
-//! * a sweep asks the data distribution **once** for the rank's owned set
-//!   as contiguous runs ([`Distribution::local_runs`]); inside a run the
-//!   local offset is `local_base + (g − low)`, inside a receive record the
-//!   buffer position is `buffer + (g − low)` — the same arithmetic, so both
-//!   are kept as *windows* `(low, len, base)`, hit by the one unsigned
-//!   compare `g − low < len` (an index below `low` wraps past any length);
-//! * the resolver holds a small fixed array of windows indexed by the
-//!   reference's **ordinal within the iteration**: the k-th reference of a
-//!   stencil body walks its own row (or its own halo record) from one
-//!   iteration to the next, so it keeps hitting its own window, and the
-//!   three rows of a vertical stencil never evict each other;
-//! * a miss costs one binary search over the owned runs and, only when no
-//!   run covers the index, the schedule's receive-record search; an index
-//!   covered by neither panics before anything is charged.
+//! * **Hit.**  A sweep asks the data distribution **once** for the rank's
+//!   owned set as contiguous runs ([`Distribution::local_runs`]).  Inside a
+//!   run the element is `local_base + (g − low)` into the local storage,
+//!   inside a receive record `buffer + (g − low)` into the receive buffer —
+//!   the same arithmetic, so both are kept as *windows* `(low, src)`, `src`
+//!   being the slice of storage covered: `src.get(g − low)` is window test,
+//!   bounds check and address at once (an index below `low` wraps past any
+//!   length).  A fetcher holds eight, indexed by the reference's **ordinal
+//!   within the iteration**: the k-th reference of a stencil body walks its
+//!   own row (or its own halo record) from one iteration to the next, so it
+//!   keeps hitting its own window, and the three rows of a vertical stencil
+//!   never evict each other.  Around the compare and the load a hit pays
+//!   the ordinal's load, mask and store — and, on a backend that meters
+//!   ([`Process::METERS`]), the access count; elsewhere one untaken branch.
+//! * **Miss.**  `miss`, cold and never inlined: one binary search over the
+//!   owned runs and, only when no run covers the index, the schedule's
+//!   receive-record search; what it finds is sliced once and becomes the
+//!   ordinal's window.  A distribution that offers no runs (the trait
+//!   default; cyclic, scattered owner tables, any user-defined distribution
+//!   that does not opt in) is asked [`Distribution::is_local`] /
+//!   [`Distribution::local_index`] there per owned reference, exactly as
+//!   before runs existed, and only nonlocal references use the windows.
+//!   An index covered by nothing panics before anything is charged; so
+//!   does a *received* one fetched from the local list, which runs without
+//!   a receive buffer whether or not the sweep overlaps — in both cases the
+//!   schedule was planned for another body.
+//! * **Replay**, ahead of both on the nonlocal list of a reused schedule:
+//!   the translation memo below.
 //!
-//! A distribution that offers no runs (the trait default; cyclic, scattered
-//! owner tables, any user-defined distribution that does not opt in) is
-//! resolved through [`Distribution::is_local`] / [`Distribution::local_index`]
-//! per owned reference, exactly as before runs existed, and only nonlocal
-//! references use the windows.  The same runs let the pack, unpack and copy
-//! loops of the executor and of [`redistribute`](mod@crate::redistribute)
-//! translate once per run and move slices.
+//! The same runs let the pack, unpack and copy loops of the executor and of
+//! [`redistribute`](mod@crate::redistribute) translate once per run and move
+//! slices.
 //!
 //! ### The iteration's own element
 //!
@@ -104,16 +114,17 @@
 //!
 //! * **Life cycle.**  A schedule's *first* execution resolves as above and
 //!   learns nothing.  Its *second* — the first proof that the schedule is
-//!   reused at all — also **records**, for every iteration of the nonlocal
-//!   list in the body's own fetch order, the global index fetched and the
-//!   slot it resolved to (`l` for an owned element, `local_len + buffer
+//!   reused at all — **records**, for every iteration of the nonlocal list
+//!   in the body's own fetch order, the global index fetched and the slot
+//!   it resolved to (`l` for an owned element, `local_len + buffer
 //!   position` for a received one), indexed by the iteration's position in
-//!   the list so it does not depend on `(workers, chunk)`; chunks record
-//!   apart and the rank's thread stitches them in chunk order.  From the
-//!   *third* execution on the resolver **replays**: a fetch compares its
+//!   the list so it does not depend on `(workers, chunk)`; that sweep
+//!   installs no window, so every reference reaches `miss` and is recorded
+//!   there; chunks record apart and the rank's thread stitches them in
+//!   chunk order.  From the *third* execution on a fetch first compares its
 //!   index with the entry under the iteration's cursor and on a match reads
-//!   the slot — no window, no search, and the storage is selected rather
-//!   than branched on.
+//!   the slot — no window, no search, and the storage is *indexed* by the
+//!   slot's kind, never branched on: two loads, two compares.
 //! * **Why the second execution.**  Recording is not free: done on the
 //!   first execution it was measured at +11 % on a first sweep of the
 //!   scrambled-mesh benchmark, done at inspector time at +26 % on an
@@ -121,17 +132,17 @@
 //!   schedule once.  Paid on the second execution it is charged only where
 //!   there is reuse to amortise it over.
 //! * **A pure cache.**  On a mismatch, or past the recorded references of
-//!   an iteration, a fetch falls through to the resolver above, so a body
-//!   that fetches something else (another loop over the same schedule, a
-//!   changed subscript array) is merely not accelerated.  The memo is used
-//!   only under the placement it was learned under —
+//!   an iteration, a fetch falls through to the windows, so a body that
+//!   fetches something else (another loop over the same schedule, a changed
+//!   subscript array) is merely not accelerated.  The memo is used only
+//!   under the placement it was learned under —
 //!   [`Distribution::fingerprint`] of the data distribution and the length
 //!   of the local storage, checked once per sweep; a schedule whose slots
 //!   do not fit 32 bits never learns one; a recording sweep that panics
 //!   leaves none; equality, signatures and copies of a schedule ignore it;
-//!   debug builds resolve every replayed reference the long way as well and
-//!   assert the same slot.  The local phase pays one predictable compare
-//!   per fetch for all of this, and the recording code is out of line.
+//!   debug builds search for every replayed reference as well and assert
+//!   the same slot.  The local phase pays one predictable compare per fetch
+//!   for all of this.
 //!
 //! Which path resolves a reference is unobservable: values, the
 //! `charge_local_access` / `charge_nonlocal_access` sequence and the panic
@@ -231,44 +242,25 @@ impl ExecutorConfig {
 // Address translation
 // ----------------------------------------------------------------------
 
-/// Windows a resolver keeps: references past the eighth of one iteration
+/// Windows a fetcher keeps: references past the eighth of one iteration
 /// share the windows of the first eight.  A power of two, so the ordinal
 /// wraps with a mask.
 const WINDOWS: usize = 8;
 
-/// Where a resolved reference lives: `pos` in the sweep's receive buffer
-/// when `nonlocal`, in the rank's local storage of the referenced array
-/// otherwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Slot {
-    pos: usize,
-    nonlocal: bool,
-}
-
-impl Slot {
-    /// Read the element.  The storage is *selected*, not branched on: on an
-    /// irregular mesh the kind of consecutive references is a coin flip.
-    #[inline]
-    fn read<T: Copy>(self, local_data: &[T], recv_buf: &[T]) -> T {
-        let storage = if self.nonlocal { recv_buf } else { local_data };
-        storage[self.pos]
-    }
-}
-
-/// One remembered translation: the `len` global indices from `low` live at
+/// Where a stretch of global indices lives: the `len` indices from `low` at
 /// `base..`, in the receive buffer when `nonlocal`, in local storage
-/// otherwise.  The empty window (`len == 0`) matches nothing.
+/// otherwise.  The empty span (`len == 0`) covers nothing.
 #[derive(Debug, Clone, Copy, Default)]
-struct Window {
+struct Span {
     low: usize,
     len: usize,
     base: usize,
     nonlocal: bool,
 }
 
-impl Window {
+impl Span {
     fn new(low: usize, high: usize, base: usize, nonlocal: bool) -> Self {
-        Window {
+        Span {
             low,
             len: high - low,
             base,
@@ -276,154 +268,24 @@ impl Window {
         }
     }
 
-    /// Where `g` lives if the window covers it.  One unsigned compare: an
-    /// index below `low` wraps to something no window is long enough for.
+    /// Where `g` lives if the span covers it.  One unsigned compare: an
+    /// index below `low` wraps to something no span is long enough for.
     #[inline]
     fn position(&self, g: usize) -> Option<usize> {
         let offset = g.wrapping_sub(self.low);
         (offset < self.len).then(|| self.base + offset)
     }
-
-    #[inline]
-    fn slot(&self, g: usize) -> Option<Slot> {
-        self.position(g).map(|pos| Slot {
-            pos,
-            nonlocal: self.nonlocal,
-        })
-    }
 }
 
-/// The translation path behind [`Fetcher::fetch`] (see the module docs).
-///
-/// Pure with respect to cost accounting: it returns where the element lives
-/// and the fetcher charges; on an index that is neither owned nor scheduled
-/// it panics with nothing charged and no window changed.  Relies on the
-/// schedule invariant that receive records never cover an owned index.
-struct Resolver<'a, D: Distribution + ?Sized> {
-    dist: &'a D,
-    rank: usize,
-    /// The rank's owned runs, fetched once per sweep; `None` when the
-    /// distribution offers none.
-    runs: Option<&'a [LocalRun]>,
-    schedule: &'a CommSchedule,
-    windows: [Window; WINDOWS],
-    /// References resolved the long way so far in the current iteration.
-    ordinal: usize,
-    /// What this phase does with the schedule's translation memo; always
-    /// [`MemoPlan::Off`] in the local phase.
-    memo: MemoPlan<'a>,
-    /// Replaying: the current iteration's recorded references not yet
-    /// compared with a fetch.
-    replay: &'a [MemoEntry],
-    /// Recording: what has been resolved so far (empty otherwise).
-    recording: Recording,
-}
-
-impl<'a, D: Distribution + ?Sized> Resolver<'a, D> {
-    fn new(
-        dist: &'a D,
-        runs: Option<&'a [LocalRun]>,
-        schedule: &'a CommSchedule,
-        memo: MemoPlan<'a>,
-    ) -> Self {
-        Resolver {
-            dist,
-            rank: schedule.rank,
-            runs,
-            schedule,
-            windows: [Window::default(); WINDOWS],
-            ordinal: 0,
-            memo,
-            replay: &[],
-            recording: Recording::default(),
-        }
-    }
-
-    /// Start the iteration at `position` of the phase's list: its first
-    /// reference is ordinal 0 again, and under a memo it is the memo's row
-    /// `position`.
-    #[inline]
-    fn next_iteration(&mut self, position: usize) {
-        self.ordinal = 0;
-        match self.memo {
-            MemoPlan::Off => {}
-            MemoPlan::Replay(memo) => self.replay = memo.refs_of(position),
-            MemoPlan::Record { .. } => self.recording.begin_iteration(),
-        }
-    }
-
-    #[inline]
-    fn resolve(&mut self, g: usize) -> Slot {
-        match self.memo {
-            MemoPlan::Off => {}
-            MemoPlan::Replay(memo) => {
-                if let Some((&entry, rest)) = self.replay.split_first() {
-                    self.replay = rest;
-                    if entry.global as usize == g {
-                        let (pos, nonlocal) = memo.slot(entry);
-                        let slot = Slot { pos, nonlocal };
-                        debug_assert_eq!(slot, self.resolve_long(g), "stale memo for {g}");
-                        return slot;
-                    }
-                }
-            }
-            MemoPlan::Record { local_len, .. } => return self.resolve_and_record(g, local_len),
-        }
-        self.resolve_long(g)
-    }
-
-    /// The recording sweep's resolve, kept out of line so that the code of
-    /// every other sweep's fetch loop does not grow by it.
-    #[cold]
-    #[inline(never)]
-    fn resolve_and_record(&mut self, g: usize, local_len: usize) -> Slot {
-        let slot = self.resolve_long(g);
-        self.recording.push(g, slot.pos, slot.nonlocal, local_len);
-        slot
-    }
-
-    /// Windows, then the owned runs, then the receive records.
-    #[inline]
-    fn resolve_long(&mut self, g: usize) -> Slot {
-        let k = self.ordinal & (WINDOWS - 1);
-        self.ordinal += 1;
-        match self.runs {
-            Some(runs) => {
-                if let Some(slot) = self.windows[k].slot(g) {
-                    return slot;
-                }
-                if let Some(run) = find_run(runs, g) {
-                    self.windows[k] = Window::new(run.low, run.high, run.local_base, false);
-                    return Slot {
-                        pos: run.local_base + (g - run.low),
-                        nonlocal: false,
-                    };
-                }
-            }
-            None => {
-                if self.dist.is_local(self.rank, g) {
-                    return Slot {
-                        pos: self.dist.local_index(g),
-                        nonlocal: false,
-                    };
-                }
-                if let Some(slot) = self.windows[k].slot(g) {
-                    return slot;
-                }
-            }
-        }
-        let (low, high, base) = self.schedule.find_record(g).unwrap_or_else(|| {
-            panic!(
-                "global index {g} is neither local to rank {} nor in its receive schedule",
-                self.rank
-            )
-        });
-        self.windows[k] = Window::new(low, high, base, true);
-        Slot {
-            pos: base + (g - low),
-            nonlocal: true,
-        }
-    }
+/// One remembered translation: a [`Span`] with its storage already sliced,
+/// so that `src.get(g − low)` is window test and bounds check at once.  The
+/// empty window matches nothing.  `nonlocal` is read on metering backends
+/// only, to pick the counter.
+#[derive(Clone, Copy)]
+struct Window<'a, T> {
+    low: usize,
+    src: &'a [T],
+    nonlocal: bool,
 }
 
 /// The iteration's own element: the local offset, under the loop's
@@ -436,7 +298,7 @@ struct Home<'a> {
     /// it offers none.
     runs: Option<&'a [LocalRun]>,
     /// The run the last answered iteration lay in.
-    window: Window,
+    window: Span,
     /// The iteration the body is running.
     iter: usize,
 }
@@ -446,7 +308,7 @@ impl<'a> Home<'a> {
         Home {
             on_dist,
             runs,
-            window: Window::default(),
+            window: Span::default(),
             iter: 0,
         }
     }
@@ -471,7 +333,7 @@ impl<'a> Home<'a> {
     fn leave_run(&mut self, runs: &[LocalRun]) -> usize {
         match find_run(runs, self.iter) {
             Some(run) => {
-                self.window = Window::new(run.low, run.high, run.local_base, false);
+                self.window = Span::new(run.low, run.high, run.local_base, false);
                 run.local_base + (self.iter - run.low)
             }
             None => self.on_dist.local_index(self.iter),
@@ -538,6 +400,9 @@ impl ChunkCosts {
     /// Charge this chunk's accumulated costs to the process.  `ranges` is
     /// the schedule's record count (the `r` of the binary-search cost).
     fn flush_into<P: Process>(&self, proc: &mut P, ranges: usize) {
+        if !P::METERS {
+            return;
+        }
         proc.charge_loop_iters(self.loop_iters);
         proc.charge_mem_refs(self.mem_refs);
         proc.charge_flops(self.flops);
@@ -553,17 +418,73 @@ impl ChunkCosts {
 /// buffer (the "search overhead … unique to our system", §4).
 ///
 /// Access costs (and any body arithmetic charged through the `charge_*`
-/// methods) accumulate in the chunk's [`ChunkCosts`].  The resolver's
-/// windows start empty in every chunk and never escape it.
+/// methods) accumulate in the chunk's [`ChunkCosts`] — on a backend that
+/// meters ([`Process::METERS`]); on one that does not, nothing is counted.
+/// The windows start empty in every chunk and never escape it.
 pub struct Fetcher<'a, T, D: Distribution + ?Sized = dyn Distribution> {
-    local_data: &'a [T],
-    recv_buf: &'a [T],
-    resolver: Resolver<'a, D>,
+    /// Local storage of the referenced array, then the sweep's receive
+    /// buffer (empty in the local phase): indexed by a reference's
+    /// `nonlocal` flag, so that choosing between them is address arithmetic.
+    storage: [&'a [T]; 2],
+    /// `storage[0].len()` on its own: read from there, the compiler knows
+    /// one of the two lengths a replayed slot is checked against and
+    /// branches on the flag to use it.
+    local_len: usize,
+    dist: &'a D,
+    /// The rank's owned runs, fetched once per sweep; `None` when the
+    /// distribution offers none.
+    runs: Option<&'a [LocalRun]>,
+    schedule: &'a CommSchedule,
+    windows: [Window<'a, T>; WINDOWS],
+    /// References of the current iteration that went to the windows so far.
+    ordinal: usize,
+    /// What this phase does with the schedule's translation memo; always
+    /// [`MemoPlan::Off`] in the local phase.
+    memo: MemoPlan<'a>,
+    /// Replaying: the current iteration's recorded references not yet
+    /// compared with a fetch (empty otherwise).
+    replay: &'a [MemoEntry],
+    /// Recording: what has been resolved so far (empty otherwise).
+    recording: Recording,
     home: Home<'a>,
+    /// [`Process::METERS`] of the backend the sweep runs on.
+    meters: bool,
     costs: ChunkCosts,
 }
 
 impl<'a, T: Copy, D: Distribution + ?Sized> Fetcher<'a, T, D> {
+    /// A fetcher over `storage`: local data, then the receive buffer.
+    fn new(
+        storage: [&'a [T]; 2],
+        dist: &'a D,
+        runs: Option<&'a [LocalRun]>,
+        schedule: &'a CommSchedule,
+        memo: MemoPlan<'a>,
+        home: Home<'a>,
+        meters: bool,
+    ) -> Self {
+        let empty = Window {
+            low: 0,
+            src: &[],
+            nonlocal: false,
+        };
+        Fetcher {
+            storage,
+            local_len: storage[0].len(),
+            dist,
+            runs,
+            schedule,
+            windows: [empty; WINDOWS],
+            ordinal: 0,
+            memo,
+            replay: &[],
+            recording: Recording::default(),
+            home,
+            meters,
+            costs: ChunkCosts::default(),
+        }
+    }
+
     /// Fetch the value of global element `g` of the referenced array.
     ///
     /// Panics if `g` is neither owned nor covered by the schedule — that
@@ -574,10 +495,117 @@ impl<'a, T: Copy, D: Distribution + ?Sized> Fetcher<'a, T, D> {
     /// charged for work that never completed.
     #[inline]
     pub fn fetch(&mut self, g: usize) -> T {
-        let slot = self.resolver.resolve(g);
-        self.costs.local_accesses += usize::from(!slot.nonlocal);
-        self.costs.nonlocal_accesses += usize::from(slot.nonlocal);
-        slot.read(self.local_data, self.recv_buf)
+        if let Some((&entry, rest)) = self.replay.split_first() {
+            self.replay = rest;
+            if entry.global as usize == g {
+                // A memo is replayed under its own `local_len` only.
+                let (pos, nonlocal) = entry.slot(self.local_len);
+                debug_assert!(
+                    {
+                        let span = self.locate(g);
+                        span.nonlocal == nonlocal && span.position(g) == Some(pos)
+                    },
+                    "stale memo for {g}"
+                );
+                self.count(nonlocal);
+                // Indexed, never branched on: the kind of consecutive
+                // references of an irregular mesh is a coin flip.
+                return self.storage[usize::from(nonlocal)][pos];
+            }
+        }
+        let k = self.ordinal & (WINDOWS - 1);
+        self.ordinal += 1;
+        let window = self.windows[k];
+        match window.src.get(g.wrapping_sub(window.low)) {
+            Some(&value) => {
+                self.count(window.nonlocal);
+                value
+            }
+            None => self.miss(g, k),
+        }
+    }
+
+    /// Count one access on a backend that meters.
+    #[inline]
+    fn count(&mut self, nonlocal: bool) {
+        if self.meters {
+            self.costs.local_accesses += usize::from(!nonlocal);
+            self.costs.nonlocal_accesses += usize::from(nonlocal);
+        }
+    }
+
+    /// Where `g` lives, by search: the owned runs (for a distribution
+    /// without runs, the distribution itself), then the schedule's receive
+    /// records.  Changes nothing; panics on an index covered by neither.
+    /// Relies on the schedule invariant that receive records never cover an
+    /// owned index.
+    fn locate(&self, g: usize) -> Span {
+        let rank = self.schedule.rank;
+        match self.runs {
+            Some(runs) => {
+                if let Some(run) = find_run(runs, g) {
+                    return Span::new(run.low, run.high, run.local_base, false);
+                }
+            }
+            None => {
+                if self.dist.is_local(rank, g) {
+                    return Span::new(g, g + 1, self.dist.local_index(g), false);
+                }
+            }
+        }
+        let (low, high, base) = self.schedule.find_record(g).unwrap_or_else(|| {
+            panic!("global index {g} is neither local to rank {rank} nor in its receive schedule")
+        });
+        Span::new(low, high, base, true)
+    }
+
+    /// Everything that is neither a replayed reference nor a window hit,
+    /// out of line so that a hit stays a compare, an add and a load: find
+    /// the element, slice its storage, and make it the ordinal's window —
+    /// or, in the recording sweep, record it instead, which leaves the
+    /// windows empty and brings every reference of that sweep here.
+    /// Panics before anything is charged or changed.
+    #[cold]
+    #[inline(never)]
+    fn miss(&mut self, g: usize, k: usize) -> T {
+        let span = self.locate(g);
+        let (low, nonlocal, end) = (span.low, span.nonlocal, span.base + span.len);
+        let Some(src) = self.storage[usize::from(nonlocal)].get(span.base..end) else {
+            self.outside_storage(g, nonlocal, end)
+        };
+        let offset = g - low;
+        if let MemoPlan::Record { local_len, .. } = self.memo {
+            self.recording
+                .push(g, span.base + offset, nonlocal, local_len);
+        } else if nonlocal || self.runs.is_some() {
+            // Without runs an owned element is a span of one: not worth
+            // the nonlocal record the window may hold.
+            self.windows[k & (WINDOWS - 1)] = Window { low, src, nonlocal };
+        }
+        self.count(nonlocal);
+        src[offset]
+    }
+
+    /// The span that holds `g` ends at `end`, outside its storage.  For a
+    /// receive record there is one way to get here: the local phase has no
+    /// receive buffer, and an iteration the schedule put on the local list
+    /// (every reference owned, when it was planned) asked for `g`.
+    fn outside_storage(&self, g: usize, nonlocal: bool, end: usize) -> ! {
+        let rank = self.schedule.rank;
+        assert!(
+            nonlocal,
+            "rank {rank}: the owned run of global {g} ends at local offset {end}, past the {} \
+             elements passed as local storage",
+            self.local_len,
+        );
+        let mut records = self.schedule.recv_records.iter();
+        let record = records.find(|r| r.low <= g && g < r.high);
+        panic!(
+            "rank {rank}: iteration {} of the local list fetched global {g}, which is received \
+             from rank {}: the schedule was planned for a different reference pattern",
+            self.home.iter,
+            record.expect("a receive record covers it").from_proc,
+        )
     }
 
     /// The local offset of the current iteration's own element under the
@@ -592,37 +620,59 @@ impl<'a, T: Copy, D: Distribution + ?Sized> Fetcher<'a, T, D> {
 
     /// True when the element is stored locally (no communication needed).
     pub fn is_local(&self, g: usize) -> bool {
-        self.resolver.dist.is_local(self.resolver.rank, g)
+        self.dist.is_local(self.schedule.rank, g)
     }
 
     /// Charge `n` floating-point operations to this chunk.
     pub fn charge_flops(&mut self, n: usize) {
-        self.costs.flops += n;
+        if self.meters {
+            self.costs.flops += n;
+        }
     }
 
     /// Charge `n` local memory references to this chunk.
     pub fn charge_mem_refs(&mut self, n: usize) {
-        self.costs.mem_refs += n;
+        if self.meters {
+            self.costs.mem_refs += n;
+        }
     }
 
     /// Charge `n` loop iterations of control overhead to this chunk.
     pub fn charge_loop_iters(&mut self, n: usize) {
-        self.costs.loop_iters += n;
+        if self.meters {
+            self.costs.loop_iters += n;
+        }
     }
 
     /// Charge `n` procedure calls to this chunk.
     pub fn charge_calls(&mut self, n: usize) {
-        self.costs.calls += n;
+        if self.meters {
+            self.costs.calls += n;
+        }
+    }
+
+    /// Start iteration `i`, at `position` of the phase's list: its first
+    /// window reference is ordinal 0 again, and under a memo it is the
+    /// memo's row `position`.
+    #[inline]
+    fn next_iteration(&mut self, position: usize, i: usize) {
+        self.ordinal = 0;
+        self.home.iter = i;
+        match self.memo {
+            MemoPlan::Off => {}
+            MemoPlan::Replay(memo) => self.replay = memo.refs_of(position),
+            MemoPlan::Record { .. } => self.recording.begin_iteration(),
+        }
     }
 
     /// The chunk loop: run `body` for the iterations `iters`, which sit at
     /// positions `start..` of their phase's list, handing each value to
     /// `emit`.  Returns what the chunk cost and what it recorded.
     ///
-    /// Always inlined, so that the fetcher is a local of its caller and its
-    /// counters and windows live in registers: out of line it is reached
-    /// through a pointer, every `charge_*` is a load and a store, and a
-    /// three-fetch stencil sweep was measured 14 % slower for it.
+    /// Always inlined, so that the fetcher is a local of its caller — on
+    /// its stack, not in registers: `miss` takes it by reference, and a body
+    /// LLVM declines to inline reaches it through a pointer anyway.  Hence
+    /// `meters` is a byte tested per charge, not a constant folded away.
     #[inline(always)]
     fn run_chunk<V>(
         mut self,
@@ -631,13 +681,13 @@ impl<'a, T: Copy, D: Distribution + ?Sized> Fetcher<'a, T, D> {
         body: &impl Fn(usize, &mut Self) -> V,
         mut emit: impl FnMut(usize, V),
     ) -> (ChunkCosts, Recording) {
+        // Loop control, one per iteration: only the total is ever charged.
+        self.costs.loop_iters = iters.len();
         for (position, &i) in (start..).zip(iters) {
-            self.costs.loop_iters += 1;
-            self.resolver.next_iteration(position);
-            self.home.iter = i;
+            self.next_iteration(position, i);
             emit(i, body(i, &mut self));
         }
-        (self.costs, self.resolver.recording)
+        (self.costs, self.recording)
     }
 }
 
@@ -729,12 +779,10 @@ where
                 });
             }
         }
-        let fetcher = || Fetcher {
-            local_data,
-            recv_buf,
-            resolver: Resolver::new(data_dist, runs, schedule, memo),
-            home: Home::new(on_dist, home_runs),
-            costs: ChunkCosts::default(),
+        let fetcher = || {
+            let home = Home::new(on_dist, home_runs);
+            let storage = [local_data, recv_buf];
+            Fetcher::new(storage, data_dist, runs, schedule, memo, home, P::METERS)
         };
         // A recording sweep's chunks each record their own iterations,
         // stitched here in list order.
@@ -771,6 +819,8 @@ where
         recording
     };
 
+    // The local list sees no receive buffer under either order, so a body
+    // that reaches for a received element from it fails the same way.
     let recv_buf = if config.overlap {
         // Paper order: local iterations run while messages are in flight.
         run_phase(proc, 0, &schedule.local_iters, &[]);
@@ -778,7 +828,7 @@ where
     } else {
         // Ablation: no overlap — wait for all data first.
         let recv_buf = receive_all(proc, schedule, tag);
-        run_phase(proc, 0, &schedule.local_iters, &recv_buf);
+        run_phase(proc, 0, &schedule.local_iters, &[]);
         recv_buf
     };
     let recording = run_phase(proc, 1, &schedule.nonlocal_iters, &recv_buf);

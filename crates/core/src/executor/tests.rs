@@ -164,7 +164,8 @@ impl Process for MeteredSolo {
     }
 }
 
-/// A fetcher as one chunk of `execute_sweep` builds it.
+/// A fetcher as one chunk of `execute_sweep` builds it on a backend that
+/// meters.
 fn chunk_fetcher<'a, D: Distribution>(
     dist: &'a D,
     runs: Option<&'a [LocalRun]>,
@@ -173,13 +174,23 @@ fn chunk_fetcher<'a, D: Distribution>(
     recv_buf: &'a [f64],
     memo: MemoPlan<'a>,
 ) -> Fetcher<'a, f64, D> {
-    Fetcher {
-        local_data,
-        recv_buf,
-        resolver: Resolver::new(dist, runs, schedule, memo),
-        home: Home::new(dist, runs),
-        costs: ChunkCosts::default(),
-    }
+    let home = Home::new(dist, runs);
+    Fetcher::new(
+        [local_data, recv_buf],
+        dist,
+        runs,
+        schedule,
+        memo,
+        home,
+        true,
+    )
+}
+
+/// The message a caught panic carried (every panic here formats one).
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    *payload
+        .downcast::<String>()
+        .expect("a formatted panic message")
 }
 
 #[test]
@@ -192,40 +203,124 @@ fn schedule_mismatch_panic_leaves_cost_counters_untouched() {
     // unflushed.  Inline, the chunks before it have been flushed and that
     // is all; on the pool nothing of the phase is consumed.  Checked with
     // runs offered (block) and with the per-element fallback (cyclic).
+    //
+    // Two ways for a body not to be the one the schedule was planned for:
+    // it reaches for an element no receive record covers, or — from an
+    // iteration on the local list, which runs without a receive buffer —
+    // for one that *is* received.  The second used to die of a bare `index
+    // out of bounds: the len is 0` under `overlap` and run to the end
+    // without it.
+    use distrib::IndexSet;
     for dist in [DimDist::block(8, 2), DimDist::cyclic(8, 2)] {
         // Rank 0 runs its four owned iterations in two chunks of two; the
-        // second chunk's second iteration reaches for rank 1's element 5,
-        // which no receive record covers.
+        // second chunk's second iteration reaches for rank 1's element 5.
         let owned: Vec<usize> = dist.local_set(0).iter().collect();
-        let schedule = CommSchedule::from_recv_sets(0, &[], owned.clone(), vec![]);
-        let local_data = [0.0f64; 4];
-        for (workers, chunks_charged) in [(1usize, 1u64), (2, 0)] {
-            let mut proc = MeteredSolo::default();
+        let unscheduled = "global index 5 is neither local to rank 0 nor in its receive schedule";
+        let received = format!(
+            "rank 0: iteration {} of the local list fetched global 5, which is received from \
+             rank 1: the schedule was planned for a different reference pattern",
+            owned[3]
+        );
+        for (recv_sets, message) in [
+            (vec![], unscheduled),
+            (
+                vec![IndexSet::new(), IndexSet::from_range(5, 6)],
+                &*received,
+            ),
+        ] {
+            let schedule = CommSchedule::from_recv_sets(0, &recv_sets, owned.clone(), vec![]);
+            let local_data = [0.0f64; 4];
+            for (workers, chunks_charged) in [(1usize, 1u64), (2, 0)] {
+                let mut proc = MeteredSolo::default();
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    execute_sweep(
+                        &mut proc,
+                        ExecutorConfig::default()
+                            .with_workers(workers)
+                            .with_chunk(2),
+                        &schedule,
+                        &dist,
+                        &dist,
+                        &local_data,
+                        |i, fetch| fetch.fetch(if i == owned[3] { 5 } else { i }),
+                        |_, _| {},
+                    )
+                }));
+                let what = format!("{} at workers={workers}", dist.kind_name());
+                let panic = result.expect_err("a fetch the schedule does not cover must panic");
+                assert_eq!(panic_message(panic), message, "{what}");
+                assert_eq!(proc.local_charges, 2 * chunks_charged, "{what}");
+                assert_eq!(proc.nonlocal_charges, 0, "{what}");
+                assert_eq!(
+                    proc.counters(),
+                    crate::process::Counters {
+                        loop_iters: 2 * chunks_charged,
+                        ..Default::default()
+                    },
+                    "{what}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_received_element_fetched_from_the_local_list_fails_under_either_overlap() {
+    // The local list never sees the receive buffer, with or without
+    // overlap: the same wrong body fails the same way under both knobs.
+    let n = 16;
+    for overlap in [true, false] {
+        let machine = Machine::new(2, CostModel::ncube7());
+        let messages = machine.run(|proc| {
+            let dist = DimDist::block(n, proc.nprocs());
+            let rank = proc.rank();
+            let local: Vec<f64> = dist.local_set(rank).iter().map(|g| g as f64).collect();
+            let exec = owner_computes_iters(&dist, rank, n);
+            // Planned: only the rank's first iteration reads the peer's
+            // element 8 − rank; every other iteration reads its own.
+            let across = |i: usize| if i == exec[0] { n / 2 - rank } else { i };
+            let schedule = run_inspector(proc, &dist, &exec, |i, refs| refs.push(across(i)));
+            assert_eq!(schedule.nonlocal_iters, [exec[0]]);
+            let before = (proc.counters(), proc.time().to_bits());
+            // Executed: its second iteration does so too.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 execute_sweep(
-                    &mut proc,
-                    ExecutorConfig::default()
-                        .with_workers(workers)
-                        .with_chunk(2),
+                    proc,
+                    ExecutorConfig::default().with_overlap(overlap),
                     &schedule,
                     &dist,
                     &dist,
-                    &local_data,
-                    |i, fetch| fetch.fetch(if i == owned[3] { 5 } else { i }),
-                    |_, _| {},
+                    &local,
+                    |i, fetch| {
+                        fetch.fetch(if i == exec[1] {
+                            across(exec[0])
+                        } else {
+                            across(i)
+                        })
+                    },
+                    |_, _: f64| {},
                 )
             }));
-            assert!(result.is_err(), "unscheduled fetch must panic");
-            let what = format!("{} at workers={workers}", dist.kind_name());
-            assert_eq!(proc.local_charges, 2 * chunks_charged, "{what}");
-            assert_eq!(proc.nonlocal_charges, 0, "{what}");
+            let message = panic_message(result.expect_err("the local list has no receive buffer"));
+            // Under overlap the halo is still in flight: let it land before
+            // its destination goes away.
+            proc.barrier();
+            // Nothing of the failing chunk was charged: what the clock and
+            // the counters moved by is the messages alone.
+            let charged = proc.counters().since(&before.0);
+            assert_eq!((charged.loop_iters, charged.nonlocal_refs), (0, 0));
+            (message, exec[1], across(exec[0]))
+        });
+        for (rank, (message, iteration, global)) in messages.into_iter().enumerate() {
             assert_eq!(
-                proc.counters(),
-                crate::process::Counters {
-                    loop_iters: 2 * chunks_charged,
-                    ..Default::default()
-                },
-                "{what}"
+                message,
+                format!(
+                    "rank {rank}: iteration {iteration} of the local list fetched global \
+                     {global}, which is received from rank {}: the schedule was planned for a \
+                     different reference pattern",
+                    1 - rank
+                ),
+                "overlap={overlap}"
             );
         }
     }
@@ -266,7 +361,7 @@ fn chunk_fetcher_window_agrees_with_the_schedule_search() {
                 }
                 None => local_data[dist.local_index(g)],
             };
-            fetcher.resolver.next_iteration(0);
+            fetcher.next_iteration(0, 0);
             assert_eq!(fetcher.fetch(g).to_bits(), expected.to_bits());
         }
         assert_eq!(fetcher.costs.nonlocal_accesses, nonlocal);
@@ -295,14 +390,35 @@ fn definitional<D: Distribution + ?Sized>(
     }
 }
 
+/// Which way the references of one execution went, told from the fetcher's
+/// own state before each fetch (the replay cursor's head, the ordinal's
+/// window) and checked against what the fetch then did to it.
+#[derive(Debug, Default, PartialEq)]
+struct Paths {
+    /// What the memo was used for: `"off"`, `"record"` or `"replay"`.
+    memo: &'static str,
+    /// Read off the replay cursor.
+    replayed: usize,
+    /// Window hits, and those of them that followed a replay mismatch.
+    hits: usize,
+    hits_after_mismatch: usize,
+    /// Hits on the last element of a window that ends where the local
+    /// storage, or the receive buffer, ends.
+    hits_at_the_end_of: [usize; 2],
+    /// References that reached `miss` (panicking ones included).
+    misses: usize,
+}
+
 /// One execution of `schedule`'s nonlocal phase as the executor runs it
 /// — `begin_execution`, a fetcher over `iterations` (the references of
 /// the iteration at each position of the nonlocal list), the recording
 /// kept, the costs flushed — comparing every reference with the
 /// definitional route: value bits, which hook is charged, and — for an
 /// index that is neither owned nor scheduled — a panic that charges
-/// nothing and disturbs nothing.  Returns what the memo was used for:
-/// `"off"`, `"record"` or `"replay"`.
+/// nothing and disturbs nothing.  A replaying execution also checks the
+/// memo it replays against `recorded`, the body of the recording sweep:
+/// every reference that sweep fetched, in order, at its definitional slot.
+/// Returns the paths the references took.
 fn assert_execution_matches_the_definitional_route<D: Distribution>(
     dist: &D,
     runs: Option<&[LocalRun]>,
@@ -310,17 +426,63 @@ fn assert_execution_matches_the_definitional_route<D: Distribution>(
     local_data: &[f64],
     recv_buf: &[f64],
     iterations: &[Vec<usize>],
-) -> &'static str {
+    recorded: &[Vec<usize>],
+) -> Paths {
     let rank = schedule.rank;
     assert_eq!(schedule.nonlocal_iters.len(), iterations.len());
     let memo = schedule.begin_execution(dist, local_data.len());
+    let mut paths = Paths {
+        memo: match memo {
+            MemoPlan::Off => "off",
+            MemoPlan::Record { .. } => "record",
+            MemoPlan::Replay(_) => "replay",
+        },
+        ..Paths::default()
+    };
+    if let MemoPlan::Replay(memo) = memo {
+        for (position, refs) in recorded.iter().enumerate() {
+            let slot_of = |&g: &usize| {
+                let local = dist.is_local(rank, g).then(|| (dist.local_index(g), false));
+                let slot = local.or_else(|| schedule.find(g).map(|pos| (pos, true)));
+                slot.map(|slot| (g, slot))
+            };
+            let learned = memo.refs_of(position).iter();
+            assert_eq!(
+                learned
+                    .map(|e| (e.global as usize, e.slot(local_data.len())))
+                    .collect::<Vec<_>>(),
+                refs.iter().filter_map(slot_of).collect::<Vec<_>>(),
+                "memo row {position}"
+            );
+        }
+    }
     let mut fetcher = chunk_fetcher(dist, runs, schedule, local_data, recv_buf, memo);
     let (mut local, mut nonlocal) = (0usize, 0usize);
     for (position, refs) in iterations.iter().enumerate() {
-        fetcher.resolver.next_iteration(position);
+        fetcher.next_iteration(position, schedule.nonlocal_iters[position]);
         for &g in refs {
+            // The way this reference is about to go.
+            let ordinal = fetcher.ordinal;
+            let replays = fetcher.replay.first().map(|e| e.global as usize == g);
+            let window = fetcher.windows[ordinal & (WINDOWS - 1)];
+            let offset = g.wrapping_sub(window.low);
+            if replays == Some(true) {
+                paths.replayed += 1;
+            } else if offset < window.src.len() {
+                paths.hits += 1;
+                paths.hits_after_mismatch += usize::from(replays == Some(false));
+                let storage = [local_data, recv_buf][usize::from(window.nonlocal)];
+                let at_the_end = offset + 1 == window.src.len()
+                    && window.src.as_ptr_range().end == storage.as_ptr_range().end;
+                paths.hits_at_the_end_of[usize::from(window.nonlocal)] += usize::from(at_the_end);
+            } else {
+                paths.misses += 1;
+            }
             let expected = definitional(dist, schedule, local_data, recv_buf, g);
             let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fetcher.fetch(g)));
+            // A reference that went to the windows took an ordinal.
+            let took = usize::from(replays != Some(true));
+            assert_eq!(fetcher.ordinal, ordinal + took, "g={g}");
             match expected {
                 Some((is_nonlocal, bits)) => {
                     assert_eq!(got.ok().map(f64::to_bits), Some(bits), "g={g}");
@@ -328,16 +490,13 @@ fn assert_execution_matches_the_definitional_route<D: Distribution>(
                     nonlocal += usize::from(is_nonlocal);
                 }
                 None => {
-                    let message = got
-                        .err()
-                        .and_then(|p| p.downcast::<String>().ok())
-                        .expect("an unscheduled index panics with a message");
+                    let message = got.err().map(panic_message);
                     assert_eq!(
-                        *message,
-                        format!(
+                        message,
+                        Some(format!(
                             "global index {g} is neither local to rank {rank} \
                              nor in its receive schedule"
-                        )
+                        ))
                     );
                 }
             }
@@ -362,12 +521,8 @@ fn assert_execution_matches_the_definitional_route<D: Distribution>(
     };
     assert_eq!(proc.counters(), counters);
     // What the fetcher learned, the executor keeps.
-    schedule.finish_execution(memo, fetcher.resolver.recording);
-    match memo {
-        MemoPlan::Off => "off",
-        MemoPlan::Record { .. } => "record",
-        MemoPlan::Replay(_) => "replay",
-    }
+    schedule.finish_execution(memo, fetcher.recording);
+    paths
 }
 
 mod resolver_properties {
@@ -386,11 +541,13 @@ mod resolver_properties {
                     return IndexSet::new();
                 }
                 IndexSet::from_ranges(dist.local_set(q).ranges().iter().filter_map(|r| {
-                    // Keep a random sub-range of roughly two in three.
+                    // Keep a random sub-range of roughly two in three, one
+                    // in four of them a single element.
                     let pick = *picks.next().expect("cycle never ends");
                     let len = r.end - r.start;
                     let lo = r.start + pick % len;
-                    let hi = lo + 1 + (pick / 7) % (r.end - lo);
+                    let more = if pick.is_multiple_of(4) { 0 } else { pick / 7 };
+                    let hi = lo + 1 + more % (r.end - lo);
                     (pick % 3 < 2).then_some(IndexRange::new(lo, hi))
                 }))
             })
@@ -419,6 +576,40 @@ mod resolver_properties {
                     .collect()
             })
             .collect()
+    }
+
+    /// The references the generator above cannot be trusted to produce:
+    /// one iteration fetching both ends of every receive record and of
+    /// every owned range, nine references at the least (the ordinals
+    /// wrap); then, an iteration apiece and so on ordinal 0 every time,
+    /// the last owned element twice and the last received element twice
+    /// — the second of a pair hits the window the first installed, on
+    /// the final element of its storage.  `swapped`, the pairs trade
+    /// places: what a body that changed since the recording would fetch,
+    /// every one of them a replay mismatch.
+    fn edge_iterations(dist: &DimDist, schedule: &CommSchedule, swapped: bool) -> Vec<Vec<usize>> {
+        let rank = schedule.rank;
+        let records = schedule.recv_records.iter();
+        let mut ends: Vec<usize> = records.flat_map(|r| [r.low, r.high - 1]).collect();
+        let owned = dist.local_set(rank);
+        ends.extend(owned.ranges().iter().flat_map(|r| [r.start, r.end - 1]));
+        let last_owned = dist.local_count(rank).checked_sub(1);
+        let last_owned = last_owned.map(|l| dist.global_index(rank, l));
+        let mut last_received = schedule.recv_records.iter();
+        let last_received = last_received
+            .find(|r| r.buffer + r.len() == schedule.recv_len)
+            .map(|r| r.high - 1);
+        // A rank with neither reaches for an element it cannot have.
+        ends.push(last_owned.or(last_received).unwrap_or(0));
+        while ends.len() <= WINDOWS {
+            ends.extend_from_within(..);
+        }
+        let mut pairs = [last_owned, last_owned, last_received, last_received];
+        if swapped {
+            pairs.rotate_left(2);
+        }
+        let pairs = pairs.into_iter().flatten().map(|g| vec![g]);
+        std::iter::once(ends).chain(pairs).collect()
     }
 
     /// `iterations` as a body that changed since the memo was recorded
@@ -502,9 +693,11 @@ mod resolver_properties {
                 _ => DimDist::flattened(ArrayDist::block_cols(n / 8, 3 * p, p)),
             };
             let rank = rank_pick % p;
-            let iterations = random_iterations(dist.n(), &seeds);
-            let changed = changed_body(&iterations, dist.n(), &seeds);
             let mut fresh = random_schedule(dist.as_dyn(), rank, &picks);
+            let mut iterations = random_iterations(dist.n(), &seeds);
+            let mut changed = changed_body(&iterations, dist.n(), &seeds);
+            iterations.extend(edge_iterations(&dist, &fresh, false));
+            changed.extend(edge_iterations(&dist, &fresh, true));
             fresh.nonlocal_iters = (0..iterations.len()).collect();
             let local_data: Vec<f64> = (0..dist.local_count(rank))
                 .map(|l| 1.0 + dist.global_index(rank, l) as f64)
@@ -523,28 +716,54 @@ mod resolver_properties {
                 let bytes = schedule.approx_bytes();
                 let run = |data: &[f64], body: &[Vec<usize>]| {
                     assert_execution_matches_the_definitional_route(
-                        &dist, runs, &schedule, data, &recv_buf, body,
+                        &dist, runs, &schedule, data, &recv_buf, body, &iterations,
                     )
                 };
-                // Plain, recording, replay …
-                prop_assert_eq!(run(&local_data, &iterations), "off");
+                // The second of an edge pair hits the last element of its
+                // storage: of the owned run when runs are offered, of the
+                // receive buffer either way.
+                let ends_hit = |local: bool, received: bool| {
+                    [usize::from(runs.is_some() && local), usize::from(received)]
+                };
+                let hits_ends = |paths: &Paths, ends: [usize; 2]| {
+                    (0..2).all(|kind| paths.hits_at_the_end_of[kind] >= ends[kind])
+                };
+                let (local, received) = (!local_data.is_empty(), !recv_buf.is_empty());
+                // Plain: windows and searches.
+                let plain = run(&local_data, &iterations);
+                prop_assert_eq!(plain.memo, "off");
+                prop_assert_eq!(plain.replayed, 0);
+                prop_assert!(hits_ends(&plain, ends_hit(local, received)), "{:?}", plain);
                 prop_assert_eq!(schedule.approx_bytes(), bytes);
-                prop_assert_eq!(run(&local_data, &iterations), "record");
+                // Recording: the very same references, which would hit
+                // those windows, all reach `miss` and are all recorded
+                // (every replaying run below checks the memo's rows).
+                let recording = run(&local_data, &iterations);
+                prop_assert_eq!(recording.memo, "record");
+                prop_assert_eq!((recording.replayed, recording.hits), (0, 0));
+                prop_assert_eq!(recording.misses, plain.hits + plain.misses);
                 prop_assert!(schedule.approx_bytes() > bytes);
-                prop_assert_eq!(run(&local_data, &iterations), "replay");
-                // … of a body that changed since: partial hits, then
-                // the long way; and of the recorded one again.
-                prop_assert_eq!(run(&local_data, &changed), "replay");
-                prop_assert_eq!(run(&local_data, &iterations), "replay");
+                // Replay (a panicking reference is in no memo, and the
+                // rest of its iteration goes to the windows after it).
+                let replay = run(&local_data, &iterations);
+                prop_assert_eq!(replay.memo, "replay");
+                // … of a body that changed since: partial hits, then the
+                // windows — where there are two edge pairs to swap, all
+                // four references mismatch and the second of each pair
+                // hits — and of the recorded one again.
+                let other = run(&local_data, &changed);
+                prop_assert_eq!(other.memo, "replay");
+                let swapped = ends_hit(local && received, local && received);
+                prop_assert!(hits_ends(&other, swapped), "{:?}", other);
+                prop_assert!(other.hits_after_mismatch >= swapped[0] + swapped[1], "{:?}", other);
+                prop_assert_eq!(run(&local_data, &iterations), replay);
                 // Under another placement the memo is ignored.
-                prop_assert_eq!(run(&longer, &iterations), "off");
-                prop_assert_eq!(
-                    assert_execution_matches_the_definitional_route(
-                        &renamed, None, &schedule, &local_data, &recv_buf, &changed,
-                    ),
-                    "off"
+                prop_assert_eq!(run(&longer, &iterations).memo, "off");
+                let elsewhere = assert_execution_matches_the_definitional_route(
+                    &renamed, None, &schedule, &local_data, &recv_buf, &changed, &[],
                 );
-                prop_assert_eq!(run(&local_data, &changed), "replay");
+                prop_assert_eq!(elsewhere.memo, "off");
+                prop_assert_eq!(run(&local_data, &changed), other);
             }
         }
     }

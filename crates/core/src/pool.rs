@@ -34,8 +34,8 @@ pub fn runs_inline(workers: usize, n_chunks: usize) -> bool {
 /// * Deterministic: the sequence of `consume` calls depends only on `run`
 ///   and `n_chunks`, never on scheduling.
 /// * Panic-safe: a panic inside `run` on any worker propagates to the
-///   caller when the scope joins; no result of that phase is consumed
-///   after it.
+///   caller, payload and all, once every worker has stopped; no result of
+///   that phase is consumed after it.
 /// * Streaming when serial: `workers <= 1` or `n_chunks <= 1` runs inline
 ///   with no thread, no channel, no atomics, and consumes each result
 ///   before the next chunk runs, so only one result is alive at a time.
@@ -60,22 +60,24 @@ where
     let n_threads = workers.min(n_chunks);
 
     std::thread::scope(|scope| {
-        for _ in 1..n_threads {
-            let tx = tx.clone();
-            let next = &next;
-            let run = &run;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n_chunks {
-                    break;
-                }
-                // A send can only fail after the receiver is gone, which
-                // only happens if the scope is already unwinding.
-                if tx.send((i, run(i))).is_err() {
-                    break;
-                }
-            });
-        }
+        let spawned: Vec<_> = (1..n_threads)
+            .map(|_| {
+                let tx = tx.clone();
+                let next = &next;
+                let run = &run;
+                scope.spawn(move || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n_chunks {
+                        break;
+                    }
+                    // A send can only fail after the receiver is gone, which
+                    // only happens if the scope is already unwinding.
+                    if tx.send((i, run(i))).is_err() {
+                        break;
+                    }
+                })
+            })
+            .collect();
         // The calling thread claims chunks too: with W workers requested,
         // W threads compute (W - 1 spawned + this one).
         loop {
@@ -88,10 +90,16 @@ where
         }
         drop(tx);
         // Spawned workers' results drain here; `recv` errors exactly when
-        // every sender is dropped (worker finished or panicked).  A worker
-        // panic surfaces when the scope joins, below.
+        // every sender is dropped (worker finished or panicked).
         while let Ok((i, v)) = rx.recv() {
             slots[i] = Some(v);
+        }
+        // A worker's panic continues on the caller with its own message;
+        // left to the scope's join it would read "a scoped thread panicked".
+        for worker in spawned {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
 

@@ -368,6 +368,7 @@ impl CommSchedule {
     /// window, so a run of references landing in the same record resolves
     /// by offset arithmetic alone and pays the `O(log r)` search only when
     /// the run leaves the window.
+    #[inline]
     pub fn find_record(&self, global: usize) -> Option<(usize, usize, usize)> {
         let idx = self.lookup.partition_point(|&(low, _, _)| low <= global);
         if idx == 0 {
@@ -496,15 +497,19 @@ impl TranslationMemo {
     pub(crate) fn refs_of(&self, position: usize) -> &[MemoEntry] {
         &self.entries[self.starts[position] as usize..self.starts[position + 1] as usize]
     }
+}
 
-    /// Where a recorded reference lives: `(position, nonlocal)` — a
-    /// position in the receive buffer when `nonlocal`, in the local storage
-    /// otherwise.
+impl MemoEntry {
+    /// Where the reference lives in a sweep whose local storage holds
+    /// `local_len` elements (the memo's own, or it would not be replayed):
+    /// `(position, nonlocal)` — a position in the receive buffer when
+    /// `nonlocal`, in the local storage otherwise.  Arithmetic on the flag,
+    /// so that nothing here can become a branch on a coin flip.
     #[inline]
-    pub(crate) fn slot(&self, entry: MemoEntry) -> (usize, bool) {
-        let slot = entry.slot as usize;
-        let nonlocal = slot >= self.local_len;
-        (slot - if nonlocal { self.local_len } else { 0 }, nonlocal)
+    pub(crate) fn slot(self, local_len: usize) -> (usize, bool) {
+        let slot = self.slot as usize;
+        let nonlocal = slot >= local_len;
+        (slot - usize::from(nonlocal) * local_len, nonlocal)
     }
 }
 

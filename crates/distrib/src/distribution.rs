@@ -91,6 +91,7 @@ pub(crate) fn runs_if_long(runs: Vec<LocalRun>) -> Option<Vec<LocalRun>> {
 
 /// The run of `runs` (sorted, disjoint — what [`Distribution::local_runs`]
 /// returns) covering global index `g`, by binary search.
+#[inline]
 pub fn find_run(runs: &[LocalRun], g: usize) -> Option<&LocalRun> {
     let idx = runs.partition_point(|r| r.low <= g);
     let run = runs.get(idx.checked_sub(1)?)?;

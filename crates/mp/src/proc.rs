@@ -158,6 +158,9 @@ impl Drop for MpProc {
 }
 
 impl Process for MpProc {
+    /// No cost hook is overridden: a wall-clock backend charges nothing.
+    const METERS: bool = false;
+
     fn rank(&self) -> usize {
         self.rank
     }

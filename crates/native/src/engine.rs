@@ -203,6 +203,9 @@ impl NativeProc {
 }
 
 impl Process for NativeProc {
+    /// No cost hook is overridden: a wall-clock backend charges nothing.
+    const METERS: bool = false;
+
     fn rank(&self) -> usize {
         self.rank
     }

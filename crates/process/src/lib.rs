@@ -13,10 +13,11 @@
 //!   paper's tables are reproduced.
 //! * `kali_native::NativeProc` — a **native** backend running one OS thread
 //!   per process with channel-based messaging, for wall-clock execution.
-//!   It leaves the cost hooks at their no-op defaults.
+//!   It leaves the cost hooks at their no-op defaults and says so
+//!   ([`Process::METERS`] is `false`).
 //! * `kali_mp::MpProc` — the **multi-process** backend: one OS process (or
 //!   thread) per rank, every message a [`Wire`]-encoded frame over a
-//!   Unix-domain socket.
+//!   Unix-domain socket.  It does not meter either.
 //!
 //! The trait is deliberately minimal: ranks, typed point-to-point
 //! `send`/`recv` matched on `(source, tag)`, the collective shapes the
@@ -35,6 +36,25 @@
 //! [`collectives`] holds the dissemination barrier (which the simulator
 //! uses as well), the direct all-to-all and the direct allgather as free
 //! functions over any [`Process`].
+//!
+//! ## Metering is a fact about the backend
+//!
+//! Whether the cost hooks do anything is known when a backend is written,
+//! so it is an associated constant, [`Process::METERS`], not something the
+//! runtime finds out call by call.  The executor counts accesses, flops and
+//! loop iterations per chunk of iterations and flushes the totals into the
+//! hooks; where `METERS` is `false` it skips the counting as well as the
+//! flush, and a local reference costs what the paper (§4) says it costs.
+//!
+//! * **Who sets it.**  `kali_native::NativeProc` and `kali_mp::MpProc` set
+//!   `false`: they override no hook.  `dmsim::Proc` keeps the default.  A
+//!   wrapper that forwards the hooks to an inner `P` should forward the
+//!   constant too (`const METERS: bool = P::METERS;`).
+//! * **Why the default meters.**  The wrong `true` costs a few counter
+//!   updates per reference; the wrong `false` silently stops a simulated
+//!   clock.  So every backend, wrapper and test mock that does not opt out
+//!   sees the charge sequence it always saw, bit for bit, and `false` is a
+//!   promise only its author can make: *no* `charge_*` hook is overridden.
 //!
 //! The [`tags`] module centralises the tag-space layout shared by every
 //! runtime component so tag ranges are disjoint by construction.  The
@@ -159,8 +179,9 @@ impl Counters {
 /// * **Cost hooks.**  The `charge_*` family lets the runtime meter the
 ///   abstract operations the paper's cost model prices (flops, memory
 ///   references, locality checks, binary-search steps, record handling).
-///   They default to no-ops, so a wall-clock backend pays nothing; the
-///   simulator overrides them to advance its logical clock.
+///   They default to no-ops, so a wall-clock backend pays nothing — not
+///   even the runtime's counting, once it sets [`Process::METERS`] to
+///   `false`; the simulator overrides them to advance its logical clock.
 pub trait Process {
     /// This process's rank, in `0..nprocs`.
     fn rank(&self) -> usize;
@@ -373,6 +394,12 @@ pub trait Process {
     // ----------------------------------------------------------------
     // Cost-charging hooks (no-ops unless the backend meters them)
     // ----------------------------------------------------------------
+
+    /// Whether any `charge_*` hook of this backend does anything (see
+    /// *Metering is a fact about the backend* in the crate docs).  `false`
+    /// is a promise that every one of them is the no-op default; the
+    /// runtime then skips the counting that would only feed them.
+    const METERS: bool = true;
 
     /// Charge `n` floating-point operations.
     fn charge_flops(&mut self, _n: usize) {}

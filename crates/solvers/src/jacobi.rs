@@ -203,7 +203,7 @@ pub fn jacobi_sweeps<P: Process>(
     // the closed form (zero planning messages), reduced through the typed
     // pipeline.
     let convergence = session.loop_1d(n, dist.clone());
-    let exec_iters = relaxation.exec_iters(rank);
+    debug_assert_eq!(relaxation.exec_iters(rank).len(), local_rows);
 
     let start_clock = proc.time();
     let counters_start = proc.counters();
@@ -242,7 +242,6 @@ pub fn jacobi_sweeps<P: Process>(
         // (on a worker thread when the session has several); the sink
         // applies the writes on the calling thread in ascending iteration
         // order.
-        debug_assert_eq!(exec_iters.len(), local_rows);
         {
             let a_mut = &mut a;
             session.execute(

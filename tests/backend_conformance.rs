@@ -7,14 +7,20 @@
 //! recorded traces must be *equal*.  The simulator routes its exchange
 //! through the crystal router and completes it with wildcard receives, so it
 //! agrees on content, not on order or on the message pattern.
+//!
+//! What the backends declare about themselves is checked here as well:
+//! [`Process::METERS`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use kali_repro::dmsim::{CostModel, Machine};
-use kali_repro::mp::MpMachine;
-use kali_repro::native::NativeMachine;
+use kali_repro::distrib::DimDist;
+use kali_repro::dmsim::{self, CostModel, Machine};
+use kali_repro::kali::inspector::{owner_computes_iters, run_inspector};
+use kali_repro::kali::{execute_sweep, ExecutorConfig};
+use kali_repro::mp::{MpMachine, MpProc};
+use kali_repro::native::{NativeMachine, NativeProc};
 use kali_repro::process::trace::{Event, EventKind};
-use kali_repro::process::Process;
+use kali_repro::process::{Process, Wire};
 
 /// What one rank observed.
 struct Seen {
@@ -95,5 +101,146 @@ fn direct_collectives_conform_across_backends() {
             channels.dedup();
             assert_eq!(channels.len(), sent, "a channel is reused, {at}");
         }
+    }
+}
+
+/// A backend handle wrapped the way a tracing or timing layer would wrap it:
+/// every message forwarded, every charge written down — and
+/// [`Process::METERS`] not mentioned, so it is the metering default.
+struct Ledger<'a, P: Process> {
+    inner: &'a mut P,
+    charges: Vec<(&'static str, usize)>,
+}
+
+impl<P: Process> Process for Ledger<'_, P> {
+    fn rank(&self) -> usize {
+        self.inner.rank()
+    }
+    fn nprocs(&self) -> usize {
+        self.inner.nprocs()
+    }
+    fn send<T: Wire>(&mut self, dst: usize, tag: u64, value: T) {
+        self.inner.send(dst, tag, value)
+    }
+    fn send_vec<T: Wire>(&mut self, dst: usize, tag: u64, values: Vec<T>) {
+        self.inner.send_vec(dst, tag, values)
+    }
+    fn recv<T: Wire>(&mut self, src: usize, tag: u64) -> T {
+        self.inner.recv(src, tag)
+    }
+    fn barrier(&mut self) {
+        self.inner.barrier()
+    }
+    fn exchange<T: Wire>(&mut self, items: Vec<(usize, T)>) -> Vec<T> {
+        self.inner.exchange(items)
+    }
+    fn allgather<T: Clone + Wire>(&mut self, items: Vec<T>) -> Vec<Vec<T>> {
+        self.inner.allgather(items)
+    }
+    fn charge_flops(&mut self, n: usize) {
+        self.charges.push(("flops", n));
+    }
+    fn charge_mem_refs(&mut self, n: usize) {
+        self.charges.push(("mem_refs", n));
+    }
+    fn charge_loop_iters(&mut self, n: usize) {
+        self.charges.push(("loop_iters", n));
+    }
+    fn charge_calls(&mut self, n: usize) {
+        self.charges.push(("calls", n));
+    }
+    fn charge_local_access(&mut self) {
+        self.charges.push(("local_access", 1));
+    }
+    fn charge_nonlocal_access(&mut self, ranges: usize) {
+        self.charges.push(("nonlocal_access", ranges));
+    }
+}
+
+/// The shift of Figure 1 under a [`Ledger`], with a body that charges: what
+/// two sweeps charged this rank, hook by hook, and the shifted values.
+fn metered_shift<P: Process>(proc: &mut P) -> (Vec<(&'static str, usize)>, Vec<f64>) {
+    let n = 40;
+    let mut ledger = Ledger {
+        inner: proc,
+        charges: Vec::new(),
+    };
+    let dist = DimDist::block(n, ledger.nprocs());
+    let rank = ledger.rank();
+    let local: Vec<f64> = dist.local_set(rank).iter().map(|g| g as f64).collect();
+    let exec = owner_computes_iters(&dist, rank, n - 1);
+    let schedule = run_inspector(&mut ledger, &dist, &exec, |i, refs| refs.push(i + 1));
+    ledger.charges.clear(); // the inspector's own
+    let mut shifted = local.clone();
+    // Inline with one chunk, then on the pool with chunks of four.
+    for (sweep, (workers, chunk)) in [(1, 0), (3, 4)].into_iter().enumerate() {
+        execute_sweep(
+            &mut ledger,
+            ExecutorConfig::sweep(sweep)
+                .with_workers(workers)
+                .with_chunk(chunk),
+            &schedule,
+            &dist,
+            &dist,
+            &local,
+            |i, fetch| {
+                fetch.charge_flops(2);
+                fetch.charge_mem_refs(3);
+                fetch.charge_calls(1);
+                (fetch.home(), fetch.fetch(i + 1))
+            },
+            |_, (l, v)| shifted[l] = v,
+        );
+    }
+    (ledger.charges, shifted)
+}
+
+#[test]
+fn metering_is_a_fact_about_the_backend_and_the_default_meters() {
+    // The simulator prices every hook, native and mp override none, and a
+    // wrapper that says nothing meters whatever it wraps.
+    let meters = [
+        dmsim::Proc::METERS,
+        NativeProc::METERS,
+        MpProc::METERS,
+        Ledger::<NativeProc>::METERS,
+    ];
+    assert_eq!(meters, [true, false, false, true]);
+
+    // So the wrapper is charged on native and on mp what it is charged on
+    // the simulator, hook by hook and in the same order, however the sweep
+    // is chunked.
+    let simulated = Machine::new(2, CostModel::ncube7()).run(metered_shift);
+    let native = NativeMachine::new(2).run(metered_shift);
+    let mp = MpMachine::new(2).run_threads(metered_shift);
+    for rank in 0..2 {
+        let (charges, shifted) = &simulated[rank];
+        let total = |hook| -> usize {
+            let of_hook = charges.iter().filter(|(name, _)| *name == hook);
+            of_hook.map(|&(_, n)| n).sum()
+        };
+        // 20 owned iterations on rank 0, 19 on rank 1 (the last element
+        // has no right neighbour), two sweeps of each.
+        let iterations = 2 * (20 - rank);
+        assert_eq!(total("loop_iters"), iterations, "rank {rank}");
+        assert_eq!(total("flops"), 2 * iterations, "rank {rank}");
+        assert_eq!(total("calls"), iterations, "rank {rank}");
+        let accesses = |hook| charges.iter().filter(|(name, _)| *name == hook).count();
+        assert_eq!(
+            accesses("local_access") + accesses("nonlocal_access"),
+            iterations,
+            "rank {rank}"
+        );
+        assert_eq!(accesses("nonlocal_access"), 2 * (1 - rank), "rank {rank}");
+        assert_eq!(
+            &native[rank],
+            &(charges.clone(), shifted.clone()),
+            "native, rank {rank}"
+        );
+        assert_eq!(
+            &mp[rank],
+            &(charges.clone(), shifted.clone()),
+            "mp, rank {rank}"
+        );
     }
 }
