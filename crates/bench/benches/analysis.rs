@@ -7,9 +7,8 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use distrib::DimDist;
 use dmsim::{CostModel, Machine};
-use kali_core::analysis::{analyze, LoopSpec};
 use kali_core::inspector::owner_computes_iters;
-use kali_core::{run_inspector, AffineMap};
+use kali_core::{run_inspector, AffineMap, IterSpace, Span};
 
 fn bench_analysis(c: &mut Criterion) {
     let mut group = c.benchmark_group("analysis");
@@ -17,11 +16,8 @@ fn bench_analysis(c: &mut Criterion) {
         let p = 8usize;
         // Compile-time closed form: pure local computation, measured on the
         // host without the simulator.
-        let spec = LoopSpec::on_owner(
-            n - 1,
-            DimDist::block(n, p),
-            vec![AffineMap::shift(-1), AffineMap::shift(1)],
-        );
+        let (space, dist) = (Span::upto(n - 1), DimDist::block(n, p));
+        let refs = [AffineMap::shift(-1), AffineMap::shift(1)];
         group.bench_with_input(
             BenchmarkId::new("compile_time_closed_form", n),
             &n,
@@ -29,7 +25,8 @@ fn bench_analysis(c: &mut Criterion) {
                 b.iter(|| {
                     let mut total = 0usize;
                     for rank in 0..p {
-                        let s = analyze(black_box(&spec), rank).unwrap();
+                        let s = black_box(&space).analyze(&dist, &dist, &refs, rank);
+                        let s = s.expect("shifts have a closed form");
                         total += s.recv_len;
                     }
                     total

@@ -3,7 +3,7 @@
 //! loop (affine subscripts) with the compile-time analyser vs the inspector.
 use distrib::DimDist;
 use dmsim::{CostModel, Machine};
-use kali_core::{AffineMap, ParallelLoop, ScheduleCache};
+use kali_core::{AffineMap, Session};
 
 fn main() {
     let n = if bench_tables::quick_mode() {
@@ -22,24 +22,22 @@ fn main() {
             // Compile-time path.
             let (ct, _) = machine.run_stats(|proc| {
                 let dist = DimDist::block(n, proc.nprocs());
-                let loop_ = ParallelLoop::over_1d(1, n - 1, dist.clone());
-                let mut cache = ScheduleCache::new();
-                let before = proc.clock();
-                let s = loop_.plan(proc, &mut cache, &dist, &[AffineMap::shift(1)], 0);
+                let mut session = Session::new();
+                let loop_ = session.loop_1d(n - 1, dist.clone());
+                let s = session.plan(proc, &loop_, &dist, &[AffineMap::shift(1)]);
                 assert!(s.recv_len <= 1);
-                proc.clock() - before
+                session.inspector_time()
             });
             // Run-time (inspector) path for the same references.
             let (rt, _) = machine.run_stats(|proc| {
                 let dist = DimDist::block(n, proc.nprocs());
-                let loop_ = ParallelLoop::over_1d(2, n - 1, dist.clone());
-                let mut cache = ScheduleCache::new();
-                let before = proc.clock();
-                let s = loop_.plan_indirect(proc, &mut cache, &dist, 0, |i, refs| {
+                let mut session = Session::new();
+                let loop_ = session.loop_1d(n - 1, dist.clone());
+                let s = session.plan_indirect(proc, &loop_, &dist, |i, refs| {
                     refs.push(i + 1);
                 });
                 assert!(s.recv_len <= 1);
-                proc.clock() - before
+                session.inspector_time()
             });
             let ct_max = ct.iter().cloned().fold(0.0, f64::max);
             let rt_max = rt.iter().cloned().fold(0.0, f64::max);

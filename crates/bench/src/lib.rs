@@ -567,7 +567,7 @@ pub fn run_adaptation(smoke: bool) -> bool {
 pub fn run_multidim(smoke: bool) -> bool {
     use distrib::{ArrayDist, FlatDist};
     use dmsim::{CostModel, Machine};
-    use kali_core::{MultiAffineMap, ParallelLoop, Rect, ScheduleCache};
+    use kali_core::{MultiAffineMap, Rect, Session};
     use kali_native::NativeMachine;
     use solvers::{
         gather_multidim, multidim_field, multidim_sequential, multidim_sweeps, phase_comm_reports,
@@ -588,14 +588,14 @@ pub fn run_multidim(smoke: bool) -> bool {
     let (results, stats) = machine.run_stats(|proc| {
         let flat = FlatDist::new(ArrayDist::block_rows(side, side, proc.nprocs()));
         let space = Rect::full(&[side, side]).restrict(0, 1, side - 1);
-        let loop_ = ParallelLoop::over(0x4D44_0001, space, flat.clone());
-        let mut cache = ScheduleCache::new();
+        let mut session = Session::new();
+        let loop_ = session.loop_over(space, flat.clone());
         let refs = [
             MultiAffineMap::shifts(&[-1, 0]),
             MultiAffineMap::shifts(&[1, 0]),
         ];
-        let s = loop_.plan(proc, &mut cache, &flat, &refs, 0);
-        (cache.misses(), s.recv_len)
+        let s = session.plan(proc, &loop_, &flat, &refs);
+        (session.stats().cache.misses, s.recv_len)
     });
     let plan_msgs = stats.totals.msgs_sent;
     let inspector_runs: u64 = results.iter().map(|r| r.0).sum();
@@ -617,13 +617,14 @@ pub fn run_multidim(smoke: bool) -> bool {
     let machine = Machine::new(nprocs, CostModel::ncube7());
     let (results, stats) = machine.run_stats(|proc| {
         let flat = FlatDist::new(ArrayDist::block_rows(side, side, proc.nprocs()));
-        let loop_ = ParallelLoop::over(0x4D44_0002, Rect::full(&[side, side]), flat.clone());
-        let mut cache = ScheduleCache::new();
+        let mut session = Session::new();
+        let loop_ = session.loop_over(Rect::full(&[side, side]), flat.clone());
         let n = side * side;
         let refs = |g: usize, out: &mut Vec<usize>| out.push((g * 13 + 7) % n);
-        loop_.plan_indirect(proc, &mut cache, &flat, 0, refs);
-        loop_.plan_indirect(proc, &mut cache, &flat, 0, refs);
-        (cache.misses(), cache.hits())
+        session.plan_indirect(proc, &loop_, &flat, refs);
+        session.plan_indirect(proc, &loop_, &flat, refs);
+        let cache = session.stats().cache;
+        (cache.misses, cache.hits)
     });
     let fallback_msgs = stats.totals.msgs_sent;
     println!(
@@ -1501,9 +1502,7 @@ fn plan_solver_suite<P: kali_core::Process>(
     u64,
 ) {
     use kali_core::verify::{bracket_leaf, BracketHash};
-    use kali_core::{
-        analyze_stripe, AffineMap, Norm2, Reduce, ReduceOp, Session, Stripe, StripeSpec, Sum,
-    };
+    use kali_core::{AffineMap, IterSpace, Norm2, Reduce, ReduceOp, Session, Stripe, Sum};
 
     let n = mesh.len();
     let rank = proc.rank();
@@ -1579,17 +1578,11 @@ fn plan_solver_suite<P: kali_core::Process>(
 
     // Red–black: the chain mesh's zero-message closed-form stripe planning…
     for lo in [0usize, 1] {
-        let spec = StripeSpec {
-            lo,
-            hi: n,
-            step: 2,
-            on_dist: dist.clone(),
-            data_dist: dist.clone(),
-            ref_maps: vec![AffineMap::shift(-1), AffineMap::shift(1)],
-        };
+        let stencil = [AffineMap::shift(-1), AffineMap::shift(1)];
         planned.push((
             RefPattern::Chain,
-            analyze_stripe(&spec, rank)
+            Stripe::new(lo, n, 2)
+                .analyze(dist, dist, &stencil, rank)
                 .expect("unit-stride stripe stencils always have a closed form"),
         ));
     }

@@ -34,7 +34,7 @@ use crate::schedule::CommSchedule;
 ///
 /// The N-D generalisation of [`AffineMap`]; `B[i, j+1]` is
 /// `MultiAffineMap::shifts(&[0, 1])`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MultiAffineMap {
     dims: Vec<AffineMap>,
 }
@@ -103,9 +103,9 @@ impl MultiAffineMap {
 /// messages**.
 ///
 /// References leaving the data array's bounds are treated as absent, exactly
-/// like the 1-D [`analyze`](crate::analysis::compile_time::analyze); the
-/// user-facing planner ([`ParallelLoop::plan`](crate::ParallelLoop::plan))
-/// rejects them in debug builds before ever reaching this code.
+/// as in the 1-D closed form; the user-facing planner
+/// ([`Session::plan`](crate::Session::plan)) rejects them in debug builds
+/// before ever reaching this code.
 pub fn analyze_multi(
     ranges: &[(usize, usize)],
     on: &FlatDist,

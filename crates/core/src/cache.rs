@@ -6,8 +6,7 @@
 //! over many repetitions of the forall."
 //!
 //! A [`ScheduleCache`] is a per-processor map from a [`LoopKey`] to the
-//! schedule built by the inspector (or the compile-time analyser).  The key
-//! has three parts:
+//! schedule built by the inspector.  The key has four parts:
 //!
 //! * the *loop id* — static identity of the `forall` in the program text;
 //! * the *data version* — the paper's observation that the schedule stays
@@ -19,7 +18,11 @@
 //!   the cached `in`/`out` sets describe the *old* placement, so reusing
 //!   them would silently move the wrong elements.  Keying on the
 //!   fingerprint makes redistribution invalidate stale schedules without
-//!   any explicit bookkeeping by the program.
+//!   any explicit bookkeeping by the program;
+//! * the *reference fingerprint* — the affine subscripts the schedule was
+//!   planned for, when the inspector ran as the fallback of an affine plan
+//!   (planning the same loop for `A[2i]` and then for `A[3i+1]` must build
+//!   two schedules).
 //!
 //! ## Bounded residency and self-invalidation
 //!
@@ -67,15 +70,23 @@ pub struct LoopKey {
     /// re-describing a loop id over a different window must never reuse the
     /// old window's schedule.
     pub dist_fingerprint: u64,
+    /// Fingerprint of the affine reference subscripts the schedule was
+    /// planned for, set by `Session::plan` on its inspector fallback; `0`
+    /// where the references are the caller's run-time data and
+    /// `data_version` speaks for them.  Kept apart from `dist_fingerprint`
+    /// so [`ScheduleCache::invalidate_fingerprint`] still names every
+    /// schedule of a retired placement.
+    pub refs_fingerprint: u64,
 }
 
 impl LoopKey {
-    /// Assemble a key from its parts.
+    /// Assemble a key from its parts (no reference fingerprint).
     pub fn new(loop_id: u64, data_version: u64, dist_fingerprint: u64) -> Self {
         LoopKey {
             loop_id,
             data_version,
             dist_fingerprint,
+            refs_fingerprint: 0,
         }
     }
 }

@@ -80,10 +80,10 @@
 //!
 //! * **On-clause, not data.**  The offset is under the distribution that
 //!   placed the iteration ([`ParallelLoop::on_dist`](crate::ParallelLoop),
-//!   passed down by its `execute` / `execute_reduce`; an argument of its
-//!   own to the free function [`execute_sweep`]), which need not be the
-//!   distribution of the array the body fetches from: a loop placed by `A`
-//!   reading `B` stores at `A`'s offsets.
+//!   passed down by [`Session::execute`](crate::Session::execute); an
+//!   argument of its own to the free function [`execute_sweep`]), which
+//!   need not be the distribution of the array the body fetches from: a
+//!   loop placed by `A` reading `B` stores at `A`'s offsets.
 //! * **One window.**  A sweep asks the on-clause distribution once for the
 //!   rank's runs; the executor notes the iteration index before calling the
 //!   body, and `home()` answers from the run the previous iteration lay in —

@@ -1,4 +1,4 @@
-//! The `forall` front-end: one typed plan→execute pipeline.
+//! The `forall` description.
 //!
 //! The paper's programmer writes
 //!
@@ -8,46 +8,24 @@
 //!
 //! (or, with multi-dimensional arrays, `forall i in 1..N, j in 1..M on
 //! A[i,j].loc`) and the compiler expands it into the inspector/executor
-//! structure.  [`ParallelLoop`] is that expansion as a library: it describes
-//! the loop (an [`IterSpace`] plus the on-clause distribution), obtains a
-//! schedule with one unified [`ParallelLoop::plan`] — the compile-time
-//! analyser when the references are affine and closed forms exist, the
-//! (cached) inspector otherwise — and executes sweeps with
-//! [`ParallelLoop::execute`] (or [`ParallelLoop::execute_reduce`] when the
-//! loop is also a reduction): a read-only body returning one value per
-//! iteration, and a sink that stores the values on the rank's own thread.
-//!
-//! The pipeline is generic over the space: [`Span`] gives the 1-D loops of
-//! the original `Forall` API, [`Rect`](crate::space::Rect) gives rectangular
-//! 2-D/3-D spaces over [`distrib::ArrayDist`] decompositions
-//! (`dist by [block, *]` and friends), linearised row-major so the whole
-//! schedule machinery is shared.
-//!
-//! ## Out-of-bounds reference policy
-//!
-//! An affine reference that leaves the referenced array (`A[i+1]` at
-//! `i = N-1` when the loop was not restricted to `1..N-1`) is a programming
-//! error: **debug builds panic during [`ParallelLoop::plan`]**, on both the
-//! compile-time and the inspector path; release builds treat the reference
-//! as absent (it is never fetched).  The inspector additionally
-//! debug-asserts every enumerated reference against the array bounds, so
-//! data-dependent subscripts get the same treatment through
-//! [`ParallelLoop::plan_indirect`].
-
-use std::sync::Arc;
+//! structure.  A [`ParallelLoop`] is the first line of that text and nothing
+//! more: which loop of the program it is, the [`IterSpace`] it ranges over
+//! ([`Span`] 1-D ranges, [`Stripe`](crate::space::Stripe) colour classes,
+//! [`Rect`](crate::space::Rect) boxes over [`distrib::ArrayDist`]
+//! decompositions, linearised row-major so the whole schedule machinery is
+//! shared) and the distribution named in its on-clause.  The expansion —
+//! plan, execute, reduce — is the [`Session`](crate::Session)'s, which takes
+//! the description as an argument.
 
 use distrib::{combine_fingerprints, DimDist, Distribution};
 
-use crate::cache::{LoopKey, ScheduleCache};
-use crate::executor::{execute_sweep, ExecutorConfig, Fetcher};
-use crate::inspector::run_inspector;
-use crate::process::{tree_children, Process, Reduce, ReduceOp};
-use crate::schedule::CommSchedule;
+use crate::cache::LoopKey;
 use crate::space::{IterSpace, Span};
 
-/// A `forall … on OWNER[…].loc` loop description: a typed builder over an
-/// iteration space, replacing the old `Forall` struct and its
-/// `plan_affine`/`plan_indirect` free-function split.
+/// A `forall … on OWNER[…].loc` loop description over an iteration space.
+/// [`Session::loop_over`](crate::Session::loop_over) and
+/// [`Session::loop_1d`](crate::Session::loop_1d) build one with an id that
+/// is unique within the session.
 #[derive(Debug, Clone)]
 pub struct ParallelLoop<S: IterSpace> {
     /// Static identity of the loop (used as the schedule-cache key).
@@ -55,8 +33,7 @@ pub struct ParallelLoop<S: IterSpace> {
     /// The iteration space the loop ranges over.
     pub space: S,
     /// Distribution named in the `on` clause (owner-computes placement);
-    /// `execute` hands it to the executor, which answers [`Fetcher::home`]
-    /// under it.
+    /// the executor answers [`Fetcher::home`](crate::Fetcher::home) under it.
     pub on_dist: S::Dist,
 }
 
@@ -94,267 +71,11 @@ impl<S: IterSpace> ParallelLoop<S> {
             ),
         )
     }
-
-    /// Obtain a communication schedule for affine references into a
-    /// `data_dist`-placed array: the compile-time analysis when a closed
-    /// form exists (no run-time set computation, **zero planning
-    /// messages**), the cached inspector otherwise.
-    ///
-    /// Out-of-bounds references are rejected with a panic in debug builds —
-    /// on *both* paths — and treated as absent in release builds (see the
-    /// module docs).
-    pub fn plan<P: Process>(
-        &self,
-        proc: &mut P,
-        cache: &mut ScheduleCache,
-        data_dist: &S::Dist,
-        refs: &[S::Map],
-        data_version: u64,
-    ) -> Arc<CommSchedule> {
-        #[cfg(debug_assertions)]
-        self.assert_refs_in_bounds(proc.rank(), data_dist, refs);
-        if let Some(schedule) = self
-            .space
-            .analyze(&self.on_dist, data_dist, refs, proc.rank())
-        {
-            // Closed form: no run-time set computation, no communication.
-            return Arc::new(schedule);
-        }
-        let key = self.cache_key(data_dist, data_version);
-        let space = &self.space;
-        cache.get_or_build(key, || {
-            // Enumerated lazily: a cache hit never materialises the exec set.
-            let exec = space.exec_iters(&self.on_dist, proc.rank());
-            run_inspector(proc, data_dist, &exec, |i, out| {
-                for m in refs {
-                    if let Some(v) = space.apply_map(m, i, data_dist) {
-                        out.push(v);
-                    }
-                }
-            })
-        })
-    }
-
-    /// The debug-build half of the out-of-bounds policy: every affine
-    /// reference of every executed iteration must land inside the data
-    /// array, whichever planning path ends up being taken.
-    #[cfg(debug_assertions)]
-    fn assert_refs_in_bounds(&self, rank: usize, data_dist: &S::Dist, refs: &[S::Map]) {
-        for &i in &self.exec_iters(rank) {
-            for m in refs {
-                assert!(
-                    self.space.apply_map(m, i, data_dist).is_some(),
-                    "loop {:#x}: an affine reference of iteration {i} leaves the bounds \
-                     of the referenced array ({} elements); out-of-bounds references are \
-                     a programming error — restrict the iteration space",
-                    self.loop_id,
-                    data_dist.n()
-                );
-            }
-        }
-    }
-
-    /// Obtain a communication schedule for data-dependent references by
-    /// running the inspector (once per `(loop_id, data_version,
-    /// distributions)` — see [`ParallelLoop::cache_key`]).
-    ///
-    /// `refs_of` enumerates, for a linearised iteration, the linearised
-    /// global indices of the `data_dist`-distributed array it references.
-    pub fn plan_indirect<P, D, F>(
-        &self,
-        proc: &mut P,
-        cache: &mut ScheduleCache,
-        data_dist: &D,
-        data_version: u64,
-        refs_of: F,
-    ) -> Arc<CommSchedule>
-    where
-        P: Process,
-        D: Distribution + ?Sized,
-        F: FnMut(usize, &mut Vec<usize>),
-    {
-        let mut refs_of = refs_of;
-        let key = self.cache_key(data_dist, data_version);
-        cache.get_or_build(key, || {
-            // Enumerated lazily: a cache hit never materialises the exec set.
-            let exec = self.exec_iters(proc.rank());
-            run_inspector(proc, data_dist, &exec, &mut refs_of)
-        })
-    }
-
-    /// Execute one sweep of the loop under a previously planned schedule
-    /// ([`execute_sweep`]): sends are posted, local iterations overlap the
-    /// communication, nonlocal iterations run against the receive buffer.
-    /// The body is a read-only `Fn` returning one value per iteration;
-    /// writes happen on the calling thread through `sink(i, value)` in
-    /// ascending iteration order per phase, and `config.workers` threads
-    /// may run chunks concurrently.  Results and metered counters are
-    /// identical at every `(workers, chunk)` setting.
-    ///
-    /// The configured chunk length is rounded up to the space's preferred
-    /// alignment ([`IterSpace::chunk_align`]) — whole rows for [`Rect`]
-    /// spaces, a no-op elsewhere.  Alignment shapes chunk boundaries only.
-    ///
-    /// [`Rect`]: crate::space::Rect
-    #[allow(clippy::too_many_arguments)] // execute_sweep's, less the on-clause
-    pub fn execute<P, D, T, V, F, W>(
-        &self,
-        proc: &mut P,
-        mut config: ExecutorConfig,
-        schedule: &CommSchedule,
-        data_dist: &D,
-        local_data: &[T],
-        body: F,
-        sink: W,
-    ) -> usize
-    where
-        P: Process,
-        D: Distribution + ?Sized,
-        T: Copy + Sync + kali_process::Wire,
-        V: Send,
-        F: Fn(usize, &mut Fetcher<'_, T, D>) -> V + Sync,
-        W: FnMut(usize, V),
-    {
-        let align = self.space.chunk_align();
-        if align > 1 {
-            // Saturating: `usize::MAX` asks for one whole-list chunk.
-            config.chunk = config
-                .effective_chunk()
-                .div_ceil(align)
-                .saturating_mul(align);
-        }
-        execute_sweep(
-            proc,
-            config,
-            schedule,
-            &self.on_dist,
-            data_dist,
-            local_data,
-            body,
-            sink,
-        )
-    }
-
-    /// Execute one sweep in which the loop is also a **reduction**: the body
-    /// returns `(value, contribution)` per iteration, values reach `sink`
-    /// as in [`ParallelLoop::execute`], and the loop's value is the global
-    /// reduction of all contributions under the typed operator `R` — the
-    /// paper's convergence tests and dot products as first-class loop
-    /// outputs instead of an out-of-band `allreduce` hack.
-    ///
-    /// The combining order is fixed and backend independent (the
-    /// [`ReduceOp`] determinism contract): contributions fold in ascending
-    /// **iteration** order on each rank — regardless of the executor's
-    /// local-then-nonlocal execution order, the worker count and the chunk
-    /// size — and the per-rank partials combine with the fixed
-    /// **binomial-tree bracketing** through the generic
-    /// [`Process::allreduce`] (`2(P−1)` messages).  The result is therefore
-    /// bitwise identical on every rank, across dmsim and native, and
-    /// against a sequential replay folding the same per-rank partial
-    /// structure with `tree_combine_partials`.
-    ///
-    /// The collective runs *inside* the planned pipeline: its messages go
-    /// through the backend like any other communication (so dmsim charges
-    /// them), and the folds charge one flop per combine.
-    #[allow(clippy::too_many_arguments)] // execute's + the reduction op
-    pub fn execute_reduce<P, D, T, V, R, F, W>(
-        &self,
-        proc: &mut P,
-        config: ExecutorConfig,
-        schedule: &CommSchedule,
-        data_dist: &D,
-        local_data: &[T],
-        _op: Reduce<R>,
-        body: F,
-        mut sink: W,
-    ) -> R::Acc
-    where
-        P: Process,
-        D: Distribution + ?Sized,
-        T: Copy + Sync + kali_process::Wire,
-        V: Send,
-        R: ReduceOp,
-        R::Input: Send,
-        F: Fn(usize, &mut Fetcher<'_, T, D>) -> (V, R::Input) + Sync,
-        W: FnMut(usize, V),
-    {
-        // Contributions arrive in executor order: the local iterations,
-        // then the nonlocal ones — two ascending runs.  Merge-fold them in
-        // ascending iteration order so the fold is a function of the loop
-        // alone, not of the schedule's local/nonlocal split.
-        let boundary = schedule.local_iters.len();
-        let mut contributions: Vec<(usize, R::Input)> =
-            Vec::with_capacity(boundary + schedule.nonlocal_iters.len());
-        self.execute(
-            proc,
-            config,
-            schedule,
-            data_dist,
-            local_data,
-            body,
-            |i, (v, c)| {
-                sink(i, v);
-                contributions.push((i, c));
-            },
-        );
-        fold_and_allreduce::<P, R>(proc, boundary, contributions)
-    }
-}
-
-/// Fold per-iteration reduction contributions in the fixed deterministic
-/// order and combine across ranks: contributions arrive as two ascending
-/// runs (local iterations first, nonlocal after, split at `boundary`), are
-/// merge-folded in ascending **iteration** order, and the per-rank partials
-/// combine with the **binomial-tree bracketing** through
-/// [`Process::allreduce`].
-///
-/// **Bracketing contract.**  The cross-rank combine below must bracket
-/// exactly like `tree_combine_partials::<R>` — `Process::allreduce`'s
-/// documented behaviour — because the solvers' sequential replays
-/// (`replay_reduce`) fold per-rank partials with that helper and assert
-/// bitwise equality against this function's result.  Passing `R::combine`
-/// through unchanged (never a rank-dependent or order-swapped closure) is
-/// what keeps a future op addition from silently producing
-/// backend-divergent bits; the reduction-determinism suite pins it for
-/// every built-in op.
-fn fold_and_allreduce<P: Process, R: ReduceOp>(
-    proc: &mut P,
-    boundary: usize,
-    contributions: Vec<(usize, R::Input)>,
-) -> R::Acc {
-    proc.charge_flops(contributions.len());
-    let (local, nonlocal) = contributions.split_at(boundary);
-    debug_assert!(local.windows(2).all(|w| w[0].0 < w[1].0));
-    debug_assert!(nonlocal.windows(2).all(|w| w[0].0 < w[1].0));
-    let mut acc = R::identity();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < local.len() && j < nonlocal.len() {
-        if local[i].0 < nonlocal[j].0 {
-            acc = R::combine(acc, R::lift(local[i].1));
-            i += 1;
-        } else {
-            acc = R::combine(acc, R::lift(nonlocal[j].1));
-            j += 1;
-        }
-    }
-    for &(_, v) in &local[i..] {
-        acc = R::combine(acc, R::lift(v));
-    }
-    for &(_, v) in &nonlocal[j..] {
-        acc = R::combine(acc, R::lift(v));
-    }
-    let partial = acc;
-    // Each rank performs one combine per reduce-tree child it absorbs
-    // (machine-wide P − 1 combines, the same work the flat fold did once).
-    proc.charge_flops(tree_children(proc.nprocs(), proc.rank()));
-    let total = proc.allreduce(partial, |a, b| R::combine(*a, *b));
-    R::finish(total)
 }
 
 impl ParallelLoop<Span> {
     /// Describe a loop `forall i in 0..n on A[i].loc` where `A` is
-    /// distributed by `on_dist` — the 1-D shorthand matching the old
-    /// `Forall::over`.
+    /// distributed by `on_dist` — the 1-D shorthand.
     pub fn over_1d(loop_id: u64, n: usize, on_dist: DimDist) -> Self {
         ParallelLoop::over(loop_id, Span::upto(n), on_dist)
     }
@@ -368,19 +89,23 @@ impl ParallelLoop<Span> {
 
 #[cfg(test)]
 mod tests {
+    //! A described loop, planned and executed through the [`Session`].
+
     use super::*;
     use crate::analysis::affine::AffineMap;
     use crate::analysis::multi::MultiAffineMap;
+    use crate::session::Session;
     use crate::space::Rect;
     use distrib::ArrayDist;
     use dmsim::{CostModel, Machine};
 
     #[test]
     fn allreduce_brackets_exactly_like_tree_combine_partials() {
-        // The bracketing contract `fold_and_allreduce` relies on: the
-        // collective's cross-rank combine is `tree_combine_partials`, bit
-        // for bit, at power-of-two and ragged rank counts.
-        use crate::process::{tree_combine_partials, Sum};
+        // The bracketing contract a reducing `forall` relies on
+        // (`Session::execute_reduce`): the collective's cross-rank combine
+        // is `tree_combine_partials`, bit for bit, at power-of-two and
+        // ragged rank counts.
+        use crate::process::{tree_combine_partials, Process, Sum};
         for nprocs in [2usize, 3, 4, 7, 8] {
             let partials: Vec<f64> = (0..nprocs).map(|r| 0.1 * (r as f64 + 1.0)).collect();
             let expected = tree_combine_partials::<Sum<f64>>(partials.clone());
@@ -404,11 +129,11 @@ mod tests {
         let machine = Machine::new(4, CostModel::ideal());
         let (_, stats) = machine.run_stats(|proc| {
             let dist = DimDist::block(64, proc.nprocs());
-            let loop_ = ParallelLoop::over_1d(1, 63, dist.clone());
-            let mut cache = ScheduleCache::new();
-            let schedule = loop_.plan(proc, &mut cache, &dist, &[AffineMap::shift(1)], 0);
+            let mut session = Session::new();
+            let loop_ = session.loop_1d(63, dist.clone());
+            let schedule = session.plan(proc, &loop_, &dist, &[AffineMap::shift(1)]);
             assert_eq!(
-                cache.misses(),
+                session.stats().cache.misses,
                 0,
                 "compile-time analysis must bypass the cache"
             );
@@ -424,12 +149,20 @@ mod tests {
         machine.run(|proc| {
             let dist = DimDist::block(32, proc.nprocs());
             let data = DimDist::block(64, proc.nprocs());
-            let loop_ = ParallelLoop::over_1d(9, 32, dist);
-            let mut cache = ScheduleCache::new();
-            let s1 = loop_.plan(proc, &mut cache, &data, &[AffineMap::new(2, 0)], 0);
-            assert_eq!(cache.misses(), 1, "inspector must have been consulted");
-            let s2 = loop_.plan(proc, &mut cache, &data, &[AffineMap::new(2, 0)], 0);
-            assert_eq!(cache.hits(), 1, "second plan must hit the cache");
+            let mut session = Session::new();
+            let loop_ = session.loop_1d(32, dist);
+            let s1 = session.plan(proc, &loop_, &data, &[AffineMap::new(2, 0)]);
+            assert_eq!(
+                session.stats().cache.misses,
+                1,
+                "inspector must have been consulted"
+            );
+            let s2 = session.plan(proc, &loop_, &data, &[AffineMap::new(2, 0)]);
+            assert_eq!(
+                session.stats().cache.hits,
+                1,
+                "second plan must hit the cache"
+            );
             assert_eq!(s1.signature(), s2.signature());
         });
     }
@@ -442,23 +175,27 @@ mod tests {
         let machine = Machine::new(2, CostModel::ideal());
         machine.run(|proc| {
             let on = DimDist::block(32, proc.nprocs());
-            let loop_ = ParallelLoop::over_1d(11, 32, on.clone());
-            let mut cache = ScheduleCache::new();
+            let mut session = Session::new();
+            let loop_ = session.loop_1d(32, on.clone());
             let refs = |i: usize, out: &mut Vec<usize>| out.push((i * 5) % 32);
-            let s1 = loop_.plan_indirect(proc, &mut cache, &on, 0, refs);
-            assert_eq!(cache.misses(), 1);
+            let s1 = session.plan_indirect(proc, &loop_, &on, refs);
+            assert_eq!(session.stats().cache.misses, 1);
             let moved = DimDist::cyclic(32, proc.nprocs());
-            let s2 = loop_.plan_indirect(proc, &mut cache, &moved, 0, refs);
-            assert_eq!(cache.misses(), 2, "stale schedule must not be reused");
+            let s2 = session.plan_indirect(proc, &loop_, &moved, refs);
+            assert_eq!(
+                session.stats().cache.misses,
+                2,
+                "stale schedule must not be reused"
+            );
             assert_ne!(
                 s1.signature(),
                 s2.signature(),
                 "the schedules really do differ between placements"
             );
             // Planning again under either distribution now hits.
-            loop_.plan_indirect(proc, &mut cache, &on, 0, refs);
-            loop_.plan_indirect(proc, &mut cache, &moved, 0, refs);
-            assert_eq!(cache.hits(), 2);
+            session.plan_indirect(proc, &loop_, &on, refs);
+            session.plan_indirect(proc, &loop_, &moved, refs);
+            assert_eq!(session.stats().cache.hits, 2);
         });
     }
 
@@ -472,31 +209,31 @@ mod tests {
         let machine = Machine::new(2, CostModel::ideal());
         machine.run(|proc| {
             let dist = DimDist::block(32, proc.nprocs());
-            let mut cache = ScheduleCache::new();
+            let mut session = Session::new();
             let refs = |i: usize, out: &mut Vec<usize>| out.push((i * 7) % 32);
             let first = ParallelLoop::over_1d(13, 32, dist.clone()).range(0, 10);
-            let s1 = first.plan_indirect(proc, &mut cache, &dist, 0, refs);
+            let s1 = session.plan_indirect(proc, &first, &dist, refs);
             let second = ParallelLoop::over_1d(13, 32, dist.clone()).range(10, 20);
-            let s2 = second.plan_indirect(proc, &mut cache, &dist, 0, refs);
+            let s2 = session.plan_indirect(proc, &second, &dist, refs);
             assert_eq!(
-                cache.misses(),
+                session.stats().cache.misses,
                 2,
                 "different windows must not share a schedule"
             );
             assert_ne!(s1.signature(), s2.signature());
             // Same window planned again still hits.
-            first.plan_indirect(proc, &mut cache, &dist, 0, refs);
-            assert_eq!(cache.hits(), 1);
+            session.plan_indirect(proc, &first, &dist, refs);
+            assert_eq!(session.stats().cache.hits, 1);
             // The same holds for rectangular spaces.
             let flat = distrib::FlatDist::new(ArrayDist::block_rows(8, 4, proc.nprocs()));
             let top = ParallelLoop::over(14, Rect::full(&[8, 4]).restrict(0, 0, 4), flat.clone());
             let bottom =
                 ParallelLoop::over(14, Rect::full(&[8, 4]).restrict(0, 4, 8), flat.clone());
             let refs2 = |g: usize, out: &mut Vec<usize>| out.push((g * 5) % 32);
-            top.plan_indirect(proc, &mut cache, &flat, 0, refs2);
-            bottom.plan_indirect(proc, &mut cache, &flat, 0, refs2);
+            session.plan_indirect(proc, &top, &flat, refs2);
+            session.plan_indirect(proc, &bottom, &flat, refs2);
             assert_eq!(
-                cache.misses(),
+                session.stats().cache.misses,
                 4,
                 "different boxes must not share a schedule"
             );
@@ -505,25 +242,30 @@ mod tests {
 
     #[test]
     fn version_bumps_through_plan_indirect_reclaim_stale_generations() {
-        // The adaptive-mesh pattern: the adj data changes, the caller bumps
+        // The adaptive-mesh pattern: the adj data changes, the program bumps
         // the data version, and the cache must not only re-inspect but also
         // reclaim the schedule of the dead generation.
         let machine = Machine::new(2, CostModel::ideal());
         machine.run(|proc| {
             let dist = DimDist::block(32, proc.nprocs());
-            let loop_ = ParallelLoop::over_1d(21, 32, dist.clone());
-            let mut cache = ScheduleCache::new();
-            for version in 0..4u64 {
+            let mut session = Session::new();
+            let loop_ = session.loop_1d(32, dist.clone());
+            for generation in 0..4usize {
                 for _sweep in 0..3 {
-                    loop_.plan_indirect(proc, &mut cache, &dist, version, |i, refs| {
-                        refs.push((i + version as usize) % 32)
+                    session.plan_indirect(proc, &loop_, &dist, |i, refs| {
+                        refs.push((i + generation) % 32)
                     });
                 }
+                session.bump_data_version();
             }
-            assert_eq!(cache.misses(), 4, "one inspector run per generation");
-            assert_eq!(cache.hits(), 8);
-            assert_eq!(cache.len(), 1, "stale generations must be evicted");
-            assert_eq!(cache.evictions(), 3);
+            let cache = session.stats().cache;
+            assert_eq!(cache.misses, 4, "one inspector run per generation");
+            assert_eq!(cache.hits, 8);
+            assert_eq!(
+                cache.resident_entries, 1,
+                "stale generations must be evicted"
+            );
+            assert_eq!(cache.evictions, 3);
         });
     }
 
@@ -539,13 +281,13 @@ mod tests {
                 .iter()
                 .map(|g| (g * g) as f64)
                 .collect();
-            let loop_ = ParallelLoop::over_1d(2, n - 1, dist.clone());
-            let mut cache = ScheduleCache::new();
-            let schedule = loop_.plan(proc, &mut cache, &dist, &[AffineMap::shift(1)], 0);
+            let mut session = Session::new();
+            let loop_ = session.loop_1d(n - 1, dist.clone());
+            let schedule = session.plan(proc, &loop_, &dist, &[AffineMap::shift(1)]);
             let mut out = local_a.clone();
-            loop_.execute(
+            session.execute(
                 proc,
-                ExecutorConfig::default(),
+                &loop_,
                 &schedule,
                 &dist,
                 &local_a,
@@ -570,10 +312,9 @@ mod tests {
 
     #[test]
     fn narrow_range_plans_only_the_window() {
-        // The range-aware satellite carried into the new API: a narrow
-        // window over a huge on-clause distribution must never enumerate
-        // the full owned set (the old exec_iters materialised all of
-        // 0..n/p and filtered afterwards — with n = 2^40 that would hang).
+        // A narrow window over a huge on-clause distribution must never
+        // enumerate the full owned set (materialising all of 0..n/p and
+        // filtering afterwards would hang at n = 2^40).
         let n = 1usize << 40;
         let dist = DimDist::block(n, 2);
         let loop_ = ParallelLoop::over_1d(3, n, dist.clone()).range(5, 25);
@@ -583,9 +324,9 @@ mod tests {
         let machine = Machine::new(2, CostModel::ideal());
         machine.run(|proc| {
             let dist = DimDist::block(64, proc.nprocs());
-            let loop_ = ParallelLoop::over_1d(4, 64, dist.clone()).range(30, 34);
-            let mut cache = ScheduleCache::new();
-            let s = loop_.plan(proc, &mut cache, &dist, &[AffineMap::shift(1)], 0);
+            let mut session = Session::new();
+            let loop_ = session.loop_1d(64, dist.clone()).range(30, 34);
+            let s = session.plan(proc, &loop_, &dist, &[AffineMap::shift(1)]);
             let execs = loop_.exec_iters(proc.rank());
             assert_eq!(s.local_iters.len() + s.nonlocal_iters.len(), execs.len());
             if proc.rank() == 0 {
@@ -600,14 +341,13 @@ mod tests {
     #[should_panic(expected = "SPMD worker panicked")]
     fn out_of_bounds_refs_panic_on_the_compile_time_path() {
         // forall i in 0..n referencing A[i+1]: iteration n-1 reaches A[n].
-        // The old plan_affine silently dropped the reference; the unified
-        // policy panics in debug builds on both planning paths.
+        // Debug builds panic on both planning paths.
         let dist = DimDist::block(16, 2);
-        let loop_ = ParallelLoop::over_1d(5, 16, dist.clone());
         let machine = Machine::new(2, CostModel::ideal());
         machine.run(|proc| {
-            let mut cache = ScheduleCache::new();
-            loop_.plan(proc, &mut cache, &dist, &[AffineMap::shift(1)], 0);
+            let mut session = Session::new();
+            let loop_ = session.loop_1d(16, dist.clone());
+            session.plan(proc, &loop_, &dist, &[AffineMap::shift(1)]);
         });
     }
 
@@ -619,11 +359,11 @@ mod tests {
         // out-of-bounds defect: 2*i reaches past a data array of the same
         // size.  Must panic identically to the compile-time path.
         let dist = DimDist::block(16, 2);
-        let loop_ = ParallelLoop::over_1d(6, 16, dist.clone());
         let machine = Machine::new(2, CostModel::ideal());
         machine.run(|proc| {
-            let mut cache = ScheduleCache::new();
-            loop_.plan(proc, &mut cache, &dist, &[AffineMap::new(2, 0)], 0);
+            let mut session = Session::new();
+            let loop_ = session.loop_1d(16, dist.clone());
+            session.plan(proc, &loop_, &dist, &[AffineMap::new(2, 0)]);
         });
     }
 
@@ -642,24 +382,23 @@ mod tests {
             let local_a: Vec<f64> = (0..flat.local_count(rank))
                 .map(|l| flat.global_index(rank, l) as f64)
                 .collect();
+            let mut session = Session::new();
             let space = Rect::full(&[r, c]).restrict(0, 0, r - 1);
-            let loop_ = ParallelLoop::over(7, space, flat.clone());
-            let mut cache = ScheduleCache::new();
-            let schedule = loop_.plan(
-                proc,
-                &mut cache,
-                &flat,
-                &[MultiAffineMap::shifts(&[1, 0])],
+            let loop_ = session.loop_over(space, flat.clone());
+            let schedule = session.plan(proc, &loop_, &flat, &[MultiAffineMap::shifts(&[1, 0])]);
+            assert_eq!(
+                session.stats().cache.misses,
                 0,
+                "closed form must bypass the inspector"
             );
-            assert_eq!(cache.misses(), 0, "closed form must bypass the inspector");
             let planned_msgs = proc.counters().msgs_sent;
             assert_eq!(planned_msgs, 0, "planning must cost zero messages");
             let mut out = local_a.clone();
-            for (sweep, chunk) in [0, usize::MAX].into_iter().enumerate() {
-                let executed = loop_.execute(
+            for chunk in [0, usize::MAX] {
+                session.set_chunk_size(chunk);
+                let executed = session.execute(
                     proc,
-                    ExecutorConfig::sweep(sweep).with_chunk(chunk),
+                    &loop_,
                     &schedule,
                     &flat,
                     &local_a,
@@ -692,14 +431,22 @@ mod tests {
         let machine = Machine::new(2, CostModel::ideal());
         machine.run(|proc| {
             let flat = distrib::FlatDist::new(ArrayDist::block_rows(r, c, proc.nprocs()));
-            let loop_ = ParallelLoop::over(8, Rect::full(&[r, c]), flat.clone());
-            let mut cache = ScheduleCache::new();
+            let mut session = Session::new();
+            let loop_ = session.loop_over(Rect::full(&[r, c]), flat.clone());
             // A data-dependent permutation gather: no closed form.
             let refs = |g: usize, out: &mut Vec<usize>| out.push((g * 13 + 5) % (r * c));
-            loop_.plan_indirect(proc, &mut cache, &flat, 0, refs);
-            assert_eq!(cache.misses(), 1, "inspector must have been consulted");
-            loop_.plan_indirect(proc, &mut cache, &flat, 0, refs);
-            assert_eq!(cache.hits(), 1, "second plan must hit the cache");
+            session.plan_indirect(proc, &loop_, &flat, refs);
+            assert_eq!(
+                session.stats().cache.misses,
+                1,
+                "inspector must have been consulted"
+            );
+            session.plan_indirect(proc, &loop_, &flat, refs);
+            assert_eq!(
+                session.stats().cache.hits,
+                1,
+                "second plan must hit the cache"
+            );
         });
     }
 }

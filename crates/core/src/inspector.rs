@@ -20,8 +20,8 @@
 //! for as long as the data feeding `refs_of` and the distributions stand
 //! still.  Adaptive workloads re-run the inspector once per mesh
 //! generation: the caller bumps the cache's data version when the adjacency
-//! changes, and the locality loop below bounds-checks every reference in
-//! debug builds to catch enumerators left pointing at a previous
+//! changes, and the locality loop below bounds-checks every reference — in
+//! every build — to catch enumerators left pointing at a previous
 //! generation's arrays.
 
 use distrib::{Distribution, IndexSet};
@@ -40,7 +40,8 @@ use crate::schedule::{CommSchedule, RangeRecord};
 /// * `refs_of` — called once per iteration; it must push the global indices
 ///   of every distributed-array reference the iteration makes into the
 ///   supplied buffer (the inspector equivalent of executing the loop body
-///   "without the arithmetic").
+///   "without the arithmetic").  An index outside the array panics here, in
+///   every build, naming rank, iteration and index.
 ///
 /// Every processor of the machine must call this collectively — the final
 /// step is a global exchange.
@@ -62,6 +63,7 @@ where
         nprocs,
         "the data distribution must span exactly the processors of the machine"
     );
+    let n = data_dist.n();
 
     // ---- Phase 1: locality-checking loop over every reference -------------
     let mut local_iters = Vec::new();
@@ -74,16 +76,18 @@ where
         refs_of(i, &mut refs);
         let mut all_local = true;
         for &g in &refs {
-            // Catch stale reference enumerators early: under adaptive
+            // Catch stale reference enumerators here: under adaptive
             // workloads the `adj` data feeding `refs_of` changes between
-            // data versions, and an out-of-range index here means the caller
+            // data versions, and an out-of-range index means the caller
             // re-inspected with arrays from a different mesh generation.
-            debug_assert!(
-                g < data_dist.n(),
-                "iteration {i} references global index {g}, outside the \
-                 distributed array of {} elements (stale refs after a data \
-                 version change?)",
-                data_dist.n()
+            // Not a `debug_assert`: `owner` below would name a processor for
+            // it all the same (under cyclic, `g % P`), and the sweep would
+            // die later on whichever rank that is, blaming the schedule.
+            assert!(
+                g < n,
+                "rank {rank}: iteration {i} references global index {g}, outside the \
+                 distributed array of {n} elements (stale refs after a data version \
+                 change?)"
             );
             // "The inspector only checks whether references to distributed
             // arrays are local" — one owner computation per reference.
@@ -315,6 +319,31 @@ mod tests {
             owner_computes_iters(&small, 1, 17),
             owner_computes_range(&small, 1, 0, 17)
         );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "rank 0: iteration 9 references global index 11, outside the distributed \
+                    array of 10 elements"
+    )]
+    fn out_of_range_references_are_rejected_at_plan_time_in_every_build() {
+        // `11 % 1` names an owner without complaint, so without the check
+        // the plan succeeds and the sweep dies later, blaming the caller's
+        // local storage.  CI also runs this under `cargo test --release`,
+        // against the profile that ships.
+        let machine = Machine::new(1, CostModel::ideal());
+        let mut caught = machine.run(|proc| {
+            let d = DimDist::cyclic(10, 1);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_inspector(proc, &d, &[9], |_i, refs| refs.push(11));
+            }))
+        });
+        // The machine reports a worker's panic without its message; hand the
+        // worker's own payload to the harness.
+        let payload = caught
+            .remove(0)
+            .expect_err("the inspector must reject index 11");
+        std::panic::resume_unwind(payload);
     }
 
     #[test]

@@ -20,10 +20,12 @@
 //!   records with `O(log r)` binary-search access (§3.3, Figure 5).
 //! * [`analysis`] — **compile-time** communication analysis: closed-form
 //!   schedules for affine subscripts (`A[i±c]`) under any distribution,
-//!   requiring no run-time set computation at all (§3.2) — in one dimension
-//!   ([`analysis::compile_time`]) and over rectangular N-D iteration spaces
-//!   with per-dimension distributions ([`analysis::multi`]), where every
-//!   set factorises into per-dimension interval sets.
+//!   requiring no run-time set computation at all (§3.2).  One entry point,
+//!   [`IterSpace::analyze`], answered by each iteration space for its own
+//!   shape: 1-D ranges and strided classes through one evaluator of the
+//!   §3.2 formulas, rectangular N-D boxes with per-dimension distributions
+//!   through [`analysis::multi`], where every set factorises into
+//!   per-dimension interval sets.
 //! * [`inspector`] — **run-time** analysis: the inspector loop that records
 //!   nonlocal references, splits iterations into local and nonlocal lists,
 //!   and converts receive lists into send lists with a crystal-router global
@@ -36,17 +38,18 @@
 //!   The cache is bounded (LRU) and self-invalidating: version bumps evict
 //!   stale generations, redistribution reclaims retired placements by
 //!   fingerprint, and residency stays capped under adaptive-mesh churn.
-//! * [`forall`] — the typed front-end tying the pieces together:
-//!   [`ParallelLoop`], one plan→execute→reduce pipeline generic over an
-//!   iteration [`space`] ([`Span`] 1-D ranges, [`Stripe`] strided colour
-//!   classes, [`Rect`] rectangular 2-D/3-D boxes over
-//!   `dist by [block, *]`-style [`distrib::ArrayDist`] decompositions,
-//!   linearised row-major through [`distrib::FlatDist`]).  Reductions are
-//!   first-class loop outputs ([`ParallelLoop::execute_reduce`]): the body's
-//!   per-iteration contributions fold under a typed
-//!   [`ReduceOp`] in a fixed, backend-independent order.
-//! * [`session`] — the per-rank [`Session`] owning the execute-side state
-//!   every program needs: the schedule cache, loop-id / sweep-tag / epoch
+//! * [`forall`] — the description of one `forall`: [`ParallelLoop`], a loop
+//!   id, an on-clause distribution and an iteration [`space`] ([`Span`] 1-D
+//!   ranges, [`Stripe`] strided colour classes, [`Rect`] rectangular 2-D/3-D
+//!   boxes over `dist by [block, *]`-style [`distrib::ArrayDist`]
+//!   decompositions, linearised row-major through [`distrib::FlatDist`]).
+//! * [`session`] — the front end that runs it: the per-rank [`Session`]
+//!   plans a described loop ([`Session::plan`], [`Session::plan_indirect`]),
+//!   executes it ([`Session::execute`]) and reduces it — reductions are
+//!   first-class loop outputs ([`Session::execute_reduce`]): the body's
+//!   per-iteration contributions fold under a typed [`ReduceOp`] in a
+//!   fixed, backend-independent order — while owning the state every
+//!   program needs: the schedule cache, loop-id / sweep-tag / epoch
 //!   allocation, data-version tracking and reduction metering.
 //! * [`mod@redistribute`] — an extension: move a live distributed array from one
 //!   distribution to another with a closed-form schedule, supporting the
@@ -89,7 +92,6 @@ pub mod verify;
 
 pub use analysis::affine::AffineMap;
 pub use analysis::multi::MultiAffineMap;
-pub use analysis::stripe::{analyze_stripe, StripeSpec};
 pub use cache::{CacheStats, LoopKey, ScheduleCache};
 pub use executor::{execute_sweep, ChunkCosts, ExecutorConfig, Fetcher};
 pub use forall::ParallelLoop;
@@ -97,7 +99,7 @@ pub use inspector::{owner_computes_range, run_inspector};
 pub use mc::check_trace;
 pub use ownermap::DistOwnerMap;
 pub use process::{Max, Min, Norm2, Process, Reduce, ReduceOp, Sum};
-pub use redistribute::{redistribute, redistribute_epoch, redistribution_schedule};
+pub use redistribute::{redistribute_epoch, redistribution_schedule};
 pub use schedule::{CommSchedule, RangeRecord};
 pub use session::{Session, SessionStats};
 pub use space::{IterSpace, Rect, Span, Stripe};

@@ -69,22 +69,12 @@ where
 }
 
 /// Redistribute local data from distribution `from` to distribution `to`,
-/// returning the new local storage (in `to`'s local index order).
+/// returning the new local storage (in `to`'s local index order) and tagging
+/// the traffic with a distinct `epoch` offset
+/// ([`Session::redistribute`](crate::Session::redistribute) allocates them).
 ///
 /// Must be called collectively.  Elements whose owner does not change are
 /// copied locally without communication.
-pub fn redistribute<P, A, B, T>(proc: &mut P, from: &A, to: &B, local_data: &[T]) -> Vec<T>
-where
-    P: Process,
-    A: Distribution + ?Sized,
-    B: Distribution + ?Sized,
-    T: Copy + Default + kali_process::Wire,
-{
-    redistribute_epoch(proc, from, to, local_data, 0)
-}
-
-/// Like [`redistribute`], tagging this redistribution's traffic with a
-/// distinct `epoch` offset.
 ///
 /// Programs that redistribute repeatedly (an adaptive-mesh run rebalancing
 /// after every refinement) use the epoch counter so each round's messages
@@ -191,7 +181,7 @@ mod tests {
             let rank = proc.rank();
             // Local data under `from`: value = global index.
             let local: Vec<u64> = from.local_set(rank).iter().map(|g| g as u64).collect();
-            let new_local = redistribute(proc, &from, &to, &local);
+            let new_local = redistribute_epoch(proc, &from, &to, &local, 0);
             // Every element must now hold its own global index under `to`.
             let expected: Vec<u64> = to.local_set(rank).iter().map(|g| g as u64).collect();
             (new_local, expected)
@@ -255,7 +245,7 @@ mod tests {
                     let local: Vec<u64> = (0..from.local_count(rank))
                         .map(|l| from.global_index(rank, l) as u64)
                         .collect();
-                    let moved = redistribute(proc, &from, &to, &local);
+                    let moved = redistribute_epoch(proc, &from, &to, &local, 0);
                     let expected: Vec<u64> = (0..to.local_count(rank))
                         .map(|l| to.global_index(rank, l) as u64)
                         .collect();
@@ -301,7 +291,7 @@ mod tests {
         let (_, stats) = machine.run_stats(|proc| {
             let d = DimDist::block(40, proc.nprocs());
             let local: Vec<u32> = d.local_set(proc.rank()).iter().map(|g| g as u32).collect();
-            let out = redistribute(proc, &d, &d, &local);
+            let out = redistribute_epoch(proc, &d, &d, &local, 0);
             assert_eq!(out, local);
         });
         assert_eq!(stats.totals.msgs_sent, 0);

@@ -1,59 +1,87 @@
-//! The [`Session`]: one per-rank handle owning the execute-side runtime
-//! state a Kali program needs.
+//! The [`Session`]: the one front end that runs a `forall`.
 //!
 //! The paper's programs are sequences of `forall`s interleaved with global
-//! reductions.  Before this module, every solver hand-wired the same
-//! plumbing: a `ScheduleCache` built by hand, `const LOOP_ID` magic numbers,
-//! a manually threaded sweep counter for executor tags, a manually threaded
-//! epoch counter for redistributions, `proc.time()` bracketing around every
-//! plan call, and raw `allreduce_sum_f64` calls outside the pipeline.  A
-//! `Session` owns all of it:
+//! reductions, and its compiler emits one inspector/executor expansion of
+//! each `forall` (§3, Figures 3 and 6).  A `Session` is that expansion as a
+//! library, one per rank.  A loop is **described** once
+//! ([`Session::loop_1d`], [`Session::loop_over`] → [`ParallelLoop`]),
+//! **planned** ([`Session::plan`] for affine references: the closed form
+//! when one exists, the cached inspector otherwise; [`Session::plan_indirect`]
+//! for data-dependent ones), and **executed** any number of times
+//! ([`Session::execute`], or [`Session::execute_reduce`] when the loop is
+//! also a reduction); live arrays change placement with
+//! [`Session::redistribute`] and [`Session::retire_placement`].
+//!
+//! The layers underneath stay public for benches and tests that drive one
+//! of them with hand-built inputs — [`IterSpace::analyze`],
+//! [`run_inspector`], [`ScheduleCache`], [`execute_sweep`] with its
+//! [`ExecutorConfig`], [`redistribution_schedule`](crate::redistribution_schedule)
+//! — but the session is the one thing that composes them, and it owns the
+//! state the composition needs:
 //!
 //! * the **schedule cache** — one per session, shared by every loop the
 //!   session allocates (two interleaved `forall`s — red/black half-sweeps —
 //!   share the cache but never a schedule, because their loop ids differ);
-//! * **loop-id allocation** ([`Session::loop_1d`], [`Session::loop_over`]) —
-//!   ids are handed out in program order, which is identical on every rank
-//!   of an SPMD program, so the cache keys stay in lockstep;
-//! * **sweep-tag allocation** — [`Session::execute`] stamps each execution
-//!   with the next tag from one monotonically increasing counter (wrapping
-//!   inside the executor's tag window), so interleaved loops can never
-//!   confuse their in-flight messages;
+//! * **loop-id allocation** — ids are handed out in program order, which is
+//!   identical on every rank of an SPMD program, so the cache keys stay in
+//!   lockstep;
+//! * **sweep-tag allocation** — each execution is stamped with the next tag
+//!   from one monotonically increasing counter (wrapping inside the
+//!   executor's tag window), so interleaved loops can never confuse their
+//!   in-flight messages;
 //! * **data-version tracking** — [`Session::bump_data_version`] after a mesh
 //!   adaptation makes every subsequent plan re-inspect exactly once;
-//! * **redistribution epochs** — [`Session::redistribute`] tags each move
-//!   with the next epoch and [`Session::retire_placement`] reclaims the
-//!   retired placement's schedules from the cache;
+//! * **redistribution epochs** — each move is tagged with the next epoch;
+//! * the **executor knobs** — overlap, intra-rank workers and chunk length
+//!   (the latter two read from `KALI_WORKERS` / `KALI_CHUNK` at
+//!   construction) reach every sweep, so an unmodified program can be driven
+//!   at any worker count from the outside;
 //! * **metering** — inspector time (accumulated around every plan call) and
-//!   reduction counts/bytes ([`Session::execute_reduce`]), snapshotted by
-//!   [`Session::stats`] for the solvers' outcome structs.
+//!   reduction counts/bytes, snapshotted by [`Session::stats`] for the
+//!   solvers' outcome structs — and, in debug builds, a static verification
+//!   of every plan ([`verify::check_schedule`]), so a broken analysis aborts
+//!   at plan time with a diagnostic instead of hanging in the executor.
 //!
-//! There are two ways to run a planned sweep: [`Session::execute`] (a
-//! read-only body returning one value per iteration, a sink storing the
-//! values on the rank's thread) and [`Session::execute_reduce`], which makes
-//! reductions **first-class loop outputs**: the body also returns one
-//! contribution per iteration and the session reduces them under a typed
-//! [`ReduceOp`] — deterministically ordered, so dmsim, native and a
-//! sequential replay agree bit for bit — while the collective's messages are
-//! charged like any other communication.
+//! [`Session::execute_reduce`] makes reductions **first-class loop outputs**:
+//! the body also returns one contribution per iteration and the session
+//! reduces them under a typed [`ReduceOp`] — deterministically ordered, so
+//! dmsim, native and a sequential replay agree bit for bit — while the
+//! collective's messages are charged like any other communication.
+//!
+//! ## Out-of-bounds reference policy
+//!
+//! A reference that leaves the referenced array is a programming error, and
+//! what happens to it depends on who names it:
+//!
+//! * an **affine** reference ([`Session::plan`]: `A[i+1]` at `i = N-1` when
+//!   the loop was not restricted to `1..N-1`) makes **debug builds panic at
+//!   plan time**, on both the closed-form and the inspector path; release
+//!   builds treat the reference as absent (it is never fetched);
+//! * a **data-dependent** reference ([`Session::plan_indirect`]: a stale
+//!   `adj` entry) is **rejected at plan time in every build** — the
+//!   inspector asserts each enumerated index against the array bounds,
+//!   because a distribution would otherwise happily name an owner for it
+//!   and the sweep would die later, blaming something else.
 
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use distrib::Distribution;
+use distrib::{combine_fingerprints, Distribution};
 
 use crate::cache::{CacheStats, ScheduleCache};
-use crate::executor::{ExecutorConfig, Fetcher};
+use crate::executor::{execute_sweep, ExecutorConfig, Fetcher};
 use crate::forall::ParallelLoop;
+use crate::inspector::run_inspector;
 use crate::process::trace::Event;
-use crate::process::{tree_allreduce_sends, Process, Reduce, ReduceOp};
+use crate::process::{tree_allreduce_sends, tree_children, Process, Reduce, ReduceOp};
 use crate::redistribute::redistribute_epoch;
 use crate::schedule::CommSchedule;
 use crate::space::{IterSpace, Span};
-use crate::verify::{self, CollectiveCall, Violation};
+use crate::verify::{self, CollectiveCall};
 
-/// Per-rank execute-side runtime state: schedule cache, loop-id / sweep-tag /
-/// epoch allocation, data-version tracking and reduction metering (see the
-/// module docs).
+/// Per-rank front end and execute-side runtime state: schedule cache, loop-id
+/// / sweep-tag / epoch allocation, data-version tracking and reduction
+/// metering (see the module docs).
 ///
 /// A `Session` is SPMD state: every rank constructs one at the same point of
 /// the program and calls the same methods in the same order, which keeps the
@@ -107,10 +135,43 @@ impl Default for Session {
     }
 }
 
-/// Read a non-negative integer knob from the environment; unset, empty or
-/// unparsable values fall back to the caller's default.
+/// The value of the integer knob `name`, given what the environment holds
+/// for it: unset or empty keeps the caller's default, anything else must be
+/// a non-negative integer.  A typo must not silently run the default — the
+/// CI steps that set `KALI_WORKERS` exist to put the suites on a real pool.
+fn parse_knob(name: &str, value: Option<&str>) -> Option<usize> {
+    let value = value.map(str::trim).filter(|v| !v.is_empty())?;
+    match value.parse() {
+        Ok(knob) => Some(knob),
+        Err(_) => panic!("{name}={value:?}: expected a non-negative integer"),
+    }
+}
+
+/// Read a non-negative integer knob from the environment ([`parse_knob`]).
 fn env_knob(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
+    let value = std::env::var_os(name);
+    parse_knob(name, value.as_ref().map(|v| v.to_string_lossy()).as_deref())
+}
+
+/// Stable fingerprint of a reference list: the repo's FNV-1a chained over
+/// the bytes the maps' `Hash` impls emit.  A pure function of the
+/// coefficients — never a `RandomState` — because SPMD ranks must hit and
+/// miss the cache in lockstep.
+fn refs_fingerprint<M: Hash>(refs: &[M]) -> u64 {
+    struct Fnv(u64);
+    impl Hasher for Fnv {
+        fn finish(&self) -> u64 {
+            self.0
+        }
+        fn write(&mut self, bytes: &[u8]) {
+            for &byte in bytes {
+                self.0 = combine_fingerprints(self.0, byte as u64);
+            }
+        }
+    }
+    let mut hasher = Fnv(0);
+    refs.hash(&mut hasher);
+    hasher.finish()
 }
 
 impl Session {
@@ -126,7 +187,8 @@ impl Session {
     /// and `KALI_CHUNK` (chunk length in iterations, default 0 = auto).
     /// Neither affects results — only wall-clock speed on the native
     /// backend — which is what lets an unmodified program be driven at any
-    /// worker count from the outside.
+    /// worker count from the outside.  A value that is set and is not a
+    /// non-negative integer panics here, naming the variable.
     pub fn with_cache_capacity(capacity: usize) -> Self {
         Session {
             cache: ScheduleCache::with_capacity(capacity),
@@ -149,27 +211,17 @@ impl Session {
 
     /// Set whether executions overlap communication with local iterations
     /// (the paper's executor shape; disabling it is the ablation knob).
-    pub fn set_overlap(&mut self, overlap: bool) {
-        self.overlap = overlap;
-    }
-
-    /// Builder form of [`Session::set_overlap`].
     pub fn overlap(mut self, overlap: bool) -> Self {
-        self.set_overlap(overlap);
+        self.overlap = overlap;
         self
     }
 
     /// Set the intra-rank worker-thread count for executions (clamped to
     /// at least 1).  With 1 worker no threads are spawned; any other count
     /// changes wall-clock speed only, never results — the executor's
-    /// determinism contract ([`execute_sweep`](crate::execute_sweep)).
+    /// determinism contract ([`execute_sweep`]).
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
-    }
-
-    /// The intra-rank worker-thread count executions will use.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Builder form of [`Session::set_workers`].
@@ -194,20 +246,14 @@ impl Session {
     // Loop allocation
     // ----------------------------------------------------------------
 
-    /// Allocate the next loop id.  Ids are handed out in program order
-    /// (identical on every rank of an SPMD program) and are unique within
-    /// the session — which is all the session's own cache requires.
-    pub fn alloc_loop_id(&mut self) -> u64 {
+    /// Describe a loop over `space` with an owner-computes on-clause,
+    /// allocating its id from this session.  Ids are handed out in program
+    /// order (identical on every rank of an SPMD program) and are unique
+    /// within the session — which is all the session's own cache requires.
+    pub fn loop_over<S: IterSpace>(&mut self, space: S, on_dist: S::Dist) -> ParallelLoop<S> {
         let id = self.next_loop_id;
         self.next_loop_id += 1;
         self.loops_allocated += 1;
-        id
-    }
-
-    /// Describe a loop over `space` with an owner-computes on-clause,
-    /// allocating its id from this session.
-    pub fn loop_over<S: IterSpace>(&mut self, space: S, on_dist: S::Dist) -> ParallelLoop<S> {
-        let id = self.alloc_loop_id();
         ParallelLoop::over(id, space, on_dist)
     }
 
@@ -239,9 +285,16 @@ impl Session {
     // Planning (timed, against the session's cache and version)
     // ----------------------------------------------------------------
 
-    /// Plan affine references through [`ParallelLoop::plan`] using the
-    /// session's cache and current data version, accumulating the elapsed
-    /// (simulated) time into the session's inspector meter.
+    /// Obtain a communication schedule for affine references into a
+    /// `data_dist`-placed array: the compile-time analysis
+    /// ([`IterSpace::analyze`]) when a closed form exists — no run-time set
+    /// computation, **zero planning messages**, no cache entry — and the
+    /// cached inspector otherwise, keyed on the loop, the session's data
+    /// version, both distributions and `refs` themselves.
+    ///
+    /// A reference that leaves the array panics in debug builds — on *both*
+    /// paths — and is treated as absent in release builds (see the module
+    /// docs).  The elapsed (simulated) time goes to the inspector meter.
     pub fn plan<P, S>(
         &mut self,
         proc: &mut P,
@@ -254,15 +307,45 @@ impl Session {
         S: IterSpace,
     {
         let before = proc.time();
-        let schedule = loop_.plan(proc, &mut self.cache, data_dist, refs, self.data_version);
-        self.inspector_time += proc.time() - before;
-        self.debug_verify(&schedule);
-        schedule
+        let (space, rank) = (&loop_.space, proc.rank());
+        #[cfg(debug_assertions)]
+        for &i in &loop_.exec_iters(rank) {
+            assert!(
+                refs.iter()
+                    .all(|m| space.apply_map(m, i, data_dist).is_some()),
+                "loop {:#x}: an affine reference of iteration {i} leaves the bounds of \
+                 the referenced array ({} elements); out-of-bounds references are a \
+                 programming error — restrict the iteration space",
+                loop_.loop_id,
+                data_dist.n()
+            );
+        }
+        let schedule = match space.analyze(&loop_.on_dist, data_dist, refs, rank) {
+            Some(schedule) => Arc::new(schedule),
+            None => {
+                let mut key = loop_.cache_key(data_dist, self.data_version);
+                key.refs_fingerprint = refs_fingerprint(refs);
+                self.cache.get_or_build(key, || {
+                    // Enumerated lazily: a cache hit never materialises the exec set.
+                    let exec = loop_.exec_iters(rank);
+                    run_inspector(proc, data_dist, &exec, |i, out| {
+                        out.extend(refs.iter().filter_map(|m| space.apply_map(m, i, data_dist)))
+                    })
+                })
+            }
+        };
+        self.planned(proc, before, schedule)
     }
 
-    /// Plan data-dependent references through
-    /// [`ParallelLoop::plan_indirect`] using the session's cache and current
-    /// data version, accumulating the elapsed time into the inspector meter.
+    /// Obtain a communication schedule for data-dependent references by
+    /// running the inspector once per `(loop, data version, distributions)`
+    /// — see [`ParallelLoop::cache_key`] — and serving the cached schedule
+    /// afterwards.
+    ///
+    /// `refs_of` enumerates, for a linearised iteration, the linearised
+    /// global indices of the `data_dist`-distributed array it references;
+    /// an index outside the array panics, in every build (see the module
+    /// docs).  The elapsed time goes to the inspector meter.
     pub fn plan_indirect<P, S, D, F>(
         &mut self,
         proc: &mut P,
@@ -277,63 +360,57 @@ impl Session {
         F: FnMut(usize, &mut Vec<usize>),
     {
         let before = proc.time();
-        let schedule =
-            loop_.plan_indirect(proc, &mut self.cache, data_dist, self.data_version, refs_of);
+        let key = loop_.cache_key(data_dist, self.data_version);
+        let schedule = self.cache.get_or_build(key, || {
+            // Enumerated lazily: a cache hit never materialises the exec set.
+            let exec = loop_.exec_iters(proc.rank());
+            run_inspector(proc, data_dist, &exec, refs_of)
+        });
+        self.planned(proc, before, schedule)
+    }
+
+    /// What every plan ends with: meter the time since `before` and, in
+    /// debug builds, statically verify the schedule's rank-local invariants
+    /// ([`verify::check_schedule`]; the cross-rank ones need every rank's
+    /// plan at once — gather those for [`verify::check_schedule_set`]).
+    fn planned<P: Process>(
+        &mut self,
+        proc: &P,
+        before: f64,
+        schedule: Arc<CommSchedule>,
+    ) -> Arc<CommSchedule> {
         self.inspector_time += proc.time() - before;
-        self.debug_verify(&schedule);
-        schedule
-    }
-
-    /// Statically verify one planned schedule's rank-local invariants
-    /// (record ordering, dense non-overlapping receive layout, lookup
-    /// consistency, well-formed iteration lists) — see
-    /// [`verify::check_schedule`].  Cross-rank properties (duality,
-    /// deadlock freedom) need every rank's plan at once; gather those and
-    /// call [`verify::check_schedule_set`].
-    ///
-    /// Debug builds run this automatically on every [`Session::plan`] /
-    /// [`Session::plan_indirect`] result, so a broken analysis aborts at
-    /// plan time with a diagnostic instead of hanging in the executor.
-    pub fn verify_plan(&self, schedule: &CommSchedule) -> Vec<Violation> {
-        verify::check_schedule(schedule)
-    }
-
-    #[inline]
-    fn debug_verify(&self, schedule: &CommSchedule) {
         if cfg!(debug_assertions) {
-            let violations = self.verify_plan(schedule);
+            let violations = verify::check_schedule(&schedule);
             assert!(
                 violations.is_empty(),
                 "plan failed static verification:\n{}",
                 verify::render(&violations)
             );
         }
+        schedule
     }
 
     // ----------------------------------------------------------------
     // Execution (sweep tags allocated here)
     // ----------------------------------------------------------------
 
-    /// The executor configuration for the next sweep: the session's
-    /// monotonic sweep counter (wrapped inside the executor tag window by
-    /// [`ExecutorConfig::sweep`]) plus the session's overlap setting.
-    fn next_sweep_config(&mut self) -> ExecutorConfig {
-        let config = ExecutorConfig::sweep(self.sweep)
-            .with_overlap(self.overlap)
-            .with_workers(self.workers)
-            .with_chunk(self.chunk);
-        self.sweep += 1;
-        self.sweeps_executed += 1;
-        config
-    }
-
-    /// Execute one sweep of a planned loop ([`ParallelLoop::execute`]),
-    /// stamping it with the next sweep tag and threading the session's
-    /// overlap / worker / chunk knobs through.  The body is a read-only
-    /// `Fn` returning one value per iteration; writes go through `sink` on
-    /// the calling thread in ascending iteration order per phase.  Returns
-    /// the number of iterations executed locally.
-    #[allow(clippy::too_many_arguments)] // mirrors ParallelLoop::execute
+    /// Execute one sweep of a planned loop ([`execute_sweep`]): sends are
+    /// posted, local iterations overlap the communication, nonlocal
+    /// iterations run against the receive buffer.  The body is a read-only
+    /// `Fn` returning one value per iteration; writes happen on the calling
+    /// thread through `sink(i, value)` in ascending iteration order per
+    /// phase, and the session's worker threads may run chunks concurrently.
+    /// Results and metered counters are identical at every `(workers,
+    /// chunk)` setting.  Returns the number of iterations executed locally.
+    ///
+    /// The sweep is stamped with the session's next sweep tag (wrapped
+    /// inside the executor tag window by [`ExecutorConfig::sweep`]), and the
+    /// session's chunk length is rounded up to the space's preferred
+    /// alignment ([`IterSpace::chunk_align`]) — whole rows for
+    /// [`Rect`](crate::space::Rect) spaces, a no-op elsewhere.  Alignment
+    /// shapes chunk boundaries only.
+    #[allow(clippy::too_many_arguments)] // execute_sweep's, the loop standing for config + on-clause
     pub fn execute<P, S, D, T, V, F, W>(
         &mut self,
         proc: &mut P,
@@ -353,8 +430,30 @@ impl Session {
         F: Fn(usize, &mut Fetcher<'_, T, D>) -> V + Sync,
         W: FnMut(usize, V),
     {
-        let config = self.next_sweep_config();
-        loop_.execute(proc, config, schedule, data_dist, local_data, body, sink)
+        let mut config = ExecutorConfig::sweep(self.sweep)
+            .with_overlap(self.overlap)
+            .with_workers(self.workers)
+            .with_chunk(self.chunk);
+        self.sweep += 1;
+        self.sweeps_executed += 1;
+        let align = loop_.space.chunk_align();
+        if align > 1 {
+            // Saturating: `usize::MAX` asks for one whole-list chunk.
+            config.chunk = config
+                .effective_chunk()
+                .div_ceil(align)
+                .saturating_mul(align);
+        }
+        execute_sweep(
+            proc,
+            config,
+            schedule,
+            &loop_.on_dist,
+            data_dist,
+            local_data,
+            body,
+            sink,
+        )
     }
 
     /// The one survivor of the pre-merge entry-point names, forwarding to
@@ -386,13 +485,29 @@ impl Session {
         self.execute(proc, loop_, schedule, data_dist, local_data, body, sink)
     }
 
-    /// Execute one sweep whose value is a typed global reduction of the
-    /// body's per-iteration contributions
-    /// ([`ParallelLoop::execute_reduce`]: the body returns `(value,
-    /// contribution)`, values reach `sink`), stamping it with the next
-    /// sweep tag and metering the reduction (count and bytes) in the
-    /// session.
-    #[allow(clippy::too_many_arguments)] // mirrors ParallelLoop::execute_reduce
+    /// Execute one sweep in which the loop is also a **reduction**: the body
+    /// returns `(value, contribution)` per iteration, values reach `sink`
+    /// as in [`Session::execute`], and the loop's value is the global
+    /// reduction of all contributions under the typed operator `R` — the
+    /// paper's convergence tests and dot products as first-class loop
+    /// outputs instead of an out-of-band `allreduce`.  The reduction is
+    /// metered (count and bytes) in the session.
+    ///
+    /// The combining order is fixed and backend independent (the
+    /// [`ReduceOp`] determinism contract): contributions fold in ascending
+    /// **iteration** order on each rank — regardless of the executor's
+    /// local-then-nonlocal execution order, the worker count and the chunk
+    /// size — and the per-rank partials combine with the fixed
+    /// **binomial-tree bracketing** through the generic
+    /// [`Process::allreduce`] (`2(P−1)` messages).  The result is therefore
+    /// bitwise identical on every rank, across dmsim and native, and
+    /// against a sequential replay folding the same per-rank partial
+    /// structure with `tree_combine_partials`.
+    ///
+    /// The collective runs *inside* the planned pipeline: its messages go
+    /// through the backend like any other communication (so dmsim charges
+    /// them), and the folds charge one flop per combine.
+    #[allow(clippy::too_many_arguments)] // execute's + the reduction op
     pub fn execute_reduce<P, S, D, T, V, R, F, W>(
         &mut self,
         proc: &mut P,
@@ -400,9 +515,9 @@ impl Session {
         schedule: &CommSchedule,
         data_dist: &D,
         local_data: &[T],
-        op: Reduce<R>,
+        _op: Reduce<R>,
         body: F,
-        sink: W,
+        mut sink: W,
     ) -> R::Acc
     where
         P: Process,
@@ -415,33 +530,47 @@ impl Session {
         F: Fn(usize, &mut Fetcher<'_, T, D>) -> (V, R::Input) + Sync,
         W: FnMut(usize, V),
     {
-        let config = self.next_sweep_config();
-        let value = loop_.execute_reduce(
-            proc, config, schedule, data_dist, local_data, op, body, sink,
+        // Contributions arrive in executor order: the local iterations,
+        // then the nonlocal ones — two ascending runs.  Merge-fold them in
+        // ascending iteration order so the fold is a function of the loop
+        // alone, not of the schedule's local/nonlocal split.
+        let boundary = schedule.local_iters.len();
+        let mut contributions: Vec<(usize, R::Input)> =
+            Vec::with_capacity(boundary + schedule.nonlocal_iters.len());
+        self.execute(
+            proc,
+            loop_,
+            schedule,
+            data_dist,
+            local_data,
+            body,
+            |i, (v, c)| {
+                sink(i, v);
+                contributions.push((i, c));
+            },
         );
-        self.meter_reduction::<P, R>(proc);
-        value
-    }
-
-    /// Count one typed reduction: meters (count, bytes) plus one
-    /// [`CollectiveCall`] appended to the collective trace the SPMD
-    /// conformance check compares across ranks.
-    fn meter_reduction<P: Process, R: ReduceOp>(&mut self, proc: &P) {
+        let value = fold_and_allreduce::<P, R>(proc, boundary, contributions);
         self.reductions += 1;
         self.reduction_bytes += tree_allreduce_sends(proc.nprocs(), proc.rank()) as u64
             * std::mem::size_of::<R::Acc>() as u64;
+        // One entry of the collective trace the SPMD conformance check
+        // compares across ranks.
         self.collective_trace.push(CollectiveCall {
             op: R::name(),
             acc_bytes: std::mem::size_of::<R::Acc>(),
         });
+        value
     }
 
     // ----------------------------------------------------------------
     // Redistribution (epochs allocated here)
     // ----------------------------------------------------------------
 
-    /// Move a live array between distributions, tagging the traffic with
-    /// the session's next redistribution epoch.
+    /// Move a live array between distributions, returning the new local
+    /// storage (in `to`'s local index order) and tagging the traffic with
+    /// the session's next redistribution epoch.  Must be called
+    /// collectively; elements whose owner does not change are copied
+    /// locally without communication.
     pub fn redistribute<P, A, B, T>(
         &mut self,
         proc: &mut P,
@@ -480,12 +609,6 @@ impl Session {
     // ----------------------------------------------------------------
     // Introspection
     // ----------------------------------------------------------------
-
-    /// Direct access to the schedule cache (escape hatch for tests and
-    /// tooling; programs normally go through the planning methods).
-    pub fn cache(&mut self) -> &mut ScheduleCache {
-        &mut self.cache
-    }
 
     /// Simulated seconds this rank has spent planning so far.
     pub fn inspector_time(&self) -> f64 {
@@ -529,6 +652,56 @@ impl Session {
             inspector_time: self.inspector_time,
         }
     }
+}
+
+/// Fold per-iteration reduction contributions in the fixed deterministic
+/// order and combine across ranks: contributions arrive as two ascending
+/// runs (local iterations first, nonlocal after, split at `boundary`), are
+/// merge-folded in ascending **iteration** order, and the per-rank partials
+/// combine with the **binomial-tree bracketing** through
+/// [`Process::allreduce`].
+///
+/// **Bracketing contract.**  The cross-rank combine below must bracket
+/// exactly like `tree_combine_partials::<R>` — `Process::allreduce`'s
+/// documented behaviour — because the solvers' sequential replays
+/// (`replay_reduce`) fold per-rank partials with that helper and assert
+/// bitwise equality against this function's result.  Passing `R::combine`
+/// through unchanged (never a rank-dependent or order-swapped closure) is
+/// what keeps a future op addition from silently producing
+/// backend-divergent bits; the reduction-determinism suite pins it for
+/// every built-in op.
+fn fold_and_allreduce<P: Process, R: ReduceOp>(
+    proc: &mut P,
+    boundary: usize,
+    contributions: Vec<(usize, R::Input)>,
+) -> R::Acc {
+    proc.charge_flops(contributions.len());
+    let (local, nonlocal) = contributions.split_at(boundary);
+    debug_assert!(local.windows(2).all(|w| w[0].0 < w[1].0));
+    debug_assert!(nonlocal.windows(2).all(|w| w[0].0 < w[1].0));
+    let mut acc = R::identity();
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < local.len() && j < nonlocal.len() {
+        if local[i].0 < nonlocal[j].0 {
+            acc = R::combine(acc, R::lift(local[i].1));
+            i += 1;
+        } else {
+            acc = R::combine(acc, R::lift(nonlocal[j].1));
+            j += 1;
+        }
+    }
+    for &(_, v) in &local[i..] {
+        acc = R::combine(acc, R::lift(v));
+    }
+    for &(_, v) in &nonlocal[j..] {
+        acc = R::combine(acc, R::lift(v));
+    }
+    let partial = acc;
+    // Each rank performs one combine per reduce-tree child it absorbs
+    // (machine-wide P − 1 combines, the same work the flat fold did once).
+    proc.charge_flops(tree_children(proc.nprocs(), proc.rank()));
+    let total = proc.allreduce(partial, |a, b| R::combine(*a, *b));
+    R::finish(total)
 }
 
 #[cfg(test)]
@@ -696,14 +869,15 @@ mod tests {
     #[test]
     fn worker_and_chunk_knobs_default_sane_and_are_settable() {
         // Note: this does not set the KALI_WORKERS env var (process-global
-        // state would race other tests); the env path is covered by the CI
-        // job running the equivalence suite under KALI_WORKERS=4.
+        // state would race other tests); the parsing is covered below and
+        // the env path by the CI job running the equivalence suite under
+        // KALI_WORKERS=4.
         let mut s = Session::new();
-        assert!(s.workers() >= 1);
+        assert!(s.workers >= 1);
         s.set_workers(0);
-        assert_eq!(s.workers(), 1, "worker count clamps to at least 1");
+        assert_eq!(s.workers, 1, "worker count clamps to at least 1");
         let s = Session::new().with_workers(6);
-        assert_eq!(s.workers(), 6);
+        assert_eq!(s.workers, 6);
         let mut s = Session::new();
         assert_eq!(s.chunk_size(), 0);
         s.set_chunk_size(512);
@@ -792,12 +966,12 @@ mod tests {
             let refs = |i: usize, out: &mut Vec<usize>| out.push((i * 5) % 24);
             let schedule = session.plan_indirect(proc, &loop_, &dist, refs);
             // The plan passes rank-local static verification...
-            assert_eq!(session.verify_plan(&schedule), vec![]);
+            assert_eq!(verify::check_schedule(&schedule), vec![]);
             // ...and a hand-corrupted copy does not.
             let mut broken = (*schedule).clone();
             if let Some(r) = broken.recv_records.first_mut() {
                 r.buffer += 1;
-                assert!(!session.verify_plan(&broken).is_empty());
+                assert!(!verify::check_schedule(&broken).is_empty());
             }
             let local: Vec<f64> = dist
                 .local_set(proc.rank())
@@ -904,7 +1078,60 @@ mod tests {
                 |i, fetch| (fetch.home(), fetch.fetch(i + 1)),
                 |_, (l, v)| out[l] = v,
             );
-            session.set_overlap(true);
         });
+    }
+
+    #[test]
+    fn the_inspector_fallback_keys_the_cache_on_the_reference_maps() {
+        // Regression: the fallback keyed the cache on loop, version and
+        // placements only, so planning one loop for `A[2i]` and then for
+        // `A[3i+1]` handed the first schedule back (the closed-form path,
+        // which bypasses the cache, always honoured its maps).
+        let machine = Machine::new(2, CostModel::ideal());
+        machine.run(|proc| {
+            let on = DimDist::block(16, proc.nprocs());
+            let data = DimDist::block(64, proc.nprocs());
+            let mut session = Session::new();
+            let loop_ = session.loop_1d(16, on);
+            let doubled = session.plan(proc, &loop_, &data, &[AffineMap::new(2, 0)]);
+            let tripled = session.plan(proc, &loop_, &data, &[AffineMap::new(3, 1)]);
+            let cache = session.stats().cache;
+            assert_eq!(
+                (cache.misses, cache.hits),
+                (2, 0),
+                "one inspector run per map"
+            );
+            assert_ne!(doubled.signature(), tripled.signature());
+            // Rank 1 runs 8..16: `2i` reaches 16..=30 (all of it rank 0's),
+            // `3i + 1` reaches 25..=46, of which only 25, 28, 31 are.
+            if proc.rank() == 1 {
+                assert_eq!((doubled.recv_len, tripled.recv_len), (8, 3));
+            }
+            // Each list still hits its own entry, and retiring the placement
+            // names both.
+            session.plan(proc, &loop_, &data, &[AffineMap::new(2, 0)]);
+            session.plan(proc, &loop_, &data, &[AffineMap::new(3, 1)]);
+            assert_eq!(session.stats().cache.hits, 2);
+            assert_eq!(session.retire_placement(&loop_, &data), 2);
+        });
+    }
+
+    #[test]
+    fn knobs_parse_strictly() {
+        // The pure half of `env_knob`; no `set_var` here — the environment
+        // is process-global and the suites run in parallel.
+        assert_eq!(parse_knob("KALI_WORKERS", None), None);
+        assert_eq!(parse_knob("KALI_WORKERS", Some("")), None);
+        assert_eq!(parse_knob("KALI_WORKERS", Some("  ")), None);
+        assert_eq!(parse_knob("KALI_WORKERS", Some("4")), Some(4));
+        assert_eq!(parse_knob("KALI_CHUNK", Some(" 0\n")), Some(0));
+        for malformed in ["4x", "-1", "four", "1.5"] {
+            let panic = std::panic::catch_unwind(|| parse_knob("KALI_WORKERS", Some(malformed)))
+                .expect_err("a malformed knob must not run the default");
+            assert_eq!(
+                *panic.downcast::<String>().expect("a formatted message"),
+                format!("KALI_WORKERS={malformed:?}: expected a non-negative integer")
+            );
+        }
     }
 }

@@ -15,17 +15,17 @@
 //!   element of the referenced array ([`IterSpace::apply_map`]), which is
 //!   what the inspector fallback enumerates.
 //!
-//! Two spaces are provided: [`Span`], the 1-D half-open range of the
-//! original API, and [`Rect`], a rectangular 2-D/3-D/N-D box over a
-//! multi-dimensional array shape.  [`ParallelLoop`](crate::ParallelLoop) is
-//! generic over the space, so the same plan→execute pipeline serves both.
+//! Three spaces are provided: [`Span`], a 1-D half-open range; [`Stripe`], a
+//! strided 1-D congruence class; and [`Rect`], a rectangular 2-D/3-D/N-D box
+//! over a multi-dimensional array shape.  [`ParallelLoop`](crate::ParallelLoop)
+//! and [`Session`](crate::Session) are generic over the space, so one
+//! plan→execute pipeline serves all three.
 
 use distrib::{product_flat, unflatten_index, DimDist, Distribution, FlatDist, IndexSet};
 
 use crate::analysis::affine::AffineMap;
-use crate::analysis::compile_time::{analyze, LoopSpec};
+use crate::analysis::closed_form;
 use crate::analysis::multi::{analyze_multi, MultiAffineMap};
-use crate::analysis::stripe::{analyze_stripe, StripeSpec};
 use crate::inspector::owner_computes_range;
 use crate::schedule::CommSchedule;
 
@@ -41,8 +41,10 @@ pub trait IterSpace: Clone + std::fmt::Debug {
     type Dist: Distribution + Clone + Send + Sync + 'static;
 
     /// The affine subscript type for references into `Self::Dist`-placed
-    /// arrays.
-    type Map: Clone;
+    /// arrays.  `Hash` because a schedule is a function of the subscripts it
+    /// was planned for: [`Session::plan`](crate::Session::plan) folds them
+    /// into the schedule-cache key on its inspector fallback.
+    type Map: Clone + std::hash::Hash;
 
     /// The linearised iterations `rank` executes under owner-computes, in
     /// ascending order — `exec(p)` intersected with the space's bounds,
@@ -50,9 +52,10 @@ pub trait IterSpace: Clone + std::fmt::Debug {
     /// filtering the full owned set).
     fn exec_iters(&self, on: &Self::Dist, rank: usize) -> Vec<usize>;
 
-    /// Attempt the closed-form (compile-time) analysis for `rank`; `None`
-    /// when no closed form exists and the planner must fall back to the
-    /// run-time inspector.
+    /// Attempt the closed-form (compile-time) analysis for `rank` — no
+    /// communication, no per-element work; `None` when no closed form exists
+    /// and the planner must fall back to the run-time inspector.  References
+    /// that leave the `data` array are treated as absent.
     fn analyze(
         &self,
         on: &Self::Dist,
@@ -64,7 +67,7 @@ pub trait IterSpace: Clone + std::fmt::Debug {
     /// Apply one affine reference subscript to a linearised iteration,
     /// yielding the linearised referenced element — `None` when the
     /// reference leaves the bounds of the `data` array (see the
-    /// out-of-bounds policy on [`ParallelLoop::plan`](crate::ParallelLoop::plan)).
+    /// out-of-bounds policy on [`Session::plan`](crate::Session::plan)).
     fn apply_map(&self, map: &Self::Map, iter: usize, data: &Self::Dist) -> Option<usize>;
 
     /// Stable identity of the space itself (bounds and box), folded into the
@@ -86,7 +89,7 @@ pub trait IterSpace: Clone + std::fmt::Debug {
 }
 
 /// A 1-D half-open iteration range `lo..hi` — the space of
-/// `forall i in 1..N` and of every loop the original API supported.
+/// `forall i in 1..N`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// First iteration.
@@ -133,14 +136,10 @@ impl IterSpace for Span {
         refs: &[AffineMap],
         rank: usize,
     ) -> Option<CommSchedule> {
-        let spec = LoopSpec {
-            range: (self.lo, self.hi),
-            on_dist: on.clone(),
-            on_map: AffineMap::identity(),
-            data_dist: data.clone(),
-            ref_maps: refs.to_vec(),
-        };
-        analyze(&spec, rank)
+        let range = IndexSet::from_range(self.lo, self.hi);
+        closed_form(rank, self.hi, on.nprocs(), data, refs, |q| {
+            on.local_set(q).intersect(&range)
+        })
     }
 
     fn apply_map(&self, map: &AffineMap, iter: usize, data: &DimDist) -> Option<usize> {
@@ -161,10 +160,30 @@ impl IterSpace for Span {
 /// loops over the same array (distinct loop ids) share one schedule cache
 /// without ever sharing a schedule.
 ///
-/// For unit-stride (shift/identity) reference subscripts the stripe has a
-/// closed-form schedule ([`analyze_stripe`](crate::analysis::stripe)):
-/// planning exchanges **zero messages** and never runs the inspector.
-/// Other subscripts fall back to the (cached) inspector, as before.
+/// ## Closed form
+///
+/// A congruence class is not a union of a few contiguous ranges, but the
+/// §3.2 formulas
+///
+/// ```text
+/// exec(p)  = local_on(p) ∩ { i ∈ [lo, hi) | i ≡ lo (mod step) }
+/// in(p,q)  = (∪_k g_k(exec(p))) ∩ local_data(q)
+/// out(p,q) = (∪_k g_k(exec(q))) ∩ local_data(p)
+/// ```
+///
+/// stay evaluable with [`IndexSet`] arithmetic once the class is
+/// materialised as an explicit interval set: one singleton range per member
+/// for `step > 1`, and for `step = 1` the dense range of a [`Span`], with
+/// which the stripe then plans identically.  The set operations are linear
+/// in the range counts — the same order as the work the inspector does
+/// locally — but **zero messages** are exchanged: every processor computes
+/// its receive *and* send records from the distributions alone, by symmetry.
+/// For unit-stride subscripts (`|a| = 1`, the identity and shifts that
+/// dominate relaxation codes) the result is bit-for-bit the schedule the
+/// inspector would have produced; [`IterSpace::analyze`] returns `None`
+/// exactly when [`Span`]'s does — a reference map with `|a| ≠ 1`, or
+/// mismatched processor counts — and the planner then uses the (cached)
+/// inspector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stripe {
     /// First iteration (also the phase of the congruence class).
@@ -217,15 +236,14 @@ impl IterSpace for Stripe {
         refs: &[AffineMap],
         rank: usize,
     ) -> Option<CommSchedule> {
-        let spec = StripeSpec {
-            lo: self.lo,
-            hi: self.hi,
-            step: self.step,
-            on_dist: on.clone(),
-            data_dist: data.clone(),
-            ref_maps: refs.to_vec(),
+        let class = if self.step == 1 {
+            IndexSet::from_range(self.lo, self.hi)
+        } else {
+            IndexSet::from_indices((self.lo..self.hi).step_by(self.step))
         };
-        analyze_stripe(&spec, rank)
+        closed_form(rank, self.hi, on.nprocs(), data, refs, |q| {
+            on.local_set(q).intersect(&class)
+        })
     }
 
     fn apply_map(&self, map: &AffineMap, iter: usize, data: &DimDist) -> Option<usize> {

@@ -27,12 +27,11 @@
 //!    verified with the order-sensitive [`BracketHash`] operator.
 //!
 //! Violations come back as the structured [`Violation`] enum with precise
-//! diagnostics.  The checks run in three layers: [`Session::verify_plan`]
-//! (plus a debug-mode check on every plan), this module's public API for
-//! tests and tools, and the `verify_all` bench driver sweeping every
-//! solver/bench configuration in CI.
+//! diagnostics.  The checks run in three layers: a debug-mode
+//! [`check_schedule`] on every plan a [`Session`](crate::Session) hands out,
+//! this module's public API for tests and tools, and the `verify_all` bench
+//! driver sweeping every solver/bench configuration in CI.
 //!
-//! [`Session::verify_plan`]: crate::session::Session::verify_plan
 //! [`tags`]: crate::process::tags
 
 use std::collections::BTreeMap;

@@ -10,9 +10,9 @@
 //!
 //! `DimDist` is a cheaply clonable, type-erased handle (`Arc<dyn
 //! Distribution>`): runtime structures that *store* a distribution
-//! (`ParallelLoop`, `LoopSpec`) hold a `DimDist`, while runtime entry points
+//! (`ParallelLoop`) hold a `DimDist`, while runtime entry points
 //! that merely *consult* one (`run_inspector`, `execute_sweep`,
-//! `redistribute`) are generic over `D: Distribution + ?Sized` and accept
+//! `redistribute_epoch`) are generic over `D: Distribution + ?Sized` and accept
 //! either a `DimDist` or any concrete implementation directly.
 //!
 //! Index convention: this crate is 0-based (the paper's examples are

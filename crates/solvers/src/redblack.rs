@@ -30,9 +30,7 @@ use std::sync::Arc;
 
 use distrib::DimDist;
 use kali_core::process::{Counters, Process};
-use kali_core::{
-    analyze_stripe, AffineMap, Reduce, Session, SessionStats, Stripe, StripeSpec, Sum,
-};
+use kali_core::{AffineMap, IterSpace, Reduce, Session, SessionStats, Stripe, Sum};
 use meshes::AdjacencyMesh;
 
 use crate::adaptive::{scatter_field, scatter_mesh};
@@ -171,25 +169,19 @@ pub fn redblack_sweeps<P: Process>(
     // Chain meshes — `neighbors(i) = {i−1, i+1} ∩ [0, n)` — are the 1-D
     // three-point stencil stored as run-time data: each colour's references
     // are the affine shifts `i∓1` over its stripe (boundary references
-    // clip), so the schedule has a closed form ([`analyze_stripe`]) and
-    // planning exchanges **zero messages** and never runs the inspector.
-    // Any other adjacency falls back to the cached inspector, as before.
+    // clip, which is why this asks the space itself and not
+    // `Session::plan`, whose debug builds reject a reference that leaves
+    // the array), so the schedule has a closed form
+    // ([`IterSpace::analyze`]) and planning exchanges **zero messages** and
+    // never runs the inspector.  Any other adjacency falls back to the
+    // cached inspector.
     let (red_schedule, black_schedule) = if is_chain_mesh(mesh) {
-        let stripe_schedule = |lo: usize| {
-            let spec = StripeSpec {
-                lo,
-                hi: n,
-                step: 2,
-                on_dist: dist.clone(),
-                data_dist: dist.clone(),
-                ref_maps: vec![AffineMap::shift(-1), AffineMap::shift(1)],
-            };
-            Arc::new(
-                analyze_stripe(&spec, rank)
-                    .expect("unit-stride stripe stencils always have a closed form"),
-            )
+        let stencil = [AffineMap::shift(-1), AffineMap::shift(1)];
+        let stripe_schedule = |colour: &Stripe| {
+            let schedule = colour.analyze(dist, dist, &stencil, rank);
+            Arc::new(schedule.expect("unit-stride stripe stencils always have a closed form"))
         };
-        (stripe_schedule(0), stripe_schedule(1))
+        (stripe_schedule(&red.space), stripe_schedule(&black.space))
     } else {
         let refs_of = |i: usize, refs: &mut Vec<usize>| {
             let l = dist.local_index(i);

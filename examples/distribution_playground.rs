@@ -16,7 +16,7 @@
 
 use kali_repro::distrib::DimDist;
 use kali_repro::dmsim::{CostModel, Machine};
-use kali_repro::kali::{AffineMap, ExecutorConfig, ParallelLoop, ScheduleCache};
+use kali_repro::kali::{AffineMap, Session};
 
 fn main() {
     const N: usize = 4096;
@@ -57,17 +57,17 @@ fn main() {
             let mut local_b = local_a.clone();
 
             // The loop body below is identical for every distribution.
-            let stencil = ParallelLoop::over_1d(7, N, dist.clone()).range(1, N - 1);
-            let mut cache = ScheduleCache::new();
+            let mut session = Session::new();
+            let stencil = session.loop_1d(N, dist.clone()).range(1, N - 1);
             let refs = [
                 AffineMap::shift(-1),
                 AffineMap::identity(),
                 AffineMap::shift(1),
             ];
-            let schedule = stencil.plan(proc, &mut cache, &dist, &refs, 0);
-            stencil.execute(
+            let schedule = session.plan(proc, &stencil, &dist, &refs);
+            session.execute(
                 proc,
-                ExecutorConfig::default(),
+                &stencil,
                 &schedule,
                 &dist,
                 &local_a,

@@ -17,7 +17,7 @@
 
 use kali_repro::distrib::DimDist;
 use kali_repro::dmsim::{CostModel, Machine};
-use kali_repro::kali::{AffineMap, ExecutorConfig, ParallelLoop, ScheduleCache};
+use kali_repro::kali::{AffineMap, Session};
 
 fn main() {
     const N: usize = 64;
@@ -39,15 +39,15 @@ fn main() {
         let local_a: Vec<f64> = dist.local_set(rank).iter().map(|g| g as f64).collect();
 
         // forall i in 0..N-1 on A[i].loc do A[i] := A[i+1] end
-        let shift = ParallelLoop::over_1d(1, N - 1, dist.clone());
-        let mut cache = ScheduleCache::new();
-        let schedule = shift.plan(proc, &mut cache, &dist, &[AffineMap::shift(1)], 0);
+        let mut session = Session::new();
+        let shift = session.loop_1d(N - 1, dist.clone());
+        let schedule = session.plan(proc, &shift, &dist, &[AffineMap::shift(1)]);
 
         let mut new_a = local_a.clone();
         // The body reads; the sink stores, on this rank's own thread.
-        shift.execute(
+        session.execute(
             proc,
-            ExecutorConfig::default(),
+            &shift,
             &schedule,
             &dist,
             &local_a,

@@ -2,36 +2,31 @@
 //! must produce equivalent communication schedules whenever both apply
 //! (paper §3.2 presents them as two evaluations of the same formulas).
 
-use kali_repro::distrib::DimDist;
+use kali_repro::distrib::{DimDist, IndexSet};
 use kali_repro::dmsim::{CostModel, Machine};
-use kali_repro::kali::analysis::{analyze, analyze_stripe, LoopSpec, StripeSpec};
-use kali_repro::kali::{run_inspector, AffineMap};
+use kali_repro::kali::{run_inspector, AffineMap, IterSpace, Span, Stripe};
 
 use proptest::prelude::*;
 
-/// Run both analyses for one loop spec and compare their signatures on
-/// every processor.
-fn assert_equivalent(spec: &LoopSpec) {
-    let nprocs = spec.on_dist.nprocs();
+/// Run the closed form and the run-time inspector for one loop — `space`
+/// placed by `on`, referencing `data` through `refs` — and compare their
+/// signatures on every processor.
+fn assert_equivalent<S>(space: &S, on: &DimDist, data: &DimDist, refs: &[AffineMap])
+where
+    S: IterSpace<Dist = DimDist, Map = AffineMap> + Sync,
+{
+    let nprocs = on.nprocs();
     let machine = Machine::new(nprocs, CostModel::ideal());
-    let spec_clone = spec.clone();
     let inspector_schedules = machine.run(|proc| {
-        let exec: Vec<usize> = spec_clone.exec_set(proc.rank()).iter().collect();
-        let maps = spec_clone.ref_maps.clone();
-        let data_n = spec_clone.data_dist.n();
-        run_inspector(proc, &spec_clone.data_dist, &exec, |i, refs| {
-            for g in &maps {
-                if let Some(v) = g.apply(i) {
-                    if v < data_n {
-                        refs.push(v);
-                    }
-                }
-            }
+        let exec = space.exec_iters(on, proc.rank());
+        run_inspector(proc, data, &exec, |i, out| {
+            out.extend(refs.iter().filter_map(|g| space.apply_map(g, i, data)));
         })
         .signature()
     });
-    for (rank, inspector_schedule) in inspector_schedules.iter().enumerate().take(nprocs) {
-        let ct = analyze(spec, rank)
+    for (rank, inspector_schedule) in inspector_schedules.iter().enumerate() {
+        let ct = space
+            .analyze(on, data, refs, rank)
             .expect("unit-stride affine loops must have a closed form")
             .signature();
         assert_eq!(
@@ -44,64 +39,19 @@ fn assert_equivalent(spec: &LoopSpec) {
 #[test]
 fn figure1_shift_is_equivalent_under_block_and_cyclic() {
     for dist in [DimDist::block(100, 4), DimDist::cyclic(100, 4)] {
-        let spec = LoopSpec {
-            range: (0, 99),
-            on_dist: dist.clone(),
-            on_map: AffineMap::identity(),
-            data_dist: dist,
-            ref_maps: vec![AffineMap::shift(1)],
-        };
-        assert_equivalent(&spec);
+        assert_equivalent(&Span::upto(99), &dist, &dist, &[AffineMap::shift(1)]);
     }
 }
 
 #[test]
 fn three_point_stencil_is_equivalent_under_block_cyclic() {
     let dist = DimDist::block_cyclic(120, 8, 7);
-    let spec = LoopSpec {
-        range: (1, 119),
-        on_dist: dist.clone(),
-        on_map: AffineMap::identity(),
-        data_dist: dist,
-        ref_maps: vec![
-            AffineMap::shift(-1),
-            AffineMap::identity(),
-            AffineMap::shift(1),
-        ],
-    };
-    assert_equivalent(&spec);
-}
-
-/// Run the stripe closed form and the run-time inspector over the same
-/// congruence class and compare their signatures on every processor.
-fn assert_stripe_equivalent(spec: &StripeSpec) {
-    let nprocs = spec.on_dist.nprocs();
-    let machine = Machine::new(nprocs, CostModel::ideal());
-    let spec_clone = spec.clone();
-    let inspector_schedules = machine.run(|proc| {
-        let exec: Vec<usize> = spec_clone.exec_set(proc.rank()).iter().collect();
-        let maps = spec_clone.ref_maps.clone();
-        let data_n = spec_clone.data_dist.n();
-        run_inspector(proc, &spec_clone.data_dist, &exec, |i, refs| {
-            for g in &maps {
-                if let Some(v) = g.apply(i) {
-                    if v < data_n {
-                        refs.push(v);
-                    }
-                }
-            }
-        })
-        .signature()
-    });
-    for (rank, inspector_schedule) in inspector_schedules.iter().enumerate().take(nprocs) {
-        let ct = analyze_stripe(spec, rank)
-            .expect("unit-stride stripe loops must have a closed form")
-            .signature();
-        assert_eq!(
-            &ct, inspector_schedule,
-            "rank {rank}: stripe closed form and inspector schedules disagree"
-        );
-    }
+    let refs = [
+        AffineMap::shift(-1),
+        AffineMap::identity(),
+        AffineMap::shift(1),
+    ];
+    assert_equivalent(&Span::new(1, 119), &dist, &dist, &refs);
 }
 
 #[test]
@@ -117,15 +67,8 @@ fn redblack_stripes_are_equivalent_under_every_distribution() {
         DimDist::block_cyclic(n, p, 5),
     ] {
         for lo in [0usize, 1] {
-            let spec = StripeSpec {
-                lo,
-                hi: n,
-                step: 2,
-                on_dist: dist.clone(),
-                data_dist: dist.clone(),
-                ref_maps: vec![AffineMap::shift(-1), AffineMap::shift(1)],
-            };
-            assert_stripe_equivalent(&spec);
+            let refs = [AffineMap::shift(-1), AffineMap::shift(1)];
+            assert_equivalent(&Stripe::new(lo, n, 2), &dist, &dist, &refs);
         }
     }
 }
@@ -133,16 +76,14 @@ fn redblack_stripes_are_equivalent_under_every_distribution() {
 /// Exhaustive executability check: for every iteration of `exec(p)`, every
 /// reference is either local or covered by the receive schedule, and the
 /// receive schedule contains nothing else.
-fn assert_schedule_is_exact(spec: &LoopSpec, rank: usize) {
-    let s = analyze(spec, rank).unwrap();
+fn assert_schedule_is_exact(space: &Span, dist: &DimDist, refs: &[AffineMap], rank: usize) {
+    let s = space.analyze(dist, dist, refs, rank).unwrap();
     let recv = s.recv_index_set();
-    let mut needed = kali_repro::distrib::IndexSet::new();
-    for i in spec.exec_set(rank).iter() {
-        for g in &spec.ref_maps {
-            if let Some(v) = g.apply(i) {
-                if v < spec.data_dist.n() && !spec.data_dist.is_local(rank, v) {
-                    needed.insert(v);
-                }
+    let mut needed = IndexSet::new();
+    for i in space.exec_iters(dist, rank) {
+        for v in refs.iter().filter_map(|g| space.apply_map(g, i, dist)) {
+            if !dist.is_local(rank, v) {
+                needed.insert(v);
             }
         }
     }
@@ -171,14 +112,8 @@ proptest! {
             1 => DimDist::cyclic(n, p),
             _ => DimDist::block_cyclic(n, p, block),
         };
-        let spec = LoopSpec {
-            range: (0, n),
-            on_dist: dist.clone(),
-            on_map: AffineMap::identity(),
-            data_dist: dist,
-            ref_maps: vec![AffineMap::shift(shift_a), AffineMap::shift(shift_b)],
-        };
-        assert_equivalent(&spec);
+        let refs = [AffineMap::shift(shift_a), AffineMap::shift(shift_b)];
+        assert_equivalent(&Span::upto(n), &dist, &dist, &refs);
     }
 
     #[test]
@@ -197,15 +132,8 @@ proptest! {
             1 => DimDist::cyclic(n, p),
             _ => DimDist::block_cyclic(n, p, block),
         };
-        let spec = StripeSpec {
-            lo,
-            hi: n,
-            step,
-            on_dist: dist.clone(),
-            data_dist: dist,
-            ref_maps: vec![AffineMap::shift(shift_a), AffineMap::shift(shift_b)],
-        };
-        assert_stripe_equivalent(&spec);
+        let refs = [AffineMap::shift(shift_a), AffineMap::shift(shift_b)];
+        assert_equivalent(&Stripe::new(lo, n, step), &dist, &dist, &refs);
     }
 
     #[test]
@@ -220,15 +148,9 @@ proptest! {
             1 => DimDist::cyclic(n, p),
             _ => DimDist::block_cyclic(n, p, 3),
         };
-        let spec = LoopSpec {
-            range: (0, n),
-            on_dist: dist.clone(),
-            on_map: AffineMap::identity(),
-            data_dist: dist,
-            ref_maps: vec![AffineMap::shift(shift), AffineMap::identity()],
-        };
+        let refs = [AffineMap::shift(shift), AffineMap::identity()];
         for rank in 0..p {
-            assert_schedule_is_exact(&spec, rank);
+            assert_schedule_is_exact(&Span::upto(n), &dist, &refs, rank);
         }
     }
 }

@@ -20,7 +20,7 @@ use kali_repro::baseline::sequential_jacobi;
 use kali_repro::distrib::DimDist;
 use kali_repro::dmsim::{CostModel, Machine};
 use kali_repro::kali::inspector::owner_computes_iters;
-use kali_repro::kali::{execute_sweep, redistribute, run_inspector, ExecutorConfig};
+use kali_repro::kali::{execute_sweep, redistribute_epoch, run_inspector, ExecutorConfig};
 use kali_repro::meshes::{greedy_partition, AdjacencyMesh, RegularGrid, UnstructuredMeshBuilder};
 use kali_repro::mp::MpMachine;
 use kali_repro::native::NativeMachine;
@@ -993,7 +993,7 @@ fn redistribution_works_on_the_native_backend() {
         let to = DimDist::cyclic(n, proc.nprocs());
         let rank = proc.rank();
         let local: Vec<u64> = from.local_set(rank).iter().map(|g| g as u64).collect();
-        let moved = redistribute(proc, &from, &to, &local);
+        let moved = redistribute_epoch(proc, &from, &to, &local, 0);
         let expected: Vec<u64> = to.local_set(rank).iter().map(|g| g as u64).collect();
         assert_eq!(moved, expected, "rank {rank}");
         moved.len()

@@ -5,7 +5,7 @@
 use kali_repro::baseline::sequential_jacobi;
 use kali_repro::distrib::DimDist;
 use kali_repro::dmsim::{CostModel, Machine};
-use kali_repro::kali::redistribute;
+use kali_repro::kali::Session;
 use kali_repro::meshes::RegularGrid;
 use kali_repro::solvers::{jacobi_sweeps, JacobiConfig};
 
@@ -26,7 +26,7 @@ fn jacobi_survives_a_mid_run_redistribution() {
         let phase1 = jacobi_sweeps(proc, &mesh, &block, &initial, &JacobiConfig::with_sweeps(4));
 
         // Redistribute the live solution to a cyclic distribution…
-        let cyclic_local = redistribute(proc, &block, &cyclic, &phase1.local_a);
+        let cyclic_local = Session::new().redistribute(proc, &block, &cyclic, &phase1.local_a);
 
         // …reassemble a globally replicated field for the next phase's
         // set-up (jacobi_sweeps scatters from a replicated initial field).
