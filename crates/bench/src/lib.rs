@@ -386,8 +386,8 @@ pub fn run_adaptation(smoke: bool) -> bool {
     use dmsim::{CostModel, Machine};
     use kali_native::NativeMachine;
     use solvers::{
-        adaptive_jacobi_sequential, adaptive_jacobi_sweeps, final_placement, partitioned_dist,
-        AdaptiveConfig,
+        adaptive_jacobi_sequential, final_placement, jacobi_sweeps, partitioned_dist, JacobiConfig,
+        JacobiOutcome,
     };
 
     let (side, nprocs, sweeps, intervals): (usize, usize, usize, Vec<Option<usize>>) = if smoke {
@@ -428,22 +428,22 @@ pub fn run_adaptation(smoke: bool) -> bool {
     let mut per_sweep = Vec::new();
     let mut ok = true;
     for k in &intervals {
-        let config = AdaptiveConfig {
+        let config = JacobiConfig {
             sweeps,
             adapt_every: *k,
             rebalance: true,
             cache_capacity,
-            ..AdaptiveConfig::default()
+            ..JacobiConfig::default()
         };
 
         let machine = Machine::new(nprocs, CostModel::ncube7());
         let outcomes = machine.run(|proc| {
             let dist = partitioned_dist(proc, &mesh);
-            adaptive_jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
+            jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
         });
         let native_outcomes = NativeMachine::new(nprocs).run(|proc| {
             let dist = partitioned_dist(proc, &mesh);
-            adaptive_jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
+            jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
         });
 
         let init_dist = distrib::DimDist::custom(meshes::greedy_partition(&mesh, nprocs), nprocs);
@@ -509,7 +509,7 @@ pub fn run_adaptation(smoke: bool) -> bool {
             println!("FAIL: k={label}: dmsim and native fields diverge");
             ok = false;
         }
-        let cache_counters = |os: &[solvers::AdaptiveOutcome]| {
+        let cache_counters = |os: &[JacobiOutcome]| {
             os.iter()
                 .map(|o| (o.cache_hits, o.cache_misses, o.cache_evictions))
                 .collect::<Vec<_>>()
@@ -1789,7 +1789,8 @@ pub fn run_verify_all(smoke: bool) -> bool {
 enum McSolver {
     /// Chunked Jacobi with per-sweep convergence checks.
     Jacobi,
-    /// Adaptive Jacobi with rebalancing redistribution.
+    /// The same Jacobi program on a mesh that adapts every other sweep,
+    /// with rebalancing redistribution.
     Adaptive,
     /// Conjugate gradient (reduction-heavy).
     Cg,
@@ -1849,8 +1850,7 @@ fn mc_run_one<P: kali_core::Process>(
         sweeps,
     } = case;
     use solvers::{
-        adaptive_jacobi_sweeps, cg_solve, jacobi_sweeps, redblack_sweeps, AdaptiveConfig, CgConfig,
-        JacobiConfig, RedBlackConfig,
+        cg_solve, jacobi_sweeps, redblack_sweeps, CgConfig, JacobiConfig, RedBlackConfig,
     };
 
     if traced {
@@ -1885,14 +1885,14 @@ fn mc_run_one<P: kali_core::Process>(
             o.counters
         }
         McSolver::Adaptive => {
-            let config = AdaptiveConfig {
+            let config = JacobiConfig {
                 sweeps,
                 adapt_every: Some(2),
                 rebalance: true,
                 cache_capacity: 4,
-                ..AdaptiveConfig::default()
+                ..JacobiConfig::default()
             };
-            let o = adaptive_jacobi_sweeps(proc, mesh, dist, initial, &config);
+            let o = jacobi_sweeps(proc, mesh, dist, initial, &config);
             fp.extend(bits(&o.local_a));
             fp.extend([
                 o.adaptations,

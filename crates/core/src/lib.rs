@@ -56,8 +56,8 @@
 //!   paper's "just change the dist clause" workflow across program phases.
 //! * [`ownermap`] — distributed owner maps for irregular distributions:
 //!   translation tables that are themselves block-distributed over the
-//!   machine, resolved with a collective lookup or assembled with one
-//!   allgather into a [`distrib::IrregularDist`] (the run-time equivalent of
+//!   machine, assembled with one allgather into a
+//!   [`distrib::IrregularDist`] (the run-time equivalent of
 //!   the paper's compile-time `owner` functions).
 //! * [`process`] — the backend contract: what the above needs from a
 //!   machine.  Message tags used by the components are partitioned in

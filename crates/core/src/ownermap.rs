@@ -1,29 +1,19 @@
 //! Distributed owner maps: translation tables that are themselves
-//! distributed, with collective resolution.
+//! distributed, assembled collectively.
 //!
 //! A regular distribution answers `owner(i)` with arithmetic; an irregular
 //! one needs a table.  On a real distributed-memory machine that table is
 //! *itself* a distributed array — no processor holds the whole mapping while
 //! it is being produced (a mesh partitioner emits each node's owner next to
-//! the node's data).  This module provides the two operations the runtime
-//! needs on such a table, both collective, in the run-time-translation-table
-//! style of the PARTI/CHAOS inspector–executor systems that extended the
-//! paper's approach to general distributions:
-//!
-//! * [`DistOwnerMap::lookup`] — resolve the owners of arbitrary global
-//!   indices by routing each query to the processor holding that table
-//!   entry and routing the answer back (two all-to-all exchanges — the
-//!   run-time equivalent of evaluating the paper's compile-time `owner`
-//!   function);
-//! * [`DistOwnerMap::assemble`] — replicate the table with one allgather
-//!   and build an [`IrregularDist`] whose translation tables are then
-//!   consulted locally.  This is the right trade-off for the runtime's
-//!   hot paths (the inspector calls `owner` once per reference), and is the
-//!   path the partitioned solvers use.
+//! the node's data).  [`DistOwnerMap`] is one rank's slice of such a table,
+//! and [`DistOwnerMap::assemble`] replicates it with one allgather into an
+//! [`IrregularDist`] whose translation tables are then consulted locally —
+//! the right trade-off for the runtime's hot paths (the inspector calls
+//! `owner` once per reference), and the path the partitioned solvers use.
 
 use distrib::{DimDist, IrregularDist};
 
-use crate::process::{tags, Process};
+use crate::process::Process;
 
 /// One processor's slice of a distributed owner map.
 ///
@@ -38,7 +28,6 @@ pub struct DistOwnerMap {
     /// Owners of this rank's slice of the index space, in ascending global
     /// index order.
     local_entries: Vec<usize>,
-    rank: usize,
 }
 
 impl DistOwnerMap {
@@ -58,7 +47,6 @@ impl DistOwnerMap {
         DistOwnerMap {
             table_dist,
             local_entries,
-            rank,
         }
     }
 
@@ -78,66 +66,6 @@ impl DistOwnerMap {
     /// Number of elements the owner map covers.
     pub fn n(&self) -> usize {
         self.table_dist.n()
-    }
-
-    /// Resolve the owners of `queries` (arbitrary global indices) with a
-    /// collective lookup.  Must be called by every processor of the machine
-    /// (with possibly different, possibly empty query lists).
-    ///
-    /// Round 1 routes each query to the processor holding that table entry
-    /// (an all-to-all exchange — the crystal router on the simulator); round
-    /// 2 sends each origin one answer message per consulted home.  Both
-    /// sides derive the message pattern from the same block layout of the
-    /// table, so no handshaking is needed.  Results are returned in query
-    /// order.
-    pub fn lookup<P: Process>(&self, proc: &mut P, queries: &[usize]) -> Vec<usize> {
-        let rank = proc.rank();
-        debug_assert_eq!(rank, self.rank, "owner map belongs to a different rank");
-        let n = self.n();
-
-        // Round 1: (home of table entry, (origin, position, query)).  Record
-        // which homes we consult — they will each answer with one message.
-        let mut expect_from: Vec<usize> = Vec::new();
-        let outgoing: Vec<(usize, (usize, usize, usize))> = queries
-            .iter()
-            .enumerate()
-            .map(|(pos, &g)| {
-                assert!(g < n, "query index {g} out of bounds (n = {n})");
-                let home = self.table_dist.owner(g);
-                expect_from.push(home);
-                (home, (rank, pos, g))
-            })
-            .collect();
-        expect_from.sort_unstable();
-        expect_from.dedup();
-        let incoming = proc.exchange(outgoing);
-        proc.charge_record_handling(incoming.len());
-
-        // Round 2: answer each query from the local slice and send the
-        // answers back, one message per origin, in ascending origin order.
-        let mut per_origin: Vec<Vec<(usize, usize)>> = vec![Vec::new(); proc.nprocs()];
-        for (origin, pos, g) in incoming {
-            let owner = self.local_entries[self.table_dist.local_index(g)];
-            per_origin[origin].push((pos, owner));
-        }
-        let tag = tags::ownermap_tag(0);
-        for (origin, answers) in per_origin.into_iter().enumerate() {
-            if !answers.is_empty() {
-                proc.send_vec(origin, tag, answers);
-            }
-        }
-        let mut owners = vec![usize::MAX; queries.len()];
-        for home in expect_from {
-            let answers: Vec<(usize, usize)> = proc.recv_vec(home, tag);
-            for (pos, owner) in answers {
-                owners[pos] = owner;
-            }
-        }
-        debug_assert!(
-            owners.iter().all(|&o| o != usize::MAX),
-            "a query went unanswered"
-        );
-        owners
     }
 
     /// Replicate the distributed table onto every processor (one allgather)
@@ -187,74 +115,5 @@ mod tests {
         // Identical fingerprints on every rank — the SPMD lockstep property.
         let fp = dists[0].fingerprint();
         assert!(dists.iter().all(|d| d.fingerprint() == fp));
-    }
-
-    #[test]
-    fn collective_lookup_matches_the_table() {
-        let n = 71;
-        let p = 5;
-        let owners = scrambled_owners(n, p);
-        let machine = Machine::new(p, CostModel::ideal());
-        let results = machine.run(|proc| {
-            let rank = proc.rank();
-            let map = DistOwnerMap::from_global(rank, proc.nprocs(), &owners);
-            // Every rank queries a different, overlapping slice of indices,
-            // in deliberately non-sorted order.
-            let queries: Vec<usize> = (0..n).filter(|i| (i + rank) % 3 != 0).rev().collect();
-            let got = map.lookup(proc, &queries);
-            (queries, got)
-        });
-        for (rank, (queries, got)) in results.iter().enumerate() {
-            assert_eq!(queries.len(), got.len());
-            for (q, o) in queries.iter().zip(got) {
-                assert_eq!(*o, owners[*q], "rank {rank} query {q}");
-            }
-        }
-    }
-
-    #[test]
-    fn empty_query_lists_are_fine() {
-        let n = 16;
-        let p = 4;
-        let owners = scrambled_owners(n, p);
-        let machine = Machine::new(p, CostModel::ideal());
-        let results = machine.run(|proc| {
-            let map = DistOwnerMap::from_global(proc.rank(), proc.nprocs(), &owners);
-            // Only rank 0 asks anything.
-            let queries: Vec<usize> = if proc.rank() == 0 {
-                vec![3, 9, 15]
-            } else {
-                vec![]
-            };
-            map.lookup(proc, &queries)
-        });
-        assert_eq!(results[0], vec![owners[3], owners[9], owners[15]]);
-        assert!(results[1..].iter().all(|r| r.is_empty()));
-    }
-
-    #[test]
-    fn assembled_distribution_answers_like_the_lookup() {
-        let n = 40;
-        let p = 4;
-        let owners = scrambled_owners(n, p);
-        let machine = Machine::new(p, CostModel::ideal());
-        let ok = machine.run(|proc| {
-            let map = DistOwnerMap::from_global(proc.rank(), proc.nprocs(), &owners);
-            let queries: Vec<usize> = (0..n).collect();
-            let looked_up = map.lookup(proc, &queries);
-            let dist = map.assemble(proc);
-            queries.iter().all(|&g| dist.owner(g) == looked_up[g])
-        });
-        assert!(ok.into_iter().all(|b| b));
-    }
-
-    #[test]
-    #[should_panic(expected = "SPMD worker panicked")]
-    fn out_of_bounds_query_panics() {
-        let machine = Machine::new(2, CostModel::ideal());
-        machine.run(|proc| {
-            let map = DistOwnerMap::from_global(proc.rank(), proc.nprocs(), &[0, 1, 0, 1]);
-            map.lookup(proc, &[9]);
-        });
     }
 }

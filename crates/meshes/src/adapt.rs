@@ -161,6 +161,22 @@ pub fn evolve(mesh: &AdjacencyMesh, config: &AdaptConfig, steps: u64) -> Adjacen
     m
 }
 
+/// The churn schedule of a solver loop: true when the mesh is adapted
+/// immediately before iteration `iter`, i.e. when `iter` is a positive
+/// multiple of `every` (`None` or `Some(0)` never adapts).
+pub fn adapts_before(every: Option<usize>, iter: usize) -> bool {
+    matches!(every, Some(k) if k > 0 && iter > 0 && iter.is_multiple_of(k))
+}
+
+/// Number of adaptations [`adapts_before`] fires over `iters` iterations —
+/// the `steps` to hand [`evolve`] for the mesh a run ends on.
+pub fn adaptation_count(every: Option<usize>, iters: usize) -> u64 {
+    match every {
+        Some(k) if k > 0 && iters > 0 => ((iters - 1) / k) as u64,
+        _ => 0,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,7 +28,9 @@ pub mod grid;
 pub mod partition;
 pub mod unstructured;
 
-pub use adapt::{adapt_step, coarsen, evolve, refine, AdaptConfig};
+pub use adapt::{
+    adapt_step, adaptation_count, adapts_before, coarsen, evolve, refine, AdaptConfig,
+};
 pub use csr::AdjacencyMesh;
 pub use grid::RegularGrid;
 pub use partition::{block_partition, cut_edges, greedy_partition, strip_partition_rows};

@@ -11,7 +11,7 @@
 //! | `[2^40, 2^41)`           | executor data messages, offset by sweep number |
 //! | `[2^41, 2^42)`           | hand-coded baseline halo exchange              |
 //! | `[2^42, 2^43)`           | array redistribution traffic                   |
-//! | `[2^43, 2^44)`           | distributed owner-map lookup traffic           |
+//! | `[2^43, 2^44)`           | reserved (unused)                              |
 //! | `[2^44, 2^45)`           | tree collectives (phase + round encoded)       |
 //! | `[2^45, 2^46)`           | transport control (handshake/result/shutdown)  |
 //! | `[2^46, 2^63)`           | reserved (unused)                              |
@@ -41,10 +41,6 @@ pub const HALO_BASE: Tag = 1 << 41;
 
 /// Base of the redistribution-traffic range.
 pub const REDIST_BASE: Tag = 1 << 42;
-
-/// Base of the distributed owner-map lookup range (collective resolution of
-/// irregular-distribution translation tables).
-pub const OWNERMAP_BASE: Tag = 1 << 43;
 
 /// Base of the tree-collective range used by the [`Process`] trait's
 /// provided binomial-tree `allreduce` and recursive-doubling allgather
@@ -76,12 +72,11 @@ pub const SPAN: Tag = 1 << 40;
 /// half-open ranges — the single source of truth the compile-time
 /// disjointness proof below, the runtime documentation test, and
 /// `kali_core::verify::check_tag_windows` all read.
-pub const COMPONENT_WINDOWS: [(&str, Tag, Tag); 8] = [
+pub const COMPONENT_WINDOWS: [(&str, Tag, Tag); 7] = [
     ("user", 0, USER_LIMIT),
     ("executor", EXECUTOR_BASE, EXECUTOR_BASE + SPAN),
     ("halo", HALO_BASE, HALO_BASE + SPAN),
     ("redistribute", REDIST_BASE, REDIST_BASE + SPAN),
-    ("ownermap", OWNERMAP_BASE, OWNERMAP_BASE + SPAN),
     ("tree", TREE_BASE, TREE_BASE + (1 << 44)),
     ("transport", TRANSPORT_BASE, TRANSPORT_BASE + SPAN),
     ("collective", COLLECTIVE_BASE, Tag::MAX),
@@ -132,16 +127,6 @@ pub fn redistribute_tag(offset: Tag) -> Tag {
         "redistribute tag offset {offset} exceeds the range span"
     );
     REDIST_BASE + offset
-}
-
-/// Tag of one distributed owner-map lookup round.  `offset` distinguishes
-/// the phases of a multi-round lookup (query routing vs answer routing).
-pub fn ownermap_tag(offset: Tag) -> Tag {
-    debug_assert!(
-        offset < SPAN,
-        "ownermap tag offset {offset} exceeds the range span"
-    );
-    OWNERMAP_BASE + offset
 }
 
 /// Tag of the hand-coded baseline's halo messages for one sweep.
@@ -264,9 +249,7 @@ mod tests {
         assert_eq!(halo_tag(3), HALO_BASE + 3);
         assert!(halo_tag(SPAN - 1) < REDIST_BASE);
         assert_eq!(redistribute_tag(0), REDIST_BASE);
-        assert!(redistribute_tag(SPAN - 1) < OWNERMAP_BASE);
-        assert_eq!(ownermap_tag(0), OWNERMAP_BASE);
-        assert!(ownermap_tag(SPAN - 1) < TREE_BASE);
+        assert!(redistribute_tag(SPAN - 1) < TREE_BASE);
         // Transport control tags live in their reserved window, above the
         // tree collectives and below the top-half collective range — the
         // `const` assertions beside their definitions enforce this at

@@ -1,140 +1,30 @@
-//! Adaptive-mesh Jacobi: the workload that stresses the paper's
-//! amortisation argument.
-//!
-//! §3.2 of the paper claims the inspector is affordable because its cost is
-//! amortised "over many repetitions of the forall" — implicitly assuming
-//! the `adj` array (and the placement) never changes.  An adaptive-mesh
-//! run breaks that assumption on a schedule: every *k* sweeps the mesh is
-//! refined or coarsened ([`meshes::adapt`]), which changes the reference
-//! pattern of the relaxation `forall`; optionally the node placement is
-//! rebalanced to the new connectivity and the live solution array is
-//! redistributed.  The runtime contract under churn is:
-//!
-//! * every adaptation bumps the **data version**, so the schedule cache
-//!   re-inspects exactly when the adjacency changed — never on any other
-//!   sweep;
-//! * every rebalance changes the **distribution fingerprint** and
-//!   explicitly reclaims the retired placement's schedules
-//!   ([`Session::retire_placement`]);
-//! * cache residency stays **bounded** no matter how many (version,
-//!   fingerprint) keys a long run mints — generation self-invalidation plus
-//!   the LRU bound, measured by the eviction/resident-bytes counters the
-//!   outcome surfaces.
-//!
-//! Amortisation then reappears as a function of the adaptation interval:
-//! inspector cost per sweep is `O(1/k)`, falling toward the paper's
-//! static-mesh figure as `k → ∞` (`table_adaptation` reproduces the curve).
-//!
-//! Everything here is deterministic — mesh evolution, partitioning,
-//! iteration order, schedule construction — so dmsim and the native
-//! backend produce bit-identical fields, and the sequential replay
-//! ([`adaptive_jacobi_sequential`]) matches both exactly.
+//! What a [`jacobi_sweeps`](crate::jacobi_sweeps) run whose mesh changes
+//! needs besides the program: the deterministic sequential replay of the
+//! churn ([`adaptive_jacobi_sequential`]), the placement the run ends on
+//! ([`final_placement`]), and the scatter/gather between globally numbered
+//! arrays and a rank's local rows that every mesh solver shares.
 
 use distrib::{DimDist, Distribution};
-use kali_core::process::{Counters, Process};
-use kali_core::Session;
-use meshes::{adapt_step, evolve, AdaptConfig, AdjacencyMesh};
+use meshes::{adapt_step, adaptation_count, adapts_before, evolve, AdjacencyMesh};
 
-use crate::jacobi::relax_node;
-use crate::partitioned::partitioned_dist;
+use crate::jacobi::JacobiConfig;
 
-/// Parameters of an adaptive-mesh Jacobi run.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptiveConfig {
-    /// Total number of relaxation sweeps.
-    pub sweeps: usize,
-    /// Adapt the mesh before every sweep whose index is a positive multiple
-    /// of this interval (`None` = static mesh, the paper's setting).
-    pub adapt_every: Option<usize>,
-    /// Parameters of the deterministic mesh perturbation.
-    pub adapt: AdaptConfig,
-    /// After each adaptation, repartition the new connectivity and
-    /// redistribute the live solution array to the rebalanced placement.
-    pub rebalance: bool,
-    /// Overlap communication with local iterations (the paper's executor
-    /// shape).
-    pub overlap: bool,
-    /// Residency bound of the schedule cache.
-    pub cache_capacity: usize,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            sweeps: 100,
-            adapt_every: None,
-            adapt: AdaptConfig::default(),
-            rebalance: false,
-            overlap: true,
-            cache_capacity: kali_core::cache::DEFAULT_CAPACITY,
-        }
-    }
-}
-
-impl AdaptiveConfig {
-    /// Number of adaptations a run of `self.sweeps` sweeps performs.
-    pub fn adaptation_count(&self) -> u64 {
-        match self.adapt_every {
-            Some(k) if k > 0 && self.sweeps > 0 => ((self.sweeps - 1) / k) as u64,
-            _ => 0,
-        }
-    }
-
-    /// True when the mesh is adapted immediately before sweep `sweep`.
-    fn adapts_before(&self, sweep: usize) -> bool {
-        matches!(self.adapt_every, Some(k) if k > 0 && sweep > 0 && sweep.is_multiple_of(k))
-    }
-}
-
-/// Per-processor result of an adaptive run.
-#[derive(Debug, Clone)]
-pub struct AdaptiveOutcome {
-    /// Final values of the locally owned mesh nodes under the final
-    /// distribution (see [`final_placement`]).
-    pub local_a: Vec<f64>,
-    /// Number of mesh adaptations performed.
-    pub adaptations: u64,
-    /// Simulated seconds spent in the inspector on this processor.
-    pub inspector_time: f64,
-    /// Simulated seconds spent adapting: mesh perturbation, repartitioning
-    /// and redistribution (0.0 for a static run).
-    pub adapt_time: f64,
-    /// Total simulated seconds of the timed region on this processor.
-    pub total_time: f64,
-    /// Operation counters accumulated during the timed region.
-    pub counters: Counters,
-    /// Schedule-cache hits over the run.
-    pub cache_hits: u64,
-    /// Schedule-cache misses (inspector executions) over the run.
-    pub cache_misses: u64,
-    /// Schedule-cache evictions over the run.
-    pub cache_evictions: u64,
-    /// Schedules resident in the cache at the end of the run.
-    pub cache_resident_entries: usize,
-    /// Highest number of simultaneously resident schedules.
-    pub cache_peak_resident: usize,
-    /// Approximate bytes of resident schedules at the end of the run.
-    pub cache_resident_bytes: usize,
-}
-
-/// The distribution in effect after a run with `config` over `mesh`,
-/// given the run's `initial` placement (a pure function — used by callers
-/// to reassemble global numbering via [`gather_global`]).
+/// The distribution in effect after a [`jacobi_sweeps`](crate::jacobi_sweeps)
+/// run with `config` over `mesh`, given the run's `initial` placement (a
+/// pure function — used by callers to reassemble global numbering via
+/// [`gather_global`]).
 ///
 /// The run only ever moves data inside the rebalance branch, so the
 /// placement changes exactly when `rebalance` is set *and* at least one
 /// adaptation fired; in every other case the initial distribution is still
 /// in effect and is returned unchanged.
-pub fn final_placement(
-    mesh: &AdjacencyMesh,
-    initial: &DimDist,
-    config: &AdaptiveConfig,
-) -> DimDist {
-    if !config.rebalance || config.adaptation_count() == 0 {
+pub fn final_placement(mesh: &AdjacencyMesh, initial: &DimDist, config: &JacobiConfig) -> DimDist {
+    let adaptations = adaptation_count(config.adapt_every, config.sweeps);
+    if !config.rebalance || adaptations == 0 {
         return initial.clone();
     }
     let nprocs = initial.nprocs();
-    let final_mesh = evolve(mesh, &config.adapt, config.adaptation_count());
+    let final_mesh = evolve(mesh, &config.adapt, adaptations);
     DimDist::custom(meshes::greedy_partition(&final_mesh, nprocs), nprocs)
 }
 
@@ -149,124 +39,6 @@ pub fn gather_global(dist: &DimDist, locals: &[Vec<f64>]) -> Vec<f64> {
         }
     }
     global
-}
-
-/// Run an adaptive-mesh Jacobi relaxation, collectively.
-///
-/// `dist` is the initial placement; `initial` is the globally replicated
-/// starting field.  The mesh evolves identically on every rank (the
-/// perturbation is deterministic), so version bumps — and therefore cache
-/// misses, which trigger the *collective* inspector — stay in lockstep.
-pub fn adaptive_jacobi_sweeps<P: Process>(
-    proc: &mut P,
-    mesh: &AdjacencyMesh,
-    dist: &DimDist,
-    initial: &[f64],
-    config: &AdaptiveConfig,
-) -> AdaptiveOutcome {
-    let rank = proc.rank();
-    let n = mesh.len();
-    assert_eq!(dist.n(), n, "distribution must cover every mesh node");
-    assert_eq!(initial.len(), n, "initial field must cover every mesh node");
-
-    let mut mesh = mesh.clone();
-    let mut dist = dist.clone();
-    let mut session = Session::with_cache_capacity(config.cache_capacity).overlap(config.overlap);
-    // One loop id for the relaxation across every placement it migrates
-    // through: a rebalance swaps the on-clause distribution in place (the
-    // fingerprint in the cache key tells the placements apart).
-    let mut relaxation = session.loop_1d(n, dist.clone());
-
-    // Local pieces of the Figure 4 arrays under the current distribution.
-    let mut a = scatter_field(&dist, rank, initial);
-    let (mut count, mut adj, mut coef, mut width) = scatter_mesh(&mesh, &dist, rank);
-    let mut old_a: Vec<f64> = vec![0.0; a.len()];
-
-    let start_clock = proc.time();
-    let counters_start = proc.counters();
-    let mut adapt_time = 0.0f64;
-    let mut adaptations = 0u64;
-
-    for sweep in 0..config.sweeps {
-        // -- adapt the mesh (and optionally the placement) ------------------
-        if config.adapts_before(sweep) {
-            let before_adapt = proc.time();
-            mesh = adapt_step(&mesh, &config.adapt, adaptations);
-            adaptations += 1;
-            session.bump_data_version();
-            if config.rebalance {
-                let new_dist = partitioned_dist(proc, &mesh);
-                a = session.redistribute(proc, &dist, &new_dist, &a);
-                // The old placement is retired: reclaim every schedule built
-                // under it (any data version — the fingerprint alone marks
-                // them stale).
-                session.retire_placement(&relaxation, &dist);
-                dist = new_dist;
-                relaxation.on_dist = dist.clone();
-            }
-            // Re-scatter adj/coef from the adapted mesh (count/degrees may
-            // have changed even without a redistribution).
-            (count, adj, coef, width) = scatter_mesh(&mesh, &dist, rank);
-            old_a.resize(a.len(), 0.0);
-            adapt_time += proc.time() - before_adapt;
-        }
-
-        // -- copy forall: old_a[i] := a[i] (aligned, purely local) ----------
-        for l in 0..a.len() {
-            proc.charge_loop_iters(1);
-            proc.charge_mem_refs(2);
-            old_a[l] = a[l];
-        }
-
-        // -- plan the relaxation (inspector only on version/placement change)
-        let schedule = {
-            let dist_ref = &dist;
-            let count_ref = &count;
-            let adj_ref = &adj;
-            session.plan_indirect(proc, &relaxation, &dist, |i, refs| {
-                let l = dist_ref.local_index(i);
-                let deg = count_ref[l] as usize;
-                for j in 0..deg {
-                    refs.push(adj_ref[l * width + j] as usize);
-                }
-            })
-        };
-
-        // -- perform the relaxation ----------------------------------------
-        let a_mut = &mut a;
-        session.execute(
-            proc,
-            &relaxation,
-            &schedule,
-            &dist,
-            &old_a,
-            |_, fetch| relax_node(fetch, &count, &adj, &coef, width),
-            |_, update| {
-                if let Some((l, x)) = update {
-                    a_mut[l] = x;
-                }
-            },
-        );
-    }
-
-    let total_time = proc.time() - start_clock;
-    let counters = proc.counters().since(&counters_start);
-    let stats = session.stats();
-
-    AdaptiveOutcome {
-        local_a: a,
-        adaptations,
-        inspector_time: stats.inspector_time,
-        adapt_time,
-        total_time,
-        counters,
-        cache_hits: stats.cache.hits,
-        cache_misses: stats.cache.misses,
-        cache_evictions: stats.cache.evictions,
-        cache_resident_entries: stats.cache.resident_entries,
-        cache_peak_resident: stats.cache.peak_resident,
-        cache_resident_bytes: stats.cache.resident_bytes,
-    }
 }
 
 /// Scatter a globally replicated field to this rank's local storage under
@@ -285,7 +57,7 @@ pub(crate) fn scatter_field<D: Distribution + ?Sized>(
 
 /// Scatter the mesh's `count`/`adj`/`coef` arrays to this rank's local rows
 /// under `dist` (the untimed set-up of Figure 4, repeated after every
-/// adaptation).  Shared with the other mesh solvers (CG, red–black).
+/// adaptation).  Shared by every mesh solver.
 pub(crate) fn scatter_mesh(
     mesh: &AdjacencyMesh,
     dist: &DimDist,
@@ -307,13 +79,13 @@ pub(crate) fn scatter_mesh(
     (count, adj, coef, width)
 }
 
-/// Sequential replay of the same adaptive run: identical adaptation
-/// schedule, identical arithmetic order — distributed results match this
-/// bit for bit on every backend.
+/// Sequential replay of a [`jacobi_sweeps`](crate::jacobi_sweeps) run under
+/// churn: identical adaptation schedule, identical arithmetic order —
+/// distributed results match this bit for bit on every backend.
 pub fn adaptive_jacobi_sequential(
     mesh: &AdjacencyMesh,
     initial: &[f64],
-    config: &AdaptiveConfig,
+    config: &JacobiConfig,
 ) -> Vec<f64> {
     let n = mesh.len();
     assert_eq!(initial.len(), n);
@@ -322,7 +94,7 @@ pub fn adaptive_jacobi_sequential(
     let mut old_a = vec![0.0f64; n];
     let mut adaptations = 0u64;
     for sweep in 0..config.sweeps {
-        if config.adapts_before(sweep) {
+        if adapts_before(config.adapt_every, sweep) {
             mesh = adapt_step(&mesh, &config.adapt, adaptations);
             adaptations += 1;
         }
@@ -344,6 +116,8 @@ pub fn adaptive_jacobi_sequential(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jacobi::jacobi_sweeps;
+    use crate::partitioned::partitioned_dist;
     use dmsim::{CostModel, Machine};
     use meshes::UnstructuredMeshBuilder;
 
@@ -361,50 +135,19 @@ mod tests {
     use super::gather_global as gather;
 
     #[test]
-    fn static_run_matches_plain_jacobi() {
-        let mesh = test_mesh();
-        let initial = test_initial(mesh.len());
-        let config = AdaptiveConfig {
-            sweeps: 6,
-            ..AdaptiveConfig::default()
-        };
-        let machine = Machine::new(4, CostModel::ideal());
-        let outcomes = machine.run(|proc| {
-            let dist = DimDist::block(mesh.len(), proc.nprocs());
-            adaptive_jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
-        });
-        let dist = DimDist::block(mesh.len(), 4);
-        let got = gather(
-            &dist,
-            &outcomes
-                .iter()
-                .map(|o| o.local_a.clone())
-                .collect::<Vec<_>>(),
-        );
-        let expected = crate::jacobi::jacobi_sequential(&mesh, &initial, 6);
-        assert_eq!(got, expected);
-        for o in &outcomes {
-            assert_eq!(o.adaptations, 0);
-            assert_eq!(o.cache_misses, 1, "static mesh: one inspector run");
-            assert_eq!(o.cache_hits, 5);
-            assert_eq!(o.cache_evictions, 0);
-        }
-    }
-
-    #[test]
     fn adaptive_run_matches_the_sequential_replay() {
         let mesh = test_mesh();
         let initial = test_initial(mesh.len());
-        let config = AdaptiveConfig {
+        let config = JacobiConfig {
             sweeps: 12,
             adapt_every: Some(3),
-            ..AdaptiveConfig::default()
+            ..JacobiConfig::default()
         };
         let expected = adaptive_jacobi_sequential(&mesh, &initial, &config);
         let machine = Machine::new(4, CostModel::ideal());
         let outcomes = machine.run(|proc| {
             let dist = DimDist::block(mesh.len(), proc.nprocs());
-            adaptive_jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
+            jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
         });
         let dist = DimDist::block(mesh.len(), 4);
         let got = gather(
@@ -430,18 +173,18 @@ mod tests {
     fn rebalancing_run_matches_the_sequential_replay() {
         let mesh = test_mesh();
         let initial = test_initial(mesh.len());
-        let config = AdaptiveConfig {
+        let config = JacobiConfig {
             sweeps: 10,
             adapt_every: Some(4),
             rebalance: true,
-            ..AdaptiveConfig::default()
+            ..JacobiConfig::default()
         };
         let nprocs = 4;
         let expected = adaptive_jacobi_sequential(&mesh, &initial, &config);
         let machine = Machine::new(nprocs, CostModel::ideal());
         let outcomes = machine.run(|proc| {
             let dist = partitioned_dist(proc, &mesh);
-            adaptive_jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
+            jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
         });
         let init_dist = DimDist::custom(meshes::greedy_partition(&mesh, nprocs), nprocs);
         let final_dist = final_placement(&mesh, &init_dist, &config);
@@ -471,32 +214,32 @@ mod tests {
         // permute the global field.
         let mesh = test_mesh();
         let block = DimDist::block(mesh.len(), 4);
-        let no_rebalance = AdaptiveConfig {
+        let no_rebalance = JacobiConfig {
             sweeps: 8,
             adapt_every: Some(2),
-            ..AdaptiveConfig::default()
+            ..JacobiConfig::default()
         };
         assert_eq!(
             final_placement(&mesh, &block, &no_rebalance).fingerprint(),
             block.fingerprint(),
             "rebalance off: placement never changes"
         );
-        let zero_adaptations = AdaptiveConfig {
+        let zero_adaptations = JacobiConfig {
             sweeps: 4,
             adapt_every: Some(8),
             rebalance: true,
-            ..AdaptiveConfig::default()
+            ..JacobiConfig::default()
         };
         assert_eq!(
             final_placement(&mesh, &block, &zero_adaptations).fingerprint(),
             block.fingerprint(),
             "no adaptation fired: placement never changes"
         );
-        let rebalanced = AdaptiveConfig {
+        let rebalanced = JacobiConfig {
             sweeps: 8,
             adapt_every: Some(2),
             rebalance: true,
-            ..AdaptiveConfig::default()
+            ..JacobiConfig::default()
         };
         assert_ne!(
             final_placement(&mesh, &block, &rebalanced).fingerprint(),
@@ -515,15 +258,15 @@ mod tests {
         let sweeps = 16usize;
         let mut per_sweep = Vec::new();
         for k in [Some(1), Some(2), Some(4), Some(8), None] {
-            let config = AdaptiveConfig {
+            let config = JacobiConfig {
                 sweeps,
                 adapt_every: k,
-                ..AdaptiveConfig::default()
+                ..JacobiConfig::default()
             };
             let machine = Machine::new(4, CostModel::ncube7());
             let outcomes = machine.run(|proc| {
                 let dist = DimDist::block(mesh.len(), proc.nprocs());
-                adaptive_jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
+                jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
             });
             let inspector = outcomes
                 .iter()
@@ -546,17 +289,17 @@ mod tests {
         // than the bound — yet residency never exceeds the capacity.
         let mesh = test_mesh();
         let initial = test_initial(mesh.len());
-        let config = AdaptiveConfig {
+        let config = JacobiConfig {
             sweeps: 10,
             adapt_every: Some(1),
             rebalance: true,
             cache_capacity: 2,
-            ..AdaptiveConfig::default()
+            ..JacobiConfig::default()
         };
         let machine = Machine::new(2, CostModel::ideal());
         let outcomes = machine.run(|proc| {
             let dist = partitioned_dist(proc, &mesh);
-            adaptive_jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
+            jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
         });
         for o in &outcomes {
             assert_eq!(o.adaptations, 9);
@@ -573,16 +316,20 @@ mod tests {
 
     #[test]
     fn adaptation_count_matches_the_sweep_schedule() {
-        let mk = |sweeps, adapt_every| AdaptiveConfig {
-            sweeps,
-            adapt_every,
-            ..AdaptiveConfig::default()
-        };
-        assert_eq!(mk(10, None).adaptation_count(), 0);
-        assert_eq!(mk(10, Some(0)).adaptation_count(), 0);
-        assert_eq!(mk(10, Some(1)).adaptation_count(), 9);
-        assert_eq!(mk(10, Some(4)).adaptation_count(), 2);
-        assert_eq!(mk(12, Some(3)).adaptation_count(), 3);
-        assert_eq!(mk(0, Some(1)).adaptation_count(), 0);
+        // The one churn schedule the program, both replays and
+        // `final_placement` share: the count is the number of sweeps the
+        // predicate fires before.
+        for (sweeps, every, count) in [
+            (10, None, 0),
+            (10, Some(0), 0),
+            (10, Some(1), 9),
+            (10, Some(4), 2),
+            (12, Some(3), 3),
+            (0, Some(1), 0),
+        ] {
+            assert_eq!(adaptation_count(every, sweeps), count);
+            let fired = (0..sweeps).filter(|&s| adapts_before(every, s)).count();
+            assert_eq!(fired as u64, count, "{sweeps} sweeps, every {every:?}");
+        }
     }
 }

@@ -31,18 +31,16 @@
 //! order per rank and ascending rank order across ranks (the
 //! [`ReduceOp`](kali_core::ReduceOp) determinism contract).
 //!
-//! **CG under churn** reuses the adaptive machinery: with
-//! [`CgConfig::adapt_every`] set, the mesh is deterministically perturbed
-//! every *k* iterations ([`meshes::adapt_step`]), the session's data version
-//! bumps, and the mat-vec schedule re-inspects exactly once per generation
-//! while the identity-planned loops stay closed-form.  (The perturbed run is
-//! a runtime stress test, not a convergent solve: the operator changes under
-//! the iteration.)
+//! **CG under churn**: with [`CgConfig::adapt_every`] set, the mesh is
+//! perturbed on Jacobi's churn schedule ([`meshes::adapts_before`]), the data
+//! version bumps, and only the mat-vec re-inspects, once per generation — a
+//! runtime stress test, not a convergent solve (the operator changes under
+//! the iteration).
 
 use distrib::DimDist;
 use kali_core::process::{Counters, Process};
 use kali_core::{AffineMap, Reduce, Session, SessionStats, Sum};
-use meshes::{adapt_step, AdaptConfig, AdjacencyMesh};
+use meshes::{adapt_step, adapts_before, AdaptConfig, AdjacencyMesh};
 
 use crate::adaptive::{scatter_field, scatter_mesh};
 use crate::reduce_replay::replay_sum;
@@ -92,11 +90,6 @@ impl CgConfig {
             iters,
             ..CgConfig::default()
         }
-    }
-
-    /// True when the mesh is perturbed immediately before iteration `iter`.
-    fn adapts_before(&self, iter: usize) -> bool {
-        matches!(self.adapt_every, Some(k) if k > 0 && iter > 0 && iter.is_multiple_of(k))
     }
 }
 
@@ -206,7 +199,7 @@ pub fn cg_solve<P: Process>(
 
     for iter in 0..config.iters {
         // -- CG under churn: perturb the operator, bump the data version --
-        if config.adapts_before(iter) {
+        if adapts_before(config.adapt_every, iter) {
             mesh = adapt_step(&mesh, &config.adapt, adaptations);
             adaptations += 1;
             session.bump_data_version();
@@ -368,7 +361,7 @@ pub fn cg_sequential(
     let mut adaptations = 0u64;
 
     for iter in 0..config.iters {
-        if config.adapts_before(iter) {
+        if adapts_before(config.adapt_every, iter) {
             mesh = adapt_step(&mesh, &config.adapt, adaptations);
             adaptations += 1;
         }

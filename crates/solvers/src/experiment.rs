@@ -108,17 +108,7 @@ pub fn run_jacobi_experiment(params: &ExperimentParams) -> ExperimentRow {
     let grid = RegularGrid::square(params.mesh_side);
     let mesh = grid.five_point_mesh();
     let initial = grid.initial_field();
-    run_jacobi_experiment_on_mesh(params, &mesh, &initial)
-}
-
-/// Like [`run_jacobi_experiment`] but over an arbitrary mesh (used by the
-/// unstructured-mesh examples and tests).
-pub fn run_jacobi_experiment_on_mesh(
-    params: &ExperimentParams,
-    mesh: &AdjacencyMesh,
-    initial: &[f64],
-) -> ExperimentRow {
-    run_jacobi_experiment_placed(params, mesh, initial, Placement::Block)
+    run_jacobi_experiment_placed(params, &mesh, &initial, Placement::Block)
 }
 
 /// Run one configuration over `mesh` under the chosen node placement and
@@ -240,13 +230,6 @@ pub fn sequential_executor_time(cost: &CostModel, mesh: &AdjacencyMesh, sweeps: 
     sweeps as f64 * (copy + outer + inner)
 }
 
-/// Run a whole parameter sweep (one paper table) and return its rows.
-pub fn run_sweep(rows: impl IntoIterator<Item = ExperimentParams>) -> Vec<ExperimentRow> {
-    rows.into_iter()
-        .map(|p| run_jacobi_experiment(&p))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,7 +251,7 @@ mod tests {
                 disable_schedule_cache: false,
                 convergence_check_every: None,
             };
-            let row = run_jacobi_experiment_on_mesh(&params, &mesh, &initial);
+            let row = run_jacobi_experiment_placed(&params, &mesh, &initial, Placement::Block);
             let formula = sequential_executor_time(&cost, &mesh, 3);
             let measured = row.times.executor;
             let rel = (measured - formula).abs() / formula;

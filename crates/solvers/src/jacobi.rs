@@ -24,16 +24,27 @@
 //! the paper's measurements; on the `kali-native` backend the cost hooks
 //! are no-ops and the sweeps run at wall-clock speed, with bit-identical
 //! array contents (the arithmetic order is backend-independent).
+//!
+//! With [`JacobiConfig::adapt_every`] set, the same program runs while
+//! `adj` changes under it, stressing §3.2's amortisation: each adaptation
+//! bumps the data version (the cache re-inspects exactly then), a
+//! [`rebalance`](JacobiConfig::rebalance) retires the old placement's
+//! schedules by fingerprint, and residency stays within
+//! [`cache_capacity`](JacobiConfig::cache_capacity) however many keys a run
+//! mints.  [`crate::adaptive_jacobi_sequential`] replays it bit for bit.
+
+use std::borrow::Cow;
 
 use distrib::DimDist;
 use kali_core::process::{Counters, Process};
 use kali_core::{AffineMap, Fetcher, Reduce, Session, Sum};
-use meshes::AdjacencyMesh;
+use meshes::{adapt_step, adapts_before, AdaptConfig, AdjacencyMesh};
 
 use crate::adaptive::{scatter_field, scatter_mesh};
+use crate::partitioned::partitioned_dist;
 
 /// Parameters of a Jacobi run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct JacobiConfig {
     /// Number of relaxation sweeps ("we performed 100 Jacobi iterations",
     /// §4).
@@ -55,6 +66,16 @@ pub struct JacobiConfig {
     /// Chunk size for the executor (`None` keeps the session
     /// default, which honours `KALI_CHUNK`).
     pub chunk: Option<usize>,
+    /// Adapt the mesh before every sweep whose index is a positive multiple
+    /// of this interval (`None` = static mesh, the paper's setting).
+    pub adapt_every: Option<usize>,
+    /// Parameters of the deterministic mesh perturbation.
+    pub adapt: AdaptConfig,
+    /// After each adaptation, repartition the new connectivity and
+    /// redistribute the live solution array to the rebalanced placement.
+    pub rebalance: bool,
+    /// Residency bound of the schedule cache.
+    pub cache_capacity: usize,
 }
 
 impl Default for JacobiConfig {
@@ -66,6 +87,10 @@ impl Default for JacobiConfig {
             disable_schedule_cache: false,
             workers: None,
             chunk: None,
+            adapt_every: None,
+            adapt: AdaptConfig::default(),
+            rebalance: false,
+            cache_capacity: kali_core::cache::DEFAULT_CAPACITY,
         }
     }
 }
@@ -86,10 +111,16 @@ impl JacobiConfig {
 /// on backends that keep no clock (the native backend).
 #[derive(Debug, Clone)]
 pub struct JacobiOutcome {
-    /// Final values of the locally owned mesh nodes (in local-index order).
+    /// Final values of the locally owned mesh nodes, in local-index order
+    /// under the placement the run ended on ([`crate::final_placement`]).
     pub local_a: Vec<f64>,
+    /// Number of mesh adaptations performed.
+    pub adaptations: u64,
     /// Simulated seconds spent in the inspector on this processor.
     pub inspector_time: f64,
+    /// Simulated seconds spent adapting: mesh perturbation, repartitioning
+    /// and redistribution (0.0 for a static run).
+    pub adapt_time: f64,
     /// Simulated seconds spent in everything else (copy loop, executor,
     /// convergence checks) on this processor.
     pub executor_time: f64,
@@ -97,11 +128,11 @@ pub struct JacobiOutcome {
     pub total_time: f64,
     /// Operation counters accumulated during the timed region.
     pub counters: Counters,
-    /// Number of range records in this processor's receive schedule.
+    /// Number of range records in the last sweep's receive schedule.
     pub schedule_ranges: usize,
-    /// Number of elements this processor receives per sweep.
+    /// Number of elements this processor received in the last sweep.
     pub recv_elements: usize,
-    /// Number of distinct processors this processor exchanges data with.
+    /// Distinct processors this processor received from in the last sweep.
     pub recv_partners: usize,
     /// Schedule-cache hits over the whole run (sweeps that reused a
     /// schedule instead of re-running the inspector).
@@ -111,6 +142,10 @@ pub struct JacobiOutcome {
     /// Schedule-cache evictions over the whole run (capacity pressure,
     /// generation self-invalidation, explicit invalidation).
     pub cache_evictions: u64,
+    /// Schedules resident in the cache at the end of the run.
+    pub cache_resident_entries: usize,
+    /// Highest number of simultaneously resident schedules.
+    pub cache_peak_resident: usize,
     /// Approximate bytes of schedules resident in the cache at the end of
     /// the run.
     pub cache_resident_bytes: usize,
@@ -125,18 +160,14 @@ pub struct JacobiOutcome {
     pub reductions: u64,
     /// Payload bytes this rank sent for those reductions.
     pub reduction_bytes: u64,
-    /// Residual-style norm of the final local values (sum of squares), used
-    /// by tests to compare against the sequential reference.
-    pub local_norm: f64,
 }
 
 /// The relaxation of Figure 4 for the node the body is running: the
 /// coefficient-weighted sum of its neighbours' old values, with the paper's
 /// cost charges.  Returns the node's local offset and new value — `None` for
-/// a node without neighbours, which keeps its value.  Shared with the
-/// adaptive solver.
+/// a node without neighbours, which keeps its value.
 #[inline]
-pub(crate) fn relax_node(
+fn relax_node(
     fetch: &mut Fetcher<'_, f64, DimDist>,
     count: &[u32],
     adj: &[u32],
@@ -167,6 +198,8 @@ pub(crate) fn relax_node(
 /// Run `config.sweeps` Jacobi sweeps over `mesh` with node arrays
 /// distributed by `dist`, starting from the globally replicated `initial`
 /// field.  Must be called collectively by every processor of the machine.
+/// Under churn the mesh evolves identically on every rank, so version
+/// bumps — and the collective inspector runs they trigger — stay in lockstep.
 pub fn jacobi_sweeps<P: Process>(
     proc: &mut P,
     mesh: &AdjacencyMesh,
@@ -178,6 +211,9 @@ pub fn jacobi_sweeps<P: Process>(
     let n = mesh.len();
     assert_eq!(dist.n(), n, "distribution must cover every mesh node");
     assert_eq!(initial.len(), n, "initial field must cover every mesh node");
+    // Borrowed until the first adaptation: a static run never copies the mesh.
+    let mut mesh = Cow::Borrowed(mesh);
+    let mut dist = dist.clone();
 
     // ---- Set-up ("code to set up arrays 'adj' and 'coef'", untimed) -------
     // Every distributed array of Figure 4, scattered according to `dist`:
@@ -185,90 +221,120 @@ pub fn jacobi_sweeps<P: Process>(
     //   count    : integer[n]      dist by [block]
     //   adj      : integer[n, w]   dist by [block, *]
     //   coef     : real[n, w]      dist by [block, *]
-    let (count, adj, coef, width) = scatter_mesh(mesh, dist, rank);
-    let mut a = scatter_field(dist, rank, initial);
-    let local_rows = a.len();
-    let mut old_a: Vec<f64> = vec![0.0; local_rows];
+    let (mut count, mut adj, mut coef, mut width) = scatter_mesh(&mesh, &dist, rank);
+    let mut a = scatter_field(&dist, rank, initial);
+    let mut old_a: Vec<f64> = vec![0.0; a.len()];
 
-    let mut session = Session::new().overlap(config.overlap);
+    let mut session = Session::with_cache_capacity(config.cache_capacity).overlap(config.overlap);
     if let Some(w) = config.workers {
         session.set_workers(w);
     }
     if let Some(c) = config.chunk {
         session.set_chunk_size(c);
     }
-    let relaxation = session.loop_1d(n, dist.clone());
+    // One loop id per forall for the whole run: a rebalance re-points the
+    // on-clause in place (the fingerprint in the cache key tells the
+    // placements apart).
+    let mut relaxation = session.loop_1d(n, dist.clone());
     // The convergence check of Figure 4 ("code to check convergence") is its
     // own forall over aligned arrays: identity subscripts, planned through
-    // the closed form (zero planning messages), reduced through the typed
-    // pipeline.
-    let convergence = session.loop_1d(n, dist.clone());
-    debug_assert_eq!(relaxation.exec_iters(rank).len(), local_rows);
+    // the closed form (zero planning messages, no cache entry), reduced
+    // through the typed pipeline.
+    let mut convergence = session.loop_1d(n, dist.clone());
+    debug_assert_eq!(relaxation.exec_iters(rank).len(), a.len());
 
     let start_clock = proc.time();
     let counters_start = proc.counters();
-    let mut schedule_ranges = 0usize;
-    let mut recv_elements = 0usize;
-    let mut recv_partners = 0usize;
+    let mut adaptations = 0u64;
+    let mut adapt_time = 0.0f64;
+    let mut last_schedule = None;
     let mut change_history = Vec::new();
-    let convergence_schedule = session.plan(proc, &convergence, dist, &[AffineMap::identity()]);
+    // Planned at the first check and again after each rebalance, if ever.
+    let mut convergence_schedule = None;
 
     for sweep in 0..config.sweeps {
+        // -- a new data version: the mesh adapts, or the cache is ablated --
+        let adapts = adapts_before(config.adapt_every, sweep);
+        if adapts || (config.disable_schedule_cache && sweep > 0) {
+            session.bump_data_version();
+        }
+        // -- adapt the mesh (and optionally the placement) ------------------
+        if adapts {
+            let before_adapt = proc.time();
+            mesh = Cow::Owned(adapt_step(&mesh, &config.adapt, adaptations));
+            adaptations += 1;
+            if config.rebalance {
+                let new_dist = partitioned_dist(proc, &mesh);
+                a = session.redistribute(proc, &dist, &new_dist, &a);
+                // The old placement is retired: reclaim every schedule built
+                // under it (any data version — the fingerprint alone marks
+                // them stale).
+                session.retire_placement(&relaxation, &dist);
+                dist = new_dist;
+                relaxation.on_dist = dist.clone();
+                convergence.on_dist = dist.clone();
+                convergence_schedule = None;
+            }
+            // Re-scatter count/adj/coef from the adapted mesh (degrees may
+            // have changed even without a redistribution).
+            (count, adj, coef, width) = scatter_mesh(&mesh, &dist, rank);
+            old_a.resize(a.len(), 0.0);
+            adapt_time += proc.time() - before_adapt;
+        }
+
         // -- copy mesh values: forall i on old_a[i].loc do old_a[i] := a[i] --
         // Purely local (a and old_a are aligned), so no schedule is needed.
-        for l in 0..local_rows {
+        for l in 0..a.len() {
             proc.charge_loop_iters(1);
             proc.charge_mem_refs(2);
             old_a[l] = a[l];
         }
 
-        // -- plan the relaxation forall (inspector, first sweep only) --------
-        if config.disable_schedule_cache && sweep > 0 {
-            session.bump_data_version();
-        }
-        let schedule = session.plan_indirect(proc, &relaxation, dist, |i, refs| {
+        // -- plan the relaxation forall (inspector once per data version) ---
+        let schedule = session.plan_indirect(proc, &relaxation, &dist, |i, refs| {
             let l = dist.local_index(i);
             let deg = count[l] as usize;
             for j in 0..deg {
                 refs.push(adj[l * width + j] as usize);
             }
         });
-        schedule_ranges = schedule.range_count();
-        recv_elements = schedule.recv_len;
-        recv_partners = schedule.recv_partner_count();
 
         // -- perform relaxation (computational core) --------------------------
         // The body computes each node's new value against a read-only view
         // (on a worker thread when the session has several); the sink
         // applies the writes on the calling thread in ascending iteration
         // order.
-        {
-            let a_mut = &mut a;
-            session.execute(
-                proc,
-                &relaxation,
-                &schedule,
-                dist,
-                &old_a,
-                |_, fetch| relax_node(fetch, &count, &adj, &coef, width),
-                |_, update| {
-                    if let Some((l, x)) = update {
-                        a_mut[l] = x;
-                    }
-                },
-            );
+        let a_mut = &mut a;
+        session.execute(
+            proc,
+            &relaxation,
+            &schedule,
+            &dist,
+            &old_a,
+            |_, fetch| relax_node(fetch, &count, &adj, &coef, width),
+            |_, update| {
+                if let Some((l, x)) = update {
+                    a_mut[l] = x;
+                }
+            },
+        );
+        if sweep + 1 == config.sweeps {
+            last_schedule = Some(schedule);
         }
 
         // -- code to check convergence ----------------------------------------
         if let Some(every) = config.convergence_check_every {
             if every > 0 && (sweep + 1) % every == 0 {
+                let schedule = convergence_schedule.get_or_insert_with(|| {
+                    session.plan(proc, &convergence, &dist, &[AffineMap::identity()])
+                });
                 let a_ref = &a;
                 let old_ref = &old_a;
                 let global_change = session.execute_reduce(
                     proc,
                     &convergence,
-                    &convergence_schedule,
-                    dist,
+                    schedule,
+                    &dist,
                     &old_a,
                     Reduce::<Sum<f64>>::new(),
                     |_, fetch| {
@@ -287,13 +353,17 @@ pub fn jacobi_sweeps<P: Process>(
 
     let total_time = proc.time() - start_clock;
     let counters = proc.counters().since(&counters_start);
-    let local_norm = a.iter().map(|v| v * v).sum();
     let stats = session.stats();
+    let (schedule_ranges, recv_elements, recv_partners) = last_schedule.map_or((0, 0, 0), |s| {
+        (s.range_count(), s.recv_len, s.recv_partner_count())
+    });
 
     JacobiOutcome {
         local_a: a,
+        adaptations,
         inspector_time: stats.inspector_time,
-        executor_time: total_time - stats.inspector_time,
+        adapt_time,
+        executor_time: total_time - stats.inspector_time - adapt_time,
         total_time,
         counters,
         schedule_ranges,
@@ -302,12 +372,13 @@ pub fn jacobi_sweeps<P: Process>(
         cache_hits: stats.cache.hits,
         cache_misses: stats.cache.misses,
         cache_evictions: stats.cache.evictions,
+        cache_resident_entries: stats.cache.resident_entries,
+        cache_peak_resident: stats.cache.peak_resident,
         cache_resident_bytes: stats.cache.resident_bytes,
         global_change: change_history.last().copied(),
         change_history,
         reductions: stats.reductions,
         reduction_bytes: stats.reduction_bytes,
-        local_norm,
     }
 }
 
@@ -438,6 +509,16 @@ mod tests {
                 };
                 jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
             });
+            for o in &outcomes {
+                assert_eq!(o.adaptations, 0, "static mesh");
+                let (misses, hits, evictions) = if disable_cache { (10, 0, 9) } else { (1, 9, 0) };
+                assert_eq!(o.cache_misses, misses, "cache disabled: {disable_cache}");
+                assert_eq!(o.cache_hits, hits, "cache disabled: {disable_cache}");
+                assert_eq!(
+                    o.cache_evictions, evictions,
+                    "cache disabled: {disable_cache}"
+                );
+            }
             outcomes
                 .iter()
                 .map(|o| o.inspector_time)

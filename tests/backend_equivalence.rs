@@ -26,12 +26,12 @@ use kali_repro::mp::MpMachine;
 use kali_repro::native::NativeMachine;
 use kali_repro::process::Process;
 use kali_repro::solvers::{
-    adaptive_jacobi_sequential, adaptive_jacobi_sweeps, final_placement, jacobi_sweeps,
-    partitioned_dist, AdaptiveConfig, JacobiConfig,
+    adaptive_jacobi_sequential, final_placement, jacobi_sweeps, partitioned_dist, replay_sum,
+    JacobiConfig,
 };
 
 /// Gather a distributed solution back into global numbering (the shared
-/// helper next to the adaptive solver).
+/// helper next to the churn replay).
 use kali_repro::solvers::gather_global as gather;
 
 mod common;
@@ -266,21 +266,21 @@ fn schedule_cache_lifecycle_is_identical_across_backends_under_adaptation() {
     let initial: Vec<f64> = (0..mesh.len())
         .map(|i| ((i * 13) % 29) as f64 * 0.2)
         .collect();
-    let config = AdaptiveConfig {
+    let config = JacobiConfig {
         sweeps: 12,
         adapt_every: Some(4), // adapt before sweeps 4 and 8
         rebalance: true,      // …and redistribute to the rebalanced placement
-        ..AdaptiveConfig::default()
+        ..JacobiConfig::default()
     };
     let nprocs = 4;
 
     let simulated = Machine::new(nprocs, CostModel::ideal()).run(|proc| {
         let dist = partitioned_dist(proc, &mesh);
-        adaptive_jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
+        jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
     });
     let native = NativeMachine::new(nprocs).run(|proc| {
         let dist = partitioned_dist(proc, &mesh);
-        adaptive_jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
+        jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
     });
 
     for (rank, (s, n)) in simulated.iter().zip(&native).enumerate() {
@@ -335,7 +335,7 @@ fn schedule_cache_lifecycle_is_identical_across_backends_under_adaptation() {
 
 #[test]
 fn adaptive_jacobi_under_a_non_monotone_user_defined_dist_equals_its_sequential_replay() {
-    // The adaptive solver's own set-up on a distribution whose local order
+    // The adaptive run's own set-up on a distribution whose local order
     // is not ascending global order: the field must be scattered the way the
     // mesh rows, the executor and `gather_global` index it.  Static, adapting
     // in place, and rebalancing away from the user-defined placement.
@@ -345,10 +345,10 @@ fn adaptive_jacobi_under_a_non_monotone_user_defined_dist_equals_its_sequential_
         proc: &mut P,
         mesh: &AdjacencyMesh,
         initial: &[f64],
-        config: &AdaptiveConfig,
+        config: &JacobiConfig,
     ) -> Vec<f64> {
         let dist = DimDist::new(common::ReversedBlock::new(mesh.len(), proc.nprocs()));
-        adaptive_jacobi_sweeps(proc, mesh, &dist, initial, config).local_a
+        jacobi_sweeps(proc, mesh, &dist, initial, config).local_a
     }
     let mesh = UnstructuredMeshBuilder::new(10, 9)
         .seed(5)
@@ -359,11 +359,11 @@ fn adaptive_jacobi_under_a_non_monotone_user_defined_dist_equals_its_sequential_
         .collect();
     let nprocs = 2;
     for (adapt_every, rebalance) in [(None, false), (Some(2), false), (Some(2), true)] {
-        let config = AdaptiveConfig {
+        let config = JacobiConfig {
             sweeps: 4,
             adapt_every,
             rebalance,
-            ..AdaptiveConfig::default()
+            ..JacobiConfig::default()
         };
         let (m, i, c) = (&mesh, &initial, &config);
         let mp = MpMachine::new(nprocs).run(TEST, |p| local_field(p, m, i, c));
@@ -388,6 +388,76 @@ fn adaptive_jacobi_under_a_non_monotone_user_defined_dist_equals_its_sequential_
             );
         }
     }
+}
+
+#[test]
+fn convergence_checks_follow_the_placement_across_rebalances() {
+    // The convergence forall is aligned with `a`, so after a rebalance its
+    // on-clause and its schedule must describe the new placement: planned
+    // under the retired one, `fetch.home()` would index the wrong rows.  The
+    // run starts on a placement stored back to front, so a check left on it
+    // folds the rows in the wrong order and misses the replay by an ulp.
+    const TEST: &str = "convergence_checks_follow_the_placement_across_rebalances";
+    let mesh = UnstructuredMeshBuilder::new(12, 12)
+        .seed(63)
+        .scramble_numbering(true)
+        .build();
+    let initial: Vec<f64> = (0..mesh.len())
+        .map(|i| ((i * 13) % 29) as f64 * 0.2)
+        .collect();
+    let config = JacobiConfig {
+        sweeps: 10,
+        adapt_every: Some(4), // adapt and rebalance before sweeps 4 and 8
+        rebalance: true,
+        convergence_check_every: Some(1),
+        ..JacobiConfig::default()
+    };
+    let nprocs = 4;
+    fn change_history<P: Process>(
+        proc: &mut P,
+        mesh: &AdjacencyMesh,
+        initial: &[f64],
+        config: &JacobiConfig,
+    ) -> Vec<f64> {
+        let dist = DimDist::new(common::ReversedBlock::new(mesh.len(), proc.nprocs()));
+        jacobi_sweeps(proc, mesh, &dist, initial, config).change_history
+    }
+    let (m, i, c) = (&mesh, &initial, &config);
+    let mp = MpMachine::new(nprocs).run(TEST, |p| change_history(p, m, i, c));
+    let simulated = Machine::new(nprocs, CostModel::ideal()).run(|p| change_history(p, m, i, c));
+    let native = NativeMachine::new(nprocs).run(|p| change_history(p, m, i, c));
+
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let expected = bits(&simulated[0]);
+    assert_eq!(expected.len(), config.sweeps, "one check per sweep");
+    let legs = [
+        ("dmsim", Some(simulated)),
+        ("native", Some(native)),
+        ("mp", mp),
+    ];
+    for (backend, histories) in legs {
+        // `None`: the mp leg inside a re-executed worker.
+        let Some(histories) = histories else { continue };
+        for (rank, h) in histories.iter().enumerate() {
+            assert_eq!(bits(h), expected, "{backend}, rank {rank}");
+        }
+    }
+
+    // The last check reduces the final sweep's change over the final
+    // placement, in that placement's fold order.
+    let start = DimDist::new(common::ReversedBlock::new(mesh.len(), nprocs));
+    let placement = final_placement(&mesh, &start, &config);
+    let a = adaptive_jacobi_sequential(&mesh, &initial, &config);
+    let before = JacobiConfig {
+        sweeps: config.sweeps - 1,
+        ..config
+    };
+    let old = adaptive_jacobi_sequential(&mesh, &initial, &before);
+    let last = replay_sum(&placement, |i| {
+        let d = a[i] - old[i];
+        d * d
+    });
+    assert_eq!(expected.last().copied(), Some(last.to_bits()));
 }
 
 #[test]

@@ -21,8 +21,7 @@ use kali_repro::meshes::{self, AdjacencyMesh, UnstructuredMeshBuilder};
 use kali_repro::native::NativeMachine;
 use kali_repro::process::Process;
 use kali_repro::solvers::{
-    adaptive_jacobi_sweeps, cg_solve, jacobi_sweeps, redblack_sweeps, AdaptiveConfig, CgConfig,
-    JacobiConfig, RedBlackConfig,
+    cg_solve, jacobi_sweeps, redblack_sweeps, CgConfig, JacobiConfig, RedBlackConfig,
 };
 
 const SOLVERS: [&str; 4] = ["jacobi", "adaptive", "cg", "red-black"];
@@ -76,14 +75,14 @@ fn fingerprint<P: Process>(
             fp
         }
         "adaptive" => {
-            let config = AdaptiveConfig {
+            let config = JacobiConfig {
                 sweeps: 4,
                 adapt_every: Some(2),
                 rebalance: true,
                 cache_capacity: 4,
-                ..AdaptiveConfig::default()
+                ..JacobiConfig::default()
             };
-            let o = adaptive_jacobi_sweeps(proc, mesh, dist, field, &config);
+            let o = jacobi_sweeps(proc, mesh, dist, field, &config);
             let mut fp = bits(&o.local_a);
             fp.extend([o.adaptations, o.cache_hits, o.cache_misses]);
             fp
