@@ -199,21 +199,14 @@ pub fn handcoded_jacobi(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sequential::sequential_jacobi;
     use dmsim::{CostModel, Machine};
     use meshes::{RegularGrid, UnstructuredMeshBuilder};
+    use solvers::{gather_global, jacobi_sequential};
 
     fn gather(nprocs: usize, mesh: &AdjacencyMesh, initial: &[f64], sweeps: usize) -> Vec<f64> {
         let machine = Machine::new(nprocs, CostModel::ideal());
-        let outcomes = machine.run(|proc| handcoded_jacobi(proc, mesh, initial, sweeps));
-        let dist = DimDist::block(mesh.len(), nprocs);
-        let mut global = vec![0.0; mesh.len()];
-        for (rank, o) in outcomes.iter().enumerate() {
-            for (l, v) in o.local_a.iter().enumerate() {
-                global[dist.global_index(rank, l)] = *v;
-            }
-        }
-        global
+        let outcomes = machine.run(|proc| handcoded_jacobi(proc, mesh, initial, sweeps).local_a);
+        gather_global(&DimDist::block(mesh.len(), nprocs), &outcomes)
     }
 
     #[test]
@@ -221,7 +214,7 @@ mod tests {
         let grid = RegularGrid::square(16);
         let mesh = grid.five_point_mesh();
         let initial = grid.initial_field();
-        let expected = sequential_jacobi(&mesh, &initial, 9);
+        let expected = jacobi_sequential(&mesh, &initial, 9);
         for nprocs in [1, 2, 4, 8] {
             assert_eq!(
                 gather(nprocs, &mesh, &initial, 9),
@@ -235,7 +228,7 @@ mod tests {
     fn matches_sequential_on_unstructured_mesh() {
         let mesh = UnstructuredMeshBuilder::new(11, 13).seed(99).build();
         let initial: Vec<f64> = (0..mesh.len()).map(|i| (i as f64).sin()).collect();
-        let expected = sequential_jacobi(&mesh, &initial, 6);
+        let expected = jacobi_sequential(&mesh, &initial, 6);
         assert_eq!(gather(4, &mesh, &initial, 6), expected);
     }
 

@@ -12,13 +12,11 @@
 //!   cells contiguously, so there is no run-time locality checking and no
 //!   search overhead.  This is the paper's "had the user programmed directly
 //!   in a message-passing language" baseline.
-//! * [`sequential`] — a plain single-address-space Jacobi used as the
-//!   numerical ground truth.
+//!
+//! Its ground truth is the Kali program's own replay, `solvers::jacobi_sequential`.
 
 #![forbid(unsafe_code)]
 
 pub mod handcoded;
-pub mod sequential;
 
 pub use handcoded::{handcoded_jacobi, HandcodedOutcome};
-pub use sequential::sequential_jacobi;

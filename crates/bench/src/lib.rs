@@ -30,7 +30,7 @@
 
 #![forbid(unsafe_code)]
 
-use solvers::ExperimentRow;
+use solvers::{Case, ExperimentRow, Placement, Program, Run};
 
 /// One published row of a paper table, for side-by-side printing.
 #[derive(Debug, Clone, Copy)]
@@ -297,7 +297,7 @@ pub fn quick_mode() -> bool {
 /// nonlocal references and message volume (the experiment's acceptance
 /// criterion); callers decide whether that is fatal.
 pub fn run_partition_locality() -> bool {
-    use solvers::{ExperimentParams, Placement};
+    use solvers::ExperimentParams;
 
     let quick = quick_mode();
     let (side, nprocs, sweeps) = if quick { (24, 8, 10) } else { (48, 16, 100) };
@@ -343,7 +343,7 @@ pub fn run_partition_locality() -> bool {
     );
     let mut rows = Vec::new();
     for placement in [Placement::Block, Placement::Partitioned] {
-        let row = solvers::run_jacobi_experiment_placed(&params, &mesh, &initial, placement);
+        let row = solvers::run_jacobi_experiment_placed(&params, &mesh, &initial, &placement);
         println!(
             "{:>12}  {:>12.4}  {}",
             placement.name(),
@@ -384,11 +384,7 @@ pub fn run_partition_locality() -> bool {
 /// is fatal (the binary exits nonzero; CI runs it with `--smoke`).
 pub fn run_adaptation(smoke: bool) -> bool {
     use dmsim::{CostModel, Machine};
-    use kali_native::NativeMachine;
-    use solvers::{
-        adaptive_jacobi_sequential, final_placement, jacobi_sweeps, partitioned_dist, JacobiConfig,
-        JacobiOutcome,
-    };
+    use solvers::{jacobi_sweeps, JacobiConfig};
 
     let (side, nprocs, sweeps, intervals): (usize, usize, usize, Vec<Option<usize>>) = if smoke {
         (8, 2, 8, vec![Some(1), Some(2), Some(4), None])
@@ -406,6 +402,7 @@ pub fn run_adaptation(smoke: bool) -> bool {
     let initial: Vec<f64> = (0..mesh.len())
         .map(|i| ((i * 29) % 23) as f64 * 0.1)
         .collect();
+    let case = Case::new(&mesh, Placement::Partitioned, &initial);
 
     println!(
         "\n=== Adaptive-mesh amortisation (NCUBE/7, {side}x{side} scrambled mesh, \
@@ -436,91 +433,58 @@ pub fn run_adaptation(smoke: bool) -> bool {
             ..JacobiConfig::default()
         };
 
-        let machine = Machine::new(nprocs, CostModel::ncube7());
-        let outcomes = machine.run(|proc| {
-            let dist = partitioned_dist(proc, &mesh);
+        // Times and resident bytes from the outcomes, the rest from the runs.
+        let outcomes = Machine::new(nprocs, CostModel::ncube7()).run(|proc| {
+            let dist = case.placement.on_rank(proc, &mesh);
             jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
         });
-        let native_outcomes = NativeMachine::new(nprocs).run(|proc| {
-            let dist = partitioned_dist(proc, &mesh);
-            jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
-        });
-
-        let init_dist = distrib::DimDist::custom(meshes::greedy_partition(&mesh, nprocs), nprocs);
-        let final_dist = final_placement(&mesh, &init_dist, &config);
-        let gather = |locals: &[Vec<f64>]| solvers::gather_global(&final_dist, locals);
-        let simulated = gather(
-            &outcomes
-                .iter()
-                .map(|o| o.local_a.clone())
-                .collect::<Vec<_>>(),
-        );
-        let native = gather(
-            &native_outcomes
-                .iter()
-                .map(|o| o.local_a.clone())
-                .collect::<Vec<_>>(),
-        );
-
         let inspector = outcomes
             .iter()
             .map(|o| o.inspector_time)
             .fold(0.0f64, f64::max);
         let adapt = outcomes.iter().map(|o| o.adapt_time).fold(0.0f64, f64::max);
+        let resident_bytes: usize = outcomes.iter().map(|o| o.cache_resident_bytes).sum();
+        let runs: Vec<Run> = outcomes.into_iter().map(Run::from).collect();
+        let label = k.map(|v| v.to_string()).unwrap_or_else(|| "inf".into());
+        let (native, agreed) = check_agreement(
+            &format!("k={label}"),
+            &Program::Jacobi(config),
+            &case,
+            &runs,
+        );
+        ok &= agreed;
+
         // Residency is an invariant of the runtime, not of one backend:
         // take the peak over *both* runs so a native-side eviction
         // regression cannot slip past the CI gate.
-        let peak_resident = outcomes
+        let peak_resident = runs
             .iter()
-            .chain(&native_outcomes)
-            .map(|o| o.cache_peak_resident)
+            .chain(&native)
+            .map(|r| r.count("cache_peak_resident"))
             .max()
             .unwrap_or(0);
-        let label = k.map(|v| v.to_string()).unwrap_or_else(|| "inf".into());
+        let total = |name| runs.iter().map(|r| r.count(name)).sum::<u64>();
         let ips = inspector / sweeps as f64;
         println!(
             "{:>8}  {:>7}  {:>13.4}  {:>16.6}  {:>10.4}  {:>6}  {:>6}  {:>6}  {:>9}  {:>10}",
             label,
-            outcomes[0].adaptations,
+            runs[0].count("adaptations"),
             inspector,
             ips,
             adapt,
-            outcomes.iter().map(|o| o.cache_hits).sum::<u64>(),
-            outcomes.iter().map(|o| o.cache_misses).sum::<u64>(),
-            outcomes.iter().map(|o| o.cache_evictions).sum::<u64>(),
+            total("cache_hits"),
+            total("cache_misses"),
+            total("cache_evictions"),
             peak_resident,
-            outcomes
-                .iter()
-                .map(|o| o.cache_resident_bytes)
-                .sum::<usize>()
+            resident_bytes
         );
         per_sweep.push(ips);
 
-        // Invariants: bounded residency, backend agreement, replay match.
-        if peak_resident > cache_capacity {
+        if peak_resident > cache_capacity as u64 {
             println!(
                 "FAIL: k={label}: peak residency {peak_resident} exceeds the bound \
                  {cache_capacity}"
             );
-            ok = false;
-        }
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        if bits(&simulated) != bits(&native) {
-            println!("FAIL: k={label}: dmsim and native fields diverge");
-            ok = false;
-        }
-        let cache_counters = |os: &[JacobiOutcome]| {
-            os.iter()
-                .map(|o| (o.cache_hits, o.cache_misses, o.cache_evictions))
-                .collect::<Vec<_>>()
-        };
-        if cache_counters(&outcomes) != cache_counters(&native_outcomes) {
-            println!("FAIL: k={label}: cache counters diverge between backends");
-            ok = false;
-        }
-        let expected = adaptive_jacobi_sequential(&mesh, &initial, &config);
-        if bits(&simulated) != bits(&expected) {
-            println!("FAIL: k={label}: distributed field diverges from the sequential replay");
             ok = false;
         }
     }
@@ -548,6 +512,28 @@ pub fn run_adaptation(smoke: bool) -> bool {
     ok
 }
 
+/// Check `program`'s dmsim `runs` on `case` against a native run and the
+/// sequential replay — fields, histories and counts, bit for bit — printing
+/// a `FAIL` line naming `label` for each divergence.  Returns the native
+/// runs and whether all three agreed.
+fn check_agreement(label: &str, program: &Program, case: &Case, runs: &[Run]) -> (Vec<Run>, bool) {
+    let native = kali_native::NativeMachine::new(runs.len()).run(|proc| program.run(proc, case));
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut ok = true;
+    if runs.iter().zip(&native).any(|(d, n)| d.bits() != n.bits()) {
+        println!("FAIL: {label}: dmsim and native diverge");
+        ok = false;
+    }
+    let (field, history) = program.replay(case, runs.len());
+    let history_diverges =
+        history.is_some_and(|h| runs.iter().any(|r| bits(&r.history) != bits(&h)));
+    if bits(&program.gather(case, runs)) != bits(&field) || history_diverges {
+        println!("FAIL: {label}: distributed run diverges from the sequential replay");
+        ok = false;
+    }
+    (native, ok)
+}
+
 /// Run the multi-dimensional `ParallelLoop` experiment (`table_multidim`)
 /// and print its tables:
 ///
@@ -568,10 +554,9 @@ pub fn run_multidim(smoke: bool) -> bool {
     use distrib::{ArrayDist, FlatDist};
     use dmsim::{CostModel, Machine};
     use kali_core::{MultiAffineMap, Rect, Session};
-    use kali_native::NativeMachine;
     use solvers::{
-        gather_multidim, multidim_field, multidim_sequential, multidim_sweeps, phase_comm_reports,
-        row_placement, CommReport, ExperimentRow, MultiDimConfig, PhaseBreakdown, PhaseStrategy,
+        multidim_field, multidim_sweeps, phase_comm_reports, CommReport, MultiDimConfig,
+        PhaseBreakdown, PhaseStrategy,
     };
 
     let (side, nprocs, rounds, sweeps_per_phase) =
@@ -647,8 +632,11 @@ pub fn run_multidim(smoke: bool) -> bool {
     config.rounds = rounds;
     config.sweeps_per_phase = sweeps_per_phase;
     let initial = multidim_field(side, side);
-    let expected = multidim_sequential(&config, &initial);
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let case = Case {
+        mesh: None,
+        placement: Placement::Block,
+        input: &initial,
+    };
 
     println!(
         "\nphase-change demo: {rounds} rounds x {sweeps_per_phase} sweeps per phase \
@@ -660,26 +648,6 @@ pub fn run_multidim(smoke: bool) -> bool {
         config.strategy = strategy;
         let machine = Machine::new(nprocs, CostModel::ncube7());
         let (outcomes, stats) = machine.run_stats(|proc| multidim_sweeps(proc, &config, &initial));
-        let native_outcomes =
-            NativeMachine::new(nprocs).run(|proc| multidim_sweeps(proc, &config, &initial));
-
-        let final_dist = row_placement(&config, nprocs);
-        let locals: Vec<Vec<f64>> = outcomes.iter().map(|o| o.local_a.clone()).collect();
-        let native_locals: Vec<Vec<f64>> =
-            native_outcomes.iter().map(|o| o.local_a.clone()).collect();
-        let simulated = gather_multidim(&final_dist, &locals);
-        let native = gather_multidim(&final_dist, &native_locals);
-        if bits(&simulated) != bits(&native) {
-            println!("FAIL: {}: dmsim and native fields diverge", strategy.name());
-            ok = false;
-        }
-        if bits(&simulated) != bits(&expected) {
-            println!(
-                "FAIL: {}: distributed field diverges from the sequential replay",
-                strategy.name()
-            );
-            ok = false;
-        }
         if outcomes.iter().any(|o| o.cache_misses != 0) {
             println!(
                 "FAIL: {}: a stencil fell back to the inspector",
@@ -687,6 +655,8 @@ pub fn run_multidim(smoke: bool) -> bool {
             );
             ok = false;
         }
+        let runs: Vec<Run> = outcomes.iter().cloned().map(Run::from).collect();
+        ok &= check_agreement(strategy.name(), &Program::MultiDim(config), &case, &runs).1;
 
         let row = ExperimentRow {
             machine: format!("{} ", strategy.name()),
@@ -779,11 +749,7 @@ pub fn run_multidim(smoke: bool) -> bool {
 /// otherwise (CI runs it with `--smoke`).
 pub fn run_solvers(smoke: bool) -> bool {
     use dmsim::{CostModel, Machine};
-    use kali_native::NativeMachine;
-    use solvers::{
-        cg_sequential, cg_solve, partitioned_dist, redblack_sequential, redblack_sweeps, CgConfig,
-        RedBlackConfig,
-    };
+    use solvers::{cg_solve, CgConfig, RedBlackConfig};
 
     let (side, nprocs, cg_iters, rb_sweeps) = if smoke {
         (10, 4, 8, 8)
@@ -791,7 +757,6 @@ pub fn run_solvers(smoke: bool) -> bool {
         (32, 8, 40, 60)
     };
     let mut ok = true;
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
     let mesh = meshes::UnstructuredMeshBuilder::new(side, side)
         .seed(1990)
@@ -800,7 +765,7 @@ pub fn run_solvers(smoke: bool) -> bool {
     let b: Vec<f64> = (0..mesh.len())
         .map(|i| ((i * 17) % 13) as f64 * 0.25 - 1.0)
         .collect();
-    let replay_dist = distrib::DimDist::custom(meshes::greedy_partition(&mesh, nprocs), nprocs);
+    let case = Case::new(&mesh, Placement::Partitioned, &b);
 
     println!(
         "\n=== Session & typed reductions: solvers on a partitioned {side}x{side} scrambled \
@@ -810,15 +775,12 @@ pub fn run_solvers(smoke: bool) -> bool {
     // ---- Conjugate gradient ------------------------------------------------
     let config = CgConfig::with_iters(cg_iters);
     let machine = Machine::new(nprocs, CostModel::ncube7());
-    let (outcomes, _stats) = machine.run_stats(|proc| {
-        let dist = partitioned_dist(proc, &mesh);
-        cg_solve(proc, &mesh, &dist, &b, &config)
-    });
-    let native_outcomes = NativeMachine::new(nprocs).run(|proc| {
-        let dist = partitioned_dist(proc, &mesh);
-        cg_solve(proc, &mesh, &dist, &b, &config)
-    });
-    let (_, seq_history) = cg_sequential(&mesh, &b, &config, &replay_dist);
+    // Inspector times from the outcomes, the rest from the registry's runs.
+    let cg = |proc: &mut dmsim::Proc, config: &CgConfig| {
+        let dist = case.placement.on_rank(proc, &mesh);
+        cg_solve(proc, &mesh, &dist, &b, config)
+    };
+    let outcomes = machine.run(|proc| cg(proc, &config));
 
     let o = &outcomes[0];
     let iters = o.iterations.max(1);
@@ -860,17 +822,6 @@ pub fn run_solvers(smoke: bool) -> bool {
         println!("FAIL: CG did not converge on the partitioned mesh");
         ok = false;
     }
-    if native_outcomes
-        .iter()
-        .any(|n| bits(&n.residual_history) != bits(&o.residual_history))
-    {
-        println!("FAIL: CG residual history diverges between dmsim and native");
-        ok = false;
-    }
-    if bits(&o.residual_history) != bits(&seq_history) {
-        println!("FAIL: CG residual history diverges from the sequential replay");
-        ok = false;
-    }
     if o.stats.cache.misses != 1 {
         println!(
             "FAIL: the static-mesh mat-vec must inspect exactly once, saw {}",
@@ -882,10 +833,7 @@ pub fn run_solvers(smoke: bool) -> bool {
     // Amortisation: a run 4x as long pays (nearly) the same inspector cost,
     // so the per-iteration share must fall strictly.
     let short = CgConfig::with_iters((cg_iters / 4).max(1));
-    let short_outcomes = Machine::new(nprocs, CostModel::ncube7()).run(|proc| {
-        let dist = partitioned_dist(proc, &mesh);
-        cg_solve(proc, &mesh, &dist, &b, &short)
-    });
+    let short_outcomes = Machine::new(nprocs, CostModel::ncube7()).run(|proc| cg(proc, &short));
     let short_inspector = short_outcomes
         .iter()
         .map(|x| x.inspector_time)
@@ -900,6 +848,8 @@ pub fn run_solvers(smoke: bool) -> bool {
         println!("FAIL: inspector cost per iteration must fall as iterations grow");
         ok = false;
     }
+    let runs: Vec<Run> = outcomes.into_iter().map(Run::from).collect();
+    ok &= check_agreement("CG", &Program::Cg(config), &case, &runs).1;
 
     // ---- Red–black Gauss–Seidel -------------------------------------------
     let checked = RedBlackConfig {
@@ -911,27 +861,21 @@ pub fn run_solvers(smoke: bool) -> bool {
         check_every: None,
         ..checked
     };
-    let machine = Machine::new(nprocs, CostModel::ncube7());
-    let (rb_outcomes, rb_stats) = machine.run_stats(|proc| {
-        let dist = partitioned_dist(proc, &mesh);
-        redblack_sweeps(proc, &mesh, &dist, &b, &checked)
-    });
-    let (_rb_quiet, quiet_stats) = Machine::new(nprocs, CostModel::ncube7()).run_stats(|proc| {
-        let dist = partitioned_dist(proc, &mesh);
-        redblack_sweeps(proc, &mesh, &dist, &b, &unchecked)
-    });
-    let rb_native = NativeMachine::new(nprocs).run(|proc| {
-        let dist = partitioned_dist(proc, &mesh);
-        redblack_sweeps(proc, &mesh, &dist, &b, &checked)
-    });
-    let (_, rb_seq_history) = redblack_sequential(&mesh, &b, &checked, &replay_dist);
+    // The message columns are machine-wide totals, set-up included.
+    let redblack = |config: RedBlackConfig| {
+        Machine::new(nprocs, CostModel::ncube7())
+            .run_stats(|proc| Program::RedBlack(config).run(proc, &case))
+    };
+    let (rb_runs, rb_stats) = redblack(checked);
+    let (_, quiet_stats) = redblack(unchecked);
 
-    let rb = &rb_outcomes[0];
+    let rb = &rb_runs[0];
+    let total = |name| rb_runs.iter().map(|r| r.count(name)).sum::<u64>();
     println!(
         "\nred-black Gauss-Seidel: {} sweeps, change norm {:.3e} -> {:.3e}",
         rb_sweeps,
-        rb.change_history[0],
-        rb.change_history.last().unwrap()
+        rb.history[0],
+        rb.history.last().unwrap()
     );
     println!(
         "{:>14}  {:>12}  {:>12}  {:>10}  {:>6}  {:>14}  {:>16}",
@@ -945,49 +889,30 @@ pub fn run_solvers(smoke: bool) -> bool {
     );
     println!(
         "{:>14}  {:>12}  {:>12}  {:>10}  {:>6}  {:>14}  {:>16}",
-        rb.stats.reductions,
-        rb_outcomes
-            .iter()
-            .map(|x| x.red_recv_elements)
-            .sum::<usize>(),
-        rb_outcomes
-            .iter()
-            .map(|x| x.black_recv_elements)
-            .sum::<usize>(),
-        rb_outcomes.iter().map(|x| x.stats.cache.hits).sum::<u64>(),
-        rb_outcomes
-            .iter()
-            .map(|x| x.stats.cache.misses)
-            .sum::<u64>(),
+        rb.count("reductions"),
+        total("red_recv_elements"),
+        total("black_recv_elements"),
+        total("cache_hits"),
+        total("cache_misses"),
         rb_stats.totals.msgs_sent,
         quiet_stats.totals.msgs_sent,
     );
 
-    if rb.stats.cache.misses != 2 || rb.stats.loops_allocated != 2 {
+    if rb.count("cache_misses") != 2 || rb.count("loops_allocated") != 2 {
         println!("FAIL: the two colour loops must each inspect once into one shared cache");
         ok = false;
     }
-    if rb.change_history.last().unwrap() >= &rb.change_history[0] {
+    if rb.history.last().unwrap() >= &rb.history[0] {
         println!("FAIL: red-black change norm did not fall");
         ok = false;
     }
-    for n in rb_native.iter() {
-        if bits(&n.change_history) != bits(&rb.change_history) {
-            println!("FAIL: red-black change history diverges between dmsim and native");
-            ok = false;
-            break;
-        }
-    }
-    if bits(&rb.change_history) != bits(&rb_seq_history) {
-        println!("FAIL: red-black change history diverges from the sequential replay");
-        ok = false;
-    }
+    ok &= check_agreement("red-black", &Program::RedBlack(checked), &case, &rb_runs).1;
 
     // Per-reduction message accounting: the counter delta between the
     // checked and unchecked runs is exactly the tree's 2(P−1) messages of 8
     // bytes per reduction performed (the flat allgather-fold this replaced
     // cost P·(P−1)).
-    let machine_reductions: u64 = rb_outcomes.iter().map(|x| x.stats.reductions).sum();
+    let machine_reductions = total("reductions");
     let expected_msgs = (machine_reductions / nprocs as u64) * 2 * (nprocs as u64 - 1);
     let msg_delta = rb_stats.totals.msgs_sent - quiet_stats.totals.msgs_sent;
     let byte_delta = rb_stats.totals.bytes_sent - quiet_stats.totals.bytes_sent;
@@ -1041,11 +966,12 @@ pub fn run_solvers(smoke: bool) -> bool {
 /// Returns `true` when every claim holds; the binary exits nonzero
 /// otherwise (CI runs it with `--smoke`).
 pub fn run_collectives(smoke: bool) -> bool {
+    use distrib::DimDist;
     use dmsim::{CostModel, Machine};
     use kali_core::process::{tree_allreduce_messages, tree_combine_partials};
     use kali_core::{Process, Sum};
     use kali_native::NativeMachine;
-    use solvers::{redblack_sequential, redblack_sweeps, RedBlackConfig};
+    use solvers::{redblack_sweeps, RedBlackConfig};
 
     /// Rounding-sensitive per-rank contribution: rank 0 injects a huge
     /// addend so any change of bracketing changes the result bits.
@@ -1146,16 +1072,14 @@ pub fn run_collectives(smoke: bool) -> bool {
     // ---- Claim 2: closed-form stripe planning on chain meshes --------------
     let (side, nprocs, sweeps) = if smoke { (48, 4, 8) } else { (192, 8, 30) };
     let chain = meshes::RegularGrid::new(side, 1).five_point_mesh();
-    let chain_b: Vec<f64> = (0..chain.len())
-        .map(|i| ((i * 17) % 13) as f64 * 0.25 - 1.0)
-        .collect();
     let scrambled = meshes::UnstructuredMeshBuilder::new(8, 8)
         .seed(1990)
         .scramble_numbering(true)
         .build();
-    let scrambled_b: Vec<f64> = (0..scrambled.len())
+    let b: Vec<f64> = (0..chain.len().max(scrambled.len()))
         .map(|i| ((i * 17) % 13) as f64 * 0.25 - 1.0)
         .collect();
+    let (chain_b, scrambled_b) = (&b[..chain.len()], &b[..scrambled.len()]);
     let plan_only = RedBlackConfig {
         sweeps: 0, // the timed region then covers planning alone
         check_every: None,
@@ -1170,35 +1094,46 @@ pub fn run_collectives(smoke: bool) -> bool {
         "{:>22}  {:>14}  {:>16}  {:>14}  {:>12}",
         "mesh / dist", "plan msgs", "inspector runs", "plan time (s)", "halo elems"
     );
-    for (label, dist) in [
+    let n = chain.len();
+    let (block, cyclic) = (DimDist::block(n, nprocs), DimDist::cyclic(n, nprocs));
+    let on_chain = |dist: &DimDist| (&chain, chain_b, Placement::Dist(dist.clone()));
+    for (label, (mesh, input, placement)) in [
+        ("chain / block", on_chain(&block)),
+        ("chain / cyclic", on_chain(&cyclic)),
         (
-            "chain / block",
-            distrib::DimDist::block(chain.len(), nprocs),
-        ),
-        (
-            "chain / cyclic",
-            distrib::DimDist::cyclic(chain.len(), nprocs),
+            "scrambled / block",
+            (&scrambled, scrambled_b, Placement::Block),
         ),
     ] {
-        let machine = Machine::new(nprocs, CostModel::ncube7());
-        let outcomes = machine.run(|proc| {
-            let d = dist.clone();
-            redblack_sweeps(proc, &chain, &d, &chain_b, &plan_only)
+        let case = Case::new(mesh, placement, input);
+        // The planning time is modeled; everything else comes from the runs.
+        let outcomes = Machine::new(nprocs, CostModel::ncube7()).run(|proc| {
+            let dist = case.placement.on_rank(proc, mesh);
+            redblack_sweeps(proc, mesh, &dist, input, &plan_only)
         });
-        let plan_msgs: u64 = outcomes.iter().map(|o| o.counters.msgs_sent).sum();
-        let inspector_runs: u64 = outcomes.iter().map(|o| o.stats.cache.misses).sum();
         let plan_time = outcomes
             .iter()
             .map(|o| o.inspector_time)
             .fold(0.0, f64::max);
-        let halo: usize = outcomes
-            .iter()
-            .map(|o| o.red_recv_elements + o.black_recv_elements)
-            .sum();
+        let runs: Vec<Run> = outcomes.into_iter().map(Run::from).collect();
+        let total = |name| runs.iter().map(|r| r.count(name)).sum::<u64>();
+        let plan_msgs: u64 = runs.iter().map(|r| r.counters.msgs_sent).sum();
+        let inspector_runs = total("cache_misses");
+        let halo = total("red_recv_elements") + total("black_recv_elements");
         println!(
             "{:>22}  {:>14}  {:>16}  {:>14.4}  {:>12}",
             label, plan_msgs, inspector_runs, plan_time, halo
         );
+        if label.starts_with("scrambled") {
+            if plan_msgs == 0 || runs.iter().any(|r| r.count("cache_misses") != 2) {
+                println!(
+                    "FAIL: the scrambled mesh must pay the inspector's global exchange \
+                     (two colour loops, one inspection each)"
+                );
+                ok = false;
+            }
+            continue;
+        }
         if plan_msgs != 0 || inspector_runs != 0 || plan_time != 0.0 {
             println!("FAIL: {label}: chain-mesh planning must be message free with no inspector");
             ok = false;
@@ -1207,41 +1142,9 @@ pub fn run_collectives(smoke: bool) -> bool {
             println!("FAIL: {label}: the closed form must still produce real halo schedules");
             ok = false;
         }
-        let native = NativeMachine::new(nprocs).run(|proc| {
-            let d = dist.clone();
-            redblack_sweeps(proc, &chain, &d, &chain_b, &plan_only)
-        });
-        if native.iter().any(|o| o.stats.cache.misses != 0) {
+        let (native, agreed) = check_agreement(label, &Program::RedBlack(plan_only), &case, &runs);
+        if !agreed || native.iter().any(|r| r.count("cache_misses") != 0) {
             println!("FAIL: {label}: the native backend fell back to the inspector");
-            ok = false;
-        }
-    }
-    {
-        let dist = distrib::DimDist::block(scrambled.len(), nprocs);
-        let machine = Machine::new(nprocs, CostModel::ncube7());
-        let outcomes = machine.run(|proc| {
-            let d = dist.clone();
-            redblack_sweeps(proc, &scrambled, &d, &scrambled_b, &plan_only)
-        });
-        let plan_msgs: u64 = outcomes.iter().map(|o| o.counters.msgs_sent).sum();
-        let inspector_runs: u64 = outcomes.iter().map(|o| o.stats.cache.misses).sum();
-        let plan_time = outcomes
-            .iter()
-            .map(|o| o.inspector_time)
-            .fold(0.0, f64::max);
-        let halo: usize = outcomes
-            .iter()
-            .map(|o| o.red_recv_elements + o.black_recv_elements)
-            .sum();
-        println!(
-            "{:>22}  {:>14}  {:>16}  {:>14.4}  {:>12}",
-            "scrambled / block", plan_msgs, inspector_runs, plan_time, halo
-        );
-        if plan_msgs == 0 || outcomes.iter().any(|o| o.stats.cache.misses != 2) {
-            println!(
-                "FAIL: the scrambled mesh must pay the inspector's global exchange \
-                 (two colour loops, one inspection each)"
-            );
             ok = false;
         }
     }
@@ -1249,32 +1152,15 @@ pub fn run_collectives(smoke: bool) -> bool {
     // The fast path is only a fast path if it computes the same bits: run
     // the chain solve properly and compare against native and the
     // sequential replay.
-    let checked = RedBlackConfig {
+    let program = Program::RedBlack(RedBlackConfig {
         sweeps,
         check_every: Some(2),
         ..RedBlackConfig::default()
-    };
-    for dist in [
-        distrib::DimDist::block(chain.len(), nprocs),
-        distrib::DimDist::cyclic(chain.len(), nprocs),
-    ] {
-        let outcomes = Machine::new(nprocs, CostModel::ncube7()).run(|proc| {
-            let d = dist.clone();
-            redblack_sweeps(proc, &chain, &d, &chain_b, &checked)
-        });
-        let native = NativeMachine::new(nprocs).run(|proc| {
-            let d = dist.clone();
-            redblack_sweeps(proc, &chain, &d, &chain_b, &checked)
-        });
-        let (_, seq_history) = redblack_sequential(&chain, &chain_b, &checked, &dist);
-        if outcomes
-            .iter()
-            .chain(native.iter())
-            .any(|o| bits(&o.change_history) != bits(&seq_history))
-        {
-            println!("FAIL: the chain fast path diverged from the sequential replay");
-            ok = false;
-        }
+    });
+    for dist in [block, cyclic] {
+        let case = Case::new(&chain, Placement::Dist(dist), chain_b);
+        let runs = Machine::new(nprocs, CostModel::ncube7()).run(|proc| program.run(proc, &case));
+        ok &= check_agreement("the chain fast path", &program, &case, &runs).1;
     }
     println!(
         "chain solve over {sweeps} sweeps: change histories bitwise identical across dmsim, \
@@ -1355,16 +1241,28 @@ fn measure_mesh_sweep(cost: dmsim::CostModel, nprocs: usize) -> Vec<ExperimentRo
 /// 1-CPU machine cannot exhibit parallel speedup) and the binary still
 /// reports the table honestly.
 pub fn run_native_scaling(smoke: bool) -> bool {
-    use kali_core::Process;
     use kali_native::NativeMachine;
-    use solvers::{jacobi_sweeps, JacobiConfig};
+    use solvers::JacobiConfig;
     use std::time::Instant;
 
     let (side, nprocs, sweeps) = if smoke { (64, 2, 3) } else { (1024, 2, 5) };
     let grid = meshes::RegularGrid::square(side);
     let mesh = grid.five_point_mesh();
     let initial = grid.initial_field();
+    let case = Case::new(&mesh, Placement::Block, &initial);
     let worker_counts = [1usize, 2, 4, 8];
+    // Wall-clock seconds of the solve at `workers`, and its per-rank bits.
+    let solve = |workers| {
+        let program = Program::Jacobi(JacobiConfig {
+            sweeps,
+            workers: Some(workers),
+            ..JacobiConfig::default()
+        });
+        let start = Instant::now();
+        let runs = NativeMachine::new(nprocs).run(|proc| program.run(proc, &case));
+        let secs = start.elapsed().as_secs_f64();
+        (secs, runs.iter().map(Run::bits).collect::<Vec<_>>())
+    };
 
     println!(
         "\n=== Intra-rank scaling: native Jacobi on a {side}x{side} grid \
@@ -1383,21 +1281,7 @@ pub fn run_native_scaling(smoke: bool) -> bool {
     let mut baseline_fields: Option<Vec<Vec<u64>>> = None;
     let mut baseline_secs = 0.0f64;
     for &workers in &worker_counts {
-        let config = JacobiConfig {
-            sweeps,
-            workers: Some(workers),
-            ..JacobiConfig::default()
-        };
-        let start = Instant::now();
-        let outcomes = NativeMachine::new(nprocs).run(|proc| {
-            let dist = distrib::DimDist::block(mesh.len(), proc.nprocs());
-            jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
-        });
-        let secs = start.elapsed().as_secs_f64();
-        let fields: Vec<Vec<u64>> = outcomes
-            .iter()
-            .map(|o| o.local_a.iter().map(|v| v.to_bits()).collect())
-            .collect();
+        let (secs, fields) = solve(workers);
         let identical = match &baseline_fields {
             None => {
                 baseline_fields = Some(fields);
@@ -1426,18 +1310,7 @@ pub fn run_native_scaling(smoke: bool) -> bool {
     if !smoke && hw >= 4 {
         // The acceptance threshold only means something when the hardware
         // can actually run 4 workers concurrently.
-        let config = JacobiConfig {
-            sweeps,
-            workers: Some(4),
-            ..JacobiConfig::default()
-        };
-        let start = Instant::now();
-        let _ = NativeMachine::new(nprocs).run(|proc| {
-            let dist = distrib::DimDist::block(mesh.len(), proc.nprocs());
-            jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
-        });
-        let four = start.elapsed().as_secs_f64();
-        let speedup = baseline_secs / four;
+        let speedup = baseline_secs / solve(4).0;
         if speedup < 2.0 {
             println!("FAIL: expected >= 2x at 4 workers, measured {speedup:.2}x");
             ok = false;
@@ -1605,6 +1478,19 @@ fn plan_solver_suite<P: kali_core::Process>(
     (planned, session.collective_trace().to_vec(), hash)
 }
 
+/// The four distribution kinds the verification sweeps cover, over
+/// `mesh`'s nodes on `nprocs` ranks.
+fn dist_kinds(mesh: &meshes::AdjacencyMesh, nprocs: usize) -> [(&str, distrib::DimDist); 4] {
+    let n = mesh.len();
+    let irregular = distrib::DimDist::custom(meshes::greedy_partition(mesh, nprocs), nprocs);
+    [
+        ("block", distrib::DimDist::block(n, nprocs)),
+        ("cyclic", distrib::DimDist::cyclic(n, nprocs)),
+        ("block-cyclic", distrib::DimDist::block_cyclic(n, nprocs, 3)),
+        ("irregular", irregular),
+    ]
+}
+
 /// Run the static verification sweep (`verify_all`): every solver shape
 /// under every distribution kind on both backends through
 /// [`kali_core::verify`], plus the backend-independent protocol proofs
@@ -1670,16 +1556,7 @@ pub fn run_verify_all(smoke: bool) -> bool {
         "backend", "procs", "dist", "loops", "records", "violations"
     );
     for &nprocs in proc_counts {
-        let dists: Vec<(&str, distrib::DimDist)> = vec![
-            ("block", distrib::DimDist::block(n, nprocs)),
-            ("cyclic", distrib::DimDist::cyclic(n, nprocs)),
-            ("block-cyclic", distrib::DimDist::block_cyclic(n, nprocs, 3)),
-            (
-                "irregular",
-                distrib::DimDist::custom(meshes::greedy_partition(&mesh, nprocs), nprocs),
-            ),
-        ];
-        for (dist_name, dist) in dists {
+        for (dist_name, dist) in dist_kinds(&mesh, nprocs) {
             for backend in ["dmsim", "native", "mp"] {
                 let results = match backend {
                     "dmsim" => Machine::new(nprocs, CostModel::ideal())
@@ -1784,184 +1661,32 @@ pub fn run_verify_all(smoke: bool) -> bool {
     }
 }
 
-/// Which solver a model-checking run exercises.
-#[derive(Clone, Copy)]
-enum McSolver {
-    /// Chunked Jacobi with per-sweep convergence checks.
-    Jacobi,
-    /// The same Jacobi program on a mesh that adapts every other sweep,
-    /// with rebalancing redistribution.
-    Adaptive,
-    /// Conjugate gradient (reduction-heavy).
-    Cg,
-    /// Red–black Gauss–Seidel (two executor phases per sweep).
-    RedBlack,
-}
-
-impl McSolver {
-    const ALL: [McSolver; 4] = [
-        McSolver::Jacobi,
-        McSolver::Adaptive,
-        McSolver::Cg,
-        McSolver::RedBlack,
-    ];
-
-    fn name(self) -> &'static str {
-        match self {
-            McSolver::Jacobi => "jacobi",
-            McSolver::Adaptive => "adaptive",
-            McSolver::Cg => "cg",
-            McSolver::RedBlack => "red-black",
-        }
-    }
-}
-
-/// One model-checking workload: the mesh/distribution pair plus the input
-/// fields and sweep count that every run of the configuration shares.
-struct McCase<'a> {
-    mesh: &'a meshes::AdjacencyMesh,
-    dist: &'a distrib::DimDist,
-    initial: &'a [f64],
-    b: &'a [f64],
-    sweeps: usize,
-}
-
-/// Run one solver under `dist`, optionally recording an event trace, and
-/// reduce the outcome to its delivery-order-invariant fingerprint.
-///
-/// The first vector holds everything the determinism contract pins bit for
-/// bit on both backends: field values, reduction histories and structural
-/// counts.  The second holds the deterministic dmsim traffic counters
-/// (compared across delivery policies only — the native backend charges no
-/// simulated costs).  Simulated clocks and the pending-queue high-water
-/// mark are deliberately excluded: both may legally move when wildcard
-/// deliveries are reordered.
-fn mc_run_one<P: kali_core::Process>(
+/// `program` on `case`, with this rank's event trace recorded around it.
+fn traced_run<P: kali_core::Process>(
     proc: &mut P,
-    solver: McSolver,
-    case: &McCase,
-    traced: bool,
-) -> (Vec<u64>, Vec<u64>, Vec<kali_core::process::Event>) {
-    let &McCase {
-        mesh,
-        dist,
-        initial,
-        b,
-        sweeps,
-    } = case;
-    use solvers::{
-        cg_solve, jacobi_sweeps, redblack_sweeps, CgConfig, JacobiConfig, RedBlackConfig,
-    };
-
-    if traced {
-        proc.trace_start();
-    }
-    fn bits(v: &[f64]) -> impl Iterator<Item = u64> + '_ {
-        v.iter().map(|x| x.to_bits())
-    }
-    let mut fp: Vec<u64> = Vec::new();
-    let counters = match solver {
-        McSolver::Jacobi => {
-            let config = JacobiConfig {
-                sweeps,
-                convergence_check_every: Some(1),
-                workers: Some(2),
-                chunk: Some(8),
-                ..JacobiConfig::default()
-            };
-            let o = jacobi_sweeps(proc, mesh, dist, initial, &config);
-            fp.extend(bits(&o.local_a));
-            fp.extend(bits(&o.change_history));
-            fp.push(o.global_change.map_or(0, f64::to_bits));
-            fp.extend([
-                o.reductions,
-                o.reduction_bytes,
-                o.recv_elements as u64,
-                o.recv_partners as u64,
-                o.schedule_ranges as u64,
-                o.cache_hits,
-                o.cache_misses,
-            ]);
-            o.counters
-        }
-        McSolver::Adaptive => {
-            let config = JacobiConfig {
-                sweeps,
-                adapt_every: Some(2),
-                rebalance: true,
-                cache_capacity: 4,
-                ..JacobiConfig::default()
-            };
-            let o = jacobi_sweeps(proc, mesh, dist, initial, &config);
-            fp.extend(bits(&o.local_a));
-            fp.extend([
-                o.adaptations,
-                o.cache_hits,
-                o.cache_misses,
-                o.cache_evictions,
-            ]);
-            o.counters
-        }
-        McSolver::Cg => {
-            let config = CgConfig::with_iters(sweeps);
-            let o = cg_solve(proc, mesh, dist, b, &config);
-            fp.extend(bits(&o.local_x));
-            fp.extend(bits(&o.residual_history));
-            fp.extend([
-                o.iterations as u64,
-                o.adaptations,
-                o.stats.reductions,
-                o.recv_elements as u64,
-                o.schedule_ranges as u64,
-            ]);
-            o.counters
-        }
-        McSolver::RedBlack => {
-            let config = RedBlackConfig {
-                sweeps,
-                check_every: Some(1),
-                ..RedBlackConfig::default()
-            };
-            let o = redblack_sweeps(proc, mesh, dist, b, &config);
-            fp.extend(bits(&o.local_a));
-            fp.extend(bits(&o.change_history));
-            fp.extend([
-                o.stats.reductions,
-                o.red_recv_elements as u64,
-                o.black_recv_elements as u64,
-            ]);
-            o.counters
-        }
-    };
-    let comm = vec![
-        counters.msgs_sent,
-        counters.msgs_recv,
-        counters.bytes_sent,
-        counters.bytes_recv,
-        counters.nonlocal_refs,
-    ];
-    let trace = if traced {
-        proc.trace_take()
-    } else {
-        Vec::new()
-    };
-    (fp, comm, trace)
+    program: &Program,
+    case: &Case,
+) -> (Run, Vec<kali_core::process::Event>) {
+    proc.trace_start();
+    let run = program.run(proc, case);
+    (run, proc.trace_take())
 }
 
-/// Run the trace-level model-checking sweep (`mc_all`): every solver under
-/// every distribution kind, on both backends.
+/// Run the trace-level model-checking sweep (`mc_all`): every mesh program
+/// of the registry under every distribution kind, on every backend.
 ///
 /// Each configuration runs four checks:
 ///
 /// 1. a traced dmsim FIFO baseline whose recorded event trace must pass
 ///    `kali_core::mc::check_trace` with zero happens-before violations;
 /// 2. re-executions under perturbed wildcard-delivery policies (LIFO, two
-///    seeded shuffles, systematic rotation) whose solver outcomes must be
-///    bitwise identical to the baseline — fields, histories and
-///    deterministic counters, with simulated clocks and the queue
+///    seeded shuffles, systematic rotation) whose runs must be bitwise
+///    identical to the baseline — fields, histories, structural counts and
+///    the dmsim traffic counters, with simulated clocks and the queue
 ///    high-water mark excluded as legitimately order-dependent;
-/// 3. a traced native-backend run whose trace must also pass the analyzer
-///    and whose fields must match the dmsim baseline bit for bit;
+/// 3. traced native and mp runs whose traces must also pass the analyzer
+///    and whose fields, histories and counts must match the dmsim baseline
+///    bit for bit;
 /// 4. a sweep-wide assertion that the chunked executor emitted chunk-claim
 ///    events (so the write-sink conflict check actually ran on real data).
 ///
@@ -1969,7 +1694,7 @@ fn mc_run_one<P: kali_core::Process>(
 /// exactly when **zero** violations and **zero** divergences were found.
 pub fn run_mc_all(smoke: bool) -> bool {
     use dmsim::{CostModel, DeliveryPolicy, Machine};
-    use kali_core::process::EventKind;
+    use kali_core::process::{Event, EventKind};
     use kali_mp::MpMachine;
     use kali_native::NativeMachine;
 
@@ -1986,8 +1711,7 @@ pub fn run_mc_all(smoke: bool) -> bool {
         .scramble_numbering(true)
         .build();
     let n = mesh.len();
-    let initial: Vec<f64> = (0..n).map(|i| ((i * 29) % 23) as f64 * 0.1).collect();
-    let b: Vec<f64> = (0..n)
+    let input: Vec<f64> = (0..n)
         .map(|i| ((i * 17) % 13) as f64 * 0.25 - 1.0)
         .collect();
 
@@ -1997,6 +1721,18 @@ pub fn run_mc_all(smoke: bool) -> bool {
         ("shuffle#1990", DeliveryPolicy::Shuffle(1990)),
         ("systematic", DeliveryPolicy::Systematic(1)),
     ];
+    // The deterministic dmsim traffic counters, compared across delivery
+    // policies only (the other backends charge no simulated costs).
+    let traffic = |r: &Run| {
+        let c = r.counters;
+        [
+            c.msgs_sent,
+            c.msgs_recv,
+            c.bytes_sent,
+            c.bytes_recv,
+            c.nonlocal_refs,
+        ]
+    };
 
     let mut failures: Vec<String> = Vec::new();
     let mut chunk_claims = 0usize;
@@ -2007,51 +1743,51 @@ pub fn run_mc_all(smoke: bool) -> bool {
         "procs", "dist", "solver", "events", "hb", "policies", "native", "mp"
     );
     for &nprocs in proc_counts {
-        let dists: Vec<(&str, distrib::DimDist)> = vec![
-            ("block", distrib::DimDist::block(n, nprocs)),
-            ("cyclic", distrib::DimDist::cyclic(n, nprocs)),
-            ("block-cyclic", distrib::DimDist::block_cyclic(n, nprocs, 3)),
-            (
-                "irregular",
-                distrib::DimDist::custom(meshes::greedy_partition(&mesh, nprocs), nprocs),
-            ),
-        ];
-        for (dist_name, dist) in dists {
-            for solver in McSolver::ALL {
-                let context = format!("P={nprocs} {dist_name} {}", solver.name());
-                let case = McCase {
-                    mesh: &mesh,
-                    dist: &dist,
-                    initial: &initial,
-                    b: &b,
-                    sweeps,
+        for (dist_name, dist) in dist_kinds(&mesh, nprocs) {
+            let case = Case::new(&mesh, Placement::Dist(dist), &input);
+            for program in Program::mesh_suite(sweeps) {
+                let context = format!("P={nprocs} {dist_name} {}", program.name());
+                // Record a backend's trace violations, then its ranks whose
+                // runs differ from the dmsim baseline; how many there were.
+                let check = |backend: &str,
+                             legs: &[(Run, Vec<Event>)],
+                             base: &[Run],
+                             failures: &mut Vec<String>| {
+                    let traces: Vec<Vec<Event>> = legs.iter().map(|l| l.1.clone()).collect();
+                    let before = failures.len();
+                    for v in kali_core::mc::check_trace(&traces) {
+                        failures.push(format!("[{context}] {backend} trace: {v}"));
+                    }
+                    for (rank, (base_r, leg)) in base.iter().zip(legs).enumerate() {
+                        if leg.0.bits() != base_r.bits() {
+                            failures.push(format!(
+                                "[{context}] {backend} fields diverge from dmsim on rank {rank}"
+                            ));
+                        }
+                    }
+                    failures.len() - before
                 };
 
                 // 1. FIFO baseline on dmsim, traced and analyzed.
                 let base = Machine::new(nprocs, CostModel::ideal())
-                    .run(|proc| mc_run_one(proc, solver, &case, true));
-                let traces: Vec<Vec<kali_core::process::Event>> =
-                    base.iter().map(|r| r.2.clone()).collect();
-                events_total += traces.iter().map(Vec::len).sum::<usize>();
-                chunk_claims += traces
+                    .run(|proc| traced_run(proc, &program, &case));
+                let base_runs: Vec<Run> = base.iter().map(|l| l.0.clone()).collect();
+                events_total += base.iter().map(|l| l.1.len()).sum::<usize>();
+                chunk_claims += base
                     .iter()
-                    .flatten()
+                    .flat_map(|l| &l.1)
                     .filter(|e| matches!(e.kind, EventKind::ChunkClaim { .. }))
                     .count();
-                let hb = kali_core::mc::check_trace(&traces);
-                let hb_found = hb.len();
-                for v in hb {
-                    failures.push(format!("[{context}] dmsim trace: {v}"));
-                }
+                let hb_found = check("dmsim", &base, &base_runs, &mut failures);
 
                 // 2. Perturbed delivery orders must not change the answer.
                 let mut policy_div = 0usize;
                 for (pname, policy) in policies {
-                    let run = Machine::new(nprocs, CostModel::ideal())
+                    let runs = Machine::new(nprocs, CostModel::ideal())
                         .with_delivery(policy)
-                        .run(|proc| mc_run_one(proc, solver, &case, false));
-                    for (rank, (base_r, run_r)) in base.iter().zip(&run).enumerate() {
-                        if run_r.0 != base_r.0 || run_r.1 != base_r.1 {
+                        .run(|proc| program.run(proc, &case));
+                    for (rank, (base_r, run)) in base_runs.iter().zip(&runs).enumerate() {
+                        if run.bits() != base_r.bits() || traffic(run) != traffic(base_r) {
                             policy_div += 1;
                             failures.push(format!(
                                 "[{context}] delivery policy {pname} diverges from FIFO on \
@@ -2061,53 +1797,23 @@ pub fn run_mc_all(smoke: bool) -> bool {
                     }
                 }
 
-                // 3. Native backend: trace passes, fields match dmsim.
+                // 3. Native and multi-process socket backends: traces pass,
+                //    results match dmsim.  The mp leg runs threads as ranks —
+                //    every message still crosses a Unix-domain socket, but
+                //    the traced results stay in-process for comparison.
                 let native =
-                    NativeMachine::new(nprocs).run(|proc| mc_run_one(proc, solver, &case, true));
-                let native_traces: Vec<Vec<kali_core::process::Event>> =
-                    native.iter().map(|r| r.2.clone()).collect();
-                let native_hb = kali_core::mc::check_trace(&native_traces);
-                let mut native_bad = native_hb.len();
-                for v in native_hb {
-                    failures.push(format!("[{context}] native trace: {v}"));
-                }
-                for (rank, (base_r, nat_r)) in base.iter().zip(&native).enumerate() {
-                    if nat_r.0 != base_r.0 {
-                        native_bad += 1;
-                        failures.push(format!(
-                            "[{context}] native fields diverge from dmsim on rank {rank}"
-                        ));
-                    }
-                }
-
-                // 4. Multi-process socket backend: trace passes, fields
-                //    match dmsim.  Threads-as-ranks mode — every message
-                //    still crosses a Unix-domain socket, but the traced
-                //    results stay in-process for comparison.
-                let mp = MpMachine::new(nprocs)
-                    .run_threads(|proc| mc_run_one(proc, solver, &case, true));
-                let mp_traces: Vec<Vec<kali_core::process::Event>> =
-                    mp.iter().map(|r| r.2.clone()).collect();
-                let mp_hb = kali_core::mc::check_trace(&mp_traces);
-                let mut mp_bad = mp_hb.len();
-                for v in mp_hb {
-                    failures.push(format!("[{context}] mp trace: {v}"));
-                }
-                for (rank, (base_r, mp_r)) in base.iter().zip(&mp).enumerate() {
-                    if mp_r.0 != base_r.0 {
-                        mp_bad += 1;
-                        failures.push(format!(
-                            "[{context}] mp fields diverge from dmsim on rank {rank}"
-                        ));
-                    }
-                }
+                    NativeMachine::new(nprocs).run(|proc| traced_run(proc, &program, &case));
+                let native_bad = check("native", &native, &base_runs, &mut failures);
+                let mp =
+                    MpMachine::new(nprocs).run_threads(|proc| traced_run(proc, &program, &case));
+                let mp_bad = check("mp", &mp, &base_runs, &mut failures);
 
                 println!(
                     "{:>8}  {:>14}  {:>10}  {:>8}  {:>8}  {:>10}  {:>8}  {:>8}",
                     nprocs,
                     dist_name,
-                    solver.name(),
-                    traces.iter().map(Vec::len).sum::<usize>(),
+                    program.name(),
+                    base.iter().map(|l| l.1.len()).sum::<usize>(),
                     hb_found,
                     policy_div,
                     native_bad,

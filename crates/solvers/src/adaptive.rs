@@ -31,7 +31,7 @@ pub fn final_placement(mesh: &AdjacencyMesh, initial: &DimDist, config: &JacobiC
 /// Reassemble per-rank local pieces into global numbering under `dist`
 /// (rank `r`'s `locals[r][l]` lands at `dist.global_index(r, l)`), e.g. the
 /// `local_a` fields of a run's outcomes under [`final_placement`].
-pub fn gather_global(dist: &DimDist, locals: &[Vec<f64>]) -> Vec<f64> {
+pub fn gather_global<D: Distribution + ?Sized>(dist: &D, locals: &[Vec<f64>]) -> Vec<f64> {
     let mut global = vec![0.0f64; dist.n()];
     for (rank, local) in locals.iter().enumerate() {
         for (l, v) in local.iter().enumerate() {

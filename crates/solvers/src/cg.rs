@@ -37,6 +37,8 @@
 //! runtime stress test, not a convergent solve (the operator changes under
 //! the iteration).
 
+use std::borrow::Cow;
+
 use distrib::DimDist;
 use kali_core::process::{Counters, Process};
 use kali_core::{AffineMap, Reduce, Session, SessionStats, Sum};
@@ -135,7 +137,8 @@ pub fn cg_solve<P: Process>(
     assert_eq!(dist.n(), n, "distribution must cover every mesh node");
     assert_eq!(b.len(), n, "right-hand side must cover every mesh node");
 
-    let mut mesh = mesh.clone();
+    // Borrowed until the first adaptation: a static solve never copies the mesh.
+    let mut mesh = Cow::Borrowed(mesh);
     let mut session = Session::with_cache_capacity(config.cache_capacity).overlap(config.overlap);
     if let Some(w) = config.workers {
         session.set_workers(w);
@@ -200,7 +203,7 @@ pub fn cg_solve<P: Process>(
     for iter in 0..config.iters {
         // -- CG under churn: perturb the operator, bump the data version --
         if adapts_before(config.adapt_every, iter) {
-            mesh = adapt_step(&mesh, &config.adapt, adaptations);
+            mesh = Cow::Owned(adapt_step(&mesh, &config.adapt, adaptations));
             adaptations += 1;
             session.bump_data_version();
             (count, adj, _, width) = scatter_mesh(&mesh, dist, rank);

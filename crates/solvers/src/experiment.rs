@@ -13,6 +13,7 @@
 
 use distrib::DimDist;
 use dmsim::{CostModel, Machine};
+use kali_core::process::Process;
 use meshes::{AdjacencyMesh, RegularGrid};
 
 use crate::jacobi::{jacobi_sweeps, JacobiConfig};
@@ -20,7 +21,7 @@ use crate::partitioned::partitioned_dist;
 use crate::report::{CommReport, ExperimentRow, PhaseBreakdown};
 
 /// How the mesh nodes are placed on the processors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Default)]
 pub enum Placement {
     /// `dist by [block]` on the node indices — the paper's declaration.
     #[default]
@@ -28,6 +29,9 @@ pub enum Placement {
     /// Connectivity-partitioned irregular distribution
     /// ([`partitioned_dist`]).
     Partitioned,
+    /// A distribution the caller built for the run's rank count, the same
+    /// on every rank.
+    Dist(DimDist),
 }
 
 impl Placement {
@@ -36,6 +40,30 @@ impl Placement {
         match self {
             Placement::Block => "block",
             Placement::Partitioned => "partitioned",
+            Placement::Dist(dist) => dist.kind_name(),
+        }
+    }
+
+    /// This rank's distribution of `mesh`'s nodes.  Collective under
+    /// [`Placement::Partitioned`], so every rank must call it.
+    pub fn on_rank<P: Process>(&self, proc: &mut P, mesh: &AdjacencyMesh) -> DimDist {
+        match self {
+            Placement::Block => DimDist::block(mesh.len(), proc.nprocs()),
+            Placement::Partitioned => partitioned_dist(proc, mesh),
+            Placement::Dist(dist) => dist.clone(),
+        }
+    }
+
+    /// The same distribution over `nprocs` ranks, built outside the machine
+    /// (the partitioner is deterministic): what a sequential replay folds
+    /// its reductions over and a gather reassembles a run under.
+    pub fn in_replay(&self, mesh: &AdjacencyMesh, nprocs: usize) -> DimDist {
+        match self {
+            Placement::Block => DimDist::block(mesh.len(), nprocs),
+            Placement::Partitioned => {
+                DimDist::custom(meshes::greedy_partition(mesh, nprocs), nprocs)
+            }
+            Placement::Dist(dist) => dist.clone(),
         }
     }
 }
@@ -108,7 +136,7 @@ pub fn run_jacobi_experiment(params: &ExperimentParams) -> ExperimentRow {
     let grid = RegularGrid::square(params.mesh_side);
     let mesh = grid.five_point_mesh();
     let initial = grid.initial_field();
-    run_jacobi_experiment_placed(params, &mesh, &initial, Placement::Block)
+    run_jacobi_experiment_placed(params, &mesh, &initial, &Placement::Block)
 }
 
 /// Run one configuration over `mesh` under the chosen node placement and
@@ -122,7 +150,7 @@ pub fn run_jacobi_experiment_placed(
     params: &ExperimentParams,
     mesh: &AdjacencyMesh,
     initial: &[f64],
-    placement: Placement,
+    placement: &Placement,
 ) -> ExperimentRow {
     let measured_sweeps = params
         .extrapolate_from
@@ -139,10 +167,7 @@ pub fn run_jacobi_experiment_placed(
 
     let machine = Machine::new(params.nprocs, params.cost.clone());
     let (outcomes, stats) = machine.run_stats(|proc| {
-        let dist = match placement {
-            Placement::Block => DimDist::block(mesh.len(), proc.nprocs()),
-            Placement::Partitioned => partitioned_dist(proc, mesh),
-        };
+        let dist = placement.on_rank(proc, mesh);
         jacobi_sweeps(proc, mesh, &dist, initial, &config)
     });
 
@@ -251,7 +276,7 @@ mod tests {
                 disable_schedule_cache: false,
                 convergence_check_every: None,
             };
-            let row = run_jacobi_experiment_placed(&params, &mesh, &initial, Placement::Block);
+            let row = run_jacobi_experiment_placed(&params, &mesh, &initial, &Placement::Block);
             let formula = sequential_executor_time(&cost, &mesh, 3);
             let measured = row.times.executor;
             let rel = (measured - formula).abs() / formula;

@@ -409,10 +409,13 @@ pub fn jacobi_sequential(mesh: &AdjacencyMesh, initial: &[f64], sweeps: usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::gather_global;
     use dmsim::{CostModel, Machine};
     use meshes::{RegularGrid, UnstructuredMeshBuilder};
 
-    fn gather_solution(
+    /// Run under `dist by [block]` on `nprocs` simulated processors; the
+    /// global field and every rank's outcome.
+    fn solve_on_blocks(
         nprocs: usize,
         mesh: &AdjacencyMesh,
         initial: &[f64],
@@ -424,14 +427,43 @@ mod tests {
             let dist = DimDist::block(mesh.len(), proc.nprocs());
             jacobi_sweeps(proc, mesh, &dist, initial, config)
         });
-        let dist = DimDist::block(mesh.len(), nprocs);
-        let mut global = vec![0.0f64; mesh.len()];
-        for (rank, outcome) in outcomes.iter().enumerate() {
-            for (l, v) in outcome.local_a.iter().enumerate() {
-                global[dist.global_index(rank, l)] = *v;
-            }
-        }
+        let locals: Vec<Vec<f64>> = outcomes.iter().map(|o| o.local_a.clone()).collect();
+        let global = gather_global(&DimDist::block(mesh.len(), nprocs), &locals);
         (global, outcomes)
+    }
+
+    #[test]
+    fn zero_sweeps_returns_initial_field() {
+        let grid = RegularGrid::square(6);
+        let mesh = grid.five_point_mesh();
+        let initial = grid.initial_field();
+        assert_eq!(jacobi_sequential(&mesh, &initial, 0), initial);
+    }
+
+    #[test]
+    fn relaxation_smooths_towards_boundary_values() {
+        // With zero boundary and averaging coefficients, the interior decays
+        // towards zero.
+        let grid = RegularGrid::square(10);
+        let mesh = grid.five_point_mesh();
+        let initial = grid.initial_field();
+        let after = jacobi_sequential(&mesh, &initial, 200);
+        let norm_before: f64 = initial.iter().map(|v| v * v).sum();
+        let norm_after: f64 = after.iter().map(|v| v * v).sum();
+        assert!(
+            norm_after < norm_before * 0.5,
+            "{norm_after} vs {norm_before}"
+        );
+    }
+
+    #[test]
+    fn isolated_nodes_keep_their_values() {
+        let mesh =
+            AdjacencyMesh::from_lists(&[vec![], vec![2], vec![1]], &[vec![], vec![1.0], vec![1.0]]);
+        let out = jacobi_sequential(&mesh, &[5.0, 1.0, 3.0], 1);
+        assert_eq!(out[0], 5.0);
+        assert_eq!(out[1], 3.0);
+        assert_eq!(out[2], 1.0);
     }
 
     #[test]
@@ -441,7 +473,7 @@ mod tests {
         let initial = grid.initial_field();
         let expected = jacobi_sequential(&mesh, &initial, 10);
         for nprocs in [1, 2, 4, 8] {
-            let (got, _) = gather_solution(
+            let (got, _) = solve_on_blocks(
                 nprocs,
                 &mesh,
                 &initial,
@@ -457,7 +489,7 @@ mod tests {
         let mesh = UnstructuredMeshBuilder::new(12, 12).seed(42).build();
         let initial: Vec<f64> = (0..mesh.len()).map(|i| (i % 13) as f64 * 0.25).collect();
         let expected = jacobi_sequential(&mesh, &initial, 7);
-        let (got, outcomes) = gather_solution(
+        let (got, outcomes) = solve_on_blocks(
             4,
             &mesh,
             &initial,
@@ -477,7 +509,7 @@ mod tests {
             .build();
         let initial: Vec<f64> = (0..mesh.len()).map(|i| i as f64 * 0.01).collect();
         let expected = jacobi_sequential(&mesh, &initial, 5);
-        let (got, outcomes) = gather_solution(
+        let (got, outcomes) = solve_on_blocks(
             8,
             &mesh,
             &initial,
@@ -545,7 +577,7 @@ mod tests {
             ..JacobiConfig::default()
         };
         let expected = jacobi_sequential(&mesh, &initial, 6);
-        let (got, _) = gather_solution(4, &mesh, &initial, &config, CostModel::ideal());
+        let (got, _) = solve_on_blocks(4, &mesh, &initial, &config, CostModel::ideal());
         assert_eq!(got, expected);
     }
 
@@ -565,7 +597,7 @@ mod tests {
             convergence_check_every: Some(2),
             ..JacobiConfig::default()
         };
-        let (_, outcomes) = gather_solution(nprocs, &mesh, &initial, &config, CostModel::ideal());
+        let (_, outcomes) = solve_on_blocks(nprocs, &mesh, &initial, &config, CostModel::ideal());
         let dist = DimDist::block(mesh.len(), nprocs);
         // Checks fire after sweeps 2, 4, 6; each compares against the
         // previous sweep's field.
@@ -593,7 +625,7 @@ mod tests {
         }
         // Checks disabled: no reductions, no value.
         let quiet = JacobiConfig::with_sweeps(4);
-        let (_, outcomes) = gather_solution(nprocs, &mesh, &initial, &quiet, CostModel::ideal());
+        let (_, outcomes) = solve_on_blocks(nprocs, &mesh, &initial, &quiet, CostModel::ideal());
         for o in &outcomes {
             assert_eq!(o.global_change, None);
             assert!(o.change_history.is_empty());
@@ -615,9 +647,9 @@ mod tests {
             });
         }
         let (with_overlap, _) =
-            gather_solution(4, &mesh, &initial, &configs[0], CostModel::ncube7());
+            solve_on_blocks(4, &mesh, &initial, &configs[0], CostModel::ncube7());
         let (without_overlap, _) =
-            gather_solution(4, &mesh, &initial, &configs[1], CostModel::ncube7());
+            solve_on_blocks(4, &mesh, &initial, &configs[1], CostModel::ncube7());
         assert_eq!(with_overlap, without_overlap);
     }
 

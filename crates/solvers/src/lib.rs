@@ -1,49 +1,37 @@
 //! # solvers — applications written against the Kali global name space
 //!
 //! The paper's running example (Figure 4) is a nearest-neighbour Jacobi
-//! relaxation over a mesh held in adjacency-list form.  This crate contains:
+//! relaxation over a mesh held in adjacency-list form.  This crate holds that
+//! program and three more, each with its bit-identical sequential replay:
 //!
-//! * [`jacobi`] — that program, written against the `kali-core` API exactly
-//!   as the paper's compiler would have generated it: a fully local copy
-//!   `forall`, an inspector-planned relaxation `forall` with cached
-//!   schedules, and per-phase simulated timing.  The same program runs on
-//!   a mesh that is refined/coarsened every *k* sweeps, optionally
-//!   rebalancing the placement — the workload that stresses §3.2's
-//!   amortisation claim; [`adaptive`] holds that churn's sequential replay,
-//!   the placement such a run ends on, and the scatter/gather helpers.
-//! * [`experiment`] — the measurement driver that reproduces the paper's
-//!   evaluation: it builds a machine (NCUBE/7 or iPSC/2 cost model), builds
-//!   the mesh, runs the Kali Jacobi program SPMD, and reduces per-processor
-//!   clocks into the rows of Figures 7–10 (total / executor / inspector
-//!   time, inspector overhead, speedup).
-//! * [`report`] — the row/report types shared by the experiment driver, the
-//!   table binaries and the integration tests.
-//! * [`partitioned`] — the connectivity-partitioned distribution for mesh
-//!   problems: the greedy mesh partitioner's owner map, assembled
-//!   collectively into a `distrib::IrregularDist` and handed to the solvers
-//!   like any other distribution.
-//! * [`multidim`] — the 2-D phase-change demo: alternating-direction
-//!   smoothing over a `rows × cols` field that is redistributed from
-//!   `[block, *]` to `[*, block]` between sweep phases (the paper's
-//!   motivating row↔column redistribution scenario), with per-phase
-//!   communication reports and stencil schedules planned entirely by the
-//!   multi-dimensional compile-time analysis.
+//! * [`jacobi`] — Figure 4 as the paper's compiler would have generated it
+//!   (a local copy `forall`, an inspector-planned relaxation with cached
+//!   schedules, per-phase simulated timing), on a static mesh or on one that
+//!   adapts every *k* sweeps; [`adaptive`] holds the churn's replay, the
+//!   placement such a run ends on, and the scatter/gather helpers.
 //! * [`cg`] — conjugate gradient on the mesh's shifted graph Laplacian:
-//!   three interleaved `forall`s and two dot-product reductions per
-//!   iteration, all through one `Session`, with a bit-identical sequential
-//!   replay of the residual history (and a CG-under-churn mode on the same
-//!   churn schedule).
+//!   three `forall`s and two dot-product reductions per iteration, static or
+//!   under churn.
 //! * [`redblack`] — red–black Gauss–Seidel: two stripe-spaced `forall`s
-//!   with distinct loop ids sharing one session cache, change-norm
-//!   reductions fused into the half-sweeps.
-//! * [`reduce_replay`] — sequential replay helpers reproducing the typed
-//!   reduction pipeline's deterministic fold structure for any placement.
+//!   sharing one session cache, change norms fused into the half-sweeps.
+//! * [`multidim`] — the 2-D phase-change demo: a field moved between
+//!   `[block, *]` and `[*, block]` between sweep phases, every stencil
+//!   planned by the multi-dimensional compile-time analysis.
+//! * [`program`] — the registry: each solver above as one [`Program`] that
+//!   runs on any backend, replays sequentially and gathers its result; every
+//!   "same bits on every backend and in the replay" check iterates it.
+//! * [`partitioned`] — the connectivity-partitioned distribution: the mesh
+//!   partitioner's owner map, assembled collectively into a
+//!   `distrib::IrregularDist`.
+//! * [`reduce_replay`] — sequential replays of the typed reduction
+//!   pipeline's fold structure under any placement.
+//! * [`experiment`] and [`report`] — the measurement driver of Figures 7–10
+//!   (total / executor / inspector time, overhead, speedup) and the row
+//!   types the table binaries print.
 //!
-//! Every solver runs against a `kali_core::Session`: the session owns the
-//! schedule cache, allocates loop ids and sweep tags, tracks data versions
-//! and redistribution epochs, accumulates inspector time, and meters the
-//! typed reductions (`execute_reduce`) that replace the old out-of-band
-//! `allreduce_sum_f64` calls.
+//! Every solver runs against a `kali_core::Session`, which owns the schedule
+//! cache, allocates loop ids and sweep tags, tracks data versions and
+//! redistribution epochs, and meters inspector time and typed reductions.
 
 #![forbid(unsafe_code)]
 
@@ -53,6 +41,7 @@ pub mod experiment;
 pub mod jacobi;
 pub mod multidim;
 pub mod partitioned;
+pub mod program;
 pub mod redblack;
 pub mod reduce_replay;
 pub mod report;
@@ -68,11 +57,16 @@ pub use jacobi::{jacobi_sequential, jacobi_sweeps, JacobiConfig, JacobiOutcome};
 // removed together with its call sites when that package is next edited.
 #[doc(hidden)]
 pub use jacobi::{jacobi_sweeps as adaptive_jacobi_sweeps, JacobiConfig as AdaptiveConfig};
+// The benchmark package still gathers the 2-D field by its old name;
+// removed together with that call site when the package is next edited.
+#[doc(hidden)]
+pub use adaptive::gather_global as gather_multidim;
 pub use multidim::{
-    col_placement, gather_multidim, multidim_field, multidim_sequential, multidim_sweeps,
-    phase_comm_reports, row_placement, MultiDimConfig, MultiDimOutcome, PhaseStats, PhaseStrategy,
+    col_placement, multidim_field, multidim_sequential, multidim_sweeps, phase_comm_reports,
+    row_placement, MultiDimConfig, MultiDimOutcome, PhaseStats, PhaseStrategy,
 };
-pub use partitioned::{partition_owner_map, partitioned_dist};
+pub use partitioned::partitioned_dist;
+pub use program::{Case, Program, Run};
 pub use redblack::{redblack_sequential, redblack_sweeps, RedBlackConfig, RedBlackOutcome};
 pub use reduce_replay::{replay_reduce, replay_reduce_filtered, replay_sum};
 pub use report::{CommReport, ExperimentRow, PhaseBreakdown};

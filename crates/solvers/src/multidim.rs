@@ -30,7 +30,7 @@
 //! order, so their results — and the results on every backend — are
 //! bit-identical to the sequential replay ([`multidim_sequential`]).
 
-use distrib::{ArrayDist, Distribution, FlatDist};
+use distrib::{ArrayDist, FlatDist};
 use kali_core::process::{Counters, Process};
 use kali_core::{MultiAffineMap, Rect, Session};
 
@@ -345,18 +345,6 @@ pub fn multidim_field(rows: usize, cols: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Reassemble per-rank local pieces into the global row-major field under
-/// `dist`.
-pub fn gather_multidim(dist: &FlatDist, locals: &[Vec<f64>]) -> Vec<f64> {
-    let mut global = vec![0.0f64; dist.n()];
-    for (rank, local) in locals.iter().enumerate() {
-        for (l, v) in local.iter().enumerate() {
-            global[dist.global_index(rank, l)] = *v;
-        }
-    }
-    global
-}
-
 /// Machine-wide per-phase [`CommReport`]s: counters summed across ranks,
 /// one report per phase label, in the order the phases first ran.
 pub fn phase_comm_reports(outcomes: &[MultiDimOutcome]) -> Vec<(String, CommReport)> {
@@ -383,6 +371,7 @@ pub fn phase_comm_reports(outcomes: &[MultiDimOutcome]) -> Vec<(String, CommRepo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::gather_global;
     use dmsim::{CostModel, Machine};
 
     fn run_on_dmsim(
@@ -395,7 +384,7 @@ mod tests {
         let outcomes = machine.run(|proc| multidim_sweeps(proc, config, &initial));
         let final_dist = row_placement(config, nprocs);
         let locals: Vec<Vec<f64>> = outcomes.iter().map(|o| o.local_a.clone()).collect();
-        (gather_multidim(&final_dist, &locals), outcomes)
+        (gather_global(&final_dist, &locals), outcomes)
     }
 
     #[test]

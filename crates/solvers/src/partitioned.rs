@@ -25,12 +25,6 @@ use kali_core::ownermap::DistOwnerMap;
 use kali_core::process::Process;
 use meshes::AdjacencyMesh;
 
-/// The partitioner's owner map for `mesh` over `p` processors (a pure,
-/// deterministic function of the mesh — every rank computes the same table).
-pub fn partition_owner_map(mesh: &AdjacencyMesh, p: usize) -> Vec<usize> {
-    meshes::greedy_partition(mesh, p)
-}
-
 /// Build the connectivity-partitioned distribution of `mesh`'s nodes over
 /// the machine, collectively.
 ///
@@ -41,7 +35,8 @@ pub fn partition_owner_map(mesh: &AdjacencyMesh, p: usize) -> Vec<usize> {
 /// requires.  Must be called by every processor of the machine.
 pub fn partitioned_dist<P: Process>(proc: &mut P, mesh: &AdjacencyMesh) -> DimDist {
     let nprocs = proc.nprocs();
-    let owners = partition_owner_map(mesh, nprocs);
+    // A pure function of the mesh: every rank computes the same table.
+    let owners = meshes::greedy_partition(mesh, nprocs);
     let slice = DistOwnerMap::from_global(proc.rank(), nprocs, &owners);
     DimDist::irregular(slice.assemble(proc))
 }
@@ -49,6 +44,7 @@ pub fn partitioned_dist<P: Process>(proc: &mut P, mesh: &AdjacencyMesh) -> DimDi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::gather_global;
     use crate::jacobi::{jacobi_sequential, jacobi_sweeps, JacobiConfig};
     use dmsim::{CostModel, Machine};
     use meshes::UnstructuredMeshBuilder;
@@ -87,13 +83,8 @@ mod tests {
             let out = jacobi_sweeps(proc, &mesh, &dist, &initial, &JacobiConfig::with_sweeps(6));
             (dist, out.local_a)
         });
-        let mut global = vec![0.0f64; mesh.len()];
-        for (rank, (dist, local)) in results.iter().enumerate() {
-            for (l, v) in local.iter().enumerate() {
-                global[dist.global_index(rank, l)] = *v;
-            }
-        }
-        assert_eq!(global, expected);
+        let locals: Vec<Vec<f64>> = results.iter().map(|(_, local)| local.clone()).collect();
+        assert_eq!(gather_global(&results[0].0, &locals), expected);
     }
 
     #[test]

@@ -9,11 +9,10 @@
 //!
 //! Run with: `cargo run --release --example jacobi_unstructured`
 
-use kali_repro::baseline::sequential_jacobi;
 use kali_repro::distrib::DimDist;
 use kali_repro::dmsim::{CostModel, Machine};
 use kali_repro::meshes::UnstructuredMeshBuilder;
-use kali_repro::solvers::{jacobi_sweeps, JacobiConfig};
+use kali_repro::solvers::{jacobi_sequential, jacobi_sweeps, JacobiConfig};
 
 fn main() {
     // A 96x96-point unstructured mesh (average degree ~6, scrambled node
@@ -33,7 +32,7 @@ fn main() {
         mesh.average_degree()
     );
 
-    let expected = sequential_jacobi(&mesh, &initial, sweeps);
+    let expected = jacobi_sequential(&mesh, &initial, sweeps);
 
     for cost in [CostModel::ncube7(), CostModel::ipsc2()] {
         for nprocs in [4usize, 16] {

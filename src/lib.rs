@@ -24,8 +24,9 @@
 //!   all generic over the `Process` backend.
 //! * [`meshes`] — regular and unstructured mesh workloads.
 //! * [`solvers`] — Jacobi relaxation and friends written against the Kali
-//!   API, plus the experiment driver that regenerates the paper's tables.
-//! * [`baseline`] — hand-coded message-passing and sequential comparators.
+//!   API with their sequential replays, the `Program` registry over them,
+//!   and the experiment driver that regenerates the paper's tables.
+//! * [`baseline`] — the hand-coded message-passing comparator.
 //!
 //! The same solver runs on either backend because it only ever talks to
 //! `Process`; the `backend_equivalence` integration test pins the two

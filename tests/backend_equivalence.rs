@@ -14,20 +14,22 @@
 //! meshes and distributions from scratch, so nothing rides along in shared
 //! memory.  The mp run call is placed *first* in each test body, before the
 //! dmsim/native runs, so a spawned worker reaches its call site with the
-//! least re-executed work.
+//! least re-executed work.  The solver cases go through the registry
+//! (`solvers::Program`) and its driver, `common::on_every_backend`, which
+//! also holds every leg to the sequential replay; the kernels that are not
+//! solver programs (the shift, two bodies, two placements) run by hand.
 
-use kali_repro::baseline::sequential_jacobi;
 use kali_repro::distrib::DimDist;
 use kali_repro::dmsim::{CostModel, Machine};
 use kali_repro::kali::inspector::owner_computes_iters;
 use kali_repro::kali::{execute_sweep, redistribute_epoch, run_inspector, ExecutorConfig};
-use kali_repro::meshes::{greedy_partition, AdjacencyMesh, RegularGrid, UnstructuredMeshBuilder};
+use kali_repro::meshes::{AdjacencyMesh, RegularGrid, UnstructuredMeshBuilder};
 use kali_repro::mp::MpMachine;
 use kali_repro::native::NativeMachine;
 use kali_repro::process::Process;
 use kali_repro::solvers::{
-    adaptive_jacobi_sequential, final_placement, jacobi_sweeps, partitioned_dist, replay_sum,
-    JacobiConfig,
+    final_placement, replay_sum, Case, CgConfig, JacobiConfig, MultiDimConfig, Placement, Program,
+    RedBlackConfig,
 };
 
 /// Gather a distributed solution back into global numbering (the shared
@@ -35,83 +37,20 @@ use kali_repro::solvers::{
 use kali_repro::solvers::gather_global as gather;
 
 mod common;
+use common::{bits, on_every_backend, ReversedBlock};
 
-/// The Figure 4 Jacobi program, expressed once over any backend.
-fn jacobi_on<P: Process>(
-    proc: &mut P,
-    mesh: &AdjacencyMesh,
-    initial: &[f64],
-    sweeps: usize,
-    dist_of: impl Fn(usize) -> DimDist,
-) -> Vec<f64> {
-    let dist = dist_of(proc.nprocs());
-    jacobi_sweeps(
-        proc,
-        mesh,
-        &dist,
-        initial,
-        &JacobiConfig::with_sweeps(sweeps),
-    )
-    .local_a
-}
-
-fn assert_backends_agree(
-    test: &str,
-    mesh: &AdjacencyMesh,
-    initial: &[f64],
-    sweeps: usize,
-    nprocs: usize,
-    dist_of: impl Fn(usize) -> DimDist + Sync,
-) {
-    // Real processes first: in a re-executed worker, `run` is the exit
-    // point and nothing below this line executes.
-    let mp = MpMachine::new(nprocs).run(test, |proc| {
-        jacobi_on(proc, mesh, initial, sweeps, &dist_of)
-    });
-    let simulated = Machine::new(nprocs, CostModel::ideal())
-        .run(|proc| jacobi_on(proc, mesh, initial, sweeps, &dist_of));
-    let native =
-        NativeMachine::new(nprocs).run(|proc| jacobi_on(proc, mesh, initial, sweeps, &dist_of));
-
-    let dist = dist_of(nprocs);
-    let simulated = gather(&dist, &simulated);
-    let native = gather(&dist, &native);
-    // Bitwise, not approximate: same iteration order, same schedules, same
-    // arithmetic — the backends may only differ in timing.
-    assert_eq!(
-        simulated.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        native.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        "dmsim and native Jacobi results diverge ({nprocs} procs)"
-    );
-    // `None` only inside a re-executed worker passing a call it was not
-    // spawned for; the coordinator always gets the rank-ordered results.
-    if let Some(mp) = mp {
-        let mp = gather(&dist, &mp);
-        assert_eq!(
-            mp.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            native.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "mp and native Jacobi results diverge ({nprocs} procs)"
-        );
-    }
-
-    let sequential = sequential_jacobi(mesh, initial, sweeps);
-    assert_eq!(native, sequential, "native backend vs sequential reference");
+fn jacobi(sweeps: usize) -> Program {
+    Program::Jacobi(JacobiConfig::with_sweeps(sweeps))
 }
 
 #[test]
 fn jacobi_is_bit_identical_across_backends_on_the_paper_grid() {
+    const TEST: &str = "jacobi_is_bit_identical_across_backends_on_the_paper_grid";
     let grid = RegularGrid::square(24);
-    let mesh = grid.five_point_mesh();
-    let initial = grid.initial_field();
+    let (mesh, initial) = (grid.five_point_mesh(), grid.initial_field());
+    let case = Case::new(&mesh, Placement::Block, &initial);
     for nprocs in [1usize, 2, 4, 8] {
-        assert_backends_agree(
-            "jacobi_is_bit_identical_across_backends_on_the_paper_grid",
-            &mesh,
-            &initial,
-            10,
-            nprocs,
-            |p| DimDist::block(mesh.len(), p),
-        );
+        on_every_backend(TEST, &jacobi(10), &case, nprocs);
     }
 }
 
@@ -119,6 +58,7 @@ fn jacobi_is_bit_identical_across_backends_on_the_paper_grid() {
 fn jacobi_is_bit_identical_across_backends_on_scrambled_unstructured_mesh() {
     // Scrambled numbering fragments the schedules, exercising the
     // binary-search receive path and multi-partner exchanges.
+    const TEST: &str = "jacobi_is_bit_identical_across_backends_on_scrambled_unstructured_mesh";
     let mesh = UnstructuredMeshBuilder::new(12, 12)
         .seed(41)
         .scramble_numbering(true)
@@ -126,20 +66,14 @@ fn jacobi_is_bit_identical_across_backends_on_scrambled_unstructured_mesh() {
     let initial: Vec<f64> = (0..mesh.len())
         .map(|i| ((i * 31) % 17) as f64 * 0.5)
         .collect();
-    for dist_kind in 0..3usize {
-        let n = mesh.len();
-        assert_backends_agree(
-            "jacobi_is_bit_identical_across_backends_on_scrambled_unstructured_mesh",
-            &mesh,
-            &initial,
-            6,
-            4,
-            move |p| match dist_kind {
-                0 => DimDist::block(n, p),
-                1 => DimDist::cyclic(n, p),
-                _ => DimDist::block_cyclic(n, p, 7),
-            },
-        );
+    let n = mesh.len();
+    for dist in [
+        DimDist::block(n, 4),
+        DimDist::cyclic(n, 4),
+        DimDist::block_cyclic(n, 4, 7),
+    ] {
+        let case = Case::new(&mesh, Placement::Dist(dist), &initial);
+        on_every_backend(TEST, &jacobi(6), &case, 4);
     }
 }
 
@@ -148,6 +82,8 @@ fn jacobi_is_bit_identical_across_backends_under_a_non_monotone_user_defined_dis
     // The side of the executor's translation choice the built-in block
     // distribution never takes: a distribution that offers no runs (the
     // trait default), stored back to front, on all four legs.
+    const TEST: &str =
+        "jacobi_is_bit_identical_across_backends_under_a_non_monotone_user_defined_dist";
     let mesh = UnstructuredMeshBuilder::new(10, 9)
         .seed(5)
         .scramble_numbering(true)
@@ -156,27 +92,21 @@ fn jacobi_is_bit_identical_across_backends_under_a_non_monotone_user_defined_dis
         .map(|i| ((i * 7) % 19) as f64 * 0.25)
         .collect();
     for nprocs in [2usize, 4] {
-        assert_backends_agree(
-            "jacobi_is_bit_identical_across_backends_under_a_non_monotone_user_defined_dist",
-            &mesh,
-            &initial,
-            6,
-            nprocs,
-            |p| {
-                let dist = DimDist::new(common::ReversedBlock::new(mesh.len(), p));
-                assert!(dist.local_runs(0).is_none());
-                dist
-            },
-        );
+        let dist = DimDist::new(ReversedBlock::new(mesh.len(), nprocs));
+        assert!(dist.local_runs(0).is_none());
+        let case = Case::new(&mesh, Placement::Dist(dist), &initial);
+        on_every_backend(TEST, &jacobi(6), &case, nprocs);
     }
 }
 
 #[test]
 fn jacobi_is_bit_identical_across_backends_under_partitioned_irregular_dist() {
-    // The irregular path end to end, on both backends: the owner map comes
-    // from the mesh partitioner, each rank contributes only its slice, and
-    // the translation tables are assembled with the collective owner-map
-    // machinery (crystal router on dmsim, channel all-to-all on native).
+    // The irregular path end to end: the owner map comes from the mesh
+    // partitioner, each rank contributes only its slice, and the
+    // translation tables are assembled with the collective owner-map
+    // machinery.  On real processes each rank rebuilds the mesh and runs the
+    // partitioner itself — the owner map genuinely cannot be shared, only
+    // exchanged.
     let mesh = UnstructuredMeshBuilder::new(14, 11)
         .seed(77)
         .scramble_numbering(true)
@@ -184,70 +114,11 @@ fn jacobi_is_bit_identical_across_backends_under_partitioned_irregular_dist() {
     let initial: Vec<f64> = (0..mesh.len())
         .map(|i| ((i * 37) % 19) as f64 * 0.25)
         .collect();
-    let sweeps = 6;
-    let nprocs = 4;
-
-    // Real processes: each rank rebuilds the mesh and runs the partitioner
-    // itself — the owner map genuinely cannot be shared, only exchanged.
-    let mp = MpMachine::new(nprocs).run(
+    on_every_backend(
         "jacobi_is_bit_identical_across_backends_under_partitioned_irregular_dist",
-        |proc| {
-            let dist = partitioned_dist(proc, &mesh);
-            jacobi_sweeps(
-                proc,
-                &mesh,
-                &dist,
-                &initial,
-                &JacobiConfig::with_sweeps(sweeps),
-            )
-            .local_a
-        },
-    );
-    let simulated = Machine::new(nprocs, CostModel::ideal()).run(|proc| {
-        let dist = partitioned_dist(proc, &mesh);
-        jacobi_sweeps(
-            proc,
-            &mesh,
-            &dist,
-            &initial,
-            &JacobiConfig::with_sweeps(sweeps),
-        )
-        .local_a
-    });
-    let native = NativeMachine::new(nprocs).run(|proc| {
-        let dist = partitioned_dist(proc, &mesh);
-        jacobi_sweeps(
-            proc,
-            &mesh,
-            &dist,
-            &initial,
-            &JacobiConfig::with_sweeps(sweeps),
-        )
-        .local_a
-    });
-
-    // The partitioner is deterministic, so the same distribution can be
-    // rebuilt here to reassemble global numbering.
-    let dist = DimDist::custom(greedy_partition(&mesh, nprocs), nprocs);
-    let simulated = gather(&dist, &simulated);
-    let native = gather(&dist, &native);
-    assert_eq!(
-        simulated.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        native.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        "dmsim and native diverge under the partitioned irregular distribution"
-    );
-    if let Some(mp) = mp {
-        let mp = gather(&dist, &mp);
-        assert_eq!(
-            mp.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            native.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "mp diverges under the partitioned irregular distribution"
-        );
-    }
-    let sequential = sequential_jacobi(&mesh, &initial, sweeps);
-    assert_eq!(
-        native, sequential,
-        "partitioned-irregular Jacobi vs sequential reference"
+        &jacobi(6),
+        &Case::new(&mesh, Placement::Partitioned, &initial),
+        4,
     );
 }
 
@@ -257,8 +128,8 @@ fn schedule_cache_lifecycle_is_identical_across_backends_under_adaptation() {
     // the data version (forcing re-inspection), every rebalance changes
     // the distribution fingerprint and must reclaim the retired
     // placement's schedules.  The cache's hit/miss/eviction bookkeeping is
-    // part of the runtime contract, so it must agree between backends, and
-    // the numerical results must stay bit-identical.
+    // part of the runtime contract, so it is among the counts every leg
+    // must agree on, and the numerical results must stay bit-identical.
     let mesh = UnstructuredMeshBuilder::new(12, 12)
         .seed(63)
         .scramble_numbering(true)
@@ -266,71 +137,42 @@ fn schedule_cache_lifecycle_is_identical_across_backends_under_adaptation() {
     let initial: Vec<f64> = (0..mesh.len())
         .map(|i| ((i * 13) % 29) as f64 * 0.2)
         .collect();
-    let config = JacobiConfig {
+    let program = Program::Jacobi(JacobiConfig {
         sweeps: 12,
         adapt_every: Some(4), // adapt before sweeps 4 and 8
         rebalance: true,      // …and redistribute to the rebalanced placement
         ..JacobiConfig::default()
-    };
-    let nprocs = 4;
-
-    let simulated = Machine::new(nprocs, CostModel::ideal()).run(|proc| {
-        let dist = partitioned_dist(proc, &mesh);
-        jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
     });
-    let native = NativeMachine::new(nprocs).run(|proc| {
-        let dist = partitioned_dist(proc, &mesh);
-        jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
-    });
-
-    for (rank, (s, n)) in simulated.iter().zip(&native).enumerate() {
-        // Cache lifecycle, identical on both backends and matching the
-        // adaptation schedule exactly:
-        for o in [s, n] {
-            assert_eq!(o.adaptations, 2, "rank {rank}");
-            assert_eq!(
-                o.cache_misses, 3,
-                "rank {rank}: one inspector run per mesh generation"
-            );
-            assert_eq!(o.cache_hits, 9, "rank {rank}: all other sweeps hit");
-            assert_eq!(
-                o.cache_evictions, 2,
-                "rank {rank}: each redistribution reclaims the stale placement"
-            );
-            assert_eq!(
-                o.cache_resident_entries, 1,
-                "rank {rank}: only the live schedule stays resident"
-            );
-            assert!(o.cache_resident_bytes > 0, "rank {rank}");
-        }
+    let runs = on_every_backend(
+        "schedule_cache_lifecycle_is_identical_across_backends_under_adaptation",
+        &program,
+        &Case::new(&mesh, Placement::Partitioned, &initial),
+        4,
+    );
+    // Cache lifecycle matching the adaptation schedule exactly:
+    for (rank, run) in runs.iter().enumerate() {
+        assert_eq!(run.count("adaptations"), 2, "rank {rank}");
         assert_eq!(
-            (s.cache_hits, s.cache_misses, s.cache_evictions),
-            (n.cache_hits, n.cache_misses, n.cache_evictions),
-            "rank {rank}: counters diverge between backends"
+            run.count("cache_misses"),
+            3,
+            "rank {rank}: one inspector run per mesh generation"
+        );
+        assert_eq!(
+            run.count("cache_hits"),
+            9,
+            "rank {rank}: all other sweeps hit"
+        );
+        assert_eq!(
+            run.count("cache_evictions"),
+            2,
+            "rank {rank}: each redistribution reclaims the stale placement"
+        );
+        assert_eq!(
+            run.count("cache_resident_entries"),
+            1,
+            "rank {rank}: only the live schedule stays resident"
         );
     }
-
-    // Numerical agreement: dmsim vs native vs the sequential replay.
-    let init_dist = DimDist::custom(greedy_partition(&mesh, nprocs), nprocs);
-    let final_dist = final_placement(&mesh, &init_dist, &config);
-    let simulated = gather(
-        &final_dist,
-        &simulated.into_iter().map(|o| o.local_a).collect::<Vec<_>>(),
-    );
-    let native = gather(
-        &final_dist,
-        &native.into_iter().map(|o| o.local_a).collect::<Vec<_>>(),
-    );
-    assert_eq!(
-        simulated.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        native.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        "dmsim and native diverge across the adapt-redistribute-sweep sequence"
-    );
-    let expected = adaptive_jacobi_sequential(&mesh, &initial, &config);
-    assert_eq!(
-        native, expected,
-        "adaptive run vs its deterministic sequential replay"
-    );
 }
 
 #[test]
@@ -341,15 +183,6 @@ fn adaptive_jacobi_under_a_non_monotone_user_defined_dist_equals_its_sequential_
     // in place, and rebalancing away from the user-defined placement.
     const TEST: &str =
         "adaptive_jacobi_under_a_non_monotone_user_defined_dist_equals_its_sequential_replay";
-    fn local_field<P: Process>(
-        proc: &mut P,
-        mesh: &AdjacencyMesh,
-        initial: &[f64],
-        config: &JacobiConfig,
-    ) -> Vec<f64> {
-        let dist = DimDist::new(common::ReversedBlock::new(mesh.len(), proc.nprocs()));
-        jacobi_sweeps(proc, mesh, &dist, initial, config).local_a
-    }
     let mesh = UnstructuredMeshBuilder::new(10, 9)
         .seed(5)
         .scramble_numbering(true)
@@ -358,35 +191,20 @@ fn adaptive_jacobi_under_a_non_monotone_user_defined_dist_equals_its_sequential_
         .map(|i| ((i * 7) % 19) as f64 * 0.25)
         .collect();
     let nprocs = 2;
+    let start = Placement::Dist(DimDist::new(ReversedBlock::new(mesh.len(), nprocs)));
     for (adapt_every, rebalance) in [(None, false), (Some(2), false), (Some(2), true)] {
-        let config = JacobiConfig {
+        let program = Program::Jacobi(JacobiConfig {
             sweeps: 4,
             adapt_every,
             rebalance,
             ..JacobiConfig::default()
-        };
-        let (m, i, c) = (&mesh, &initial, &config);
-        let mp = MpMachine::new(nprocs).run(TEST, |p| local_field(p, m, i, c));
-        let simulated = Machine::new(nprocs, CostModel::ideal()).run(|p| local_field(p, m, i, c));
-        let native = NativeMachine::new(nprocs).run(|p| local_field(p, m, i, c));
-
-        let expected = adaptive_jacobi_sequential(m, i, c);
-        let start = DimDist::new(common::ReversedBlock::new(mesh.len(), nprocs));
-        let placement = final_placement(m, &start, c);
-        let legs = [
-            ("dmsim", Some(simulated)),
-            ("native", Some(native)),
-            ("mp", mp),
-        ];
-        for (backend, locals) in legs {
-            // `None`: the mp leg inside a re-executed worker.
-            let Some(locals) = locals else { continue };
-            assert_eq!(
-                gather(&placement, &locals),
-                expected,
-                "{backend}, adapt_every {adapt_every:?}, rebalance {rebalance}"
-            );
-        }
+        });
+        on_every_backend(
+            TEST,
+            &program,
+            &Case::new(&mesh, start.clone(), &initial),
+            nprocs,
+        );
     }
 }
 
@@ -397,7 +215,6 @@ fn convergence_checks_follow_the_placement_across_rebalances() {
     // under the retired one, `fetch.home()` would index the wrong rows.  The
     // run starts on a placement stored back to front, so a check left on it
     // folds the rows in the wrong order and misses the replay by an ulp.
-    const TEST: &str = "convergence_checks_follow_the_placement_across_rebalances";
     let mesh = UnstructuredMeshBuilder::new(12, 12)
         .seed(63)
         .scramble_numbering(true)
@@ -413,71 +230,52 @@ fn convergence_checks_follow_the_placement_across_rebalances() {
         ..JacobiConfig::default()
     };
     let nprocs = 4;
-    fn change_history<P: Process>(
-        proc: &mut P,
-        mesh: &AdjacencyMesh,
-        initial: &[f64],
-        config: &JacobiConfig,
-    ) -> Vec<f64> {
-        let dist = DimDist::new(common::ReversedBlock::new(mesh.len(), proc.nprocs()));
-        jacobi_sweeps(proc, mesh, &dist, initial, config).change_history
-    }
-    let (m, i, c) = (&mesh, &initial, &config);
-    let mp = MpMachine::new(nprocs).run(TEST, |p| change_history(p, m, i, c));
-    let simulated = Machine::new(nprocs, CostModel::ideal()).run(|p| change_history(p, m, i, c));
-    let native = NativeMachine::new(nprocs).run(|p| change_history(p, m, i, c));
-
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    let expected = bits(&simulated[0]);
-    assert_eq!(expected.len(), config.sweeps, "one check per sweep");
-    let legs = [
-        ("dmsim", Some(simulated)),
-        ("native", Some(native)),
-        ("mp", mp),
-    ];
-    for (backend, histories) in legs {
-        // `None`: the mp leg inside a re-executed worker.
-        let Some(histories) = histories else { continue };
-        for (rank, h) in histories.iter().enumerate() {
-            assert_eq!(bits(h), expected, "{backend}, rank {rank}");
-        }
-    }
+    let start = DimDist::new(ReversedBlock::new(mesh.len(), nprocs));
+    let case = Case::new(&mesh, Placement::Dist(start.clone()), &initial);
+    let runs = on_every_backend(
+        "convergence_checks_follow_the_placement_across_rebalances",
+        &Program::Jacobi(config),
+        &case,
+        nprocs,
+    );
+    assert_eq!(runs[0].history.len(), config.sweeps, "one check per sweep");
 
     // The last check reduces the final sweep's change over the final
     // placement, in that placement's fold order.
-    let start = DimDist::new(common::ReversedBlock::new(mesh.len(), nprocs));
     let placement = final_placement(&mesh, &start, &config);
-    let a = adaptive_jacobi_sequential(&mesh, &initial, &config);
+    let (a, _) = Program::Jacobi(config).replay(&case, nprocs);
     let before = JacobiConfig {
         sweeps: config.sweeps - 1,
         ..config
     };
-    let old = adaptive_jacobi_sequential(&mesh, &initial, &before);
+    let (old, _) = Program::Jacobi(before).replay(&case, nprocs);
     let last = replay_sum(&placement, |i| {
         let d = a[i] - old[i];
         d * d
     });
-    assert_eq!(expected.last().copied(), Some(last.to_bits()));
+    for (rank, run) in runs.iter().enumerate() {
+        assert_eq!(bits(&run.history), bits(&runs[0].history), "rank {rank}");
+    }
+    assert_eq!(
+        runs[0].history.last().map(|v| v.to_bits()),
+        Some(last.to_bits())
+    );
 }
 
 #[test]
 fn convergence_checks_do_not_break_backend_agreement() {
     let grid = RegularGrid::square(12);
-    let mesh = grid.five_point_mesh();
-    let initial = grid.initial_field();
-    let config = JacobiConfig {
+    let (mesh, initial) = (grid.five_point_mesh(), grid.initial_field());
+    let program = Program::Jacobi(JacobiConfig {
         sweeps: 8,
         convergence_check_every: Some(2),
         ..JacobiConfig::default()
-    };
-    let dist_of = |p| DimDist::block(mesh.len(), p);
-    let simulated = Machine::new(4, CostModel::ideal())
-        .run(|proc| jacobi_sweeps(proc, &mesh, &dist_of(proc.nprocs()), &initial, &config).local_a);
-    let native = NativeMachine::new(4)
-        .run(|proc| jacobi_sweeps(proc, &mesh, &dist_of(proc.nprocs()), &initial, &config).local_a);
-    assert_eq!(
-        gather(&dist_of(4), &simulated),
-        gather(&dist_of(4), &native)
+    });
+    on_every_backend(
+        "convergence_checks_do_not_break_backend_agreement",
+        &program,
+        &Case::new(&mesh, Placement::Block, &initial),
+        4,
     );
 }
 
@@ -640,7 +438,6 @@ fn one_schedule_under_two_bodies_is_bit_identical_across_backends() {
         two_bodies_step(&u, &v, &mut x, &mut y);
     }
     let dist = DimDist::block(n, nprocs);
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let check = |backend: &str, per_rank: Vec<Vec<f64>>| {
         let (xs, ys): (Vec<_>, Vec<_>) = per_rank
             .into_iter()
@@ -737,7 +534,7 @@ fn two_placements_on<P: Process>(
 fn two_placements(n: usize, p: usize, reversed: bool) -> (DimDist, DimDist) {
     if reversed {
         (
-            DimDist::new(common::ReversedBlock::new(n, p)),
+            DimDist::new(ReversedBlock::new(n, p)),
             DimDist::block_cyclic(n, p, 20),
         )
     } else {
@@ -766,7 +563,6 @@ fn a_loop_placed_by_one_distribution_reading_another_is_bit_identical_across_bac
             .collect();
         x = (0..n).map(|i| 0.5 * x[i] - 0.125 * w[i]).collect();
     }
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
     for reversed in [false, true] {
         let mp = MpMachine::new(nprocs).run(
@@ -804,14 +600,11 @@ fn multidim_phase_change_demo_is_bit_identical_across_backends() {
     // The 2-D phase-change demo end to end: alternating-direction smoothing
     // over a [block, *]-distributed field, with the live field redistributed
     // to [*, block] and back between phases under the phase-change strategy.
-    // Acceptance criterion of the multi-dimensional API: dmsim, native and
+    // Acceptance criterion of the multi-dimensional API: every backend and
     // the sequential replay agree bit for bit under both strategies.
     use kali_repro::distrib::Distribution;
-    use kali_repro::solvers::{
-        col_placement, gather_multidim, multidim_field, multidim_sequential, multidim_sweeps,
-        row_placement, MultiDimConfig, PhaseStrategy,
-    };
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    use kali_repro::solvers::{col_placement, multidim_field, PhaseStrategy};
+    const TEST: &str = "multidim_phase_change_demo_is_bit_identical_across_backends";
 
     // Two shapes, one on each side of the executor's translation choice for
     // the [*, block] vertical stencil: 11 columns leave row segments too
@@ -826,43 +619,19 @@ fn multidim_phase_change_demo_is_bit_identical_across_backends() {
             "{rows}x{cols}"
         );
         let initial = multidim_field(config.rows, config.cols);
-        let expected = multidim_sequential(&config, &initial);
-
+        let case = Case {
+            mesh: None,
+            placement: Placement::Block,
+            input: &initial,
+        };
         for strategy in [PhaseStrategy::RowsThroughout, PhaseStrategy::PhaseChange] {
             config.strategy = strategy;
             for nprocs in [1usize, 2, 4] {
-                let simulated = Machine::new(nprocs, CostModel::ideal())
-                    .run(|proc| multidim_sweeps(proc, &config, &initial));
-                let native =
-                    NativeMachine::new(nprocs).run(|proc| multidim_sweeps(proc, &config, &initial));
-                let final_dist = row_placement(&config, nprocs);
-                let sim_field = gather_multidim(
-                    &final_dist,
-                    &simulated
-                        .iter()
-                        .map(|o| o.local_a.clone())
-                        .collect::<Vec<_>>(),
-                );
-                let native_field = gather_multidim(
-                    &final_dist,
-                    &native.iter().map(|o| o.local_a.clone()).collect::<Vec<_>>(),
-                );
-                assert_eq!(
-                    bits(&sim_field),
-                    bits(&native_field),
-                    "dmsim vs native, {rows}x{cols} {} on {nprocs} procs",
-                    strategy.name()
-                );
-                assert_eq!(
-                    bits(&sim_field),
-                    bits(&expected),
-                    "distributed vs sequential replay, {rows}x{cols} {} on {nprocs} procs",
-                    strategy.name()
-                );
+                let runs = on_every_backend(TEST, &Program::MultiDim(config), &case, nprocs);
                 // Both stencils plan through the compile-time path on every
                 // backend: no inspector runs anywhere.
-                for o in simulated.iter().chain(&native) {
-                    assert_eq!(o.cache_misses, 0);
+                for run in &runs {
+                    assert_eq!(run.count("cache_misses"), 0);
                 }
             }
         }
@@ -873,10 +642,8 @@ fn multidim_phase_change_demo_is_bit_identical_across_backends() {
 fn cg_residual_history_is_bit_identical_across_backends() {
     // The reduction-heavy solver: two dot products per iteration through
     // the typed pipeline.  The residual history — a *scalar* trace of every
-    // reduction — must agree bit for bit between dmsim, native and the
+    // reduction — must agree bit for bit on every backend and with the
     // sequential replay, under both block and partitioned placements.
-    use kali_repro::solvers::{cg_sequential, cg_solve, CgConfig};
-
     let mesh = UnstructuredMeshBuilder::new(11, 12)
         .seed(29)
         .scramble_numbering(true)
@@ -884,96 +651,13 @@ fn cg_residual_history_is_bit_identical_across_backends() {
     let b: Vec<f64> = (0..mesh.len())
         .map(|i| ((i * 23) % 17) as f64 * 0.2 - 1.3)
         .collect();
-    let config = CgConfig::with_iters(20);
-    let nprocs = 4;
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-
-    for partitioned in [false, true] {
-        // Real processes; the outcome struct is not `Wire`, so the worker
-        // ships the two vectors the equivalence claims are about.
-        let mp = MpMachine::new(nprocs).run(
+    for placement in [Placement::Block, Placement::Partitioned] {
+        on_every_backend(
             "cg_residual_history_is_bit_identical_across_backends",
-            |proc| {
-                let dist = if partitioned {
-                    partitioned_dist(proc, &mesh)
-                } else {
-                    DimDist::block(mesh.len(), proc.nprocs())
-                };
-                let outcome = cg_solve(proc, &mesh, &dist, &b, &config);
-                (outcome.residual_history, outcome.local_x)
-            },
+            &Program::Cg(CgConfig::with_iters(20)),
+            &Case::new(&mesh, placement, &b),
+            4,
         );
-        let simulated = Machine::new(nprocs, CostModel::ideal()).run(|proc| {
-            let dist = if partitioned {
-                partitioned_dist(proc, &mesh)
-            } else {
-                DimDist::block(mesh.len(), proc.nprocs())
-            };
-            cg_solve(proc, &mesh, &dist, &b, &config)
-        });
-        let native = NativeMachine::new(nprocs).run(|proc| {
-            let dist = if partitioned {
-                partitioned_dist(proc, &mesh)
-            } else {
-                DimDist::block(mesh.len(), proc.nprocs())
-            };
-            cg_solve(proc, &mesh, &dist, &b, &config)
-        });
-        let replay_dist = if partitioned {
-            DimDist::custom(greedy_partition(&mesh, nprocs), nprocs)
-        } else {
-            DimDist::block(mesh.len(), nprocs)
-        };
-        let (seq_x, seq_history) = cg_sequential(&mesh, &b, &config, &replay_dist);
-        for (s, n) in simulated.iter().zip(&native) {
-            assert_eq!(
-                bits(&s.residual_history),
-                bits(&seq_history),
-                "dmsim vs replay (partitioned = {partitioned})"
-            );
-            assert_eq!(
-                bits(&n.residual_history),
-                bits(&seq_history),
-                "native vs replay (partitioned = {partitioned})"
-            );
-            assert_eq!(s.stats.reductions, n.stats.reductions);
-            assert_eq!(
-                (s.stats.cache.hits, s.stats.cache.misses),
-                (n.stats.cache.hits, n.stats.cache.misses),
-                "cache lifecycle must agree between backends"
-            );
-        }
-        let sim_x = gather(
-            &replay_dist,
-            &simulated
-                .iter()
-                .map(|o| o.local_x.clone())
-                .collect::<Vec<_>>(),
-        );
-        let nat_x = gather(
-            &replay_dist,
-            &native.iter().map(|o| o.local_x.clone()).collect::<Vec<_>>(),
-        );
-        assert_eq!(bits(&sim_x), bits(&nat_x));
-        assert_eq!(bits(&sim_x), bits(&seq_x));
-        if let Some(mp) = mp {
-            for (rank, (history, _)) in mp.iter().enumerate() {
-                assert_eq!(
-                    bits(history),
-                    bits(&seq_history),
-                    "mp rank {rank} vs replay (partitioned = {partitioned})"
-                );
-            }
-            let mp_x = gather(
-                &replay_dist,
-                &mp.into_iter().map(|(_, x)| x).collect::<Vec<_>>(),
-            );
-            assert_eq!(
-                bits(&mp_x),
-                bits(&seq_x),
-                "mp solution vs replay (partitioned = {partitioned})"
-            );
-        }
     }
 }
 
@@ -981,9 +665,7 @@ fn cg_residual_history_is_bit_identical_across_backends() {
 fn redblack_field_and_change_history_are_bit_identical_across_backends() {
     // Two stripe loops (distinct ids, one session cache), change-norm
     // reductions fused into the half-sweeps: field and history must agree
-    // bit for bit across dmsim, native and the sequential replay.
-    use kali_repro::solvers::{redblack_sequential, redblack_sweeps, RedBlackConfig};
-
+    // bit for bit on every backend and with the sequential replay.
     let mesh = UnstructuredMeshBuilder::new(12, 10)
         .seed(47)
         .scramble_numbering(true)
@@ -991,67 +673,25 @@ fn redblack_field_and_change_history_are_bit_identical_across_backends() {
     let initial: Vec<f64> = (0..mesh.len())
         .map(|i| ((i * 31) % 29) as f64 * 0.15)
         .collect();
-    let config = RedBlackConfig {
+    let program = Program::RedBlack(RedBlackConfig {
         sweeps: 10,
         check_every: Some(2),
         ..RedBlackConfig::default()
-    };
-    let nprocs = 4;
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-
-    let mp = MpMachine::new(nprocs).run(
+    });
+    let runs = on_every_backend(
         "redblack_field_and_change_history_are_bit_identical_across_backends",
-        |proc| {
-            let dist = partitioned_dist(proc, &mesh);
-            let outcome = redblack_sweeps(proc, &mesh, &dist, &initial, &config);
-            (outcome.change_history, outcome.local_a)
-        },
+        &program,
+        &Case::new(&mesh, Placement::Partitioned, &initial),
+        4,
     );
-    let simulated = Machine::new(nprocs, CostModel::ideal()).run(|proc| {
-        let dist = partitioned_dist(proc, &mesh);
-        redblack_sweeps(proc, &mesh, &dist, &initial, &config)
-    });
-    let native = NativeMachine::new(nprocs).run(|proc| {
-        let dist = partitioned_dist(proc, &mesh);
-        redblack_sweeps(proc, &mesh, &dist, &initial, &config)
-    });
-    let replay_dist = DimDist::custom(greedy_partition(&mesh, nprocs), nprocs);
-    let (seq_a, seq_history) = redblack_sequential(&mesh, &initial, &config, &replay_dist);
-
-    for (rank, (s, n)) in simulated.iter().zip(&native).enumerate() {
-        assert_eq!(bits(&s.change_history), bits(&seq_history), "rank {rank}");
-        assert_eq!(bits(&n.change_history), bits(&seq_history), "rank {rank}");
-        for o in [s, n] {
-            assert_eq!(o.stats.loops_allocated, 2, "rank {rank}");
-            assert_eq!(
-                o.stats.cache.misses, 2,
-                "rank {rank}: one inspector run per colour"
-            );
-            assert_eq!(o.stats.reductions, 2 * 5, "rank {rank}: two per check");
-        }
-    }
-    let sim_a = gather(
-        &replay_dist,
-        &simulated
-            .iter()
-            .map(|o| o.local_a.clone())
-            .collect::<Vec<_>>(),
-    );
-    let nat_a = gather(
-        &replay_dist,
-        &native.iter().map(|o| o.local_a.clone()).collect::<Vec<_>>(),
-    );
-    assert_eq!(bits(&sim_a), bits(&nat_a));
-    assert_eq!(bits(&sim_a), bits(&seq_a));
-    if let Some(mp) = mp {
-        for (rank, (history, _)) in mp.iter().enumerate() {
-            assert_eq!(bits(history), bits(&seq_history), "mp rank {rank}");
-        }
-        let mp_a = gather(
-            &replay_dist,
-            &mp.into_iter().map(|(_, a)| a).collect::<Vec<_>>(),
+    for (rank, run) in runs.iter().enumerate() {
+        assert_eq!(run.count("loops_allocated"), 2, "rank {rank}");
+        assert_eq!(
+            run.count("cache_misses"),
+            2,
+            "rank {rank}: one inspector run per colour"
         );
-        assert_eq!(bits(&mp_a), bits(&seq_a), "mp field vs replay");
+        assert_eq!(run.count("reductions"), 2 * 5, "rank {rank}: two per check");
     }
 }
 

@@ -8,7 +8,8 @@
 //! a residual history, or a metered counter.  These tests pin that contract
 //! for all three solvers (Jacobi, CG, red–black Gauss–Seidel) across a
 //! grid of `(workers, chunk)` settings, against the single-worker run,
-//! against the sequential replays, and on the native backend.
+//! against the sequential replays, and on every backend (each point goes
+//! through the registry's driver, `common::on_every_backend`).
 //!
 //! Two further kernels pin the executor's address translation on both sides
 //! of its one data-dependent choice — resolve owned references through the
@@ -27,22 +28,16 @@ use kali_repro::distrib::{ArrayDist, DimDist, Distribution, FlatDist};
 use kali_repro::dmsim::{CostModel, Machine};
 use kali_repro::kali::{MultiAffineMap, Rect, Session};
 use kali_repro::meshes::{AdjacencyMesh, RegularGrid, UnstructuredMeshBuilder};
-use kali_repro::native::NativeMachine;
-use kali_repro::process::{Counters, Process};
+use kali_repro::process::Counters;
 use kali_repro::solvers::{
-    cg_sequential, cg_solve, gather_global, jacobi_sequential, jacobi_sweeps, redblack_sequential,
-    redblack_sweeps, CgConfig, CgOutcome, JacobiConfig, JacobiOutcome, RedBlackConfig,
-    RedBlackOutcome,
+    gather_global, jacobi_sequential, Case, CgConfig, JacobiConfig, Placement, Program,
+    RedBlackConfig,
 };
 
 mod common;
-use common::ReversedBlock;
+use common::{bits, on_every_backend, ReversedBlock};
 
 const NPROCS: usize = 4;
-
-fn bits(v: &[f64]) -> Vec<u64> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
 
 /// The knob-independence contract covers every metered counter *except* the
 /// pending-queue high-water mark: queue occupancy is a backend/scheduling
@@ -54,85 +49,57 @@ fn masked(c: Counters) -> Counters {
 
 /// The knob grid shared by the fixed tests: the baseline is `(workers 1,
 /// chunk auto)`; every other point must match it bitwise.
-fn knob_grid() -> Vec<(usize, usize)> {
-    vec![(1, 0), (1, 1), (2, 0), (2, 3), (3, 7), (4, 0), (4, 64)]
-}
+const KNOB_GRID: [(usize, usize); 7] = [(1, 0), (1, 1), (2, 0), (2, 3), (3, 7), (4, 0), (4, 64)];
 
 /// One worker, each phase one whole-list chunk: the run the hand-written
 /// sweeps below compare their counters with (their values are compared
 /// with a sequential replay).
 const WHOLE_LIST: (usize, usize) = (1, usize::MAX);
 
-fn run_jacobi(
-    mesh: &AdjacencyMesh,
-    initial: &[f64],
-    workers: usize,
-    chunk: usize,
-) -> Vec<JacobiOutcome> {
-    let config = JacobiConfig {
-        sweeps: 8,
-        convergence_check_every: Some(2),
-        workers: Some(workers),
-        chunk: Some(chunk),
-        ..JacobiConfig::default()
-    };
-    Machine::new(NPROCS, CostModel::ideal()).run(|proc| {
-        let dist = DimDist::block(mesh.len(), proc.nprocs());
-        jacobi_sweeps(proc, mesh, &dist, initial, &config)
-    })
+/// `knobs(workers, chunk)` on `case` at every point of `grid`: on every
+/// backend against the replay (the driver's checks), and on every rank
+/// bitwise equal to the single-worker run — field, history, counts and
+/// merged counters.
+fn assert_knob_independent(
+    test: &str,
+    knobs: impl Fn(usize, usize) -> Program,
+    case: &Case,
+    grid: &[(usize, usize)],
+) {
+    let baseline = on_every_backend(test, &knobs(1, 0), case, NPROCS);
+    for &(workers, chunk) in grid {
+        let runs = on_every_backend(test, &knobs(workers, chunk), case, NPROCS);
+        for (rank, (run, base)) in runs.iter().zip(&baseline).enumerate() {
+            let at = format!("rank {rank} at (workers {workers}, chunk {chunk})");
+            assert_eq!(run.bits(), base.bits(), "{at}");
+            assert_eq!(masked(run.counters), masked(base.counters), "{at}");
+        }
+    }
+}
+
+fn jacobi_knobs(sweeps: usize, check_every: usize) -> impl Fn(usize, usize) -> Program {
+    move |workers, chunk| {
+        Program::Jacobi(JacobiConfig {
+            sweeps,
+            convergence_check_every: Some(check_every),
+            workers: Some(workers),
+            chunk: Some(chunk),
+            ..JacobiConfig::default()
+        })
+    }
 }
 
 #[test]
 fn jacobi_is_bitwise_identical_at_every_worker_count_and_chunk_size() {
     let grid = RegularGrid::square(14);
-    let mesh = grid.five_point_mesh();
-    let initial = grid.initial_field();
-    let dist = DimDist::block(mesh.len(), NPROCS);
-    let expected = jacobi_sequential(&mesh, &initial, 8);
-
-    let baseline = run_jacobi(&mesh, &initial, 1, 0);
-    let base_field = gather_global(
-        &dist,
-        &baseline
-            .iter()
-            .map(|o| o.local_a.clone())
-            .collect::<Vec<_>>(),
+    let (mesh, initial) = (grid.five_point_mesh(), grid.initial_field());
+    let case = Case::new(&mesh, Placement::Block, &initial);
+    assert_knob_independent(
+        "jacobi_is_bitwise_identical_at_every_worker_count_and_chunk_size",
+        jacobi_knobs(8, 2),
+        &case,
+        &KNOB_GRID,
     );
-    assert_eq!(
-        bits(&base_field),
-        bits(&expected),
-        "single-worker baseline vs sequential"
-    );
-
-    for (workers, chunk) in knob_grid() {
-        let outcomes = run_jacobi(&mesh, &initial, workers, chunk);
-        let field = gather_global(
-            &dist,
-            &outcomes
-                .iter()
-                .map(|o| o.local_a.clone())
-                .collect::<Vec<_>>(),
-        );
-        assert_eq!(
-            bits(&field),
-            bits(&base_field),
-            "field must not depend on (workers {workers}, chunk {chunk})"
-        );
-        for (rank, (o, b)) in outcomes.iter().zip(&baseline).enumerate() {
-            assert_eq!(
-                bits(&o.change_history),
-                bits(&b.change_history),
-                "rank {rank} change history at (workers {workers}, chunk {chunk})"
-            );
-            assert_eq!(
-                masked(o.counters),
-                masked(b.counters),
-                "rank {rank} merged counters at (workers {workers}, chunk {chunk})"
-            );
-            assert_eq!(o.reductions, b.reductions);
-            assert_eq!(o.reduction_bytes, b.reduction_bytes);
-        }
-    }
 }
 
 #[test]
@@ -144,51 +111,21 @@ fn cg_residual_history_is_knob_independent_and_replays_bitwise() {
     let b: Vec<f64> = (0..mesh.len())
         .map(|i| ((i * 17) % 13) as f64 * 0.25 - 1.0)
         .collect();
-    let dist = DimDist::block(mesh.len(), NPROCS);
-    let run = |workers: usize, chunk: usize| -> Vec<CgOutcome> {
-        let config = CgConfig {
+    let cg = |workers, chunk| {
+        Program::Cg(CgConfig {
             iters: 20,
             workers: Some(workers),
             chunk: Some(chunk),
             ..CgConfig::default()
-        };
-        Machine::new(NPROCS, CostModel::ideal()).run(|proc| {
-            let dist = DimDist::block(mesh.len(), proc.nprocs());
-            cg_solve(proc, &mesh, &dist, &b, &config)
         })
     };
-    let (seq_x, seq_history) = cg_sequential(&mesh, &b, &CgConfig::with_iters(20), &dist);
-
-    let baseline = run(1, 0);
-    for (workers, chunk) in knob_grid() {
-        let outcomes = run(workers, chunk);
-        let x = gather_global(
-            &dist,
-            &outcomes
-                .iter()
-                .map(|o| o.local_x.clone())
-                .collect::<Vec<_>>(),
-        );
-        assert_eq!(
-            bits(&x),
-            bits(&seq_x),
-            "solution vs sequential at (workers {workers}, chunk {chunk})"
-        );
-        for (rank, (o, b)) in outcomes.iter().zip(&baseline).enumerate() {
-            assert_eq!(
-                bits(&o.residual_history),
-                bits(&seq_history),
-                "rank {rank} residual history at (workers {workers}, chunk {chunk})"
-            );
-            assert_eq!(
-                masked(o.counters),
-                masked(b.counters),
-                "rank {rank} merged counters at (workers {workers}, chunk {chunk})"
-            );
-            assert_eq!(o.stats.reductions, b.stats.reductions);
-            assert_eq!(o.stats.reduction_bytes, b.stats.reduction_bytes);
-        }
-    }
+    let case = Case::new(&mesh, Placement::Block, &b);
+    assert_knob_independent(
+        "cg_residual_history_is_knob_independent_and_replays_bitwise",
+        cg,
+        &case,
+        &KNOB_GRID,
+    );
 }
 
 #[test]
@@ -197,51 +134,22 @@ fn redblack_field_and_change_history_are_knob_independent() {
     let initial: Vec<f64> = (0..mesh.len())
         .map(|i| ((i * 29) % 23) as f64 * 0.125)
         .collect();
-    let dist = DimDist::block(mesh.len(), NPROCS);
-    let run = |workers: usize, chunk: usize| -> Vec<RedBlackOutcome> {
-        let config = RedBlackConfig {
+    let redblack = |workers, chunk| {
+        Program::RedBlack(RedBlackConfig {
             sweeps: 6,
             check_every: Some(2),
             workers: Some(workers),
             chunk: Some(chunk),
             ..RedBlackConfig::default()
-        };
-        Machine::new(NPROCS, CostModel::ideal()).run(|proc| {
-            let dist = DimDist::block(mesh.len(), proc.nprocs());
-            redblack_sweeps(proc, &mesh, &dist, &initial, &config)
         })
     };
-    let seq_config = RedBlackConfig {
-        sweeps: 6,
-        check_every: Some(2),
-        ..RedBlackConfig::default()
-    };
-    let (seq_a, seq_history) = redblack_sequential(&mesh, &initial, &seq_config, &dist);
-
-    let baseline = run(1, 0);
-    for (workers, chunk) in knob_grid() {
-        let outcomes = run(workers, chunk);
-        let a = gather_global(
-            &dist,
-            &outcomes
-                .iter()
-                .map(|o| o.local_a.clone())
-                .collect::<Vec<_>>(),
-        );
-        assert_eq!(
-            bits(&a),
-            bits(&seq_a),
-            "field vs sequential at (workers {workers}, chunk {chunk})"
-        );
-        for (rank, (o, b)) in outcomes.iter().zip(&baseline).enumerate() {
-            assert_eq!(bits(&o.change_history), bits(&seq_history));
-            assert_eq!(
-                masked(o.counters),
-                masked(b.counters),
-                "rank {rank} merged counters at (workers {workers}, chunk {chunk})"
-            );
-        }
-    }
+    let case = Case::new(&mesh, Placement::Block, &initial);
+    assert_knob_independent(
+        "redblack_field_and_change_history_are_knob_independent",
+        redblack,
+        &case,
+        &KNOB_GRID,
+    );
 }
 
 #[test]
@@ -250,34 +158,13 @@ fn native_backend_agrees_with_dmsim_at_four_workers() {
     // messaging); at 4 workers it must still match the simulator and the
     // sequential reference bit for bit.
     let grid = RegularGrid::square(12);
-    let mesh = grid.five_point_mesh();
-    let initial = grid.initial_field();
-    let dist = DimDist::block(mesh.len(), NPROCS);
-    let config = JacobiConfig {
-        sweeps: 6,
-        convergence_check_every: Some(3),
-        workers: Some(4),
-        chunk: Some(16),
-        ..JacobiConfig::default()
-    };
-    let native = NativeMachine::new(NPROCS).run(|proc| {
-        let dist = DimDist::block(mesh.len(), proc.nprocs());
-        jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
-    });
-    let field = gather_global(
-        &dist,
-        &native.iter().map(|o| o.local_a.clone()).collect::<Vec<_>>(),
+    let (mesh, initial) = (grid.five_point_mesh(), grid.initial_field());
+    on_every_backend(
+        "native_backend_agrees_with_dmsim_at_four_workers",
+        &jacobi_knobs(6, 3)(4, 16),
+        &Case::new(&mesh, Placement::Block, &initial),
+        NPROCS,
     );
-    assert_eq!(bits(&field), bits(&jacobi_sequential(&mesh, &initial, 6)));
-
-    let simulated = Machine::new(NPROCS, CostModel::ideal()).run(|proc| {
-        let dist = DimDist::block(mesh.len(), proc.nprocs());
-        jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
-    });
-    for (n, s) in native.iter().zip(&simulated) {
-        assert_eq!(bits(&n.change_history), bits(&s.change_history));
-        assert_eq!(n.local_a.len(), s.local_a.len());
-    }
 }
 
 /// `[*, block]` placement of a `rows × cols` field over `p` ranks.
@@ -357,13 +244,8 @@ fn vertical_stencil_over_star_block_is_knob_independent_on_both_translation_path
             }
         }
         let gather = |outcomes: &[(Vec<f64>, Counters)]| {
-            let mut field = vec![0.0f64; rows * cols];
-            for (rank, (local, _)) in outcomes.iter().enumerate() {
-                for (l, v) in local.iter().enumerate() {
-                    field[dist.global_index(rank, l)] = *v;
-                }
-            }
-            field
+            let locals: Vec<Vec<f64>> = outcomes.iter().map(|(a, _)| a.clone()).collect();
+            gather_global(&dist, &locals)
         };
 
         // Counters are compared with one worker running each phase as one
@@ -374,7 +256,7 @@ fn vertical_stencil_over_star_block_is_knob_independent_on_both_translation_path
             bits(&expected),
             "one chunk, cols {cols}"
         );
-        for (workers, chunk) in knob_grid() {
+        for (workers, chunk) in KNOB_GRID {
             let got = run_vertical_stencil(rows, cols, &initial, (workers, chunk));
             assert_eq!(
                 bits(&gather(&got)),
@@ -402,48 +284,18 @@ fn jacobi_under_a_non_monotone_user_defined_distribution_is_knob_independent() {
     let initial: Vec<f64> = (0..mesh.len())
         .map(|i| ((i * 13) % 17) as f64 * 0.5)
         .collect();
-    let dist_of = |p: usize| DimDist::new(ReversedBlock::new(mesh.len(), p));
-    let dist = dist_of(NPROCS);
+    let dist = DimDist::new(ReversedBlock::new(mesh.len(), NPROCS));
     assert!(
         dist.local_runs(0).is_none(),
         "the trait default offers no runs"
     );
-    let expected = jacobi_sequential(&mesh, &initial, 6);
-    let run = |workers: usize, chunk: usize| -> Vec<JacobiOutcome> {
-        let config = JacobiConfig {
-            sweeps: 6,
-            convergence_check_every: Some(3),
-            workers: Some(workers),
-            chunk: Some(chunk),
-            ..JacobiConfig::default()
-        };
-        Machine::new(NPROCS, CostModel::ncube7())
-            .run(|proc| jacobi_sweeps(proc, &mesh, &dist_of(proc.nprocs()), &initial, &config))
-    };
-    let baseline = run(1, 0);
-    for (workers, chunk) in knob_grid() {
-        let outcomes = run(workers, chunk);
-        let field = gather_global(
-            &dist,
-            &outcomes
-                .iter()
-                .map(|o| o.local_a.clone())
-                .collect::<Vec<_>>(),
-        );
-        assert_eq!(
-            bits(&field),
-            bits(&expected),
-            "field vs sequential at (workers {workers}, chunk {chunk})"
-        );
-        for (rank, (o, b)) in outcomes.iter().zip(&baseline).enumerate() {
-            assert_eq!(bits(&o.change_history), bits(&b.change_history));
-            assert_eq!(
-                masked(o.counters),
-                masked(b.counters),
-                "rank {rank} merged counters at (workers {workers}, chunk {chunk})"
-            );
-        }
-    }
+    let case = Case::new(&mesh, Placement::Dist(dist), &initial);
+    assert_knob_independent(
+        "jacobi_under_a_non_monotone_user_defined_distribution_is_knob_independent",
+        jacobi_knobs(6, 3),
+        &case,
+        &KNOB_GRID,
+    );
 }
 
 /// The Jacobi relaxation of node `i`, fetching neighbour values through
@@ -619,13 +471,24 @@ fn a_worker_panic_during_the_recording_sweep_leaves_no_memo_behind() {
         assert_eq!(nothing, &[0; 4], "rank {rank}: no partial memo is kept");
         // Three completed sweeps either way, all on the long route after
         // the failed recording.
-        assert_eq!(bits(a), bits(&jacobi_on_rank(&mesh, &initial, 4, rank)));
-        assert_eq!(bits(b), bits(&jacobi_on_rank(&mesh, &initial, 3, rank)));
+        assert_eq!(
+            bits(a),
+            bits(&sequential_block_of_rank(&mesh, &initial, 4, rank))
+        );
+        assert_eq!(
+            bits(b),
+            bits(&sequential_block_of_rank(&mesh, &initial, 3, rank))
+        );
     }
 }
 
 /// Rank `rank`'s block of the sequential Jacobi field after `sweeps`.
-fn jacobi_on_rank(mesh: &AdjacencyMesh, initial: &[f64], sweeps: usize, rank: usize) -> Vec<f64> {
+fn sequential_block_of_rank(
+    mesh: &AdjacencyMesh,
+    initial: &[f64],
+    sweeps: usize,
+    rank: usize,
+) -> Vec<f64> {
     let dist = DimDist::block(mesh.len(), NPROCS);
     let field = jacobi_sequential(mesh, initial, sweeps);
     (0..dist.local_count(rank))
@@ -650,50 +513,17 @@ mod properties {
         /// change history and the merged per-rank counters are bitwise
         /// identical to the single-worker run and the sequential replay.
         #[test]
-        fn any_knobs_replay_the_scalar_jacobi_bitwise(case in arb_knobs()) {
-            let (workers, chunk, seed) = case;
+        fn any_knobs_replay_the_scalar_jacobi_bitwise(knobs in arb_knobs()) {
+            let (workers, chunk, seed) = knobs;
             let mesh = UnstructuredMeshBuilder::new(8, 8).seed(seed).build();
             let initial: Vec<f64> =
                 (0..mesh.len()).map(|i| (i % 11) as f64 * 0.3).collect();
-            let dist = DimDist::block(mesh.len(), NPROCS);
-            let expected = jacobi_sequential(&mesh, &initial, 5);
-
-            let run = |w: usize, c: usize| {
-                let config = JacobiConfig {
-                    sweeps: 5,
-                    convergence_check_every: Some(2),
-                    workers: Some(w),
-                    chunk: Some(c),
-                    ..JacobiConfig::default()
-                };
-                Machine::new(NPROCS, CostModel::ideal()).run(|proc| {
-                    let dist = DimDist::block(mesh.len(), proc.nprocs());
-                    jacobi_sweeps(proc, &mesh, &dist, &initial, &config)
-                })
-            };
-            let baseline = run(1, 0);
-            let outcomes = run(workers, chunk);
-            let field = gather_global(
-                &dist,
-                &outcomes.iter().map(|o| o.local_a.clone()).collect::<Vec<_>>(),
+            assert_knob_independent(
+                "properties::any_knobs_replay_the_scalar_jacobi_bitwise",
+                jacobi_knobs(5, 2),
+                &Case::new(&mesh, Placement::Block, &initial),
+                &[(workers, chunk)],
             );
-            prop_assert_eq!(bits(&field), bits(&expected));
-            let totals = |os: &[JacobiOutcome]| -> Counters {
-                os.iter().fold(Counters::default(), |mut acc, o| {
-                    acc.flops += o.counters.flops;
-                    acc.mem_refs += o.counters.mem_refs;
-                    acc.loop_iters += o.counters.loop_iters;
-                    acc.msgs_sent += o.counters.msgs_sent;
-                    acc.bytes_sent += o.counters.bytes_sent;
-                    acc.nonlocal_refs += o.counters.nonlocal_refs;
-                    acc
-                })
-            };
-            prop_assert_eq!(totals(&outcomes), totals(&baseline));
-            for (o, b) in outcomes.iter().zip(&baseline) {
-                prop_assert_eq!(masked(o.counters), masked(b.counters));
-                prop_assert_eq!(bits(&o.change_history), bits(&b.change_history));
-            }
         }
     }
 }

@@ -14,105 +14,29 @@
 //! The property test drives random `Shuffle(seed)` orders across every
 //! solver × distribution × rank-count combination; the fixed test pins the
 //! named adversarial policies (LIFO, systematic rotation) on every solver.
+//! Both iterate the registry's mesh programs (`Program::mesh_suite`), the
+//! same four `mc_all` sweeps.
 
 use kali_repro::distrib::DimDist;
 use kali_repro::dmsim::{CostModel, DeliveryPolicy, Machine};
-use kali_repro::meshes::{self, AdjacencyMesh, UnstructuredMeshBuilder};
+use kali_repro::meshes::{greedy_partition, AdjacencyMesh, UnstructuredMeshBuilder};
 use kali_repro::native::NativeMachine;
-use kali_repro::process::Process;
-use kali_repro::solvers::{
-    cg_solve, jacobi_sweeps, redblack_sweeps, CgConfig, JacobiConfig, RedBlackConfig,
-};
+use kali_repro::solvers::{Case, Placement, Program};
 
-const SOLVERS: [&str; 4] = ["jacobi", "adaptive", "cg", "red-black"];
-const DISTS: [&str; 4] = ["block", "cyclic", "block-cyclic", "irregular"];
+/// The mesh programs, four steps each: what every run below fingerprints
+/// is [`Run::bits`](kali_repro::solvers::Run::bits) — field values,
+/// reduction histories and structural counts.  Clocks, simulated cost
+/// counters and the queue high-water mark are excluded — those may legally
+/// move when deliveries are reordered or the backend changes.
+fn programs() -> [Program; 4] {
+    Program::mesh_suite(4)
+}
 
 fn test_mesh(seed: u64) -> AdjacencyMesh {
     UnstructuredMeshBuilder::new(8, 8)
         .seed(seed)
         .scramble_numbering(true)
         .build()
-}
-
-fn make_dist(mesh: &AdjacencyMesh, kind: &str, nprocs: usize) -> DimDist {
-    let n = mesh.len();
-    match kind {
-        "block" => DimDist::block(n, nprocs),
-        "cyclic" => DimDist::cyclic(n, nprocs),
-        "block-cyclic" => DimDist::block_cyclic(n, nprocs, 3),
-        "irregular" => DimDist::custom(meshes::greedy_partition(mesh, nprocs), nprocs),
-        other => panic!("unknown distribution kind {other}"),
-    }
-}
-
-/// Run one solver and reduce its outcome to the delivery-order-invariant
-/// fingerprint the determinism contract pins bitwise on every backend:
-/// field values, reduction histories and structural counts.  Clocks,
-/// simulated cost counters and the queue high-water mark are excluded —
-/// those may legally move when deliveries are reordered or the backend
-/// changes.
-fn fingerprint<P: Process>(
-    proc: &mut P,
-    solver: &str,
-    mesh: &AdjacencyMesh,
-    dist: &DimDist,
-    field: &[f64],
-) -> Vec<u64> {
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-    match solver {
-        "jacobi" => {
-            let config = JacobiConfig {
-                sweeps: 4,
-                convergence_check_every: Some(1),
-                workers: Some(2),
-                chunk: Some(8),
-                ..JacobiConfig::default()
-            };
-            let o = jacobi_sweeps(proc, mesh, dist, field, &config);
-            let mut fp = bits(&o.local_a);
-            fp.extend(bits(&o.change_history));
-            fp.extend([o.reductions, o.recv_elements as u64, o.recv_partners as u64]);
-            fp
-        }
-        "adaptive" => {
-            let config = JacobiConfig {
-                sweeps: 4,
-                adapt_every: Some(2),
-                rebalance: true,
-                cache_capacity: 4,
-                ..JacobiConfig::default()
-            };
-            let o = jacobi_sweeps(proc, mesh, dist, field, &config);
-            let mut fp = bits(&o.local_a);
-            fp.extend([o.adaptations, o.cache_hits, o.cache_misses]);
-            fp
-        }
-        "cg" => {
-            let config = CgConfig::with_iters(4);
-            let o = cg_solve(proc, mesh, dist, field, &config);
-            let mut fp = bits(&o.local_x);
-            fp.extend(bits(&o.residual_history));
-            fp.extend([o.iterations as u64, o.stats.reductions]);
-            fp
-        }
-        "red-black" => {
-            let config = RedBlackConfig {
-                sweeps: 4,
-                check_every: Some(1),
-                ..RedBlackConfig::default()
-            };
-            let o = redblack_sweeps(proc, mesh, dist, field, &config);
-            let mut fp = bits(&o.local_a);
-            fp.extend(bits(&o.change_history));
-            fp.extend([
-                o.stats.reductions,
-                o.red_recv_elements as u64,
-                o.black_recv_elements as u64,
-            ]);
-            fp
-        }
-        other => panic!("unknown solver {other}"),
-    }
 }
 
 fn input_field(n: usize) -> Vec<f64> {
@@ -126,10 +50,11 @@ fn adversarial_policies_replay_the_fifo_baseline_on_every_solver() {
     let nprocs = 4;
     let mesh = test_mesh(1990);
     let field = input_field(mesh.len());
-    for solver in SOLVERS {
-        let dist = make_dist(&mesh, "irregular", nprocs);
-        let base = Machine::new(nprocs, CostModel::ideal())
-            .run(|proc| fingerprint(proc, solver, &mesh, &dist, &field));
+    let dist = DimDist::custom(greedy_partition(&mesh, nprocs), nprocs);
+    let case = Case::new(&mesh, Placement::Dist(dist), &field);
+    for program in programs() {
+        let base =
+            Machine::new(nprocs, CostModel::ideal()).run(|proc| program.run(proc, &case).bits());
         for policy in [
             DeliveryPolicy::Lifo,
             DeliveryPolicy::Shuffle(0xA5),
@@ -137,8 +62,9 @@ fn adversarial_policies_replay_the_fifo_baseline_on_every_solver() {
         ] {
             let run = Machine::new(nprocs, CostModel::ideal())
                 .with_delivery(policy)
-                .run(|proc| fingerprint(proc, solver, &mesh, &dist, &field));
-            assert_eq!(run, base, "{solver} under {policy:?} diverged from FIFO");
+                .run(|proc| program.run(proc, &case).bits());
+            let name = program.name();
+            assert_eq!(run, base, "{name} under {policy:?} diverged from FIFO");
         }
     }
 }
@@ -156,25 +82,32 @@ mod properties {
         #[test]
         fn any_shuffled_delivery_replays_the_fifo_baseline_bitwise(
             seed in 1u64..10_000,
-            solver_idx in 0usize..SOLVERS.len(),
-            dist_idx in 0usize..DISTS.len(),
+            solver_idx in 0usize..4,
+            dist_idx in 0usize..4,
             procs_idx in 0usize..2,
         ) {
             let nprocs = [2usize, 4][procs_idx];
-            let solver = SOLVERS[solver_idx];
+            let program = programs()[solver_idx];
             let mesh = test_mesh(1 + seed % 7);
             let field = input_field(mesh.len());
-            let dist = make_dist(&mesh, DISTS[dist_idx], nprocs);
+            let n = mesh.len();
+            let dist = [
+                DimDist::block(n, nprocs),
+                DimDist::cyclic(n, nprocs),
+                DimDist::block_cyclic(n, nprocs, 3),
+                DimDist::custom(greedy_partition(&mesh, nprocs), nprocs),
+            ][dist_idx]
+                .clone();
+            let case = Case::new(&mesh, Placement::Dist(dist), &field);
+            let fingerprint = |proc: &mut _| program.run(proc, &case).bits();
 
-            let base = Machine::new(nprocs, CostModel::ideal())
-                .run(|proc| fingerprint(proc, solver, &mesh, &dist, &field));
+            let base = Machine::new(nprocs, CostModel::ideal()).run(fingerprint);
             let shuffled = Machine::new(nprocs, CostModel::ideal())
                 .with_delivery(DeliveryPolicy::Shuffle(seed))
-                .run(|proc| fingerprint(proc, solver, &mesh, &dist, &field));
+                .run(fingerprint);
             prop_assert_eq!(&shuffled, &base);
 
-            let native = NativeMachine::new(nprocs)
-                .run(|proc| fingerprint(proc, solver, &mesh, &dist, &field));
+            let native = NativeMachine::new(nprocs).run(|proc| program.run(proc, &case).bits());
             prop_assert_eq!(&native, &base);
         }
     }

@@ -6,12 +6,10 @@
 //! SPMD program, and ships its `Wire`-encoded result back over the control
 //! socket.  Nothing is shared between ranks but bytes on sockets.
 
-use kali_repro::baseline::sequential_jacobi;
-use kali_repro::distrib::DimDist;
 use kali_repro::meshes::RegularGrid;
 use kali_repro::mp::MpMachine;
 use kali_repro::process::Process;
-use kali_repro::solvers::{gather_global, jacobi_sweeps, JacobiConfig};
+use kali_repro::solvers::{Case, JacobiConfig, Placement, Program};
 
 #[test]
 fn ring_and_collectives_work_across_real_processes() {
@@ -50,34 +48,22 @@ fn ring_and_collectives_work_across_real_processes() {
 #[test]
 fn jacobi_on_real_processes_matches_the_sequential_reference() {
     let grid = RegularGrid::square(12);
-    let mesh = grid.five_point_mesh();
-    let initial = grid.initial_field();
-    let sweeps = 5;
+    let (mesh, initial) = (grid.five_point_mesh(), grid.initial_field());
+    let program = Program::Jacobi(JacobiConfig::with_sweeps(5));
+    let case = Case::new(&mesh, Placement::Block, &initial);
     let nprocs = 4;
-    let results = MpMachine::new(nprocs).run(
+    // Each worker process rebuilt `mesh` and `initial` itself by re-running
+    // this test body — the block placement is the only coordination, and it
+    // is derived, not shared.  Every rank's `Run` comes back over the wire.
+    let runs = MpMachine::new(nprocs).run(
         "jacobi_on_real_processes_matches_the_sequential_reference",
-        |proc| {
-            // Each worker process rebuilt `mesh` and `initial` itself by
-            // re-running this test body — the distribution below is the
-            // only coordination, and it is derived, not shared.
-            let dist = DimDist::block(mesh.len(), proc.nprocs());
-            jacobi_sweeps(
-                proc,
-                &mesh,
-                &dist,
-                &initial,
-                &JacobiConfig::with_sweeps(sweeps),
-            )
-            .local_a
-        },
+        |proc| program.run(proc, &case),
     );
-    let results = results.expect("coordinator gets results");
-    let dist = DimDist::block(mesh.len(), nprocs);
-    let field = gather_global(&dist, &results);
-    let expected = sequential_jacobi(&mesh, &initial, sweeps);
+    let runs = runs.expect("coordinator gets results");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(
-        field.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        expected.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        bits(&program.gather(&case, &runs)),
+        bits(&program.replay(&case, nprocs).0),
         "real-process Jacobi vs sequential reference"
     );
 }

@@ -2,12 +2,11 @@
 //! solution array between distributions mid-computation and keep getting the
 //! sequential answer.
 
-use kali_repro::baseline::sequential_jacobi;
 use kali_repro::distrib::DimDist;
 use kali_repro::dmsim::{CostModel, Machine};
 use kali_repro::kali::Session;
 use kali_repro::meshes::RegularGrid;
-use kali_repro::solvers::{jacobi_sweeps, JacobiConfig};
+use kali_repro::solvers::{gather_global, jacobi_sequential, jacobi_sweeps, JacobiConfig};
 
 #[test]
 fn jacobi_survives_a_mid_run_redistribution() {
@@ -15,7 +14,7 @@ fn jacobi_survives_a_mid_run_redistribution() {
     let mesh = grid.five_point_mesh();
     let initial = grid.initial_field();
     let nprocs = 4;
-    let expected = sequential_jacobi(&mesh, &initial, 8);
+    let expected = jacobi_sequential(&mesh, &initial, 8);
 
     let machine = Machine::new(nprocs, CostModel::ideal());
     let results = machine.run(|proc| {
@@ -46,15 +45,9 @@ fn jacobi_survives_a_mid_run_redistribution() {
 
         // Phase 2: four more sweeps under the cyclic distribution.
         let phase2 = jacobi_sweeps(proc, &mesh, &cyclic, &mid, &JacobiConfig::with_sweeps(4));
-        (proc.rank(), phase2.local_a)
+        phase2.local_a
     });
 
     let cyclic = DimDist::cyclic(mesh.len(), nprocs);
-    let mut global = vec![0.0f64; mesh.len()];
-    for (rank, local) in results {
-        for (l, v) in local.into_iter().enumerate() {
-            global[cyclic.global_index(rank, l)] = v;
-        }
-    }
-    assert_eq!(global, expected);
+    assert_eq!(gather_global(&cyclic, &results), expected);
 }
