@@ -57,7 +57,7 @@ const KNOB_GRID: [(usize, usize); 7] = [(1, 0), (1, 1), (2, 0), (2, 3), (3, 7), 
 const WHOLE_LIST: (usize, usize) = (1, usize::MAX);
 
 /// `knobs(workers, chunk)` on `case` at every point of `grid`: on every
-/// backend against the replay (the driver's checks), and on every rank
+/// backend against the sequential replay, and on every rank
 /// bitwise equal to the single-worker run — field, history, counts and
 /// merged counters.
 fn assert_knob_independent(
