@@ -1,6 +1,5 @@
 //! Executor benchmarks: one relaxation sweep under the Kali run-time system
-//! vs the hand-coded halo exchange (§1's "virtually identical" claim) and
-//! the communication-overlap ablation (the paper's Figure 3 code shape).
+//! vs the hand-coded halo exchange (§1's "virtually identical" claim).
 //!
 //! Host wall-clock is what Criterion reports; the corresponding *simulated*
 //! times appear in the table binaries.
@@ -31,25 +30,12 @@ fn bench_executor(c: &mut Criterion) {
         ("unstructured_64x64", &unstructured, &unstructured_initial),
     ] {
         let machine = Machine::new(procs, CostModel::ncube7());
-        group.bench_with_input(BenchmarkId::new("kali_overlap", name), &(), |b, _| {
+        group.bench_with_input(BenchmarkId::new("kali", name), &(), |b, _| {
             b.iter(|| {
                 machine.run(|proc| {
                     let dist = DimDist::block(mesh.len(), proc.nprocs());
                     jacobi_sweeps(proc, mesh, &dist, initial, &JacobiConfig::with_sweeps(5))
                         .total_time
-                })
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("kali_no_overlap", name), &(), |b, _| {
-            b.iter(|| {
-                machine.run(|proc| {
-                    let dist = DimDist::block(mesh.len(), proc.nprocs());
-                    let config = JacobiConfig {
-                        sweeps: 5,
-                        overlap: false,
-                        ..JacobiConfig::default()
-                    };
-                    jacobi_sweeps(proc, mesh, &dist, initial, &config).total_time
                 })
             })
         });

@@ -3,7 +3,7 @@
 //! These run scaled-down configurations (few sweeps, the exact extrapolation
 //! described in `solvers::experiment`) so that `cargo bench` stays quick;
 //! the full-size tables with the paper's parameters are produced by the
-//! `table_*` binaries (`cargo run --release -p bench-tables --bin table_all`).
+//! `tables` binary (`cargo run --release -p bench-tables --bin tables -- all`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dmsim::CostModel;
@@ -17,7 +17,6 @@ fn row(cost: CostModel, nprocs: usize, mesh_side: usize, speedup: bool) -> Exper
         sweeps: 100,
         compute_speedup: speedup,
         extrapolate_from: Some(2),
-        overlap: true,
         disable_schedule_cache: false,
         convergence_check_every: None,
     }

@@ -1,17 +1,5 @@
-//! Trace-level model-checking sweep: record the message runtime's event
-//! traces behind the cost hooks, prove them race-free with the
-//! happens-before analyzer (`kali_core::mc`), and re-execute every solve
-//! under perturbed wildcard-delivery orders (LIFO, seeded shuffles,
-//! systematic rotation) asserting bitwise-identical results — for every
-//! solver/distribution/backend configuration.
-//!
-//! `--smoke` (or `KALI_QUICK=1`) runs the reduced matrix CI uses; the full
-//! sweep covers more rank counts and a larger mesh.  Exits nonzero on any
-//! violation or divergence.
-
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke") || bench_tables::quick_mode();
-    if !bench_tables::run_mc_all(smoke) {
-        std::process::exit(1);
-    }
+//! `tables mc`: the trace-level model-checking sweep (`--smoke` for the
+//! reduced matrix CI uses).  Exits nonzero on any violation or divergence.
+fn main() -> std::process::ExitCode {
+    bench_tables::dispatch(["mc".into()].into_iter().chain(std::env::args().skip(1)))
 }

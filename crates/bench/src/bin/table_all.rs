@@ -1,34 +1,4 @@
-//! Run every reproduction table in one go (set KALI_QUICK=1 for a fast pass).
-fn main() {
-    bench_tables::print_table(
-        "Figure 7: NCUBE/7, varying processors (128x128, 100 sweeps)",
-        &bench_tables::measure_fig7(),
-        bench_tables::PAPER_FIG7_NCUBE_PROCS,
-    );
-    bench_tables::print_table(
-        "Figure 8: iPSC/2, varying processors (128x128, 100 sweeps)",
-        &bench_tables::measure_fig8(),
-        bench_tables::PAPER_FIG8_IPSC_PROCS,
-    );
-    bench_tables::print_table(
-        "Figure 9: NCUBE/7, varying problem size (128 processors, 100 sweeps)",
-        &bench_tables::measure_fig9(),
-        bench_tables::PAPER_FIG9_NCUBE_MESH,
-    );
-    bench_tables::print_table(
-        "Figure 10: iPSC/2, varying problem size (32 processors, 100 sweeps)",
-        &bench_tables::measure_fig10(),
-        bench_tables::PAPER_FIG10_IPSC_MESH,
-    );
-    let mut ok = bench_tables::run_partition_locality();
-    ok &= bench_tables::run_adaptation(bench_tables::quick_mode());
-    ok &= bench_tables::run_multidim(bench_tables::quick_mode());
-    ok &= bench_tables::run_solvers(bench_tables::quick_mode());
-    ok &= bench_tables::run_collectives(bench_tables::quick_mode());
-    ok &= bench_tables::run_native_scaling(bench_tables::quick_mode());
-    ok &= bench_tables::run_verify_all(bench_tables::quick_mode());
-    ok &= bench_tables::run_mc_all(bench_tables::quick_mode());
-    if !ok {
-        std::process::exit(1);
-    }
+//! `tables all`: every reproduction table in one go (`--smoke` for CI size).
+fn main() -> std::process::ExitCode {
+    bench_tables::dispatch(["all".into()].into_iter().chain(std::env::args().skip(1)))
 }

@@ -1,15 +1,9 @@
-//! Static verification sweep: prove schedule duality, tag-space safety,
-//! deadlock freedom, SPMD conformance and determinism-contract conformance
-//! for every solver/distribution/backend configuration — at plan time,
-//! without executing the solvers.
-//!
-//! `--smoke` (or `KALI_QUICK=1`) runs the reduced matrix CI uses; the full
-//! sweep covers more rank counts and a larger mesh.  Exits nonzero on any
-//! violation.
-
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke") || bench_tables::quick_mode();
-    if !bench_tables::run_verify_all(smoke) {
-        std::process::exit(1);
-    }
+//! `tables verify`: the static verification sweep (`--smoke` for the
+//! reduced matrix CI uses).  Exits nonzero on any violation.
+fn main() -> std::process::ExitCode {
+    bench_tables::dispatch(
+        ["verify".into()]
+            .into_iter()
+            .chain(std::env::args().skip(1)),
+    )
 }

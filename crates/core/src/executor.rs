@@ -57,8 +57,8 @@
 //!   before runs existed, and only nonlocal references use the windows.
 //!   An index covered by nothing panics before anything is charged; so
 //!   does a *received* one fetched from the local list, which runs without
-//!   a receive buffer whether or not the sweep overlaps — in both cases the
-//!   schedule was planned for another body.
+//!   a receive buffer — in both cases the schedule was planned for another
+//!   body.
 //! * **Replay**, ahead of both on the nonlocal list of a reused schedule:
 //!   the translation memo below.
 //!
@@ -165,10 +165,6 @@ pub const DEFAULT_CHUNK: usize = 2048;
 /// Knobs for one execution of [`execute_sweep`].
 #[derive(Debug, Clone, Copy)]
 pub struct ExecutorConfig {
-    /// Overlap communication with the local iterations (the paper's code
-    /// shape).  When `false`, messages are received immediately after they
-    /// are sent and the local iterations run afterwards.
-    pub overlap: bool,
     /// Tag offset distinguishing successive executions (sweep number).
     pub tag: Tag,
     /// Intra-rank worker threads.  `1` (the default) runs every chunk
@@ -184,7 +180,6 @@ pub struct ExecutorConfig {
 impl Default for ExecutorConfig {
     fn default() -> Self {
         ExecutorConfig {
-            overlap: true,
             tag: 0,
             workers: 1,
             chunk: 0,
@@ -193,7 +188,7 @@ impl Default for ExecutorConfig {
 }
 
 impl ExecutorConfig {
-    /// Configuration for sweep number `sweep` with overlap enabled.
+    /// Configuration for sweep number `sweep`.
     ///
     /// Sweep numbers wrap within the executor's tag window
     /// ([`tags::SPAN`]): a long-running program's sweep counter must never
@@ -206,13 +201,6 @@ impl ExecutorConfig {
             tag: (sweep as Tag) % tags::SPAN,
             ..ExecutorConfig::default()
         }
-    }
-
-    /// The same configuration with overlap switched as given (the ablation
-    /// knob of the paper's executor shape).
-    pub fn with_overlap(mut self, overlap: bool) -> Self {
-        self.overlap = overlap;
-        self
     }
 
     /// The same configuration with the given intra-rank worker count
@@ -819,18 +807,10 @@ where
         recording
     };
 
-    // The local list sees no receive buffer under either order, so a body
-    // that reaches for a received element from it fails the same way.
-    let recv_buf = if config.overlap {
-        // Paper order: local iterations run while messages are in flight.
-        run_phase(proc, 0, &schedule.local_iters, &[]);
-        receive_all(proc, schedule, tag)
-    } else {
-        // Ablation: no overlap — wait for all data first.
-        let recv_buf = receive_all(proc, schedule, tag);
-        run_phase(proc, 0, &schedule.local_iters, &[]);
-        recv_buf
-    };
+    // Paper order: local iterations run while messages are in flight, and
+    // see no receive buffer.
+    run_phase(proc, 0, &schedule.local_iters, &[]);
+    let recv_buf = receive_all(proc, schedule, tag);
     let recording = run_phase(proc, 1, &schedule.nonlocal_iters, &recv_buf);
     schedule.finish_execution(memo, recording);
     schedule.local_iters.len() + schedule.nonlocal_iters.len()

@@ -11,7 +11,7 @@ fn masked(c: crate::process::Counters) -> crate::process::Counters {
 }
 
 /// Distributed array shift (Figure 1): A[i] := A[i+1].
-fn run_shift(nprocs: usize, n: usize, overlap: bool) -> Vec<f64> {
+fn run_shift(nprocs: usize, n: usize) -> Vec<f64> {
     let machine = Machine::new(nprocs, CostModel::ideal());
     let results = machine.run(|proc| {
         let dist = DimDist::block(n, proc.nprocs());
@@ -23,7 +23,7 @@ fn run_shift(nprocs: usize, n: usize, overlap: bool) -> Vec<f64> {
         let mut new_a = local_a.clone();
         execute_sweep(
             proc,
-            ExecutorConfig::default().with_overlap(overlap),
+            ExecutorConfig::default(),
             &schedule,
             &dist,
             &dist,
@@ -47,13 +47,11 @@ fn run_shift(nprocs: usize, n: usize, overlap: bool) -> Vec<f64> {
 #[test]
 fn shift_matches_sequential_semantics() {
     for nprocs in [1, 2, 4, 8] {
-        for overlap in [true, false] {
-            let n = 64;
-            let got = run_shift(nprocs, n, overlap);
-            let mut expected: Vec<f64> = (0..n).map(|i| (i + 1) as f64).collect();
-            expected[n - 1] = (n - 1) as f64;
-            assert_eq!(got, expected, "nprocs={nprocs} overlap={overlap}");
-        }
+        let n = 64;
+        let got = run_shift(nprocs, n);
+        let mut expected: Vec<f64> = (0..n).map(|i| (i + 1) as f64).collect();
+        expected[n - 1] = (n - 1) as f64;
+        assert_eq!(got, expected, "nprocs={nprocs}");
     }
 }
 
@@ -208,8 +206,7 @@ fn schedule_mismatch_panic_leaves_cost_counters_untouched() {
     // it reaches for an element no receive record covers, or — from an
     // iteration on the local list, which runs without a receive buffer —
     // for one that *is* received.  The second used to die of a bare `index
-    // out of bounds: the len is 0` under `overlap` and run to the end
-    // without it.
+    // out of bounds: the len is 0`.
     use distrib::IndexSet;
     for dist in [DimDist::block(8, 2), DimDist::cyclic(8, 2)] {
         // Rank 0 runs its four owned iterations in two chunks of two; the
@@ -265,64 +262,61 @@ fn schedule_mismatch_panic_leaves_cost_counters_untouched() {
 }
 
 #[test]
-fn a_received_element_fetched_from_the_local_list_fails_under_either_overlap() {
-    // The local list never sees the receive buffer, with or without
-    // overlap: the same wrong body fails the same way under both knobs.
+fn a_received_element_fetched_from_the_local_list_fails() {
+    // The local list never sees the receive buffer: a body that reaches for
+    // a received element from it fails with the schedule's message.
     let n = 16;
-    for overlap in [true, false] {
-        let machine = Machine::new(2, CostModel::ncube7());
-        let messages = machine.run(|proc| {
-            let dist = DimDist::block(n, proc.nprocs());
-            let rank = proc.rank();
-            let local: Vec<f64> = dist.local_set(rank).iter().map(|g| g as f64).collect();
-            let exec = owner_computes_iters(&dist, rank, n);
-            // Planned: only the rank's first iteration reads the peer's
-            // element 8 − rank; every other iteration reads its own.
-            let across = |i: usize| if i == exec[0] { n / 2 - rank } else { i };
-            let schedule = run_inspector(proc, &dist, &exec, |i, refs| refs.push(across(i)));
-            assert_eq!(schedule.nonlocal_iters, [exec[0]]);
-            let before = (proc.counters(), proc.time().to_bits());
-            // Executed: its second iteration does so too.
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                execute_sweep(
-                    proc,
-                    ExecutorConfig::default().with_overlap(overlap),
-                    &schedule,
-                    &dist,
-                    &dist,
-                    &local,
-                    |i, fetch| {
-                        fetch.fetch(if i == exec[1] {
-                            across(exec[0])
-                        } else {
-                            across(i)
-                        })
-                    },
-                    |_, _: f64| {},
-                )
-            }));
-            let message = panic_message(result.expect_err("the local list has no receive buffer"));
-            // Under overlap the halo is still in flight: let it land before
-            // its destination goes away.
-            proc.barrier();
-            // Nothing of the failing chunk was charged: what the clock and
-            // the counters moved by is the messages alone.
-            let charged = proc.counters().since(&before.0);
-            assert_eq!((charged.loop_iters, charged.nonlocal_refs), (0, 0));
-            (message, exec[1], across(exec[0]))
-        });
-        for (rank, (message, iteration, global)) in messages.into_iter().enumerate() {
-            assert_eq!(
-                message,
-                format!(
-                    "rank {rank}: iteration {iteration} of the local list fetched global \
-                     {global}, which is received from rank {}: the schedule was planned for a \
-                     different reference pattern",
-                    1 - rank
-                ),
-                "overlap={overlap}"
-            );
-        }
+    let machine = Machine::new(2, CostModel::ncube7());
+    let messages = machine.run(|proc| {
+        let dist = DimDist::block(n, proc.nprocs());
+        let rank = proc.rank();
+        let local: Vec<f64> = dist.local_set(rank).iter().map(|g| g as f64).collect();
+        let exec = owner_computes_iters(&dist, rank, n);
+        // Planned: only the rank's first iteration reads the peer's
+        // element 8 − rank; every other iteration reads its own.
+        let across = |i: usize| if i == exec[0] { n / 2 - rank } else { i };
+        let schedule = run_inspector(proc, &dist, &exec, |i, refs| refs.push(across(i)));
+        assert_eq!(schedule.nonlocal_iters, [exec[0]]);
+        let before = (proc.counters(), proc.time().to_bits());
+        // Executed: its second iteration does so too.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            execute_sweep(
+                proc,
+                ExecutorConfig::default(),
+                &schedule,
+                &dist,
+                &dist,
+                &local,
+                |i, fetch| {
+                    fetch.fetch(if i == exec[1] {
+                        across(exec[0])
+                    } else {
+                        across(i)
+                    })
+                },
+                |_, _: f64| {},
+            )
+        }));
+        let message = panic_message(result.expect_err("the local list has no receive buffer"));
+        // The halo is still in flight: let it land before its destination
+        // goes away.
+        proc.barrier();
+        // Nothing of the failing chunk was charged: what the clock and the
+        // counters moved by is the messages alone.
+        let charged = proc.counters().since(&before.0);
+        assert_eq!((charged.loop_iters, charged.nonlocal_refs), (0, 0));
+        (message, exec[1], across(exec[0]))
+    });
+    for (rank, (message, iteration, global)) in messages.into_iter().enumerate() {
+        assert_eq!(
+            message,
+            format!(
+                "rank {rank}: iteration {iteration} of the local list fetched global \
+                 {global}, which is received from rank {}: the schedule was planned for a \
+                 different reference pattern",
+                1 - rank
+            )
+        );
     }
 }
 
@@ -1026,10 +1020,9 @@ fn sweep_tags_wrap_within_the_executor_window() {
         let t = tags::executor_tag(ExecutorConfig::sweep(sweep).tag);
         assert!((tags::EXECUTOR_BASE..tags::EXECUTOR_BASE + tags::SPAN).contains(&t));
     }
-    // Overlap builder keeps the tag.
-    let c = ExecutorConfig::sweep(7).with_overlap(false);
-    assert!(!c.overlap);
-    assert_eq!(c.tag, 7);
+    // The builders keep the tag.
+    let c = ExecutorConfig::sweep(7).with_workers(3).with_chunk(5);
+    assert_eq!((c.tag, c.workers, c.chunk), (7, 3, 5));
 }
 
 /// The shift of Figure 1 at any worker count and chunk size: the values

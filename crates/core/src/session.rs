@@ -32,10 +32,10 @@
 //! * **data-version tracking** — [`Session::bump_data_version`] after a mesh
 //!   adaptation makes every subsequent plan re-inspect exactly once;
 //! * **redistribution epochs** — each move is tagged with the next epoch;
-//! * the **executor knobs** — overlap, intra-rank workers and chunk length
-//!   (the latter two read from `KALI_WORKERS` / `KALI_CHUNK` at
-//!   construction) reach every sweep, so an unmodified program can be driven
-//!   at any worker count from the outside;
+//! * the **executor knobs** — intra-rank workers and chunk length (read
+//!   from `KALI_WORKERS` / `KALI_CHUNK` at construction) reach every sweep,
+//!   so an unmodified program can be driven at any worker count from the
+//!   outside;
 //! * **metering** — inspector time (accumulated around every plan call) and
 //!   reduction counts/bytes, snapshotted by [`Session::stats`] for the
 //!   solvers' outcome structs — and, in debug builds, a static verification
@@ -94,7 +94,6 @@ pub struct Session {
     sweep: usize,
     epoch: u64,
     data_version: u64,
-    overlap: bool,
     workers: usize,
     chunk: usize,
     loops_allocated: u64,
@@ -196,7 +195,6 @@ impl Session {
             sweep: 0,
             epoch: 0,
             data_version: 0,
-            overlap: true,
             workers: env_knob("KALI_WORKERS").unwrap_or(1).max(1),
             chunk: env_knob("KALI_CHUNK").unwrap_or(0),
             loops_allocated: 0,
@@ -207,13 +205,6 @@ impl Session {
             inspector_time: 0.0,
             collective_trace: Vec::new(),
         }
-    }
-
-    /// Set whether executions overlap communication with local iterations
-    /// (the paper's executor shape; disabling it is the ablation knob).
-    pub fn overlap(mut self, overlap: bool) -> Self {
-        self.overlap = overlap;
-        self
     }
 
     /// Set the intra-rank worker-thread count for executions (clamped to
@@ -431,7 +422,6 @@ impl Session {
         W: FnMut(usize, V),
     {
         let mut config = ExecutorConfig::sweep(self.sweep)
-            .with_overlap(self.overlap)
             .with_workers(self.workers)
             .with_chunk(self.chunk);
         self.sweep += 1;
@@ -1051,34 +1041,6 @@ mod tests {
         assert!(all.iter().any(|k| matches!(k, EventKind::Send { .. })));
         assert!(all.iter().any(|k| matches!(k, EventKind::Recv { .. })));
         assert_eq!(crate::mc::check_trace(&traces), vec![]);
-    }
-
-    #[test]
-    fn overlap_knob_threads_through_to_the_executor() {
-        // Results are independent of overlap; this just exercises the knob.
-        let machine = Machine::new(2, CostModel::ideal());
-        machine.run(|proc| {
-            let n = 16;
-            let dist = DimDist::block(n, proc.nprocs());
-            let mut session = Session::new().overlap(false);
-            let loop_ = session.loop_1d(n - 1, dist.clone());
-            let schedule = session.plan(proc, &loop_, &dist, &[AffineMap::shift(1)]);
-            let local: Vec<f64> = dist
-                .local_set(proc.rank())
-                .iter()
-                .map(|g| (g * 3) as f64)
-                .collect();
-            let mut out = local.clone();
-            session.execute(
-                proc,
-                &loop_,
-                &schedule,
-                &dist,
-                &local,
-                |i, fetch| (fetch.home(), fetch.fetch(i + 1)),
-                |_, (l, v)| out[l] = v,
-            );
-        });
     }
 
     #[test]

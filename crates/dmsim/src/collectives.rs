@@ -9,7 +9,7 @@
 //!   receive lists (`in(p,q)`) into send lists (`out(p,q) = in(q,p)`), which
 //!   the paper does with "a variant of Fox's Crystal router" so that no
 //!   processor becomes a bottleneck (§3.3),
-//! * **broadcast / allgather** — used when replicated data must be set up.
+//! * **allgather** — used when replicated data must be set up.
 //!
 //! The barrier is `kali_process::collectives::dissemination_barrier`, shared
 //! with every backend and run here over the timed `send` / `recv`.  The
@@ -55,52 +55,6 @@ where
         out[src] = Some(v);
     }
     out.into_iter().map(|v| v.expect("missing rank")).collect()
-}
-
-/// Broadcast a value from `root` to every processor (binomial tree).
-pub fn broadcast<T>(proc: &mut Proc, root: usize, value: Option<T>, bytes: usize) -> T
-where
-    T: Clone + Send + 'static,
-{
-    let tag = proc.next_collective_tag();
-    let n = proc.nprocs();
-    let me = proc.rank();
-    // Work in a coordinate system where the root is rank 0.
-    let rel = (me + n - root) % n;
-    let mut current: Option<T> = if rel == 0 {
-        Some(value.expect("broadcast root must supply a value"))
-    } else {
-        None
-    };
-    // Binomial tree: in round k, ranks < 2^k that hold the value send it to
-    // rank + 2^k (if within range).
-    let mut k = 1usize;
-    // First, non-root ranks wait to receive.
-    if rel != 0 {
-        let (_, v): (usize, T) = proc.recv_any(tag);
-        current = Some(v);
-    }
-    // Determine the round in which `rel` receives: position of highest set bit.
-    // After receiving, it forwards in all later rounds.
-    let start_round = if rel == 0 {
-        1usize
-    } else {
-        // highest power of two <= rel, doubled
-        let h = usize::BITS - 1 - rel.leading_zeros();
-        1usize << (h + 1)
-    };
-    k = k.max(start_round);
-    let val = current.clone().expect("value must be present by now");
-    let mut stride = k;
-    while stride < n.next_power_of_two() {
-        let dst_rel = rel + stride;
-        if rel < stride && dst_rel < n {
-            let dst = (dst_rel + root) % n;
-            proc.send_bytes(dst, tag, bytes, val.clone());
-        }
-        stride <<= 1;
-    }
-    current.expect("broadcast failed to deliver a value")
 }
 
 /// One routed item in an all-to-all personalised exchange: `(destination
@@ -218,27 +172,6 @@ mod tests {
             let expected: Vec<u64> = (0..n as u64).map(|r| r * 10).collect();
             for v in r {
                 assert_eq!(v, expected);
-            }
-        }
-    }
-
-    #[test]
-    fn broadcast_from_every_root() {
-        for n in [1, 2, 4, 5, 8] {
-            for root in 0..n {
-                let m = Machine::new(n, CostModel::ideal());
-                let r = m.run(|p| {
-                    let value = if p.rank() == root {
-                        Some(42u64 + root as u64)
-                    } else {
-                        None
-                    };
-                    broadcast(p, root, value, 8)
-                });
-                assert!(
-                    r.iter().all(|&v| v == 42 + root as u64),
-                    "n={n} root={root}"
-                );
             }
         }
     }

@@ -57,8 +57,6 @@ pub struct CgConfig {
     pub adapt_every: Option<usize>,
     /// Parameters of the deterministic mesh perturbation.
     pub adapt: AdaptConfig,
-    /// Overlap communication with local iterations in the mat-vec sweep.
-    pub overlap: bool,
     /// Residency bound of the session's schedule cache.
     pub cache_capacity: usize,
     /// Intra-rank worker threads for the executor (`None` keeps the
@@ -76,7 +74,6 @@ impl Default for CgConfig {
             iters: 50,
             adapt_every: None,
             adapt: AdaptConfig::default(),
-            overlap: true,
             cache_capacity: kali_core::cache::DEFAULT_CAPACITY,
             workers: None,
             chunk: None,
@@ -139,7 +136,7 @@ pub fn cg_solve<P: Process>(
 
     // Borrowed until the first adaptation: a static solve never copies the mesh.
     let mut mesh = Cow::Borrowed(mesh);
-    let mut session = Session::with_cache_capacity(config.cache_capacity).overlap(config.overlap);
+    let mut session = Session::with_cache_capacity(config.cache_capacity);
     if let Some(w) = config.workers {
         session.set_workers(w);
     }

@@ -85,8 +85,6 @@ pub struct ExperimentParams {
     /// time exactly (valid because the simulated per-sweep cost is constant
     /// once the schedule is cached).
     pub extrapolate_from: Option<usize>,
-    /// Overlap communication with computation (the paper's executor shape).
-    pub overlap: bool,
     /// Ablation: re-run the inspector on every sweep.
     pub disable_schedule_cache: bool,
     /// Check convergence with a global typed reduction every `k` sweeps
@@ -107,7 +105,6 @@ impl ExperimentParams {
             sweeps: 100,
             compute_speedup: false,
             extrapolate_from: None,
-            overlap: true,
             disable_schedule_cache: false,
             convergence_check_every: None,
         }
@@ -124,7 +121,6 @@ impl ExperimentParams {
             compute_speedup: true,
             // Large meshes: measure 2 sweeps and scale exactly.
             extrapolate_from: if mesh_side > 256 { Some(2) } else { None },
-            overlap: true,
             disable_schedule_cache: false,
             convergence_check_every: None,
         }
@@ -159,7 +155,6 @@ pub fn run_jacobi_experiment_placed(
         .max(1);
     let config = JacobiConfig {
         sweeps: measured_sweeps,
-        overlap: params.overlap,
         convergence_check_every: params.convergence_check_every,
         disable_schedule_cache: params.disable_schedule_cache,
         ..JacobiConfig::default()
@@ -272,7 +267,6 @@ mod tests {
                 sweeps: 3,
                 compute_speedup: false,
                 extrapolate_from: None,
-                overlap: true,
                 disable_schedule_cache: false,
                 convergence_check_every: None,
             };
@@ -297,7 +291,6 @@ mod tests {
             sweeps: 12,
             compute_speedup: true,
             extrapolate_from: None,
-            overlap: true,
             disable_schedule_cache: false,
             convergence_check_every: None,
         });
@@ -308,7 +301,6 @@ mod tests {
             sweeps: 12,
             compute_speedup: true,
             extrapolate_from: Some(3),
-            overlap: true,
             disable_schedule_cache: false,
             convergence_check_every: None,
         });
@@ -332,7 +324,6 @@ mod tests {
                 sweeps: 10,
                 compute_speedup: false,
                 extrapolate_from: None,
-                overlap: true,
                 disable_schedule_cache: false,
                 convergence_check_every: None,
             })
@@ -353,7 +344,6 @@ mod tests {
             sweeps: 20,
             compute_speedup: true,
             extrapolate_from: Some(2),
-            overlap: true,
             disable_schedule_cache: false,
             convergence_check_every: None,
         });

@@ -49,9 +49,6 @@ pub struct JacobiConfig {
     /// Number of relaxation sweeps ("we performed 100 Jacobi iterations",
     /// §4).
     pub sweeps: usize,
-    /// Overlap communication with local iterations (the paper's executor
-    /// shape); disabling it is an ablation.
-    pub overlap: bool,
     /// Check convergence with a global residual reduction every `k` sweeps
     /// (`None` disables the check — the paper's timed runs use a fixed sweep
     /// count).
@@ -82,7 +79,6 @@ impl Default for JacobiConfig {
     fn default() -> Self {
         JacobiConfig {
             sweeps: 100,
-            overlap: true,
             convergence_check_every: None,
             disable_schedule_cache: false,
             workers: None,
@@ -225,7 +221,7 @@ pub fn jacobi_sweeps<P: Process>(
     let mut a = scatter_field(&dist, rank, initial);
     let mut old_a: Vec<f64> = vec![0.0; a.len()];
 
-    let mut session = Session::with_cache_capacity(config.cache_capacity).overlap(config.overlap);
+    let mut session = Session::with_cache_capacity(config.cache_capacity);
     if let Some(w) = config.workers {
         session.set_workers(w);
     }
@@ -631,26 +627,6 @@ mod tests {
             assert!(o.change_history.is_empty());
             assert_eq!(o.reductions, 0);
         }
-    }
-
-    #[test]
-    fn overlap_does_not_change_results_only_timing() {
-        let grid = RegularGrid::square(16);
-        let mesh = grid.five_point_mesh();
-        let initial = grid.initial_field();
-        let mut configs = Vec::new();
-        for overlap in [true, false] {
-            configs.push(JacobiConfig {
-                sweeps: 4,
-                overlap,
-                ..JacobiConfig::default()
-            });
-        }
-        let (with_overlap, _) =
-            solve_on_blocks(4, &mesh, &initial, &configs[0], CostModel::ncube7());
-        let (without_overlap, _) =
-            solve_on_blocks(4, &mesh, &initial, &configs[1], CostModel::ncube7());
-        assert_eq!(with_overlap, without_overlap);
     }
 
     #[test]

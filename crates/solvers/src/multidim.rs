@@ -19,7 +19,7 @@
 //! * [`PhaseStrategy::RowsThroughout`] — stay on `[block, *]`; the vertical
 //!   phase pays halo-row traffic every sweep.  Its schedule comes from the
 //!   multi-dimensional compile-time analysis: **zero planning messages,
-//!   zero inspector runs** (`table_multidim` asserts this).
+//!   zero inspector runs** (the `multidim` table asserts this).
 //! * [`PhaseStrategy::PhaseChange`] — redistribute the live field to
 //!   `[*, block]` before each vertical phase and back before each
 //!   horizontal phase; every stencil reference becomes local and all
@@ -119,7 +119,7 @@ pub struct MultiDimOutcome {
     pub counters: Counters,
     /// Schedule-cache misses — inspector executions.  Both stencils are
     /// planned by the multi-dimensional compile-time analysis, so this is
-    /// 0 on every rank; `table_multidim` asserts it.
+    /// 0 on every rank; the `multidim` table asserts it.
     pub cache_misses: u64,
     /// Schedule-cache hits (also 0: the closed-form path bypasses the
     /// cache entirely).

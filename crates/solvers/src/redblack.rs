@@ -44,8 +44,6 @@ pub struct RedBlackConfig {
     /// Measure the squared change of the sweep (through the reduction
     /// pipeline) every `k` sweeps; `None` disables the measurement.
     pub check_every: Option<usize>,
-    /// Overlap communication with local iterations.
-    pub overlap: bool,
     /// Intra-rank worker threads for the executor (`None` keeps the
     /// session default, which honours `KALI_WORKERS`).  The field and
     /// change history are bitwise identical at every worker count.
@@ -60,7 +58,6 @@ impl Default for RedBlackConfig {
         RedBlackConfig {
             sweeps: 50,
             check_every: Some(1),
-            overlap: true,
             workers: None,
             chunk: None,
         }
@@ -144,7 +141,7 @@ pub fn redblack_sweeps<P: Process>(
     assert_eq!(dist.n(), n, "distribution must cover every mesh node");
     assert_eq!(initial.len(), n, "initial field must cover every mesh node");
 
-    let mut session = Session::new().overlap(config.overlap);
+    let mut session = Session::new();
     if let Some(w) = config.workers {
         session.set_workers(w);
     }

@@ -279,9 +279,8 @@ fn convergence_checks_do_not_break_backend_agreement() {
     );
 }
 
-/// One inspector/executor shift sweep (Figure 1), on any backend, with the
-/// local iterations overlapping the messages or — the ablation — after them.
-fn shift_on<P: Process>(proc: &mut P, n: usize, overlap: bool) -> Vec<f64> {
+/// One inspector/executor shift sweep (Figure 1), on any backend.
+fn shift_on<P: Process>(proc: &mut P, n: usize) -> Vec<f64> {
     let dist = DimDist::block(n, proc.nprocs());
     let rank = proc.rank();
     let local_a: Vec<f64> = dist
@@ -294,7 +293,7 @@ fn shift_on<P: Process>(proc: &mut P, n: usize, overlap: bool) -> Vec<f64> {
     let mut out = local_a.clone();
     execute_sweep(
         proc,
-        ExecutorConfig::default().with_overlap(overlap),
+        ExecutorConfig::default(),
         &schedule,
         &dist,
         &dist,
@@ -312,23 +311,16 @@ fn inspector_executor_shift_matches_across_backends() {
     let shifted: Vec<f64> = (0..n)
         .map(|g| ((g + 1).min(n - 1) * (g + 1).min(n - 1)) as f64)
         .collect();
-    for overlap in [true, false] {
-        let mp = MpMachine::new(nprocs)
-            .run("inspector_executor_shift_matches_across_backends", |proc| {
-                shift_on(proc, n, overlap)
-            });
-        let simulated =
-            Machine::new(nprocs, CostModel::ideal()).run(|proc| shift_on(proc, n, overlap));
-        let native = NativeMachine::new(nprocs).run(|proc| shift_on(proc, n, overlap));
-        assert_eq!(
-            gather(&dist, &simulated),
-            shifted,
-            "dmsim, overlap {overlap}"
-        );
-        assert_eq!(gather(&dist, &native), shifted, "native, overlap {overlap}");
-        if let Some(mp) = mp {
-            assert_eq!(gather(&dist, &mp), shifted, "mp, overlap {overlap}");
-        }
+    let mp = MpMachine::new(nprocs)
+        .run("inspector_executor_shift_matches_across_backends", |proc| {
+            shift_on(proc, n)
+        });
+    let simulated = Machine::new(nprocs, CostModel::ideal()).run(|proc| shift_on(proc, n));
+    let native = NativeMachine::new(nprocs).run(|proc| shift_on(proc, n));
+    assert_eq!(gather(&dist, &simulated), shifted, "dmsim");
+    assert_eq!(gather(&dist, &native), shifted, "native");
+    if let Some(mp) = mp {
+        assert_eq!(gather(&dist, &mp), shifted, "mp");
     }
 }
 

@@ -140,7 +140,6 @@ fn redblack_field_and_change_history_are_knob_independent() {
             check_every: Some(2),
             workers: Some(workers),
             chunk: Some(chunk),
-            ..RedBlackConfig::default()
         })
     };
     let case = Case::new(&mesh, Placement::Block, &initial);

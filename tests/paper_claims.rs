@@ -13,7 +13,6 @@ fn row(cost: CostModel, nprocs: usize, mesh_side: usize, sweeps: usize) -> Exper
         sweeps,
         compute_speedup: true,
         extrapolate_from: Some(2),
-        overlap: true,
         disable_schedule_cache: false,
         convergence_check_every: None,
     }

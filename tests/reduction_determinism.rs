@@ -289,7 +289,6 @@ fn reduction_messages_and_bytes_surface_in_the_comm_report() {
         sweeps,
         compute_speedup: false,
         extrapolate_from: None,
-        overlap: true,
         disable_schedule_cache: false,
         convergence_check_every: None,
     };
