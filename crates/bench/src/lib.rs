@@ -1680,10 +1680,11 @@ impl RefPattern {
 /// Plan every solver shape the repo ships — jacobi (inspector + closed-form
 /// convergence), adaptive replanning, CG (matvec + updates), red–black
 /// stripes (closed form and inspector) — on one rank under `dist`, and run
-/// the two reductions the solvers interleave so the collective trace is
-/// populated.  Returns the planned schedules (labelled with their reference
-/// pattern), the session's collective trace, and this rank's result of a
-/// live bracket-hash allreduce.
+/// the two reductions the solvers interleave, all with the event trace
+/// recording.  Returns the planned schedules (labelled with their reference
+/// pattern), then this rank's result of a closing live bracket-hash
+/// allreduce with the trace of the whole suite.
+#[allow(clippy::type_complexity)] // the schedules, then check_allreduce_run's input
 fn plan_solver_suite<P: kali_core::Process>(
     proc: &mut P,
     mesh: &meshes::AdjacencyMesh,
@@ -1691,8 +1692,7 @@ fn plan_solver_suite<P: kali_core::Process>(
     dist: &distrib::DimDist,
 ) -> (
     Vec<(RefPattern, kali_core::CommSchedule)>,
-    Vec<kali_core::CollectiveCall>,
-    u64,
+    (u64, Vec<kali_core::process::Event>),
 ) {
     use kali_core::verify::{bracket_leaf, BracketHash};
     use kali_core::{AffineMap, IterSpace, Norm2, Reduce, ReduceOp, Session, Stripe, Sum};
@@ -1701,11 +1701,12 @@ fn plan_solver_suite<P: kali_core::Process>(
     let rank = proc.rank();
     let mut session = Session::new();
     let mut planned = Vec::new();
+    proc.trace_start();
 
     let refs = |pattern: RefPattern| pattern.refs(mesh, adapted);
 
     // Jacobi: inspector-planned relaxation + closed-form convergence loop,
-    // then the convergence-test reduction (first collective of the trace).
+    // then the convergence-test reduction.
     let relax = session.loop_1d(n, dist.clone());
     let conv = session.loop_1d(n, dist.clone());
     let relax_schedule = session.plan_indirect(proc, &relax, dist, refs(RefPattern::MeshAdj));
@@ -1733,7 +1734,7 @@ fn plan_solver_suite<P: kali_core::Process>(
     planned.push((RefPattern::AdaptedAdj, (*adapted_schedule).clone()));
 
     // CG: matvec (diagonal + off-diagonals) and the affine update loop,
-    // then a dot-product reduction (second collective of the trace).
+    // then a dot-product reduction.
     let matvec = session.loop_1d(n, dist.clone());
     let update = session.loop_1d(n, dist.clone());
     let matvec_schedule = session.plan_indirect(proc, &matvec, dist, refs(RefPattern::MeshAdjSelf));
@@ -1775,7 +1776,7 @@ fn plan_solver_suite<P: kali_core::Process>(
     // exactly the contract bracketing (checked against the replay outside).
     let hash = proc.allreduce(bracket_leaf(rank), |a, b| BracketHash::combine(*a, *b));
 
-    (planned, session.collective_trace().to_vec(), hash)
+    (planned, (hash, proc.trace_take()))
 }
 
 /// The four distribution kinds the verification sweeps cover, over
@@ -1792,17 +1793,17 @@ fn dist_kinds(mesh: &meshes::AdjacencyMesh, nprocs: usize) -> [(&str, distrib::D
 }
 
 /// Run the static verification sweep (`verify`): every solver shape
-/// under every distribution kind on both backends through
-/// [`kali_core::verify`], plus the backend-independent protocol proofs
-/// (tag windows, sweep-tag wrap, collective deadlock freedom, reduction
-/// bracketing) and a live bracket-hash allreduce on each backend.
+/// under every distribution kind on every backend through
+/// [`kali_core::verify`], each configuration's recorded trace through
+/// [`kali_core::verify::check_allreduce_run`], plus the protocol checks: the
+/// sweep-tag wrap, and the live traced allreduce on dmsim and native at
+/// every rank count up to a bound.
 ///
 /// Prints one line per configuration and a violation summary; returns
 /// `true` exactly when **zero** violations were found.
 pub fn run_verify_all(smoke: bool) -> bool {
     use dmsim::Machine;
-    use kali_core::process::tree_combine_partials;
-    use kali_core::verify::{self, bracket_leaf, BracketHash, Violation};
+    use kali_core::verify::{self, check_allreduce_run, traced_bracket_allreduce, Violation};
     use kali_mp::MpMachine;
     use kali_native::NativeMachine;
 
@@ -1822,25 +1823,26 @@ pub fn run_verify_all(smoke: bool) -> bool {
         n
     };
 
-    // Backend-independent protocol proofs.
+    // Protocol checks: the sweep-tag wrap, and the allreduce that ships,
+    // run and traced at every rank count.
+    let live_allreduce = (1..=max_p).flat_map(|p| {
+        let dmsim = Machine::new(p, CostModel::ideal()).run(traced_bracket_allreduce);
+        let native = NativeMachine::new(p).run(traced_bracket_allreduce);
+        [dmsim, native].map(|ranks| check_allreduce_run(&ranks))
+    });
     println!("\n{:>42}  {:>10}", "protocol check", "violations");
     for (name, found) in [
-        ("tag-window disjointness", verify::check_tag_windows()),
         (
-            "sweep-tag wrap (1024 in flight)",
+            "sweep-tag wrap (1024 in flight)".to_string(),
             verify::check_sweep_tag_wrap(1024),
         ),
         (
-            "collective deadlock freedom",
-            verify::check_collective_deadlock(max_p),
-        ),
-        (
-            "reduction bracketing",
-            verify::check_reduce_bracketing(max_p),
+            format!("traced allreduce, dmsim + native, P<={max_p}"),
+            live_allreduce.flatten().collect(),
         ),
     ] {
         println!("{:>42}  {:>10}", name, found.len());
-        record(name.to_string(), found);
+        record(name, found);
     }
 
     // The solver/distribution/backend sweep.
@@ -1889,31 +1891,14 @@ pub fn run_verify_all(smoke: bool) -> bool {
                     found_here += record(format!("{context} loop#{k} {}", pattern.name()), found);
                 }
 
-                // SPMD conformance: the collective traces must be
-                // rank-invariant.
-                let traces: Vec<Vec<kali_core::CollectiveCall>> =
-                    results.iter().map(|r| r.1.clone()).collect();
+                // The recorded suite: the closing allreduce brackets like
+                // the replay on every rank, and the trace is race-free and
+                // SPMD-conformant.
+                let ranks: Vec<_> = results.into_iter().map(|r| r.1).collect();
                 found_here += record(
-                    format!("{context} collective sequence"),
-                    verify::check_collective_sequence(&traces),
+                    format!("{context} traced suite"),
+                    check_allreduce_run(&ranks),
                 );
-
-                // Determinism contract, live: the backend's allreduce must
-                // produce the replay bracketing's hash on every rank.
-                let expected = tree_combine_partials::<BracketHash>((0..nprocs).map(bracket_leaf));
-                for (rank, r) in results.iter().enumerate() {
-                    if r.2 != expected {
-                        found_here += record(
-                            format!("{context} live allreduce"),
-                            vec![Violation::BracketingMismatch {
-                                nprocs,
-                                rank: Some(rank),
-                                expected,
-                                found: r.2,
-                            }],
-                        );
-                    }
-                }
 
                 println!(
                     "{:>8}  {:>8}  {:>14}  {:>6}  {:>8}  {:>10}",

@@ -103,4 +103,4 @@ pub use redistribute::{redistribute_epoch, redistribution_schedule};
 pub use schedule::{CommSchedule, RangeRecord};
 pub use session::{Session, SessionStats};
 pub use space::{IterSpace, Rect, Span, Stripe};
-pub use verify::{check_plan_refs, check_schedule, check_schedule_set, CollectiveCall, Violation};
+pub use verify::{check_plan_refs, check_schedule, check_schedule_set, Violation};

@@ -33,6 +33,15 @@
 //!    phase)` must cover disjoint iteration positions, or the
 //!    executor's sink would apply two writers to one slot
 //!    ([`Violation::ChunkSinkConflict`]).
+//! 5. **SPMD conformance.**  Every rank must enter the same collectives in
+//!    the same order: each rank's sequence of `Collective` markers — the
+//!    backends' own and the one [`Session::execute_reduce`] records per
+//!    typed reduction, named after its operator — must equal rank 0's.
+//!    The first divergence on a rank is a
+//!    [`Violation::DivergentCollectives`]; code that branches on the rank
+//!    id around a reduction hangs a real machine.
+//!
+//! [`Session::execute_reduce`]: crate::Session::execute_reduce
 //!
 //! The `mc_all` bench driver runs this over every solver × distribution ×
 //! backend, and re-executes each solve under perturbed `DeliveryPolicy`
@@ -142,26 +151,14 @@ pub fn check_trace(traces: &[Vec<Event>]) -> Vec<Violation> {
     let mut vc: Vec<Vec<u32>> = vec![vec![0; nprocs]; total];
     let mut sorted = vec![false; total];
     let mut stack: Vec<usize> = (0..total).filter(|&n| indegree[n] == 0).collect();
-    let rank_of = {
-        let base = base.clone();
-        move |n: usize| match base.binary_search(&n) {
-            Ok(r) => {
-                // Empty traces share a base offset; the event belongs to
-                // the last rank starting here.
-                let mut r = r;
-                while r + 1 < base.len() && base[r + 1] == n {
-                    r += 1;
-                }
-                r
-            }
-            Err(r) => r - 1,
-        }
-    };
+    let rank_of: Vec<usize> = (0..nprocs)
+        .flat_map(|r| std::iter::repeat_n(r, traces[r].len()))
+        .collect();
     let mut seen = 0usize;
     while let Some(n) = stack.pop() {
         seen += 1;
         sorted[n] = true;
-        let r = rank_of(n);
+        let r = rank_of[n];
         let pos = n - base[r];
         vc[n][r] = (pos + 1) as u32;
         let succs = std::mem::take(&mut edges[n]);
@@ -285,6 +282,24 @@ pub fn check_trace(traces: &[Vec<Event>]) -> Vec<Violation> {
                     second: w[1],
                 });
             }
+        }
+    }
+
+    // SPMD conformance: every rank's collective sequence is rank 0's.
+    let collectives =
+        |t: &[Event]| -> Vec<&str> { t.iter().filter_map(Event::collective).collect() };
+    let reference = traces.first().map_or(Vec::new(), |t| collectives(t));
+    for (rank, t) in traces.iter().enumerate().skip(1) {
+        let found = collectives(t);
+        let position =
+            (0..reference.len().max(found.len())).find(|&k| reference.get(k) != found.get(k));
+        if let Some(position) = position {
+            out.push(Violation::DivergentCollectives {
+                rank,
+                position,
+                reference: reference.get(position).copied(),
+                found: found.get(position).copied(),
+            });
         }
     }
 
@@ -457,6 +472,39 @@ mod tests {
             v.iter()
                 .any(|v| matches!(v, Violation::RecvBeforeSend { .. })),
             "expected RecvBeforeSend, got: {v:?}"
+        );
+    }
+
+    /// Every rank must enter the same collectives in the same order: a
+    /// swapped pair and a missing trailing reduction are each reported once,
+    /// at the first position that differs.
+    #[test]
+    fn collective_sequences_must_be_rank_invariant() {
+        let marked = |rank: usize, ops: &[&'static str]| -> Vec<Event> {
+            let marker = |(seq, &op)| ev(rank, seq as u64, EventKind::Collective { op });
+            ops.iter().enumerate().map(marker).collect()
+        };
+        let both = ["sum-f64", "norm2"];
+        assert_eq!(check_trace(&[marked(0, &both), marked(1, &both)]), vec![]);
+        let swapped = check_trace(&[marked(0, &both), marked(1, &["norm2", "sum-f64"])]);
+        assert_eq!(
+            swapped,
+            vec![Violation::DivergentCollectives {
+                rank: 1,
+                position: 0,
+                reference: Some("sum-f64"),
+                found: Some("norm2"),
+            }]
+        );
+        let short = check_trace(&[marked(0, &both), marked(1, &both[..1])]);
+        assert_eq!(
+            short,
+            vec![Violation::DivergentCollectives {
+                rank: 1,
+                position: 1,
+                reference: Some("norm2"),
+                found: None,
+            }]
         );
     }
 

@@ -22,6 +22,6 @@
 
 pub use kali_process::{
     combine_partials, tags, trace, tree_allreduce_messages, tree_allreduce_sends, tree_children,
-    tree_combine_partials, tree_merge_order, Counters, Event, EventKind, Max, Min, Norm2, Process,
-    Reduce, ReduceOp, Sum, Tag, TraceRecorder,
+    tree_combine_partials, Counters, Event, EventKind, Max, Min, Norm2, Process, Reduce, ReduceOp,
+    Sum, Tag, TraceRecorder,
 };

@@ -72,12 +72,12 @@ use crate::cache::{CacheStats, ScheduleCache};
 use crate::executor::{execute_sweep, ExecutorConfig, Fetcher};
 use crate::forall::ParallelLoop;
 use crate::inspector::run_inspector;
-use crate::process::trace::Event;
+use crate::process::trace::EventKind;
 use crate::process::{tree_allreduce_sends, tree_children, Process, Reduce, ReduceOp};
 use crate::redistribute::redistribute_epoch;
 use crate::schedule::CommSchedule;
 use crate::space::{IterSpace, Span};
-use crate::verify::{self, CollectiveCall};
+use crate::verify;
 
 /// Per-rank front end and execute-side runtime state: schedule cache, loop-id
 /// / sweep-tag / epoch allocation, data-version tracking and reduction
@@ -102,7 +102,6 @@ pub struct Session {
     reductions: u64,
     reduction_bytes: u64,
     inspector_time: f64,
-    collective_trace: Vec<CollectiveCall>,
 }
 
 /// A snapshot of one session's meters, for outcome structs and reports.
@@ -203,7 +202,6 @@ impl Session {
             reductions: 0,
             reduction_bytes: 0,
             inspector_time: 0.0,
-            collective_trace: Vec::new(),
         }
     }
 
@@ -539,16 +537,13 @@ impl Session {
                 contributions.push((i, c));
             },
         );
+        // A typed marker ahead of the allreduce's own, so the trace
+        // analyzer's SPMD check compares reductions by operator.
+        proc.trace_emit(EventKind::Collective { op: R::name() });
         let value = fold_and_allreduce::<P, R>(proc, boundary, contributions);
         self.reductions += 1;
         self.reduction_bytes += tree_allreduce_sends(proc.nprocs(), proc.rank()) as u64
             * std::mem::size_of::<R::Acc>() as u64;
-        // One entry of the collective trace the SPMD conformance check
-        // compares across ranks.
-        self.collective_trace.push(CollectiveCall {
-            op: R::name(),
-            acc_bytes: std::mem::size_of::<R::Acc>(),
-        });
         value
     }
 
@@ -603,31 +598,6 @@ impl Session {
     /// Simulated seconds this rank has spent planning so far.
     pub fn inspector_time(&self) -> f64 {
         self.inspector_time
-    }
-
-    /// Every collective this session has issued, in program order — the
-    /// per-rank trace [`verify::check_collective_sequence`] compares across
-    /// ranks to prove the SPMD contract (no code branches on the rank id
-    /// around a collective).
-    pub fn collective_trace(&self) -> &[CollectiveCall] {
-        &self.collective_trace
-    }
-
-    /// Opt into event-trace recording on the backend: every subsequent
-    /// send, receive, collective entry and chunk claim of this rank is
-    /// recorded (a cheap per-event append) until [`Session::take_trace`].
-    /// Backends without a recorder (the trait's default hooks) make this a
-    /// no-op and return an empty trace.
-    pub fn start_trace<P: Process>(&self, proc: &mut P) {
-        proc.trace_start();
-    }
-
-    /// Stop recording and take this rank's recorded events.  Gather every
-    /// rank's trace and feed the set to
-    /// [`mc::check_trace`](crate::mc::check_trace) for happens-before
-    /// analysis.
-    pub fn take_trace<P: Process>(&self, proc: &mut P) -> Vec<Event> {
-        proc.trace_take()
     }
 
     /// Snapshot every session meter.
@@ -954,6 +924,7 @@ mod tests {
             let mut session = Session::new();
             let loop_ = session.loop_1d(n, dist.clone());
             let refs = |i: usize, out: &mut Vec<usize>| out.push((i * 5) % 24);
+            proc.trace_start();
             let schedule = session.plan_indirect(proc, &loop_, &dist, refs);
             // The plan passes rank-local static verification...
             assert_eq!(verify::check_schedule(&schedule), vec![]);
@@ -980,21 +951,20 @@ mod tests {
                     |_, ()| {},
                 );
             }
-            session.collective_trace().to_vec()
+            proc.trace_take()
         });
-        // Each rank issued the same two collectives in the same order: the
-        // SPMD conformance check accepts the traces.
-        assert_eq!(crate::verify::check_collective_sequence(&traces), vec![]);
+        // Each rank entered the same collectives in the same order — the
+        // inspector's exchange, then per reduction its typed marker and the
+        // allreduce's own — and the analyzer accepts the traces.
+        assert_eq!(crate::mc::check_trace(&traces), vec![]);
         for trace in &traces {
-            assert_eq!(trace.len(), 2);
-            assert_eq!(trace[0].op, "sum-f64");
-            assert_eq!(trace[0].acc_bytes, 8);
+            let ops: Vec<&str> = trace.iter().filter_map(|e| e.collective()).collect();
+            assert!(ops.ends_with(&["sum-f64", "allreduce", "sum-f64", "allreduce"]));
         }
     }
 
     #[test]
     fn traced_chunked_execution_records_claims_and_passes_mc() {
-        use crate::process::trace::EventKind;
         let machine = Machine::new(2, CostModel::ideal());
         let traces = machine.run(|proc| {
             let n = 24;
@@ -1009,7 +979,7 @@ mod tests {
                 .map(|g| g as f64)
                 .collect();
             let mut out = local.clone();
-            session.start_trace(proc);
+            proc.trace_start();
             let mut shift = |session: &mut Session, proc: &mut _| {
                 session.execute(
                     proc,
@@ -1022,7 +992,7 @@ mod tests {
                 )
             };
             shift(&mut session, proc);
-            let trace = session.take_trace(proc);
+            let trace = proc.trace_take();
             // Recording has stopped: later traffic is not recorded.
             shift(&mut session, proc);
             trace

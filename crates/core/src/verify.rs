@@ -1,30 +1,27 @@
-//! Plan-time static verification of communication schedules and protocols.
+//! Plan-time static verification of communication schedules, and a live
+//! check of the allreduce protocol.
 //!
 //! The paper's central claim is that communication for irregular loops can
 //! be *analysed ahead of execution*.  This module takes that claim
-//! seriously for the runtime itself: given the SPMD-deterministic per-rank
-//! plans of a loop, it proves — without executing a single sweep — that
+//! seriously for the runtime itself.  Given the SPMD-deterministic per-rank
+//! plans of a loop, it proves — without executing a single sweep — two
+//! families of properties, and it checks a third on the code that ships:
 //!
-//! 1. **Schedule duality** holds: every receive record `(src, range)` on
-//!    rank `r` is mirrored by a send record `(dest = r, range)` on rank
-//!    `src` with an equal element count ([`check_schedule_set`]), every
-//!    receive buffer is dense and non-overlapping, and every planned
-//!    nonlocal reference resolves through the schedule
-//!    ([`check_plan_refs`]).
-//! 2. **Tag-space safety** holds: the [`tags`] component windows are
-//!    pairwise disjoint ([`check_tag_windows`], also enforced at compile
-//!    time by const assertions in `kali_process::tags`), and the executor's
-//!    sweep-tag wrap can never alias two in-flight sweeps
-//!    ([`check_sweep_tag_wrap`]).
-//! 3. **Deadlock freedom** holds: the sweep's send/recv matching — and the
-//!    tree collective's rounds ([`check_collective_deadlock`]) — form an
-//!    acyclically orderable bipartite dependence graph under a sequential
-//!    post-sends-then-receive execution model.
-//! 4. **SPMD and determinism-contract conformance** hold: the collective
-//!    call sequence is rank-invariant ([`check_collective_sequence`]) and
-//!    the allreduce protocol's reduction bracketing equals
-//!    `tree_combine_partials`' replay order ([`check_reduce_bracketing`]),
-//!    verified with the order-sensitive [`BracketHash`] operator.
+//! 1. **Schedule duality**: every receive record `(src, range)` on rank `r`
+//!    is mirrored by a send record `(dest = r, range)` on rank `src` with an
+//!    equal element count ([`check_schedule_set`]), every receive buffer is
+//!    dense and non-overlapping, and every planned nonlocal reference
+//!    resolves through the schedule ([`check_plan_refs`]).
+//! 2. **Sweep-tag wrap**: the executor's sweep-tag wrap can never alias two
+//!    in-flight sweeps ([`check_sweep_tag_wrap`]).  That the [`tags`]
+//!    component windows are disjoint needs no check here: a `const`
+//!    assertion in `kali_process::tags` fails the build when they overlap.
+//! 3. **The live protocol check**: [`check_allreduce_run`] reads one traced
+//!    run of the `Process::allreduce` every backend ships, over the
+//!    order-sensitive [`BracketHash`].  Every rank must hold
+//!    `tree_combine_partials`' replay, the trace must pass
+//!    [`mc::check_trace`](crate::mc::check_trace), and a run that completes
+//!    proves the tree's rounds deadlock-free at that rank count.
 //!
 //! Violations come back as the structured [`Violation`] enum with precise
 //! diagnostics.  The checks run in three layers: a debug-mode
@@ -39,7 +36,9 @@ use std::fmt;
 
 use distrib::Distribution;
 
-use crate::process::{tags, tree_combine_partials, tree_merge_order, ReduceOp, Tag};
+use crate::mc::check_trace;
+use crate::process::trace::Event;
+use crate::process::{tags, tree_combine_partials, Process, ReduceOp, Tag};
 use crate::schedule::{CommSchedule, RangeRecord};
 
 /// Which record list of a [`CommSchedule`] a violation refers to.
@@ -57,23 +56,6 @@ impl fmt::Display for RecordKind {
             RecordKind::Recv => write!(f, "recv"),
             RecordKind::Send => write!(f, "send"),
         }
-    }
-}
-
-/// One collective operation as observed on one rank — the unit of the
-/// rank-invariance check ([`check_collective_sequence`]).  Recorded by
-/// [`Session`](crate::session::Session) for every typed reduction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CollectiveCall {
-    /// The reduction operator's name (`ReduceOp::name`).
-    pub op: &'static str,
-    /// Size of the accumulator type in bytes.
-    pub acc_bytes: usize,
-}
-
-impl fmt::Display for CollectiveCall {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}[{}B]", self.op, self.acc_bytes)
     }
 }
 
@@ -232,8 +214,9 @@ pub enum Violation {
         /// The unresolvable global index.
         global: usize,
     },
-    /// A modelled message has no matching counterpart (protocol model
-    /// internal mismatch).
+    /// A recorded send and receive count disagree on one channel: some
+    /// message has no counterpart (trace-level check,
+    /// [`mc::check_trace`](crate::mc::check_trace)).
     UnmatchedMessage {
         /// Sending rank.
         from: usize,
@@ -242,30 +225,18 @@ pub enum Violation {
         /// Human-readable identity of the message.
         label: String,
     },
-    /// The send/recv dependence graph contains a cycle: the plan can
-    /// deadlock under sequential posting.
-    DeadlockCycle {
-        /// The operations on the cycle (capped for readability).
-        events: Vec<String>,
-    },
-    /// Two ranks disagree on the collective call sequence — some code
-    /// branches on the rank id around a collective.
+    /// Two ranks disagree on the sequence of collectives they entered —
+    /// some code branches on the rank id around a collective (trace-level
+    /// check, [`mc::check_trace`](crate::mc::check_trace)).
     DivergentCollectives {
         /// The diverging rank.
         rank: usize,
-        /// Position in the call sequence.
+        /// Position in the rank's sequence of collective markers.
         position: usize,
-        /// What rank 0 called at this position (`None` = nothing).
-        reference: Option<CollectiveCall>,
-        /// What the diverging rank called (`None` = nothing).
-        found: Option<CollectiveCall>,
-    },
-    /// Two tag-space component windows overlap.
-    TagWindowOverlap {
-        /// First window's name.
-        a: &'static str,
-        /// Second window's name.
-        b: &'static str,
+        /// What rank 0 entered at this position (`None` = nothing).
+        reference: Option<&'static str>,
+        /// What the diverging rank entered (`None` = nothing).
+        found: Option<&'static str>,
     },
     /// A derived tag escaped its component window.
     TagOutOfWindow {
@@ -284,14 +255,13 @@ pub enum Violation {
         /// The shared tag.
         tag: Tag,
     },
-    /// The allreduce protocol's bracketing diverged from
-    /// `tree_combine_partials`' replay order.
+    /// A live allreduce's bracketing diverged from `tree_combine_partials`'
+    /// replay order ([`check_allreduce_run`]).
     BracketingMismatch {
         /// Rank count the divergence occurred at.
         nprocs: usize,
-        /// The diverging rank (`None`: the exposed merge order itself
-        /// disagrees with the replay helper).
-        rank: Option<usize>,
+        /// The diverging rank.
+        rank: usize,
         /// Bracket hash of the replay order.
         expected: u64,
         /// Bracket hash the protocol produced.
@@ -447,9 +417,6 @@ impl fmt::Display for Violation {
                 f,
                 "message {from}->{to} ({label}) has no matching counterpart"
             ),
-            Violation::DeadlockCycle { events } => {
-                write!(f, "dependence cycle: {}", events.join(" -> "))
-            }
             Violation::DivergentCollectives {
                 rank,
                 position,
@@ -458,13 +425,10 @@ impl fmt::Display for Violation {
             } => write!(
                 f,
                 "rank {rank} diverges from rank 0 at collective #{position}: \
-                 rank 0 called {}, rank {rank} called {}",
-                reference.map_or("nothing".to_string(), |c| c.to_string()),
-                found.map_or("nothing".to_string(), |c| c.to_string())
+                 rank 0 entered {}, rank {rank} entered {}",
+                reference.unwrap_or("nothing"),
+                found.unwrap_or("nothing")
             ),
-            Violation::TagWindowOverlap { a, b } => {
-                write!(f, "tag windows '{a}' and '{b}' overlap")
-            }
             Violation::TagOutOfWindow { tag, window } => {
                 write!(f, "tag {tag:#x} escaped the '{window}' window")
             }
@@ -481,18 +445,11 @@ impl fmt::Display for Violation {
                 rank,
                 expected,
                 found,
-            } => match rank {
-                Some(r) => write!(
-                    f,
-                    "P={nprocs}: rank {r}'s allreduce bracket hash {found:#x} diverges \
-                     from the replay order's {expected:#x}"
-                ),
-                None => write!(
-                    f,
-                    "P={nprocs}: exposed merge order hashes to {found:#x}, replay \
-                     helper to {expected:#x}"
-                ),
-            },
+            } => write!(
+                f,
+                "P={nprocs}: rank {rank}'s allreduce bracket hash {found:#x} diverges \
+                 from the replay order's {expected:#x}"
+            ),
             Violation::TagReuseRace {
                 src,
                 dst,
@@ -548,8 +505,8 @@ pub fn render(violations: &[Violation]) -> String {
 
 /// Structurally verify one rank's schedule: record rank fields, sorting,
 /// dense non-overlapping receive layout, lookup consistency, and
-/// well-formed iteration lists.  Cross-rank properties (duality, deadlock
-/// freedom) need the whole set — see [`check_schedule_set`].
+/// well-formed iteration lists.  Duality is a cross-rank property and needs
+/// the whole set — see [`check_schedule_set`].
 pub fn check_schedule(s: &CommSchedule) -> Vec<Violation> {
     let mut out = Vec::new();
     let rank = s.rank;
@@ -713,9 +670,16 @@ pub fn check_schedule(s: &CommSchedule) -> Vec<Violation> {
 }
 
 /// Verify a whole machine's schedules at once: per-rank structure
-/// ([`check_schedule`]), **schedule duality** (`out(p,q) = in(q,p)`, equal
-/// extents), and **deadlock freedom** of the sweep's send/recv matching
-/// under the executor's sequential post-sends-then-receive order.
+/// ([`check_schedule`]) and **schedule duality** (`out(p,q) = in(q,p)`,
+/// equal extents).
+///
+/// Duality is also the sweep's deadlock freedom, so nothing else is
+/// checked.  The executor posts every send of a sweep before its first
+/// receive (the Figure 3 order), and sends never block.  A wait-for cycle
+/// needs an edge *into* a send, and only an earlier receive on the same
+/// rank could make one — there is none.  So a sweep can only hang on a
+/// receive nobody sends or leave a send nobody receives, and those are
+/// exactly [`Violation::DanglingRecv`] and [`Violation::DanglingSend`].
 ///
 /// `set[r]` must be rank `r`'s schedule — the SPMD-deterministic plans a
 /// simulator run (or, later, a real launch) produces.
@@ -778,31 +742,6 @@ pub fn check_schedule_set(set: &[CommSchedule]) -> Vec<Violation> {
         }
     }
 
-    // Deadlock freedom of the sweep: each rank posts its sends (grouped by
-    // destination, ascending) and then blocks on its receives (grouped by
-    // source, ascending) — the executor's order.
-    let mut ops: Vec<Vec<ModelOp>> = Vec::with_capacity(set.len());
-    for s in set {
-        let mut rank_ops = Vec::new();
-        for (to, _) in s.send_messages() {
-            rank_ops.push(ModelOp {
-                kind: OpKind::Send,
-                peer: to,
-                key: 0,
-            });
-        }
-        for (from, _) in s.recv_messages() {
-            rank_ops.push(ModelOp {
-                kind: OpKind::Recv,
-                peer: from,
-                key: 0,
-            });
-        }
-        rank_ops.shrink_to_fit();
-        ops.push(rank_ops);
-    }
-    out.extend(check_deadlock_model(&ops, "sweep"));
-
     out
 }
 
@@ -849,25 +788,8 @@ where
 }
 
 // ----------------------------------------------------------------------
-// 2. Tag-space safety
+// 2. Sweep-tag wrap
 // ----------------------------------------------------------------------
-
-/// Verify the tag-space component windows are pairwise disjoint — the
-/// runtime mirror of the `const` assertions in `kali_process::tags` (which
-/// already fail the *build* on overlap; this produces a reportable
-/// [`Violation`] for `verify_all`).
-pub fn check_tag_windows() -> Vec<Violation> {
-    let windows = tags::COMPONENT_WINDOWS;
-    let mut out = Vec::new();
-    for (i, a) in windows.iter().enumerate() {
-        for b in windows.iter().skip(i + 1) {
-            if !(a.2 <= b.1 || b.2 <= a.1) {
-                out.push(Violation::TagWindowOverlap { a: a.0, b: b.0 });
-            }
-        }
-    }
-    out
-}
 
 /// Model the executor's sweep-tag wrap: sweep `s` is stamped with
 /// `EXECUTOR_BASE + (s mod SPAN)`, so two sweeps alias exactly when their
@@ -925,247 +847,7 @@ pub fn check_sweep_tag_wrap(in_flight: usize) -> Vec<Violation> {
 }
 
 // ----------------------------------------------------------------------
-// 3. Deadlock freedom & SPMD conformance
-// ----------------------------------------------------------------------
-
-/// Whether a [`ModelOp`] posts a message or blocks for one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpKind {
-    /// A non-blocking posted send.
-    Send,
-    /// A blocking receive.
-    Recv,
-}
-
-/// One modelled point-to-point operation of one rank's program order.
-#[derive(Debug, Clone, Copy)]
-pub struct ModelOp {
-    /// Send or receive.
-    pub kind: OpKind,
-    /// The peer rank (destination of a send, source of a receive).
-    pub peer: usize,
-    /// Message identity within the `(src, dst)` pair (a tag or round);
-    /// same-key messages match FIFO by position.
-    pub key: Tag,
-}
-
-/// Check a per-rank operation model for deadlock: sends post without
-/// blocking, receives block, and an operation can only be *initiated* once
-/// every earlier blocking operation of its rank has completed.  The matched
-/// send→recv pairs plus those initiation edges form a bipartite dependence
-/// graph; the model is deadlock-free iff it is acyclic (verified with
-/// Kahn's algorithm).  `ops[r]` is rank `r`'s program order; `context`
-/// labels the [`Violation::UnmatchedMessage`]s of mismatched models.
-pub fn check_deadlock_model(ops: &[Vec<ModelOp>], context: &str) -> Vec<Violation> {
-    let mut out = Vec::new();
-
-    // Global node numbering.
-    let mut base = Vec::with_capacity(ops.len());
-    let mut total = 0usize;
-    for rank_ops in ops {
-        base.push(total);
-        total += rank_ops.len();
-    }
-    let node = |rank: usize, idx: usize| base[rank] + idx;
-
-    let mut edges: Vec<Vec<usize>> = vec![Vec::new(); total];
-    let mut indegree = vec![0usize; total];
-    let add_edge = |edges: &mut Vec<Vec<usize>>, indegree: &mut Vec<usize>, a: usize, b: usize| {
-        edges[a].push(b);
-        indegree[b] += 1;
-    };
-
-    // Initiation edges: previous blocking op -> each later op.
-    for (rank, rank_ops) in ops.iter().enumerate() {
-        let mut last_blocking: Option<usize> = None;
-        for (idx, op) in rank_ops.iter().enumerate() {
-            if let Some(b) = last_blocking {
-                add_edge(&mut edges, &mut indegree, node(rank, b), node(rank, idx));
-            }
-            if op.kind == OpKind::Recv {
-                last_blocking = Some(idx);
-            }
-        }
-    }
-
-    // Matching edges: k-th send with key on (q -> r) enables the k-th recv
-    // with the same key on (r from q).
-    let mut send_queues: BTreeMap<(usize, usize, Tag), Vec<usize>> = BTreeMap::new();
-    for (rank, rank_ops) in ops.iter().enumerate() {
-        for (idx, op) in rank_ops.iter().enumerate() {
-            if op.kind == OpKind::Send {
-                send_queues
-                    .entry((rank, op.peer, op.key))
-                    .or_default()
-                    .push(node(rank, idx));
-            }
-        }
-    }
-    let mut consumed: BTreeMap<(usize, usize, Tag), usize> = BTreeMap::new();
-    for (rank, rank_ops) in ops.iter().enumerate() {
-        for (idx, op) in rank_ops.iter().enumerate() {
-            if op.kind == OpKind::Recv {
-                let key = (op.peer, rank, op.key);
-                let pos = consumed.entry(key).or_insert(0);
-                match send_queues.get(&key).and_then(|q| q.get(*pos)) {
-                    Some(&send_node) => {
-                        add_edge(&mut edges, &mut indegree, send_node, node(rank, idx));
-                        *pos += 1;
-                    }
-                    None => out.push(Violation::UnmatchedMessage {
-                        from: op.peer,
-                        to: rank,
-                        label: format!("{context} recv key {:#x} #{pos}", op.key),
-                    }),
-                }
-            }
-        }
-    }
-    for (key, queue) in &send_queues {
-        let used = consumed.get(key).copied().unwrap_or(0);
-        for _ in used..queue.len() {
-            out.push(Violation::UnmatchedMessage {
-                from: key.0,
-                to: key.1,
-                label: format!("{context} send key {:#x} (never received)", key.2),
-            });
-        }
-    }
-
-    // Kahn's algorithm.
-    let mut queue: Vec<usize> = (0..total).filter(|&n| indegree[n] == 0).collect();
-    let mut seen = 0usize;
-    while let Some(n) = queue.pop() {
-        seen += 1;
-        for &m in &edges[n] {
-            indegree[m] -= 1;
-            if indegree[m] == 0 {
-                queue.push(m);
-            }
-        }
-    }
-    if seen != total {
-        let mut events = Vec::new();
-        'outer: for (rank, rank_ops) in ops.iter().enumerate() {
-            for (idx, op) in rank_ops.iter().enumerate() {
-                if indegree[node(rank, idx)] > 0 {
-                    let verb = match op.kind {
-                        OpKind::Send => "send to",
-                        OpKind::Recv => "recv from",
-                    };
-                    events.push(format!("rank {rank} {verb} {}", op.peer));
-                    if events.len() >= 12 {
-                        events.push("...".to_string());
-                        break 'outer;
-                    }
-                }
-            }
-        }
-        out.push(Violation::DeadlockCycle { events });
-    }
-    out
-}
-
-/// Model the binomial-tree allreduce's per-rank send/recv rounds (the same
-/// rank-local predicates `Process::allreduce` uses, keyed by the same
-/// [`tags`]) and prove the rounds deadlock-free for every rank count up to
-/// `max_p`.
-pub fn check_collective_deadlock(max_p: usize) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for p in 1..=max_p {
-        out.extend(check_deadlock_model(&model_allreduce_ops(p), "allreduce"));
-    }
-    out
-}
-
-/// Per-rank send/recv sequence of one `Process::allreduce` at `p` ranks,
-/// mirroring the implementation's rank-local predicates and tag derivation.
-fn model_allreduce_ops(p: usize) -> Vec<Vec<ModelOp>> {
-    let mut ops: Vec<Vec<ModelOp>> = vec![Vec::new(); p];
-    for (me, rank_ops) in ops.iter_mut().enumerate() {
-        // Reduce phase.
-        let mut stride = 1usize;
-        let mut round = 0u32;
-        while stride < p {
-            if me & (2 * stride - 1) == stride {
-                rank_ops.push(ModelOp {
-                    kind: OpKind::Send,
-                    peer: me - stride,
-                    key: tags::tree_reduce_tag(round),
-                });
-                break;
-            }
-            if me & (2 * stride - 1) == 0 && me + stride < p {
-                rank_ops.push(ModelOp {
-                    kind: OpKind::Recv,
-                    peer: me + stride,
-                    key: tags::tree_reduce_tag(round),
-                });
-            }
-            stride <<= 1;
-            round += 1;
-        }
-        // Broadcast phase.
-        let lowbit = if me == 0 {
-            p.next_power_of_two()
-        } else {
-            me & me.wrapping_neg()
-        };
-        if me != 0 {
-            rank_ops.push(ModelOp {
-                kind: OpKind::Recv,
-                peer: me - lowbit,
-                key: tags::tree_bcast_tag(lowbit.trailing_zeros()),
-            });
-        }
-        let mut s = lowbit >> 1;
-        while s >= 1 {
-            if me + s < p {
-                rank_ops.push(ModelOp {
-                    kind: OpKind::Send,
-                    peer: me + s,
-                    key: tags::tree_bcast_tag(s.trailing_zeros()),
-                });
-            }
-            s >>= 1;
-        }
-    }
-    ops
-}
-
-/// Verify collective call sequences are rank-invariant: every rank must
-/// have issued the same collectives in the same order (the SPMD contract —
-/// code that branches on the rank id around an `allreduce` hangs a real
-/// machine).  `traces[r]` is rank `r`'s recorded sequence
-/// ([`Session::collective_trace`]).
-///
-/// [`Session::collective_trace`]: crate::session::Session::collective_trace
-pub fn check_collective_sequence(traces: &[Vec<CollectiveCall>]) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let Some(reference) = traces.first() else {
-        return out;
-    };
-    for (rank, trace) in traces.iter().enumerate().skip(1) {
-        let len = reference.len().max(trace.len());
-        for position in 0..len {
-            let expected = reference.get(position).copied();
-            let found = trace.get(position).copied();
-            if expected != found {
-                out.push(Violation::DivergentCollectives {
-                    rank,
-                    position,
-                    reference: expected,
-                    found,
-                });
-                break; // one divergence per rank is diagnosis enough
-            }
-        }
-    }
-    out
-}
-
-// ----------------------------------------------------------------------
-// 4. Determinism-contract conformance
+// 3. The live protocol check
 // ----------------------------------------------------------------------
 
 /// An order-sensitive [`ReduceOp`] whose accumulator is a Merkle-style hash
@@ -1212,123 +894,47 @@ impl ReduceOp for BracketHash {
     }
 }
 
-/// Simulate the allreduce protocol's message rounds at `p` ranks over
-/// [`BracketHash`] leaves, returning each rank's final value — or the
-/// violation describing where the protocol model lost a message.
-fn simulate_allreduce_hash(p: usize) -> Result<Vec<u64>, Violation> {
-    let mut acc: Vec<u64> = (0..p).map(bracket_leaf).collect();
-    if p == 1 {
-        return Ok(acc);
-    }
-    // Reduce phase, executed round by round machine-wide; `done[r]` marks a
-    // rank that sent its partial up the tree and left the loop.
-    let mut done = vec![false; p];
-    let mut stride = 1usize;
-    while stride < p {
-        let mut mailbox: Vec<Option<u64>> = vec![None; p];
-        for me in 0..p {
-            if !done[me] && me & (2 * stride - 1) == stride {
-                mailbox[me - stride] = Some(acc[me]);
-                done[me] = true;
-            }
-        }
-        for me in 0..p {
-            if !done[me] && me & (2 * stride - 1) == 0 && me + stride < p {
-                match mailbox[me].take() {
-                    Some(other) => acc[me] = BracketHash::combine(acc[me], other),
-                    None => {
-                        return Err(Violation::UnmatchedMessage {
-                            from: me + stride,
-                            to: me,
-                            label: format!("allreduce reduce round, stride {stride}"),
-                        })
-                    }
-                }
-            }
-        }
-        stride <<= 1;
-    }
-    // Broadcast phase: rank 0 holds the total; each rank receives over the
-    // edge it reduced along, then forwards to its subtree.  Ascending rank
-    // order is a valid schedule because every broadcast sender is smaller
-    // than its receiver.
-    let mut mail: BTreeMap<usize, u64> = BTreeMap::new();
-    let mut finals = vec![0u64; p];
-    for (me, slot) in finals.iter_mut().enumerate() {
-        let lowbit = if me == 0 {
-            p.next_power_of_two()
-        } else {
-            me & me.wrapping_neg()
-        };
-        let v = if me == 0 {
-            acc[0]
-        } else {
-            match mail.remove(&me) {
-                Some(v) => v,
-                None => {
-                    return Err(Violation::UnmatchedMessage {
-                        from: me - lowbit,
-                        to: me,
-                        label: "allreduce broadcast".to_string(),
-                    })
-                }
-            }
-        };
-        let mut s = lowbit >> 1;
-        while s >= 1 {
-            if me + s < p {
-                mail.insert(me + s, v);
-            }
-            s >>= 1;
-        }
-        *slot = v;
-    }
-    Ok(finals)
+/// One rank's share of the live protocol check: record this rank's events
+/// around one `Process::allreduce` of its [`bracket_leaf`] under
+/// [`BracketHash`], and return the rank's result with the trace.  Gather
+/// every rank's pair for [`check_allreduce_run`].
+pub fn traced_bracket_allreduce<P: Process>(proc: &mut P) -> (u64, Vec<Event>) {
+    proc.trace_start();
+    let leaf = bracket_leaf(proc.rank());
+    let hash = proc.allreduce(leaf, |a, b| BracketHash::combine(*a, *b));
+    (hash, proc.trace_take())
 }
 
-/// Prove determinism-contract conformance for every rank count up to
-/// `max_p`: the allreduce protocol's bracketing (simulated from the
-/// per-rank predicates) must equal `tree_combine_partials`' replay, and the
-/// exposed [`tree_merge_order`] must describe exactly that bracketing —
-/// all compared via the order-sensitive [`BracketHash`].
-pub fn check_reduce_bracketing(max_p: usize) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for p in 1..=max_p {
-        let leaves: Vec<u64> = (0..p).map(bracket_leaf).collect();
-        let expected = tree_combine_partials::<BracketHash>(leaves.clone());
-
-        // The exposed merge order must replay to the same hash.
-        let mut v = leaves.clone();
-        for (dst, src) in tree_merge_order(p) {
-            v[dst] = BracketHash::combine(v[dst], v[src]);
-        }
-        if v[0] != expected {
-            out.push(Violation::BracketingMismatch {
-                nprocs: p,
-                rank: None,
-                expected,
-                found: v[0],
-            });
-        }
-
-        // The protocol simulation must deliver that hash to every rank.
-        match simulate_allreduce_hash(p) {
-            Err(v) => out.push(v),
-            Ok(finals) => {
-                for (rank, &found) in finals.iter().enumerate() {
-                    if found != expected {
-                        out.push(Violation::BracketingMismatch {
-                            nprocs: p,
-                            rank: Some(rank),
-                            expected,
-                            found,
-                        });
-                        break;
-                    }
-                }
-            }
-        }
-    }
+/// Check one live run of the allreduce protocol: `ranks[r]` is rank `r`'s
+/// bracket-hash result and the events it recorded around it (see
+/// [`traced_bracket_allreduce`]; the trace may span more than the one
+/// allreduce).
+///
+/// Every rank's hash must equal `tree_combine_partials::<BracketHash>` of
+/// the leaves — a [`Violation::BracketingMismatch`] naming the rank
+/// otherwise — and the traces must pass
+/// [`mc::check_trace`](crate::mc::check_trace), whose findings are appended.
+///
+/// No deadlock check is needed on top.  Matching is deterministic — every
+/// receive names its source and tag, there are no wildcards — so the rounds
+/// have one possible matching, and a run that completed is that matching
+/// executed: it proves the protocol deadlock-free at this rank count.
+pub fn check_allreduce_run(ranks: &[(u64, Vec<Event>)]) -> Vec<Violation> {
+    let nprocs = ranks.len();
+    let expected = tree_combine_partials::<BracketHash>((0..nprocs).map(bracket_leaf));
+    let mut out: Vec<Violation> = ranks
+        .iter()
+        .enumerate()
+        .filter(|(_, (found, _))| *found != expected)
+        .map(|(rank, &(found, _))| Violation::BracketingMismatch {
+            nprocs,
+            rank,
+            expected,
+            found,
+        })
+        .collect();
+    let traces: Vec<Vec<Event>> = ranks.iter().map(|(_, trace)| trace.clone()).collect();
+    out.extend(check_trace(&traces));
     out
 }
 
@@ -1518,8 +1124,7 @@ mod tests {
     }
 
     #[test]
-    fn tag_windows_are_disjoint_and_sweep_wrap_is_safe() {
-        assert_eq!(check_tag_windows(), vec![]);
+    fn sweep_tag_wrap_is_safe() {
         assert_eq!(check_sweep_tag_wrap(1), vec![]);
         assert_eq!(check_sweep_tag_wrap(64), vec![]);
         // More in-flight sweeps than the window holds must be rejected.
@@ -1532,90 +1137,51 @@ mod tests {
         );
     }
 
+    /// The allreduce every backend ships, run live on dmsim at every rank
+    /// count up to 64.  Every run completed, and with deterministic matching
+    /// a completed run is the only possible matching executed, so the rounds
+    /// are deadlock-free; the recorded rounds must also be race-free.
     #[test]
     fn tree_collective_rounds_are_deadlock_free() {
-        assert_eq!(check_collective_deadlock(33), vec![]);
-    }
-
-    #[test]
-    fn deadlock_model_flags_a_recv_before_send_cycle() {
-        // Two ranks that each recv before sending: the classic head-to-head
-        // deadlock.
-        let ops = vec![
-            vec![
-                ModelOp {
-                    kind: OpKind::Recv,
-                    peer: 1,
-                    key: 0,
-                },
-                ModelOp {
-                    kind: OpKind::Send,
-                    peer: 1,
-                    key: 0,
-                },
-            ],
-            vec![
-                ModelOp {
-                    kind: OpKind::Recv,
-                    peer: 0,
-                    key: 0,
-                },
-                ModelOp {
-                    kind: OpKind::Send,
-                    peer: 0,
-                    key: 0,
-                },
-            ],
-        ];
-        let violations = check_deadlock_model(&ops, "test");
-        assert!(
-            violations
-                .iter()
-                .any(|v| matches!(v, Violation::DeadlockCycle { .. })),
-            "expected DeadlockCycle, got: {violations:?}"
-        );
-    }
-
-    #[test]
-    fn collective_sequences_must_be_rank_invariant() {
-        let sum = CollectiveCall {
-            op: "sum-f64",
-            acc_bytes: 8,
-        };
-        let norm = CollectiveCall {
-            op: "norm2",
-            acc_bytes: 8,
-        };
-        assert_eq!(
-            check_collective_sequence(&[vec![sum, norm], vec![sum, norm]]),
-            vec![]
-        );
-        let violations = check_collective_sequence(&[vec![sum, norm], vec![sum, sum]]);
-        assert_eq!(
-            violations,
-            vec![Violation::DivergentCollectives {
-                rank: 1,
-                position: 1,
-                reference: Some(norm),
-                found: Some(sum),
-            }]
-        );
-        // Length divergence (a rank skipping a collective) is caught too.
-        let violations = check_collective_sequence(&[vec![sum, norm], vec![sum]]);
-        assert!(matches!(
-            violations[0],
-            Violation::DivergentCollectives {
-                rank: 1,
-                position: 1,
-                found: None,
-                ..
+        use dmsim::{CostModel, Machine};
+        for p in 1..=64 {
+            let ranks = Machine::new(p, CostModel::ideal()).run(traced_bracket_allreduce);
+            let traces: Vec<Vec<Event>> = ranks.into_iter().map(|(_, trace)| trace).collect();
+            if p > 1 {
+                assert!(
+                    traces.iter().all(|t| !t.is_empty()),
+                    "P = {p}: no rounds recorded"
+                );
             }
-        ));
+            assert_eq!(check_trace(&traces), vec![], "P = {p}");
+        }
     }
 
+    /// Every rank of the live allreduce holds the bracketing
+    /// `tree_combine_partials` replays, at every rank count up to 64.  A rank
+    /// reporting another hash is named, and only that rank.
     #[test]
     fn reduce_bracketing_matches_the_replay_order() {
-        assert_eq!(check_reduce_bracketing(64), vec![]);
+        use dmsim::{CostModel, Machine};
+        for p in 1..=64 {
+            let ranks = Machine::new(p, CostModel::ideal()).run(traced_bracket_allreduce);
+            let expected = tree_combine_partials::<BracketHash>((0..p).map(bracket_leaf));
+            assert!(ranks.iter().all(|&(hash, _)| hash == expected), "P = {p}");
+            assert_eq!(check_allreduce_run(&ranks), vec![], "P = {p}");
+            if p == 5 {
+                let mut wrong = ranks;
+                wrong[3].0 ^= 1;
+                assert_eq!(
+                    check_allreduce_run(&wrong),
+                    vec![Violation::BracketingMismatch {
+                        nprocs: 5,
+                        rank: 3,
+                        expected,
+                        found: expected ^ 1,
+                    }]
+                );
+            }
+        }
     }
 
     #[test]
@@ -1641,9 +1207,9 @@ mod tests {
                     buffer: 0,
                 },
             },
-            Violation::TagWindowOverlap {
-                a: "executor",
-                b: "halo",
+            Violation::TagOutOfWindow {
+                tag: 0x2a,
+                window: "executor",
             },
         ];
         let text = render(&v);

@@ -102,8 +102,9 @@ where
         // Handling cost proportional to the records touched this stage.
         let handled = forward.len();
         proc.charge_seconds(proc.cost().record_handling() * handled as f64);
-        proc.send_bytes(partner, tag + d as u64, forward.len() * item_bytes, forward);
-        let (_, incoming): (usize, Vec<Routed<T>>) = proc.recv_from(partner, tag + d as u64);
+        let stage_tag = kali_process::tags::collective_stage_tag(tag, d);
+        proc.send_bytes(partner, stage_tag, forward.len() * item_bytes, forward);
+        let (_, incoming): (usize, Vec<Routed<T>>) = proc.recv_from(partner, stage_tag);
         current = keep;
         current.extend(incoming);
     }

@@ -11,12 +11,13 @@ use crate::{Process, Tag, Wire};
 
 /// Dissemination barrier: `⌈log2 P⌉` rounds; in the round of stride `k`
 /// every rank signals the rank `k` above it and waits for the one `k`
-/// below.  Round tags are `tag` plus the stride in bits 32..40.
+/// below.  Round `r` (stride `2^r`) sends on stage `r` of `tag`
+/// ([`collective_stage_tag`](crate::tags::collective_stage_tag)).
 pub fn dissemination_barrier<P: Process>(proc: &mut P, tag: Tag) {
     let (me, n) = (proc.rank(), proc.nprocs());
     let mut k = 1usize;
     while k < n {
-        let round_tag = tag + ((k as u64) << 32);
+        let round_tag = crate::tags::collective_stage_tag(tag, k.trailing_zeros());
         proc.send((me + k) % n, round_tag, 0u8);
         let _: u8 = proc.recv((me + n - k) % n, round_tag);
         k <<= 1;

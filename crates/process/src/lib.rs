@@ -73,10 +73,7 @@ pub mod trace;
 pub mod wire;
 
 pub use mailbox::{Arrival, Mailbox};
-pub use reduce::{
-    combine_partials, tree_combine_partials, tree_merge_order, Max, Min, Norm2, Reduce, ReduceOp,
-    Sum,
-};
+pub use reduce::{combine_partials, tree_combine_partials, Max, Min, Norm2, Reduce, ReduceOp, Sum};
 pub use trace::{Event, EventKind, TraceRecorder};
 pub use wire::{Wire, WireError, WireReader};
 

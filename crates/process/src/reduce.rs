@@ -131,30 +131,6 @@ pub fn tree_combine_partials<R: ReduceOp>(partials: impl IntoIterator<Item = R::
     v[0]
 }
 
-/// The exact combine sequence of [`tree_combine_partials`] at `p` ranks, as
-/// `(dst, src)` pairs: replaying `v[dst] = combine(v[dst], v[src])` over a
-/// partial vector in this order reproduces the collective's bracketing bit
-/// for bit, with the final result in `v[0]`.
-///
-/// This *is* the determinism contract in data form — static analyses (the
-/// `kali-core` verifier's bracketing check) compare the allreduce
-/// protocol's message rounds against it, and alternative backends can
-/// assert conformance without re-deriving the tree.
-pub fn tree_merge_order(p: usize) -> Vec<(usize, usize)> {
-    assert!(p > 0, "a reduction needs at least one rank");
-    let mut order = Vec::new();
-    let mut stride = 1;
-    while stride < p {
-        let mut r = 0;
-        while r + stride < p {
-            order.push((r, r + stride));
-            r += 2 * stride;
-        }
-        stride *= 2;
-    }
-    order
-}
-
 /// The call-site token naming a reduction operator:
 /// `Reduce::<Sum<f64>>::new()`.
 #[derive(Debug, Clone, Copy)]
@@ -366,25 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn tree_merge_order_replays_the_tree_bracketing() {
-        for p in 1..=33usize {
-            let partials: Vec<f64> = (0..p).map(|r| 0.1 * (r as f64 + 1.0)).collect();
-            let mut v = partials.clone();
-            for (dst, src) in tree_merge_order(p) {
-                assert!(dst < src, "lower-rank operand is always on the left");
-                v[dst] = Sum::<f64>::combine(v[dst], v[src]);
-            }
-            assert_eq!(
-                v[0].to_bits(),
-                tree_combine_partials::<Sum<f64>>(partials).to_bits(),
-                "p = {p}"
-            );
-        }
-        assert_eq!(tree_merge_order(1), vec![]);
-        assert_eq!(tree_merge_order(4), vec![(0, 1), (2, 3), (0, 2)]);
-    }
-
-    #[test]
     fn min_max_identities_are_absorbing() {
         assert_eq!(Min::<f64>::fold([3.0, -1.0, 2.0]), -1.0);
         assert_eq!(Max::<f64>::fold([3.0, -1.0, 2.0]), 3.0);
@@ -402,6 +359,19 @@ mod tests {
         assert_eq!(acc, 25.0);
         assert_eq!(Norm2::finish(acc), 5.0);
         assert_eq!(Norm2::name(), "norm2");
+    }
+
+    /// A typed reduction marks the event trace with its operator's name,
+    /// and a trace crossing a process boundary decodes only names the wire
+    /// table knows.
+    #[test]
+    fn built_in_operator_names_survive_a_shipped_trace() {
+        fn known<R: ReduceOp>() -> bool {
+            crate::wire::KNOWN_COLLECTIVE_OPS.contains(&R::name())
+        }
+        assert!(known::<Sum<f64>>() && known::<Sum<u64>>() && known::<Sum<i64>>());
+        assert!(known::<Sum<usize>>() && known::<Min<f64>>() && known::<Min<u64>>());
+        assert!(known::<Max<f64>>() && known::<Max<u64>>() && known::<Norm2>());
     }
 
     #[test]

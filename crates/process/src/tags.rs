@@ -18,8 +18,9 @@
 //! | `[2^63, 2^64)`           | collectives (per-invocation sequence numbers)  |
 //!
 //! Collective tags additionally embed a per-stage offset in bits 32..40
-//! (dissemination-barrier round, reduction dimension), which stays inside
-//! the collective range because bit 63 is always set.
+//! ([`collective_stage_tag`]: dissemination-barrier round, crystal-router
+//! dimension), which stays inside the collective range because bit 63 is
+//! always set.
 //!
 //! The previous layout let callers pick magic constants per file
 //! (`1 << 40`, `1 << 41`, `1 << 42`, `1 << 63`) with nothing checking
@@ -70,8 +71,7 @@ pub const SPAN: Tag = 1 << 40;
 
 /// Every component window of the tag space as `(name, start, end)`
 /// half-open ranges — the single source of truth the compile-time
-/// disjointness proof below, the runtime documentation test, and
-/// `kali_core::verify::check_tag_windows` all read.
+/// disjointness proof below and the runtime documentation test read.
 pub const COMPONENT_WINDOWS: [(&str, Tag, Tag); 7] = [
     ("user", 0, USER_LIMIT),
     ("executor", EXECUTOR_BASE, EXECUTOR_BASE + SPAN),
@@ -216,13 +216,25 @@ pub fn tree_gather_tag(round: u32) -> Tag {
 ///
 /// SPMD programs call collectives in the same order on every rank, so a
 /// per-process monotonic sequence number yields matching tags machine-wide.
-/// Bits 32..40 are left for the collective's internal stage offset.
+/// Bits 32..40 are left for the collective's internal stage offset
+/// ([`collective_stage_tag`]).
 pub fn collective_tag(seq: u64) -> Tag {
     debug_assert!(
         seq < 1 << 32,
         "collective sequence number {seq} overflows its field"
     );
     COLLECTIVE_BASE | seq
+}
+
+/// Tag of stage `stage` of the collective whose tag is `tag`: the stage in
+/// bits 32..40, so the stages of one collective never borrow the sequence
+/// number — the low bits — of a later one.
+pub fn collective_stage_tag(tag: Tag, stage: u32) -> Tag {
+    debug_assert!(
+        stage < 1 << 8,
+        "collective stage {stage} overflows its field"
+    );
+    tag | (stage as Tag) << 32
 }
 
 #[cfg(test)]
@@ -269,8 +281,18 @@ mod tests {
         dedup.dedup();
         assert_eq!(dedup.len(), tree.len());
         assert!(collective_tag(0) >= COLLECTIVE_BASE);
-        // Stage offsets (bits 32..40) stay inside the collective range.
-        assert!(collective_tag(u32::MAX as u64) + (0xFFu64 << 32) >= COLLECTIVE_BASE);
+        // Stage offsets (bits 32..40) stay inside the collective range and
+        // off the sequence number: stage 1 of collective 0 is not
+        // collective 1.
+        assert!(collective_stage_tag(collective_tag(u32::MAX as u64), 0xFF) >= COLLECTIVE_BASE);
+        assert_ne!(
+            collective_stage_tag(collective_tag(0), 1),
+            collective_tag(1)
+        );
+        assert_eq!(
+            collective_stage_tag(collective_tag(7), 0),
+            collective_tag(7)
+        );
     }
 
     #[test]

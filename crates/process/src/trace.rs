@@ -32,9 +32,12 @@ pub enum EventKind {
     /// This rank entered a collective operation.  Collectives are epoch
     /// markers for the analyzer: channel reuse separated by a collective on
     /// *both* endpoints is considered safe even without a point-to-point
-    /// happens-before path (SPMD lockstep plus per-channel FIFO).
+    /// happens-before path (SPMD lockstep plus per-channel FIFO).  Every
+    /// rank must record the same sequence of them.
     Collective {
-        /// The collective's name (`"barrier"`, `"allreduce"`, ...).
+        /// The collective's name (`"barrier"`, `"allreduce"`, ...).  A
+        /// typed reduction (`execute_reduce`) names its operator
+        /// (`ReduceOp::name`, e.g. `"sum-f64"`) just before its allreduce.
         op: &'static str,
     },
     /// The executor claimed one chunk of a phase's iteration list.
@@ -63,6 +66,17 @@ pub struct Event {
     pub seq: u64,
     /// What happened.
     pub kind: EventKind,
+}
+
+impl Event {
+    /// The name of the collective this event entered (`None` for any other
+    /// event).
+    pub fn collective(&self) -> Option<&'static str> {
+        match self.kind {
+            EventKind::Collective { op } => Some(op),
+            _ => None,
+        }
+    }
 }
 
 /// A per-rank event recorder, owned by a backend process and driven through

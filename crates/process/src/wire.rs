@@ -321,13 +321,25 @@ impl Wire for String {
 /// boundary.  [`EventKind::Collective`] holds a `&'static str`, so decoding
 /// resolves the transmitted name against this table; backends that invent
 /// new op names must register them here before shipping traces between
-/// processes.
-pub const KNOWN_COLLECTIVE_OPS: [&str; 5] = [
+/// processes.  The built-in reduction operators are listed too: a typed
+/// reduction marks the trace with its operator's [`ReduceOp::name`].
+///
+/// [`ReduceOp::name`]: crate::ReduceOp::name
+pub const KNOWN_COLLECTIVE_OPS: [&str; 14] = [
     "barrier",
     "exchange",
     "allgather",
     "allgather-doubling",
     "allreduce",
+    "sum-f64",
+    "sum-u64",
+    "sum-i64",
+    "sum-usize",
+    "min-f64",
+    "min-u64",
+    "max-f64",
+    "max-u64",
+    "norm2",
 ];
 
 impl Wire for EventKind {

@@ -482,15 +482,18 @@ mod tests {
 
     #[test]
     fn two_reductions_per_iteration_and_one_inspector_run() {
+        use kali_core::process::Event;
         let mesh = UnstructuredMeshBuilder::new(8, 8).seed(3).build();
         let b = rhs(mesh.len());
         let config = CgConfig::with_iters(10);
         let machine = Machine::new(4, CostModel::ideal());
         let outcomes = machine.run(|proc| {
             let dist = DimDist::block(mesh.len(), proc.nprocs());
-            cg_solve(proc, &mesh, &dist, &b, &config)
+            proc.trace_start();
+            let outcome = cg_solve(proc, &mesh, &dist, &b, &config);
+            (outcome, proc.trace_take())
         });
-        for (rank, o) in outcomes.iter().enumerate() {
+        for (rank, (o, trace)) in outcomes.iter().enumerate() {
             assert_eq!(o.iterations, 10);
             // 1 initial ⟨b,b⟩ + 2 per iteration, all through the session.
             assert_eq!(o.stats.reductions, 1 + 2 * 10);
@@ -504,7 +507,15 @@ mod tests {
             assert_eq!(o.stats.cache.misses, 1);
             assert_eq!(o.stats.cache.hits, 9);
             assert_eq!(o.stats.loops_allocated, 3);
+            // Traced, each reduction is marked once with its operator, just
+            // ahead of the allreduce it runs.
+            let ops: Vec<&str> = trace.iter().filter_map(Event::collective).collect();
+            let marked: Vec<usize> = (0..ops.len()).filter(|&k| ops[k] == "sum-f64").collect();
+            assert_eq!(marked.len() as u64, o.stats.reductions, "rank {rank}");
+            assert!(marked.iter().all(|&k| ops[k + 1] == "allreduce"));
         }
+        let traces: Vec<_> = outcomes.into_iter().map(|(_, trace)| trace).collect();
+        assert_eq!(kali_core::check_trace(&traces), vec![]);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! `send` / `recv`: their results must agree element for element and their
 //! recorded traces must be *equal*.  The simulator routes its exchange
 //! through the crystal router and completes it with wildcard receives, so it
-//! agrees on content, not on order or on the message pattern.
+//! agrees on content, not on order or on the message pattern.  On every
+//! backend each collective, and each stage of one, sends on a channel of
+//! its own: no `(destination, tag)` pair is used twice.
 //!
 //! What the backends declare about themselves is checked here as well:
 //! [`Process::METERS`].
@@ -89,17 +91,24 @@ fn direct_collectives_conform_across_backends() {
                 assert_eq!(seen.entered_when_leaving, [nprocs; 2], "{backend}, {at}");
                 assert_eq!(seen.gathered, gathered, "{backend} allgather, {at}");
             }
-            // Every collective draws a fresh tag: no channel is used twice
-            // (by either transport, their traces being equal).
-            let sends = n.trace.iter().filter_map(|e| match e.kind {
-                EventKind::Send { dst, tag } => Some((dst, tag)),
-                _ => None,
-            });
-            let mut channels: Vec<_> = sends.collect();
-            let sent = channels.len();
-            channels.sort_unstable();
-            channels.dedup();
-            assert_eq!(channels.len(), sent, "a channel is reused, {at}");
+            // Every collective draws a fresh tag and puts its stages above
+            // it: no channel is used twice (by either transport, their
+            // traces being equal, nor by the crystal router's stages).
+            for (backend, seen) in [("dmsim", s), ("native", n)] {
+                let sends = seen.trace.iter().filter_map(|e| match e.kind {
+                    EventKind::Send { dst, tag } => Some((dst, tag)),
+                    _ => None,
+                });
+                let mut channels: Vec<_> = sends.collect();
+                let sent = channels.len();
+                channels.sort_unstable();
+                channels.dedup();
+                assert_eq!(
+                    channels.len(),
+                    sent,
+                    "a channel is reused on {backend}, {at}"
+                );
+            }
         }
     }
 }

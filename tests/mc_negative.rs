@@ -22,7 +22,7 @@
 use kali_repro::distrib::DimDist;
 use kali_repro::dmsim::{CostModel, Machine};
 use kali_repro::kali::{check_trace, AffineMap, Session, Violation};
-use kali_repro::process::{Event, EventKind, Tag};
+use kali_repro::process::{Event, EventKind, Process, Tag};
 
 /// Execute one traced shift-stencil sweep on a 2-rank dmsim
 /// machine and return the per-rank event traces.
@@ -40,7 +40,7 @@ fn recorded_stencil() -> Vec<Vec<Event>> {
             .map(|g| g as f64)
             .collect();
         let mut out = local.clone();
-        session.start_trace(proc);
+        proc.trace_start();
         session.execute(
             proc,
             &loop_,
@@ -50,7 +50,7 @@ fn recorded_stencil() -> Vec<Vec<Event>> {
             |i, fetch| fetch.fetch(i + 1),
             |i, v| out[dist.local_index(i)] = v,
         );
-        session.take_trace(proc)
+        proc.trace_take()
     })
 }
 

@@ -9,8 +9,10 @@
 //!
 //! Each test starts from a genuinely planned schedule set (a 3-point
 //! Jacobi-style stencil planned by a real [`Session`] on the dmsim
-//! machine, which `check_schedule_set` accepts violation-free), hand-corrupts
-//! one invariant, and asserts the matching variant fires:
+//! machine, which `check_schedule_set` accepts violation-free) or from the
+//! event trace recorded around its two reductions (which
+//! [`check_trace`] accepts), hand-corrupts one invariant, and asserts the
+//! matching variant fires:
 //!
 //! | corruption                              | expected violation          |
 //! |-----------------------------------------|-----------------------------|
@@ -20,7 +22,7 @@
 //! | receive buffer offsets not dense        | `NonDenseRecvLayout`        |
 //! | two receive records covering one index  | `OverlappingRecvRanges`     |
 //! | body reference the plan never fetched   | `UnresolvableRef`           |
-//! | rank-divergent collective call sequence | `DivergentCollectives`      |
+//! | rank-divergent recorded collectives     | `DivergentCollectives`      |
 //! | record claiming another rank's endpoint | `RecordRankMismatch`        |
 //! | record sending a rank to itself         | `SelfMessage`               |
 //! | zero-length range record                | `EmptyRecord`               |
@@ -31,20 +33,19 @@
 //! | iteration in both local & nonlocal list | `OverlappingIterationLists` |
 //! | schedule stored under the wrong rank    | `ScheduleRankMismatch`      |
 //! | nonlocal iteration filed as local       | `LocalIterNonlocalRef`      |
-//! | modelled send/recv with no counterpart  | `UnmatchedMessage`          |
-//! | circular blocking-receive dependence    | `DeadlockCycle`             |
+//! | recorded send/recv with no counterpart  | `UnmatchedMessage`          |
 //! | more in-flight sweeps than tag span     | `SweepTagCollision`         |
 //!
-//! Three variants guard *constant* spaces no planned-schedule corruption
-//! can reach, so they are constructed directly (with the justification in
-//! `constant_space_violations_render_precisely`): `TagWindowOverlap` (the
-//! component windows are compile-time constants whose overlap fails the
-//! build), `TagOutOfWindow` (executor tags are congruence-bounded inside
-//! their window by construction) and `BracketingMismatch` (only a *live*
-//! backend reduction disagreeing with the replay produces one — exercised
-//! by `verify_all`'s live allreduce).  The four trace-level variants
-//! (`TagReuseRace`, `MessageRace`, `RecvBeforeSend`, `ChunkSinkConflict`)
-//! are driven from real recorded traces in `tests/mc_negative.rs`.
+//! Two variants guard spaces no planned-schedule corruption can reach, so
+//! they are constructed directly (with the justification in
+//! `constant_space_violations_render_precisely`): `TagOutOfWindow`
+//! (executor tags are congruence-bounded inside their window by
+//! construction) and `BracketingMismatch` (only a *live* backend reduction
+//! disagreeing with the replay produces one — exercised by `kali-core`'s
+//! unit test of `check_allreduce_run` and by `verify_all`'s live
+//! allreduce).  The other four trace-level variants (`TagReuseRace`,
+//! `MessageRace`, `RecvBeforeSend`, `ChunkSinkConflict`) are driven from
+//! real recorded traces in `tests/mc_negative.rs`.
 //!
 //! `every_violation_variant_is_constructible_and_renders` closes the loop:
 //! an exhaustive wildcard-free match over every variant, so adding a
@@ -52,15 +53,12 @@
 
 use kali_repro::distrib::DimDist;
 use kali_repro::dmsim::{CostModel, Machine};
-use kali_repro::kali::verify::{
-    bracket_leaf, check_collective_sequence, check_deadlock_model, check_sweep_tag_wrap,
-    check_tag_windows, BracketHash, ModelOp, OpKind, RecordKind,
-};
+use kali_repro::kali::verify::{bracket_leaf, check_sweep_tag_wrap, BracketHash, RecordKind};
 use kali_repro::kali::{
-    check_plan_refs, check_schedule, check_schedule_set, AffineMap, CollectiveCall, CommSchedule,
+    check_plan_refs, check_schedule, check_schedule_set, check_trace, AffineMap, CommSchedule,
     Norm2, RangeRecord, Reduce, ReduceOp, Session, Span, Sum, Violation,
 };
-use kali_repro::process::tags;
+use kali_repro::process::{tags, Event, EventKind, Process};
 
 const N: usize = 32;
 const P: usize = 4;
@@ -68,9 +66,9 @@ const P: usize = 4;
 /// Plan the 3-point stencil `A[i-1], A[i], A[i+1]` over the interior
 /// iterations `1..N-1` of a block distribution on every rank of a
 /// `P`-process dmsim machine, returning the per-rank schedules (cloned out
-/// of the session cache so tests can corrupt them) and each rank's
-/// collective-call trace after two reductions.
-fn planned_stencil() -> (Vec<CommSchedule>, Vec<Vec<CollectiveCall>>) {
+/// of the session cache so tests can corrupt them) and each rank's event
+/// trace recorded around two reductions.
+fn planned_stencil() -> (Vec<CommSchedule>, Vec<Vec<Event>>) {
     let results = Machine::new(P, CostModel::ideal()).run(|proc| {
         let dist = DimDist::block(N, P);
         let mut session = Session::new();
@@ -86,7 +84,8 @@ fn planned_stencil() -> (Vec<CommSchedule>, Vec<Vec<CollectiveCall>>) {
             .iter()
             .map(|g| g as f64 + 0.5)
             .collect();
-        // Two collectives so the trace has a sequence worth diverging.
+        // Two reductions so the trace has a sequence worth diverging.
+        proc.trace_start();
         let _ = session.execute_reduce(
             proc,
             &loop_,
@@ -107,7 +106,7 @@ fn planned_stencil() -> (Vec<CommSchedule>, Vec<Vec<CollectiveCall>>) {
             |i, fetch| ((), fetch.fetch(i)),
             |_, ()| {},
         );
-        ((*schedule).clone(), session.collective_trace().to_vec())
+        ((*schedule).clone(), proc.trace_take())
     });
     results.into_iter().unzip()
 }
@@ -131,12 +130,12 @@ fn pristine_plans_pass_all_checks() {
     for s in &set {
         assert_eq!(check_plan_refs(s, dist.as_dyn(), stencil_refs), vec![]);
     }
-    assert_eq!(check_collective_sequence(&traces), vec![]);
-    // Every rank traced exactly the two reductions, in order.
+    assert_eq!(check_trace(&traces), vec![]);
+    // Every rank marked exactly the two reductions, in order, each ahead of
+    // its allreduce.
     for trace in &traces {
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace[0].op, "sum-f64");
-        assert_eq!(trace[1].op, "norm2");
+        let ops: Vec<&str> = trace.iter().filter_map(Event::collective).collect();
+        assert_eq!(ops, ["sum-f64", "allreduce", "norm2", "allreduce"]);
     }
 }
 
@@ -265,11 +264,14 @@ fn references_outside_the_plan_are_rejected() {
 #[test]
 fn rank_divergent_collective_sequences_are_rejected() {
     let (_, mut traces) = planned_stencil();
-    // Rank 2 swaps the order of its two reductions — the SPMD conformance
+    // Rank 2 swaps the markers of its two reductions — the SPMD conformance
     // rule (every rank issues the same collectives in the same order) is
     // broken even though the *set* of calls matches.
-    traces[2].reverse();
-    let violations = check_collective_sequence(&traces);
+    let at = |op| traces[2].iter().position(|e| e.collective() == Some(op));
+    let (sum, norm) = (at("sum-f64").unwrap(), at("norm2").unwrap());
+    let sum_kind = traces[2][sum].kind;
+    traces[2][sum].kind = std::mem::replace(&mut traces[2][norm].kind, sum_kind);
+    let violations = check_trace(&traces);
     assert!(
         violations.iter().any(|v| matches!(
             *v,
@@ -285,17 +287,21 @@ fn rank_divergent_collective_sequences_are_rejected() {
     // A rank issuing an *extra* trailing collective diverges too (the
     // classic "reduce inside a rank-conditional" bug).
     let (_, mut traces) = planned_stencil();
-    let extra = traces[3][0];
-    traces[3].push(extra);
-    let violations = check_collective_sequence(&traces);
+    let seq = traces[3].len() as u64;
+    traces[3].push(Event {
+        rank: 3,
+        seq,
+        kind: EventKind::Collective { op: "sum-f64" },
+    });
+    let violations = check_trace(&traces);
     assert!(
         violations.iter().any(|v| matches!(
             *v,
             Violation::DivergentCollectives {
                 rank: 3,
-                position: 2,
+                position: 4,
                 reference: None,
-                ..
+                found: Some("sum-f64"),
             }
         )),
         "expected trailing DivergentCollectives on rank 3, got:\n{violations:#?}"
@@ -494,63 +500,33 @@ fn nonlocal_iteration_filed_as_local_is_rejected() {
 }
 
 #[test]
-fn unmatched_modelled_messages_are_rejected() {
-    // A send nobody receives and a receive nobody sends, in the executor's
-    // point-to-point deadlock model.
-    let ops = vec![
-        vec![ModelOp {
-            kind: OpKind::Send,
-            peer: 1,
-            key: 0x7,
-        }],
-        vec![ModelOp {
-            kind: OpKind::Recv,
-            peer: 0,
-            key: 0x9,
-        }],
-    ];
-    let violations = check_deadlock_model(&ops, "audit");
+fn unmatched_recorded_messages_are_rejected() {
+    let (_, mut traces) = planned_stencil();
+    // Rank 1's first recorded receive now names rank 3 and a tag nobody
+    // sent on: a send nobody receives and a receive nobody sends.
+    let first = traces[1]
+        .iter_mut()
+        .find(|e| matches!(e.kind, EventKind::Recv { .. }));
+    let bogus = EventKind::Recv { src: 3, tag: 0x7 };
+    let lost = std::mem::replace(&mut first.expect("rank 1 receives").kind, bogus);
+    let EventKind::Recv { src, .. } = lost else {
+        unreachable!()
+    };
+    let violations = check_trace(&traces);
     assert!(
         violations.iter().any(|v| matches!(
             v,
-            Violation::UnmatchedMessage { from: 0, to: 1, label } if label.contains("never received")
+            Violation::UnmatchedMessage { from, to: 1, label }
+                if *from == src && label.ends_with(" 0 recvs")
         )),
         "expected the orphaned send, got:\n{violations:#?}"
     );
     assert!(
         violations.iter().any(|v| matches!(
             v,
-            Violation::UnmatchedMessage { from: 0, to: 1, label } if label.contains("recv key")
+            Violation::UnmatchedMessage { from: 3, to: 1, label } if label.contains(": 0 sends")
         )),
         "expected the sourceless recv, got:\n{violations:#?}"
-    );
-}
-
-#[test]
-fn circular_blocking_receives_are_rejected() {
-    // Both ranks block in a receive before posting their send — the classic
-    // head-to-head deadlock.  Every operation sits on the cycle.
-    let head_to_head = |peer: usize| {
-        vec![
-            ModelOp {
-                kind: OpKind::Recv,
-                peer,
-                key: 0,
-            },
-            ModelOp {
-                kind: OpKind::Send,
-                peer,
-                key: 0,
-            },
-        ]
-    };
-    let ops = vec![head_to_head(1), head_to_head(0)];
-    let violations = check_deadlock_model(&ops, "audit");
-    assert!(
-        violations
-            .iter()
-            .any(|v| matches!(v, Violation::DeadlockCycle { events } if events.len() == 4)),
-        "expected a 4-event DeadlockCycle, got:\n{violations:#?}"
     );
 }
 
@@ -570,29 +546,16 @@ fn sweep_tag_exhaustion_is_rejected() {
     );
 }
 
-/// Three variants guard constant spaces no schedule corruption can reach;
+/// Two variants guard spaces no schedule corruption can reach;
 /// constructing them directly documents what each would report.
 ///
-/// * `TagWindowOverlap`: the component windows are `const`s in
-///   `kali_process::tags` whose overlap fails the build, so the runtime
-///   mirror (`check_tag_windows`) can only ever return clean — asserted
-///   here.
 /// * `TagOutOfWindow`: executor tags are `BASE + (sweep mod SPAN)`,
 ///   congruence-bounded inside their window for every sweep index.
 /// * `BracketingMismatch`: only a live backend reduction disagreeing with
 ///   the sequential replay produces one; `verify_all` runs that comparison
-///   on both real backends every sweep.
+///   on every backend every sweep.
 #[test]
 fn constant_space_violations_render_precisely() {
-    assert_eq!(check_tag_windows(), vec![]);
-
-    let v = Violation::TagWindowOverlap {
-        a: "executor",
-        b: "halo",
-    };
-    let s = v.to_string();
-    assert!(s.contains("executor") && s.contains("halo") && s.contains("overlap"));
-
     let v = Violation::TagOutOfWindow {
         tag: 0x2a,
         window: "executor",
@@ -605,7 +568,7 @@ fn constant_space_violations_render_precisely() {
     assert_ne!(expected, found);
     let v = Violation::BracketingMismatch {
         nprocs: 2,
-        rank: Some(1),
+        rank: 1,
         expected,
         found,
     };
@@ -635,9 +598,7 @@ fn variant_name(v: &Violation) -> &'static str {
         Violation::LocalIterNonlocalRef { .. } => "LocalIterNonlocalRef",
         Violation::UnresolvableRef { .. } => "UnresolvableRef",
         Violation::UnmatchedMessage { .. } => "UnmatchedMessage",
-        Violation::DeadlockCycle { .. } => "DeadlockCycle",
         Violation::DivergentCollectives { .. } => "DivergentCollectives",
-        Violation::TagWindowOverlap { .. } => "TagWindowOverlap",
         Violation::TagOutOfWindow { .. } => "TagOutOfWindow",
         Violation::SweepTagCollision { .. } => "SweepTagCollision",
         Violation::BracketingMismatch { .. } => "BracketingMismatch",
@@ -656,10 +617,6 @@ fn every_violation_variant_is_constructible_and_renders() {
         low: 4,
         high: 8,
         buffer: 0,
-    };
-    let call = CollectiveCall {
-        op: "sum-f64",
-        acc_bytes: 8,
     };
     let all: Vec<Violation> = vec![
         Violation::RecordRankMismatch {
@@ -735,18 +692,11 @@ fn every_violation_variant_is_constructible_and_renders() {
             to: 1,
             label: "audit".to_string(),
         },
-        Violation::DeadlockCycle {
-            events: vec!["rank 0 recv from 1".to_string()],
-        },
         Violation::DivergentCollectives {
             rank: 2,
             position: 0,
-            reference: Some(call),
+            reference: Some("sum-f64"),
             found: None,
-        },
-        Violation::TagWindowOverlap {
-            a: "executor",
-            b: "halo",
         },
         Violation::TagOutOfWindow {
             tag: 0x2a,
@@ -759,7 +709,7 @@ fn every_violation_variant_is_constructible_and_renders() {
         },
         Violation::BracketingMismatch {
             nprocs: 2,
-            rank: None,
+            rank: 0,
             expected: 1,
             found: 2,
         },
@@ -795,7 +745,7 @@ fn every_violation_variant_is_constructible_and_renders() {
     names.dedup();
     assert_eq!(
         names.len(),
-        27,
+        25,
         "every Violation variant must appear exactly once in the audit"
     );
 }
