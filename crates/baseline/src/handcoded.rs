@@ -154,7 +154,7 @@ pub fn handcoded_jacobi(
         }
         let mut cursor = local_rows;
         for (&src, list) in &ghosts_by_owner {
-            let (_, payload): (usize, Vec<f64>) = proc.recv_from(src, tag);
+            let payload: Vec<f64> = proc.recv_from(src, tag);
             assert_eq!(payload.len(), list.len(), "halo message size mismatch");
             for v in payload {
                 proc.charge_mem_refs(2);

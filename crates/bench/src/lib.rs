@@ -36,7 +36,7 @@
 //! | `collectives` | extension | communication fast paths: tree allreduce `2(P−1)` vs flat allgather-fold `P·(P−1)` message scaling across P, and the stripe planner's zero-message red–black planning on chain meshes |
 //! | `native-scaling` | extension | native Jacobi wall clock at 1, 2, 4 and 8 intra-rank workers, bitwise identical fields |
 //! | `verify` | correctness tooling | static verification sweep: schedule duality, tag safety, deadlock freedom, SPMD & determinism-contract conformance for every solver/distribution/backend configuration |
-//! | `mc` | correctness tooling | trace-level model checking: happens-before analysis of recorded event traces plus bitwise-identical re-execution under perturbed delivery orders, for every solver/distribution/backend configuration |
+//! | `mc` | correctness tooling | trace-level model checking: happens-before and SPMD-conformance analysis of the recorded event traces of every solver/distribution configuration on dmsim, native and mp, whose results must agree bit for bit |
 
 #![forbid(unsafe_code)]
 
@@ -1934,25 +1934,20 @@ fn traced_run<P: kali_core::Process>(
 /// Run the trace-level model-checking sweep (`mc`): every mesh program
 /// of the registry under every distribution kind, on every backend.
 ///
-/// Each configuration runs four checks:
+/// Each configuration runs three checks:
 ///
-/// 1. a traced dmsim FIFO baseline whose recorded event trace must pass
+/// 1. a traced dmsim baseline whose recorded event trace must pass
 ///    `kali_core::mc::check_trace` with zero happens-before violations;
-/// 2. re-executions under perturbed wildcard-delivery policies (LIFO, two
-///    seeded shuffles, systematic rotation) whose runs must be bitwise
-///    identical to the baseline — fields, histories, structural counts and
-///    the dmsim traffic counters, with simulated clocks and the queue
-///    high-water mark excluded as legitimately order-dependent;
-/// 3. traced native and mp runs whose traces must also pass the analyzer
+/// 2. traced native and mp runs whose traces must also pass the analyzer
 ///    and whose fields, histories and counts must match the dmsim baseline
 ///    bit for bit;
-/// 4. a sweep-wide assertion that the chunked executor emitted chunk-claim
+/// 3. a sweep-wide assertion that the chunked executor emitted chunk-claim
 ///    events (so the write-sink conflict check actually ran on real data).
 ///
 /// Prints one line per configuration and a failure summary; returns `true`
 /// exactly when **zero** violations and **zero** divergences were found.
 pub fn run_mc_all(smoke: bool) -> bool {
-    use dmsim::{DeliveryPolicy, Machine};
+    use dmsim::Machine;
     use kali_core::process::{Event, EventKind};
     use kali_mp::MpMachine;
     use kali_native::NativeMachine;
@@ -1963,7 +1958,7 @@ pub fn run_mc_all(smoke: bool) -> bool {
         (12, &[2, 4, 8], 8)
     };
 
-    println!("\n=== Trace-level model checking (kali_core::mc + dmsim delivery orders) ===");
+    println!("\n=== Trace-level model checking (kali_core::mc on dmsim, native and mp) ===");
 
     let mesh = scrambled_mesh(side);
     let n = mesh.len();
@@ -1971,32 +1966,13 @@ pub fn run_mc_all(smoke: bool) -> bool {
         .map(|i| ((i * 17) % 13) as f64 * 0.25 - 1.0)
         .collect();
 
-    let policies: [(&str, DeliveryPolicy); 4] = [
-        ("lifo", DeliveryPolicy::Lifo),
-        ("shuffle#a5", DeliveryPolicy::Shuffle(0xA5)),
-        ("shuffle#1990", DeliveryPolicy::Shuffle(1990)),
-        ("systematic", DeliveryPolicy::Systematic(1)),
-    ];
-    // The deterministic dmsim traffic counters, compared across delivery
-    // policies only (the other backends charge no simulated costs).
-    let traffic = |r: &Run| {
-        let c = r.counters;
-        [
-            c.msgs_sent,
-            c.msgs_recv,
-            c.bytes_sent,
-            c.bytes_recv,
-            c.nonlocal_refs,
-        ]
-    };
-
     let mut failures: Vec<String> = Vec::new();
     let mut chunk_claims = 0usize;
     let mut events_total = 0usize;
 
     println!(
-        "\n{:>8}  {:>14}  {:>10}  {:>8}  {:>8}  {:>10}  {:>8}  {:>8}",
-        "procs", "dist", "solver", "events", "hb", "policies", "native", "mp"
+        "\n{:>8}  {:>14}  {:>10}  {:>8}  {:>8}  {:>8}  {:>8}",
+        "procs", "dist", "solver", "events", "hb", "native", "mp"
     );
     for &nprocs in proc_counts {
         for (dist_name, dist) in dist_kinds(&mesh, nprocs) {
@@ -2024,7 +2000,7 @@ pub fn run_mc_all(smoke: bool) -> bool {
                     failures.len() - before
                 };
 
-                // 1. FIFO baseline on dmsim, traced and analyzed.
+                // 1. The baseline on dmsim, traced and analyzed.
                 let base = Machine::new(nprocs, CostModel::ideal())
                     .run(|proc| traced_run(proc, &program, &case));
                 let base_runs: Vec<Run> = base.iter().map(|l| l.0.clone()).collect();
@@ -2036,24 +2012,7 @@ pub fn run_mc_all(smoke: bool) -> bool {
                     .count();
                 let hb_found = check("dmsim", &base, &base_runs, &mut failures);
 
-                // 2. Perturbed delivery orders must not change the answer.
-                let mut policy_div = 0usize;
-                for (pname, policy) in policies {
-                    let runs = Machine::new(nprocs, CostModel::ideal())
-                        .with_delivery(policy)
-                        .run(|proc| program.run(proc, &case));
-                    for (rank, (base_r, run)) in base_runs.iter().zip(&runs).enumerate() {
-                        if run.bits() != base_r.bits() || traffic(run) != traffic(base_r) {
-                            policy_div += 1;
-                            failures.push(format!(
-                                "[{context}] delivery policy {pname} diverges from FIFO on \
-                                 rank {rank}"
-                            ));
-                        }
-                    }
-                }
-
-                // 3. Native and multi-process socket backends: traces pass,
+                // 2. Native and multi-process socket backends: traces pass,
                 //    results match dmsim.  The mp leg runs threads as ranks —
                 //    every message still crosses a Unix-domain socket, but
                 //    the traced results stay in-process for comparison.
@@ -2065,13 +2024,12 @@ pub fn run_mc_all(smoke: bool) -> bool {
                 let mp_bad = check("mp", &mp, &base_runs, &mut failures);
 
                 println!(
-                    "{:>8}  {:>14}  {:>10}  {:>8}  {:>8}  {:>10}  {:>8}  {:>8}",
+                    "{:>8}  {:>14}  {:>10}  {:>8}  {:>8}  {:>8}  {:>8}",
                     nprocs,
                     dist_name,
                     program.name(),
                     base.iter().map(|l| l.1.len()).sum::<usize>(),
                     hb_found,
-                    policy_div,
                     native_bad,
                     mp_bad
                 );
@@ -2079,7 +2037,7 @@ pub fn run_mc_all(smoke: bool) -> bool {
         }
     }
 
-    // 4. The chunked executor must actually have run under tracing.
+    // 3. The chunked executor must actually have run under tracing.
     if chunk_claims == 0 {
         failures.push(
             "no chunk-claim events recorded — the chunked executor was not exercised".to_string(),

@@ -44,9 +44,7 @@
 //! [`Session::execute_reduce`]: crate::Session::execute_reduce
 //!
 //! The `mc_all` bench driver runs this over every solver × distribution ×
-//! backend, and re-executes each solve under perturbed `DeliveryPolicy`
-//! schedules (`dmsim`) to confirm the determinism contract holds under any
-//! schedule-respecting delivery order.
+//! backend, and holds the native and mp results to dmsim's bit for bit.
 
 use std::collections::BTreeMap;
 

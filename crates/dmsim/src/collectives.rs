@@ -1,26 +1,23 @@
 //! Collective operations built on top of point-to-point messaging.
 //!
-//! The paper's run-time system needs three collective patterns:
-//!
-//! * **barrier** — reductions (convergence tests across sweeps) are not
-//!   here: every backend uses the `Process` trait's binomial-tree
-//!   `allreduce` (`process_impl.rs` says why),
-//! * **all-to-all personalised exchange** — the inspector must turn its
-//!   receive lists (`in(p,q)`) into send lists (`out(p,q) = in(q,p)`), which
-//!   the paper does with "a variant of Fox's Crystal router" so that no
-//!   processor becomes a bottleneck (§3.3),
-//! * **allgather** — used when replicated data must be set up.
-//!
-//! The barrier is `kali_process::collectives::dissemination_barrier`, shared
-//! with every backend and run here over the timed `send` / `recv`.  The
-//! exchange and the allgather stay the simulator's own: the crystal router
-//! is what the paper's tables price, both charge modeled wire sizes through
-//! `send_bytes`, and both complete with wildcard receives — the freedom
-//! `DeliveryPolicy` perturbs for the delivery-order model checker.
+//! The paper's run-time system needs one collective of its own: the
+//! all-to-all personalised exchange in which the inspector turns its receive
+//! lists (`in(p,q)`) into send lists (`out(p,q) = in(q,p)`), done with "a
+//! variant of Fox's Crystal router" so that no processor becomes a
+//! bottleneck (§3.3).  That router stays the simulator's own, because it is
+//! what the paper's tables price.  The rest is shared with every backend and
+//! runs here over the timed `send` / `recv`: the barrier, the allgather and
+//! the router's fallback exchange are `kali_process::collectives`, and the
+//! reductions are the `Process` trait's binomial-tree `allreduce`
+//! (`process_impl.rs` says why).  Every receive names its source, so a
+//! collective's result and every clock it moves depend on the program
+//! alone.
 //!
 //! All collectives are SPMD: every processor must call the same collective
 //! in the same order.  Each invocation reserves a fresh tag so consecutive
 //! collectives can never interfere.
+
+use kali_process::{Process, Wire};
 
 use crate::engine::Proc;
 
@@ -31,30 +28,6 @@ use crate::engine::Proc;
 pub fn barrier(proc: &mut Proc) {
     let tag = proc.next_collective_tag();
     kali_process::collectives::dissemination_barrier(proc, tag);
-}
-
-/// Gather one value from every processor onto every processor.
-///
-/// The result vector is indexed by rank.
-pub fn allgather<T>(proc: &mut Proc, value: T, bytes: usize) -> Vec<T>
-where
-    T: Clone + Send + 'static,
-{
-    let tag = proc.next_collective_tag();
-    let n = proc.nprocs();
-    let me = proc.rank();
-    let mut out: Vec<Option<T>> = vec![None; n];
-    out[me] = Some(value.clone());
-    for dst in 0..n {
-        if dst != me {
-            proc.send_bytes(dst, tag, bytes, value.clone());
-        }
-    }
-    for _ in 0..n - 1 {
-        let (src, v): (usize, T) = proc.recv_any(tag);
-        out[src] = Some(v);
-    }
-    out.into_iter().map(|v| v.expect("missing rank")).collect()
 }
 
 /// One routed item in an all-to-all personalised exchange: `(destination
@@ -78,20 +51,15 @@ pub type Routed<T> = (usize, T);
 ///
 /// Falls back to [`direct_exchange`] when the processor count is not a power
 /// of two.
-pub fn crystal_router<T>(proc: &mut Proc, items: Vec<Routed<T>>) -> Vec<T>
-where
-    T: Send + 'static,
-{
+pub fn crystal_router<T: Wire>(proc: &mut Proc, items: Vec<Routed<T>>) -> Vec<T> {
     let n = proc.nprocs();
     if !n.is_power_of_two() || n == 1 {
         return direct_exchange(proc, items);
     }
     let tag = proc.next_collective_tag();
     let me = proc.rank();
-    let dim = n.trailing_zeros();
-    let item_bytes = std::mem::size_of::<Routed<T>>();
     let mut current = items;
-    for d in 0..dim {
+    for d in 0..n.trailing_zeros() {
         let bit = 1usize << d;
         let partner = me ^ bit;
         let (forward, keep): (Vec<Routed<T>>, Vec<Routed<T>>) = current
@@ -100,11 +68,10 @@ where
         // Per-stage software overhead of the global concatenation.
         proc.charge_seconds(proc.cost().router_stage);
         // Handling cost proportional to the records touched this stage.
-        let handled = forward.len();
-        proc.charge_seconds(proc.cost().record_handling() * handled as f64);
+        proc.charge_record_handling(forward.len());
         let stage_tag = kali_process::tags::collective_stage_tag(tag, d);
-        proc.send_bytes(partner, stage_tag, forward.len() * item_bytes, forward);
-        let (_, incoming): (usize, Vec<Routed<T>>) = proc.recv_from(partner, stage_tag);
+        proc.send_vec(partner, stage_tag, forward);
+        let incoming: Vec<Routed<T>> = proc.recv_from(partner, stage_tag);
         current = keep;
         current.extend(incoming);
     }
@@ -113,38 +80,16 @@ where
 }
 
 /// Naive all-to-all personalised exchange: every processor sends one message
-/// (possibly empty) directly to every other processor.
+/// (possibly empty) directly to every other processor — the shared
+/// [`direct_exchange`](kali_process::collectives::direct_exchange), which
+/// charges the records of each message it sends.
 ///
 /// This is the baseline the crystal router is compared against in the
 /// ablation benchmarks; it is also the fallback for non-power-of-two
 /// processor counts.
-pub fn direct_exchange<T>(proc: &mut Proc, items: Vec<Routed<T>>) -> Vec<T>
-where
-    T: Send + 'static,
-{
+pub fn direct_exchange<T: Wire>(proc: &mut Proc, items: Vec<Routed<T>>) -> Vec<T> {
     let tag = proc.next_collective_tag();
-    let n = proc.nprocs();
-    let me = proc.rank();
-    let item_bytes = std::mem::size_of::<T>();
-    // Bucket items by destination.
-    let mut buckets: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
-    for (dst, item) in items {
-        assert!(dst < n, "routed item addressed to rank {dst} of {n}");
-        buckets[dst].push(item);
-    }
-    let mut mine = std::mem::take(&mut buckets[me]);
-    for (dst, bucket) in buckets.into_iter().enumerate() {
-        if dst == me {
-            continue;
-        }
-        proc.charge_seconds(proc.cost().record_handling() * bucket.len() as f64);
-        proc.send_bytes(dst, tag, bucket.len() * item_bytes, bucket);
-    }
-    for _ in 0..n - 1 {
-        let (_, incoming): (usize, Vec<T>) = proc.recv_any(tag);
-        mine.extend(incoming);
-    }
-    mine
+    kali_process::collectives::direct_exchange(proc, tag, items)
 }
 
 #[cfg(test)]
@@ -169,8 +114,8 @@ mod tests {
     fn allgather_orders_by_rank() {
         for n in [1, 3, 4, 8] {
             let m = Machine::new(n, CostModel::ideal());
-            let r = m.run(|p| allgather(p, p.rank() as u64 * 10, 8));
-            let expected: Vec<u64> = (0..n as u64).map(|r| r * 10).collect();
+            let r = m.run(|p| p.allgather(vec![p.rank() as u64 * 10]));
+            let expected: Vec<Vec<u64>> = (0..n as u64).map(|r| vec![r * 10]).collect();
             for v in r {
                 assert_eq!(v, expected);
             }

@@ -15,42 +15,25 @@
 //! * `recv` sets the receiver's clock to `max(local clock, arrival)` plus the
 //!   receive overhead.
 //!
-//! Because clocks only ever move forward and merging is a `max`, the final
-//! clocks are a deterministic function of the program and the cost model —
-//! they do not depend on the host's thread scheduling.
+//! Every receive names its source and tag, and [`Mailbox`] — the pending
+//! buffer all three backends share — delivers FIFO per `(source, tag)`.  So
+//! the message each receive takes, and the order in which a processor folds
+//! arrival times into its clock, are fixed by the program: the final clocks
+//! are a deterministic function of the program and the cost model, not of
+//! the host's thread scheduling.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use kali_process::trace::{EventKind, TraceRecorder};
+use kali_process::{Arrival, Mailbox};
 
 use crate::cost::CostModel;
 use crate::message::{Envelope, Tag};
 use crate::stats::{Counters, RunStats};
 use crate::topology::Topology;
 
-/// How a processor picks among *matching* buffered messages when a receive
-/// could legally complete with more than one of them.
-///
-/// Only wildcard receives (`recv_any`) ever have a real choice: a receive
-/// from a specific source always takes that source's oldest matching
-/// message, so per-`(src, tag)` delivery stays FIFO — the invariant the
-/// `Process` contract promises and the trace analyzer relies on — under
-/// *every* policy.  The non-FIFO policies perturb exactly the freedom a
-/// real transport has (which source's message shows up first), which is
-/// what the delivery-order model checker sweeps over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeliveryPolicy {
-    /// Arrival order (the default, and the legacy code path).
-    Fifo,
-    /// Adversarial: prefer the most recently buffered candidate source.
-    Lifo,
-    /// Seeded pseudo-random choice among candidate sources; the same seed
-    /// reproduces the same delivery order.
-    Shuffle(u64),
-    /// Bounded systematic enumeration: rotate the candidate choice by a
-    /// fixed offset, so sweeping `Systematic(0..k)` visits `k` distinct
-    /// schedule-respecting delivery orders.
-    Systematic(u64),
-}
+/// A message as the engine's channels carry it: routing and sequence
+/// number outside, the simulated size, arrival time and value inside.
+type Packet = Arrival<Envelope>;
 
 /// A virtual distributed-memory machine: `nprocs` processors connected by a
 /// [`Topology`] and timed by a [`CostModel`].
@@ -59,7 +42,6 @@ pub struct Machine {
     nprocs: usize,
     topology: Topology,
     cost: CostModel,
-    delivery: DeliveryPolicy,
 }
 
 impl Machine {
@@ -67,12 +49,7 @@ impl Machine {
     /// hypercube (the paper's machines are hypercubes).
     pub fn new(nprocs: usize, cost: CostModel) -> Self {
         assert!(nprocs > 0, "a machine needs at least one processor");
-        Machine {
-            nprocs,
-            topology: Topology::hypercube_for(nprocs),
-            cost,
-            delivery: DeliveryPolicy::Fifo,
-        }
+        Machine::with_topology(nprocs, Topology::hypercube_for(nprocs), cost)
     }
 
     /// A machine with an explicit topology.  `nprocs` may be smaller than
@@ -89,20 +66,7 @@ impl Machine {
             nprocs,
             topology,
             cost,
-            delivery: DeliveryPolicy::Fifo,
         }
-    }
-
-    /// The same machine with a different wildcard-receive delivery policy
-    /// (builder style; [`Machine::new`] defaults to FIFO).
-    pub fn with_delivery(mut self, delivery: DeliveryPolicy) -> Self {
-        self.delivery = delivery;
-        self
-    }
-
-    /// The wildcard-receive delivery policy in effect.
-    pub fn delivery(&self) -> DeliveryPolicy {
-        self.delivery
     }
 
     /// Number of virtual processors.
@@ -138,8 +102,8 @@ impl Machine {
         F: Fn(&mut Proc) -> R + Sync,
     {
         let p = self.nprocs;
-        let mut senders: Vec<Sender<Envelope>> = Vec::with_capacity(p);
-        let mut receivers: Vec<Option<Receiver<Envelope>>> = Vec::with_capacity(p);
+        let mut senders: Vec<Sender<Packet>> = Vec::with_capacity(p);
+        let mut receivers: Vec<Option<Receiver<Packet>>> = Vec::with_capacity(p);
         for _ in 0..p {
             let (tx, rx) = unbounded();
             senders.push(tx);
@@ -161,7 +125,6 @@ impl Machine {
                 senders[rank] = unbounded().0;
                 let topology = self.topology.clone();
                 let cost = self.cost.clone();
-                let delivery = self.delivery;
                 let f = &f;
                 handles.push(scope.spawn(move || {
                     let mut proc = Proc {
@@ -169,19 +132,16 @@ impl Machine {
                         nprocs: p,
                         topology,
                         cost,
-                        delivery,
                         senders,
                         receiver: rx,
-                        pending: Vec::new(),
-                        send_seqs: vec![0; p],
-                        wildcard_recvs: 0,
+                        mailbox: Mailbox::new(rank, p),
                         clock: 0.0,
                         counters: Counters::default(),
                         coll_seq: 0,
                         recorder: TraceRecorder::default(),
                     };
                     let result = f(&mut proc);
-                    (rank, result, proc.clock, proc.counters)
+                    (rank, result, proc.clock, proc.counters())
                 }));
             }
             // Release the parent's sender clones so a receiver blocked on
@@ -218,15 +178,10 @@ pub struct Proc {
     nprocs: usize,
     topology: Topology,
     cost: CostModel,
-    delivery: DeliveryPolicy,
-    senders: Vec<Sender<Envelope>>,
-    receiver: Receiver<Envelope>,
-    pending: Vec<Envelope>,
-    /// Next per-destination send sequence number (stamped on envelopes).
-    send_seqs: Vec<u64>,
-    /// Wildcard receives completed so far — the decision counter the
-    /// non-FIFO delivery policies key their choices on.
-    wildcard_recvs: u64,
+    senders: Vec<Sender<Packet>>,
+    receiver: Receiver<Packet>,
+    /// Out-of-order arrivals and self-sends, matched on `(src, tag)`.
+    mailbox: Mailbox<Envelope>,
     clock: f64,
     counters: Counters,
     /// Monotonic counter used to derive unique tags for collective
@@ -266,7 +221,10 @@ impl Proc {
 
     /// Operation counters accumulated so far.
     pub fn counters(&self) -> Counters {
-        self.counters
+        Counters {
+            queue_peak: self.mailbox.peak(),
+            ..self.counters
+        }
     }
 
     // ----------------------------------------------------------------
@@ -331,136 +289,57 @@ impl Proc {
     /// Send an arbitrary payload with an explicitly specified simulated
     /// wire size in bytes.
     pub fn send_bytes<T: Send + 'static>(&mut self, dst: usize, tag: Tag, bytes: usize, value: T) {
-        assert!(dst < self.nprocs, "send to rank {dst} of {}", self.nprocs);
+        let (me, seq) = (self.rank, self.mailbox.stamp(dst));
         // Sender-side CPU overhead.
         self.clock += self.cost.send_overhead;
         self.counters.msgs_sent += 1;
         self.counters.bytes_sent += bytes as u64;
-        let hops = self.topology.hops(self.rank, dst);
-        let arrival = if dst == self.rank {
+        let arrival = if dst == me {
             self.clock
         } else {
-            self.clock + self.cost.transfer_time(bytes, hops)
+            self.clock + self.cost.transfer_time(bytes, self.topology.hops(me, dst))
         };
-        let seq = self.send_seqs[dst];
-        self.send_seqs[dst] += 1;
-        let env = Envelope {
-            src: self.rank,
-            dst,
+        let packet = Packet {
+            src: me,
             tag,
-            bytes,
-            arrival,
             seq,
-            payload: Box::new(value),
+            payload: Envelope {
+                bytes,
+                arrival,
+                payload: Box::new(value),
+            },
         };
-        self.recorder
-            .record(self.rank, EventKind::Send { dst, tag });
-        if dst == self.rank {
-            self.buffer_pending(env);
-        } else {
-            self.senders[dst]
-                .send(env)
-                .expect("destination processor hung up");
+        self.recorder.record(me, EventKind::Send { dst, tag });
+        if dst == me {
+            // Self-sends bypass the channel and go straight to the mailbox.
+            self.mailbox.park(packet);
+        } else if self.senders[dst].send(packet).is_err() {
+            panic!("dmsim rank {me}: destination rank {dst} hung up (send tag {tag:#x})");
         }
     }
 
-    /// Receive a message with the given tag from a specific source.
-    ///
-    /// Returns `(src, value)`.  Blocks until a matching message arrives.
-    pub fn recv_from<T: 'static>(&mut self, src: usize, tag: Tag) -> (usize, T) {
-        self.recv_match(Some(src), tag)
-    }
-
-    /// Receive a message with the given tag from any source.
-    pub fn recv_any<T: 'static>(&mut self, tag: Tag) -> (usize, T) {
-        self.recv_match(None, tag)
-    }
-
-    fn recv_match<T: 'static>(&mut self, src: Option<usize>, tag: Tag) -> (usize, T) {
-        if self.delivery != DeliveryPolicy::Fifo && src.is_none() {
-            return self.recv_match_perturbed(tag);
+    /// Receive the oldest message with the given tag from `src`, blocking
+    /// until it arrives, and merge its arrival time into the clock.  Panics,
+    /// naming this rank, `src` and the tag, on a receive nothing can
+    /// satisfy: from itself with nothing sent, or with every peer gone.
+    pub fn recv_from<T: 'static>(&mut self, src: usize, tag: Tag) -> T {
+        let me = self.rank;
+        let env = self.mailbox.receive(src, tag, || {
+            self.receiver.recv().unwrap_or_else(|_| {
+                panic!(
+                    "dmsim rank {me}: all peer ranks hung up while rank {me} waited for \
+                     tag {tag:#x} from rank {src}"
+                )
+            })
+        });
+        if env.arrival > self.clock {
+            self.clock = env.arrival;
         }
-        // First look in the pending buffer for an already-delivered match.
-        if let Some(pos) = self
-            .pending
-            .iter()
-            .position(|e| e.tag == tag && src.is_none_or(|s| e.src == s))
-        {
-            // Plain remove, not swap_remove: the pending buffer must keep
-            // same-(src, tag) messages in arrival order so delivery stays
-            // FIFO per (source, tag), as the Process contract promises.
-            let env = self.pending.remove(pos);
-            return self.complete_recv(src.is_none(), env);
-        }
-        // Otherwise block on the incoming channel, buffering non-matching
-        // messages for later receives.
-        loop {
-            let env = self
-                .receiver
-                .recv()
-                .expect("all peer processors hung up while waiting for a message");
-            if env.tag == tag && src.is_none_or(|s| env.src == s) {
-                return self.complete_recv(src.is_none(), env);
-            }
-            self.buffer_pending(env);
-        }
-    }
-
-    /// Wildcard receive under a non-FIFO [`DeliveryPolicy`]: drain whatever
-    /// already sits in the channel into the pending buffer, then let the
-    /// policy pick among the candidate *sources* (each source's candidate is
-    /// its oldest matching message, so per-channel FIFO is preserved by
-    /// construction).  Blocks for one more envelope and retries whenever no
-    /// candidate exists yet.
-    fn recv_match_perturbed<T: 'static>(&mut self, tag: Tag) -> (usize, T) {
-        loop {
-            while let Ok(env) = self.receiver.try_recv() {
-                self.buffer_pending(env);
-            }
-            // One candidate per distinct source: the first matching pending
-            // entry in arrival order (== send order per channel).
-            let mut candidates: Vec<(usize, usize)> = Vec::new(); // (pos, src)
-            for (pos, e) in self.pending.iter().enumerate() {
-                if e.tag == tag && !candidates.iter().any(|&(_, s)| s == e.src) {
-                    candidates.push((pos, e.src));
-                }
-            }
-            if !candidates.is_empty() {
-                let k = self.wildcard_recvs;
-                let choice = match self.delivery {
-                    DeliveryPolicy::Fifo => 0,
-                    DeliveryPolicy::Lifo => candidates.len() - 1,
-                    DeliveryPolicy::Shuffle(seed) => {
-                        let score = |src: usize| {
-                            mix64(seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ src as u64)
-                        };
-                        candidates
-                            .iter()
-                            .enumerate()
-                            .max_by_key(|(_, &(_, s))| score(s))
-                            .map(|(i, _)| i)
-                            .expect("candidates checked non-empty")
-                    }
-                    DeliveryPolicy::Systematic(rot) => {
-                        ((rot + k) % candidates.len() as u64) as usize
-                    }
-                };
-                let env = self.pending.remove(candidates[choice].0);
-                return self.complete_recv(true, env);
-            }
-            let env = self
-                .receiver
-                .recv()
-                .expect("all peer processors hung up while waiting for a message");
-            self.buffer_pending(env);
-        }
-    }
-
-    /// Park an envelope in the pending buffer (arrival order preserved) and
-    /// keep the queue-depth high-water mark.
-    fn buffer_pending(&mut self, env: Envelope) {
-        self.pending.push(env);
-        self.counters.queue_peak = self.counters.queue_peak.max(self.pending.len() as u64);
+        self.clock += self.cost.recv_overhead;
+        self.counters.msgs_recv += 1;
+        self.counters.bytes_recv += env.bytes as u64;
+        self.recorder.record(me, EventKind::Recv { src, tag });
+        env.into_payload(me, src, tag)
     }
 
     /// Reserve a fresh tag for one collective operation.
@@ -473,31 +352,6 @@ impl Proc {
         self.coll_seq += 1;
         tag
     }
-
-    fn complete_recv<T: 'static>(&mut self, wildcard: bool, env: Envelope) -> (usize, T) {
-        if env.arrival > self.clock {
-            self.clock = env.arrival;
-        }
-        self.clock += self.cost.recv_overhead;
-        self.counters.msgs_recv += 1;
-        self.counters.bytes_recv += env.bytes as u64;
-        if wildcard {
-            self.wildcard_recvs += 1;
-        }
-        let src = env.src;
-        self.recorder
-            .record(self.rank, EventKind::Recv { src, tag: env.tag });
-        (src, env.into_payload())
-    }
-}
-
-/// SplitMix64 finaliser, used to score candidate sources under
-/// [`DeliveryPolicy::Shuffle`].
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]
@@ -518,8 +372,7 @@ mod tests {
             let right = (p.rank() + 1) % p.nprocs();
             let left = (p.rank() + p.nprocs() - 1) % p.nprocs();
             p.send(right, 1, p.rank() as u64);
-            let (_src, v): (usize, u64) = p.recv_from(left, 1);
-            v
+            p.recv_from::<u64>(left, 1)
         });
         assert_eq!(r, vec![7, 0, 1, 2, 3, 4, 5, 6]);
     }
@@ -529,9 +382,7 @@ mod tests {
         let m = Machine::new(2, CostModel::ideal());
         let r = m.run(|p| {
             p.send(p.rank(), 9, 123u32);
-            let (src, v): (usize, u32) = p.recv_from(p.rank(), 9);
-            assert_eq!(src, p.rank());
-            v
+            p.recv_from::<u32>(p.rank(), 9)
         });
         assert_eq!(r, vec![123, 123]);
     }
@@ -546,8 +397,8 @@ mod tests {
                 0
             } else {
                 // Receive out of order: tag 20 first even though it was sent second.
-                let (_, b): (usize, u64) = p.recv_from(0, 20);
-                let (_, a): (usize, u64) = p.recv_from(0, 10);
+                let b: u64 = p.recv_from(0, 20);
+                let a: u64 = p.recv_from(0, 10);
                 (b - a) as i64 as usize
             }
         });
@@ -567,48 +418,26 @@ mod tests {
                 p.send(1, 6, 99u64);
                 Vec::new()
             } else {
-                let _: (usize, u64) = p.recv_from(0, 6); // buffers the tag-5 messages
-                (0..3).map(|_| p.recv_from::<u64>(0, 5).1).collect()
+                let _: u64 = p.recv_from(0, 6); // buffers the tag-5 messages
+                (0..3).map(|_| p.recv_from::<u64>(0, 5)).collect()
             }
         });
         assert_eq!(r[1], vec![1, 2, 3], "same-(src, tag) delivery must be FIFO");
     }
 
     #[test]
-    fn perturbed_policies_preserve_per_channel_fifo_and_lose_nothing() {
-        for policy in [
-            DeliveryPolicy::Lifo,
-            DeliveryPolicy::Shuffle(42),
-            DeliveryPolicy::Shuffle(7),
-            DeliveryPolicy::Systematic(1),
-            DeliveryPolicy::Systematic(2),
-        ] {
-            let m = Machine::new(4, CostModel::ideal()).with_delivery(policy);
-            let r = m.run(|p| {
-                if p.rank() == 0 {
-                    let n = (p.nprocs() - 1) * 3;
-                    (0..n).map(|_| p.recv_any::<u64>(5)).collect::<Vec<_>>()
-                } else {
-                    for k in 0..3u64 {
-                        p.send(0, 5, p.rank() as u64 * 10 + k);
-                    }
-                    Vec::new()
-                }
-            });
-            // Per-source delivery must stay FIFO under every policy; the
-            // cross-source interleaving is the policy's to choose.
-            let got = &r[0];
-            assert_eq!(got.len(), 9, "{policy:?}");
-            for src in 1..4usize {
-                let seq: Vec<u64> = got
-                    .iter()
-                    .filter(|(s, _)| *s == src)
-                    .map(|(_, v)| *v)
-                    .collect();
-                let expect: Vec<u64> = (0..3).map(|k| src as u64 * 10 + k).collect();
-                assert_eq!(seq, expect, "{policy:?}: src {src} not FIFO");
-            }
-        }
+    fn a_self_receive_with_nothing_sent_fails_at_once_naming_the_rank() {
+        let m = Machine::new(2, CostModel::ideal());
+        let r = m.run(|p| {
+            let me = p.rank();
+            let wait = std::panic::AssertUnwindSafe(|| p.recv_from::<u8>(me, 3));
+            let cause = std::panic::catch_unwind(wait).expect_err("nothing was sent");
+            *cause.downcast::<String>().expect("a formatted message")
+        });
+        assert_eq!(
+            r[1],
+            "rank 1: recv from rank 1 (itself) on tag 0x3 with nothing sent"
+        );
     }
 
     #[test]
@@ -622,9 +451,9 @@ mod tests {
                 p.send(1, 6, 99u64);
             } else {
                 // The tag-6 receive parks all three tag-5 messages.
-                let _: (usize, u64) = p.recv_from(0, 6);
+                let _: u64 = p.recv_from(0, 6);
                 for _ in 0..3 {
-                    let _: (usize, u64) = p.recv_from(0, 5);
+                    let _: u64 = p.recv_from(0, 5);
                 }
             }
         });
@@ -644,7 +473,7 @@ mod tests {
             if p.rank() == 0 {
                 p.send(1, 0, 1u8);
             } else {
-                let _: (usize, u8) = p.recv_from(0, 0);
+                let _: u8 = p.recv_from(0, 0);
             }
         });
         // Receiver's clock must include the 1-second latency.
@@ -668,8 +497,10 @@ mod tests {
                         p.send(dst, 5, p.rank() as u64);
                     }
                 }
-                for _ in 0..p.nprocs() - 1 {
-                    let _: (usize, u64) = p.recv_any(5);
+                for src in 0..p.nprocs() {
+                    if src != p.rank() {
+                        let _: u64 = p.recv_from(src, 5);
+                    }
                 }
             });
             stats.clocks
@@ -698,13 +529,13 @@ mod tests {
     }
 
     #[test]
-    fn send_vec_charges_payload_bytes() {
+    fn send_vec_charges_the_payload_size() {
         let m = Machine::new(2, CostModel::ideal());
         let (_, stats) = m.run_stats(|p| {
             if p.rank() == 0 {
                 p.send_vec(1, 3, vec![0.0f64; 100]);
             } else {
-                let (_, v): (usize, Vec<f64>) = p.recv_from(0, 3);
+                let v: Vec<f64> = p.recv_from(0, 3);
                 assert_eq!(v.len(), 100);
             }
         });
@@ -720,7 +551,7 @@ mod tests {
         let m = Machine::new(2, CostModel::ideal());
         m.run(|p| {
             if p.rank() == 1 {
-                let _: (usize, u64) = p.recv_from(0, 1);
+                let _: u64 = p.recv_from(0, 1);
             }
         });
     }

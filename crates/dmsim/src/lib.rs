@@ -15,9 +15,9 @@
 //!   [`CostModel`] (per-flop, per-memory-reference, per-loop-iteration and
 //!   per-procedure-call charges); messages advance it through the usual
 //!   `latency + bytes × per-byte` model plus per-hop routing charges on the
-//!   chosen [`Topology`].  Receive operations merge the sender's timestamp,
-//!   so the final clocks are a deterministic function of the program and the
-//!   cost model, independent of host scheduling.
+//!   chosen [`Topology`].  Every receive names its source, and merges the
+//!   sender's timestamp, so the final clocks are a deterministic function of
+//!   the program and the cost model, independent of host scheduling.
 //! * **Machine presets.**  [`CostModel::ncube7`] and [`CostModel::ipsc2`]
 //!   are calibrated so the experiments in the paper land in the same range
 //!   and — more importantly — have the same *shape* (scaling curves,
@@ -44,7 +44,7 @@
 //!     let right = (proc.rank() + 1) % proc.nprocs();
 //!     let left = (proc.rank() + proc.nprocs() - 1) % proc.nprocs();
 //!     proc.send(right, 7, proc.rank() as u64);
-//!     let (_, v): (usize, u64) = proc.recv_from(left, 7);
+//!     let v: u64 = proc.recv_from(left, 7);
 //!     v
 //! });
 //! assert_eq!(results, vec![3, 0, 1, 2]);
@@ -63,8 +63,8 @@ pub mod topology;
 
 pub use clock::PhaseTimer;
 pub use cost::CostModel;
-pub use engine::{DeliveryPolicy, Machine, Proc};
-pub use message::{payload_bytes, Envelope, Tag};
+pub use engine::{Machine, Proc};
+pub use message::{Envelope, Tag};
 pub use stats::{Counters, RunStats};
 pub use topology::Topology;
 
@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::clock::PhaseTimer;
     pub use crate::collectives;
     pub use crate::cost::CostModel;
-    pub use crate::engine::{DeliveryPolicy, Machine, Proc};
+    pub use crate::engine::{Machine, Proc};
     pub use crate::stats::{Counters, RunStats};
     pub use crate::topology::Topology;
 }

@@ -4,99 +4,66 @@
 //! exchange arbitrary `Send + 'static` values — range-record lists, slices of
 //! floats, scalars — without the engine having to know about them.  The
 //! *simulated* size of a message is tracked separately from its in-memory
-//! representation so the cost model can charge realistic byte counts.
+//! representation so the cost model can charge realistic byte counts.  The
+//! source, tag and sequence number travel outside the envelope, in the
+//! [`Arrival`](kali_process::Arrival) the receiver's mailbox matches on.
 
 use std::any::Any;
 
 /// Message tag, used to match sends with receives (like MPI tags).
 pub type Tag = u64;
 
-/// A message in flight between two virtual processors.
+/// What the cost model and the receiver need of a message in flight.
 #[derive(Debug)]
 pub struct Envelope {
-    /// Rank of the sending processor.
-    pub src: usize,
-    /// Rank of the destination processor.
-    pub dst: usize,
-    /// User-chosen tag; receives match on `(src, tag)`.
-    pub tag: Tag,
     /// Simulated payload size in bytes (used by the cost model).
     pub bytes: usize,
-    /// Simulated time at which the message is fully available at `dst`.
+    /// Simulated time at which the message is fully available at its
+    /// destination.
     pub arrival: f64,
-    /// Per-`(src, dst)` send sequence number (0, 1, 2, … in send order).
-    /// Lets the engine's perturbed delivery policies and the trace analyzer
-    /// reason about send order without trusting buffer positions.
-    pub seq: u64,
     /// The actual data.
     pub payload: Box<dyn Any + Send>,
 }
 
 impl Envelope {
-    /// Attempt to downcast the payload to `T`, consuming the envelope.
+    /// Downcast the payload that rank `rank` received from `src` on `tag`
+    /// to `T`, consuming the envelope.
     ///
-    /// Panics with a descriptive message on a type mismatch: a mismatch is a
+    /// Panics, naming the three, on a type mismatch: a mismatch is a
     /// programming error in the SPMD program (the equivalent of an MPI type
     /// error) and never recoverable.
-    pub fn into_payload<T: 'static>(self) -> T {
+    pub fn into_payload<T: 'static>(self, rank: usize, src: usize, tag: Tag) -> T {
         *self.payload.downcast::<T>().unwrap_or_else(|_| {
             panic!(
-                "message payload type mismatch: src={} dst={} tag={} expected {}",
-                self.src,
-                self.dst,
-                self.tag,
+                "dmsim rank {rank}: message payload type mismatch from rank {src} on tag \
+                 {tag:#x}: expected {}",
                 std::any::type_name::<T>()
             )
         })
     }
 }
 
-/// Simulated wire size, in bytes, of a slice of `T`.
-///
-/// This is the number the cost model charges for; it deliberately ignores
-/// any headers or padding of the host representation.
-pub fn payload_bytes<T>(len: usize) -> usize {
-    len * std::mem::size_of::<T>()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn downcast_roundtrip() {
-        let env = Envelope {
-            src: 1,
-            dst: 2,
-            tag: 7,
+    fn envelope(payload: Box<dyn Any + Send>) -> Envelope {
+        Envelope {
             bytes: 24,
             arrival: 0.5,
-            seq: 0,
-            payload: Box::new(vec![1.0f64, 2.0, 3.0]),
-        };
-        let v: Vec<f64> = env.into_payload();
+            payload,
+        }
+    }
+
+    #[test]
+    fn downcast_roundtrip() {
+        let v: Vec<f64> = envelope(Box::new(vec![1.0f64, 2.0, 3.0])).into_payload(2, 1, 7);
         assert_eq!(v, vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
-    #[should_panic(expected = "type mismatch")]
+    #[should_panic(expected = "dmsim rank 1: message payload type mismatch from rank 0 on tag 0x7")]
     fn downcast_wrong_type_panics() {
-        let env = Envelope {
-            src: 0,
-            dst: 1,
-            tag: 0,
-            bytes: 8,
-            arrival: 0.0,
-            seq: 0,
-            payload: Box::new(42u64),
-        };
-        let _: Vec<f64> = env.into_payload();
-    }
-
-    #[test]
-    fn payload_bytes_counts_element_size() {
-        assert_eq!(payload_bytes::<f64>(10), 80);
-        assert_eq!(payload_bytes::<u8>(10), 10);
-        assert_eq!(payload_bytes::<(u32, u32)>(4), 32);
+        let _: Vec<f64> = envelope(Box::new(42u64)).into_payload(1, 0, 7);
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! This is what lets the backend-independent Kali runtime (`kali-core`,
 //! `solvers`) run on the simulator: point-to-point messages map onto the
-//! engine's timed sends/receives, collectives onto the [`collectives`]
-//! module (the inspector's all-to-all becomes the paper's crystal router),
+//! engine's timed sends/receives, the barrier and the exchange onto the
+//! [`collectives`] module (the inspector's all-to-all becomes the paper's
+//! crystal router), the allgather onto the direct one every backend shares,
 //! and each cost hook charges the corresponding composite price from the
 //! machine's [`CostModel`](crate::CostModel) — so the paper-table accounting
 //! is exactly what it was when the runtime called the simulator directly.
@@ -16,7 +17,7 @@
 //! sequential replay's.
 
 use kali_process::trace::{Event, EventKind};
-use kali_process::{Counters, Process, Tag};
+use kali_process::{Counters, Process, Tag, Wire};
 
 use crate::collectives;
 use crate::engine::Proc;
@@ -39,8 +40,7 @@ impl Process for Proc {
     }
 
     fn recv<T: Send + 'static>(&mut self, src: usize, tag: Tag) -> T {
-        let (_, value) = self.recv_from::<T>(src, tag);
-        value
+        self.recv_from(src, tag)
     }
 
     fn barrier(&mut self) {
@@ -48,15 +48,15 @@ impl Process for Proc {
         collectives::barrier(self);
     }
 
-    fn exchange<T: Send + 'static>(&mut self, items: Vec<(usize, T)>) -> Vec<T> {
+    fn exchange<T: Wire>(&mut self, items: Vec<(usize, T)>) -> Vec<T> {
         self.trace_emit(EventKind::Collective { op: "exchange" });
         collectives::crystal_router(self, items)
     }
 
-    fn allgather<T: Clone + Send + 'static>(&mut self, items: Vec<T>) -> Vec<Vec<T>> {
+    fn allgather<T: Clone + Wire>(&mut self, items: Vec<T>) -> Vec<Vec<T>> {
         self.trace_emit(EventKind::Collective { op: "allgather" });
-        let bytes = items.len() * std::mem::size_of::<T>();
-        collectives::allgather(self, items, bytes)
+        let tag = self.next_collective_tag();
+        kali_process::collectives::direct_allgather(self, tag, items)
     }
 
     fn charge_flops(&mut self, n: usize) {
@@ -167,6 +167,23 @@ mod tests {
             exchanged.sort_unstable();
             assert_eq!(exchanged, (0..8u64).collect::<Vec<_>>(), "rank {rank}");
         }
+    }
+
+    #[test]
+    fn allgather_clocks_do_not_depend_on_host_arrival_order() {
+        // Contributions reach each rank in rank order in the first run and
+        // in reverse rank order in the second: the clocks must not notice.
+        let m = Machine::new(8, CostModel::ncube7());
+        let clocks = |delay_ms: fn(usize) -> u64| {
+            let (_, stats) = m.run_stats(|proc| {
+                std::thread::sleep(std::time::Duration::from_millis(delay_ms(proc.rank())));
+                Process::allgather(proc, vec![proc.rank() as u64]);
+            });
+            stats.clocks
+        };
+        let ascending = clocks(|rank| 5 * rank as u64);
+        let descending = clocks(|rank| 5 * (8 - rank) as u64);
+        assert_eq!(ascending, descending);
     }
 
     #[test]

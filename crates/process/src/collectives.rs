@@ -26,7 +26,8 @@ pub fn dissemination_barrier<P: Process>(proc: &mut P, tag: Tag) {
 
 /// Direct personalised all-to-all: one message (possibly empty) to every
 /// peer, received and concatenated in rank order with the rank's own items
-/// in rank position.
+/// in rank position.  Each message's records are charged
+/// ([`Process::charge_record_handling`]) just before it is sent.
 pub fn direct_exchange<P: Process, T: Wire>(
     proc: &mut P,
     tag: Tag,
@@ -41,6 +42,7 @@ pub fn direct_exchange<P: Process, T: Wire>(
     let mine = std::mem::take(&mut buckets[me]);
     for (dst, bucket) in buckets.into_iter().enumerate() {
         if dst != me {
+            proc.charge_record_handling(bucket.len());
             proc.send_vec(dst, tag, bucket);
         }
     }

@@ -31,11 +31,12 @@
 //! implementation serves every backend and the result is bitwise identical
 //! across backends and a sequential replay ([`reduce::tree_combine_partials`]).
 //!
-//! What the native and mp transports share lives here too: [`mailbox`] is
-//! the `(source, tag)` message matching behind their `recv`, and
-//! [`collectives`] holds the dissemination barrier (which the simulator
-//! uses as well), the direct all-to-all and the direct allgather as free
-//! functions over any [`Process`].
+//! What every backend shares lives here too: [`mailbox`] is the `(source,
+//! tag)` message matching behind its `recv`, and [`collectives`] holds the
+//! dissemination barrier, the direct all-to-all and the direct allgather as
+//! free functions over any [`Process`].  (The simulator's all-to-all is the
+//! paper's crystal router, and the direct one only where the router cannot
+//! run: a rank count that is not a power of two.)
 //!
 //! ## Metering is a fact about the backend
 //!

@@ -1,16 +1,14 @@
-//! `(source, tag)` message matching, shared by the native and mp backends.
+//! `(source, tag)` message matching, shared by every backend.
 //!
-//! A transport hands messages over in arrival order; `Process::recv` asks
-//! for them by `(source, tag)`, FIFO per key.  [`Mailbox`] sits in between
-//! and is the one place that discipline is decided: [`Mailbox::receive`]
-//! serves a parked message, or pulls from the transport until the match
-//! arrives and parks the rest in per-key queues.  It is generic over the
-//! parked payload (a type-erased box on native, type hash plus encoded
-//! bytes on mp), draws the per-destination send sequence numbers its
-//! debug-build FIFO witnesses check, and keeps `Counters::queue_peak`.
-//!
-//! dmsim keeps its own arrival-ordered list: its wildcard receives choose
-//! among sources under a `DeliveryPolicy`, which keyed queues cannot serve.
+//! A transport hands messages over in arrival order; a receive asks for
+//! them by `(source, tag)`, FIFO per key.  [`Mailbox`] sits in between and
+//! is the one place that discipline is decided: [`Mailbox::receive`] serves
+//! a parked message, or pulls from the transport until the match arrives and
+//! parks the rest in per-key queues.  It is generic over the parked payload
+//! (a type-erased box on native, type hash plus encoded bytes on mp, the
+//! box plus its simulated size and arrival time on dmsim), draws the
+//! per-destination send sequence numbers its debug-build FIFO witnesses
+//! check, and keeps `Counters::queue_peak`.
 
 use std::collections::{HashMap, VecDeque};
 

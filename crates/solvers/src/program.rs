@@ -77,7 +77,7 @@ pub struct Run {
     /// the 2-D demo.
     pub history: Vec<f64>,
     /// Named structural counts — cache lifecycle, reductions, halo sizes —
-    /// identical on every backend and under every delivery order.
+    /// identical on every backend.
     pub counts: Vec<(String, u64)>,
     /// Operation counters of the run's timed region.
     pub counters: Counters,
@@ -91,7 +91,7 @@ impl Run {
     }
 
     /// Field, history and counts as one bit vector: what must not move
-    /// across backends, delivery orders and `(workers, chunk)` settings.
+    /// across backends and `(workers, chunk)` settings.
     pub fn bits(&self) -> Vec<u64> {
         let floats = self.field.iter().chain(&self.history).map(|x| x.to_bits());
         floats.chain(self.counts.iter().map(|(_, v)| *v)).collect()
@@ -195,7 +195,7 @@ impl From<MultiDimOutcome> for Run {
 }
 
 impl Program {
-    /// One of each mesh program as the delivery-order and backend sweeps
+    /// One of each mesh program as the model-checking and backend sweeps
     /// run them, `steps` sweeps or iterations long: Jacobi checking
     /// convergence every sweep on a two-worker pool of eight-iteration
     /// chunks; Jacobi on a mesh that adapts every other sweep and rebalances

@@ -39,8 +39,7 @@ pub struct CommReport {
     /// Peak depth of any processor's pending-message buffer (messages
     /// parked waiting for a matching receive) — the maximum over
     /// processors, a high-water mark rather than a flow.  Large values mean
-    /// receives lag far behind sends, the regime where delivery-order
-    /// perturbations have the most room to reorder.
+    /// receives lag far behind sends.
     pub queue_peak: u64,
     /// Payload bytes sent for those reductions, summed over processors.
     pub reduction_bytes: u64,

@@ -702,3 +702,47 @@ fn redistribution_works_on_the_native_backend() {
     });
     assert_eq!(native.iter().sum::<usize>(), n);
 }
+
+mod properties {
+    use super::*;
+    use kali_repro::meshes::greedy_partition;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10))]
+
+        /// Any of seven scrambled random meshes, any mesh program of the
+        /// registry (`Program::mesh_suite`, four steps), any distribution
+        /// kind and either rank count: native computes dmsim's bits.
+        #[test]
+        fn native_matches_dmsim_bitwise_on_any_mesh_program_and_distribution(
+            mesh_seed in 1u64..8,
+            solver_idx in 0usize..4,
+            dist_idx in 0usize..4,
+            procs_idx in 0usize..2,
+        ) {
+            let nprocs = [2usize, 4][procs_idx];
+            let program = Program::mesh_suite(4)[solver_idx];
+            let mesh = UnstructuredMeshBuilder::new(8, 8)
+                .seed(mesh_seed)
+                .scramble_numbering(true)
+                .build();
+            let n = mesh.len();
+            let field: Vec<f64> = (0..n)
+                .map(|i| ((i * 17) % 13) as f64 * 0.25 - 1.0)
+                .collect();
+            let dist = [
+                DimDist::block(n, nprocs),
+                DimDist::cyclic(n, nprocs),
+                DimDist::block_cyclic(n, nprocs, 3),
+                DimDist::custom(greedy_partition(&mesh, nprocs), nprocs),
+            ][dist_idx]
+                .clone();
+            let case = Case::new(&mesh, Placement::Dist(dist), &field);
+            let simulated = Machine::new(nprocs, CostModel::ideal())
+                .run(|proc| program.run(proc, &case).bits());
+            let native = NativeMachine::new(nprocs).run(|proc| program.run(proc, &case).bits());
+            prop_assert_eq!(&native, &simulated);
+        }
+    }
+}

@@ -3,7 +3,7 @@
 //! sequential answer.
 
 use kali_repro::distrib::DimDist;
-use kali_repro::dmsim::{CostModel, Machine};
+use kali_repro::dmsim::{CostModel, Machine, Process};
 use kali_repro::kali::Session;
 use kali_repro::meshes::RegularGrid;
 use kali_repro::solvers::{gather_global, jacobi_sequential, jacobi_sweeps, JacobiConfig};
@@ -35,7 +35,7 @@ fn jacobi_survives_a_mid_run_redistribution() {
             .zip(cyclic_local.iter())
             .map(|(g, &v)| (g, v))
             .collect();
-        let all = kali_repro::dmsim::collectives::allgather(proc, flat, 16);
+        let all = Process::allgather(proc, flat);
         let mut mid = vec![0.0f64; mesh.len()];
         for piece in all {
             for (g, v) in piece {
