@@ -287,7 +287,7 @@ mod tests {
         for rank in 0..p {
             let s = analyze_multi(&space, &d, &d, &maps, rank).unwrap();
             assert_eq!(s.recv_len, 0, "rank {rank}");
-            assert!(s.send_records.is_empty());
+            assert!(s.send_records().is_empty());
             assert!(s.nonlocal_iters.is_empty());
             assert_eq!(
                 s.local_iters.len(),

@@ -583,13 +583,13 @@ mod resolver_properties {
     /// every one of them a replay mismatch.
     fn edge_iterations(dist: &DimDist, schedule: &CommSchedule, swapped: bool) -> Vec<Vec<usize>> {
         let rank = schedule.rank;
-        let records = schedule.recv_records.iter();
+        let records = schedule.recv_records().iter();
         let mut ends: Vec<usize> = records.flat_map(|r| [r.low, r.high - 1]).collect();
         let owned = dist.local_set(rank);
         ends.extend(owned.ranges().iter().flat_map(|r| [r.start, r.end - 1]));
         let last_owned = dist.local_count(rank).checked_sub(1);
         let last_owned = last_owned.map(|l| dist.global_index(rank, l));
-        let mut last_received = schedule.recv_records.iter();
+        let mut last_received = schedule.recv_records().iter();
         let last_received = last_received
             .find(|r| r.buffer + r.len() == schedule.recv_len)
             .map(|r| r.high - 1);

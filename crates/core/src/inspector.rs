@@ -124,13 +124,13 @@ where
     // exchange is the paper's crystal router; other backends provide their
     // own all-to-all.
     let outgoing: Vec<(usize, RangeRecord)> = schedule
-        .recv_records
+        .recv_records()
         .iter()
         .map(|r| (r.from_proc, *r))
         .collect();
     let incoming = proc.exchange(outgoing);
     proc.charge_record_handling(incoming.len());
-    schedule.set_send_records(incoming);
+    schedule.set_send_records(proc.nprocs(), incoming);
     schedule
 }
 
@@ -192,7 +192,7 @@ mod tests {
         let schedules = run_indirect(4, n, idx, || DimDist::block(32, 4));
         for s in schedules {
             assert_eq!(s.recv_len, 0);
-            assert!(s.send_records.is_empty());
+            assert!(s.send_records().is_empty());
             assert!(s.nonlocal_iters.is_empty());
             assert_eq!(s.local_iters.len(), 8);
         }
@@ -207,16 +207,16 @@ mod tests {
         for (rank, s) in schedules.iter().enumerate() {
             if rank < 3 {
                 assert_eq!(s.recv_len, 1, "rank {rank} receives one halo element");
-                assert_eq!(s.recv_records[0].from_proc, rank + 1);
-                assert_eq!(s.recv_records[0].low, (rank + 1) * 10);
+                assert_eq!(s.recv_records()[0].from_proc, rank + 1);
+                assert_eq!(s.recv_records()[0].low, (rank + 1) * 10);
                 assert_eq!(s.nonlocal_iters, vec![rank * 10 + 9]);
             } else {
                 assert_eq!(s.recv_len, 0);
             }
             if rank > 0 {
-                assert_eq!(s.send_records.len(), 1);
-                assert_eq!(s.send_records[0].to_proc, rank - 1);
-                assert_eq!(s.send_records[0].len(), 1);
+                assert_eq!(s.send_records().len(), 1);
+                assert_eq!(s.send_records()[0].to_proc, rank - 1);
+                assert_eq!(s.send_records()[0].len(), 1);
             }
         }
     }
@@ -237,12 +237,12 @@ mod tests {
         let s1 = &schedules[1];
         assert_eq!(s1.recv_len, 3, "duplicates must collapse");
         assert_eq!(s1.range_count(), 1, "adjacent elements must coalesce");
-        assert_eq!(s1.recv_records[0].low, 0);
-        assert_eq!(s1.recv_records[0].high, 3);
+        assert_eq!(s1.recv_records()[0].low, 0);
+        assert_eq!(s1.recv_records()[0].high, 3);
         // Processor 0 references only its own elements.
         assert_eq!(schedules[0].recv_len, 0);
-        assert_eq!(schedules[0].send_records.len(), 1);
-        assert_eq!(schedules[0].send_records[0].high, 3);
+        assert_eq!(schedules[0].send_records().len(), 1);
+        assert_eq!(schedules[0].send_records()[0].high, 3);
     }
 
     #[test]
@@ -257,13 +257,13 @@ mod tests {
                     continue;
                 }
                 let in_pq: Vec<(usize, usize)> = schedules[p]
-                    .recv_records
+                    .recv_records()
                     .iter()
                     .filter(|r| r.from_proc == q)
                     .map(|r| (r.low, r.high))
                     .collect();
                 let mut out_qp: Vec<(usize, usize)> = schedules[q]
-                    .send_records
+                    .send_records()
                     .iter()
                     .filter(|r| r.to_proc == p)
                     .map(|r| (r.low, r.high))

@@ -90,12 +90,14 @@ impl RangeRecord {
 pub struct CommSchedule {
     /// Rank of the processor this schedule belongs to.
     pub rank: usize,
-    /// Blocks this processor must receive, sorted by `(from_proc, low)`.
-    /// `to_proc` is always `rank`.
-    pub recv_records: Vec<RangeRecord>,
-    /// Blocks this processor must send, sorted by `(to_proc, low)`.
-    /// `from_proc` is always `rank`.
-    pub send_records: Vec<RangeRecord>,
+    /// Blocks this processor must receive, sorted by `(from_proc, low)`,
+    /// non-empty, with `to_proc == rank` and dense buffer offsets in that
+    /// order.  Written only by [`CommSchedule::from_recv_sets`].
+    recv_records: Vec<RangeRecord>,
+    /// Blocks this processor must send, sorted by `(to_proc, low)`,
+    /// non-empty and disjoint per destination, with `from_proc == rank`.
+    /// Written only by [`CommSchedule::set_send_records`].
+    send_records: Vec<RangeRecord>,
     /// Iterations that reference only local data (`exec(p) ∩ ref(p)`),
     /// in ascending order.
     pub local_iters: Vec<usize>,
@@ -122,8 +124,10 @@ impl CommSchedule {
     ///   entries for `q == rank` must be empty.
     /// * `local_iters` / `nonlocal_iters` are the iteration lists.
     ///
-    /// Buffer offsets are assigned in `(from_proc, low)` order, which is the
-    /// order in which the executor unpacks incoming messages.  Send records
+    /// Buffer offsets are assigned densely in `(from_proc, low)` order, the
+    /// order in which the executor unpacks incoming messages.  An
+    /// [`IndexSet`]'s ranges are sorted, disjoint and non-empty, so the
+    /// records are too.  Send records
     /// are *not* filled in here — they are only known after the global
     /// exchange (`out(p,q) = in(q,p)`); use
     /// [`CommSchedule::set_send_records`].
@@ -144,13 +148,6 @@ impl CommSchedule {
                 continue;
             }
             for r in set.ranges() {
-                // Zero-length blocks carry no data but would still become
-                // records: a `(low, low)` entry sorting after a covering
-                // `(lo, hi)` range shadows it in `find`'s binary search, and
-                // empty records inflate `range_count` (the r of O(log r)).
-                if r.is_empty() {
-                    continue;
-                }
                 recv_records.push(RangeRecord {
                     from_proc: q,
                     to_proc: rank,
@@ -161,28 +158,64 @@ impl CommSchedule {
                 offset += r.len();
             }
         }
-        let mut schedule = CommSchedule {
+        let mut lookup: Vec<_> = recv_records
+            .iter()
+            .map(|r| (r.low, r.high, r.buffer))
+            .collect();
+        lookup.sort_unstable();
+        CommSchedule {
             rank,
             recv_records,
             send_records: Vec::new(),
             local_iters,
             nonlocal_iters,
             recv_len: offset,
-            lookup: Vec::new(),
+            lookup,
             translation: Translation::default(),
-        };
-        schedule.rebuild_lookup();
-        schedule
+        }
     }
 
     /// Install the send records produced by the global exchange, sorting
     /// them by `(to_proc, low)` — the paper's "sorted on the `to_proc`
     /// field, again using `low` as the secondary key".
-    pub fn set_send_records(&mut self, mut records: Vec<RangeRecord>) {
-        for r in &records {
-            debug_assert_eq!(r.from_proc, self.rank, "send record must originate here");
-        }
+    ///
+    /// The records were sent by this rank's peers (on mp, decoded from
+    /// another process), so they are checked in every build: each must
+    /// originate here, name another rank below `nprocs` as its peer and be
+    /// non-empty, and no two to one destination may overlap.  A record that
+    /// breaks one panics, naming this rank and the peer.
+    pub fn set_send_records(&mut self, nprocs: usize, mut records: Vec<RangeRecord>) {
+        let rank = self.rank;
         records.sort_by_key(|r| (r.to_proc, r.low));
+        for r in &records {
+            let (peer, low, high) = (r.to_proc, r.low, r.high);
+            assert!(
+                r.from_proc == rank,
+                "rank {rank}: peer {peer}'s send record [{low},{high}) originates on rank {}",
+                r.from_proc
+            );
+            assert!(
+                peer != rank && peer < nprocs,
+                "rank {rank}: send record [{low},{high}) names peer {peer}, not another of \
+                 {nprocs} ranks"
+            );
+            assert!(
+                !r.is_empty(),
+                "rank {rank}: peer {peer}'s send record [{low},{high}) is empty"
+            );
+        }
+        for w in records.windows(2) {
+            let (a, b) = (w[0], w[1]);
+            assert!(
+                a.to_proc != b.to_proc || a.high <= b.low,
+                "rank {rank}: peer {}'s send records [{},{}) and [{},{}) overlap",
+                b.to_proc,
+                a.low,
+                a.high,
+                b.low,
+                b.high
+            );
+        }
         self.send_records = records;
     }
 
@@ -200,20 +233,7 @@ impl CommSchedule {
                 buffer: 0, // buffer offsets are a receiver-side notion
             }));
         }
-        self.set_send_records(records);
-    }
-
-    fn rebuild_lookup(&mut self) {
-        // Defence in depth: even if a caller hand-assembles records (tests,
-        // future analyses), empty ones must never reach the binary search —
-        // see the filter in [`CommSchedule::from_recv_sets`].
-        self.lookup = self
-            .recv_records
-            .iter()
-            .filter(|r| !r.is_empty())
-            .map(|r| (r.low, r.high, r.buffer))
-            .collect();
-        self.lookup.sort_unstable();
+        self.set_send_records(nprocs, records);
     }
 
     /// Approximate heap footprint of the schedule in bytes — the quantity
@@ -324,6 +344,17 @@ impl CommSchedule {
         self.recv_records.len()
     }
 
+    /// The receive records, sorted by `(from_proc, low)`; each record's
+    /// `buffer` is the running sum of the lengths before it.
+    pub fn recv_records(&self) -> &[RangeRecord] {
+        &self.recv_records
+    }
+
+    /// The send records, sorted by `(to_proc, low)`.
+    pub fn send_records(&self) -> &[RangeRecord] {
+        &self.send_records
+    }
+
     /// Group receive records by sending processor, in ascending processor
     /// order.  Each group's records are sorted by `low` and its buffer
     /// region is contiguous.
@@ -335,21 +366,6 @@ impl CommSchedule {
     /// order.
     pub fn send_messages(&self) -> Vec<(usize, &[RangeRecord])> {
         group_by_proc(&self.send_records, |r| r.to_proc)
-    }
-
-    /// True when the receive-buffer offsets are densely sequential in
-    /// `(from_proc, low)` order — the layout [`CommSchedule::from_recv_sets`]
-    /// produces.  The executor's packed receive path relies on this: it
-    /// appends each incoming message to one contiguous buffer and every
-    /// element must land exactly at its record's `buffer` offset.
-    pub fn recv_layout_is_dense(&self) -> bool {
-        let mut pos = 0usize;
-        let contiguous = self.recv_records.iter().all(|r| {
-            let ok = r.buffer == pos;
-            pos += r.len();
-            ok
-        });
-        contiguous && pos == self.recv_len
     }
 
     /// Find the communication-buffer position of a received global index by
@@ -629,22 +645,25 @@ mod tests {
             IndexSet::new(),
         ];
         let mut s = CommSchedule::from_recv_sets(1, &recv_sets, vec![5, 6], vec![7, 8, 9]);
-        s.set_send_records(vec![
-            RangeRecord {
-                from_proc: 1,
-                to_proc: 2,
-                low: 15,
-                high: 17,
-                buffer: 0,
-            },
-            RangeRecord {
-                from_proc: 1,
-                to_proc: 0,
-                low: 14,
-                high: 15,
-                buffer: 3,
-            },
-        ]);
+        s.set_send_records(
+            4,
+            vec![
+                RangeRecord {
+                    from_proc: 1,
+                    to_proc: 2,
+                    low: 15,
+                    high: 17,
+                    buffer: 0,
+                },
+                RangeRecord {
+                    from_proc: 1,
+                    to_proc: 0,
+                    low: 14,
+                    high: 15,
+                    buffer: 3,
+                },
+            ],
+        );
         s
     }
 
@@ -656,14 +675,6 @@ mod tests {
         assert_eq!(s.recv_records[1].buffer, 3);
         assert_eq!(s.recv_records[2].buffer, 5);
         assert_eq!(s.range_count(), 3);
-        assert!(s.recv_layout_is_dense());
-    }
-
-    #[test]
-    fn perturbed_offsets_are_not_a_dense_layout() {
-        let mut s = sample_schedule();
-        s.recv_records[1].buffer += 1;
-        assert!(!s.recv_layout_is_dense());
     }
 
     #[test]
@@ -747,28 +758,17 @@ mod tests {
 
     #[test]
     fn empty_ranges_never_become_records() {
-        // Regression: `from_recv_sets` used to emit a RangeRecord for every
-        // range of the IndexSet, including zero-length ones.  An empty
-        // `(g, g)` record sorting after a covering `(lo, hi)` range makes
-        // `find`'s "last range with low <= g" probe land on the empty record
-        // and miss the covering one.
+        // An empty `(g, g)` record sorting after a covering `(lo, hi)` range
+        // would make `find`'s "last range with low <= g" probe land on it
+        // and miss the covering one.  `IndexSet` drops empty ranges, so
+        // none reaches the records.
         let recv_sets = vec![
             IndexSet::new(),
-            IndexSet::from_range(5, 9), // covering range from proc 1
+            IndexSet::from_ranges([IndexRange::new(5, 9), IndexRange::new(7, 7)]),
         ];
-        let mut s = CommSchedule::from_recv_sets(0, &recv_sets, vec![], vec![]);
+        let s = CommSchedule::from_recv_sets(0, &recv_sets, vec![], vec![]);
         assert_eq!(s.range_count(), 1);
         assert_eq!(s.recv_len, 4);
-        // Inject an empty record the way a buggy or hand-rolled analysis
-        // might, and rebuild the lookup: the search must stay unambiguous.
-        s.recv_records.push(RangeRecord {
-            from_proc: 1,
-            to_proc: 0,
-            low: 7,
-            high: 7,
-            buffer: 99,
-        });
-        s.rebuild_lookup();
         for g in 5..9 {
             assert_eq!(
                 s.find(g),
@@ -778,6 +778,45 @@ mod tests {
         }
         assert_eq!(s.find(9), None);
         assert_eq!(s.find(4), None);
+    }
+
+    #[test]
+    fn set_send_records_rejects_malformed_peer_records() {
+        // What rank 1 of 4 could be handed by a buggy or corrupt peer, each
+        // next to a well-formed record for peer 3.
+        let record = |from_proc, to_proc, low, high| RangeRecord {
+            from_proc,
+            to_proc,
+            low,
+            high,
+            buffer: 0,
+        };
+        let good = record(1, 3, 40, 42);
+        let malformed = [
+            ("another origin", vec![record(0, 2, 14, 16)]),
+            ("addressed to this rank", vec![record(1, 1, 14, 16)]),
+            ("past the last rank", vec![record(1, 4, 14, 16)]),
+            ("empty", vec![record(1, 2, 14, 14)]),
+            (
+                "overlapping",
+                vec![record(1, 2, 15, 17), record(1, 2, 14, 16)],
+            ),
+        ];
+        for (what, mut records) in malformed {
+            records.push(good);
+            let peer = records[0].to_proc;
+            let message = std::panic::catch_unwind(move || {
+                CommSchedule::from_recv_sets(1, &[], vec![], vec![]).set_send_records(4, records)
+            })
+            .expect_err(what);
+            let message = message
+                .downcast_ref::<String>()
+                .expect("the panic message is formatted");
+            assert!(
+                message.starts_with("rank 1: ") && message.contains(&format!("peer {peer}")),
+                "{what}: {message}"
+            );
+        }
     }
 
     #[test]

@@ -39,8 +39,12 @@
 //! * **metering** — inspector time (accumulated around every plan call) and
 //!   reduction counts/bytes, snapshotted by [`Session::stats`] for the
 //!   solvers' outcome structs — and, in debug builds, a static verification
-//!   of every plan ([`verify::check_schedule`]), so a broken analysis aborts
-//!   at plan time with a diagnostic instead of hanging in the executor.
+//!   of every plan ([`verify::check_schedule`]: receive ranges disjoint
+//!   across senders, the buffer length, the iteration lists), so a broken
+//!   analysis aborts at plan time with a diagnostic instead of hanging in
+//!   the executor.  The record lists need no such check: the schedule's
+//!   constructors build them well-formed and reject malformed peer records
+//!   in every build.
 //!
 //! [`Session::execute_reduce`] makes reductions **first-class loop outputs**:
 //! the body also returns one contribution per iteration and the session
@@ -359,9 +363,10 @@ impl Session {
     }
 
     /// What every plan ends with: meter the time since `before` and, in
-    /// debug builds, statically verify the schedule's rank-local invariants
-    /// ([`verify::check_schedule`]; the cross-rank ones need every rank's
-    /// plan at once — gather those for [`verify::check_schedule_set`]).
+    /// debug builds, statically verify the rank-local invariants the
+    /// schedule's constructors do not enforce ([`verify::check_schedule`];
+    /// the cross-rank ones need every rank's plan at once — gather those for
+    /// [`verify::check_schedule_set`]).
     fn planned<P: Process>(
         &mut self,
         proc: &P,
@@ -928,10 +933,10 @@ mod tests {
             let schedule = session.plan_indirect(proc, &loop_, &dist, refs);
             // The plan passes rank-local static verification...
             assert_eq!(verify::check_schedule(&schedule), vec![]);
-            // ...and a hand-corrupted copy does not.
+            // ...and a copy with its local list out of order does not.
             let mut broken = (*schedule).clone();
-            if let Some(r) = broken.recv_records.first_mut() {
-                r.buffer += 1;
+            if broken.local_iters.len() >= 2 {
+                broken.local_iters.swap(0, 1);
                 assert!(!verify::check_schedule(&broken).is_empty());
             }
             let local: Vec<f64> = dist

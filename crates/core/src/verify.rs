@@ -9,9 +9,10 @@
 //!
 //! 1. **Schedule duality**: every receive record `(src, range)` on rank `r`
 //!    is mirrored by a send record `(dest = r, range)` on rank `src` with an
-//!    equal element count ([`check_schedule_set`]), every receive buffer is
-//!    dense and non-overlapping, and every planned nonlocal reference
-//!    resolves through the schedule ([`check_plan_refs`]).
+//!    equal element count ([`check_schedule_set`]), the receive ranges of
+//!    different senders are disjoint, and every planned nonlocal reference
+//!    resolves through the schedule ([`check_plan_refs`]).  The shape of
+//!    each record list is [`CommSchedule`]'s constructors' to keep.
 //! 2. **Sweep-tag wrap**: the executor's sweep-tag wrap can never alias two
 //!    in-flight sweeps ([`check_sweep_tag_wrap`]).  That the [`tags`]
 //!    component windows are disjoint needs no check here: a `const`
@@ -41,67 +42,10 @@ use crate::process::trace::Event;
 use crate::process::{tags, tree_combine_partials, Process, ReduceOp, Tag};
 use crate::schedule::{CommSchedule, RangeRecord};
 
-/// Which record list of a [`CommSchedule`] a violation refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordKind {
-    /// A receive record (`in(p,q)` of the paper).
-    Recv,
-    /// A send record (`out(p,q)` of the paper).
-    Send,
-}
-
-impl fmt::Display for RecordKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RecordKind::Recv => write!(f, "recv"),
-            RecordKind::Send => write!(f, "send"),
-        }
-    }
-}
-
 /// One statically detected protocol defect, with enough context to point at
 /// the offending record, rank, or round.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Violation {
-    /// A record's own-rank field does not name the schedule's rank.
-    RecordRankMismatch {
-        /// Rank of the schedule holding the record.
-        rank: usize,
-        /// Which record list the record sits in.
-        kind: RecordKind,
-        /// The offending record.
-        record: RangeRecord,
-    },
-    /// A record names its own rank as the peer (a processor never messages
-    /// itself through a schedule).
-    SelfMessage {
-        /// Rank of the schedule holding the record.
-        rank: usize,
-        /// Which record list the record sits in.
-        kind: RecordKind,
-        /// The offending record.
-        record: RangeRecord,
-    },
-    /// A record covers no elements (empty records shadow covering ranges in
-    /// the binary search).
-    EmptyRecord {
-        /// Rank of the schedule holding the record.
-        rank: usize,
-        /// Which record list the record sits in.
-        kind: RecordKind,
-        /// The offending record.
-        record: RangeRecord,
-    },
-    /// Records are not sorted by `(peer, low)` — the executor's
-    /// message-grouping and the binary search both rely on that order.
-    UnsortedRecords {
-        /// Rank of the schedule holding the records.
-        rank: usize,
-        /// Which record list is out of order.
-        kind: RecordKind,
-        /// Index of the first record that sorts before its predecessor.
-        index: usize,
-    },
     /// Two receive records cover overlapping global ranges (every element
     /// has exactly one home, so received ranges must be disjoint).
     OverlappingRecvRanges {
@@ -112,17 +56,6 @@ pub enum Violation {
         /// The overlapping record.
         second: RangeRecord,
     },
-    /// A receive record's buffer offset is not the running sum of the
-    /// preceding records' lengths — the packed receive path would scatter
-    /// elements to the wrong slots.
-    NonDenseRecvLayout {
-        /// Rank of the schedule holding the record.
-        rank: usize,
-        /// The offending record.
-        record: RangeRecord,
-        /// The offset the dense layout requires.
-        expected_buffer: usize,
-    },
     /// `recv_len` disagrees with the records' total length.
     RecvLenMismatch {
         /// Rank of the schedule.
@@ -131,15 +64,6 @@ pub enum Violation {
         declared: usize,
         /// The sum of the receive records' lengths.
         actual: usize,
-    },
-    /// A received element does not resolve through the schedule's binary
-    /// search (`find`) to its record's buffer slot — the lookup table is out
-    /// of sync with the records.
-    LookupMiss {
-        /// Rank of the schedule.
-        rank: usize,
-        /// The global index that failed to resolve.
-        global: usize,
     },
     /// An iteration list is not strictly ascending.
     UnsortedIterations {
@@ -238,13 +162,6 @@ pub enum Violation {
         /// What the diverging rank entered (`None` = nothing).
         found: Option<&'static str>,
     },
-    /// A derived tag escaped its component window.
-    TagOutOfWindow {
-        /// The escaping tag.
-        tag: Tag,
-        /// The window it was supposed to stay in.
-        window: &'static str,
-    },
     /// Two in-flight sweeps map to the same executor tag across the wrap
     /// boundary.
     SweepTagCollision {
@@ -326,20 +243,6 @@ pub enum Violation {
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Violation::RecordRankMismatch { rank, kind, record } => write!(
-                f,
-                "rank {rank}: {kind} record {record:?} does not name this rank"
-            ),
-            Violation::SelfMessage { rank, kind, record } => {
-                write!(f, "rank {rank}: {kind} record {record:?} messages itself")
-            }
-            Violation::EmptyRecord { rank, kind, record } => {
-                write!(f, "rank {rank}: empty {kind} record {record:?}")
-            }
-            Violation::UnsortedRecords { rank, kind, index } => write!(
-                f,
-                "rank {rank}: {kind} record #{index} sorts before its predecessor"
-            ),
             Violation::OverlappingRecvRanges {
                 rank,
                 first,
@@ -349,16 +252,6 @@ impl fmt::Display for Violation {
                 "rank {rank}: recv ranges [{},{}) and [{},{}) overlap",
                 first.low, first.high, second.low, second.high
             ),
-            Violation::NonDenseRecvLayout {
-                rank,
-                record,
-                expected_buffer,
-            } => write!(
-                f,
-                "rank {rank}: recv record [{},{}) sits at buffer {} but the dense \
-                 layout requires {expected_buffer}",
-                record.low, record.high, record.buffer
-            ),
             Violation::RecvLenMismatch {
                 rank,
                 declared,
@@ -367,10 +260,6 @@ impl fmt::Display for Violation {
                 f,
                 "rank {rank}: recv_len declares {declared} elements but the records \
                  cover {actual}"
-            ),
-            Violation::LookupMiss { rank, global } => write!(
-                f,
-                "rank {rank}: received element {global} does not resolve through find()"
             ),
             Violation::UnsortedIterations { rank, list, index } => write!(
                 f,
@@ -429,9 +318,6 @@ impl fmt::Display for Violation {
                 reference.unwrap_or("nothing"),
                 found.unwrap_or("nothing")
             ),
-            Violation::TagOutOfWindow { tag, window } => {
-                write!(f, "tag {tag:#x} escaped the '{window}' window")
-            }
             Violation::SweepTagCollision {
                 sweep_a,
                 sweep_b,
@@ -503,138 +389,36 @@ pub fn render(violations: &[Violation]) -> String {
 // 1. Schedule duality
 // ----------------------------------------------------------------------
 
-/// Structurally verify one rank's schedule: record rank fields, sorting,
-/// dense non-overlapping receive layout, lookup consistency, and
-/// well-formed iteration lists.  Duality is a cross-rank property and needs
-/// the whole set — see [`check_schedule_set`].
+/// Verify what one rank's schedule does not hold by construction: receive
+/// ranges disjoint across senders, `recv_len` the records' total, and
+/// strictly ascending, disjoint iteration lists.  The record lists' shape is
+/// the constructors' to keep ([`CommSchedule::from_recv_sets`],
+/// [`CommSchedule::set_send_records`]); duality needs the whole set — see
+/// [`check_schedule_set`].
 pub fn check_schedule(s: &CommSchedule) -> Vec<Violation> {
     let mut out = Vec::new();
     let rank = s.rank;
 
-    // Receive records: rank fields, order, dense buffer layout.
-    let mut expected_buffer = 0usize;
-    for (k, r) in s.recv_records.iter().enumerate() {
-        if r.to_proc != rank {
-            out.push(Violation::RecordRankMismatch {
-                rank,
-                kind: RecordKind::Recv,
-                record: *r,
-            });
-        }
-        if r.from_proc == rank {
-            out.push(Violation::SelfMessage {
-                rank,
-                kind: RecordKind::Recv,
-                record: *r,
-            });
-        }
-        if r.is_empty() {
-            out.push(Violation::EmptyRecord {
-                rank,
-                kind: RecordKind::Recv,
-                record: *r,
-            });
-        }
-        if k > 0 {
-            let prev = &s.recv_records[k - 1];
-            if (r.from_proc, r.low) < (prev.from_proc, prev.low) {
-                out.push(Violation::UnsortedRecords {
-                    rank,
-                    kind: RecordKind::Recv,
-                    index: k,
-                });
-            }
-        }
-        if r.buffer != expected_buffer {
-            out.push(Violation::NonDenseRecvLayout {
-                rank,
-                record: *r,
-                expected_buffer,
-            });
-        }
-        expected_buffer += r.len();
-    }
-    if expected_buffer != s.recv_len {
+    let actual = s.recv_records().iter().map(RangeRecord::len).sum();
+    if actual != s.recv_len {
         out.push(Violation::RecvLenMismatch {
             rank,
             declared: s.recv_len,
-            actual: expected_buffer,
+            actual,
         });
     }
 
     // Received global ranges must be pairwise disjoint (every element has
-    // one home).
-    let mut by_low: Vec<RangeRecord> = s.recv_records.clone();
+    // one home); one sender's are by construction, two senders' need not be.
+    let mut by_low = s.recv_records().to_vec();
     by_low.sort_by_key(|r| (r.low, r.high));
-    let mut overlapping = false;
     for w in by_low.windows(2) {
         if w[1].low < w[0].high {
-            overlapping = true;
             out.push(Violation::OverlappingRecvRanges {
                 rank,
                 first: w[0],
                 second: w[1],
             });
-        }
-    }
-
-    // Lookup consistency: each record's endpoints must resolve to their
-    // buffer slots (only meaningful when the ranges are disjoint).
-    if !overlapping {
-        for r in s.recv_records.iter().filter(|r| !r.is_empty()) {
-            let lo_ok = s.find(r.low) == Some(r.buffer);
-            let hi_ok = s.find(r.high - 1) == Some(r.buffer + r.len() - 1);
-            if !lo_ok || !hi_ok {
-                out.push(Violation::LookupMiss {
-                    rank,
-                    global: if lo_ok { r.high - 1 } else { r.low },
-                });
-            }
-        }
-    }
-
-    // Send records: rank fields and `(to_proc, low)` order; ranges to the
-    // *same* destination must be disjoint (they mirror that receiver's
-    // disjoint receive set), while different destinations may legitimately
-    // request the same element.
-    for (k, r) in s.send_records.iter().enumerate() {
-        if r.from_proc != rank {
-            out.push(Violation::RecordRankMismatch {
-                rank,
-                kind: RecordKind::Send,
-                record: *r,
-            });
-        }
-        if r.to_proc == rank {
-            out.push(Violation::SelfMessage {
-                rank,
-                kind: RecordKind::Send,
-                record: *r,
-            });
-        }
-        if r.is_empty() {
-            out.push(Violation::EmptyRecord {
-                rank,
-                kind: RecordKind::Send,
-                record: *r,
-            });
-        }
-        if k > 0 {
-            let prev = &s.send_records[k - 1];
-            if (r.to_proc, r.low) < (prev.to_proc, prev.low) {
-                out.push(Violation::UnsortedRecords {
-                    rank,
-                    kind: RecordKind::Send,
-                    index: k,
-                });
-            }
-            if r.to_proc == prev.to_proc && r.low < prev.high {
-                out.push(Violation::OverlappingRecvRanges {
-                    rank,
-                    first: *prev,
-                    second: *r,
-                });
-            }
         }
     }
 
@@ -698,13 +482,13 @@ pub fn check_schedule_set(set: &[CommSchedule]) -> Vec<Violation> {
     // Duality: match records by (from, to, low).
     let mut sends: BTreeMap<(usize, usize, usize), RangeRecord> = BTreeMap::new();
     for s in set {
-        for r in &s.send_records {
+        for r in s.send_records() {
             sends.insert((r.from_proc, r.to_proc, r.low), *r);
         }
     }
     let mut matched = 0usize;
     for s in set {
-        for r in &s.recv_records {
+        for r in s.recv_records() {
             match sends.get(&(r.from_proc, r.to_proc, r.low)) {
                 None => out.push(Violation::DanglingRecv {
                     rank: s.rank,
@@ -728,7 +512,7 @@ pub fn check_schedule_set(set: &[CommSchedule]) -> Vec<Violation> {
         // Some send has no receiver: find them by probing the recv side.
         let mut recvs: BTreeMap<(usize, usize, usize), RangeRecord> = BTreeMap::new();
         for s in set {
-            for r in &s.recv_records {
+            for r in s.recv_records() {
                 recvs.insert((r.from_proc, r.to_proc, r.low), *r);
             }
         }
@@ -812,7 +596,7 @@ pub fn check_sweep_tag_wrap(in_flight: usize) -> Vec<Violation> {
         return out;
     }
     // Enumerate a window of sweeps crossing the wrap boundary and check
-    // every in-flight pair stays distinct and inside the executor window.
+    // every in-flight pair stays distinct.
     let probe = (in_flight as Tag).min(512);
     let start = span - probe;
     let tags_in_window: Vec<(usize, Tag)> = (0..2 * probe)
@@ -822,13 +606,6 @@ pub fn check_sweep_tag_wrap(in_flight: usize) -> Vec<Violation> {
         })
         .collect();
     for (k, &(sweep_a, tag_a)) in tags_in_window.iter().enumerate() {
-        let absolute = tags::EXECUTOR_BASE + tag_a;
-        if !(tags::EXECUTOR_BASE..tags::EXECUTOR_BASE + span).contains(&absolute) {
-            out.push(Violation::TagOutOfWindow {
-                tag: absolute,
-                window: "executor",
-            });
-        }
         for &(sweep_b, tag_b) in tags_in_window
             .iter()
             .skip(k + 1)
@@ -952,26 +729,32 @@ mod tests {
             vec![0, 1, 2],
             vec![6, 7],
         );
-        s0.set_send_records(vec![RangeRecord {
-            from_proc: 0,
-            to_proc: 1,
-            low: 6,
-            high: 8,
-            buffer: 0,
-        }]);
+        s0.set_send_records(
+            2,
+            vec![RangeRecord {
+                from_proc: 0,
+                to_proc: 1,
+                low: 6,
+                high: 8,
+                buffer: 0,
+            }],
+        );
         let mut s1 = CommSchedule::from_recv_sets(
             1,
             &[IndexSet::from_range(6, 8), IndexSet::new()],
             vec![12, 13],
             vec![8, 9],
         );
-        s1.set_send_records(vec![RangeRecord {
-            from_proc: 1,
-            to_proc: 0,
-            low: 8,
-            high: 10,
-            buffer: 0,
-        }]);
+        s1.set_send_records(
+            2,
+            vec![RangeRecord {
+                from_proc: 1,
+                to_proc: 0,
+                low: 8,
+                high: 10,
+                buffer: 0,
+            }],
+        );
         vec![s0, s1]
     }
 
@@ -987,15 +770,14 @@ mod tests {
     #[test]
     fn dangling_recv_is_reported() {
         let mut set = sample_pair();
-        let extra = RangeRecord {
-            from_proc: 1,
-            to_proc: 0,
-            low: 20,
-            high: 22,
-            buffer: set[0].recv_len,
-        };
-        set[0].recv_records.push(extra);
-        set[0].recv_len += 2;
+        // Rank 0 also claims [20,22) from rank 1, which plans no such send.
+        let sets = [
+            IndexSet::new(),
+            IndexSet::from_ranges([IndexRange::new(8, 10), IndexRange::new(20, 22)]),
+        ];
+        let sends = set[0].send_records().to_vec();
+        set[0] = CommSchedule::from_recv_sets(0, &sets, vec![0, 1, 2], vec![6, 7]);
+        set[0].set_send_records(2, sends);
         let violations = check_schedule_set(&set);
         assert!(
             violations.iter().any(
@@ -1008,8 +790,10 @@ mod tests {
     #[test]
     fn dangling_send_is_reported() {
         let mut set = sample_pair();
-        set[1].recv_records.clear();
-        set[1].recv_len = 0;
+        // Rank 1 receives nothing, so rank 0's send to it is unexpected.
+        let sends = set[1].send_records().to_vec();
+        set[1] = CommSchedule::from_recv_sets(1, &[], vec![12, 13], vec![8, 9]);
+        set[1].set_send_records(2, sends);
         let violations = check_schedule_set(&set);
         assert!(
             violations
@@ -1022,7 +806,17 @@ mod tests {
     #[test]
     fn byte_count_mismatch_is_reported() {
         let mut set = sample_pair();
-        set[0].send_records[0].high = 9; // sender now offers [6,9), receiver expects [6,8)
+        // The sender now offers [6,9); the receiver expects [6,8).
+        set[0].set_send_records(
+            2,
+            vec![RangeRecord {
+                from_proc: 0,
+                to_proc: 1,
+                low: 6,
+                high: 9,
+                buffer: 0,
+            }],
+        );
         let violations = check_schedule_set(&set);
         assert!(
             violations.iter().any(|v| matches!(
@@ -1036,19 +830,6 @@ mod tests {
                 }
             )),
             "expected ByteCountMismatch, got: {violations:?}"
-        );
-    }
-
-    #[test]
-    fn non_dense_layout_is_reported() {
-        let mut set = sample_pair();
-        set[0].recv_records[0].buffer += 3;
-        let violations = check_schedule(&set[0]);
-        assert!(
-            violations
-                .iter()
-                .any(|v| matches!(v, Violation::NonDenseRecvLayout { rank: 0, .. })),
-            "expected NonDenseRecvLayout, got: {violations:?}"
         );
     }
 
@@ -1207,14 +988,15 @@ mod tests {
                     buffer: 0,
                 },
             },
-            Violation::TagOutOfWindow {
+            Violation::SweepTagCollision {
+                sweep_a: 0,
+                sweep_b: 7,
                 tag: 0x2a,
-                window: "executor",
             },
         ];
         let text = render(&v);
         assert!(text.contains("rank 3"));
         assert!(text.contains("no matching send"));
-        assert!(text.contains("'executor'"));
+        assert!(text.contains("executor tag 0x2a"));
     }
 }
