@@ -180,6 +180,7 @@ fn dangling_recv_record_is_rejected() {
         "expected DanglingRecv, got:\n{violations:#?}"
     );
 }
+
 #[test]
 fn dangling_send_record_is_rejected() {
     let (mut set, _) = planned_stencil();
@@ -197,6 +198,7 @@ fn dangling_send_record_is_rejected() {
         "expected DanglingSend from rank 1 to rank 2, got:\n{violations:#?}"
     );
 }
+
 #[test]
 fn mismatched_byte_counts_are_rejected() {
     let (mut set, _) = planned_stencil();
@@ -221,6 +223,7 @@ fn mismatched_byte_counts_are_rejected() {
         "expected ByteCountMismatch on the 0->1 message, got:\n{violations:#?}"
     );
 }
+
 #[test]
 fn overlapping_recv_ranges_are_rejected() {
     let (mut set, _) = planned_stencil();
@@ -239,6 +242,7 @@ fn overlapping_recv_ranges_are_rejected() {
         "expected OverlappingRecvRanges on rank {rank}, got:\n{violations:#?}"
     );
 }
+
 #[test]
 fn references_outside_the_plan_are_rejected() {
     let (set, _) = planned_stencil();
@@ -308,32 +312,43 @@ fn rank_divergent_collective_sequences_are_rejected() {
 
 /// Rank 1's planned send records handed back to `set_send_records` with
 /// the first — its send of [8,9) to rank 0 — corrupted: what a buggy or
-/// corrupt peer could ship through the inspector's exchange.
-fn reinstall_corrupted_send_records(corrupt: impl FnOnce(&mut RangeRecord)) {
-    let (mut set, _) = planned_stencil();
-    let mut records = set[1].send_records().to_vec();
+/// corrupt peer could ship through the inspector's exchange.  Returns the
+/// message `set_send_records` panics with.
+fn reinstall_corrupted_send_records(corrupt: impl FnOnce(&mut RangeRecord)) -> String {
+    let (set, _) = planned_stencil();
+    let mut schedule = set[1].clone();
+    let mut records = schedule.send_records().to_vec();
     corrupt(&mut records[0]);
-    set[1].set_send_records(P, records);
+    let panic = std::panic::catch_unwind(move || schedule.set_send_records(P, records))
+        .expect_err("set_send_records accepted a malformed peer record");
+    panic
+        .downcast_ref::<String>()
+        .cloned()
+        .expect("the panic message is formatted")
 }
 
 #[test]
-#[should_panic(expected = "rank 1: peer 0's send record [8,9) originates on rank 2")]
 fn record_claiming_another_ranks_endpoint_is_rejected() {
-    reinstall_corrupted_send_records(|r| r.from_proc = 2);
+    let message = reinstall_corrupted_send_records(|r| r.from_proc = 2);
+    let expected = "rank 1: peer 0's send record [8,9) originates on rank 2";
+    assert!(message.contains(expected), "{message}");
 }
 
 #[test]
-#[should_panic(expected = "rank 1: send record [8,9) names peer 1, not another of 4 ranks")]
 fn self_message_records_are_rejected() {
     // Local data never travels through the message layer.
-    reinstall_corrupted_send_records(|r| r.to_proc = 1);
+    let message = reinstall_corrupted_send_records(|r| r.to_proc = 1);
+    let expected = "rank 1: send record [8,9) names peer 1, not another of 4 ranks";
+    assert!(message.contains(expected), "{message}");
 }
 
 #[test]
-#[should_panic(expected = "rank 1: peer 0's send record [8,8) is empty")]
 fn empty_range_records_are_rejected() {
-    reinstall_corrupted_send_records(|r| r.high = r.low);
+    let message = reinstall_corrupted_send_records(|r| r.high = r.low);
+    let expected = "rank 1: peer 0's send record [8,8) is empty";
+    assert!(message.contains(expected), "{message}");
 }
+
 #[test]
 fn declared_buffer_length_mismatch_is_rejected() {
     let (mut set, _) = planned_stencil();
