@@ -18,11 +18,13 @@
 //! communication buffer addressed through the binary-searchable range
 //! records of the [`CommSchedule`].
 //!
-//! There is one executor, [`execute_sweep`].  Each iteration list runs as
-//! fixed-boundary chunks on up to [`ExecutorConfig::workers`] threads: the
-//! body is a read-only `Fn` that returns one value per iteration, and every
-//! write happens on the rank's own thread through a `sink`.  What that makes
-//! independent of the worker count and the chunk length is stated once, on
+//! There is one executor, [`execute_sweep`]; a body that takes a run of
+//! iterations at a time goes through the same core (*Rows* below).  Each
+//! iteration list runs as fixed-boundary chunks on up to
+//! [`ExecutorConfig::workers`] threads: the body is a read-only `Fn` that
+//! returns one value per iteration (or per run), and every write happens on
+//! the rank's own thread through a `sink`.  What that makes independent of
+//! the worker count and the chunk length is stated once, on
 //! [`execute_sweep`].
 //!
 //! ## Address translation
@@ -148,6 +150,48 @@
 //! `charge_local_access` / `charge_nonlocal_access` sequence and the panic
 //! are those of the definitional route (`is_local` → `local_index`, else
 //! [`CommSchedule::find`]), so a metering backend's clock does not move.
+//!
+//! ## Rows
+//!
+//! A hit costs a compare, an add and a load, but a point body still pays a
+//! call, a window lookup per reference and a sink per iteration.  For a
+//! stencil planned in closed form (§3.2) that is all the work there is: the
+//! local iterations of Figure 3 are meant to be a plain loop over local
+//! storage.  [`Session::execute_rows`](crate::Session::execute_rows) runs
+//! such a loop a *run* at a time:
+//!
+//! * **Runs.**  The body is called once per maximal stretch of consecutive
+//!   iterations that lies inside one chunk and inside one owned run of the
+//!   on-clause distribution, with the stretch as a `Range`; the sink gets
+//!   one value per run, keyed by its first iteration.  Chunks, workers,
+//!   sends, receives, `ChunkClaim` events and per-chunk cost flushes are the
+//!   point sweep's, from one shared core; only the loop inside a chunk
+//!   differs.  An on-clause distribution without runs, or an iteration the
+//!   rank does not own, makes runs of one iteration.
+//! * **The home invariant.**  Iteration `run.start + k` has home offset
+//!   `fetch.home() + k` ([`Fetcher::home`]): the run lies in one owned run,
+//!   so its own elements are consecutive in local storage.
+//! * **All or nothing.**  [`Fetcher::rows`] hands out whole stretches of
+//!   the referenced array, each held by one owned run or by one receive
+//!   record, and counts `len` accesses of the right kind per stretch — or
+//!   answers `None` and counts nothing, and the body fetches those
+//!   elements one by one.  A body that charges its arithmetic per run
+//!   (`charge_flops(5 * run.len())`) is therefore charged exactly what the
+//!   point body is, and since costs reach the process as per-chunk totals,
+//!   counters and simulated clocks are bit-equal.
+//! * **The memo.**  A rows sweep leaves the translation memo alone: it does
+//!   not count as an execution, records nothing and installs nothing, so
+//!   point sweeps of the same schedule learn and replay as if it had not
+//!   run.  Its nonlocal references come from a handful of records, one
+//!   lookup per stretch, with nothing to remember.
+//! * **When points are right.**  Irregular and indirect bodies (a mesh's
+//!   `adj[i, ·]`, where the memo pays off), bodies whose references do not
+//!   walk rows and loops that fold a reduction per iteration
+//!   ([`Session::execute_reduce`](crate::Session::execute_reduce)) stay
+//!   with the point body; so does a distribution without runs, where
+//!   `rows` never serves.
+
+use std::ops::Range;
 
 use distrib::{find_run, Distribution, LocalRun};
 
@@ -319,12 +363,30 @@ impl<'a> Home<'a> {
     #[cold]
     #[inline(never)]
     fn leave_run(&mut self, runs: &[LocalRun]) -> usize {
-        match find_run(runs, self.iter) {
-            Some(run) => {
-                self.window = Span::new(run.low, run.high, run.local_base, false);
-                run.local_base + (self.iter - run.low)
-            }
+        match self.enter_run(runs) {
+            Some(l) => l,
             None => self.on_dist.local_index(self.iter),
+        }
+    }
+
+    /// Make the owned run of the current iteration the window, if there is
+    /// one, and return the iteration's offset in it.
+    fn enter_run(&mut self, runs: &[LocalRun]) -> Option<usize> {
+        let run = find_run(runs, self.iter)?;
+        self.window = Span::new(run.low, run.high, run.local_base, false);
+        Some(run.local_base + (self.iter - run.low))
+    }
+
+    /// One past the last global index whose home offset follows on from the
+    /// current iteration's: the end of its owned run, or the next index when
+    /// no run holds it.
+    fn run_end(&mut self) -> usize {
+        let held = self.window.position(self.iter).is_some()
+            || self.runs.is_some_and(|runs| self.enter_run(runs).is_some());
+        if held {
+            self.window.low + self.window.len
+        } else {
+            self.iter + 1
         }
     }
 }
@@ -606,6 +668,42 @@ impl<'a, T: Copy, D: Distribution + ?Sized> Fetcher<'a, T, D> {
         self.home.offset()
     }
 
+    /// The stretches `g..g + len` for each `g` of `starts`, as slices of the
+    /// local storage or of the receive buffer — all of them, or `None`.
+    ///
+    /// A stretch is served only when one owned run of the data distribution,
+    /// or one receive record, holds all of it.  Then the call counts `len`
+    /// accesses per stretch, each of its stretch's kind, exactly what `len`
+    /// calls of [`fetch`](Self::fetch) per stretch count.  `None` — a
+    /// stretch crosses the end of a run or of a record, or the distribution
+    /// offers no runs ([`Distribution::local_runs`]) — counts nothing, so a
+    /// body that falls back to `fetch` element by element is charged what a
+    /// point body is.  A stretch that starts at an index neither owned nor
+    /// received panics as `fetch` does, naming rank and index.
+    pub fn rows<const K: usize>(&mut self, starts: [usize; K], len: usize) -> Option<[&'a [T]; K]> {
+        self.runs?;
+        let mut rows: [&'a [T]; K] = [&[]; K];
+        let mut nonlocal = 0;
+        for (row, g) in rows.iter_mut().zip(starts) {
+            let span = self.locate(g);
+            let offset = g - span.low;
+            if offset + len > span.len {
+                return None;
+            }
+            let end = span.base + span.len;
+            let Some(src) = self.storage[usize::from(span.nonlocal)].get(span.base..end) else {
+                self.outside_storage(g, span.nonlocal, end)
+            };
+            *row = &src[offset..offset + len];
+            nonlocal += usize::from(span.nonlocal);
+        }
+        if self.meters {
+            self.costs.local_accesses += (K - nonlocal) * len;
+            self.costs.nonlocal_accesses += nonlocal * len;
+        }
+        Some(rows)
+    }
+
     /// True when the element is stored locally (no communication needed).
     pub fn is_local(&self, g: usize) -> bool {
         self.dist.is_local(self.schedule.rank, g)
@@ -677,6 +775,40 @@ impl<'a, T: Copy, D: Distribution + ?Sized> Fetcher<'a, T, D> {
         }
         (self.costs, self.recording)
     }
+
+    /// The chunk loop of a rows sweep: run `body` once per run of `iters`
+    /// (see [`execute_rows_sweep`]), handing each value to `emit` with the
+    /// run's first iteration.  The memo is off, so nothing is recorded.
+    #[inline(always)]
+    fn run_rows<V>(
+        mut self,
+        start: usize,
+        iters: &[usize],
+        body: &impl Fn(Range<usize>, &mut Self) -> V,
+        mut emit: impl FnMut(usize, V),
+    ) -> (ChunkCosts, Recording) {
+        self.costs.loop_iters = iters.len();
+        let mut position = 0;
+        while let Some(&i) = iters.get(position) {
+            self.next_iteration(start + position, i);
+            let rest = &iters[position..];
+            let n = (self.home.run_end() - i).min(rest.len());
+            // The lists ascend strictly, so the n-th iteration is i + n − 1
+            // exactly when all n are consecutive.
+            let len = if rest[n - 1] == i + n - 1 {
+                n
+            } else {
+                rest[..n]
+                    .iter()
+                    .zip(i..)
+                    .take_while(|(&it, g)| it == *g)
+                    .count()
+            };
+            emit(i, body(i..i + len, &mut self));
+            position += len;
+        }
+        (self.costs, self.recording)
+    }
 }
 
 /// Execute one sweep of a `forall` whose nonlocal data movement is described
@@ -725,7 +857,7 @@ pub fn execute_sweep<P, D, T, V, F, W>(
     data_dist: &D,
     local_data: &[T],
     body: F,
-    mut sink: W,
+    sink: W,
 ) -> usize
 where
     P: Process,
@@ -733,6 +865,130 @@ where
     T: Copy + Sync + kali_process::Wire,
     V: Send,
     F: Fn(usize, &mut Fetcher<'_, T, D>) -> V + Sync,
+    W: FnMut(usize, V),
+{
+    let body = Points(body);
+    sweep(
+        proc, config, schedule, on_dist, data_dist, local_data, &body, sink,
+    )
+}
+
+/// [`execute_sweep`] with a body that runs a *run* of iterations at a time
+/// (see the module docs, *Rows*): `body(run, fetch)` for every maximal
+/// stretch `run` of consecutive iterations inside one chunk and inside one
+/// owned run of `on_dist`, where iteration `run.start + k` has home offset
+/// `fetch.home() + k`; `sink(run.start, value)` once per run.  The sweep
+/// leaves the schedule's translation memo alone.
+#[allow(clippy::too_many_arguments)] // execute_sweep's
+pub(crate) fn execute_rows_sweep<P, D, T, V, F, W>(
+    proc: &mut P,
+    config: ExecutorConfig,
+    schedule: &CommSchedule,
+    on_dist: &dyn Distribution,
+    data_dist: &D,
+    local_data: &[T],
+    body: F,
+    sink: W,
+) -> usize
+where
+    P: Process,
+    D: Distribution + ?Sized,
+    T: Copy + Sync + kali_process::Wire,
+    V: Send,
+    F: Fn(Range<usize>, &mut Fetcher<'_, T, D>) -> V + Sync,
+    W: FnMut(usize, V),
+{
+    let body = Rows(body);
+    sweep(
+        proc, config, schedule, on_dist, data_dist, local_data, &body, sink,
+    )
+}
+
+/// How a sweep hands the iterations of one chunk to its body: one call per
+/// iteration ([`Points`]) or one per run ([`Rows`]).  Everything around the
+/// chunk loop is [`sweep`]'s, shared.
+trait ChunkLoop<T, D: Distribution + ?Sized, V>: Sync {
+    /// Whether the sweep is an execution in the schedule's translation-memo
+    /// life cycle.
+    const MEMO: bool;
+
+    /// Run the chunk of `iters`, at positions `start..` of their list,
+    /// handing every `(i, value)` to `emit`.
+    fn run_chunk(
+        &self,
+        fetcher: Fetcher<'_, T, D>,
+        start: usize,
+        iters: &[usize],
+        emit: impl FnMut(usize, V),
+    ) -> (ChunkCosts, Recording);
+}
+
+/// A body called once per iteration.
+struct Points<F>(F);
+
+/// A body called once per run.
+struct Rows<F>(F);
+
+impl<T, D, V, F> ChunkLoop<T, D, V> for Points<F>
+where
+    T: Copy,
+    D: Distribution + ?Sized,
+    F: Fn(usize, &mut Fetcher<'_, T, D>) -> V + Sync,
+{
+    const MEMO: bool = true;
+
+    #[inline(always)]
+    fn run_chunk(
+        &self,
+        fetcher: Fetcher<'_, T, D>,
+        start: usize,
+        iters: &[usize],
+        emit: impl FnMut(usize, V),
+    ) -> (ChunkCosts, Recording) {
+        fetcher.run_chunk(start, iters, &self.0, emit)
+    }
+}
+
+impl<T, D, V, F> ChunkLoop<T, D, V> for Rows<F>
+where
+    T: Copy,
+    D: Distribution + ?Sized,
+    F: Fn(Range<usize>, &mut Fetcher<'_, T, D>) -> V + Sync,
+{
+    const MEMO: bool = false;
+
+    #[inline(always)]
+    fn run_chunk(
+        &self,
+        fetcher: Fetcher<'_, T, D>,
+        start: usize,
+        iters: &[usize],
+        emit: impl FnMut(usize, V),
+    ) -> (ChunkCosts, Recording) {
+        fetcher.run_rows(start, iters, &self.0, emit)
+    }
+}
+
+/// The one sweep of both entry points: sends, the local list, the
+/// receives, the nonlocal list, each list as chunks inline or on the pool,
+/// one `ChunkClaim` per chunk and one cost flush per chunk.
+#[allow(clippy::too_many_arguments)] // execute_sweep's
+fn sweep<P, D, T, V, B, W>(
+    proc: &mut P,
+    config: ExecutorConfig,
+    schedule: &CommSchedule,
+    on_dist: &dyn Distribution,
+    data_dist: &D,
+    local_data: &[T],
+    body: &B,
+    mut sink: W,
+) -> usize
+where
+    P: Process,
+    D: Distribution + ?Sized,
+    T: Copy + Sync + kali_process::Wire,
+    V: Send,
+    B: ChunkLoop<T, D, V>,
     W: FnMut(usize, V),
 {
     let rank = proc.rank();
@@ -747,7 +1003,11 @@ where
     let runs = runs.as_deref();
     let home_runs = on_dist.local_runs(rank);
     let home_runs = home_runs.as_deref();
-    let memo = schedule.begin_execution(data_dist, local_data.len());
+    let memo = if B::MEMO {
+        schedule.begin_execution(data_dist, local_data.len())
+    } else {
+        MemoPlan::Off
+    };
     send_phase(proc, schedule, data_dist, runs, local_data, tag);
 
     let mut run_phase = |proc: &mut P, phase: usize, iters: &[usize], recv_buf: &[T]| {
@@ -778,7 +1038,7 @@ where
         if pool::runs_inline(config.workers, bounds.len()) {
             for &(start, end) in &bounds {
                 let (costs, chunk_recording) =
-                    fetcher().run_chunk(start, &iters[start..end], &body, &mut sink);
+                    body.run_chunk(fetcher(), start, &iters[start..end], &mut sink);
                 costs.flush_into(proc, ranges);
                 recording.append(chunk_recording);
             }
@@ -790,14 +1050,15 @@ where
             |ci| {
                 let (start, end) = bounds[ci];
                 let mut values = Vec::with_capacity(end - start);
-                let done =
-                    fetcher().run_chunk(start, &iters[start..end], &body, |_, v| values.push(v));
+                let done = body.run_chunk(fetcher(), start, &iters[start..end], |i, v| {
+                    values.push((i, v))
+                });
                 (values, done)
             },
             // Back on the rank's thread, in ascending chunk (and therefore
             // ascending iteration) order.
-            |ci, (values, (costs, chunk_recording))| {
-                for (&i, value) in iters[bounds[ci].0..].iter().zip(values) {
+            |_, (values, (costs, chunk_recording))| {
+                for (i, value) in values {
                     sink(i, value);
                 }
                 costs.flush_into(proc, ranges);

@@ -1,3 +1,5 @@
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use super::*;
 use crate::inspector::{owner_computes_iters, run_inspector};
 use distrib::DimDist;
@@ -1169,4 +1171,511 @@ fn fetching_unscheduled_element_panics() {
             |_i, _v: f64| {},
         );
     });
+}
+
+// ----------------------------------------------------------------------
+// Rows
+// ----------------------------------------------------------------------
+
+/// `inner`'s mapping without its runs: the per-element paths of a
+/// distribution that offers none.
+#[derive(Debug)]
+struct NoRuns<D>(D);
+
+impl<D: Distribution> Distribution for NoRuns<D> {
+    fn n(&self) -> usize {
+        self.0.n()
+    }
+    fn nprocs(&self) -> usize {
+        self.0.nprocs()
+    }
+    fn owner(&self, i: usize) -> usize {
+        self.0.owner(i)
+    }
+    fn local_index(&self, i: usize) -> usize {
+        self.0.local_index(i)
+    }
+    fn global_index(&self, rank: usize, l: usize) -> usize {
+        self.0.global_index(rank, l)
+    }
+    fn local_count(&self, rank: usize) -> usize {
+        self.0.local_count(rank)
+    }
+    fn kind_name(&self) -> &'static str {
+        "no-runs"
+    }
+    fn fingerprint(&self) -> u64 {
+        self.0.fingerprint()
+    }
+}
+
+/// One sweep configuration of [`stencil_sweeps`].
+#[derive(Debug, Clone, Copy)]
+struct StencilCase {
+    /// Field shape.
+    rows: usize,
+    cols: usize,
+    /// `[block, *]` when true, `[*, block]` otherwise.
+    block_rows: bool,
+    /// The vertical stencil (stride `cols`) when true, the horizontal one
+    /// (stride 1) otherwise.
+    vertical: bool,
+    /// Whether the distributions offer their runs.
+    runs: bool,
+    workers: usize,
+    chunk: usize,
+}
+
+/// What a run of [`stencil_sweeps`] leaves: the local field's bits and
+/// what the backend metered.
+type StencilRun = (Vec<u64>, crate::process::Counters);
+
+/// Three sweeps of the three-point stencil of `case` over a double-buffered
+/// field, planned in closed form, as a point body or (`rows`) as a rows
+/// body that falls back to `fetch` where `Fetcher::rows` answers `None`.
+/// `served` counts the row pieces `rows` served and those it did not.
+fn stencil_sweeps<P: Process>(
+    proc: &mut P,
+    case: StencilCase,
+    rows: bool,
+    served: &[AtomicUsize; 2],
+) -> StencilRun {
+    use crate::{MultiAffineMap, Rect, Session};
+    use distrib::{ArrayDist, FlatDist};
+    let StencilCase {
+        rows: r, cols: c, ..
+    } = case;
+    let (rank, p) = (proc.rank(), proc.nprocs());
+    let flat = FlatDist::new(if case.block_rows {
+        ArrayDist::block_rows(r, c, p)
+    } else {
+        ArrayDist::block_cols(r, c, p)
+    });
+    let (space, shift, stride) = if case.vertical {
+        (Rect::full(&[r, c]).restrict(0, 1, r - 1), [1, 0], c)
+    } else {
+        (Rect::full(&[r, c]).restrict(1, 1, c - 1), [0, 1], 1)
+    };
+    let refs = [
+        MultiAffineMap::shifts(&[-shift[0], -shift[1]]),
+        MultiAffineMap::identity(2),
+        MultiAffineMap::shifts(&shift),
+    ];
+    let mut session = Session::new();
+    let loop_ = session.loop_over(space, flat.clone());
+    let schedule = session.plan(proc, &loop_, &flat, &refs);
+    let hidden = NoRuns(flat.clone());
+    let dist: &dyn Distribution = if case.runs { &flat } else { &hidden };
+    let mut a: Vec<f64> = (0..flat.local_count(rank))
+        .map(|l| (flat.global_index(rank, l) * 37 % 23) as f64 * 0.125)
+        .collect();
+    let before = proc.counters();
+    for sweep in 0..3 {
+        let old = a.clone();
+        let config = ExecutorConfig::sweep(sweep)
+            .with_workers(case.workers)
+            .with_chunk(case.chunk);
+        if rows {
+            execute_rows_sweep(
+                proc,
+                config,
+                &schedule,
+                dist,
+                dist,
+                &old,
+                |run, fetch| {
+                    let mut values = Vec::with_capacity(run.len());
+                    let mut g = run.start;
+                    while g < run.end {
+                        let len = (run.end - g).min(c - g % c);
+                        let row = fetch.rows([g - stride, g, g + stride], len);
+                        served[usize::from(row.is_none())].fetch_add(1, Ordering::Relaxed);
+                        match row {
+                            Some([lo, mid, hi]) => values.extend(
+                                lo.iter()
+                                    .zip(mid)
+                                    .zip(hi)
+                                    .map(|((lo, mid), hi)| 0.25 * lo + 0.5 * mid + 0.25 * hi),
+                            ),
+                            None => values.extend((g..g + len).map(|g| {
+                                let lo = fetch.fetch(g - stride);
+                                let mid = fetch.fetch(g);
+                                let hi = fetch.fetch(g + stride);
+                                0.25 * lo + 0.5 * mid + 0.25 * hi
+                            })),
+                        }
+                        g += len;
+                    }
+                    fetch.charge_flops(5 * run.len());
+                    fetch.charge_mem_refs(run.len());
+                    (fetch.home(), values)
+                },
+                |_, (l, values): (usize, Vec<f64>)| a[l..l + values.len()].copy_from_slice(&values),
+            );
+        } else {
+            execute_sweep(
+                proc,
+                config,
+                &schedule,
+                dist,
+                dist,
+                &old,
+                |g, fetch| {
+                    let lo = fetch.fetch(g - stride);
+                    let mid = fetch.fetch(g);
+                    let hi = fetch.fetch(g + stride);
+                    fetch.charge_flops(5);
+                    fetch.charge_mem_refs(1);
+                    (fetch.home(), 0.25 * lo + 0.5 * mid + 0.25 * hi)
+                },
+                |_, (l, v)| a[l] = v,
+            );
+        }
+    }
+    let bits = a.iter().map(|v| v.to_bits()).collect();
+    (bits, masked(proc.counters().since(&before)))
+}
+
+/// Every case of the rows-versus-points comparison: both placements, both
+/// stencil directions, runs offered and hidden, one worker and four,
+/// default and three-iteration chunks.  The 9 × 40 field's `[*, block]`
+/// runs are 20 wide at P = 2 and too short to be offered at P = 3 and 4
+/// (`MIN_MEAN_RUN`), hidden or not.
+fn stencil_cases() -> Vec<StencilCase> {
+    let mut cases = Vec::new();
+    for block_rows in [true, false] {
+        for vertical in [true, false] {
+            for runs in [true, false] {
+                for (workers, chunk) in [(1, 0), (1, 3), (4, 0), (4, 3)] {
+                    cases.push(StencilCase {
+                        rows: 9,
+                        cols: 40,
+                        block_rows,
+                        vertical,
+                        runs,
+                        workers,
+                        chunk,
+                    });
+                }
+            }
+        }
+    }
+    cases
+}
+
+#[test]
+fn rows_and_points_agree_bitwise_and_in_every_counter() {
+    // dmsim: a fresh machine per case and body, so that the simulated
+    // clocks start from the same zero and must end on the same bits.
+    for p in 1..=4 {
+        for case in stencil_cases() {
+            let served = Default::default();
+            let run = |rows: bool| {
+                Machine::new(p, CostModel::ncube7()).run(|proc| {
+                    let run = stencil_sweeps(proc, case, rows, &served);
+                    (run, proc.time().to_bits())
+                })
+            };
+            let (points, rows) = (run(false), run(true));
+            assert_eq!(rows, points, "dmsim P={p} {case:?}");
+            // Runs are offered unless hidden or, under [*, block] at
+            // P ≥ 3, too short; then `rows` serves every piece — the halo
+            // rows of the vertical stencil under [block, *] from the
+            // receive records of the nonlocal list — and otherwise none.
+            let [some, none] = served.map(AtomicUsize::into_inner);
+            let offered = case.runs && (case.block_rows || p <= 2);
+            assert_eq!((some > 0, none > 0), (offered, !offered), "P={p} {case:?}");
+            let nonlocal: u64 = points.iter().map(|((_, c), _)| c.nonlocal_refs).sum();
+            if case.block_rows && case.vertical && p > 1 {
+                assert!(nonlocal > 0, "P={p} {case:?}");
+            }
+        }
+    }
+    // native and mp meter messages only: every case runs on one machine
+    // per P, each rank comparing what the two bodies moved.
+    for p in 1..=4 {
+        let compare = |sweeps: &mut dyn FnMut(bool, StencilCase) -> StencilRun| {
+            for case in stencil_cases() {
+                assert_eq!(sweeps(true, case), sweeps(false, case), "P={p} {case:?}");
+            }
+        };
+        let served = Default::default();
+        kali_native::NativeMachine::new(p)
+            .run(|proc| compare(&mut |rows, case| stencil_sweeps(proc, case, rows, &served)));
+        kali_mp::MpMachine::new(p).run_threads(|proc| {
+            compare(&mut |rows, case| stencil_sweeps(proc, case, rows, &served))
+        });
+    }
+}
+
+/// The `rows` contract on rank 0 of a block-placed `0..16` that receives
+/// `8..10` and `12..14` from rank 1: every pair of stretch starts and
+/// every length is served exactly when one run or one record holds each
+/// stretch, with the definitional values and counts, and otherwise counts
+/// nothing — `None`, or the panic of `fetch` for a start nothing covers.
+#[test]
+fn rows_serves_a_stretch_only_from_one_run_or_one_record() {
+    use distrib::{IndexRange, IndexSet};
+    let dist = DimDist::block(16, 2);
+    let recv_sets = vec![
+        IndexSet::new(),
+        IndexSet::from_ranges(vec![IndexRange::new(8, 10), IndexRange::new(12, 14)]),
+    ];
+    let schedule = CommSchedule::from_recv_sets(0, &recv_sets, vec![], vec![]);
+    let local_data: Vec<f64> = (0..8).map(|g| g as f64).collect();
+    let recv_buf = [100.0f64, 101.0, 102.0, 103.0];
+    let runs = dist.local_runs(0);
+    // Where one run or one record holds the whole stretch, and of what
+    // kind; `None` where it is not covered at all.
+    let held = |g: usize, len: usize| -> Option<Option<bool>> {
+        let pieces = [(0, 8, false), (8, 10, true), (12, 14, true)];
+        let (low, high, nonlocal) = pieces.into_iter().find(|&(l, h, _)| l <= g && g < h)?;
+        Some((low <= g && g + len <= high).then_some(nonlocal))
+    };
+    let value = |g: usize| match schedule.find(g) {
+        Some(pos) => recv_buf[pos],
+        None => local_data[g],
+    };
+    for len in 1..=4 {
+        for g0 in 0..16 {
+            for g1 in [0, 6, 8, 12, g0] {
+                let mut fetcher = chunk_fetcher(
+                    &dist,
+                    runs.as_deref(),
+                    &schedule,
+                    &local_data,
+                    &recv_buf,
+                    MemoPlan::Off,
+                );
+                let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    fetcher
+                        .rows([g0, g1], len)
+                        .map(|rows| rows.map(<[f64]>::to_vec))
+                }));
+                let what = format!("rows([{g0}, {g1}], {len})");
+                let (Some(first), Some(second)) = (held(g0, len), held(g1, len)) else {
+                    let uncovered = if held(g0, len).is_none() { g0 } else { g1 };
+                    assert_eq!(
+                        got.err().map(panic_message),
+                        Some(format!(
+                            "global index {uncovered} is neither local to rank 0 nor in its \
+                             receive schedule"
+                        )),
+                        "{what}"
+                    );
+                    assert_eq!(fetcher.costs, ChunkCosts::default(), "{what}");
+                    continue;
+                };
+                let got = got.expect("covered starts do not panic");
+                match first.zip(second) {
+                    Some((first, second)) => {
+                        let expected = [g0, g1].map(|g| (g..g + len).map(value).collect());
+                        assert_eq!(got, Some(expected), "{what}");
+                        let nonlocal = usize::from(first) + usize::from(second);
+                        let counted = ChunkCosts {
+                            local_accesses: (2 - nonlocal) * len,
+                            nonlocal_accesses: nonlocal * len,
+                            ..ChunkCosts::default()
+                        };
+                        assert_eq!(fetcher.costs, counted, "{what}");
+                    }
+                    None => {
+                        assert_eq!(got, None, "{what}");
+                        assert_eq!(fetcher.costs, ChunkCosts::default(), "{what}");
+                    }
+                }
+            }
+        }
+    }
+    // Without runs, `rows` serves nothing — not even a stretch one record
+    // holds — and counts nothing.
+    for dist in [
+        DimDist::cyclic(16, 2),
+        DimDist::new(NoRuns(DimDist::block(16, 2))),
+    ] {
+        assert_eq!(dist.local_runs(0), None);
+        let mut fetcher = chunk_fetcher(
+            &dist,
+            None,
+            &schedule,
+            &local_data,
+            &recv_buf,
+            MemoPlan::Off,
+        );
+        assert_eq!(fetcher.rows([0], 2), None);
+        assert_eq!(fetcher.rows([8], 2), None);
+        assert_eq!(fetcher.costs, ChunkCosts::default());
+    }
+    // From the local list a received stretch fails as a received fetch
+    // does: the schedule was planned for another body.
+    let mut fetcher = chunk_fetcher(
+        &dist,
+        runs.as_deref(),
+        &schedule,
+        &local_data,
+        &[],
+        MemoPlan::Off,
+    );
+    fetcher.next_iteration(0, 3);
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fetcher.rows([0, 8], 2)));
+    assert_eq!(
+        result.err().map(panic_message).as_deref(),
+        Some(
+            "rank 0: iteration 3 of the local list fetched global 8, which is received from \
+             rank 1: the schedule was planned for a different reference pattern"
+        )
+    );
+    assert_eq!(fetcher.costs, ChunkCosts::default());
+}
+
+#[test]
+fn rows_sweeps_leave_the_translation_memo_alone() {
+    // A [block, *] vertical stencil on two ranks: each rank's halo row
+    // iterations form the nonlocal list, so point sweeps learn a memo on
+    // their second execution.  After k rows sweeps, point sweeps must
+    // learn and replay exactly as on a fresh schedule.
+    use crate::{MultiAffineMap, Rect, Session};
+    use distrib::{ArrayDist, FlatDist};
+    let (r, c) = (8, 20);
+    let footprints = |k: usize| {
+        Machine::new(2, CostModel::ncube7()).run(|proc| {
+            let flat = FlatDist::new(ArrayDist::block_rows(r, c, proc.nprocs()));
+            let refs = [
+                MultiAffineMap::shifts(&[-1, 0]),
+                MultiAffineMap::identity(2),
+                MultiAffineMap::shifts(&[1, 0]),
+            ];
+            let mut session = Session::new();
+            let loop_ = session.loop_over(Rect::full(&[r, c]).restrict(0, 1, r - 1), flat.clone());
+            let schedule = session.plan(proc, &loop_, &flat, &refs);
+            assert!(!schedule.nonlocal_iters.is_empty());
+            let old = vec![1.0f64; flat.local_count(proc.rank())];
+            let fresh = schedule.approx_bytes();
+            for _ in 0..k {
+                session.execute_rows(
+                    proc,
+                    &loop_,
+                    &schedule,
+                    &flat,
+                    &old,
+                    |run, fetch| {
+                        let mut sum = 0.0;
+                        for g in run {
+                            sum += fetch.fetch(g - c) + fetch.fetch(g + c);
+                        }
+                        sum
+                    },
+                    |_, _| {},
+                );
+                assert_eq!(
+                    schedule.approx_bytes(),
+                    fresh,
+                    "a rows sweep learns nothing"
+                );
+            }
+            let sweeps = (0..4)
+                .map(|_| {
+                    let mut sum = 0.0;
+                    session.execute(
+                        proc,
+                        &loop_,
+                        &schedule,
+                        &flat,
+                        &old,
+                        |g, fetch| fetch.fetch(g - c) + fetch.fetch(g + c),
+                        |_, v| sum += v,
+                    );
+                    (schedule.approx_bytes(), sum.to_bits())
+                })
+                .collect::<Vec<_>>();
+            (fresh, sweeps)
+        })
+    };
+    let fresh = footprints(0);
+    for (before, sweeps) in &fresh {
+        // Nothing learned by the first execution, the memo by the second.
+        assert_eq!(sweeps[0].0, *before);
+        assert!(sweeps[1].0 > *before, "the second point sweep records");
+        assert_eq!(sweeps[3].0, sweeps[1].0);
+    }
+    for k in 1..=3 {
+        assert_eq!(footprints(k), fresh, "after {k} rows sweeps");
+    }
+}
+
+#[test]
+fn rows_are_maximal_runs_inside_one_chunk_and_one_owned_run() {
+    // The runs a rows sweep hands its body, under every on-clause
+    // distribution of the `home()` tests and at every (workers, chunk):
+    // together they are the iteration lists in order; inside each, home
+    // offsets follow on from `fetch.home()`; and two runs that could have
+    // been one are split by a chunk boundary or by the end of an owned run.
+    let p = 4;
+    for (name, on) in on_clause_distributions() {
+        let n = on.n();
+        let data = DimDist::block_cyclic(n, p, 7);
+        Machine::new(p, CostModel::ideal()).run(|proc| {
+            let rank = proc.rank();
+            let local: Vec<f64> = data.local_set(rank).iter().map(|g| g as f64).collect();
+            let exec = owner_computes_iters(&on, rank, n);
+            let schedule = run_inspector(proc, &data, &exec, |i, refs| refs.push(i));
+            let owned = on.local_runs(rank);
+            for workers in [1usize, 4] {
+                for chunk in [1usize, 3, 0] {
+                    let at = format!("{name}: rank {rank} workers={workers} chunk={chunk}");
+                    let config = ExecutorConfig::default()
+                        .with_workers(workers)
+                        .with_chunk(chunk);
+                    let mut runs = Vec::new();
+                    execute_rows_sweep(
+                        proc,
+                        config,
+                        &schedule,
+                        &on,
+                        &data,
+                        &local,
+                        |run, fetch| {
+                            for g in run.clone() {
+                                assert_eq!(fetch.fetch(g), g as f64);
+                            }
+                            (run, fetch.home())
+                        },
+                        |start, (run, home)| {
+                            assert_eq!(start, run.start);
+                            runs.push((run, home));
+                        },
+                    );
+                    let chunk = config.effective_chunk();
+                    let mut next = runs.into_iter();
+                    for list in [&schedule.local_iters, &schedule.nonlocal_iters] {
+                        let mut position = 0;
+                        let mut previous: Option<Range<usize>> = None;
+                        while position < list.len() {
+                            let (run, home) = next.next().expect("a run for every iteration");
+                            let len = run.len();
+                            let iterations: Vec<usize> = run.clone().collect();
+                            assert!(list[position..].starts_with(&iterations), "{at}: {run:?}");
+                            for (k, i) in run.clone().enumerate() {
+                                assert_eq!(on.local_index(i), home + k, "{at}: {run:?}");
+                            }
+                            assert_eq!(position / chunk, (position + len - 1) / chunk, "{at}");
+                            if let Some(previous) = previous.filter(|r| r.end == run.start) {
+                                let one_owned_run = owned
+                                    .as_deref()
+                                    .and_then(|runs| find_run(runs, previous.start))
+                                    .is_some_and(|owned| run.start < owned.high);
+                                assert!(
+                                    position % chunk == 0 || !one_owned_run,
+                                    "{at}: {previous:?} and {run:?} are one run"
+                                );
+                            }
+                            previous = Some(run);
+                            position += len;
+                        }
+                    }
+                    assert!(next.next().is_none(), "{at}");
+                }
+            }
+        });
+    }
 }

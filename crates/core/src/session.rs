@@ -9,7 +9,8 @@
 //! when one exists, the cached inspector otherwise; [`Session::plan_indirect`]
 //! for data-dependent ones), and **executed** any number of times
 //! ([`Session::execute`], or [`Session::execute_reduce`] when the loop is
-//! also a reduction); live arrays change placement with
+//! also a reduction, or [`Session::execute_rows`] for a stencil that takes
+//! its iterations a run at a time); live arrays change placement with
 //! [`Session::redistribute`] and [`Session::retire_placement`].
 //!
 //! The layers underneath stay public for benches and tests that drive one
@@ -68,12 +69,13 @@
 //!   and the sweep would die later, blaming something else.
 
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 use distrib::{combine_fingerprints, Distribution};
 
 use crate::cache::{CacheStats, ScheduleCache};
-use crate::executor::{execute_sweep, ExecutorConfig, Fetcher};
+use crate::executor::{execute_rows_sweep, execute_sweep, ExecutorConfig, Fetcher};
 use crate::forall::ParallelLoop;
 use crate::inspector::run_inspector;
 use crate::process::trace::EventKind;
@@ -424,6 +426,70 @@ impl Session {
         F: Fn(usize, &mut Fetcher<'_, T, D>) -> V + Sync,
         W: FnMut(usize, V),
     {
+        let config = self.next_sweep(loop_);
+        execute_sweep(
+            proc,
+            config,
+            schedule,
+            &loop_.on_dist,
+            data_dist,
+            local_data,
+            body,
+            sink,
+        )
+    }
+
+    /// [`Session::execute`] with a body that runs a *run* of iterations at
+    /// a time — the localised loop of a closed-form stencil (see the
+    /// executor's module docs, *Rows*).
+    ///
+    /// `body(run, fetch)` is called once for every maximal stretch `run` of
+    /// consecutive iterations inside one chunk and inside one owned run of
+    /// the loop's on-clause distribution; iteration `run.start + k` has home
+    /// offset `fetch.home() + k`.  It reads whole stretches of the
+    /// referenced array with [`Fetcher::rows`], falling back to
+    /// [`Fetcher::fetch`] element by element where `rows` answers `None`,
+    /// and charges what the point body charges for `run.len()` iterations.
+    /// `sink(run.start, value)` gets one value per run, in ascending order
+    /// per phase.  Sends, receives, chunks, workers, tags and cost flushes
+    /// are [`Session::execute`]'s; the sweep neither counts as an execution
+    /// of the schedule's translation memo nor records one.
+    #[allow(clippy::too_many_arguments)] // execute's
+    pub fn execute_rows<P, S, D, T, V, F, W>(
+        &mut self,
+        proc: &mut P,
+        loop_: &ParallelLoop<S>,
+        schedule: &CommSchedule,
+        data_dist: &D,
+        local_data: &[T],
+        body: F,
+        sink: W,
+    ) -> usize
+    where
+        P: Process,
+        S: IterSpace,
+        D: Distribution + ?Sized,
+        T: Copy + Sync + kali_process::Wire,
+        V: Send,
+        F: Fn(Range<usize>, &mut Fetcher<'_, T, D>) -> V + Sync,
+        W: FnMut(usize, V),
+    {
+        let config = self.next_sweep(loop_);
+        execute_rows_sweep(
+            proc,
+            config,
+            schedule,
+            &loop_.on_dist,
+            data_dist,
+            local_data,
+            body,
+            sink,
+        )
+    }
+
+    /// The configuration of the next sweep of `loop_`: the next sweep tag,
+    /// the session's knobs, the chunk rounded up to the space's alignment.
+    fn next_sweep<S: IterSpace>(&mut self, loop_: &ParallelLoop<S>) -> ExecutorConfig {
         let mut config = ExecutorConfig::sweep(self.sweep)
             .with_workers(self.workers)
             .with_chunk(self.chunk);
@@ -437,16 +503,7 @@ impl Session {
                 .div_ceil(align)
                 .saturating_mul(align);
         }
-        execute_sweep(
-            proc,
-            config,
-            schedule,
-            &loop_.on_dist,
-            data_dist,
-            local_data,
-            body,
-            sink,
-        )
+        config
     }
 
     /// The one survivor of the pre-merge entry-point names, forwarding to

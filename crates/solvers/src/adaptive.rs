@@ -44,15 +44,31 @@ pub fn gather_global<D: Distribution + ?Sized>(dist: &D, locals: &[Vec<f64>]) ->
 /// Scatter a globally replicated field to this rank's local storage under
 /// `dist`, in *local-index* order — the order `scatter_mesh`, the executor
 /// and [`gather_global`] all use, which under a non-monotone user-defined
-/// distribution is not ascending global order.
+/// distribution is not ascending global order.  One slice copy per owned
+/// run when the distribution offers runs, one `global_index` per element
+/// otherwise.
 pub(crate) fn scatter_field<D: Distribution + ?Sized>(
     dist: &D,
     rank: usize,
     global: &[f64],
 ) -> Vec<f64> {
-    (0..dist.local_count(rank))
-        .map(|l| global[dist.global_index(rank, l)])
-        .collect()
+    // The field first, so that the short-lived run list leaves no hole in
+    // front of it.
+    let mut local = vec![0.0f64; dist.local_count(rank)];
+    match dist.local_runs(rank) {
+        Some(runs) => {
+            for run in runs {
+                local[run.local_base..run.local_base + run.len()]
+                    .copy_from_slice(&global[run.low..run.high]);
+            }
+        }
+        None => {
+            for (l, v) in local.iter_mut().enumerate() {
+                *v = global[dist.global_index(rank, l)];
+            }
+        }
+    }
+    local
 }
 
 /// Scatter the mesh's `count`/`adj`/`coef` arrays to this rank's local rows
@@ -120,6 +136,74 @@ mod tests {
     use crate::partitioned::partitioned_dist;
     use dmsim::{CostModel, Machine};
     use meshes::UnstructuredMeshBuilder;
+
+    /// Block placement stored back to front on every rank: a local order
+    /// that descends in the global one, through the trait's defaults.
+    #[derive(Debug)]
+    struct ReversedBlock(distrib::BlockDist);
+
+    impl Distribution for ReversedBlock {
+        fn n(&self) -> usize {
+            self.0.n()
+        }
+        fn nprocs(&self) -> usize {
+            self.0.nprocs()
+        }
+        fn owner(&self, i: usize) -> usize {
+            self.0.owner(i)
+        }
+        fn local_index(&self, i: usize) -> usize {
+            self.0.local_count(self.0.owner(i)) - 1 - self.0.local_index(i)
+        }
+        fn global_index(&self, rank: usize, l: usize) -> usize {
+            self.0.global_index(rank, self.0.local_count(rank) - 1 - l)
+        }
+        fn local_count(&self, rank: usize) -> usize {
+            self.0.local_count(rank)
+        }
+        fn kind_name(&self) -> &'static str {
+            "reversed-block"
+        }
+        fn fingerprint(&self) -> u64 {
+            !self.0.fingerprint()
+        }
+    }
+
+    #[test]
+    fn scatter_field_equals_the_per_element_definition() {
+        use distrib::{ArrayDist, FlatDist};
+        let p = 3;
+        let flat = |array| DimDist::new(FlatDist::new(array));
+        // (distribution, whether it offers runs on every rank)
+        let dists = [
+            (DimDist::block(100, p), true),
+            (DimDist::cyclic(100, p), false),
+            (DimDist::block_cyclic(100, p, 20), true),
+            (DimDist::block_cyclic(100, p, 2), false),
+            (flat(ArrayDist::block_rows(6, 17, p)), true),
+            (flat(ArrayDist::block_cols(6, 60, p)), true),
+            (flat(ArrayDist::block_cols(6, 17, p)), false),
+            (
+                DimDist::new(ReversedBlock(distrib::BlockDist::new(100, p))),
+                false,
+            ),
+        ];
+        for (dist, offers_runs) in dists {
+            let global: Vec<f64> = (0..dist.n()).map(|g| g as f64 * 0.5 + 1.0).collect();
+            for rank in 0..p {
+                assert_eq!(dist.local_runs(rank).is_some(), offers_runs);
+                let expected: Vec<f64> = (0..dist.local_count(rank))
+                    .map(|l| global[dist.global_index(rank, l)])
+                    .collect();
+                assert_eq!(
+                    scatter_field(&dist, rank, &global),
+                    expected,
+                    "{} on rank {rank}",
+                    dist.kind_name()
+                );
+            }
+        }
+    }
 
     fn test_mesh() -> AdjacencyMesh {
         UnstructuredMeshBuilder::new(10, 10)

@@ -26,6 +26,17 @@
 //!   communication moves into the two redistributions, whose cost the
 //!   per-phase [`CommReport`]s expose.
 //!
+//! Both stencils run through [`Session::execute_rows`]: the body gets a
+//! run of consecutive iterations and computes it one field row at a time,
+//! reading the three referenced stretches of each row as slices
+//! ([`Fetcher::rows`](kali_core::Fetcher::rows)) — from local storage or,
+//! for the halo rows of the vertical stencil under `[block, *]`, from the
+//! receive buffer, whose records hold whole rows.  A row piece no single
+//! owned run or record holds (a placement whose runs are too short to be
+//! offered) is fetched element by element.  Either way the body charges
+//! exactly what the three-fetch point body charges, so counters and
+//! simulated clocks are those of a body that runs an iteration at a time.
+//!
 //! Both strategies perform the same floating-point operations in the same
 //! order, so their results — and the results on every backend — are
 //! bit-identical to the sequential replay ([`multidim_sequential`]).
@@ -230,21 +241,43 @@ pub fn multidim_sweeps<P: Process>(
                     proc.charge_mem_refs(2);
                     old_a[l] = a[l];
                 }
-                session.execute(
+                session.execute_rows(
                     proc,
                     loop_,
                     schedule,
                     dist,
                     &old_a,
-                    |g, fetch| {
-                        let lo = fetch.fetch(g - $stride);
-                        let mid = fetch.fetch(g);
-                        let hi = fetch.fetch(g + $stride);
-                        fetch.charge_flops(5);
-                        fetch.charge_mem_refs(1);
-                        (fetch.home(), 0.25 * lo + 0.5 * mid + 0.25 * hi)
+                    |run, fetch| {
+                        let mut values = Vec::with_capacity(run.len());
+                        // One field row at a time: a halo record holds
+                        // whole rows, so a stretch inside one row lies in
+                        // one owned run or one record.
+                        let mut g = run.start;
+                        while g < run.end {
+                            let len = (run.end - g).min(c - g % c);
+                            match fetch.rows([g - $stride, g, g + $stride], len) {
+                                Some([lo, mid, hi]) => values.extend(
+                                    lo.iter()
+                                        .zip(mid)
+                                        .zip(hi)
+                                        .map(|((lo, mid), hi)| 0.25 * lo + 0.5 * mid + 0.25 * hi),
+                                ),
+                                None => values.extend((g..g + len).map(|g| {
+                                    let lo = fetch.fetch(g - $stride);
+                                    let mid = fetch.fetch(g);
+                                    let hi = fetch.fetch(g + $stride);
+                                    0.25 * lo + 0.5 * mid + 0.25 * hi
+                                })),
+                            }
+                            g += len;
+                        }
+                        fetch.charge_flops(5 * run.len());
+                        fetch.charge_mem_refs(run.len());
+                        (fetch.home(), values)
                     },
-                    |_, (l, v)| a[l] = v,
+                    |_, (l, values): (usize, Vec<f64>)| {
+                        a[l..l + values.len()].copy_from_slice(&values)
+                    },
                 );
             }
             record_phase(
