@@ -117,8 +117,8 @@ mod tests {
 
     /// The schedule's two iteration lists together, ascending.
     fn planned_iters(s: &CommSchedule) -> Vec<usize> {
-        let mut both = s.local_iters.clone();
-        both.extend(&s.nonlocal_iters);
+        let mut both = s.local_iters().to_vec();
+        both.extend(s.nonlocal_iters());
         both.sort_unstable();
         both
     }
@@ -198,8 +198,8 @@ mod tests {
         let (span, dist) = (Span::upto(n - 1), DimDist::cyclic(n, p));
         for rank in 0..p {
             let s = plan(&span, &dist, &SHIFT_RIGHT, rank);
-            assert!(s.local_iters.is_empty(), "rank {rank}");
-            assert_eq!(s.nonlocal_iters, span.exec_iters(&dist, rank));
+            assert!(s.local_iters().is_empty(), "rank {rank}");
+            assert_eq!(s.nonlocal_iters(), span.exec_iters(&dist, rank));
         }
     }
 
@@ -232,7 +232,7 @@ mod tests {
                 let s = plan(&Span::upto(59), &dist, &SHIFT_RIGHT, rank);
                 // Every nonlocal iteration's reference is covered by the recv set.
                 let recv = s.recv_index_set();
-                for &i in &s.nonlocal_iters {
+                for &i in s.nonlocal_iters() {
                     let g = i + 1;
                     assert!(
                         recv.contains(g) || dist.is_local(rank, g),

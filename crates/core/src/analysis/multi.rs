@@ -288,9 +288,9 @@ mod tests {
             let s = analyze_multi(&space, &d, &d, &maps, rank).unwrap();
             assert_eq!(s.recv_len, 0, "rank {rank}");
             assert!(s.send_records().is_empty());
-            assert!(s.nonlocal_iters.is_empty());
+            assert!(s.nonlocal_iters().is_empty());
             assert_eq!(
-                s.local_iters.len(),
+                s.local_iters().len(),
                 d.array().local_shape(rank)[0] * (c - 2)
             );
         }
@@ -419,8 +419,8 @@ mod tests {
         let rank = 2; // grid coords (1, 0)
         let s = analyze_multi(&space, &dist, &dist, &maps, rank).unwrap();
         let flat_31 = 3 * c + 1;
-        assert!(s.local_iters.contains(&flat_31), "(3,1) must be local");
-        assert!(!s.nonlocal_iters.contains(&flat_31));
+        assert!(s.local_iters().contains(&flat_31), "(3,1) must be local");
+        assert!(!s.nonlocal_iters().contains(&flat_31));
     }
 
     #[test]
@@ -433,8 +433,8 @@ mod tests {
         ];
         for rank in 0..p {
             let s = analyze_multi(&interior_rows(r, c), &d, &d, &maps, rank).unwrap();
-            let mut both = s.local_iters.clone();
-            both.extend(&s.nonlocal_iters);
+            let mut both = s.local_iters().to_vec();
+            both.extend(s.nonlocal_iters());
             both.sort_unstable();
             let exec: Vec<usize> = d
                 .local_set(rank)

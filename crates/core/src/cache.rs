@@ -333,7 +333,7 @@ mod tests {
                 builds += 1;
                 dummy_schedule(3)
             });
-            assert_eq!(s.rank, 3);
+            assert_eq!(s.rank(), 3);
         }
         assert_eq!(builds, 1, "inspector must run exactly once for 100 sweeps");
         assert_eq!(cache.misses(), 1);

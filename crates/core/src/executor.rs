@@ -164,7 +164,7 @@
 //!   iterations that lies inside one chunk and inside one owned run of the
 //!   on-clause distribution, with the stretch as a `Range`; the sink gets
 //!   one value per run, keyed by its first iteration.  Chunks, workers,
-//!   sends, receives, `ChunkClaim` events and per-chunk cost flushes are the
+//!   sends, receives and per-chunk cost flushes are the
 //!   point sweep's, from one shared core; only the loop inside a chunk
 //!   differs.  An on-clause distribution without runs, or an iteration the
 //!   rank does not own, makes runs of one iteration.
@@ -196,7 +196,6 @@ use std::ops::Range;
 use distrib::{find_run, Distribution, LocalRun};
 
 use crate::pool;
-use crate::process::trace::EventKind;
 use crate::process::{tags, Process, Tag};
 use crate::schedule::{CommSchedule, MemoEntry, MemoPlan, Recording};
 
@@ -590,7 +589,7 @@ impl<'a, T: Copy, D: Distribution + ?Sized> Fetcher<'a, T, D> {
     /// Relies on the schedule invariant that receive records never cover an
     /// owned index.
     fn locate(&self, g: usize) -> Span {
-        let rank = self.schedule.rank;
+        let rank = self.schedule.rank();
         match self.runs {
             Some(runs) => {
                 if let Some(run) = find_run(runs, g) {
@@ -641,7 +640,7 @@ impl<'a, T: Copy, D: Distribution + ?Sized> Fetcher<'a, T, D> {
     /// receive buffer, and an iteration the schedule put on the local list
     /// (every reference owned, when it was planned) asked for `g`.
     fn outside_storage(&self, g: usize, nonlocal: bool, end: usize) -> ! {
-        let rank = self.schedule.rank;
+        let rank = self.schedule.rank();
         assert!(
             nonlocal,
             "rank {rank}: the owned run of global {g} ends at local offset {end}, past the {} \
@@ -706,7 +705,7 @@ impl<'a, T: Copy, D: Distribution + ?Sized> Fetcher<'a, T, D> {
 
     /// True when the element is stored locally (no communication needed).
     pub fn is_local(&self, g: usize) -> bool {
-        self.dist.is_local(self.schedule.rank, g)
+        self.dist.is_local(self.schedule.rank(), g)
     }
 
     /// Charge `n` floating-point operations to this chunk.
@@ -971,7 +970,7 @@ where
 
 /// The one sweep of both entry points: sends, the local list, the
 /// receives, the nonlocal list, each list as chunks inline or on the pool,
-/// one `ChunkClaim` per chunk and one cost flush per chunk.
+/// and one cost flush per chunk.
 #[allow(clippy::too_many_arguments)] // execute_sweep's
 fn sweep<P, D, T, V, B, W>(
     proc: &mut P,
@@ -992,9 +991,10 @@ where
     W: FnMut(usize, V),
 {
     let rank = proc.rank();
-    debug_assert_eq!(
-        schedule.rank, rank,
-        "schedule belongs to a different processor"
+    assert_eq!(
+        schedule.rank(),
+        rank,
+        "rank {rank}: executing another rank's schedule"
     );
     let tag = tags::executor_tag(config.tag);
     let chunk = config.effective_chunk();
@@ -1014,19 +1014,6 @@ where
         // The memo is the nonlocal list's.
         let memo = if phase == 1 { memo } else { MemoPlan::Off };
         let bounds = pool::chunk_bounds(iters.len(), chunk);
-        if proc.trace_active() {
-            // One claim per chunk, recorded on the rank's thread before any
-            // chunk runs: the trace analyzer proves the claims of a phase
-            // cover disjoint iteration positions (the sink's exclusivity).
-            for &(start, end) in &bounds {
-                proc.trace_emit(EventKind::ChunkClaim {
-                    sweep: config.tag,
-                    phase,
-                    low: start,
-                    high: end,
-                });
-            }
-        }
         let fetcher = || {
             let home = Home::new(on_dist, home_runs);
             let storage = [local_data, recv_buf];
@@ -1070,11 +1057,11 @@ where
 
     // Paper order: local iterations run while messages are in flight, and
     // see no receive buffer.
-    run_phase(proc, 0, &schedule.local_iters, &[]);
+    run_phase(proc, 0, schedule.local_iters(), &[]);
     let recv_buf = receive_all(proc, schedule, tag);
-    let recording = run_phase(proc, 1, &schedule.nonlocal_iters, &recv_buf);
+    let recording = run_phase(proc, 1, schedule.nonlocal_iters(), &recv_buf);
     schedule.finish_execution(memo, recording);
-    schedule.local_iters.len() + schedule.nonlocal_iters.len()
+    schedule.local_iters().len() + schedule.nonlocal_iters().len()
 }
 
 /// Gather and send every scheduled outgoing message: one packed contiguous
@@ -1127,8 +1114,11 @@ where
         let expected: usize = records.iter().map(|r| r.len()).sum();
         let got = proc.recv_packed_append(from_proc, tag, &mut recv_buf);
         assert_eq!(
-            got, expected,
-            "message from {from_proc} has {got} elements, schedule expects {expected}"
+            got,
+            expected,
+            "rank {}: message from rank {from_proc} (tag {tag:#x}) has {got} elements, \
+             schedule expects {expected}",
+            schedule.rank()
         );
         // Unpack cost: one translate + one store per element, as before.
         proc.charge_mem_refs(2 * expected);

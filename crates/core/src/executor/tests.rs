@@ -278,7 +278,7 @@ fn a_received_element_fetched_from_the_local_list_fails() {
         // element 8 − rank; every other iteration reads its own.
         let across = |i: usize| if i == exec[0] { n / 2 - rank } else { i };
         let schedule = run_inspector(proc, &dist, &exec, |i, refs| refs.push(across(i)));
-        assert_eq!(schedule.nonlocal_iters, [exec[0]]);
+        assert_eq!(schedule.nonlocal_iters(), [exec[0]]);
         let before = (proc.counters(), proc.time().to_bits());
         // Executed: its second iteration does so too.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -379,7 +379,7 @@ fn definitional<D: Distribution + ?Sized>(
     recv_buf: &[f64],
     g: usize,
 ) -> Option<(bool, u64)> {
-    if dist.is_local(schedule.rank, g) {
+    if dist.is_local(schedule.rank(), g) {
         Some((false, local_data[dist.local_index(g)].to_bits()))
     } else {
         schedule.find(g).map(|pos| (true, recv_buf[pos].to_bits()))
@@ -424,8 +424,8 @@ fn assert_execution_matches_the_definitional_route<D: Distribution>(
     iterations: &[Vec<usize>],
     recorded: &[Vec<usize>],
 ) -> Paths {
-    let rank = schedule.rank;
-    assert_eq!(schedule.nonlocal_iters.len(), iterations.len());
+    let rank = schedule.rank();
+    assert_eq!(schedule.nonlocal_iters().len(), iterations.len());
     let memo = schedule.begin_execution(dist, local_data.len());
     let mut paths = Paths {
         memo: match memo {
@@ -455,7 +455,7 @@ fn assert_execution_matches_the_definitional_route<D: Distribution>(
     let mut fetcher = chunk_fetcher(dist, runs, schedule, local_data, recv_buf, memo);
     let (mut local, mut nonlocal) = (0usize, 0usize);
     for (position, refs) in iterations.iter().enumerate() {
-        fetcher.next_iteration(position, schedule.nonlocal_iters[position]);
+        fetcher.next_iteration(position, schedule.nonlocal_iters()[position]);
         for &g in refs {
             // The way this reference is about to go.
             let ordinal = fetcher.ordinal;
@@ -529,7 +529,12 @@ mod resolver_properties {
     /// A random receive schedule for `rank`: a random subset of the
     /// ranges other ranks own, so some nonlocal indices stay
     /// unscheduled (the panic path) and records have gaps between them.
-    fn random_schedule(dist: &dyn Distribution, rank: usize, picks: &[usize]) -> CommSchedule {
+    fn random_schedule(
+        dist: &dyn Distribution,
+        rank: usize,
+        picks: &[usize],
+        nonlocal_iters: Vec<usize>,
+    ) -> CommSchedule {
         let mut picks = picks.iter().cycle();
         let recv_sets: Vec<IndexSet> = (0..dist.nprocs())
             .map(|q| {
@@ -548,7 +553,7 @@ mod resolver_properties {
                 }))
             })
             .collect();
-        CommSchedule::from_recv_sets(rank, &recv_sets, vec![], vec![])
+        CommSchedule::from_recv_sets(rank, &recv_sets, vec![], nonlocal_iters)
     }
 
     /// Reference sequences that hit, miss, switch and re-enter windows:
@@ -584,7 +589,7 @@ mod resolver_properties {
     /// places: what a body that changed since the recording would fetch,
     /// every one of them a replay mismatch.
     fn edge_iterations(dist: &DimDist, schedule: &CommSchedule, swapped: bool) -> Vec<Vec<usize>> {
-        let rank = schedule.rank;
+        let rank = schedule.rank();
         let records = schedule.recv_records().iter();
         let mut ends: Vec<usize> = records.flat_map(|r| [r.low, r.high - 1]).collect();
         let owned = dist.local_set(rank);
@@ -689,12 +694,13 @@ mod resolver_properties {
                 _ => DimDist::flattened(ArrayDist::block_cols(n / 8, 3 * p, p)),
             };
             let rank = rank_pick % p;
-            let mut fresh = random_schedule(dist.as_dyn(), rank, &picks);
+            let records = random_schedule(dist.as_dyn(), rank, &picks, vec![]);
             let mut iterations = random_iterations(dist.n(), &seeds);
             let mut changed = changed_body(&iterations, dist.n(), &seeds);
-            iterations.extend(edge_iterations(&dist, &fresh, false));
-            changed.extend(edge_iterations(&dist, &fresh, true));
-            fresh.nonlocal_iters = (0..iterations.len()).collect();
+            iterations.extend(edge_iterations(&dist, &records, false));
+            changed.extend(edge_iterations(&dist, &records, true));
+            // The same records, one nonlocal iteration per reference list.
+            let fresh = random_schedule(dist.as_dyn(), rank, &picks, (0..iterations.len()).collect());
             let local_data: Vec<f64> = (0..dist.local_count(rank))
                 .map(|l| 1.0 + dist.global_index(rank, l) as f64)
                 .collect();
@@ -913,7 +919,10 @@ fn home_follows_the_on_clause_distribution() {
                     assert_eq!(seen, exec, "{at}");
                 }
             }
-            (schedule.local_iters.len(), schedule.nonlocal_iters.len())
+            (
+                schedule.local_iters().len(),
+                schedule.nonlocal_iters().len(),
+            )
         });
         // The two placements really differ: both phases ran somewhere.
         assert!(phases.iter().any(|&(local, _)| local > 0), "{name}");
@@ -1548,7 +1557,7 @@ fn rows_sweeps_leave_the_translation_memo_alone() {
             let mut session = Session::new();
             let loop_ = session.loop_over(Rect::full(&[r, c]).restrict(0, 1, r - 1), flat.clone());
             let schedule = session.plan(proc, &loop_, &flat, &refs);
-            assert!(!schedule.nonlocal_iters.is_empty());
+            assert!(!schedule.nonlocal_iters().is_empty());
             let old = vec![1.0f64; flat.local_count(proc.rank())];
             let fresh = schedule.approx_bytes();
             for _ in 0..k {
@@ -1647,7 +1656,7 @@ fn rows_are_maximal_runs_inside_one_chunk_and_one_owned_run() {
                     );
                     let chunk = config.effective_chunk();
                     let mut next = runs.into_iter();
-                    for list in [&schedule.local_iters, &schedule.nonlocal_iters] {
+                    for list in [schedule.local_iters(), schedule.nonlocal_iters()] {
                         let mut position = 0;
                         let mut previous: Option<Range<usize>> = None;
                         while position < list.len() {

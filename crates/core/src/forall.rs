@@ -328,7 +328,10 @@ mod tests {
             let loop_ = session.loop_1d(64, dist.clone()).range(30, 34);
             let s = session.plan(proc, &loop_, &dist, &[AffineMap::shift(1)]);
             let execs = loop_.exec_iters(proc.rank());
-            assert_eq!(s.local_iters.len() + s.nonlocal_iters.len(), execs.len());
+            assert_eq!(
+                s.local_iters().len() + s.nonlocal_iters().len(),
+                execs.len()
+            );
             if proc.rank() == 0 {
                 // Iterations 30, 31 with ref i+1: only 31 -> 32 is nonlocal.
                 assert_eq!(s.recv_len, 1);

@@ -193,8 +193,8 @@ mod tests {
         for s in schedules {
             assert_eq!(s.recv_len, 0);
             assert!(s.send_records().is_empty());
-            assert!(s.nonlocal_iters.is_empty());
-            assert_eq!(s.local_iters.len(), 8);
+            assert!(s.nonlocal_iters().is_empty());
+            assert_eq!(s.local_iters().len(), 8);
         }
     }
 
@@ -209,7 +209,7 @@ mod tests {
                 assert_eq!(s.recv_len, 1, "rank {rank} receives one halo element");
                 assert_eq!(s.recv_records()[0].from_proc, rank + 1);
                 assert_eq!(s.recv_records()[0].low, (rank + 1) * 10);
-                assert_eq!(s.nonlocal_iters, vec![rank * 10 + 9]);
+                assert_eq!(s.nonlocal_iters(), [rank * 10 + 9]);
             } else {
                 assert_eq!(s.recv_len, 0);
             }

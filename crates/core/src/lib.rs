@@ -63,14 +63,13 @@
 //!   machine.  Message tags used by the components are partitioned in
 //!   [`process::tags`] so the ranges can never collide.
 //! * [`verify`] — plan-time static verification: given the
-//!   SPMD-deterministic per-rank plans, prove schedule duality, tag-space
-//!   safety, deadlock freedom, SPMD conformance, and determinism-contract
-//!   conformance *before* anything executes, reporting defects as
+//!   SPMD-deterministic per-rank plans, prove schedule duality (and with it
+//!   a sweep's deadlock freedom) *before* anything executes, plus a live
+//!   check of the allreduce every backend ships, reporting defects as
 //!   structured [`verify::Violation`]s.
-//! * [`mc`] — trace-level happens-before analysis: rebuild the causality
-//!   graph of a *recorded* execution (the backends' `trace_*` hooks) and
-//!   detect message races, tag reuse without epoch separation, causality
-//!   cycles and chunk-sink conflicts ([`mc::check_trace`]).
+//! * [`mc`] — the trace-level check of a *recorded* execution (the
+//!   backends' `trace_*` hooks): every message sent was received
+//!   ([`mc::check_trace`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -103,4 +102,4 @@ pub use redistribute::{redistribute_epoch, redistribution_schedule};
 pub use schedule::{CommSchedule, RangeRecord};
 pub use session::{Session, SessionStats};
 pub use space::{IterSpace, Rect, Span, Stripe};
-pub use verify::{check_plan_refs, check_schedule, check_schedule_set, Violation};
+pub use verify::{check_schedule, check_schedule_set, Violation};

@@ -135,7 +135,9 @@ mod tests {
     #[test]
     fn chunk_bounds_cover_the_range_exactly_once() {
         for len in [0usize, 1, 5, 64, 100, 101] {
-            for chunk in [1usize, 3, 64, 1000] {
+            // `usize::MAX`: the saturating whole-list chunk a session can
+            // ask for.
+            for chunk in [1usize, 3, 64, 1000, usize::MAX] {
                 let bounds = chunk_bounds(len, chunk);
                 let mut expect = 0;
                 for &(s, e) in &bounds {

@@ -89,7 +89,7 @@ impl RangeRecord {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommSchedule {
     /// Rank of the processor this schedule belongs to.
-    pub rank: usize,
+    rank: usize,
     /// Blocks this processor must receive, sorted by `(from_proc, low)`,
     /// non-empty, with `to_proc == rank` and dense buffer offsets in that
     /// order.  Written only by [`CommSchedule::from_recv_sets`].
@@ -99,11 +99,12 @@ pub struct CommSchedule {
     /// Written only by [`CommSchedule::set_send_records`].
     send_records: Vec<RangeRecord>,
     /// Iterations that reference only local data (`exec(p) ∩ ref(p)`),
-    /// in ascending order.
-    pub local_iters: Vec<usize>,
+    /// strictly ascending and disjoint from `nonlocal_iters`.  Written only
+    /// by [`CommSchedule::from_recv_sets`], as is `nonlocal_iters`.
+    local_iters: Vec<usize>,
     /// Iterations that reference at least one nonlocal element
-    /// (`exec(p) − ref(p)`), in ascending order.
-    pub nonlocal_iters: Vec<usize>,
+    /// (`exec(p) − ref(p)`), strictly ascending.
+    nonlocal_iters: Vec<usize>,
     /// Total number of elements to be received (the communication buffer
     /// length).
     pub recv_len: usize,
@@ -131,19 +132,61 @@ impl CommSchedule {
     /// are *not* filled in here — they are only known after the global
     /// exchange (`out(p,q) = in(q,p)`); use
     /// [`CommSchedule::set_send_records`].
+    ///
+    /// The iteration lists are checked in every build: each must be strictly
+    /// ascending and no iteration may be on both (it would run twice, and
+    /// the executor's chunks and sinks key on list positions).  A list that
+    /// breaks either panics, naming this rank, the list and the iteration.
     pub fn from_recv_sets(
         rank: usize,
         recv_sets: &[IndexSet],
         local_iters: Vec<usize>,
         nonlocal_iters: Vec<usize>,
     ) -> Self {
+        for (list, name) in [(&local_iters, "local"), (&nonlocal_iters, "nonlocal")] {
+            // A fold with no early exit, so the common, ascending case runs
+            // as one branch-free pass; the culprit is looked up only on
+            // failure.
+            let ascending = list.windows(2).fold(true, |ok, w| ok & (w[0] < w[1]));
+            if !ascending {
+                let w = list
+                    .windows(2)
+                    .find(|w| w[0] >= w[1])
+                    .expect("a pair out of order");
+                panic!(
+                    "rank {rank}: {name} iteration {} follows {}: not strictly ascending",
+                    w[1], w[0]
+                );
+            }
+        }
+        // Each entry of the shorter list is looked up in what is left of the
+        // longer one, galloping from its start: a closed-form plan's few
+        // boundary iterations cost a few probes each, not a pass over the
+        // interior.
+        let (short, mut rest) = if local_iters.len() <= nonlocal_iters.len() {
+            (&local_iters, &nonlocal_iters[..])
+        } else {
+            (&nonlocal_iters, &local_iters[..])
+        };
+        for &i in short {
+            let mut end = 1;
+            while end < rest.len() && rest[end - 1] < i {
+                end *= 2;
+            }
+            let k = rest[..end.min(rest.len())].partition_point(|&j| j < i);
+            assert!(
+                rest.get(k) != Some(&i),
+                "rank {rank}: iteration {i} is on both the local and the nonlocal list"
+            );
+            rest = &rest[k..];
+        }
         let mut recv_records = Vec::new();
         let mut offset = 0usize;
         for (q, set) in recv_sets.iter().enumerate() {
             if q == rank {
                 assert!(
                     set.is_empty(),
-                    "a processor never receives its own elements"
+                    "rank {rank}: a processor never receives its own elements"
                 );
                 continue;
             }
@@ -322,6 +365,22 @@ impl CommSchedule {
             starts,
             entries,
         });
+    }
+
+    /// Rank of the processor this schedule belongs to.
+    pub fn rank(&self) -> usize {
+        self.rank
+    }
+
+    /// Iterations that reference only local data, strictly ascending.
+    pub fn local_iters(&self) -> &[usize] {
+        &self.local_iters
+    }
+
+    /// Iterations that reference at least one nonlocal element, strictly
+    /// ascending and disjoint from [`CommSchedule::local_iters`].
+    pub fn nonlocal_iters(&self) -> &[usize] {
+        &self.nonlocal_iters
     }
 
     /// Number of distinct processors this processor receives from.
@@ -814,6 +873,48 @@ mod tests {
                 .expect("the panic message is formatted");
             assert!(
                 message.starts_with("rank 1: ") && message.contains(&format!("peer {peer}")),
+                "{what}: {message}"
+            );
+        }
+    }
+
+    #[test]
+    fn from_recv_sets_rejects_unsorted_and_overlapping_iteration_lists() {
+        let malformed = [
+            (
+                "unsorted local",
+                vec![5, 4],
+                vec![],
+                "local iteration 4 follows 5",
+            ),
+            (
+                "repeated nonlocal",
+                vec![],
+                vec![7, 7],
+                "nonlocal iteration 7 follows 7",
+            ),
+            (
+                "on both lists",
+                vec![2, 6],
+                vec![4, 6],
+                "iteration 6 is on both",
+            ),
+            (
+                "on both lists, deep in the longer one",
+                (0..100).step_by(2).collect(),
+                vec![1, 3, 64],
+                "iteration 64 is on both",
+            ),
+        ];
+        for (what, local, nonlocal, expected) in malformed {
+            let message =
+                std::panic::catch_unwind(|| CommSchedule::from_recv_sets(3, &[], local, nonlocal))
+                    .expect_err(what);
+            let message = message
+                .downcast_ref::<String>()
+                .expect("the panic message is formatted");
+            assert!(
+                message.starts_with("rank 3: ") && message.contains(expected),
                 "{what}: {message}"
             );
         }

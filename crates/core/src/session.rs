@@ -39,13 +39,10 @@
 //!   outside;
 //! * **metering** — inspector time (accumulated around every plan call) and
 //!   reduction counts/bytes, snapshotted by [`Session::stats`] for the
-//!   solvers' outcome structs — and, in debug builds, a static verification
-//!   of every plan ([`verify::check_schedule`]: receive ranges disjoint
-//!   across senders, the buffer length, the iteration lists), so a broken
-//!   analysis aborts at plan time with a diagnostic instead of hanging in
-//!   the executor.  The record lists need no such check: the schedule's
-//!   constructors build them well-formed and reject malformed peer records
-//!   in every build.
+//!   solvers' outcome structs.  A plan needs no rank-local check: the
+//!   schedule's constructors build its record and iteration lists
+//!   well-formed and reject malformed peer records and iteration lists in
+//!   every build.
 //!
 //! [`Session::execute_reduce`] makes reductions **first-class loop outputs**:
 //! the body also returns one contribution per iteration and the session
@@ -83,7 +80,6 @@ use crate::process::{tree_allreduce_sends, tree_children, Process, Reduce, Reduc
 use crate::redistribute::redistribute_epoch;
 use crate::schedule::CommSchedule;
 use crate::space::{IterSpace, Span};
-use crate::verify;
 
 /// Per-rank front end and execute-side runtime state: schedule cache, loop-id
 /// / sweep-tag / epoch allocation, data-version tracking and reduction
@@ -364,11 +360,10 @@ impl Session {
         self.planned(proc, before, schedule)
     }
 
-    /// What every plan ends with: meter the time since `before` and, in
-    /// debug builds, statically verify the rank-local invariants the
-    /// schedule's constructors do not enforce ([`verify::check_schedule`];
-    /// the cross-rank ones need every rank's plan at once — gather those for
-    /// [`verify::check_schedule_set`]).
+    /// What every plan ends with: meter the time since `before`.  A
+    /// schedule's rank-local shape is its constructors' to keep, in every
+    /// build; the cross-rank invariants need every rank's plan at once —
+    /// gather those for [`check_schedule_set`](crate::verify::check_schedule_set).
     fn planned<P: Process>(
         &mut self,
         proc: &P,
@@ -376,14 +371,6 @@ impl Session {
         schedule: Arc<CommSchedule>,
     ) -> Arc<CommSchedule> {
         self.inspector_time += proc.time() - before;
-        if cfg!(debug_assertions) {
-            let violations = verify::check_schedule(&schedule);
-            assert!(
-                violations.is_empty(),
-                "plan failed static verification:\n{}",
-                verify::render(&violations)
-            );
-        }
         schedule
     }
 
@@ -584,9 +571,9 @@ impl Session {
         // then the nonlocal ones — two ascending runs.  Merge-fold them in
         // ascending iteration order so the fold is a function of the loop
         // alone, not of the schedule's local/nonlocal split.
-        let boundary = schedule.local_iters.len();
+        let boundary = schedule.local_iters().len();
         let mut contributions: Vec<(usize, R::Input)> =
-            Vec::with_capacity(boundary + schedule.nonlocal_iters.len());
+            Vec::with_capacity(boundary + schedule.nonlocal_iters().len());
         self.execute(
             proc,
             loop_,
@@ -600,7 +587,7 @@ impl Session {
             },
         );
         // A typed marker ahead of the allreduce's own, so the trace
-        // analyzer's SPMD check compares reductions by operator.
+        // checks' SPMD rule compares reductions by operator.
         proc.trace_emit(EventKind::Collective { op: R::name() });
         let value = fold_and_allreduce::<P, R>(proc, boundary, contributions);
         self.reductions += 1;
@@ -989,13 +976,11 @@ mod tests {
             proc.trace_start();
             let schedule = session.plan_indirect(proc, &loop_, &dist, refs);
             // The plan passes rank-local static verification...
-            assert_eq!(verify::check_schedule(&schedule), vec![]);
-            // ...and a copy with its local list out of order does not.
+            assert_eq!(crate::verify::check_schedule(&schedule), vec![]);
+            // ...and a copy declaring one element too many does not.
             let mut broken = (*schedule).clone();
-            if broken.local_iters.len() >= 2 {
-                broken.local_iters.swap(0, 1);
-                assert!(!verify::check_schedule(&broken).is_empty());
-            }
+            broken.recv_len += 1;
+            assert!(!crate::verify::check_schedule(&broken).is_empty());
             let local: Vec<f64> = dist
                 .local_set(proc.rank())
                 .iter()
@@ -1017,7 +1002,7 @@ mod tests {
         });
         // Each rank entered the same collectives in the same order — the
         // inspector's exchange, then per reduction its typed marker and the
-        // allreduce's own — and the analyzer accepts the traces.
+        // allreduce's own — and the trace checks accept the traces.
         assert_eq!(crate::mc::check_trace(&traces), vec![]);
         for trace in &traces {
             let ops: Vec<&str> = trace.iter().filter_map(|e| e.collective()).collect();
@@ -1026,7 +1011,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_chunked_execution_records_claims_and_passes_mc() {
+    fn traced_chunked_execution_passes_mc() {
         let machine = Machine::new(2, CostModel::ideal());
         let traces = machine.run(|proc| {
             let n = 24;
@@ -1059,16 +1044,8 @@ mod tests {
             shift(&mut session, proc);
             trace
         });
-        // Every rank recorded its chunk claims; the boundary message shows
-        // up as a send on one rank and a receive on the other; and the
-        // trace set is causally consistent and race-free.
-        for t in &traces {
-            assert!(
-                t.iter()
-                    .any(|e| matches!(e.kind, EventKind::ChunkClaim { .. })),
-                "chunk claims must be recorded"
-            );
-        }
+        // The boundary message shows up as a send on one rank and a receive
+        // on the other, and the trace set passes the trace checks.
         let all: Vec<&EventKind> = traces.iter().flatten().map(|e| &e.kind).collect();
         assert!(all.iter().any(|k| matches!(k, EventKind::Send { .. })));
         assert!(all.iter().any(|k| matches!(k, EventKind::Recv { .. })));

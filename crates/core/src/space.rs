@@ -458,8 +458,8 @@ mod tests {
             let s = red
                 .analyze(&on, &on, &[AffineMap::identity()], rank)
                 .expect("unit-stride stripe must have a closed form");
-            let mut iters = s.local_iters.clone();
-            iters.extend(&s.nonlocal_iters);
+            let mut iters = s.local_iters().to_vec();
+            iters.extend(s.nonlocal_iters());
             iters.sort_unstable();
             assert_eq!(iters, red.exec_iters(&on, rank));
         }

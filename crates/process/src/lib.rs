@@ -299,9 +299,11 @@ pub trait Process {
     {
         let p = self.nprocs();
         let me = self.rank();
-        // Epoch marker for the trace analyzer, *before* any tree traffic:
-        // the tree's fixed per-(phase, round) tags are reused by every
-        // invocation, and this marker is what certifies the reuse as safe.
+        // The trace marker, recorded before any tree traffic: every rank
+        // must enter the same collectives in the same order.  The tree's
+        // fixed per-(phase, round) tags are reused by every invocation;
+        // same-`(src, tag)` delivery is FIFO, so consecutive allreduces
+        // cannot be confused.
         self.trace_emit(trace::EventKind::Collective { op: "allreduce" });
         if p == 1 {
             return value;
@@ -485,9 +487,9 @@ pub trait Process {
     }
 
     /// Record one execution event (no-op while inactive or on backends
-    /// without a recorder).  The runtime calls this for chunk claims and
-    /// collective entries; backends call it internally for message
-    /// endpoints.
+    /// without a recorder).  The runtime calls this for collective entries
+    /// (typed reductions); backends call it internally for message
+    /// endpoints and their own collectives.
     fn trace_emit(&mut self, _kind: trace::EventKind) {}
 }
 

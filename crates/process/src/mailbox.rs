@@ -7,8 +7,8 @@
 //! parks the rest in per-key queues.  It is generic over the parked payload
 //! (a type-erased box on native, type hash plus encoded bytes on mp, the
 //! box plus its simulated size and arrival time on dmsim), draws the
-//! per-destination send sequence numbers its debug-build FIFO witnesses
-//! check, and keeps `Counters::queue_peak`.
+//! per-destination send sequence numbers its FIFO witness checks in every
+//! build, and keeps `Counters::queue_peak`.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -33,14 +33,17 @@ pub struct Mailbox<M> {
     rank: usize,
     /// Arrivals not asked for yet, FIFO per key.  An emptied queue leaves
     /// the map: tags are mostly unique per sweep, so it would linger forever.
-    queues: HashMap<(usize, Tag), VecDeque<(u64, M)>>,
+    queues: HashMap<(usize, Tag), VecDeque<M>>,
     /// Payloads parked now, and the most there ever were at once.
     parked: usize,
     peak: u64,
     /// Next send sequence number per destination (across all tags).
     send_seqs: Vec<u64>,
-    /// Last delivered sequence number per channel; debug builds only.
-    delivered: HashMap<(usize, Tag), u64>,
+    /// The FIFO witness: one past the stamp of the latest arrival from each
+    /// source.  Stamps count per destination and every transport is FIFO
+    /// per peer, so each arrival from a source must carry a larger stamp
+    /// than the one before it.
+    arrived: Vec<u64>,
 }
 
 impl<M> Mailbox<M> {
@@ -53,7 +56,7 @@ impl<M> Mailbox<M> {
             parked: 0,
             peak: 0,
             send_seqs: vec![0; nprocs],
-            delivered: HashMap::new(),
+            arrived: vec![0; nprocs],
         }
     }
 
@@ -68,23 +71,33 @@ impl<M> Mailbox<M> {
     }
 
     /// Park an arrival nobody has asked for yet (a self-send, or a message
-    /// that overtook the one a receive waits for).  Debug builds assert that
-    /// a key's payloads queue in send order: transports are FIFO per peer,
-    /// so anything else means the backend reordered them.
+    /// that overtook the one a receive waits for).  Panics, in every build,
+    /// unless it carries a larger stamp than the previous arrival from its
+    /// source.
     pub fn park(&mut self, arrival: Arrival<M>) {
         let (src, tag, seq) = (arrival.src, arrival.tag, arrival.seq);
+        self.witness(src, tag, seq);
         let queue = self.queues.entry((src, tag)).or_default();
-        if cfg!(debug_assertions) {
-            if let Some(&(back, _)) = queue.back() {
-                assert!(
-                    seq > back,
-                    "pending queue ({src}, {tag:#x}) reordered: seq {seq} after {back}"
-                );
-            }
-        }
-        queue.push_back((seq, arrival.payload));
+        queue.push_back(arrival.payload);
         self.parked += 1;
         self.peak = self.peak.max(self.parked as u64);
+    }
+
+    /// Check, in every build, that an arrival from `src` carries a larger
+    /// stamp than the previous arrival from `src`: the backend handed this
+    /// rank a peer's messages in the order they were sent.  A parked
+    /// message is checked when it arrives, so delivery from one `(src, tag)`
+    /// queue is FIFO as well.
+    fn witness(&mut self, src: usize, tag: Tag, seq: u64) {
+        let next = &mut self.arrived[src];
+        assert!(
+            seq >= *next,
+            "rank {}: arrival from rank {src} (tag {tag:#x}) carries seq {seq} after seq {}: \
+             not FIFO",
+            self.rank,
+            *next - 1
+        );
+        *next = seq + 1;
     }
 
     /// Deliver the oldest message of channel `(src, tag)`: a parked one, or
@@ -101,42 +114,31 @@ impl<M> Mailbox<M> {
             src < nprocs,
             "rank {me}: recv from rank {src} of {nprocs} (tag {tag:#x})"
         );
-        let (seq, payload) = match self.take(src, tag) {
-            Some(entry) => entry,
-            None => {
-                assert!(
-                    src != me,
-                    "rank {me}: recv from rank {src} (itself) on tag {tag:#x} with nothing sent"
-                );
-                loop {
-                    let arrival = pull();
-                    if (arrival.src, arrival.tag) == (src, tag) {
-                        break (arrival.seq, arrival.payload);
-                    }
-                    self.park(arrival);
-                }
-            }
-        };
-        // Strictly increasing, not consecutive: stamps count across tags.
-        if cfg!(debug_assertions) {
-            if let Some(prev) = self.delivered.insert((src, tag), seq) {
-                assert!(
-                    seq > prev,
-                    "channel ({src}, {tag:#x}) delivered seq {seq} after {prev}: not FIFO"
-                );
-            }
+        if let Some(payload) = self.take(src, tag) {
+            return payload;
         }
-        payload
+        assert!(
+            src != me,
+            "rank {me}: recv from rank {src} (itself) on tag {tag:#x} with nothing sent"
+        );
+        loop {
+            let arrival = pull();
+            if (arrival.src, arrival.tag) == (src, tag) {
+                self.witness(src, tag, arrival.seq);
+                return arrival.payload;
+            }
+            self.park(arrival);
+        }
     }
 
-    fn take(&mut self, src: usize, tag: Tag) -> Option<(u64, M)> {
+    fn take(&mut self, src: usize, tag: Tag) -> Option<M> {
         let queue = self.queues.get_mut(&(src, tag))?;
-        let entry = queue.pop_front()?;
+        let payload = queue.pop_front()?;
         if queue.is_empty() {
             self.queues.remove(&(src, tag));
         }
         self.parked -= 1;
-        Some(entry)
+        Some(payload)
     }
 
     /// Most payloads ever parked at once — `Counters::queue_peak`.
@@ -211,18 +213,16 @@ mod tests {
         assert_eq!(stamps, [0, 0, 1, 0, 2]);
     }
 
-    #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "pending queue (1, 0x5) reordered: seq 3 after 4")]
+    #[should_panic(expected = "rank 0: arrival from rank 1 (tag 0x5) carries seq 3 after seq 4")]
     fn debug_builds_catch_a_reordered_pending_queue() {
         let mut mb = Mailbox::new(0, 2);
         mb.park(msg(1, 5, 4, 0));
         mb.park(msg(1, 5, 3, 0));
     }
 
-    #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "channel (1, 0x5) delivered seq 2 after 2: not FIFO")]
+    #[should_panic(expected = "rank 0: arrival from rank 1 (tag 0x5) carries seq 2 after seq 2")]
     fn debug_builds_catch_a_non_fifo_delivery() {
         let mut mb = Mailbox::new(0, 2);
         mb.receive(1, 5, || msg(1, 5, 2, 0));

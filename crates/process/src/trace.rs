@@ -1,11 +1,11 @@
-//! Structured execution-trace events for happens-before analysis.
+//! Structured execution-trace events for the trace checks.
 //!
 //! When a caller opts in ([`Process::trace_start`]), a backend records one
-//! [`Event`] per point-to-point message endpoint, collective entry, and
-//! chunked-executor claim, stamped with a per-rank sequence number.  The
-//! recorded per-rank event vectors are the input of the trace analyzer
-//! (`kali_core::mc`), which reconstructs vector clocks *offline* — nothing
-//! is ever piggybacked on messages, so tracing cannot perturb the run it
+//! [`Event`] per point-to-point message endpoint and collective entry,
+//! stamped with a per-rank sequence number.  The recorded per-rank event
+//! vectors are the input of the trace checks (`kali_core::mc`), which
+//! match messages and compare collective sequences *offline* — nothing is
+//! ever piggybacked on messages, so tracing cannot perturb the run it
 //! observes beyond the cost of pushing onto a local `Vec`.
 //!
 //! [`Process::trace_start`]: crate::Process::trace_start
@@ -15,43 +15,29 @@ use crate::Tag;
 /// What one recorded event was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
-    /// A point-to-point send completed posting on this rank.
+    /// A point-to-point send completed posting on this rank (recorded
+    /// before the message is handed to the transport).
     Send {
         /// Destination rank.
         dst: usize,
         /// Message tag.
         tag: Tag,
     },
-    /// A point-to-point receive completed on this rank.
+    /// A point-to-point receive completed on this rank (recorded after the
+    /// mailbox returned the matching message).
     Recv {
         /// Source rank.
         src: usize,
         /// Message tag.
         tag: Tag,
     },
-    /// This rank entered a collective operation.  Collectives are epoch
-    /// markers for the analyzer: channel reuse separated by a collective on
-    /// *both* endpoints is considered safe even without a point-to-point
-    /// happens-before path (SPMD lockstep plus per-channel FIFO).  Every
-    /// rank must record the same sequence of them.
+    /// This rank entered a collective operation.  Every rank must record
+    /// the same sequence of them (the SPMD contract).
     Collective {
         /// The collective's name (`"barrier"`, `"allreduce"`, ...).  A
         /// typed reduction (`execute_reduce`) names its operator
         /// (`ReduceOp::name`, e.g. `"sum-f64"`) just before its allreduce.
         op: &'static str,
-    },
-    /// The executor claimed one chunk of a phase's iteration list.
-    /// `low..high` are *positions* within that phase's list, which double
-    /// as the chunk's write range into the phase's result sink.
-    ChunkClaim {
-        /// The sweep (executor tag offset) the claim belongs to.
-        sweep: u64,
-        /// Phase within the sweep: `0` = local iterations, `1` = nonlocal.
-        phase: usize,
-        /// First claimed position (inclusive).
-        low: usize,
-        /// Past-the-end claimed position.
-        high: usize,
     },
 }
 
@@ -61,8 +47,8 @@ pub struct Event {
     /// The recording rank.
     pub rank: usize,
     /// Position in the rank's program order, starting at 0.  Informational:
-    /// the analyzer orders events by their position in the recorded vector,
-    /// so hand-built traces need not maintain it.
+    /// the trace checks read events by their position in the recorded
+    /// vector, so hand-built traces need not maintain it.
     pub seq: u64,
     /// What happened.
     pub kind: EventKind,
@@ -151,15 +137,7 @@ mod tests {
         assert_eq!(r.take(), vec![]);
         // start() after take() restarts numbering from zero.
         r.start();
-        r.record(
-            2,
-            EventKind::ChunkClaim {
-                sweep: 3,
-                phase: 1,
-                low: 0,
-                high: 8,
-            },
-        );
+        r.record(2, EventKind::Collective { op: "barrier" });
         assert_eq!(r.take()[0].seq, 0);
     }
 }

@@ -359,18 +359,6 @@ impl Wire for EventKind {
                 out.push(2);
                 op.to_string().encode(out);
             }
-            EventKind::ChunkClaim {
-                sweep,
-                phase,
-                low,
-                high,
-            } => {
-                out.push(3);
-                sweep.encode(out);
-                phase.encode(out);
-                low.encode(out);
-                high.encode(out);
-            }
         }
     }
 
@@ -392,12 +380,6 @@ impl Wire for EventKind {
                     .map(|&known| EventKind::Collective { op: known })
                     .ok_or(WireError::UnknownCollectiveOp { name })
             }
-            3 => Ok(EventKind::ChunkClaim {
-                sweep: u64::decode(r)?,
-                phase: usize::decode(r)?,
-                low: usize::decode(r)?,
-                high: usize::decode(r)?,
-            }),
             v => Err(WireError::BadDiscriminant {
                 context: "EventKind discriminant",
                 value: v as u64,
@@ -575,12 +557,7 @@ mod tests {
         roundtrip(Event {
             rank: 2,
             seq: 4,
-            kind: EventKind::ChunkClaim {
-                sweep: 5,
-                phase: 1,
-                low: 0,
-                high: 128,
-            },
+            kind: EventKind::Recv { src: 0, tag: 128 },
         });
         let c = Counters {
             msgs_sent: 1,

@@ -116,12 +116,6 @@ fn unit_and_event_types_round_trip() {
         src: 1,
         tag: 1 << 45,
     });
-    roundtrip(EventKind::ChunkClaim {
-        sweep: 7,
-        phase: 1,
-        low: 10,
-        high: 20,
-    });
     roundtrip(Event {
         rank: 2,
         seq: 99,

@@ -81,8 +81,8 @@ fn main() {
             (
                 schedule.recv_len,
                 schedule.recv_partner_count(),
-                schedule.local_iters.len(),
-                schedule.nonlocal_iters.len(),
+                schedule.local_iters().len(),
+                schedule.nonlocal_iters().len(),
             )
         });
         let halo: usize = rows.iter().map(|r| r.0).sum();

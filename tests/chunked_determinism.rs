@@ -329,7 +329,7 @@ fn run_relaxation_on_one_schedule(
             refs.extend(mesh.neighbors(i).iter().map(|&nb| nb as usize))
         });
         assert!(
-            !schedule.nonlocal_iters.is_empty(),
+            !schedule.nonlocal_iters().is_empty(),
             "a scrambled mesh leaves every rank nonlocal iterations"
         );
         let start = proc.counters();
@@ -424,7 +424,10 @@ fn a_worker_panic_during_the_recording_sweep_leaves_no_memo_behind() {
             let schedule = session.plan_indirect(proc, &relaxation, &dist, |i, refs| {
                 refs.extend(mesh.neighbors(i).iter().map(|&nb| nb as usize))
             });
-            let last = *schedule.nonlocal_iters.last().expect("nonlocal iterations");
+            let last = *schedule
+                .nonlocal_iters()
+                .last()
+                .expect("nonlocal iterations");
             let bytes_before = schedule.approx_bytes();
             let mut bytes_after = Vec::new();
             for sweep in 0..4 {

@@ -1,67 +1,76 @@
-//! Negative verification: `kali::verify` rejects corrupted plans precisely.
+//! Negative verification: corrupted plans are rejected precisely.
 //!
-//! The positive direction is covered by `verify_all` (every solver/bench
-//! configuration plans clean on both backends).  This suite establishes the
-//! other half of the static-analysis contract: when a planned communication
-//! schedule **is** defective, the checker reports the defect as the
-//! *specific* [`Violation`] variant the corruption deserves — not a generic
-//! failure, and not a pass.
+//! The positive direction is covered by the `verify` table (`tables
+//! verify`: every solver/bench configuration plans clean on every backend).
+//! This suite establishes the other half: when a planned communication
+//! schedule **is** defective, the defect is reported as the *specific*
+//! [`Violation`] variant it deserves, or — where a live run reports it by
+//! itself — as the specific panic that run dies with; never a generic
+//! failure, and never a pass.
 //!
 //! Each test starts from a genuinely planned schedule set (a 3-point
 //! Jacobi-style stencil planned by a real [`Session`] on the dmsim
 //! machine, which `check_schedule_set` accepts violation-free) or from the
 //! event trace recorded around its two reductions (which
-//! [`check_trace`] accepts).  A record corruption is rebuilt through the
+//! [`check_trace`] accepts).  A schedule corruption is rebuilt through the
 //! constructors (`CommSchedule::from_recv_sets` and
 //! `CommSchedule::set_send_records`) — what a buggy analysis could hand
-//! them; the rank, the iteration lists and `recv_len` are edited in place.
-//! Then the test asserts the matching variant fires:
+//! them; only `recv_len` is edited in place.  Then the test asserts the
+//! matching variant fires:
 //!
 //! | corruption                              | expected violation          |
 //! |-----------------------------------------|-----------------------------|
 //! | receive record with no matching send    | `DanglingRecv`              |
 //! | send record with no matching receive    | `DanglingSend`              |
-//! | matched records with different extents  | `ByteCountMismatch`         |
-//! | two senders named for one index         | `OverlappingRecvRanges`     |
-//! | body reference the plan never fetched   | `UnresolvableRef`           |
-//! | rank-divergent recorded collectives     | `DivergentCollectives`      |
+//! | matched records with different extents  | `DanglingRecv` + `DanglingSend` |
+//! | two senders named for one index         | `DanglingRecv`              |
 //! | declared buffer length off by one       | `RecvLenMismatch`           |
-//! | iteration list out of order             | `UnsortedIterations`        |
-//! | iteration in both local & nonlocal list | `OverlappingIterationLists` |
-//! | schedule stored under the wrong rank    | `ScheduleRankMismatch`      |
-//! | nonlocal iteration filed as local       | `LocalIterNonlocalRef`      |
 //! | recorded send/recv with no counterpart  | `UnmatchedMessage`          |
-//! | more in-flight sweeps than tag span     | `SweepTagCollision`         |
 //!
-//! The shape of a record list is no `Violation`: the constructors build it
-//! sorted, non-empty and with dense buffer offsets, and `set_send_records`,
-//! which takes the records peers send, panics on one from another origin,
-//! one addressed to this rank, or an empty one:
+//! The shape of a schedule's lists is no `Violation`: the constructors
+//! build the record lists sorted, non-empty and with dense buffer offsets,
+//! `set_send_records`, which takes the records peers send, panics on one
+//! from another origin, one addressed to this rank, or an empty one, and
+//! `from_recv_sets` panics on an iteration list out of order or an
+//! iteration on both lists, in every build.
 //! `record_claiming_another_ranks_endpoint_is_rejected`,
-//! `self_message_records_are_rejected` and `empty_range_records_are_rejected`
-//! hand it such a record.
+//! `self_message_records_are_rejected`, `empty_range_records_are_rejected`,
+//! `unsorted_iteration_lists_are_rejected` and
+//! `overlapping_iteration_lists_are_rejected` hand them such lists.
+//!
+//! What a live run reports by itself is run live, on native, where the
+//! first panic wakes every waiting peer: a schedule executed by another
+//! rank than its own (`schedule_stored_under_the_wrong_rank_is_rejected`),
+//! a body reference the plan never fetched
+//! (`references_outside_the_plan_are_rejected`), a nonlocal iteration filed
+//! as local (`nonlocal_iteration_filed_as_local_is_rejected`) and a record
+//! naming an element its sender does not own
+//! (`a_record_naming_an_element_its_sender_does_not_own_panics_the_sender`)
+//! each panic, naming the rank and the element.
 //!
 //! One variant guards a space no planned-schedule corruption can reach, so
 //! it is constructed directly (with the justification in
 //! `constant_space_violations_render_precisely`): `BracketingMismatch`
 //! (only a *live* backend reduction disagreeing with the replay produces
 //! one — exercised by `kali-core`'s unit test of `check_allreduce_run` and
-//! by `verify_all`'s live allreduce).  The other four trace-level variants
-//! (`TagReuseRace`, `MessageRace`, `RecvBeforeSend`, `ChunkSinkConflict`)
-//! are driven from real recorded traces in `tests/mc_negative.rs`.
+//! by the `verify` table's live allreduce).
 //!
 //! `every_violation_variant_is_constructible_and_renders` closes the loop:
 //! an exhaustive wildcard-free match over every variant, so adding a
 //! variant without extending this audit fails to compile.
 
+use std::any::Any;
+use std::sync::Mutex;
+
 use kali_repro::distrib::{DimDist, IndexRange, IndexSet};
 use kali_repro::dmsim::{CostModel, Machine};
-use kali_repro::kali::verify::{bracket_leaf, check_sweep_tag_wrap, BracketHash};
+use kali_repro::kali::verify::{bracket_leaf, BracketHash};
 use kali_repro::kali::{
-    check_plan_refs, check_schedule, check_schedule_set, check_trace, AffineMap, CommSchedule,
-    Norm2, RangeRecord, Reduce, ReduceOp, Session, Span, Sum, Violation,
+    check_schedule_set, check_trace, AffineMap, CommSchedule, Fetcher, Norm2, RangeRecord, Reduce,
+    ReduceOp, Session, Span, Sum, Violation,
 };
-use kali_repro::process::{tags, Event, EventKind, Process};
+use kali_repro::native::NativeMachine;
+use kali_repro::process::{Event, EventKind, Process};
 
 const N: usize = 32;
 const P: usize = 4;
@@ -87,7 +96,7 @@ fn planned_stencil() -> (Vec<CommSchedule>, Vec<Vec<Event>>) {
             .iter()
             .map(|g| g as f64 + 0.5)
             .collect();
-        // Two reductions so the trace has a sequence worth diverging.
+        // Two reductions, so the trace holds messages and collectives.
         proc.trace_start();
         let _ = session.execute_reduce(
             proc,
@@ -114,17 +123,6 @@ fn planned_stencil() -> (Vec<CommSchedule>, Vec<Vec<Event>>) {
     results.into_iter().unzip()
 }
 
-/// The stencil's reference pattern, as the executor body would issue it.
-fn stencil_refs(i: usize, out: &mut Vec<usize>) {
-    if i > 0 {
-        out.push(i - 1);
-    }
-    out.push(i);
-    if i + 1 < N {
-        out.push(i + 1);
-    }
-}
-
 /// `s`'s receive sets, one per rank — what `CommSchedule::from_recv_sets`
 /// was handed when `s` was planned.
 fn recv_sets(s: &CommSchedule) -> Vec<IndexSet> {
@@ -139,20 +137,70 @@ fn recv_sets(s: &CommSchedule) -> Vec<IndexSet> {
 /// `s` planned again from the receive sets `sets`, with its own iteration
 /// lists and send records.
 fn replanned(s: &CommSchedule, sets: &[IndexSet]) -> CommSchedule {
-    let (local, nonlocal) = (s.local_iters.clone(), s.nonlocal_iters.clone());
-    let mut replanned = CommSchedule::from_recv_sets(s.rank, sets, local, nonlocal);
+    let lists = (s.local_iters().to_vec(), s.nonlocal_iters().to_vec());
+    relisted(s, sets, lists)
+}
+
+/// `s` planned again from the receive sets `sets` and the iteration lists
+/// `(local, nonlocal)`, with its own send records.
+fn relisted(s: &CommSchedule, sets: &[IndexSet], lists: (Vec<usize>, Vec<usize>)) -> CommSchedule {
+    let (local, nonlocal) = lists;
+    let mut replanned = CommSchedule::from_recv_sets(s.rank(), sets, local, nonlocal);
     replanned.set_send_records(P, s.send_records().to_vec());
     replanned
+}
+
+/// The message a panic carries.
+fn panic_message(panic: &(dyn Any + Send)) -> String {
+    panic
+        .downcast_ref::<String>()
+        .cloned()
+        .expect("the panic message is formatted")
+}
+
+/// Run one sweep of `body` over `set[rank]` on every rank of a native
+/// machine and return the messages the ranks panicked with.  The first
+/// panic poisons the peers, so no rank is left waiting.
+fn live_panics<B>(set: &[CommSchedule], body: B) -> Vec<String>
+where
+    B: Fn(usize, &mut Fetcher<'_, f64, DimDist>) -> f64 + Sync,
+{
+    let seen = Mutex::new(Vec::new());
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        NativeMachine::new(P).run(|proc| {
+            let dist = DimDist::block(N, P);
+            let mut session = Session::new();
+            let loop_ = session.loop_over(Span::new(1, N - 1), dist.clone());
+            let local: Vec<f64> = dist
+                .local_set(proc.rank())
+                .iter()
+                .map(|g| g as f64 + 0.5)
+                .collect();
+            let schedule = &set[proc.rank()];
+            let sweep = std::panic::AssertUnwindSafe(|| {
+                session.execute(proc, &loop_, schedule, &dist, &local, &body, |_, _| {})
+            });
+            if let Err(cause) = std::panic::catch_unwind(sweep) {
+                seen.lock()
+                    .expect("unpoisoned")
+                    .push(panic_message(&*cause));
+                std::panic::resume_unwind(cause);
+            }
+        })
+    }));
+    assert!(run.is_err(), "the corrupted plan ran to completion");
+    seen.into_inner().expect("unpoisoned")
+}
+
+/// The stencil body: the three references the plan was made for.
+fn stencil_body(i: usize, fetch: &mut Fetcher<'_, f64, DimDist>) -> f64 {
+    fetch.fetch(i - 1) + fetch.fetch(i) + fetch.fetch(i + 1)
 }
 
 #[test]
 fn pristine_plans_pass_all_checks() {
     let (set, traces) = planned_stencil();
     assert_eq!(check_schedule_set(&set), vec![]);
-    let dist = DimDist::block(N, P);
-    for s in &set {
-        assert_eq!(check_plan_refs(s, dist.as_dyn(), stencil_refs), vec![]);
-    }
     assert_eq!(check_trace(&traces), vec![]);
     // Every rank marked exactly the two reductions, in order, each ahead of
     // its allreduce.
@@ -216,11 +264,19 @@ fn mismatched_byte_counts_are_rejected() {
     let violations = check_schedule_set(&set);
     assert!(
         violations.iter().any(|v| matches!(
-            *v,
-            Violation::ByteCountMismatch { from: 0, to: 1, low: l, send_high: sh, .. }
-                if l == low && sh == send_high
+            v,
+            Violation::DanglingSend { rank: 0, record }
+                if record.to_proc == 1 && (record.low, record.high) == (low, send_high)
         )),
-        "expected ByteCountMismatch on the 0->1 message, got:\n{violations:#?}"
+        "expected the grown send record, got:\n{violations:#?}"
+    );
+    assert!(
+        violations.iter().any(|v| matches!(
+            v,
+            Violation::DanglingRecv { rank: 1, record }
+                if record.from_proc == 0 && (record.low, record.high) == (low, send_high - 1)
+        )),
+        "expected the receive record it no longer matches, got:\n{violations:#?}"
     );
 }
 
@@ -228,86 +284,65 @@ fn mismatched_byte_counts_are_rejected() {
 fn overlapping_recv_ranges_are_rejected() {
     let (mut set, _) = planned_stencil();
     // Rank 1's halo receive from rank 0 ([7,8)) is also claimed from rank
-    // 2: every global index has exactly one home, so two sources for one
-    // element is a protocol error.
-    let rank = 1;
-    let mut sets = recv_sets(&set[rank]);
+    // 2: every global index has exactly one home, and rank 2, which does
+    // not own it, plans no such send.
+    let mut sets = recv_sets(&set[1]);
     sets[2] = sets[2].union(&sets[0]);
-    set[rank] = replanned(&set[rank], &sets);
+    set[1] = replanned(&set[1], &sets);
     let violations = check_schedule_set(&set);
     assert!(
-        violations
+        violations.iter().any(|v| matches!(
+            v,
+            Violation::DanglingRecv { rank: 1, record }
+                if record.from_proc == 2 && (record.low, record.high) == (7, 8)
+        )),
+        "expected DanglingRecv on rank 1, got:\n{violations:#?}"
+    );
+}
+
+#[test]
+fn a_record_naming_an_element_its_sender_does_not_own_panics_the_sender() {
+    let (mut set, _) = planned_stencil();
+    // As above, but rank 2 plans the send too: the set is dual, and rank 2
+    // finds out packing an element it does not own.
+    let mut sets = recv_sets(&set[1]);
+    sets[2] = sets[2].union(&sets[0]);
+    set[1] = replanned(&set[1], &sets);
+    let mut records = set[2].send_records().to_vec();
+    records.push(RangeRecord {
+        from_proc: 2,
+        to_proc: 1,
+        low: 7,
+        high: 8,
+        buffer: 0,
+    });
+    set[2].set_send_records(P, records);
+    assert_eq!(check_schedule_set(&set), vec![]);
+    let messages = live_panics(&set, stencil_body);
+    assert!(
+        messages
             .iter()
-            .any(|v| matches!(*v, Violation::OverlappingRecvRanges { rank: r, .. } if r == rank)),
-        "expected OverlappingRecvRanges on rank {rank}, got:\n{violations:#?}"
+            .any(|m| m == "global index 7 is not owned under block"),
+        "{messages:#?}"
     );
 }
 
 #[test]
 fn references_outside_the_plan_are_rejected() {
     let (set, _) = planned_stencil();
-    let dist = DimDist::block(N, P);
     // A body that suddenly reads 5 elements ahead was never planned for:
-    // the stencil's schedule only fetched the ±1 halo.
-    let violations = check_plan_refs(&set[1], dist.as_dyn(), |i, out| {
-        stencil_refs(i, out);
-        if i + 5 < N {
-            out.push(i + 5);
-        }
+    // the stencil's schedule only fetched the ±1 halo, so an iteration's
+    // read of a peer's element finds it received for another iteration, on
+    // the local list, or not received at all.
+    let messages = live_panics(&set, |i, fetch| {
+        let ahead = if i + 5 < N { fetch.fetch(i + 5) } else { 0.0 };
+        stencil_body(i, fetch) + ahead
     });
-    assert!(
-        violations
-            .iter()
-            .any(|v| matches!(*v, Violation::UnresolvableRef { rank: 1, .. })),
-        "expected UnresolvableRef on rank 1, got:\n{violations:#?}"
-    );
-}
-
-#[test]
-fn rank_divergent_collective_sequences_are_rejected() {
-    let (_, mut traces) = planned_stencil();
-    // Rank 2 swaps the markers of its two reductions — the SPMD conformance
-    // rule (every rank issues the same collectives in the same order) is
-    // broken even though the *set* of calls matches.
-    let at = |op| traces[2].iter().position(|e| e.collective() == Some(op));
-    let (sum, norm) = (at("sum-f64").unwrap(), at("norm2").unwrap());
-    let sum_kind = traces[2][sum].kind;
-    traces[2][sum].kind = std::mem::replace(&mut traces[2][norm].kind, sum_kind);
-    let violations = check_trace(&traces);
-    assert!(
-        violations.iter().any(|v| matches!(
-            *v,
-            Violation::DivergentCollectives {
-                rank: 2,
-                position: 0,
-                ..
-            }
-        )),
-        "expected DivergentCollectives on rank 2, got:\n{violations:#?}"
-    );
-
-    // A rank issuing an *extra* trailing collective diverges too (the
-    // classic "reduce inside a rank-conditional" bug).
-    let (_, mut traces) = planned_stencil();
-    let seq = traces[3].len() as u64;
-    traces[3].push(Event {
-        rank: 3,
-        seq,
-        kind: EventKind::Collective { op: "sum-f64" },
-    });
-    let violations = check_trace(&traces);
-    assert!(
-        violations.iter().any(|v| matches!(
-            *v,
-            Violation::DivergentCollectives {
-                rank: 3,
-                position: 4,
-                reference: None,
-                found: Some("sum-f64"),
-            }
-        )),
-        "expected trailing DivergentCollectives on rank 3, got:\n{violations:#?}"
-    );
+    let off_the_plan = |m: &String| {
+        m.contains("the schedule was planned for a different reference pattern")
+            || m.contains("nor in its receive schedule")
+    };
+    assert!(messages.iter().any(off_the_plan), "{messages:#?}");
 }
 
 /// Rank 1's planned send records handed back to `set_send_records` with
@@ -321,10 +356,21 @@ fn reinstall_corrupted_send_records(corrupt: impl FnOnce(&mut RangeRecord)) -> S
     corrupt(&mut records[0]);
     let panic = std::panic::catch_unwind(move || schedule.set_send_records(P, records))
         .expect_err("set_send_records accepted a malformed peer record");
-    panic
-        .downcast_ref::<String>()
-        .cloned()
-        .expect("the panic message is formatted")
+    panic_message(&*panic)
+}
+
+/// Rank 1's planned schedule rebuilt with its iteration lists edited by
+/// `edit`: what a buggy analysis could hand `from_recv_sets`.  Returns the
+/// message `from_recv_sets` panics with.
+fn relist_corrupted(edit: impl FnOnce(&mut Vec<usize>, &mut Vec<usize>)) -> String {
+    let (set, _) = planned_stencil();
+    let s = &set[1];
+    let (mut local, mut nonlocal) = (s.local_iters().to_vec(), s.nonlocal_iters().to_vec());
+    edit(&mut local, &mut nonlocal);
+    let sets = recv_sets(s);
+    let panic = std::panic::catch_unwind(|| relisted(s, &sets, (local, nonlocal)))
+        .expect_err("from_recv_sets accepted malformed iteration lists");
+    panic_message(&*panic)
 }
 
 #[test]
@@ -368,72 +414,67 @@ fn declared_buffer_length_mismatch_is_rejected() {
 
 #[test]
 fn unsorted_iteration_lists_are_rejected() {
-    let (mut set, _) = planned_stencil();
-    // Iteration lists are strictly ascending (the executor relies on it for
-    // the owner-computes partition); swap two entries.
-    assert!(set[1].local_iters.len() >= 2);
-    set[1].local_iters.swap(0, 1);
-    let violations = check_schedule(&set[1]);
-    assert!(
-        violations.iter().any(|v| matches!(
-            *v,
-            Violation::UnsortedIterations {
-                rank: 1,
-                list: "local",
-                index: 1,
-            }
-        )),
-        "expected UnsortedIterations on rank 1, got:\n{violations:#?}"
-    );
+    // Iteration lists are strictly ascending (the executor's chunks and
+    // sinks key on list positions); swap two entries.
+    let message = relist_corrupted(|local, _| {
+        assert!(local.len() >= 2);
+        local.swap(0, 1);
+    });
+    let expected = "rank 1: local iteration 9 follows 10: not strictly ascending";
+    assert!(message.contains(expected), "{message}");
 }
 
 #[test]
 fn overlapping_iteration_lists_are_rejected() {
-    let (mut set, _) = planned_stencil();
     // An iteration executed both as local and as nonlocal would run twice.
-    let dup = set[1].local_iters[0];
-    let pos = set[1].nonlocal_iters.partition_point(|&i| i < dup);
-    set[1].nonlocal_iters.insert(pos, dup);
-    let violations = check_schedule(&set[1]);
-    assert!(
-        violations.iter().any(
-            |v| matches!(*v, Violation::OverlappingIterationLists { rank: 1, iter } if iter == dup)
-        ),
-        "expected OverlappingIterationLists on rank 1, got:\n{violations:#?}"
-    );
+    let message = relist_corrupted(|local, nonlocal| {
+        let dup = local[0];
+        let pos = nonlocal.partition_point(|&i| i < dup);
+        nonlocal.insert(pos, dup);
+    });
+    let expected = "rank 1: iteration 9 is on both the local and the nonlocal list";
+    assert!(message.contains(expected), "{message}");
 }
 
 #[test]
 fn schedule_stored_under_the_wrong_rank_is_rejected() {
-    let (mut set, _) = planned_stencil();
-    // `set[r]` must be rank `r`'s schedule — an SPMD plan that lands in the
-    // wrong slot corrupts every cross-rank check downstream.
-    set[2].rank = 3;
-    let violations = check_schedule_set(&set);
-    assert!(
-        violations
-            .iter()
-            .any(|v| matches!(*v, Violation::ScheduleRankMismatch { index: 2, rank: 3 })),
-        "expected ScheduleRankMismatch at index 2, got:\n{violations:#?}"
-    );
+    // `set[r]` is rank `r`'s schedule.  A plan that lands in another rank's
+    // slot is executed by the wrong rank, and the executor refuses it before
+    // it sends or receives anything.
+    let (set, _) = planned_stencil();
+    let misfiled: Vec<CommSchedule> = (0..P).map(|r| set[(r + 1) % P].clone()).collect();
+    let mut messages = live_panics(&misfiled, stencil_body);
+    messages.sort();
+    assert_eq!(messages.len(), P, "{messages:#?}");
+    for (rank, message) in messages.iter().enumerate() {
+        let expected = format!("rank {rank}: executing another rank's schedule");
+        assert!(message.contains(&expected), "{message}");
+    }
 }
 
 #[test]
 fn nonlocal_iteration_filed_as_local_is_rejected() {
     let (mut set, _) = planned_stencil();
     // Rank 1's first nonlocal iteration (its lower boundary, which reads
-    // the rank-0 halo) is misfiled into the local list: the executor would
-    // run it before the halo arrives.
-    let moved = set[1].nonlocal_iters.remove(0);
-    let pos = set[1].local_iters.partition_point(|&i| i < moved);
-    set[1].local_iters.insert(pos, moved);
-    let dist = DimDist::block(N, P);
-    let violations = check_plan_refs(&set[1], dist.as_dyn(), stencil_refs);
+    // the rank-0 halo) is misfiled into the local list: the executor runs
+    // it before the halo arrives, and its fetch finds no receive buffer.
+    let (mut local, mut nonlocal) = (
+        set[1].local_iters().to_vec(),
+        set[1].nonlocal_iters().to_vec(),
+    );
+    let moved = nonlocal.remove(0);
+    let pos = local.partition_point(|&i| i < moved);
+    local.insert(pos, moved);
+    set[1] = relisted(&set[1], &recv_sets(&set[1]), (local, nonlocal));
+    let messages = live_panics(&set, stencil_body);
+    let expected = format!(
+        "rank 1: iteration {moved} of the local list fetched global {}, which is received \
+         from rank 0",
+        moved - 1
+    );
     assert!(
-        violations.iter().any(
-            |v| matches!(*v, Violation::LocalIterNonlocalRef { rank: 1, iter, .. } if iter == moved)
-        ),
-        "expected LocalIterNonlocalRef on rank 1 iteration {moved}, got:\n{violations:#?}"
+        messages.iter().any(|m| m.starts_with(&expected)),
+        "{messages:#?}"
     );
 }
 
@@ -468,25 +509,9 @@ fn unmatched_recorded_messages_are_rejected() {
     );
 }
 
-#[test]
-fn sweep_tag_exhaustion_is_rejected() {
-    // The realistic bound passes…
-    assert_eq!(check_sweep_tag_wrap(1024), vec![]);
-    // …but more concurrently un-retired sweeps than the executor window has
-    // tags must alias: sweeps 0 and SPAN share a tag.
-    let span = tags::SPAN as usize;
-    let violations = check_sweep_tag_wrap(span + 1);
-    assert!(
-        violations
-            .iter()
-            .any(|v| matches!(*v, Violation::SweepTagCollision { sweep_a: 0, sweep_b, .. } if sweep_b == span)),
-        "expected SweepTagCollision between sweeps 0 and SPAN, got:\n{violations:#?}"
-    );
-}
-
 /// `BracketingMismatch` guards a space no schedule corruption can reach:
 /// only a live backend reduction disagreeing with the sequential replay
-/// produces one, and `verify_all` runs that comparison on every backend
+/// produces one, and the `verify` table runs that comparison on every backend
 /// every sweep.  Constructing it directly documents what it would report.
 #[test]
 fn constant_space_violations_render_precisely() {
@@ -508,24 +533,11 @@ fn constant_space_violations_render_precisely() {
 /// compile.
 fn variant_name(v: &Violation) -> &'static str {
     match v {
-        Violation::OverlappingRecvRanges { .. } => "OverlappingRecvRanges",
         Violation::RecvLenMismatch { .. } => "RecvLenMismatch",
-        Violation::UnsortedIterations { .. } => "UnsortedIterations",
-        Violation::OverlappingIterationLists { .. } => "OverlappingIterationLists",
-        Violation::ScheduleRankMismatch { .. } => "ScheduleRankMismatch",
         Violation::DanglingRecv { .. } => "DanglingRecv",
         Violation::DanglingSend { .. } => "DanglingSend",
-        Violation::ByteCountMismatch { .. } => "ByteCountMismatch",
-        Violation::LocalIterNonlocalRef { .. } => "LocalIterNonlocalRef",
-        Violation::UnresolvableRef { .. } => "UnresolvableRef",
         Violation::UnmatchedMessage { .. } => "UnmatchedMessage",
-        Violation::DivergentCollectives { .. } => "DivergentCollectives",
-        Violation::SweepTagCollision { .. } => "SweepTagCollision",
         Violation::BracketingMismatch { .. } => "BracketingMismatch",
-        Violation::TagReuseRace { .. } => "TagReuseRace",
-        Violation::MessageRace { .. } => "MessageRace",
-        Violation::RecvBeforeSend { .. } => "RecvBeforeSend",
-        Violation::ChunkSinkConflict { .. } => "ChunkSinkConflict",
     }
 }
 
@@ -539,23 +551,11 @@ fn every_violation_variant_is_constructible_and_renders() {
         buffer: 0,
     };
     let all: Vec<Violation> = vec![
-        Violation::OverlappingRecvRanges {
-            rank: 1,
-            first: rec,
-            second: rec,
-        },
         Violation::RecvLenMismatch {
             rank: 1,
             declared: 5,
             actual: 4,
         },
-        Violation::UnsortedIterations {
-            rank: 1,
-            list: "local",
-            index: 1,
-        },
-        Violation::OverlappingIterationLists { rank: 1, iter: 9 },
-        Violation::ScheduleRankMismatch { index: 2, rank: 3 },
         Violation::DanglingRecv {
             rank: 1,
             record: rec,
@@ -564,67 +564,16 @@ fn every_violation_variant_is_constructible_and_renders() {
             rank: 0,
             record: rec,
         },
-        Violation::ByteCountMismatch {
-            from: 0,
-            to: 1,
-            low: 4,
-            recv_high: 8,
-            send_high: 9,
-        },
-        Violation::LocalIterNonlocalRef {
-            rank: 1,
-            iter: 8,
-            global: 7,
-        },
-        Violation::UnresolvableRef {
-            rank: 1,
-            iter: 8,
-            global: 13,
-        },
         Violation::UnmatchedMessage {
             from: 0,
             to: 1,
             label: "audit".to_string(),
-        },
-        Violation::DivergentCollectives {
-            rank: 2,
-            position: 0,
-            reference: Some("sum-f64"),
-            found: None,
-        },
-        Violation::SweepTagCollision {
-            sweep_a: 0,
-            sweep_b: 1,
-            tag: 0x100,
         },
         Violation::BracketingMismatch {
             nprocs: 2,
             rank: 0,
             expected: 1,
             found: 2,
-        },
-        Violation::TagReuseRace {
-            src: 0,
-            dst: 1,
-            tag: 0x100,
-            first_seq: 1,
-            second_seq: 2,
-        },
-        Violation::MessageRace {
-            src: 0,
-            dst: 1,
-            tag: 0x100,
-            first_seq: 1,
-            second_seq: 2,
-        },
-        Violation::RecvBeforeSend {
-            events: vec!["rank 0 recv tag 0x100 from 1".to_string()],
-        },
-        Violation::ChunkSinkConflict {
-            rank: 0,
-            sweep: 3,
-            first: (0, 4),
-            second: (2, 6),
         },
     ];
     let mut names: Vec<&str> = all.iter().map(variant_name).collect();
@@ -635,7 +584,7 @@ fn every_violation_variant_is_constructible_and_renders() {
     names.dedup();
     assert_eq!(
         names.len(),
-        18,
+        5,
         "every Violation variant must appear exactly once in the audit"
     );
 }
