@@ -2,14 +2,14 @@
 //!
 //! One SPMD rank can use several OS threads to run the *compute* part of an
 //! executor phase — the iteration chunks — while all communication and all
-//! cost accounting stay on the rank's own thread.  The pool is built on
-//! [`std::thread::scope`] (no extra dependencies, no long-lived threads):
+//! cost accounting stay on the rank's own thread.  The pool runs on
+//! [`kali_process::threads::join_all`] (scoped threads, none long-lived):
 //! workers are spawned for the duration of one phase, claim chunk indices
-//! from a shared atomic counter, and send `(index, result)` pairs back over
-//! a channel.  The caller reassembles results **by chunk index** and feeds
-//! them to a consumer in ascending chunk order, so what the consumer sees is
-//! a deterministic function of the chunk boundaries alone — which worker ran
-//! which chunk, and in what order, is unobservable.
+//! from a shared atomic counter, and hand back their `(index, result)`
+//! pairs when they join.  The caller reassembles results **by chunk index**
+//! and feeds them to a consumer in ascending chunk order, so what the
+//! consumer sees is a deterministic function of the chunk boundaries alone —
+//! which worker ran which chunk, and in what order, is unobservable.
 //!
 //! With `workers <= 1` (the default everywhere) the chunks run inline on the
 //! calling thread, each consumed as soon as it is done, and no threads are
@@ -17,7 +17,8 @@
 //! behaviour are bit-for-bit untouched.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+
+use kali_process::threads;
 
 /// Whether [`run_chunks`] runs its chunks inline on the calling thread: it
 /// does with one worker, or when there is at most one chunk to run.  Both
@@ -27,9 +28,9 @@ pub fn runs_inline(workers: usize, n_chunks: usize) -> bool {
     workers <= 1 || n_chunks <= 1
 }
 
-/// Run `run(0..n_chunks)` across up to `workers` threads (the calling
-/// thread participates) and hand every result to `consume(chunk, result)`
-/// on the calling thread, in ascending chunk order.
+/// Run `run(0..n_chunks)` across up to `workers` threads and hand every
+/// result to `consume(chunk, result)` on the calling thread, in ascending
+/// chunk order.
 ///
 /// * Deterministic: the sequence of `consume` calls depends only on `run`
 ///   and `n_chunks`, never on scheduling.
@@ -54,54 +55,25 @@ where
         return;
     }
 
-    let mut slots: Vec<Option<V>> = (0..n_chunks).map(|_| None).collect();
     let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, V)>();
-    let n_threads = workers.min(n_chunks);
-
-    std::thread::scope(|scope| {
-        let spawned: Vec<_> = (1..n_threads)
-            .map(|_| {
-                let tx = tx.clone();
-                let next = &next;
-                let run = &run;
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n_chunks {
-                        break;
-                    }
-                    // A send can only fail after the receiver is gone, which
-                    // only happens if the scope is already unwinding.
-                    if tx.send((i, run(i))).is_err() {
-                        break;
-                    }
-                })
-            })
-            .collect();
-        // The calling thread claims chunks too: with W workers requested,
-        // W threads compute (W - 1 spawned + this one).
+    let claimed = threads::join_all(vec![(); workers.min(n_chunks)], |_, ()| {
+        let mut done = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= n_chunks {
-                break;
+                break done;
             }
-            let v = run(i);
-            slots[i] = Some(v);
-        }
-        drop(tx);
-        // Spawned workers' results drain here; `recv` errors exactly when
-        // every sender is dropped (worker finished or panicked).
-        while let Ok((i, v)) = rx.recv() {
-            slots[i] = Some(v);
-        }
-        // A worker's panic continues on the caller with its own message;
-        // left to the scope's join it would read "a scoped thread panicked".
-        for worker in spawned {
-            if let Err(panic) = worker.join() {
-                std::panic::resume_unwind(panic);
-            }
+            done.push((i, run(i)));
         }
     });
+    let mut slots: Vec<Option<V>> = (0..n_chunks).map(|_| None).collect();
+    for worker in claimed {
+        // A worker's panic continues on the caller with its own payload.
+        let done = worker.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        for (i, v) in done {
+            slots[i] = Some(v);
+        }
+    }
 
     for (i, slot) in slots.into_iter().enumerate() {
         consume(

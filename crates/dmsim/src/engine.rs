@@ -2,7 +2,11 @@
 //!
 //! A [`Machine`] runs an SPMD program — one closure instance per virtual
 //! processor, each on its own OS thread — and gives every instance a
-//! [`Proc`] handle for message passing and cost accounting.
+//! [`Proc`] handle for message passing and cost accounting.  The threads,
+//! the channels between them and the failure path are
+//! [`kali_process::threads`], shared with the native backend: a processor
+//! that panics wakes every peer blocked on it, and the caller's panic
+//! names each failed processor with its own message.
 //!
 //! ## Timing model
 //!
@@ -22,7 +26,7 @@
 //! are a deterministic function of the program and the cost model, not of
 //! the host's thread scheduling.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use kali_process::threads::{self, Link};
 use kali_process::trace::{EventKind, TraceRecorder};
 use kali_process::{Arrival, Mailbox};
 
@@ -30,10 +34,6 @@ use crate::cost::CostModel;
 use crate::message::{Envelope, Tag};
 use crate::stats::{Counters, RunStats};
 use crate::topology::Topology;
-
-/// A message as the engine's channels carry it: routing and sequence
-/// number outside, the simulated size, arrival time and value inside.
-type Packet = Arrival<Envelope>;
 
 /// A virtual distributed-memory machine: `nprocs` processors connected by a
 /// [`Topology`] and timed by a [`CostModel`].
@@ -102,69 +102,25 @@ impl Machine {
         F: Fn(&mut Proc) -> R + Sync,
     {
         let p = self.nprocs;
-        let mut senders: Vec<Sender<Packet>> = Vec::with_capacity(p);
-        let mut receivers: Vec<Option<Receiver<Packet>>> = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
-
-        let mut slots: Vec<Option<(R, f64, Counters)>> = (0..p).map(|_| None).collect();
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(p);
-            for (rank, rx) in receivers.iter_mut().enumerate() {
-                let rx = rx.take().expect("receiver taken twice");
-                let mut senders = senders.clone();
-                // Self-sends bypass the channel (they go to the pending
-                // buffer), so replace this rank's own sender with a
-                // disconnected one — otherwise a blocked receiver would
-                // hold its own channel open and the "all peers hung up"
-                // fail-fast path could never trigger.
-                senders[rank] = unbounded().0;
-                let topology = self.topology.clone();
-                let cost = self.cost.clone();
-                let f = &f;
-                handles.push(scope.spawn(move || {
-                    let mut proc = Proc {
-                        rank,
-                        nprocs: p,
-                        topology,
-                        cost,
-                        senders,
-                        receiver: rx,
-                        mailbox: Mailbox::new(rank, p),
-                        clock: 0.0,
-                        counters: Counters::default(),
-                        coll_seq: 0,
-                        recorder: TraceRecorder::default(),
-                    };
-                    let result = f(&mut proc);
-                    (rank, result, proc.clock, proc.counters())
-                }));
-            }
-            // Release the parent's sender clones so a receiver blocked on
-            // a message that never comes sees a disconnect once its peers
-            // exit, instead of hanging the join forever.
-            drop(senders);
-            for h in handles {
-                let (rank, result, clock, counters) = h.join().expect("SPMD worker panicked");
-                slots[rank] = Some((result, clock, counters));
-            }
+        let ranks = threads::on_threads(threads::links(p, "dmsim"), |rank, link| {
+            let mut proc = Proc {
+                rank,
+                nprocs: p,
+                topology: self.topology.clone(),
+                cost: self.cost.clone(),
+                link,
+                mailbox: Mailbox::new(rank, p),
+                clock: 0.0,
+                counters: Counters::default(),
+                coll_seq: 0,
+                recorder: TraceRecorder::default(),
+            };
+            let result = f(&mut proc);
+            (result, (proc.clock, proc.counters()))
         });
-
-        let mut results = Vec::with_capacity(p);
-        let mut clocks = Vec::with_capacity(p);
-        let mut counters = Vec::with_capacity(p);
-        for slot in slots {
-            let (r, c, k) = slot.expect("missing worker result");
-            results.push(r);
-            clocks.push(c);
-            counters.push(k);
-        }
-        let stats = RunStats::from_parts(clocks, counters);
-        (results, stats)
+        let (results, stats): (Vec<R>, Vec<_>) = ranks.into_iter().unzip();
+        let (clocks, counters) = stats.into_iter().unzip();
+        (results, RunStats::from_parts(clocks, counters))
     }
 }
 
@@ -178,8 +134,9 @@ pub struct Proc {
     nprocs: usize,
     topology: Topology,
     cost: CostModel,
-    senders: Vec<Sender<Packet>>,
-    receiver: Receiver<Packet>,
+    /// This processor's end of the channel mesh: routing and sequence
+    /// number outside, the simulated size, arrival time and value inside.
+    link: Link<Envelope>,
     /// Out-of-order arrivals and self-sends, matched on `(src, tag)`.
     mailbox: Mailbox<Envelope>,
     clock: f64,
@@ -299,7 +256,7 @@ impl Proc {
         } else {
             self.clock + self.cost.transfer_time(bytes, self.topology.hops(me, dst))
         };
-        let packet = Packet {
+        let packet = Arrival {
             src: me,
             tag,
             seq,
@@ -313,25 +270,19 @@ impl Proc {
         if dst == me {
             // Self-sends bypass the channel and go straight to the mailbox.
             self.mailbox.park(packet);
-        } else if self.senders[dst].send(packet).is_err() {
-            panic!("dmsim rank {me}: destination rank {dst} hung up (send tag {tag:#x})");
+        } else {
+            self.link.send(dst, packet);
         }
     }
 
     /// Receive the oldest message with the given tag from `src`, blocking
     /// until it arrives, and merge its arrival time into the clock.  Panics,
     /// naming this rank, `src` and the tag, on a receive nothing can
-    /// satisfy: from itself with nothing sent, or with every peer gone.
+    /// satisfy: from itself with nothing sent, with every peer gone, or
+    /// once a peer has panicked.
     pub fn recv_from<T: 'static>(&mut self, src: usize, tag: Tag) -> T {
         let me = self.rank;
-        let env = self.mailbox.receive(src, tag, || {
-            self.receiver.recv().unwrap_or_else(|_| {
-                panic!(
-                    "dmsim rank {me}: all peer ranks hung up while rank {me} waited for \
-                     tag {tag:#x} from rank {src}"
-                )
-            })
-        });
+        let env = self.mailbox.receive(src, tag, || self.link.pull(src, tag));
         if env.arrival > self.clock {
             self.clock = env.arrival;
         }
@@ -553,6 +504,21 @@ mod tests {
             if p.rank() == 1 {
                 let _: u64 = p.recv_from(0, 1);
             }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "SPMD worker panicked")]
+    fn worker_panic_propagates_while_peers_block_in_recv() {
+        // Rank 0 panics while ranks 1 and 2 are blocked waiting for it; its
+        // link's poison packets must wake them so the panic propagates
+        // instead of deadlocking the join.
+        let m = Machine::new(3, CostModel::ideal());
+        m.run(|p| {
+            if p.rank() == 0 {
+                panic!("deliberate worker failure");
+            }
+            let _: u64 = p.recv_from(0, 1);
         });
     }
 

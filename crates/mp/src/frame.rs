@@ -25,6 +25,7 @@
 //! layer adds the rank context when it turns one of these into a fatal
 //! error.
 
+use std::io::ErrorKind::{ConnectionAborted, ConnectionReset, Interrupted};
 use std::io::{self, Read, Write};
 
 use kali_process::Tag;
@@ -55,7 +56,7 @@ pub struct Frame {
 /// endpoint and tag instead of hanging or reporting a bare I/O error.
 #[derive(Debug)]
 pub enum FrameError {
-    /// The peer closed the connection cleanly (EOF at a frame boundary).
+    /// The peer closed the connection: EOF, or a reset, at a frame boundary.
     Closed,
     /// The connection ended mid-header: `got` of [`HEADER_LEN`] bytes
     /// arrived before EOF — a truncated length prefix.
@@ -161,14 +162,19 @@ pub fn write_frame(
 }
 
 /// Read exactly `buf.len()` bytes, reporting how many arrived if the stream
-/// ends first.  `Ok(n)` with `n < buf.len()` means EOF after `n` bytes.
+/// ends first.  `Ok(n)` with `n < buf.len()` means EOF after `n` bytes.  A
+/// reset is EOF too: a peer that closes its socket with bytes of ours unread
+/// resets the connection, and that is a hang-up, not a corrupt frame.
 fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
     let mut filled = 0usize;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
             Ok(0) => return Ok(filled),
             Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) if e.kind() == Interrupted => continue,
+            Err(e) if [ConnectionReset, ConnectionAborted].contains(&e.kind()) => {
+                return Ok(filled)
+            }
             Err(e) => return Err(e),
         }
     }
@@ -237,6 +243,19 @@ mod tests {
             read_frame(&mut { empty }),
             Err(FrameError::Closed)
         ));
+    }
+
+    #[test]
+    fn a_peer_closing_with_our_bytes_unread_is_closed() {
+        // Closing a Unix socket with unread data resets the connection: the
+        // other end's next read fails with `ConnectionReset`, not EOF.
+        let (mut ours, theirs) = std::os::unix::net::UnixStream::pair().expect("socket pair");
+        write_frame(&mut ours, 0, 7, 0, &[1, 2, 3]).expect("the peer is still open");
+        drop(theirs);
+        match read_frame(&mut ours) {
+            Err(FrameError::Closed) => {}
+            other => panic!("expected Closed, got {other:?}"),
+        }
     }
 
     #[test]

@@ -186,8 +186,9 @@ mod tests {
     #[should_panic(expected = "SPMD worker panicked")]
     fn worker_panic_fails_fast_across_the_mesh() {
         // Rank 0 panics while the others block in recv on it; its closing
-        // sockets are the poison — peers see EOF and panic structurally
-        // instead of deadlocking the join.
+        // sockets are the poison — peers see EOF (or a reset, which the
+        // frame reader takes for EOF) and panic with the hang-up, and
+        // `on_threads` reports every failed rank's message to the caller.
         MpMachine::new(3).run_threads(|p| {
             if p.rank() == 0 {
                 panic!("deliberate worker failure");

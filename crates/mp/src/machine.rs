@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use kali_process::wire::{from_bytes, to_bytes};
-use kali_process::{tags, Wire};
+use kali_process::{tags, threads, Wire};
 
 use crate::frame::{self, Frame, FrameError};
 use crate::proc::MpProc;
@@ -166,7 +166,9 @@ impl MpMachine {
     /// frees the result type from `Wire` (results return in-process).
     ///
     /// Deterministic like every backend: results depend only on inputs and
-    /// ranks, never on scheduling.
+    /// ranks, never on scheduling.  A rank's panic closes its sockets, which
+    /// fails every peer blocked on it, and reaches the caller as on the
+    /// other in-process machines ([`threads::on_threads`]).
     pub fn run_threads<R, F>(&self, f: F) -> Vec<R>
     where
         R: Send,
@@ -177,31 +179,9 @@ impl MpMachine {
         std::fs::create_dir_all(&dir).expect("creating the mp rendezvous directory");
         let _guard = DirGuard(dir.clone());
 
-        let mut slots: Vec<Option<R>> = (0..p).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(p);
-            for rank in 0..p {
-                let dir = dir.clone();
-                let f = &f;
-                handles.push(scope.spawn(move || {
-                    let mut proc = connect_mesh(&dir, rank, p);
-                    // Results must not depend on whether a sibling is still
-                    // mid-bootstrap; the mesh is fully connected per rank
-                    // before `f` starts, so no further synchronisation is
-                    // needed.
-                    (rank, f(&mut proc))
-                }));
-            }
-            for h in handles {
-                let (rank, result) = h.join().expect("SPMD worker panicked");
-                slots[rank] = Some(result);
-            }
-        });
-
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("missing worker result"))
-            .collect()
+        // Each rank's mesh is fully connected before `f` starts, so results
+        // cannot depend on whether a sibling is still mid-bootstrap.
+        threads::on_threads(vec![(); p], |rank, ()| f(&mut connect_mesh(&dir, rank, p)))
     }
 }
 
@@ -373,7 +353,7 @@ where
             std::process::exit(0);
         }
         Err(cause) => {
-            let message = panic_message(cause.as_ref());
+            let message = threads::panic_text(cause.as_ref());
             let _ = frame::write_frame(
                 &mut &ctl,
                 0,
@@ -383,18 +363,6 @@ where
             );
             std::process::exit(101);
         }
-    }
-}
-
-/// Render a panic payload as text (panics carry `&str` or `String` in
-/// practice; anything else gets a placeholder).
-fn panic_message(cause: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = cause.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = cause.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked with a non-string payload".to_string()
     }
 }
 

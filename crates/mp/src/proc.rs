@@ -16,8 +16,8 @@
 //! Every transport failure is fatal and **structured**: a truncated or
 //! corrupt frame, a type-hash mismatch, or a peer hangup panics with the
 //! receiving rank, the peer rank and the tag in the message — the
-//! fail-fast analogue of the native backend's poison packets (here the
-//! closed socket itself is the poison).
+//! fail-fast analogue of the poison packets of the in-process backends'
+//! channel mesh (here the closed socket itself is the poison).
 
 use std::io::{BufReader, Write};
 use std::os::unix::net::UnixStream;

@@ -1,44 +1,40 @@
 //! The native SPMD engine: threads, channels, and the [`Process`] impl.
 //!
-//! Every process owns the sending halves of all channels and the receiving
-//! half of its own.  Shared with the multi-process backend, in
-//! `kali-process`: message matching (the pending buffer, per-channel FIFO,
-//! `queue_peak`) is [`Mailbox`], and the barrier, exchange and allgather are
-//! [`collectives`] over this backend's `send` / `recv`.  This transport's
-//! own: payloads are type-erased boxes moved through in-process channels, so
-//! a program can exchange any `Send + 'static` value (a type mismatch
-//! between a send and its receive is fatal, like an MPI type error); a
-//! panicking worker wakes its peers with poison packets; spent packed
-//! buffers travel back to their sender's pool.
+//! Shared with the other backends, in `kali-process`: the threads, the
+//! channel mesh and the failure path are [`threads`] (a panicking process
+//! wakes every peer blocked on it, and the caller's panic names each failed
+//! process with its own message, as on the simulator); message matching
+//! (the pending buffer, per-channel FIFO, `queue_peak`) is [`Mailbox`]; and
+//! the barrier, exchange and allgather are [`collectives`] over this
+//! backend's `send` / `recv`.  This transport's own: payloads are
+//! type-erased boxes moved through in-process channels, so a program can
+//! exchange any `Send + 'static` value (a type mismatch between a send and
+//! its receive is fatal, like an MPI type error), and spent packed buffers
+//! travel back to their sender's pool.
 
 use std::any::Any;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use kali_process::threads::{self, Link};
 use kali_process::trace::{Event, EventKind, TraceRecorder};
 use kali_process::{collectives, tags, Arrival, Counters, Mailbox, Process, Tag, Wire};
-
-/// Tag of the poison packet a panicking worker broadcasts so that peers
-/// blocked in `recv` fail fast instead of deadlocking the scoped join.
-/// `u64::MAX` is unreachable by any real tag: user/executor/redistribute
-/// tags live below bit 63, and collective tags are `2^63 | seq` with
-/// `seq < 2^32` plus a stage offset in bits 32..40.
-const POISON_TAG: Tag = Tag::MAX;
 
 /// Tag of a buffer-return packet: after [`Process::recv_packed_append`]
 /// copies a packed message out, the spent `Vec` travels back to its sender
 /// under this tag and lands in the sender's buffer pool, so steady-state
 /// packed messaging recycles allocations instead of growing the heap.
-/// Like [`POISON_TAG`], unreachable by any real tag (see above).
+/// `u64::MAX - 1` is unreachable by any real tag: user/executor/redistribute
+/// tags live below bit 63, and collective tags are `2^63 | seq` with
+/// `seq < 2^32` plus a stage offset in bits 32..40.  A return packet carries
+/// sequence number 0: it never enters the mailbox, so its FIFO witness
+/// never sees it.
 const RETURN_TAG: Tag = Tag::MAX - 1;
 
 /// Upper bound on pooled send buffers retained per process; returns beyond
 /// the cap are simply dropped (the pool is an optimisation, not a ledger).
 const POOL_CAP: usize = 64;
 
-/// A message in flight between two native processes.  Control packets
-/// ([`POISON_TAG`], [`RETURN_TAG`]) carry sequence number 0 — they never
-/// enter the mailbox, so its FIFO witness never sees them.
-type Packet = Arrival<Box<dyn Any + Send>>;
+/// A message in flight between two native processes: a type-erased value.
+type Payload = Box<dyn Any + Send>;
 
 /// A native shared-nothing machine: `nprocs` SPMD processes, each on its
 /// own OS thread, connected by unbounded channels.
@@ -67,66 +63,18 @@ impl NativeMachine {
         F: Fn(&mut NativeProc) -> R + Sync,
     {
         let p = self.nprocs;
-        let mut senders: Vec<Sender<Packet>> = Vec::with_capacity(p);
-        let mut receivers: Vec<Option<Receiver<Packet>>> = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
-
-        let mut slots: Vec<Option<R>> = (0..p).map(|_| None).collect();
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(p);
-            for (rank, rx) in receivers.iter_mut().enumerate() {
-                let rx = rx.take().expect("receiver taken twice");
-                let mut senders = senders.clone();
-                // Self-sends bypass the channel (they go to the pending
-                // buffer), so replace this rank's own sender with a
-                // disconnected one: a live clone of one's own sender would
-                // keep the channel from ever disconnecting, making the
-                // "all peers hung up" fail-fast path unreachable.
-                senders[rank] = unbounded().0;
-                let f = &f;
-                handles.push(scope.spawn(move || {
-                    let mut proc = NativeProc {
-                        rank,
-                        nprocs: p,
-                        senders,
-                        receiver: rx,
-                        mailbox: Mailbox::new(rank, p),
-                        pool: Vec::new(),
-                        coll_seq: 0,
-                        recorder: TraceRecorder::default(),
-                    };
-                    // Catch panics so peers blocked in `recv` can be woken
-                    // with a poison packet — otherwise the scoped join
-                    // would wait forever on them and turn a worker panic
-                    // into a deadlock.
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut proc))) {
-                        Ok(result) => (rank, result),
-                        Err(cause) => {
-                            proc.broadcast_poison();
-                            std::panic::resume_unwind(cause);
-                        }
-                    }
-                }));
-            }
-            // Release the parent's sender clones: once the other workers
-            // exit, a receiver blocked on a message that will never come
-            // sees a disconnect and panics instead of hanging the join.
-            drop(senders);
-            for h in handles {
-                let (rank, result) = h.join().expect("SPMD worker panicked");
-                slots[rank] = Some(result);
-            }
-        });
-
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("missing worker result"))
-            .collect()
+        threads::on_threads(threads::links(p, "native"), |rank, link| {
+            let mut proc = NativeProc {
+                rank,
+                nprocs: p,
+                link,
+                mailbox: Mailbox::new(rank, p),
+                pool: Vec::new(),
+                coll_seq: 0,
+                recorder: TraceRecorder::default(),
+            };
+            f(&mut proc)
+        })
     }
 }
 
@@ -135,13 +83,13 @@ impl NativeMachine {
 pub struct NativeProc {
     rank: usize,
     nprocs: usize,
-    senders: Vec<Sender<Packet>>,
-    receiver: Receiver<Packet>,
+    /// This process's end of the channel mesh.
+    link: Link<Payload>,
     /// Out-of-order arrivals and self-sends, matched on `(src, tag)`.
-    mailbox: Mailbox<Box<dyn Any + Send>>,
+    mailbox: Mailbox<Payload>,
     /// Recycled packed send buffers, returned by peers via [`RETURN_TAG`]
     /// packets; drawn from by [`Process::acquire_send_buffer`].
-    pool: Vec<Box<dyn Any + Send>>,
+    pool: Vec<Payload>,
     /// Monotonic counter deriving unique tags for collective operations
     /// (all processes call collectives in the same order in an SPMD
     /// program, so the counters stay in lock step).
@@ -152,7 +100,7 @@ pub struct NativeProc {
 }
 
 /// Park a returned send buffer in the pool (bounded by [`POOL_CAP`]).
-fn stash_returned(pool: &mut Vec<Box<dyn Any + Send>>, buffer: Box<dyn Any + Send>) {
+fn stash_returned(pool: &mut Vec<Payload>, buffer: Payload) {
     if pool.len() < POOL_CAP {
         pool.push(buffer);
     }
@@ -164,14 +112,11 @@ impl NativeProc {
     /// buffer.  Called before handing out a send buffer so returns that
     /// already arrived get recycled.
     fn drain_incoming(&mut self) {
-        while let Ok(packet) = self.receiver.try_recv() {
-            match packet.tag {
-                POISON_TAG => panic!(
-                    "native rank {}: peer rank {} panicked mid-run",
-                    self.rank, packet.src
-                ),
-                RETURN_TAG => stash_returned(&mut self.pool, packet.payload),
-                _ => self.mailbox.park(packet),
+        while let Some(packet) = self.link.try_pull() {
+            if packet.tag == RETURN_TAG {
+                stash_returned(&mut self.pool, packet.payload);
+            } else {
+                self.mailbox.park(packet);
             }
         }
     }
@@ -183,22 +128,6 @@ impl NativeProc {
         let tag = tags::collective_tag(self.coll_seq);
         self.coll_seq += 1;
         tag
-    }
-
-    /// Best-effort poison broadcast on panic: wake every peer that may be
-    /// blocked in `recv`.  Send errors are ignored — a peer that already
-    /// exited has dropped its receiver and needs no waking.
-    fn broadcast_poison(&self) {
-        for dst in 0..self.nprocs {
-            if dst != self.rank {
-                let _ = self.senders[dst].send(Packet {
-                    src: self.rank,
-                    tag: POISON_TAG,
-                    seq: 0,
-                    payload: Box::new(()),
-                });
-            }
-        }
     }
 }
 
@@ -216,7 +145,7 @@ impl Process for NativeProc {
 
     fn send<T: Send + 'static>(&mut self, dst: usize, tag: Tag, value: T) {
         let me = self.rank;
-        let packet = Packet {
+        let packet: Arrival<Payload> = Arrival {
             src: me,
             tag,
             seq: self.mailbox.stamp(dst),
@@ -227,8 +156,8 @@ impl Process for NativeProc {
             // Self-sends bypass the channel and go straight to the pending
             // buffer.
             self.mailbox.park(packet);
-        } else if self.senders[dst].send(packet).is_err() {
-            panic!("native rank {me}: destination rank {dst} hung up (send tag {tag:#x})");
+        } else {
+            self.link.send(dst, packet);
         }
     }
 
@@ -239,21 +168,11 @@ impl Process for NativeProc {
     fn recv<T: Send + 'static>(&mut self, src: usize, tag: Tag) -> T {
         let me = self.rank;
         let payload = self.mailbox.receive(src, tag, || loop {
-            let packet = self.receiver.recv().unwrap_or_else(|_| {
-                panic!(
-                    "native rank {me}: all peer ranks hung up while rank {me} waited for \
-                     tag {tag:#x} from rank {src}"
-                )
-            });
-            match packet.tag {
-                POISON_TAG => panic!(
-                    "native rank {me}: peer rank {} panicked mid-run while rank {me} waited \
-                     for tag {tag:#x} from rank {src}",
-                    packet.src
-                ),
-                RETURN_TAG => stash_returned(&mut self.pool, packet.payload),
-                _ => break packet,
+            let packet = self.link.pull(src, tag);
+            if packet.tag != RETURN_TAG {
+                break packet;
             }
+            stash_returned(&mut self.pool, packet.payload);
         });
         self.recorder.record(me, EventKind::Recv { src, tag });
         *payload.downcast::<T>().unwrap_or_else(|_| {
@@ -315,12 +234,13 @@ impl Process for NativeProc {
         } else {
             // Best effort: the peer may already have exited, in which case
             // the buffer is simply dropped.
-            let _ = self.senders[src].send(Packet {
+            let packet: Arrival<Payload> = Arrival {
                 src: self.rank,
                 tag: RETURN_TAG,
                 seq: 0,
                 payload: Box::new(values),
-            });
+            };
+            self.link.offer(src, packet);
         }
         got
     }
@@ -646,9 +566,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "SPMD worker panicked")]
     fn worker_panic_propagates_while_peers_block_in_recv() {
-        // Rank 0 panics while ranks 1 and 2 are blocked waiting for it; the
-        // poison broadcast must wake them so the panic propagates instead
-        // of deadlocking the scoped join.
+        // Rank 0 panics while ranks 1 and 2 are blocked waiting for it; its
+        // link's poison packets must wake them so the panic propagates
+        // instead of deadlocking the join.
         let m = NativeMachine::new(3);
         m.run(|p| {
             if p.rank() == 0 {

@@ -36,7 +36,10 @@
 //! dissemination barrier, the direct all-to-all and the direct allgather as
 //! free functions over any [`Process`].  (The simulator's all-to-all is the
 //! paper's crystal router, and the direct one only where the router cannot
-//! run: a rank count that is not a power of two.)
+//! run: a rank count that is not a power of two.)  [`threads`] is how the
+//! in-process machines run their ranks: one scoped thread per rank, one
+//! failure report for the caller, and a channel mesh that wakes blocked
+//! peers when a rank panics.
 //!
 //! ## Metering is a fact about the backend
 //!
@@ -70,6 +73,7 @@ pub mod collectives;
 pub mod mailbox;
 pub mod reduce;
 pub mod tags;
+pub mod threads;
 pub mod trace;
 pub mod wire;
 

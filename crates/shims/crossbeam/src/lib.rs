@@ -3,13 +3,14 @@
 //! The build environment for this repository has no access to crates.io, so
 //! the handful of external dependencies the code uses are provided as small
 //! workspace-local shims with the same names and API subsets.  This one
-//! covers `crossbeam::channel` — the only part the simulator and the native
-//! backend use — implemented over `std::sync::mpsc`.
+//! covers `crossbeam::channel`, implemented over `std::sync::mpsc`: unbounded
+//! FIFO channels with cloneable senders and blocking receives.
 //!
-//! Semantics match what the engines rely on: unbounded FIFO channels with
-//! cloneable senders and blocking receives.  (The real crossbeam channels
-//! are faster under contention and support `select!`; neither property is
-//! needed here.)
+//! No crate imports it any more: the simulator and the native backend get
+//! their channels from `kali_process::threads`, over `std::sync::mpsc`
+//! directly.  Their manifests still name it because dropping it changes the
+//! dependency graph the benchmark package's `Cargo.lock` records; it goes
+//! when that lock file is next regenerated.
 
 #![forbid(unsafe_code)]
 

@@ -13,8 +13,10 @@
 //! its own: no `(destination, tag)` pair is used twice.
 //!
 //! What the backends declare about themselves is checked here as well:
-//! [`Process::METERS`].
+//! [`Process::METERS`]; and so is how they fail: a rank's panic reaches the
+//! caller with the rank's own message, and never as a hang.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use kali_repro::distrib::DimDist;
@@ -117,6 +119,35 @@ fn direct_collectives_conform_across_backends() {
                 );
             }
         }
+    }
+}
+
+/// Rank 0 fails while its peers wait for it.
+fn failing<P: Process>(proc: &mut P) {
+    if proc.rank() == 0 {
+        panic!("deliberate worker failure");
+    }
+    let _: u64 = proc.recv(0, 1);
+}
+
+/// The message a call panics with.
+fn panic_text(run: impl FnOnce()) -> String {
+    let cause = catch_unwind(AssertUnwindSafe(run)).expect_err("the run must fail");
+    *cause.downcast::<String>().expect("a formatted message")
+}
+
+#[test]
+fn a_rank_panic_reaches_the_caller_with_its_own_message() {
+    // On every in-process machine the peers blocked on the failed rank are
+    // woken, and the caller learns which rank failed and why.
+    let dmsim = panic_text(|| drop(Machine::new(3, CostModel::ideal()).run(failing)));
+    let native = panic_text(|| drop(NativeMachine::new(3).run(failing)));
+    let mp = panic_text(|| drop(MpMachine::new(3).run_threads(failing)));
+    for (backend, text) in [("dmsim", dmsim), ("native", native), ("mp", mp)] {
+        assert!(
+            text.starts_with("SPMD worker panicked: rank 0: deliberate worker failure"),
+            "{backend}: {text}"
+        );
     }
 }
 
