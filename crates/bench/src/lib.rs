@@ -774,7 +774,6 @@ pub fn run_multidim(smoke: bool) -> bool {
                     .flat_map(|o| &o.phases)
                     .map(|p| p.halo_elements)
                     .sum(),
-                queue_peak: stats.totals.queue_peak,
                 wire_bytes: stats.totals.wire_bytes,
                 ..CommReport::default()
             },
@@ -1557,14 +1556,15 @@ pub fn run_native_scaling(smoke: bool) -> bool {
         "\n=== Intra-rank scaling: native Jacobi on a {side}x{side} grid \
          ({nprocs} processes, {sweeps} sweeps, chunked executor) ==="
     );
+    // Everything that depends on the host — its thread count, wall clock
+    // and speed-up — goes to stderr; stdout keeps what the program alone
+    // decides, so it can be compared byte for byte.
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    println!("host parallelism: {hw} hardware thread(s)\n");
-    println!(
-        "{:>8}  {:>12}  {:>10}  {:>14}",
-        "workers", "wall (s)", "speedup", "field"
-    );
+    eprintln!("host parallelism: {hw} hardware thread(s)");
+    eprintln!("{:>8}  {:>12}  {:>10}", "workers", "wall (s)", "speedup");
+    println!("{:>8}  {:>14}", "workers", "field");
 
     let mut ok = true;
     let mut baseline_fields: Option<Vec<Vec<u64>>> = None;
@@ -1582,11 +1582,9 @@ pub fn run_native_scaling(smoke: bool) -> bool {
         if !identical {
             ok = false;
         }
+        eprintln!("{workers:>8}  {secs:>12.3}  {:>9.2}x", baseline_secs / secs);
         println!(
-            "{:>8}  {:>12.3}  {:>9.2}x  {:>14}",
-            workers,
-            secs,
-            baseline_secs / secs,
+            "{workers:>8}  {:>14}",
             if identical { "identical" } else { "DIVERGED" }
         );
     }
@@ -1601,13 +1599,13 @@ pub fn run_native_scaling(smoke: bool) -> bool {
         // can actually run 4 workers concurrently.
         let speedup = baseline_secs / solve(4).0;
         if speedup < 2.0 {
-            println!("FAIL: expected >= 2x at 4 workers, measured {speedup:.2}x");
+            eprintln!("FAIL: expected >= 2x at 4 workers, measured {speedup:.2}x");
             ok = false;
         } else {
-            println!("OK: {speedup:.2}x at 4 workers (threshold 2x)");
+            eprintln!("OK: {speedup:.2}x at 4 workers (threshold 2x)");
         }
     } else if hw < 4 {
-        println!(
+        eprintln!(
             "note: host has {hw} hardware thread(s); the 2x-at-4-workers \
              check needs >= 4 and was skipped"
         );

@@ -208,7 +208,6 @@ pub fn run_jacobi_experiment_placed(
             cache_evictions: outcomes.iter().map(|o| o.cache_evictions).sum(),
             cache_resident_bytes: outcomes.iter().map(|o| o.cache_resident_bytes).sum(),
             reductions: outcomes.iter().map(|o| o.reductions).sum(),
-            queue_peak: stats.totals.queue_peak,
             reduction_bytes: outcomes.iter().map(|o| o.reduction_bytes).sum(),
             wire_bytes: stats.totals.wire_bytes,
         },

@@ -36,11 +36,6 @@ pub struct CommReport {
     /// over processors — the per-iteration collective count a CG-style
     /// solver stresses.
     pub reductions: u64,
-    /// Peak depth of any processor's pending-message buffer (messages
-    /// parked waiting for a matching receive) — the maximum over
-    /// processors, a high-water mark rather than a flow.  Large values mean
-    /// receives lag far behind sends.
-    pub queue_peak: u64,
     /// Payload bytes sent for those reductions, summed over processors.
     pub reduction_bytes: u64,
     /// Measured transport bytes (frame headers + encoded payloads) that
@@ -55,7 +50,7 @@ impl CommReport {
     /// Format the stats as one table line (no machine column).
     pub fn to_table_line(&self) -> String {
         format!(
-            "{:>10}  {:>12}  {:>14}  {:>10}  {:>10}  {:>8}  {:>8}  {:>10}  {:>8}  {:>7}  {:>10}  {:>10}",
+            "{:>10}  {:>12}  {:>14}  {:>10}  {:>10}  {:>8}  {:>8}  {:>10}  {:>8}  {:>10}  {:>10}",
             self.messages,
             self.bytes,
             self.nonlocal_refs,
@@ -65,7 +60,6 @@ impl CommReport {
             self.cache_evictions,
             self.cache_resident_bytes,
             self.reductions,
-            self.queue_peak,
             self.reduction_bytes,
             self.wire_bytes
         )
@@ -74,7 +68,7 @@ impl CommReport {
     /// Header matching [`CommReport::to_table_line`].
     pub fn table_header() -> String {
         format!(
-            "{:>10}  {:>12}  {:>14}  {:>10}  {:>10}  {:>8}  {:>8}  {:>10}  {:>8}  {:>7}  {:>10}  {:>10}",
+            "{:>10}  {:>12}  {:>14}  {:>10}  {:>10}  {:>8}  {:>8}  {:>10}  {:>8}  {:>10}  {:>10}",
             "messages",
             "bytes",
             "nonlocal refs",
@@ -84,7 +78,6 @@ impl CommReport {
             "evict",
             "res bytes",
             "reduce",
-            "q peak",
             "red bytes",
             "wire bytes"
         )
@@ -258,7 +251,6 @@ mod tests {
                 cache_evictions: 0,
                 cache_resident_bytes: 640,
                 reductions: 0,
-                queue_peak: 0,
                 reduction_bytes: 0,
                 wire_bytes: 0,
             },
@@ -287,13 +279,12 @@ mod tests {
             cache_evictions: 5,
             cache_resident_bytes: 888,
             reductions: 21,
-            queue_peak: 6,
             reduction_bytes: 504,
             wire_bytes: 7007,
         };
         let line = comm.to_table_line();
         for needle in [
-            "42", "4242", "77", "13", "9", "1", "5", "888", "21", "6", "504", "7007",
+            "42", "4242", "77", "13", "9", "1", "5", "888", "21", "504", "7007",
         ] {
             assert!(line.contains(needle), "{needle} missing from {line}");
         }
@@ -301,7 +292,6 @@ mod tests {
         assert!(CommReport::table_header().contains("evict"));
         assert!(CommReport::table_header().contains("res bytes"));
         assert!(CommReport::table_header().contains("reduce"));
-        assert!(CommReport::table_header().contains("q peak"));
         assert!(CommReport::table_header().contains("red bytes"));
         assert!(CommReport::table_header().contains("wire bytes"));
         let row = ExperimentRow {

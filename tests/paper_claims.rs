@@ -25,14 +25,9 @@ fn simulated_times_are_deterministic_across_runs() {
     let b = run_jacobi_experiment(&params);
     assert_eq!(a.times.total.to_bits(), b.times.total.to_bits());
     assert_eq!(a.times.inspector.to_bits(), b.times.inspector.to_bits());
-    // The queue high-water mark is a thread-scheduling observation, not a
-    // simulated quantity — it is the one report field outside the
-    // determinism contract.
-    let masked = |mut c: kali_repro::solvers::CommReport| {
-        c.queue_peak = 0;
-        c
-    };
-    assert_eq!(masked(a.comm), masked(b.comm));
+    // Every report field is a simulated quantity: the queue high-water
+    // mark, a thread-scheduling observation, is no longer one of them.
+    assert_eq!(a.comm, b.comm);
 }
 
 #[test]
