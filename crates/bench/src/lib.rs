@@ -387,6 +387,16 @@ pub fn print_table(title: &str, rows: &[ExperimentRow], paper: &[PaperRow]) -> b
             );
         }
     }
+    // The columns round to 10 ms; this hash of the rows' exact clocks
+    // carries every bit of them into the output, so a change to a single
+    // modeled operation's price shows in the golden files.
+    let exact = rows
+        .iter()
+        .flat_map(|r| [r.times.total, r.times.executor, r.times.inspector])
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, t| {
+            (h ^ t.to_bits()).wrapping_mul(0x100_0000_01b3)
+        });
+    println!("{:>10}  exact clocks {exact:016x}", "(bits)");
     true
 }
 
