@@ -131,6 +131,7 @@ where
     let incoming = proc.exchange(outgoing);
     proc.charge_record_handling(incoming.len());
     schedule.set_send_records(proc.nprocs(), incoming);
+    schedule.assert_sends_owned(data_dist);
     schedule
 }
 
@@ -344,6 +345,30 @@ mod tests {
             .remove(0)
             .expect_err("the inspector must reject index 11");
         std::panic::resume_unwind(payload);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "rank 0: peer 1's send record [3,4) names an element rank 0 \
+                               does not own under cyclic"
+    )]
+    fn a_request_for_an_element_this_rank_does_not_own_fails_at_plan_time() {
+        // The ranks disagree on the placement: rank 1 plans under block and
+        // asks rank 0 for element 3, which rank 0, under cyclic, does not
+        // own.  Cyclic has no local runs, so the executor would pack the
+        // record through `local_index(3)`, element 1's slot, and send
+        // element 2's value without complaint.
+        let machine = Machine::new(2, CostModel::ideal());
+        machine.run(|proc| {
+            let (d, exec) = if proc.rank() == 0 {
+                (DimDist::cyclic(8, 2), vec![])
+            } else {
+                let d = DimDist::block(8, 2);
+                let exec = owner_computes_iters(&d, 1, 8);
+                (d, exec)
+            };
+            run_inspector(proc, &d, &exec, |i, refs| refs.push(i - 1));
+        });
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use distrib::{Distribution, IndexRange, IndexSet};
+use distrib::{Distribution, IndexRange, IndexSet, LocalRun};
 use kali_process::{Wire, WireError, WireReader};
 
 /// One contiguous block of a distributed array to be communicated between a
@@ -277,6 +277,34 @@ impl CommSchedule {
             }));
         }
         self.set_send_records(nprocs, records);
+    }
+
+    /// Panic unless this rank owns every element of its send records under
+    /// `dist`, the distribution they index: checked per owned run, or per
+    /// element where `dist` has no runs.  The executor packs a send record
+    /// through `dist`'s local indices unchecked, so a peer that asks for an
+    /// element this rank does not own (say, because the two planned under
+    /// different distributions) would otherwise be sent another element's
+    /// value.  The panic names this rank, the peer and the record.
+    pub(crate) fn assert_sends_owned<D: Distribution + ?Sized>(&self, dist: &D) {
+        let rank = self.rank;
+        let runs = dist.local_runs(rank);
+        for r in &self.send_records {
+            let owned = r.high <= dist.n()
+                && match runs.as_deref() {
+                    Some(runs) => runs_cover(runs, r.low, r.high),
+                    None => (r.low..r.high).all(|g| dist.owner(g) == rank),
+                };
+            assert!(
+                owned,
+                "rank {rank}: peer {}'s send record [{},{}) names an element rank {rank} \
+                 does not own under {}",
+                r.to_proc,
+                r.low,
+                r.high,
+                dist.kind_name()
+            );
+        }
     }
 
     /// Approximate heap footprint of the schedule in bytes — the quantity
@@ -691,6 +719,19 @@ fn group_by_proc<F: Fn(&RangeRecord) -> usize>(
     out
 }
 
+/// Whether the owned `runs` (ascending, disjoint) hold every index of the
+/// non-empty range `low..high`.
+fn runs_cover(runs: &[LocalRun], low: usize, high: usize) -> bool {
+    let mut covered = low;
+    for run in &runs[runs.partition_point(|r| r.high <= low)..] {
+        if covered >= high || run.low > covered {
+            break;
+        }
+        covered = run.high;
+    }
+    covered >= high
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -837,6 +878,22 @@ mod tests {
         }
         assert_eq!(s.find(9), None);
         assert_eq!(s.find(4), None);
+    }
+
+    #[test]
+    fn runs_cover_only_ranges_inside_the_owned_runs() {
+        let run = |low, high, local_base| LocalRun {
+            low,
+            high,
+            local_base,
+        };
+        let runs = [run(0, 4, 0), run(8, 12, 4)];
+        for (low, high) in [(0, 4), (1, 3), (8, 12), (11, 12)] {
+            assert!(runs_cover(&runs, low, high), "[{low},{high})");
+        }
+        for (low, high) in [(3, 5), (4, 8), (10, 13), (12, 13), (0, 12)] {
+            assert!(!runs_cover(&runs, low, high), "[{low},{high})");
+        }
     }
 
     #[test]
