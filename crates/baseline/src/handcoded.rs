@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 
 use distrib::DimDist;
-use dmsim::{Counters, Proc};
+use dmsim::{Counters, Proc, Process};
 use kali_process::tags;
 use meshes::AdjacencyMesh;
 
@@ -130,7 +130,7 @@ pub fn handcoded_jacobi(
     let mut old_a: Vec<f64> = vec![0.0; local_rows + ghost_elements];
 
     // ---- Timed region ------------------------------------------------------
-    let start_clock = proc.clock();
+    let start_clock = proc.time();
     let counters_start = proc.counters();
 
     for sweep in 0..sweeps {
@@ -154,7 +154,7 @@ pub fn handcoded_jacobi(
         }
         let mut cursor = local_rows;
         for (&src, list) in &ghosts_by_owner {
-            let payload: Vec<f64> = proc.recv_from(src, tag);
+            let payload: Vec<f64> = proc.recv(src, tag);
             assert_eq!(payload.len(), list.len(), "halo message size mismatch");
             for v in payload {
                 proc.charge_mem_refs(2);
@@ -184,7 +184,7 @@ pub fn handcoded_jacobi(
         }
     }
 
-    let total_time = proc.clock() - start_clock;
+    let total_time = proc.time() - start_clock;
     let counters = proc.counters().since(&counters_start);
 
     HandcodedOutcome {

@@ -6,7 +6,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use distrib::DimDist;
-use dmsim::{CostModel, Machine};
+use dmsim::{CostModel, Machine, Process};
 use kali_core::inspector::owner_computes_iters;
 use kali_core::{run_inspector, AffineMap, IterSpace, Span};
 

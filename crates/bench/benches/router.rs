@@ -7,7 +7,7 @@
 //! accrues is checked in the integration tests.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dmsim::{collectives, CostModel, Machine};
+use dmsim::{collectives, CostModel, Machine, Process};
 
 /// Traffic: every processor sends a small record to each of its two ring
 /// neighbours (the shape of the inspector's record exchange for a block

@@ -38,7 +38,7 @@
 
 #![forbid(unsafe_code)]
 
-use dmsim::CostModel;
+use dmsim::{CostModel, Process};
 use solvers::{Case, ExperimentParams, ExperimentRow, Placement, Program, Run};
 use std::process::ExitCode;
 

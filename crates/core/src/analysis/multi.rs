@@ -320,7 +320,7 @@ mod tests {
     #[test]
     fn matches_the_inspector_on_random_separable_stencils() {
         use crate::inspector::{owner_computes_iters, run_inspector};
-        use dmsim::{CostModel, Machine};
+        use dmsim::{CostModel, Machine, Process};
 
         let (r, c, p) = (10, 9, 4);
         let shifts: [[i64; 2]; 4] = [[-1, 0], [1, 1], [0, -1], [1, -1]];
@@ -379,7 +379,7 @@ mod tests {
         // nonlocal.  The per-dimension split used to drop such iterations
         // from the local product independently per dimension.
         use crate::inspector::{owner_computes_iters, run_inspector};
-        use dmsim::{CostModel, Machine};
+        use dmsim::{CostModel, Machine, Process};
 
         let (r, c, p) = (4usize, 4usize, 4usize);
         let dist = FlatDist::new(ArrayDist::new(

@@ -481,7 +481,7 @@ mod tests {
         use crate::executor::{execute_sweep, ExecutorConfig};
         use crate::inspector::{owner_computes_iters, run_inspector};
         use distrib::DimDist;
-        use dmsim::{CostModel, Machine};
+        use dmsim::{CostModel, Machine, Process};
         let n = 32;
         Machine::new(2, CostModel::ideal()).run(|proc| {
             let dist = DimDist::block(n, proc.nprocs());

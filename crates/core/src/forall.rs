@@ -97,7 +97,7 @@ mod tests {
     use crate::session::Session;
     use crate::space::Rect;
     use distrib::ArrayDist;
-    use dmsim::{CostModel, Machine};
+    use dmsim::{CostModel, Machine, Process};
 
     #[test]
     fn allreduce_brackets_exactly_like_tree_combine_partials() {
@@ -105,7 +105,7 @@ mod tests {
         // (`Session::execute_reduce`): the collective's cross-rank combine
         // is `tree_combine_partials`, bit for bit, at power-of-two and
         // ragged rank counts.
-        use crate::process::{tree_combine_partials, Process, Sum};
+        use crate::process::{tree_combine_partials, Sum};
         for nprocs in [2usize, 3, 4, 7, 8] {
             let partials: Vec<f64> = (0..nprocs).map(|r| 0.1 * (r as f64 + 1.0)).collect();
             let expected = tree_combine_partials::<Sum<f64>>(partials.clone());

@@ -6,14 +6,18 @@
 //! `(source, tag)`, the collective shapes of §3.3 (barrier, personalised
 //! all-to-all, allgather, sum-allreduce), and optional cost-charging hooks.
 //!
-//! Two backends implement the trait:
+//! Three backends implement the trait:
 //!
-//! * **`dmsim::Proc`** — the deterministic machine simulator.  Its cost
-//!   hooks advance a logical clock priced by the NCUBE/7 / iPSC/2 cost
-//!   models, reproducing the paper's measurements; its all-to-all is the
-//!   paper's crystal router.
-//! * **`kali_native::NativeProc`** — real OS threads and channels, for
-//!   wall-clock execution.  Cost hooks stay at their no-op defaults.
+//! * **`dmsim::Proc`** — the deterministic machine simulator: the
+//!   in-process transport `kali_process::inproc::Proc` timed by a modeled
+//!   clock.  Its cost hooks advance that clock, priced by the NCUBE/7 /
+//!   iPSC/2 cost models, reproducing the paper's measurements; its
+//!   all-to-all is the paper's crystal router.
+//! * **`kali_native::NativeProc`** — the same transport over a clock that
+//!   keeps no time: real OS threads and channels, for wall-clock
+//!   execution.  Its cost hooks do nothing.
+//! * **`kali_mp::MpProc`** — one OS process (or thread) per rank, every
+//!   message an encoded frame over a Unix-domain socket.
 //!
 //! The trait (and the [`tags`] module partitioning the tag space between
 //! the runtime components) lives in the dependency-free `kali-process`

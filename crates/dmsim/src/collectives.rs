@@ -1,34 +1,16 @@
-//! Collective operations built on top of point-to-point messaging.
+//! The simulator's own collective: the crystal router.
 //!
-//! The paper's run-time system needs one collective of its own: the
-//! all-to-all personalised exchange in which the inspector turns its receive
-//! lists (`in(p,q)`) into send lists (`out(p,q) = in(q,p)`), done with "a
-//! variant of Fox's Crystal router" so that no processor becomes a
-//! bottleneck (§3.3).  That router stays the simulator's own, because it is
-//! what the paper's tables price.  The rest is shared with every backend and
-//! runs here over the timed `send` / `recv`: the barrier, the allgather and
-//! the router's fallback exchange are `kali_process::collectives`, and the
-//! reductions are the `Process` trait's binomial-tree `allreduce`
-//! (`process_impl.rs` says why).  Every receive names its source, so a
-//! collective's result and every clock it moves depend on the program
-//! alone.
-//!
-//! All collectives are SPMD: every processor must call the same collective
-//! in the same order.  Each invocation reserves a fresh tag so consecutive
-//! collectives can never interfere.
+//! The inspector turns its receive lists (`in(p,q)`) into send lists
+//! (`out(p,q) = in(q,p)`) with an all-to-all personalised exchange, done
+//! with "a variant of Fox's Crystal router" so that no processor becomes a
+//! bottleneck (§3.3).  That router is dmsim's `exchange`, because it is
+//! what the paper's tables price; every other collective is the one every
+//! backend shares.  Like them, each invocation reserves a fresh tag, so
+//! consecutive collectives never interfere.
 
 use kali_process::{Process, Wire};
 
 use crate::engine::Proc;
-
-/// Synchronise all processors (dissemination barrier).
-///
-/// After the call, every processor's clock is at least as large as the time
-/// at which the last processor entered the barrier (plus messaging costs).
-pub fn barrier(proc: &mut Proc) {
-    let tag = proc.next_collective_tag();
-    kali_process::collectives::dissemination_barrier(proc, tag);
-}
 
 /// One routed item in an all-to-all personalised exchange: `(destination
 /// rank, payload)`.
@@ -56,7 +38,7 @@ pub fn crystal_router<T: Wire>(proc: &mut Proc, items: Vec<Routed<T>>) -> Vec<T>
     if !n.is_power_of_two() || n == 1 {
         return direct_exchange(proc, items);
     }
-    let tag = proc.next_collective_tag();
+    let tag = proc.collective_tag();
     let me = proc.rank();
     let mut current = items;
     for d in 0..n.trailing_zeros() {
@@ -66,12 +48,13 @@ pub fn crystal_router<T: Wire>(proc: &mut Proc, items: Vec<Routed<T>>) -> Vec<T>
             .into_iter()
             .partition(|(dst, _)| (dst & bit) != (me & bit));
         // Per-stage software overhead of the global concatenation.
-        proc.charge_seconds(proc.cost().router_stage);
+        let clock = proc.clock_mut();
+        clock.now += clock.cost.router_stage;
         // Handling cost proportional to the records touched this stage.
         proc.charge_record_handling(forward.len());
         let stage_tag = kali_process::tags::collective_stage_tag(tag, d);
         proc.send_vec(partner, stage_tag, forward);
-        let incoming: Vec<Routed<T>> = proc.recv_from(partner, stage_tag);
+        let incoming: Vec<Routed<T>> = proc.recv(partner, stage_tag);
         current = keep;
         current.extend(incoming);
     }
@@ -88,7 +71,7 @@ pub fn crystal_router<T: Wire>(proc: &mut Proc, items: Vec<Routed<T>>) -> Vec<T>
 /// ablation benchmarks; it is also the fallback for non-power-of-two
 /// processor counts.
 pub fn direct_exchange<T: Wire>(proc: &mut Proc, items: Vec<Routed<T>>) -> Vec<T> {
-    let tag = proc.next_collective_tag();
+    let tag = proc.collective_tag();
     kali_process::collectives::direct_exchange(proc, tag, items)
 }
 
@@ -102,8 +85,8 @@ mod tests {
         for n in [1, 2, 3, 4, 7, 8] {
             let m = Machine::new(n, CostModel::ideal());
             let r = m.run(|p| {
-                barrier(p);
-                barrier(p);
+                p.barrier();
+                p.barrier();
                 p.rank()
             });
             assert_eq!(r.len(), n);

@@ -1,12 +1,10 @@
-//! The SPMD execution engine.
+//! The SPMD execution engine: the in-process transport every thread
+//! machine shares ([`kali_process::inproc`]), timed by a modeled clock.
 //!
-//! A [`Machine`] runs an SPMD program — one closure instance per virtual
-//! processor, each on its own OS thread — and gives every instance a
-//! [`Proc`] handle for message passing and cost accounting.  The threads,
-//! the channels between them and the failure path are
-//! [`kali_process::threads`], shared with the native backend: a processor
-//! that panics wakes every peer blocked on it, and the caller's panic
-//! names each failed processor with its own message.
+//! A [`Machine`] runs one closure instance per virtual processor, each on
+//! its own OS thread with a [`Proc`] handle.  Threads, channels, message
+//! matching, the shared collectives and the failure path are the native
+//! backend's; what is the simulator's own is [`SimClock`].
 //!
 //! ## Timing model
 //!
@@ -18,30 +16,33 @@
 //!   an *arrival time* of `sender clock + latency + bytes·β + hops·hop`.
 //! * `recv` sets the receiver's clock to `max(local clock, arrival)` plus the
 //!   receive overhead.
+//! * `exchange` is the paper's crystal router
+//!   ([`collectives::crystal_router`]).
 //!
-//! Every receive names its source and tag, and [`Mailbox`] — the pending
-//! buffer all three backends share — delivers FIFO per `(source, tag)`.  So
-//! the message each receive takes, and the order in which a processor folds
-//! arrival times into its clock, are fixed by the program: the final clocks
-//! are a deterministic function of the program and the cost model, not of
-//! the host's thread scheduling.
+//! Every receive names its source and tag, and the mailbox delivers FIFO
+//! per `(source, tag)`, so the order in which a processor folds arrival
+//! times into its clock is fixed by the program: the final clocks are a
+//! function of the program and the cost model, not of thread scheduling.
 
-use kali_process::threads::{self, Link};
-use kali_process::trace::{EventKind, TraceRecorder};
-use kali_process::{Arrival, Mailbox};
+use kali_process::inproc::{self, Charge, Clock};
+use kali_process::trace::EventKind;
+use kali_process::{Process, Wire};
 
+use crate::collectives;
 use crate::cost::CostModel;
-use crate::message::{Envelope, Tag};
 use crate::stats::{Counters, RunStats};
 use crate::topology::Topology;
 
+/// A virtual processor: the in-process transport timed by a [`SimClock`].
+pub type Proc = inproc::Proc<SimClock>;
+
 /// A virtual distributed-memory machine: `nprocs` processors connected by a
-/// [`Topology`] and timed by a [`CostModel`].
+/// [`Topology`] and timed by a [`CostModel`], each starting from a copy of
+/// one clock at zero.
 #[derive(Debug, Clone)]
 pub struct Machine {
     nprocs: usize,
-    topology: Topology,
-    cost: CostModel,
+    clock: SimClock,
 }
 
 impl Machine {
@@ -62,11 +63,13 @@ impl Machine {
             topology.nodes(),
             nprocs
         );
-        Machine {
-            nprocs,
-            topology,
+        let clock = SimClock {
             cost,
-        }
+            topology,
+            now: 0.0,
+            counters: Counters::default(),
+        };
+        Machine { nprocs, clock }
     }
 
     /// Number of virtual processors.
@@ -76,12 +79,12 @@ impl Machine {
 
     /// The interconnect topology.
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        &self.clock.topology
     }
 
     /// The machine cost model.
     pub fn cost(&self) -> &CostModel {
-        &self.cost
+        &self.clock.cost
     }
 
     /// Run an SPMD program: `f` is executed once per processor, in parallel,
@@ -101,22 +104,10 @@ impl Machine {
         R: Send,
         F: Fn(&mut Proc) -> R + Sync,
     {
-        let p = self.nprocs;
-        let ranks = threads::on_threads(threads::links(p, "dmsim"), |rank, link| {
-            let mut proc = Proc {
-                rank,
-                nprocs: p,
-                topology: self.topology.clone(),
-                cost: self.cost.clone(),
-                link,
-                mailbox: Mailbox::new(rank, p),
-                clock: 0.0,
-                counters: Counters::default(),
-                coll_seq: 0,
-                recorder: TraceRecorder::default(),
-            };
-            let result = f(&mut proc);
-            (result, (proc.clock, proc.counters()))
+        let clocks = vec![self.clock.clone(); self.nprocs];
+        let ranks = inproc::run("dmsim", clocks, |proc| {
+            let result = f(proc);
+            (result, (proc.time(), proc.counters()))
         });
         let (results, stats): (Vec<R>, Vec<_>) = ranks.into_iter().unzip();
         let (clocks, counters) = stats.into_iter().unzip();
@@ -124,184 +115,81 @@ impl Machine {
     }
 }
 
-/// Per-processor handle passed to the SPMD program.
-///
-/// A `Proc` is the local view of the machine: it knows its own rank, can
-/// exchange messages with any other rank, and carries the logical clock and
-/// operation counters for its processor.
-pub struct Proc {
-    rank: usize,
-    nprocs: usize,
+/// One processor's modeled clock: simulated seconds and operation counters,
+/// advanced through the machine's [`CostModel`] and [`Topology`].
+#[derive(Debug, Clone)]
+pub struct SimClock {
+    pub(crate) cost: CostModel,
     topology: Topology,
-    cost: CostModel,
-    /// This processor's end of the channel mesh: routing and sequence
-    /// number outside, the simulated size, arrival time and value inside.
-    link: Link<Envelope>,
-    /// Out-of-order arrivals and self-sends, matched on `(src, tag)`.
-    mailbox: Mailbox<Envelope>,
-    clock: f64,
+    /// Simulated seconds.
+    pub(crate) now: f64,
     counters: Counters,
-    /// Monotonic counter used to derive unique tags for collective
-    /// operations (all processors call collectives in the same order in an
-    /// SPMD program, so the counters stay in lock step).
-    coll_seq: u64,
-    /// Opt-in execution-trace recorder (driven through the `Process` trace
-    /// hooks in `process_impl`).
-    pub(crate) recorder: TraceRecorder,
 }
 
-impl Proc {
-    /// This processor's rank, in `0..nprocs`.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
+impl Clock for SimClock {
+    /// The message's modeled size in bytes and its arrival time.
+    type Stamp = (usize, f64);
+    const METERS: bool = true;
 
-    /// Number of processors taking part in the run.
-    pub fn nprocs(&self) -> usize {
-        self.nprocs
-    }
-
-    /// The machine's cost model.
-    pub fn cost(&self) -> &CostModel {
-        &self.cost
-    }
-
-    /// The machine's topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// Current logical clock in simulated seconds.
-    pub fn clock(&self) -> f64 {
-        self.clock
-    }
-
-    /// Operation counters accumulated so far.
-    pub fn counters(&self) -> Counters {
-        Counters {
-            queue_peak: self.mailbox.peak(),
-            ..self.counters
-        }
-    }
-
-    // ----------------------------------------------------------------
-    // Cost charging
-    // ----------------------------------------------------------------
-
-    /// Charge `n` floating-point operations.
-    pub fn charge_flops(&mut self, n: usize) {
-        self.counters.flops += n as u64;
-        self.clock += self.cost.flop * n as f64;
-    }
-
-    /// Charge `n` local memory references.
-    pub fn charge_mem_refs(&mut self, n: usize) {
-        self.counters.mem_refs += n as u64;
-        self.clock += self.cost.mem_ref * n as f64;
-    }
-
-    /// Charge `n` loop iterations of control overhead.
-    pub fn charge_loop_iters(&mut self, n: usize) {
-        self.counters.loop_iters += n as u64;
-        self.clock += self.cost.loop_iter * n as f64;
-    }
-
-    /// Charge `n` procedure calls.
-    pub fn charge_calls(&mut self, n: usize) {
-        self.counters.calls += n as u64;
-        self.clock += self.cost.call * n as f64;
-    }
-
-    /// Charge an arbitrary amount of simulated time (e.g. a pre-computed
-    /// composite cost such as [`CostModel::locality_check`]).
-    pub fn charge_seconds(&mut self, seconds: f64) {
-        debug_assert!(seconds >= 0.0, "cannot charge negative time");
-        self.clock += seconds;
-    }
-
-    /// Charge one nonlocal distributed-array access resolved by binary
-    /// search over `ranges` range records, and count it in the run
-    /// statistics (the `nonlocal_refs` column of the locality tables).
-    pub fn charge_nonlocal_access(&mut self, ranges: usize) {
-        self.counters.nonlocal_refs += 1;
-        self.clock += self.cost.nonlocal_access(ranges);
-    }
-
-    // ----------------------------------------------------------------
-    // Point-to-point messaging
-    // ----------------------------------------------------------------
-
-    /// Send a single `Copy` value to `dst` with the given tag.
-    pub fn send<T: Copy + Send + 'static>(&mut self, dst: usize, tag: Tag, value: T) {
-        self.send_bytes(dst, tag, std::mem::size_of::<T>(), value);
-    }
-
-    /// Send an owned vector; the simulated wire size is
-    /// `len · size_of::<T>()`.
-    pub fn send_vec<T: Send + 'static>(&mut self, dst: usize, tag: Tag, value: Vec<T>) {
-        let bytes = value.len() * std::mem::size_of::<T>();
-        self.send_bytes(dst, tag, bytes, value);
-    }
-
-    /// Send an arbitrary payload with an explicitly specified simulated
-    /// wire size in bytes.
-    pub fn send_bytes<T: Send + 'static>(&mut self, dst: usize, tag: Tag, bytes: usize, value: T) {
-        let (me, seq) = (self.rank, self.mailbox.stamp(dst));
-        // Sender-side CPU overhead.
-        self.clock += self.cost.send_overhead;
+    /// Charge the send overhead and stamp the arrival: now on a self-send,
+    /// else after the transfer over the sender's and receiver's hops.
+    fn stamp(&mut self, me: usize, dst: usize, bytes: usize) -> (usize, f64) {
+        self.now += self.cost.send_overhead;
         self.counters.msgs_sent += 1;
         self.counters.bytes_sent += bytes as u64;
         let arrival = if dst == me {
-            self.clock
+            self.now
         } else {
-            self.clock + self.cost.transfer_time(bytes, self.topology.hops(me, dst))
+            self.now + self.cost.transfer_time(bytes, self.topology.hops(me, dst))
         };
-        let packet = Arrival {
-            src: me,
-            tag,
-            seq,
-            payload: Envelope {
-                bytes,
-                arrival,
-                payload: Box::new(value),
-            },
-        };
-        self.recorder.record(me, EventKind::Send { dst, tag });
-        if dst == me {
-            // Self-sends bypass the channel and go straight to the mailbox.
-            self.mailbox.park(packet);
-        } else {
-            self.link.send(dst, packet);
-        }
+        (bytes, arrival)
     }
 
-    /// Receive the oldest message with the given tag from `src`, blocking
-    /// until it arrives, and merge its arrival time into the clock.  Panics,
-    /// naming this rank, `src` and the tag, on a receive nothing can
-    /// satisfy: from itself with nothing sent, with every peer gone, or
-    /// once a peer has panicked.
-    pub fn recv_from<T: 'static>(&mut self, src: usize, tag: Tag) -> T {
-        let me = self.rank;
-        let env = self.mailbox.receive(src, tag, || self.link.pull(src, tag));
-        if env.arrival > self.clock {
-            self.clock = env.arrival;
+    /// Wait for the arrival, then charge the receive overhead.
+    fn merge(&mut self, (bytes, arrival): (usize, f64)) {
+        if arrival > self.now {
+            self.now = arrival;
         }
-        self.clock += self.cost.recv_overhead;
+        self.now += self.cost.recv_overhead;
         self.counters.msgs_recv += 1;
-        self.counters.bytes_recv += env.bytes as u64;
-        self.recorder.record(me, EventKind::Recv { src, tag });
-        env.into_payload(me, src, tag)
+        self.counters.bytes_recv += bytes as u64;
     }
 
-    /// Reserve a fresh tag for one collective operation.
-    ///
-    /// Collective tags live in the upper half of the tag space (see
-    /// [`kali_process::tags`]) so they can never collide with user,
-    /// executor or redistribution tags.
-    pub(crate) fn next_collective_tag(&mut self) -> Tag {
-        let tag = kali_process::tags::collective_tag(self.coll_seq);
-        self.coll_seq += 1;
-        tag
+    /// Each charge at its [`CostModel`] price; the four operation counts
+    /// and the nonlocal references are counted too.
+    fn charge(&mut self, charge: Charge) {
+        let (cost, counters) = (&self.cost, &mut self.counters);
+        let count = |counter: &mut u64, n: usize, price: f64| {
+            *counter += n as u64;
+            price * n as f64
+        };
+        self.now += match charge {
+            Charge::Flops(n) => count(&mut counters.flops, n, cost.flop),
+            Charge::MemRefs(n) => count(&mut counters.mem_refs, n, cost.mem_ref),
+            Charge::LoopIters(n) => count(&mut counters.loop_iters, n, cost.loop_iter),
+            Charge::Calls(n) => count(&mut counters.calls, n, cost.call),
+            Charge::LocalAccess => cost.local_access(),
+            Charge::NonlocalAccess { ranges } => {
+                counters.nonlocal_refs += 1;
+                cost.nonlocal_access(ranges)
+            }
+            Charge::LocalityCheck => cost.locality_check(),
+            Charge::RecordHandling(n) => cost.record_handling() * n as f64,
+        };
+    }
+
+    fn time(&self) -> f64 {
+        self.now
+    }
+
+    fn counters(&self) -> Counters {
+        self.counters
+    }
+
+    /// The paper's crystal router.
+    fn exchange<T: Wire>(proc: &mut Proc, items: Vec<(usize, T)>) -> Vec<T> {
+        proc.trace_emit(EventKind::Collective { op: "exchange" });
+        collectives::crystal_router(proc, items)
     }
 }
 
@@ -323,7 +211,7 @@ mod tests {
             let right = (p.rank() + 1) % p.nprocs();
             let left = (p.rank() + p.nprocs() - 1) % p.nprocs();
             p.send(right, 1, p.rank() as u64);
-            p.recv_from::<u64>(left, 1)
+            p.recv::<u64>(left, 1)
         });
         assert_eq!(r, vec![7, 0, 1, 2, 3, 4, 5, 6]);
     }
@@ -333,7 +221,7 @@ mod tests {
         let m = Machine::new(2, CostModel::ideal());
         let r = m.run(|p| {
             p.send(p.rank(), 9, 123u32);
-            p.recv_from::<u32>(p.rank(), 9)
+            p.recv::<u32>(p.rank(), 9)
         });
         assert_eq!(r, vec![123, 123]);
     }
@@ -348,8 +236,8 @@ mod tests {
                 0
             } else {
                 // Receive out of order: tag 20 first even though it was sent second.
-                let b: u64 = p.recv_from(0, 20);
-                let a: u64 = p.recv_from(0, 10);
+                let b: u64 = p.recv(0, 20);
+                let a: u64 = p.recv(0, 10);
                 (b - a) as i64 as usize
             }
         });
@@ -369,8 +257,8 @@ mod tests {
                 p.send(1, 6, 99u64);
                 Vec::new()
             } else {
-                let _: u64 = p.recv_from(0, 6); // buffers the tag-5 messages
-                (0..3).map(|_| p.recv_from::<u64>(0, 5)).collect()
+                let _: u64 = p.recv(0, 6); // buffers the tag-5 messages
+                (0..3).map(|_| p.recv::<u64>(0, 5)).collect()
             }
         });
         assert_eq!(r[1], vec![1, 2, 3], "same-(src, tag) delivery must be FIFO");
@@ -381,7 +269,7 @@ mod tests {
         let m = Machine::new(2, CostModel::ideal());
         let r = m.run(|p| {
             let me = p.rank();
-            let wait = std::panic::AssertUnwindSafe(|| p.recv_from::<u8>(me, 3));
+            let wait = std::panic::AssertUnwindSafe(|| p.recv::<u8>(me, 3));
             let cause = std::panic::catch_unwind(wait).expect_err("nothing was sent");
             *cause.downcast::<String>().expect("a formatted message")
         });
@@ -402,9 +290,9 @@ mod tests {
                 p.send(1, 6, 99u64);
             } else {
                 // The tag-6 receive parks all three tag-5 messages.
-                let _: u64 = p.recv_from(0, 6);
+                let _: u64 = p.recv(0, 6);
                 for _ in 0..3 {
-                    let _: u64 = p.recv_from(0, 5);
+                    let _: u64 = p.recv(0, 5);
                 }
             }
         });
@@ -424,7 +312,7 @@ mod tests {
             if p.rank() == 0 {
                 p.send(1, 0, 1u8);
             } else {
-                let _: u8 = p.recv_from(0, 0);
+                let _: u8 = p.recv(0, 0);
             }
         });
         // Receiver's clock must include the 1-second latency.
@@ -450,7 +338,7 @@ mod tests {
                 }
                 for src in 0..p.nprocs() {
                     if src != p.rank() {
-                        let _: u64 = p.recv_from(src, 5);
+                        let _: u64 = p.recv(src, 5);
                     }
                 }
             });
@@ -486,7 +374,7 @@ mod tests {
             if p.rank() == 0 {
                 p.send_vec(1, 3, vec![0.0f64; 100]);
             } else {
-                let v: Vec<f64> = p.recv_from(0, 3);
+                let v: Vec<f64> = p.recv(0, 3);
                 assert_eq!(v.len(), 100);
             }
         });
@@ -502,7 +390,7 @@ mod tests {
         let m = Machine::new(2, CostModel::ideal());
         m.run(|p| {
             if p.rank() == 1 {
-                let _: u64 = p.recv_from(0, 1);
+                let _: u64 = p.recv(0, 1);
             }
         });
     }
@@ -518,7 +406,7 @@ mod tests {
             if p.rank() == 0 {
                 panic!("deliberate worker failure");
             }
-            let _: u64 = p.recv_from(0, 1);
+            let _: u64 = p.recv(0, 1);
         });
     }
 
@@ -531,6 +419,66 @@ mod tests {
                 p.send(5, 0, 1u8);
             }
         });
+    }
+
+    #[test]
+    fn trait_collectives_match_direct_collectives() {
+        let m = Machine::new(8, CostModel::ideal());
+        let sums = m.run(|proc| {
+            let via_trait = proc.allreduce_sum_f64(proc.rank() as f64);
+            let gathered = proc.allgather(vec![proc.rank() as u64]);
+            let exchanged = proc.exchange(
+                (0..proc.nprocs())
+                    .map(|d| (d, proc.rank() as u64))
+                    .collect(),
+            );
+            (via_trait, gathered, exchanged)
+        });
+        for (rank, (sum, gathered, mut exchanged)) in sums.into_iter().enumerate() {
+            assert_eq!(sum, 28.0, "rank {rank}");
+            assert_eq!(
+                gathered,
+                (0..8u64).map(|r| vec![r]).collect::<Vec<_>>(),
+                "rank {rank}"
+            );
+            exchanged.sort_unstable();
+            assert_eq!(exchanged, (0..8u64).collect::<Vec<_>>(), "rank {rank}");
+        }
+    }
+
+    #[test]
+    fn allgather_clocks_do_not_depend_on_host_arrival_order() {
+        // Contributions reach each rank in rank order in the first run and
+        // in reverse rank order in the second: the clocks must not notice.
+        let m = Machine::new(8, CostModel::ncube7());
+        let clocks = |delay_ms: fn(usize) -> u64| {
+            let (_, stats) = m.run_stats(|proc| {
+                std::thread::sleep(std::time::Duration::from_millis(delay_ms(proc.rank())));
+                proc.allgather(vec![proc.rank() as u64]);
+            });
+            stats.clocks
+        };
+        let ascending = clocks(|rank| 5 * rank as u64);
+        let descending = clocks(|rank| 5 * (8 - rank) as u64);
+        assert_eq!(ascending, descending);
+    }
+
+    #[test]
+    fn cost_hooks_advance_the_simulated_clock() {
+        let m = Machine::new(1, CostModel::ncube7());
+        let (_, stats) = m.run_stats(|proc| {
+            proc.charge_locality_check();
+            proc.charge_local_access();
+            proc.charge_nonlocal_access(16);
+            proc.charge_record_handling(3);
+        });
+        let c = CostModel::ncube7();
+        let expected = c.locality_check()
+            + c.local_access()
+            + c.nonlocal_access(16)
+            + 3.0 * c.record_handling();
+        assert!((stats.time - expected).abs() < 1e-12);
+        assert_eq!(stats.totals.nonlocal_refs, 1);
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //!
 //! * **SPMD execution.**  A [`Machine`] runs one OS thread per *virtual
 //!   processor*.  Each virtual processor owns a [`Proc`] handle through which
-//!   it can [`send`](Proc::send), [`recv`](Proc::recv), and participate in
-//!   collective operations (barriers, reductions, and the crystal-router
-//!   all-to-all used by the paper's inspector).
+//!   it sends, receives, and takes part in collective operations (barriers,
+//!   reductions, and the crystal-router all-to-all used by the paper's
+//!   inspector).  The handle is the native backend's in-process transport
+//!   ([`kali_process::inproc`]) timed by a [`SimClock`]: the two backends
+//!   move messages the same way, and only the simulator keeps time.
 //! * **Logical clocks.**  Every processor carries a logical clock measured in
 //!   *simulated seconds*.  Computation advances the clock through the
 //!   [`CostModel`] (per-flop, per-memory-reference, per-loop-iteration and
@@ -28,15 +30,15 @@
 //! only knows about processors, messages and time.  Everything specific to
 //! global name spaces, distributions and inspector/executor analysis lives
 //! in the `distrib` and `kali-core` crates.  The one contract shared with
-//! that layer is the backend-neutral [`Process`]
-//! trait (from `kali-process`), which [`Proc`] implements so the runtime
-//! can run SPMD programs on this simulator or on the native threaded
-//! backend interchangeably — with the cost accounting preserved here.
+//! that layer is the backend-neutral [`Process`] trait (from
+//! `kali-process`), which [`Proc`] implements, so the runtime runs SPMD
+//! programs on this simulator or on the native threaded backend
+//! interchangeably — with the cost accounting kept here.
 //!
 //! ## Example
 //!
 //! ```
-//! use dmsim::{Machine, CostModel};
+//! use dmsim::{CostModel, Machine, Process};
 //!
 //! // Four virtual processors on an ideal machine: a ring shift.
 //! let machine = Machine::new(4, CostModel::ideal());
@@ -44,7 +46,7 @@
 //!     let right = (proc.rank() + 1) % proc.nprocs();
 //!     let left = (proc.rank() + proc.nprocs() - 1) % proc.nprocs();
 //!     proc.send(right, 7, proc.rank() as u64);
-//!     let v: u64 = proc.recv_from(left, 7);
+//!     let v: u64 = proc.recv(left, 7);
 //!     v
 //! });
 //! assert_eq!(results, vec![3, 0, 1, 2]);
@@ -56,28 +58,15 @@ pub mod clock;
 pub mod collectives;
 pub mod cost;
 pub mod engine;
-pub mod message;
-mod process_impl;
 pub mod stats;
 pub mod topology;
 
 pub use clock::PhaseTimer;
 pub use cost::CostModel;
-pub use engine::{Machine, Proc};
-pub use message::{Envelope, Tag};
+pub use engine::{Machine, Proc, SimClock};
 pub use stats::{Counters, RunStats};
 pub use topology::Topology;
 
 /// The backend contract [`Proc`] implements (re-exported from
 /// `kali-process` for convenience).
 pub use kali_process::Process;
-
-/// Convenience prelude for downstream crates.
-pub mod prelude {
-    pub use crate::clock::PhaseTimer;
-    pub use crate::collectives;
-    pub use crate::cost::CostModel;
-    pub use crate::engine::{Machine, Proc};
-    pub use crate::stats::{Counters, RunStats};
-    pub use crate::topology::Topology;
-}

@@ -1,40 +1,19 @@
-//! The native SPMD engine: threads, channels, and the [`Process`] impl.
+//! The native SPMD engine: the in-process transport every thread machine
+//! shares ([`kali_process::inproc`]), with a clock that keeps no time.
 //!
-//! Shared with the other backends, in `kali-process`: the threads, the
-//! channel mesh and the failure path are [`threads`] (a panicking process
-//! wakes every peer blocked on it, and the caller's panic names each failed
-//! process with its own message, as on the simulator); message matching
-//! (the pending buffer, per-channel FIFO, `queue_peak`) is [`Mailbox`]; and
-//! the barrier, exchange and allgather are [`collectives`] over this
-//! backend's `send` / `recv`.  This transport's own: payloads are
-//! type-erased boxes moved through in-process channels, so a program can
-//! exchange any `Send + 'static` value (a type mismatch between a send and
-//! its receive is fatal, like an MPI type error), and spent packed buffers
-//! travel back to their sender's pool.
+//! The threads, the channel mesh and the failure path are
+//! [`kali_process::threads`] (a panicking process wakes every peer blocked
+//! on it, and the caller's panic names each failed process with its own
+//! message); message matching, the collectives and the packed-buffer pool
+//! are [`kali_process::inproc::Proc`]'s.  With the `()` clock nothing rides
+//! on a message beside its value and no cost hook does anything, so
+//! [`Process::METERS`](kali_process::Process::METERS) is `false`.
 
-use std::any::Any;
+use kali_process::inproc::{self, Proc};
 
-use kali_process::threads::{self, Link};
-use kali_process::trace::{Event, EventKind, TraceRecorder};
-use kali_process::{collectives, tags, Arrival, Counters, Mailbox, Process, Tag, Wire};
-
-/// Tag of a buffer-return packet: after [`Process::recv_packed_append`]
-/// copies a packed message out, the spent `Vec` travels back to its sender
-/// under this tag and lands in the sender's buffer pool, so steady-state
-/// packed messaging recycles allocations instead of growing the heap.
-/// `u64::MAX - 1` is unreachable by any real tag: user/executor/redistribute
-/// tags live below bit 63, and collective tags are `2^63 | seq` with
-/// `seq < 2^32` plus a stage offset in bits 32..40.  A return packet carries
-/// sequence number 0: it never enters the mailbox, so its FIFO witness
-/// never sees it.
-const RETURN_TAG: Tag = Tag::MAX - 1;
-
-/// Upper bound on pooled send buffers retained per process; returns beyond
-/// the cap are simply dropped (the pool is an optimisation, not a ledger).
-const POOL_CAP: usize = 64;
-
-/// A message in flight between two native processes: a type-erased value.
-type Payload = Box<dyn Any + Send>;
+/// Per-process handle passed to the SPMD program — the native
+/// implementation of [`Process`](kali_process::Process).
+pub type NativeProc = Proc<()>;
 
 /// A native shared-nothing machine: `nprocs` SPMD processes, each on its
 /// own OS thread, connected by unbounded channels.
@@ -62,222 +41,14 @@ impl NativeMachine {
         R: Send,
         F: Fn(&mut NativeProc) -> R + Sync,
     {
-        let p = self.nprocs;
-        threads::on_threads(threads::links(p, "native"), |rank, link| {
-            let mut proc = NativeProc {
-                rank,
-                nprocs: p,
-                link,
-                mailbox: Mailbox::new(rank, p),
-                pool: Vec::new(),
-                coll_seq: 0,
-                recorder: TraceRecorder::default(),
-            };
-            f(&mut proc)
-        })
-    }
-}
-
-/// Per-process handle passed to the SPMD program — the native
-/// implementation of [`Process`].
-pub struct NativeProc {
-    rank: usize,
-    nprocs: usize,
-    /// This process's end of the channel mesh.
-    link: Link<Payload>,
-    /// Out-of-order arrivals and self-sends, matched on `(src, tag)`.
-    mailbox: Mailbox<Payload>,
-    /// Recycled packed send buffers, returned by peers via [`RETURN_TAG`]
-    /// packets; drawn from by [`Process::acquire_send_buffer`].
-    pool: Vec<Payload>,
-    /// Monotonic counter deriving unique tags for collective operations
-    /// (all processes call collectives in the same order in an SPMD
-    /// program, so the counters stay in lock step).
-    coll_seq: u64,
-    /// Opt-in execution-trace recorder, driven through the [`Process`]
-    /// trace hooks.
-    recorder: TraceRecorder,
-}
-
-/// Park a returned send buffer in the pool (bounded by [`POOL_CAP`]).
-fn stash_returned(pool: &mut Vec<Payload>, buffer: Payload) {
-    if pool.len() < POOL_CAP {
-        pool.push(buffer);
-    }
-}
-
-impl NativeProc {
-    /// Drain everything currently sitting in the channel without blocking:
-    /// returned buffers go to the pool, regular packets to the pending
-    /// buffer.  Called before handing out a send buffer so returns that
-    /// already arrived get recycled.
-    fn drain_incoming(&mut self) {
-        while let Some(packet) = self.link.try_pull() {
-            if packet.tag == RETURN_TAG {
-                stash_returned(&mut self.pool, packet.payload);
-            } else {
-                self.mailbox.park(packet);
-            }
-        }
-    }
-
-    /// Enter a collective: record its trace marker and draw its tag.
-    fn begin_collective(&mut self, op: &'static str) -> Tag {
-        self.recorder
-            .record(self.rank, EventKind::Collective { op });
-        let tag = tags::collective_tag(self.coll_seq);
-        self.coll_seq += 1;
-        tag
-    }
-}
-
-impl Process for NativeProc {
-    /// No cost hook is overridden: a wall-clock backend charges nothing.
-    const METERS: bool = false;
-
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn nprocs(&self) -> usize {
-        self.nprocs
-    }
-
-    fn send<T: Send + 'static>(&mut self, dst: usize, tag: Tag, value: T) {
-        let me = self.rank;
-        let packet: Arrival<Payload> = Arrival {
-            src: me,
-            tag,
-            seq: self.mailbox.stamp(dst),
-            payload: Box::new(value),
-        };
-        self.recorder.record(me, EventKind::Send { dst, tag });
-        if dst == me {
-            // Self-sends bypass the channel and go straight to the pending
-            // buffer.
-            self.mailbox.park(packet);
-        } else {
-            self.link.send(dst, packet);
-        }
-    }
-
-    fn send_vec<T: Wire>(&mut self, dst: usize, tag: Tag, values: Vec<T>) {
-        self.send(dst, tag, values);
-    }
-
-    fn recv<T: Send + 'static>(&mut self, src: usize, tag: Tag) -> T {
-        let me = self.rank;
-        let payload = self.mailbox.receive(src, tag, || loop {
-            let packet = self.link.pull(src, tag);
-            if packet.tag != RETURN_TAG {
-                break packet;
-            }
-            stash_returned(&mut self.pool, packet.payload);
-        });
-        self.recorder.record(me, EventKind::Recv { src, tag });
-        *payload.downcast::<T>().unwrap_or_else(|_| {
-            panic!(
-                "native rank {me}: message type mismatch from rank {src} on tag {tag:#x}: \
-                 expected {}",
-                std::any::type_name::<T>()
-            )
-        })
-    }
-
-    fn barrier(&mut self) {
-        let tag = self.begin_collective("barrier");
-        collectives::dissemination_barrier(self, tag);
-    }
-
-    fn exchange<T: Wire>(&mut self, items: Vec<(usize, T)>) -> Vec<T> {
-        let tag = self.begin_collective("exchange");
-        collectives::direct_exchange(self, tag, items)
-    }
-
-    fn allgather<T: Clone + Wire>(&mut self, items: Vec<T>) -> Vec<Vec<T>> {
-        let tag = self.begin_collective("allgather");
-        collectives::direct_allgather(self, tag, items)
-    }
-
-    /// Hand out a recycled packed buffer when one of the right element type
-    /// is in the pool, avoiding an allocation per `(dest, sweep)` message.
-    fn acquire_send_buffer<T: Send + 'static>(&mut self, capacity: usize) -> Vec<T> {
-        self.drain_incoming();
-        if let Some(pos) = self.pool.iter().position(|b| b.is::<Vec<T>>()) {
-            let boxed = self.pool.swap_remove(pos);
-            let mut buf = *boxed
-                .downcast::<Vec<T>>()
-                .expect("pool slot type re-checked by position()");
-            buf.clear();
-            buf.reserve(capacity);
-            buf
-        } else {
-            Vec::with_capacity(capacity)
-        }
-    }
-
-    /// Zero-copy packed receive: append the incoming payload to `out`, then
-    /// hand the spent buffer back to the sender over the return channel so
-    /// its allocation is reused for the next sweep.
-    fn recv_packed_append<T: Copy + Wire>(
-        &mut self,
-        src: usize,
-        tag: Tag,
-        out: &mut Vec<T>,
-    ) -> usize {
-        let mut values: Vec<T> = self.recv(src, tag);
-        let got = values.len();
-        out.extend_from_slice(&values);
-        values.clear();
-        if src == self.rank {
-            stash_returned(&mut self.pool, Box::new(values));
-        } else {
-            // Best effort: the peer may already have exited, in which case
-            // the buffer is simply dropped.
-            let packet: Arrival<Payload> = Arrival {
-                src: self.rank,
-                tag: RETURN_TAG,
-                seq: 0,
-                payload: Box::new(values),
-            };
-            self.link.offer(src, packet);
-        }
-        got
-    }
-
-    // `allreduce` / `allreduce_sum_f64` use the trait's provided
-    // binomial-tree implementation over this backend's `send`/`recv`, so
-    // the bracketing (and the bits) match dmsim and the sequential replay.
-
-    /// The native backend meters nothing except the pending-queue
-    /// high-water mark, which costs one comparison per parked packet.
-    fn counters(&self) -> Counters {
-        Counters {
-            queue_peak: self.mailbox.peak(),
-            ..Counters::default()
-        }
-    }
-
-    fn trace_start(&mut self) {
-        self.recorder.start();
-    }
-
-    fn trace_take(&mut self) -> Vec<Event> {
-        self.recorder.take()
-    }
-
-    fn trace_active(&self) -> bool {
-        self.recorder.is_active()
-    }
-
-    fn trace_emit(&mut self, kind: EventKind) {
-        self.recorder.record(self.rank, kind);
+        inproc::run("native", vec![(); self.nprocs], f)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kali_process::Process;
 
     #[test]
     fn single_process_runs() {
@@ -498,7 +269,6 @@ mod tests {
         let m = NativeMachine::new(2);
         let r = m.run(|p| {
             if p.rank() == 1 {
-                p.send(0, 0x5, 1u64);
                 return Vec::new();
             }
             vec![
@@ -506,7 +276,6 @@ mod tests {
                 // peer happens to exit.
                 panic_text(|| p.recv::<u64>(7, 0x2a)),
                 panic_text(|| p.recv::<u64>(0, 0x2b)),
-                panic_text(|| p.recv::<Vec<f64>>(1, 0x5)),
                 // Returns once rank 1 is gone ...
                 panic_text(|| p.recv::<u64>(1, 0x1c)),
                 // ... after which its receiver goes too (the two halves are
@@ -520,7 +289,6 @@ mod tests {
         let expected = [
             "rank 0: recv from rank 7 of 2 (tag 0x2a)",
             "rank 0: recv from rank 0 (itself) on tag 0x2b with nothing sent",
-            "native rank 0: message type mismatch from rank 1 on tag 0x5: expected alloc::vec::Vec<f64>",
             "native rank 0: all peer ranks hung up while rank 0 waited for tag 0x1c from rank 1",
             "native rank 0: destination rank 1 hung up (send tag 0x1d)",
         ];

@@ -4,9 +4,11 @@
 //! calibrated cost models, deterministic timings), this crate *is* one, at
 //! the scale of a single host: a [`NativeMachine`] runs one OS thread per
 //! SPMD process, and a [`NativeProc`] exchanges messages over unbounded
-//! channels.  There are no clocks and no cost charging — the
-//! [`Process`](kali_process::Process) cost hooks stay at their no-op
-//! defaults — so a Jacobi sweep runs at whatever speed the hardware allows.
+//! channels.  A [`NativeProc`] is the in-process transport the simulator
+//! runs on too ([`kali_process::inproc::Proc`]), over the `()` clock: there
+//! is no clock and no cost charging — every
+//! [`Process`](kali_process::Process) cost hook does nothing — so a Jacobi
+//! sweep runs at whatever speed the hardware allows.
 //!
 //! ## Determinism
 //!

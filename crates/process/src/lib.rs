@@ -8,13 +8,13 @@
 //! once and executed on any backend:
 //!
 //! * `dmsim::Proc` — the deterministic machine **simulator** with logical
-//!   clocks and the paper's NCUBE/7 / iPSC/2 cost models.  It implements the
-//!   cost-charging hooks by advancing its simulated clock, which is how the
-//!   paper's tables are reproduced.
-//! * `kali_native::NativeProc` — a **native** backend running one OS thread
-//!   per process with channel-based messaging, for wall-clock execution.
-//!   It leaves the cost hooks at their no-op defaults and says so
-//!   ([`Process::METERS`] is `false`).
+//!   clocks and the paper's NCUBE/7 / iPSC/2 cost models: [`inproc::Proc`]
+//!   over dmsim's `SimClock`, whose cost hooks advance the simulated clock.
+//!   That is how the paper's tables are reproduced.
+//! * `kali_native::NativeProc` — the **native** backend for wall-clock
+//!   execution: the same [`inproc::Proc`], one OS thread per process, over
+//!   the `()` clock, which keeps no time.  Its cost hooks do nothing and it
+//!   says so ([`Process::METERS`] is `false`).
 //! * `kali_mp::MpProc` — the **multi-process** backend: one OS process (or
 //!   thread) per rank, every message a [`Wire`]-encoded frame over a
 //!   Unix-domain socket.  It does not meter either.
@@ -39,7 +39,10 @@
 //! run: a rank count that is not a power of two.)  [`threads`] is how the
 //! in-process machines run their ranks: one scoped thread per rank, one
 //! failure report for the caller, and a channel mesh that wakes blocked
-//! peers when a rank panics.
+//! peers when a rank panics.  [`inproc`] is the one transport of the
+//! machines whose ranks are threads of one process, dmsim's and native's:
+//! a rank handle generic over a [`inproc::Clock`], which decides what a
+//! message carries beside its value and what the cost hooks do.
 //!
 //! ## Metering is a fact about the backend
 //!
@@ -50,8 +53,9 @@
 //! hooks; where `METERS` is `false` it skips the counting as well as the
 //! flush, and a local reference costs what the paper (§4) says it costs.
 //!
-//! * **Who sets it.**  `kali_native::NativeProc` and `kali_mp::MpProc` set
-//!   `false`: they override no hook.  `dmsim::Proc` keeps the default.  A
+//! * **Who sets it.**  `kali_mp::MpProc` sets `false`: it overrides no
+//!   hook.  [`inproc::Proc`] takes its clock's [`inproc::Clock::METERS`]:
+//!   `false` for native's `()`, `true` for dmsim's `SimClock`.  A
 //!   wrapper that forwards the hooks to an inner `P` should forward the
 //!   constant too (`const METERS: bool = P::METERS;`).
 //! * **Why the default meters.**  The wrong `true` costs a few counter
@@ -70,6 +74,7 @@
 #![deny(missing_docs)]
 
 pub mod collectives;
+pub mod inproc;
 pub mod mailbox;
 pub mod reduce;
 pub mod tags;

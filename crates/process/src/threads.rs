@@ -99,6 +99,11 @@ pub fn links<M: Send>(nprocs: usize, backend: &'static str) -> Vec<Link<M>> {
 }
 
 impl<M> Link<M> {
+    /// The backend this link's failure messages name.
+    pub fn backend(&self) -> &'static str {
+        self.backend
+    }
+
     /// Hand `arrival` to rank `dst`; panics if `dst` has already exited.
     pub fn send(&self, dst: usize, arrival: Arrival<M>) {
         let tag = arrival.tag;

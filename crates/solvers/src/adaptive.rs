@@ -134,7 +134,7 @@ mod tests {
     use super::*;
     use crate::jacobi::jacobi_sweeps;
     use crate::partitioned::partitioned_dist;
-    use dmsim::{CostModel, Machine};
+    use dmsim::{CostModel, Machine, Process};
     use meshes::UnstructuredMeshBuilder;
 
     /// Block placement stored back to front on every rank: a local order

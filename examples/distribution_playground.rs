@@ -15,7 +15,7 @@
 //! Run with: `cargo run --example distribution_playground`
 
 use kali_repro::distrib::DimDist;
-use kali_repro::dmsim::{CostModel, Machine};
+use kali_repro::dmsim::{CostModel, Machine, Process};
 use kali_repro::kali::{AffineMap, Session};
 
 fn main() {

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example jacobi_unstructured`
 
 use kali_repro::distrib::DimDist;
-use kali_repro::dmsim::{CostModel, Machine};
+use kali_repro::dmsim::{CostModel, Machine, Process};
 use kali_repro::meshes::UnstructuredMeshBuilder;
 use kali_repro::solvers::{jacobi_sequential, jacobi_sweeps, JacobiConfig};
 

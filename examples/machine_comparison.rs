@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example machine_comparison`
 
 use kali_repro::distrib::DimDist;
-use kali_repro::dmsim::{CostModel, Machine};
+use kali_repro::dmsim::{CostModel, Machine, Process};
 use kali_repro::meshes::RegularGrid;
 use kali_repro::solvers::{jacobi_sweeps, JacobiConfig};
 

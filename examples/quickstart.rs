@@ -16,7 +16,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use kali_repro::distrib::DimDist;
-use kali_repro::dmsim::{CostModel, Machine};
+use kali_repro::dmsim::{CostModel, Machine, Process};
 use kali_repro::kali::{AffineMap, Session};
 
 fn main() {

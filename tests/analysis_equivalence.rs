@@ -3,7 +3,7 @@
 //! (paper §3.2 presents them as two evaluations of the same formulas).
 
 use kali_repro::distrib::{DimDist, IndexSet};
-use kali_repro::dmsim::{CostModel, Machine};
+use kali_repro::dmsim::{CostModel, Machine, Process};
 use kali_repro::kali::{run_inspector, AffineMap, IterSpace, Span, Stripe};
 
 use proptest::prelude::*;

@@ -151,6 +151,32 @@ fn a_rank_panic_reaches_the_caller_with_its_own_message() {
     }
 }
 
+/// Rank 1 receives a `Vec<f64>` where rank 0 sent a `u64`; rank 1's panic
+/// message, caught in the rank so the run itself completes.
+fn mistyped<P: Process>(proc: &mut P) -> String {
+    if proc.rank() == 0 {
+        proc.send(1, 0x2a, 7u64);
+        return String::new();
+    }
+    panic_text(|| drop(proc.recv::<Vec<f64>>(0, 0x2a)))
+}
+
+#[test]
+fn a_receive_of_another_type_names_the_backend_rank_peer_and_tag() {
+    // The two in-process machines share one transport and so one message;
+    // mp decodes bytes and reports its own codec error instead.
+    let dmsim = Machine::new(2, CostModel::ideal()).run(mistyped);
+    let native = NativeMachine::new(2).run(mistyped);
+    for (backend, texts) in [("dmsim", dmsim), ("native", native)] {
+        let text = &texts[1];
+        let want = format!("{backend} rank 1: message type mismatch from rank 0 on tag 0x2a: ");
+        assert!(
+            text.starts_with(&want) && text.ends_with("expected alloc::vec::Vec<f64>"),
+            "{text}"
+        );
+    }
+}
+
 /// A backend handle wrapped the way a tracing or timing layer would wrap it:
 /// every message forwarded, every charge written down — and
 /// [`Process::METERS`] not mentioned, so it is the metering default.

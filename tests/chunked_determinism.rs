@@ -25,7 +25,7 @@
 //! behind.
 
 use kali_repro::distrib::{ArrayDist, DimDist, Distribution, FlatDist};
-use kali_repro::dmsim::{CostModel, Machine};
+use kali_repro::dmsim::{CostModel, Machine, Process};
 use kali_repro::kali::{MultiAffineMap, Rect, Session};
 use kali_repro::meshes::{AdjacencyMesh, RegularGrid, UnstructuredMeshBuilder};
 use kali_repro::process::Counters;
